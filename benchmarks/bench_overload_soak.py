@@ -1,6 +1,6 @@
 """Goodput under overload: admission control on vs off.
 
-Drives a live :class:`~repro.server.service.HTTPSoapServer` whose
+Drives a live :class:`~repro.server.threaded_server.HTTPSoapServer` whose
 handler does real (GIL-holding) CPU work, so server capacity is a hard
 resource and excess offered load queues instead of overlapping.  The
 grid crosses offered load (0.5x / 1x / 2x of measured peak capacity)
@@ -45,7 +45,8 @@ from repro.resilience.retry import RetryPolicy
 from repro.runtime.loadgen import message_sequence
 from repro.schema.registry import TypeRegistry
 from repro.schema.types import DOUBLE
-from repro.server.service import HTTPSoapServer, SOAPService
+from repro.server.service import SOAPService
+from repro.server.threaded_server import HTTPSoapServer
 
 REQUIRED_COLUMNS = (
     "load_factor",

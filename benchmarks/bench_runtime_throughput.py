@@ -1,6 +1,6 @@
 """Runtime-layer throughput: calls/sec and latency vs pool size/match level.
 
-Spins up a live :class:`~repro.server.service.HTTPSoapServer` and
+Spins up a live :class:`~repro.server.threaded_server.HTTPSoapServer` and
 drives it with :mod:`repro.runtime.loadgen` across the
 (mode × pool size × match level) grid, emitting one standard
 ``repro-bench-result/1`` JSON document (see
@@ -16,9 +16,9 @@ to overlap (see ``docs/runtime.md``).
 thread-per-connection, or the async event loop).  ``--async-compare``
 runs the C10K comparison instead of the grid: a high-connection soak
 of the async server vs the threaded server at its own (much lower)
-peak, plus the flat-vs-iovec write-path ablation on multi-chunk
-steady-state resends — the numbers archived in
-``BENCH_async_server.json`` and pinned by ``tests/test_bench.py``.
+peak — the numbers archived in ``BENCH_async_server.json`` and pinned
+by ``tests/test_bench.py`` (the archive also keeps the rows of the
+since-deleted flat-vs-iovec write-path ablation as history).
 
 Usage::
 
@@ -35,10 +35,7 @@ import argparse
 import json
 import subprocess
 import sys
-import time
 from typing import Dict, List, Optional
-
-import numpy as np
 
 from repro.bench.resultjson import dump_result, make_result, validate_result
 from repro.hardening.limits import ResourceLimits
@@ -92,8 +89,7 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
                         choices=("threaded", "async"),
                         help="front end the grid runs against")
     parser.add_argument("--async-compare", action="store_true",
-                        help="run the C10K soak + write-path ablation "
-                             "instead of the grid")
+                        help="run the C10K soak instead of the grid")
     parser.add_argument("--soak-connections", type=int, default=2048,
                         help="open connections for the async soak")
     parser.add_argument("--soak-window", type=int, default=64,
@@ -105,11 +101,6 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
                              "(expand operation: response is EXPAND_REPS x)")
     parser.add_argument("--trials", type=int, default=3,
                         help="runs per comparison arm; best is archived")
-    parser.add_argument("--ablation-n", type=int, default=128,
-                        help="request double-array length for the resend "
-                             "ablation (response is EXPAND_REPS x larger)")
-    parser.add_argument("--ablation-calls", type=int, default=200,
-                        help="timed calls per ablation arm")
     parser.add_argument("--out", default=None,
                         help="output JSON path (default: stdout)")
     parser.add_argument("--smoke", action="store_true",
@@ -118,7 +109,7 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
 
 
 # ----------------------------------------------------------------------
-# --async-compare: C10K soak + flat-vs-iovec resend ablation
+# --async-compare: C10K soak, async at scale vs threaded at its peak
 # ----------------------------------------------------------------------
 def _sized_service(connections: int):
     """A loadgen service sized so the soak measures the front end.
@@ -181,72 +172,6 @@ def _soak_once(
         server.stop()
 
 
-def _resend_ablation_once(
-    vectored: bool, n: int, calls: int, warmup: int = 3
-) -> Dict[str, object]:
-    """Steady-state multi-chunk resends, vectored vs flattened writes.
-
-    The expand operation turns an *n*-double request into an
-    ``EXPAND_REPS``-times-larger response spanning many
-    ``ChunkedBuffer`` chunks; after the warm-up calls both the request
-    parse and the response serialization are pure content matches, so
-    per-call cost is dominated by shipping the response — the one step
-    where the two arms differ (``sendmsg`` over the live chunk views
-    vs flattening them into one contiguous copy first).  The client is
-    a raw socket replaying one pre-built request and draining bytes,
-    so no client-side SOAP parsing dilutes the delta.
-    """
-    import socket as socket_mod
-
-    from repro.runtime.soak import _exchange, build_request_bytes
-
-    server = make_server(
-        _sized_service(8), "async", handler_threads=0, vectored=vectored
-    ).start()
-    latencies: List[float] = []
-    errors = 0
-    request = build_request_bytes(n=n, operation=loadgen.EXPAND_OPERATION)
-    try:
-        with socket_mod.create_connection(
-            ("127.0.0.1", server.port), timeout=30.0
-        ) as sock:
-            sock.settimeout(30.0)
-            for _ in range(warmup):
-                _exchange(sock, request)
-            started = time.perf_counter()
-            for _ in range(calls):
-                t0 = time.perf_counter()
-                try:
-                    status = _exchange(sock, request)
-                except OSError:
-                    errors += 1
-                    continue
-                if status != 200:
-                    errors += 1
-                    continue
-                latencies.append((time.perf_counter() - t0) * 1000.0)
-            duration = time.perf_counter() - started
-    finally:
-        server.stop()
-    lat = np.asarray(latencies if latencies else [0.0])
-    return {
-        "mode": "resend-ablation",
-        "server": "async",
-        "vectored": vectored,
-        "connections": 1,
-        "n": n,
-        "response_doubles": n * loadgen.EXPAND_REPS,
-        "calls": len(latencies),
-        "errors": errors,
-        "duration_s": round(duration, 6),
-        "calls_per_sec": round(
-            len(latencies) / duration if duration > 0 else 0.0, 2
-        ),
-        "p50_ms": round(float(np.percentile(lat, 50)), 4),
-        "p99_ms": round(float(np.percentile(lat, 99)), 4),
-    }
-
-
 def _best_of(trials: int, run, progress) -> Dict[str, object]:
     """Best row (by calls/sec) across *trials* runs of *run*.
 
@@ -269,7 +194,7 @@ def _best_of(trials: int, run, progress) -> Dict[str, object]:
 
 
 def run_async_compare(args, progress) -> List[Dict[str, object]]:
-    """The two soak arms + the two ablation arms, best-of-``trials``."""
+    """The two soak arms, best-of-``trials``."""
     threaded_peak = ResourceLimits().max_concurrent_connections
     # Same total timed calls for both servers: the threaded arm walks
     # its far fewer connections proportionally more times.
@@ -295,15 +220,6 @@ def run_async_compare(args, progress) -> List[Dict[str, object]]:
         ),
         progress,
     ))
-    for vectored in (True, False):
-        progress(f"resend ablation vectored={vectored} (n={args.ablation_n})")
-        rows.append(_best_of(
-            args.trials,
-            lambda v=vectored: _resend_ablation_once(
-                v, args.ablation_n, args.ablation_calls
-            ),
-            progress,
-        ))
     return rows
 
 
@@ -320,16 +236,13 @@ def main_async_compare(args) -> int:
             "soak_operation": "expand",
             "expand_reps": loadgen.EXPAND_REPS,
             "trials": args.trials,
-            "ablation_n": args.ablation_n,
-            "ablation_calls": args.ablation_calls,
             "smoke": args.smoke,
         },
         results=rows,
         notes=(
             "async C10K soak vs threaded at its own peak (equal timed "
             "calls, expand workload with multi-chunk responses, warmed "
-            "sessions, out-of-process client) + flat-vs-iovec write "
-            "ablation on multi-chunk content resends"
+            "sessions, out-of-process client)"
         ),
     )
     validate_result(doc, required_columns=ASYNC_COMPARE_COLUMNS)
@@ -358,8 +271,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.soak_window = 16
         args.soak_rounds = 2
         args.trials = 1
-        args.ablation_n = 16
-        args.ablation_calls = 12
     if args.async_compare:
         return main_async_compare(args)
 

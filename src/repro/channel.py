@@ -4,7 +4,7 @@ Bundles the full client-side stack — bSOAP differential serialization,
 HTTP framing, a reconnecting TCP connection, response parsing, and
 SOAP Fault propagation — behind one ``call()``.  This is the
 convenience layer a generated stub or an application uses against a
-real :class:`~repro.server.service.HTTPSoapServer`.
+real :class:`~repro.server.threaded_server.HTTPSoapServer`.
 
 Failure handling (see DESIGN.md §"Failure model and recovery"):
 

@@ -3,7 +3,7 @@
 Where :mod:`repro.resilience.faults` injects faults *inside* one
 client's transport and :mod:`repro.hardening.fuzz` throws malformed
 bytes at an in-process service, this package attacks the **whole
-deployed shape**: a real :class:`~repro.server.service.HTTPSoapServer`
+deployed shape**: a real :class:`~repro.server.threaded_server.HTTPSoapServer`
 (admission control + memory-budgeted session state) serving a fleet of
 real :class:`~repro.channel.RPCChannel` clients over real sockets,
 while a seeded coordinator injects connection drops, slow-loris drips,

@@ -1,7 +1,7 @@
 """The chaos soak: a real server, a real fleet, a seeded fault diet.
 
 One :func:`run_chaos` drives a live
-:class:`~repro.server.service.HTTPSoapServer` (admission control on,
+:class:`~repro.server.threaded_server.HTTPSoapServer` (admission control on,
 delta + skip-scan enabled, a deliberately small state budget) with a
 fleet of :class:`~repro.channel.RPCChannel` workers pinned across all
 four match levels, while a coordinator injects the fault schedule from

@@ -63,7 +63,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
 from repro.schema.types import INT
-from repro.server.service import HTTPSoapServer, Operation, SOAPService
+from repro.server.service import Operation, SOAPService
+from repro.server.threaded_server import HTTPSoapServer
 from repro.soap.fault import SOAPFault
 from repro.wire.frame import HEADER, encode_frame
 

@@ -6,7 +6,7 @@ oversized, absurdly nested, attribute-bombed, slow-trickled, or plain
 garbage.  :class:`ResourceLimits` is the single knob set shared by the
 scanner (:mod:`repro.xmlkit.scanner`), the request parser
 (:mod:`repro.server.parser`), the HTTP front ends
-(:class:`~repro.server.service.HTTPSoapServer`,
+(:class:`~repro.server.threaded_server.HTTPSoapServer`,
 :class:`~repro.transport.dummy_server.DummyServer`) and the client
 transports (:class:`~repro.transport.tcp.TCPTransport` and its
 resilience wrappers), so both sides of a connection agree on one

@@ -77,7 +77,7 @@ class OverloadPolicy:
     """Knobs for :class:`AdmissionController` (see module docstring).
 
     The defaults are sized for the threaded
-    :class:`~repro.server.service.HTTPSoapServer`: admit roughly as
+    :class:`~repro.server.threaded_server.HTTPSoapServer`: admit roughly as
     many concurrent requests as it has worker threads, keep a short
     bounded queue, and let the rate gate stay effectively open unless
     configured down.

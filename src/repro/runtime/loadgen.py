@@ -1,6 +1,6 @@
 """Closed-loop load generation for the runtime layer.
 
-Drives an :class:`~repro.server.service.HTTPSoapServer` with
+Drives an :class:`~repro.server.threaded_server.HTTPSoapServer` with
 configurable concurrency (single channel, :class:`ClientPool`, or
 :class:`PipelinedSender`) and per-call workloads pinned to one of the
 paper's four match levels, measuring calls/sec and latency
@@ -42,7 +42,8 @@ from repro.runtime.pool import ClientPool
 from repro.schema.composite import ArrayType
 from repro.schema.registry import TypeRegistry
 from repro.schema.types import DOUBLE
-from repro.server.service import HTTPSoapServer, SOAPService
+from repro.server.service import SOAPService
+from repro.server.threaded_server import HTTPSoapServer
 from repro.soap.message import Parameter, SOAPMessage
 
 __all__ = [

@@ -14,14 +14,19 @@ the *real* server the examples and integration tests use:
   response serialization through a bSOAP client (so responses benefit
   from differential serialization too, the "heavily-used servers"
   scenario of §3.4),
-* :mod:`repro.server.async_server` — the C10K event-loop front end
-  with zero-copy vectored response sends (``docs/async_server.md``);
+* :mod:`repro.server.http_core` — the sans-IO HTTP protocol core
+  (framing, rejection taxonomy, response heads, GET endpoints) under
+  every front end,
+* :mod:`repro.server.threaded_server` and
+  :mod:`repro.server.async_server` — its two I/O drivers, thread per
+  connection and the C10K event loop (``docs/async_server.md``);
   :func:`make_server` is the ``server="threaded"|"async"`` switch.
 """
 
 from repro.server.parser import DecodedMessage, DecodedParam, SOAPRequestParser
 from repro.server.diffdeser import DeserKind, DeserReport, DifferentialDeserializer
-from repro.server.service import HTTPSoapServer, Operation, SOAPService
+from repro.server.service import Operation, SOAPService
+from repro.server.threaded_server import HTTPSoapServer
 from repro.server.async_server import AsyncHTTPSoapServer, SERVER_MODES, make_server
 from repro.server.tagdispatch import OperationPeeker
 

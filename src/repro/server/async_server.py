@@ -1,19 +1,21 @@
 """Non-blocking C10K front end with zero-copy vectored response sends.
 
-The threaded :class:`~repro.server.service.HTTPSoapServer` spends one
-OS thread per connection, which tops out at hundreds of clients —
-nowhere near the millions-of-users traffic the ROADMAP names.  This
-module rebuilds the serving layer as an event loop:
+The threaded :class:`~repro.server.threaded_server.HTTPSoapServer`
+spends one OS thread per connection, which tops out at hundreds of
+clients — nowhere near the millions-of-users traffic the ROADMAP
+names.  This module drives the same sans-IO protocol core
+(:mod:`repro.server.http_core`) from an event loop:
 
 * **one loop thread** runs a ``selectors`` readiness loop doing
   non-blocking accept/read/write over every connection;
 * **per-connection state machines** (``reading → handling → writing →
-  reading``) buffer bytes until :func:`~repro.transport.http.parse_http_request`
-  yields a complete request, then feed the existing
-  :class:`~repro.server.service.SOAPService` pipeline — admission
-  control, delta mirrors, skip-scan deserialization, the memory-shed
-  ladder, and the 400/408/413/503 taxonomy are all the *same code* the
-  threaded server runs;
+  reading``) feed received bytes to the core's
+  :class:`~repro.server.http_core.HttpConnection` until it yields a
+  complete request, then run it through the core's
+  :class:`~repro.server.http_core.HttpFrontEnd` — framing, the
+  400/408/413/500/503 taxonomy, response heads and the GET endpoints
+  are all the *same code* the threaded server runs, over the same
+  :class:`~repro.server.service.SOAPService` pipeline;
 * **a small handler pool** executes the (CPU-bound, GIL-protected)
   SOAP work so a slow handler never stalls the readiness loop; each
   connection handles at most one request at a time, in order;
@@ -21,14 +23,12 @@ module rebuilds the serving layer as an event loop:
   instead of per-socket blocking timeouts: arming, re-arming (on
   request-level progress, exactly the threaded server's rule) and
   cancelling are O(1), independent of connection count;
-* **responses go out vectored**: the service hands back a
-  :class:`~repro.server.service.ResponsePayload` holding the
-  serializer's chunk views, and the write path pushes ``[header] +
-  chunk views`` through ``socket.sendmsg`` with an
+* **responses go out vectored**: the core hands back ``[head] +
+  chunk views`` (the serializer's live buffers), and the write path
+  pushes them through ``socket.sendmsg`` with an
   :class:`~repro.buffers.iovec.IovecCursor` resuming partial sends
   across iovec boundaries — a steady-state perfect-structural resend
-  never copies its payload bytes (``vectored=False`` keeps the
-  flattening path for the ablation benchmark).
+  never copies its payload bytes.
 
 The write-before-next-request ordering is what makes zero-copy safe:
 the chunk views alias the session responder's live buffers, which only
@@ -42,30 +42,20 @@ when to pick ``server="threaded"`` vs ``server="async"``.
 
 from __future__ import annotations
 
-import errno
 import itertools
 import selectors
 import socket
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.buffers.iovec import IOV_MAX, IovecCursor
-from repro.errors import (
-    HTTPFramingError,
-    IncompleteHTTPError,
-    RequestTooLargeError,
-)
-from repro.server.service import (
-    ACCEPT_ERRNOS,
-    _STATUS_PHRASES,
-    HTTPSoapServer,
-    ResponsePayload,
-    SOAPService,
-)
+from repro.server.http_core import HttpConnection, HttpFrontEnd, Reject
+from repro.server.service import SOAPService
+from repro.server.threaded_server import HTTPSoapServer
 from repro.server.timerwheel import TimerWheel
-from repro.transport.http import parse_http_request
+from repro.transport.http import HTTPRequest
 
 __all__ = ["AsyncHTTPSoapServer", "SERVER_MODES", "make_server"]
 
@@ -89,26 +79,25 @@ class _Connection:
         "fd",
         "session_id",
         "state",
-        "buffered",
-        "served",
+        "http",
         "cursor",
-        "payload",
         "close_after_write",
         "events",
     )
 
-    def __init__(self, sock: socket.socket, session_id: str) -> None:
+    def __init__(
+        self, sock: socket.socket, session_id: str, http: HttpConnection
+    ) -> None:
         self.sock = sock
         self.fd = sock.fileno()
         self.session_id = session_id
         self.state = "reading"
-        self.buffered = b""
-        self.served = 0
-        #: Resumable iovec write position (state == "writing" only).
+        #: Framing state: buffered bytes, request count, pipelining.
+        self.http = http
+        #: Resumable iovec write position over the in-flight response
+        #: (state == "writing" only); it pins the chunk views' buffers
+        #: and is released the moment the write completes.
         self.cursor: Optional[IovecCursor] = None
-        #: The in-flight response; held only while writing so its chunk
-        #: views stay alive, released the moment the write completes.
-        self.payload: Optional[ResponsePayload] = None
         self.close_after_write = False
         #: Selector event mask currently registered (0 = unregistered).
         self.events = 0
@@ -119,7 +108,8 @@ class AsyncHTTPSoapServer:
 
     Drop-in alternative to :class:`HTTPSoapServer` (same constructor
     shape, ``start``/``stop``/context-manager surface, metrics names,
-    and rejection taxonomy).  Extra knobs:
+    and rejection taxonomy — both drive one
+    :class:`~repro.server.http_core.HttpFrontEnd`).  One extra knob:
 
     Parameters
     ----------
@@ -130,14 +120,7 @@ class AsyncHTTPSoapServer:
         right choice for CPU-bound handlers under the GIL, where
         offloading only adds two thread handoffs per request and the
         loop batches every ready request in one scheduling quantum.
-    vectored:
-        ``True`` (default) sends responses as ``sendmsg`` scatter-
-        gather over the serializer's chunk views; ``False`` flattens
-        every response into one contiguous buffer first (the copying
-        baseline the ablation benchmark measures).
     """
-
-    ACCEPT_BACKOFF = HTTPSoapServer.ACCEPT_BACKOFF
 
     def __init__(
         self,
@@ -145,16 +128,14 @@ class AsyncHTTPSoapServer:
         host: str = "127.0.0.1",
         *,
         handler_threads: int = 4,
-        vectored: bool = True,
     ) -> None:
         if handler_threads < 0:
             raise ValueError("handler_threads must be >= 0 (0 = inline)")
         self.service = service
         self.host = host
         self.port = 0
-        self.vectored = vectored
         self.handler_threads = handler_threads
-        self.accept_errors = 0
+        self._front = HttpFrontEnd(service)
         self._listener: Optional[socket.socket] = None
         self._selector: Optional[selectors.BaseSelector] = None
         self._loop_thread: Optional[threading.Thread] = None
@@ -166,7 +147,7 @@ class AsyncHTTPSoapServer:
         self._accept_paused = False
         # Completed handler results, appended by pool threads and
         # drained by the loop thread after a wakeup byte.
-        self._done: Deque[Tuple[_Connection, int, List[str], ResponsePayload]] = deque()
+        self._done: Deque[Tuple[_Connection, List, bool]] = deque()
         self._done_lock = threading.Lock()
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
@@ -177,31 +158,15 @@ class AsyncHTTPSoapServer:
         # mallocs (and for these sizes, mmaps) n bytes per call.
         self._recv_buf = bytearray(_RECV_SIZE)
         metrics = service.obs.metrics
-        if metrics is not None:
-            self._rejects_counter = metrics.counter(
-                "repro_http_rejects_total",
-                "Connections/requests rejected at the HTTP layer, by status",
-                ("status",),
-            )
-            self._accept_errors_counter = metrics.counter(
-                "repro_accept_errors_total",
-                "accept() failures survived by backing off, by errno name",
-                ("errno",),
-            )
-            self._open_conns_gauge = metrics.gauge(
-                "repro_http_open_connections",
-                "Live connections currently held by the front end",
-            )
-            self._conn_state_gauge = metrics.gauge(
+        self._conn_state_gauge = (
+            metrics.gauge(
                 "repro_http_connections_state",
                 "Live connections by state-machine state (async server)",
                 ("state",),
             )
-        else:
-            self._rejects_counter = None
-            self._accept_errors_counter = None
-            self._open_conns_gauge = None
-            self._conn_state_gauge = None
+            if metrics is not None
+            else None
+        )
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -253,6 +218,11 @@ class AsyncHTTPSoapServer:
     # ------------------------------------------------------------------
     # introspection (mirrors the threaded server)
     # ------------------------------------------------------------------
+    @property
+    def accept_errors(self) -> int:
+        """``accept()`` failures survived by backing off."""
+        return self._front.accept_errors
+
     def open_connections(self) -> int:
         return len(self._conns)
 
@@ -261,10 +231,7 @@ class AsyncHTTPSoapServer:
         return dict(self._state_counts)
 
     def frontend_census(self) -> Dict[str, int]:
-        out: Dict[str, int] = {
-            "open_connections": self.open_connections(),
-            "accept_errors": self.accept_errors,
-        }
+        out = self._front.census(self.open_connections())
         for state, count in self._state_counts.items():
             out[f"connections_{state}"] = count
         return out
@@ -284,17 +251,10 @@ class AsyncHTTPSoapServer:
         # not per transition — a request crosses three states, and at
         # C10K rates per-transition gauge writes are real loop time.
         self._gauges_dirty = False
-        if self._open_conns_gauge is not None:
-            self._open_conns_gauge.set(len(self._conns))
+        self._front.set_open_connections(len(self._conns))
         if self._conn_state_gauge is not None:
             for state, count in self._state_counts.items():
                 self._conn_state_gauge.set(count, state=state)
-
-    def _retry_after_hint(self) -> int:
-        admission = self.service.admission
-        if admission is not None:
-            return admission.policy.retry_after_min
-        return 1
 
     # ------------------------------------------------------------------
     # the loop
@@ -375,7 +335,7 @@ class AsyncHTTPSoapServer:
     # accept
     # ------------------------------------------------------------------
     def _accept_raw(self) -> Tuple[socket.socket, object]:
-        """The raw accept call (seam for fd-exhaustion fault tests)."""
+        """The raw accept call (seam for accept-failure fault tests)."""
         assert self._listener is not None
         return self._listener.accept()
 
@@ -386,32 +346,23 @@ class AsyncHTTPSoapServer:
             except (BlockingIOError, InterruptedError):
                 return
             except OSError as exc:
-                if exc.errno in ACCEPT_ERRNOS:
-                    self._note_accept_error(exc)
+                # "retry" needs no action here: a listener with more
+                # pending connections stays readable.
+                if self._front.on_accept_error(exc, True) == "backoff":
                     self._pause_accepting()
-                    return
                 return
             sock.setblocking(False)
-            limit = self.service.limits.max_concurrent_connections
+            limits = self.service.limits
             session_id = f"conn-{next(self._conn_ids)}"
-            conn = _Connection(sock, session_id)
+            conn = _Connection(sock, session_id, HttpConnection(limits))
             self._conns[conn.fd] = conn
             self._state_counts[conn.state] += 1
-            if len(self._conns) > limit:
-                self._reject(conn, 503, retry_after=self._retry_after_hint())
+            if len(self._conns) > limits.max_concurrent_connections:
+                self._reject(conn, 503)
             else:
                 self._register(conn, selectors.EVENT_READ)
-                self._wheel.arm(conn.fd, self.service.limits.read_deadline)
+                self._wheel.arm(conn.fd, limits.read_deadline)
             self._gauges_dirty = True
-
-    def _note_accept_error(self, exc: OSError) -> None:
-        self.accept_errors += 1
-        if self._accept_errors_counter is not None:
-            self._accept_errors_counter.inc(
-                errno=errno.errorcode.get(exc.errno, str(exc.errno))
-            )
-        if self._rejects_counter is not None:
-            self._rejects_counter.inc(status="503")
 
     def _pause_accepting(self) -> None:
         if self._accept_paused or self._selector is None:
@@ -421,7 +372,7 @@ class AsyncHTTPSoapServer:
             self._selector.unregister(self._listener)
         except (KeyError, ValueError):  # pragma: no cover - already out
             pass
-        self._wheel.arm(_ACCEPT_RESUME, self.ACCEPT_BACKOFF)
+        self._wheel.arm(_ACCEPT_RESUME, self._front.ACCEPT_BACKOFF)
 
     def _resume_accepting(self) -> None:
         if not self._accept_paused or self._selector is None:
@@ -455,7 +406,6 @@ class AsyncHTTPSoapServer:
         self._wheel.cancel(conn.fd)
         self._conns.pop(conn.fd, None)
         self._state_counts[conn.state] -= 1
-        conn.payload = None
         conn.cursor = None
         try:
             conn.sock.close()
@@ -490,165 +440,88 @@ class AsyncHTTPSoapServer:
             self._close_conn(conn)
             return
         if not nbytes:
-            if conn.buffered:
-                # Peer hung up mid-request: the partial request can
-                # never complete.
-                self._reject(conn, 400)
+            rejected = conn.http.eof()
+            if rejected is not None:
+                self._reject(conn, rejected.status)
             else:
                 self._close_conn(conn)
             return
-        data = bytes(memoryview(self._recv_buf)[:nbytes])
-        if conn.buffered:
-            conn.buffered += data
-        else:
-            conn.buffered = data
-        if len(conn.buffered) > self.service.limits.recv_cap:
-            # Backstop for framing that grows without ever declaring a
-            # length (parse_http_request caps declared sizes first).
-            self._reject(conn, 413)
-            return
+        conn.http.receive(bytes(memoryview(self._recv_buf)[:nbytes]))
         self._pump_requests(conn)
 
     def _pump_requests(self, conn: _Connection) -> None:
-        """Dispatch the next complete buffered request, if any.
+        """Dispatch buffered requests until one is in flight.
 
         At most one request is in flight per connection: pipelined
-        followers wait in ``buffered`` until the current response has
-        fully left the socket — both for response ordering and because
-        the in-flight response's chunk views are only stable until the
-        session handles its next request.
+        followers wait in the framing buffer until the current
+        response has fully left the socket — both for response
+        ordering and because the in-flight response's chunk views are
+        only stable until the session handles its next request.  A
+        write that completes at once leaves the connection "reading"
+        again, so the loop (not recursion: pipelining depth is the
+        peer's choice) moves on to the follower.
         """
-        if conn.state != "reading":
-            return
-        limits = self.service.limits
-        try:
-            request, consumed = parse_http_request(
-                conn.buffered, limits=limits
-            )
-        except IncompleteHTTPError:
-            return  # wait for more bytes
-        except RequestTooLargeError:
-            self._reject(conn, 413)
-            return
-        except HTTPFramingError:
-            self._reject(conn, 400)
-            return
-        if conn.served >= limits.max_requests_per_connection:
-            self._reject(conn, 503, retry_after=self._retry_after_hint())
-            return
-        conn.served += 1
-        conn.buffered = conn.buffered[consumed:]
-        # Progress at the request level re-arms the deadline (threaded
-        # rule); here that happens when the response completes and the
-        # connection re-enters "reading" — arming now would be undone
-        # by the dispatch below on every path.
-        if request.method == "GET" and request.path.endswith("?wsdl"):
-            self._start_write(conn, ResponsePayload.of(self._wsdl_payload()))
-            return
-        if request.method == "GET" and request.path.rstrip("/") == "/metrics":
-            self._start_write(conn, ResponsePayload.of(self._metrics_payload()))
-            return
-        self._set_state(conn, "handling")
-        self._wheel.cancel(conn.fd)  # handler time never counts as a drip
-        if self._executor is None:
-            # Inline handling runs to completion before control returns
-            # to the selector, so read interest can stay registered: no
-            # select() happens mid-request, and the common case (write
-            # drains without blocking) ends back in "reading" with the
-            # same mask — zero epoll_ctl round-trips per request.
-            self._complete(conn, *self._handle_safely(conn, request))
-        else:
-            self._unregister(conn)  # stop reading until the response is out
-            self._executor.submit(self._handle_in_pool, conn, request)
+        front = self._front
+        while conn.state == "reading":
+            request = conn.http.next_event()
+            if request is None:
+                return  # wait for more bytes
+            if isinstance(request, Reject):
+                self._reject(conn, request.status)
+                return
+            # Progress at the request level re-arms the deadline
+            # (threaded rule); here that happens when the response
+            # completes and the connection re-enters "reading" —
+            # arming now would be undone by the dispatch below.
+            routed = front.route(request)
+            if routed is not None:
+                self._start_write(conn, [routed])
+                continue
+            self._set_state(conn, "handling")
+            self._wheel.cancel(conn.fd)  # handler time never counts as a drip
+            if self._executor is None:
+                # Inline handling runs to completion before control
+                # returns to the selector, so read interest can stay
+                # registered: no select() happens mid-request, and the
+                # common case (write drains without blocking) ends back
+                # in "reading" with the same mask — zero epoll_ctl
+                # round-trips per request.
+                self._start_write(conn, *front.handle(request, conn.session_id))
+            else:
+                self._unregister(conn)  # stop reading until the response is out
+                self._executor.submit(self._handle_in_pool, conn, request)
 
     # ------------------------------------------------------------------
     # handling (pool threads)
     # ------------------------------------------------------------------
-    def _handle_safely(
-        self, conn: _Connection, request
-    ) -> Tuple[int, List[str], ResponsePayload]:
-        try:
-            return self.service.handle_wire_vectored(
-                request.body, request.headers, conn.session_id
-            )
-        except Exception:  # noqa: BLE001 - fault-not-crash backstop
-            return 500, [], ResponsePayload()
-
-    def _handle_in_pool(self, conn: _Connection, request) -> None:
-        result = self._handle_safely(conn, request)
+    def _handle_in_pool(self, conn: _Connection, request: HTTPRequest) -> None:
+        result = self._front.handle(request, conn.session_id)
         with self._done_lock:
             self._done.append((conn, *result))
         self._wakeup()
-
-    def _complete(
-        self,
-        conn: _Connection,
-        status: int,
-        extra: List[str],
-        payload: ResponsePayload,
-    ) -> None:
-        """Frame and start writing a handled response (loop thread)."""
-        phrase = "OK" if status == 200 else _STATUS_PHRASES.get(status, "Error")
-        header_lines = "".join(f"{line}\r\n" for line in extra)
-        head = (
-            f"HTTP/1.1 {status} {phrase}\r\n"
-            'Content-Type: text/xml; charset="utf-8"\r\n'
-            f"{header_lines}"
-            f"Content-Length: {payload.total}\r\n\r\n"
-        ).encode("ascii")
-        self._start_write(conn, payload, head=head)
 
     def _drain_done(self) -> None:
         while True:
             with self._done_lock:
                 if not self._done:
                     return
-                conn, status, extra, payload = self._done.popleft()
+                conn, views, close = self._done.popleft()
             if self._conns.get(conn.fd) is not conn:
                 continue  # connection died while handling (fd may be reused)
-            self._complete(conn, status, extra, payload)
+            self._start_write(conn, views, close)
+            self._pump_requests(conn)  # a pipelined follower may be buffered
 
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
     def _start_write(
-        self,
-        conn: _Connection,
-        payload: ResponsePayload,
-        head: Optional[bytes] = None,
-        close_after: bool = False,
+        self, conn: _Connection, views: Sequence, close_after: bool = False
     ) -> None:
-        views: List = [head] if head is not None else []
-        total = len(head) if head is not None else 0
-        if self.vectored:
-            views.extend(payload.views)
-            total += payload.total
-        elif payload.views:
-            flat = payload.tobytes()  # flat ablation path: copy
-            views.append(flat)
-            total += len(flat)
+        """Write *views* (one ``sendmsg`` when the socket takes it)."""
         conn.close_after_write = close_after
         self._set_state(conn, "writing")
         self._wheel.cancel(conn.fd)
-        # Optimistic single shot: on an unsaturated socket the whole
-        # response leaves in one sendmsg, and none of the resumable-
-        # cursor machinery needs to exist for this request.
-        if len(views) <= IOV_MAX:
-            try:
-                sent = self._send_batch(conn, views)
-            except OSError:
-                self._close_conn(conn)  # peer already gone — nothing owed
-                return
-            if sent == total:
-                self._finish_write(conn)
-                return
-            cursor = IovecCursor(views)
-            if sent:
-                cursor.advance(sent)
-        else:
-            cursor = IovecCursor(views)
-        conn.payload = payload  # keeps the chunk views' buffers pinned
-        conn.cursor = cursor
+        conn.cursor = IovecCursor(views)
         self._continue_write(conn)
 
     def _send_batch(self, conn: _Connection, batch: List) -> int:
@@ -673,7 +546,6 @@ class AsyncHTTPSoapServer:
     def _finish_write(self, conn: _Connection) -> None:
         # Write complete: release the payload views immediately so the
         # session's next rewrite never races a stale export.
-        conn.payload = None
         conn.cursor = None
         if conn.close_after_write:
             self._close_conn(conn)
@@ -681,69 +553,15 @@ class AsyncHTTPSoapServer:
         self._set_state(conn, "reading")
         self._register(conn, selectors.EVENT_READ)
         self._wheel.arm(conn.fd, self.service.limits.read_deadline)
-        if conn.buffered:
-            self._pump_requests(conn)  # pipelined follower already here
 
     def _on_writable(self, conn: _Connection) -> None:
         if conn.state == "writing":
             self._continue_write(conn)
+            self._pump_requests(conn)  # a pipelined follower may be buffered
 
-    # ------------------------------------------------------------------
-    # rejections + GET endpoints (threaded-server parity)
-    # ------------------------------------------------------------------
-    def _reject(
-        self,
-        conn: _Connection,
-        status: int,
-        retry_after: Optional[int] = None,
-    ) -> None:
-        """Queue a clean rejection response, then close.
-
-        Same fault-not-crash contract as the threaded front end: a
-        complete HTTP response with ``Connection: close``, counted in
-        ``repro_http_rejects_total`` by status.
-        """
-        if self._rejects_counter is not None:
-            self._rejects_counter.inc(status=str(status))
-        phrase = _STATUS_PHRASES.get(status, "Error")
-        hint = (
-            f"Retry-After: {retry_after}\r\n" if retry_after is not None else ""
-        )
-        head = (
-            f"HTTP/1.1 {status} {phrase}\r\n"
-            f"{hint}"
-            "Content-Length: 0\r\nConnection: close\r\n\r\n"
-        ).encode("ascii")
-        conn.buffered = b""
-        self._start_write(conn, ResponsePayload(), head=head, close_after=True)
-
-    def _metrics_payload(self) -> bytes:
-        metrics = self.service.obs.metrics
-        if metrics is None:
-            return b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"
-        from repro.obs.export import render_prometheus
-
-        doc = render_prometheus(metrics).encode("utf-8")
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-            f"Content-Length: {len(doc)}\r\n\r\n"
-        ).encode("ascii")
-        return head + doc
-
-    def _wsdl_payload(self) -> bytes:
-        from repro.errors import SOAPError
-
-        try:
-            doc = self.service.wsdl()
-        except SOAPError:
-            return b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"
-        head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: text/xml\r\n"
-            f"Content-Length: {len(doc)}\r\n\r\n"
-        ).encode("ascii")
-        return head + doc
+    def _reject(self, conn: _Connection, status: int) -> None:
+        """Queue the core's counted rejection response, then close."""
+        self._start_write(conn, [self._front.reject(status)], close_after=True)
 
 
 #: The front-end switch: ``server="threaded"`` keeps the

@@ -1,4 +1,4 @@
-"""SOAP service dispatch and an HTTP server front end.
+"""SOAP service dispatch: operation registry, sessions, responses.
 
 A :class:`SOAPService` maps operation names to Python handlers.
 Incoming bodies are decoded by a per-session
@@ -13,20 +13,16 @@ Sessions (see :mod:`repro.runtime.sessions`): differential
 deserialization is stateful per *sender*, so the service keeps one
 deserializer/responder pair per session id behind a
 :class:`~repro.runtime.sessions.ServerSessionManager`.
-:class:`HTTPSoapServer` passes each accepted connection's id, making
-``handle`` safe and differential under the thread-per-connection
-front end; direct ``handle(body)`` calls with no session id share the
+:class:`~repro.server.threaded_server.HTTPSoapServer` and
+:class:`~repro.server.async_server.AsyncHTTPSoapServer` pass each
+accepted connection's id, making ``handle`` safe and differential
+under concurrent connections; direct ``handle(body)`` calls with no session id share the
 pinned default session (single-caller usage, exactly the pre-session
 behaviour).
 """
 
 from __future__ import annotations
 
-import errno
-import itertools
-import socket
-import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
@@ -58,28 +54,15 @@ from repro.server.tagdispatch import OperationPeeker
 from repro.soap.fault import SOAPFault
 from repro.soap.message import Parameter, SOAPMessage
 from repro.soap.rpc import RESPONSE_SUFFIX
-from repro.transport.http import parse_http_request
 
 __all__ = [
     "Operation",
     "SOAPService",
-    "HTTPSoapServer",
     "ResponsePayload",
-    "ACCEPT_ERRNOS",
 ]
 
 ParamType = Union[XSDType, StructType, ArrayType]
 Handler = Callable[..., object]
-
-#: ``accept()`` errnos that mean *resource exhaustion*, not a dead
-#: listener: back off briefly and keep accepting instead of killing
-#: the accept loop (an fd-exhaustion burst must not take the server
-#: down with it).
-ACCEPT_ERRNOS = frozenset(
-    getattr(errno, name)
-    for name in ("EMFILE", "ENFILE", "ENOBUFS", "ENOMEM")
-    if hasattr(errno, name)
-)
 
 
 @dataclass(slots=True)
@@ -171,7 +154,7 @@ class SOAPService:
             descriptors = generate_descriptors(definition)
         #: Metrics are on by default server-side (tracing stays off):
         #: every session responder shares this registry, which is what
-        #: ``GET /metrics`` on :class:`HTTPSoapServer` serves.
+        #: ``GET /metrics`` on the HTTP front ends serves.
         self.obs: Observability = (
             obs if obs is not None else Observability.metrics_only()
         )
@@ -543,402 +526,3 @@ class SOAPService:
         )
         session.responder.send(message)
         return ResponsePayload(session.sink.views(), session.sink.last_bytes())
-
-
-#: Reason phrases for the front end's rejection responses.
-_STATUS_PHRASES = {
-    400: "Bad Request",
-    408: "Request Timeout",
-    409: "Conflict",
-    413: "Payload Too Large",
-    503: "Service Unavailable",
-}
-
-
-class HTTPSoapServer:
-    """Threaded HTTP front end dispatching POSTs to a service.
-
-    Each accepted connection gets its own service session (see
-    :class:`~repro.runtime.sessions.ServerSessionManager`), so
-    concurrent clients neither race on shared deserializer state nor
-    destroy each other's differential matches.
-
-    The front end enforces the service's
-    :class:`~repro.hardening.ResourceLimits` at the socket layer —
-    the fault-not-crash contract for bytes that never make it to a
-    SOAP body:
-
-    * more than ``max_concurrent_connections`` live connections →
-      extras are answered ``503`` and closed at accept time;
-    * no complete request within ``read_deadline`` seconds → ``408``;
-    * peer EOF with a partial request buffered → ``400``;
-    * oversized framing (header block, declared or accumulated body,
-      total buffered bytes past ``recv_cap``) → ``413``;
-    * any other unparseable framing → ``400``;
-    * more than ``max_requests_per_connection`` requests pipelined on
-      one connection → ``503`` for the excess request.
-
-    Every rejection is a well-formed HTTP response with
-    ``Connection: close``, counted in ``repro_http_rejects_total``
-    (labelled by status) on the service's metrics registry.
-    """
-
-    #: Seconds the accept loop pauses after an fd-exhaustion errno
-    #: (EMFILE/ENFILE/...): long enough for in-flight closes to return
-    #: fds, short enough that a recovered server resumes promptly.
-    ACCEPT_BACKOFF = 0.05
-
-    def __init__(self, service: SOAPService, host: str = "127.0.0.1") -> None:
-        self.service = service
-        self.host = host
-        self.port = 0
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._conn_threads: List[threading.Thread] = []
-        self._conn_ids = itertools.count(1)
-        self._running = threading.Event()
-        self.accept_errors = 0
-        if service.obs.metrics is not None:
-            self._rejects_counter = service.obs.metrics.counter(
-                "repro_http_rejects_total",
-                "Connections/requests rejected at the HTTP layer, by status",
-                ("status",),
-            )
-            self._accept_errors_counter = service.obs.metrics.counter(
-                "repro_accept_errors_total",
-                "accept() failures survived by backing off, by errno name",
-                ("errno",),
-            )
-            self._open_conns_gauge = service.obs.metrics.gauge(
-                "repro_http_open_connections",
-                "Live connections currently held by the front end",
-            )
-        else:
-            self._rejects_counter = None
-            self._accept_errors_counter = None
-            self._open_conns_gauge = None
-
-    # ------------------------------------------------------------------
-    def open_connections(self) -> int:
-        """Live connections currently being served."""
-        return sum(1 for t in self._conn_threads if t.is_alive())
-
-    def _set_open_gauge(self) -> None:
-        if self._open_conns_gauge is not None:
-            self._open_conns_gauge.set(self.open_connections())
-
-    def frontend_census(self) -> Dict[str, int]:
-        """Front-end counters folded into ``merged_counters``."""
-        return {
-            "open_connections": self.open_connections(),
-            "accept_errors": self.accept_errors,
-        }
-
-    def _note_accept_error(self, exc: OSError) -> None:
-        """Count an fd-exhaustion accept failure (then back off)."""
-        self.accept_errors += 1
-        if self._accept_errors_counter is not None:
-            self._accept_errors_counter.inc(
-                errno=errno.errorcode.get(exc.errno, str(exc.errno))
-            )
-        # The connection the kernel could not hand us was effectively
-        # turned away at the door: account it with the 503 rejects so
-        # dashboards see one "turned away" series.
-        if self._rejects_counter is not None:
-            self._rejects_counter.inc(status="503")
-
-    # ------------------------------------------------------------------
-    def start(self) -> "HTTPSoapServer":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, 0))
-        listener.listen(64)
-        listener.settimeout(0.2)
-        self._listener = listener
-        self.port = listener.getsockname()[1]
-        self._running.set()
-        self.service.sessions.set_frontend_census(self.frontend_census)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="soap-server-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self
-
-    def _accept_raw(self) -> Tuple[socket.socket, object]:
-        """The raw accept call (seam for fd-exhaustion fault tests)."""
-        assert self._listener is not None
-        return self._listener.accept()
-
-    def _accept_loop(self) -> None:
-        while self._running.is_set():
-            try:
-                conn, _ = self._accept_raw()
-            except socket.timeout:
-                continue
-            except OSError as exc:
-                if exc.errno in ACCEPT_ERRNOS and self._running.is_set():
-                    # Out of fds, not out of business: pause briefly so
-                    # closing connections can return descriptors, then
-                    # resume accepting.
-                    self._note_accept_error(exc)
-                    time.sleep(self.ACCEPT_BACKOFF)
-                    continue
-                break
-            # Reap finished connection threads so a long-lived server
-            # handling many short connections doesn't accumulate dead
-            # Thread objects without bound — and so the live count
-            # below reflects reality.
-            self._conn_threads = [
-                t for t in self._conn_threads if t.is_alive()
-            ]
-            limit = self.service.limits.max_concurrent_connections
-            if len(self._conn_threads) >= limit:
-                self._reject(conn, 503, retry_after=self._retry_after_hint())
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover - best effort
-                    pass
-                continue
-            session_id = f"conn-{next(self._conn_ids)}"
-            thread = threading.Thread(
-                target=self._serve, args=(conn, session_id), daemon=True
-            )
-            thread.start()
-            self._conn_threads.append(thread)
-            self._set_open_gauge()
-
-    def _retry_after_hint(self) -> int:
-        """Retry-After seconds for front-end 503 rejections.
-
-        Follows the admission policy's floor when one is attached so
-        every 503 a client can see carries a consistent hint.
-        """
-        admission = self.service.admission
-        if admission is not None:
-            return admission.policy.retry_after_min
-        return 1
-
-    def _reject(
-        self,
-        conn: socket.socket,
-        status: int,
-        retry_after: Optional[int] = None,
-    ) -> None:
-        """Answer a rejection status cleanly; count it.
-
-        Always a complete, well-formed HTTP response with
-        ``Connection: close`` — the fault-not-crash contract promises
-        the peer an answer, never a silently dropped socket.  503s pass
-        *retry_after* so rejected clients back off instead of hammering
-        (see ``docs/overload.md``).
-        """
-        if self._rejects_counter is not None:
-            self._rejects_counter.inc(status=str(status))
-        phrase = _STATUS_PHRASES.get(status, "Error")
-        hint = (
-            f"Retry-After: {retry_after}\r\n" if retry_after is not None else ""
-        )
-        head = (
-            f"HTTP/1.1 {status} {phrase}\r\n"
-            f"{hint}"
-            "Content-Length: 0\r\nConnection: close\r\n\r\n"
-        ).encode("ascii")
-        try:
-            conn.sendall(head)
-        except OSError:  # peer already gone — nothing owed
-            pass
-
-    def _serve(self, conn: socket.socket, session_id: str) -> None:
-        limits = self.service.limits
-        conn.settimeout(0.2)
-        deadline = time.monotonic() + limits.read_deadline
-        buffered = b""
-        served = 0
-        try:
-            while self._running.is_set():
-                if time.monotonic() > deadline:
-                    # No complete request within the read deadline —
-                    # idle keep-alive or a slow-loris drip; either way
-                    # the connection slot is reclaimed with a 408.
-                    self._reject(conn, 408)
-                    break
-                try:
-                    data = conn.recv(1 << 20)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                if not data:
-                    if buffered:
-                        # Peer hung up mid-request: the partial
-                        # request can never complete.
-                        self._reject(conn, 400)
-                    break
-                buffered += data
-                if len(buffered) > limits.recv_cap:
-                    # Backstop for framing that grows without ever
-                    # declaring a length (parse_http_request caps the
-                    # declared sizes before this trips).
-                    self._reject(conn, 413)
-                    break
-                before = served
-                outcome, buffered, served = self._drain_requests(
-                    conn, buffered, session_id, served
-                )
-                if outcome == "close":
-                    break
-                if served != before:
-                    # Progress at the request level re-arms the
-                    # deadline; a byte-at-a-time drip does not.
-                    deadline = time.monotonic() + limits.read_deadline
-        finally:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - best effort
-                pass
-            # Free the connection's session state eagerly; a returning
-            # client dials a new connection and pays one full parse.
-            self.service.sessions.close_session(session_id)
-            self._set_open_gauge()
-
-    def _drain_requests(
-        self,
-        conn: socket.socket,
-        buffered: bytes,
-        session_id: str,
-        served: int,
-    ) -> Tuple[str, bytes, int]:
-        """Serve every complete request in *buffered*.
-
-        Returns ``(outcome, remaining, served)`` where *outcome* is
-        ``"open"`` (keep reading) or ``"close"`` (drop the
-        connection), *remaining* is the unconsumed byte tail, and
-        *served* counts requests answered over the connection's life.
-        """
-        from repro.errors import (
-            HTTPFramingError,
-            IncompleteHTTPError,
-            RequestTooLargeError,
-        )
-
-        limits = self.service.limits
-        while True:
-            try:
-                request, consumed = parse_http_request(
-                    buffered, limits=limits
-                )
-            except IncompleteHTTPError:
-                return "open", buffered, served  # wait for more bytes
-            except RequestTooLargeError:
-                self._reject(conn, 413)
-                return "close", b"", served
-            except HTTPFramingError:
-                # Malformed beyond repair: request boundaries in the
-                # stream can no longer be trusted.
-                self._reject(conn, 400)
-                return "close", b"", served
-            if served >= limits.max_requests_per_connection:
-                self._reject(conn, 503, retry_after=self._retry_after_hint())
-                return "close", b"", served
-            served += 1
-            if request.method == "GET" and request.path.endswith("?wsdl"):
-                response_body = self._wsdl_response(conn)
-                buffered = buffered[consumed:]
-                if response_body is None:
-                    return "close", b"", served
-                if not buffered:
-                    return "open", b"", served
-                continue
-            if request.method == "GET" and request.path.rstrip("/") == "/metrics":
-                response_body = self._metrics_response(conn)
-                buffered = buffered[consumed:]
-                if response_body is None:
-                    return "close", b"", served
-                if not buffered:
-                    return "open", b"", served
-                continue
-            status, extra_headers, response_body = self.service.handle_wire(
-                request.body, request.headers, session_id
-            )
-            phrase = "OK" if status == 200 else _STATUS_PHRASES.get(status, "Error")
-            header_lines = "".join(f"{line}\r\n" for line in extra_headers)
-            head = (
-                f"HTTP/1.1 {status} {phrase}\r\n"
-                'Content-Type: text/xml; charset="utf-8"\r\n'
-                f"{header_lines}"
-                f"Content-Length: {len(response_body)}\r\n\r\n"
-            ).encode("ascii")
-            try:
-                conn.sendall(head + response_body)
-            except OSError:
-                return "close", b"", served
-            buffered = buffered[consumed:]
-            if not buffered:
-                return "open", b"", served
-
-    def _metrics_response(self, conn: socket.socket) -> Optional[bytes]:
-        """Serve the service registry in Prometheus text format.
-
-        404 when the service was built with a metrics-less
-        ``Observability`` (e.g. the shared ``NULL_OBS``).
-        """
-        metrics = self.service.obs.metrics
-        if metrics is None:
-            payload = b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"
-        else:
-            from repro.obs.export import render_prometheus
-
-            doc = render_prometheus(metrics).encode("utf-8")
-            head = (
-                "HTTP/1.1 200 OK\r\n"
-                "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-                f"Content-Length: {len(doc)}\r\n\r\n"
-            ).encode("ascii")
-            payload = head + doc
-        try:
-            conn.sendall(payload)
-            return payload
-        except OSError:
-            return None
-
-    def _wsdl_response(self, conn: socket.socket) -> Optional[bytes]:
-        """Serve the WSDL document (404 when none is attached)."""
-        try:
-            doc = self.service.wsdl()
-            head = (
-                "HTTP/1.1 200 OK\r\n"
-                "Content-Type: text/xml\r\n"
-                f"Content-Length: {len(doc)}\r\n\r\n"
-            ).encode("ascii")
-            payload = head + doc
-        except SOAPError:
-            payload = (
-                b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"
-            )
-        try:
-            conn.sendall(payload)
-            return payload
-        except OSError:
-            return None
-
-    def stop(self) -> None:
-        self._running.clear()
-        self.service.sessions.set_frontend_census(None)
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
-            self._listener = None
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=2.0)
-            self._accept_thread = None
-        for thread in self._conn_threads:
-            thread.join(timeout=2.0)
-        self._conn_threads = [t for t in self._conn_threads if t.is_alive()]
-
-    def __enter__(self) -> "HTTPSoapServer":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

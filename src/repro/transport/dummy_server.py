@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import TransportError
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
 from repro.transport.tcp import apply_paper_options
+
+if TYPE_CHECKING:  # pragma: no cover - repro.server imports this package
+    from repro.server.http_core import HttpConnection
 
 __all__ = ["DummyServer"]
 
@@ -36,14 +39,6 @@ _CANNED_DELTA_RESPONSE = (
     b"\r\n"
 )
 
-_CANNED_400 = (
-    b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
-)
-_CANNED_413 = (
-    b"HTTP/1.1 413 Payload Too Large\r\n"
-    b"Content-Length: 0\r\nConnection: close\r\n\r\n"
-)
-
 
 class DummyServer:
     """Threaded drain server.
@@ -57,9 +52,11 @@ class DummyServer:
     limits:
         :class:`~repro.hardening.ResourceLimits` shared with the
         serving stack: bounds concurrent connections (extras are
-        closed immediately) and, in respond mode, header/body sizes
-        (oversized → 413, malformed → 400, then the connection keeps
-        draining without responding — it is still a drain server).
+        closed immediately) and, in respond mode, framing — the same
+        :class:`~repro.server.http_core.HttpConnection` rules the real
+        front ends apply (oversized → 413, malformed → 400, request
+        cap → 503; then the connection keeps draining without
+        responding — it is still a drain server).
     """
 
     def __init__(
@@ -137,9 +134,11 @@ class DummyServer:
             self._conn_threads.append(thread)
 
     def _drain_loop(self, conn: socket.socket) -> None:
+        from repro.server.http_core import HttpConnection  # see top of file
+
         apply_paper_options(conn)
         conn.settimeout(0.2)
-        buffered = b""
+        http = HttpConnection(self.limits) if self.respond else None
         try:
             while self._running.is_set():
                 try:
@@ -152,52 +151,33 @@ class DummyServer:
                     break
                 with self._lock:
                     self.bytes_drained += len(data)
-                if self.respond:
-                    buffered += data
-                    buffered = self._maybe_respond(conn, buffered)
+                if http is not None:
+                    http.receive(data)
+                    self._respond(conn, http)
         finally:
             try:
                 conn.close()
             except OSError:  # pragma: no cover - best effort
                 pass
 
-    def _maybe_respond(self, conn: socket.socket, buffered: bytes) -> bytes:
-        """Reply once per complete HTTP request found in the buffer."""
-        from repro.transport.http import parse_http_request
-        from repro.errors import (
-            HTTPFramingError,
-            IncompleteHTTPError,
-            RequestTooLargeError,
-        )
+    def _respond(self, conn: socket.socket, http: "HttpConnection") -> None:
+        """Reply once per complete HTTP request buffered in *http*.
 
-        while True:
+        A framing rejection is answered before giving up on framing;
+        *http* is then closed, so the connection keeps draining
+        without responding (still a drain server).
+        """
+        from repro.server.http_core import Reject, reject_head
+
+        while (event := http.next_event()) is not None:
+            if isinstance(event, Reject):
+                reply = reject_head(event.status)
+            else:
+                reply = _CANNED_DELTA_RESPONSE if self.delta else _CANNED_RESPONSE
             try:
-                _req, consumed = parse_http_request(buffered, limits=self.limits)
-            except IncompleteHTTPError:
-                return buffered  # incomplete — wait for more bytes
-            except RequestTooLargeError:
-                # Answer before giving up on framing, then keep
-                # draining without responding (still a drain server).
-                try:
-                    conn.sendall(_CANNED_413)
-                except OSError:
-                    pass
-                return b""
-            except HTTPFramingError:
-                try:
-                    conn.sendall(_CANNED_400)
-                except OSError:
-                    pass
-                return b""  # malformed — keep draining, stop responding
-            try:
-                conn.sendall(
-                    _CANNED_DELTA_RESPONSE if self.delta else _CANNED_RESPONSE
-                )
+                conn.sendall(reply)
             except OSError:
-                return b""
-            buffered = buffered[consumed:]
-            if not buffered:
-                return b""
+                return
 
     # ------------------------------------------------------------------
     def stop(self) -> None:

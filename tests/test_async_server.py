@@ -9,9 +9,10 @@ building blocks:
   including pathological one-byte sends;
 * end-to-end RPC across all four match levels, large multi-chunk echo
   responses, and HTTP pipelining order;
-* the rejection taxonomy on the async path (400/408/413/503) driven by
-  the same ``repro.chaos`` injectors the threaded server faces;
-* fd-exhaustion (EMFILE) handling at accept on *both* front ends;
+* accept-failure handling on *both* front ends: fd exhaustion
+  (EMFILE) is backed off and counted, a per-connection failure
+  (ECONNABORTED) is retried (the rejection taxonomy itself is pinned
+  over both front ends in ``tests/test_http_core.py``);
 * the open-connections gauge / per-state census and its
   ``merged_counters`` reconciliation;
 * the oracle: byte-identical response bodies from the threaded and
@@ -22,9 +23,7 @@ building blocks:
 from __future__ import annotations
 
 import errno
-import random
 import socket
-import threading
 import time
 
 import numpy as np
@@ -32,9 +31,8 @@ import pytest
 
 from repro.buffers.iovec import IovecCursor
 from repro.bench.workloads import SERVICE_NS
-from repro.chaos.faults import inject_partial_write, inject_slowloris
 from repro.channel import RPCChannel
-from repro.errors import HTTPStatusError, IncompleteHTTPError
+from repro.errors import IncompleteHTTPError
 from repro.hardening.limits import ResourceLimits
 from repro.hardening.overload import AdmissionController, OverloadPolicy
 from repro.obs import Observability
@@ -240,7 +238,7 @@ class TestMakeServer:
 
     def test_threaded_rejects_async_options(self):
         with pytest.raises(ValueError, match="no extra options"):
-            make_server(build_service(), "threaded", vectored=False)
+            make_server(build_service(), "threaded", handler_threads=0)
 
     def test_async_validates_handler_threads(self):
         with pytest.raises(ValueError):
@@ -267,14 +265,12 @@ class TestAsyncEndToEnd:
         else:
             assert report.match_kind.value == level
 
-    @pytest.mark.parametrize("vectored", [True, False])
-    def test_multi_chunk_echo_intact(self, vectored):
-        # 12k doubles ≈ several 32 KiB serializer chunks: the vectored
-        # path sends them as separate iovec entries, the flat path
-        # joins them — either way the bytes on the wire must decode to
+    def test_multi_chunk_echo_intact(self):
+        # 12k doubles ≈ several 32 KiB serializer chunks, sent as
+        # separate iovec entries: the bytes on the wire must decode to
         # the same values.
         service = build_service()
-        with AsyncHTTPSoapServer(service, vectored=vectored) as server:
+        with AsyncHTTPSoapServer(service) as server:
             message = _echo_message(12_000, seed=11)
             with _channel(server.port) as channel:
                 response = channel.call(message)
@@ -341,126 +337,7 @@ class TestAsyncEndToEnd:
 
 
 # ----------------------------------------------------------------------
-# rejection taxonomy on the async path
-# ----------------------------------------------------------------------
-class TestAsyncTaxonomy:
-    def test_partial_write_answers_400(self):
-        limits = ResourceLimits(read_deadline=2.0)
-        service = build_service(limits=limits)
-        with make_server(service, server="async") as server:
-            status = inject_partial_write(
-                "127.0.0.1", server.port, rng=random.Random(1)
-            )
-        assert status == 400
-
-    def test_slowloris_answers_408(self):
-        limits = ResourceLimits(read_deadline=0.6)
-        service = build_service(limits=limits)
-        with make_server(service, server="async") as server:
-            started = time.monotonic()
-            status = inject_slowloris(
-                "127.0.0.1",
-                server.port,
-                read_deadline=0.6,
-                rng=random.Random(2),
-            )
-            elapsed = time.monotonic() - started
-        assert status == 408
-        assert elapsed < 3.0  # resolved near the deadline, not hung
-
-    def test_oversize_request_answers_413(self):
-        limits = ResourceLimits(max_body_bytes=2048)
-        service = build_service(limits=limits)
-        with make_server(service, server="async") as server:
-            head = (
-                b"POST /soap HTTP/1.1\r\nHost: x\r\n"
-                b"Content-Length: 1000000\r\n\r\n"
-            )
-            status, _, _ = _http_exchange(server.port, head + b"x" * 4096)
-        assert status == 413
-
-    def test_connection_cap_answers_503_with_retry_after(self):
-        limits = ResourceLimits(max_concurrent_connections=2)
-        service = build_service(limits=limits)
-        with make_server(service, server="async") as server:
-            keep = [
-                socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
-                for _ in range(2)
-            ]
-            try:
-                assert _wait_until(lambda: server.open_connections() >= 2)
-                status, headers, _ = _http_exchange(
-                    server.port, b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"
-                )
-            finally:
-                for sock in keep:
-                    sock.close()
-        assert status == 503
-        assert "retry-after" in headers
-
-    def test_request_cap_answers_503(self):
-        limits = ResourceLimits(max_requests_per_connection=2)
-        service = build_service(limits=limits)
-        with make_server(service, server="async") as server:
-            request = b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n"
-            with socket.create_connection(
-                ("127.0.0.1", server.port), timeout=5.0
-            ) as sock:
-                sock.sendall(request * 3)
-                buf = b""
-                statuses = []
-                while len(statuses) < 3:
-                    data = sock.recv(1 << 16)
-                    if not data:
-                        break
-                    buf += data
-                    while True:
-                        try:
-                            status, _, _, consumed = parse_http_response(buf)
-                        except IncompleteHTTPError:
-                            break
-                        statuses.append(status)
-                        buf = buf[consumed:]
-        assert statuses == [200, 200, 503]
-
-    def test_admission_503_reaches_clients(self):
-        admission = AdmissionController(
-            OverloadPolicy(
-                max_concurrent_requests=1, max_queue_depth=0, queue_timeout=0.01
-            )
-        )
-        service = build_service(delay_ms=120.0, admission=admission)
-        with make_server(service, server="async") as server:
-            statuses = []
-            lock = threading.Lock()
-
-            def one_call(seed):
-                try:
-                    with _channel(server.port) as channel:
-                        channel.retry.max_attempts = 1
-                        channel.call(message_sequence("content", 16, 1, seed)[0])
-                    outcome = 200
-                except HTTPStatusError as exc:
-                    outcome = exc.status
-                except Exception:  # noqa: BLE001 - any other failure kind
-                    outcome = -1
-                with lock:
-                    statuses.append(outcome)
-
-            threads = [
-                threading.Thread(target=one_call, args=(i,)) for i in range(6)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        assert 200 in statuses  # someone won admission
-        assert 503 in statuses  # someone was shed at the gate
-        assert -1 not in statuses
-
-
-# ----------------------------------------------------------------------
-# EMFILE at accept — both front ends
+# accept() failures — both front ends
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("mode", ["threaded", "async"])
 class TestAcceptExhaustion:
@@ -494,6 +371,28 @@ class TestAcceptExhaustion:
         text = body.decode()
         assert 'repro_accept_errors_total{errno="EMFILE"} 2' in text
         assert 'repro_http_rejects_total{status="503"} 2' in text
+
+    def test_econnaborted_does_not_deafen_the_listener(self, mode, monkeypatch):
+        # A peer that resets before accept(2) returns fails that one
+        # accept, not the listener: the server must keep accepting.
+        service = build_service()
+        server = make_server(service, mode)
+        original = server._accept_raw
+        aborted = []
+
+        def flaky_accept():
+            if not aborted:
+                aborted.append(True)
+                raise OSError(errno.ECONNABORTED, "Software caused connection abort")
+            return original()
+
+        monkeypatch.setattr(server, "_accept_raw", flaky_accept)
+        with server:
+            with _channel(server.port) as channel:
+                response = channel.call(message_sequence("content", 16, 1)[0])
+                assert "return" in response.values
+            assert aborted
+            assert server.accept_errors == 0  # not resource exhaustion
 
 
 # ----------------------------------------------------------------------

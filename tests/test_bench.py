@@ -253,8 +253,8 @@ class TestAsyncServerBenchResult:
     conforms to ``repro-bench-result/1`` and carries the perf-smoke
     headlines: a 2k+-connection async soak with zero errors that beats
     the threaded server at its own (much lower) peak on both calls/sec
-    and p99, and the vectored (iovec) write path at or above the
-    flattening copy on multi-chunk steady-state resends."""
+    and p99.  (The archive's ``resend-ablation`` rows are history: the
+    flattening write path they compared against has been deleted.)"""
 
     @pytest.fixture(scope="class")
     def bench_mod(self):
@@ -302,18 +302,3 @@ class TestAsyncServerBenchResult:
         assert asynch["connections"] >= 16 * threaded["connections"]
         assert asynch["calls_per_sec"] >= threaded["calls_per_sec"]
         assert asynch["p99_ms"] <= threaded["p99_ms"]
-
-    def test_iovec_beats_flat_on_multichunk_resends(self, doc):
-        by_arm = {
-            r["vectored"]: r
-            for r in doc["results"]
-            if r["mode"] == "resend-ablation"
-        }
-        assert set(by_arm) == {True, False}
-        for row in by_arm.values():
-            assert row["errors"] == 0
-            # Multi-chunk: the response spans >= 64 KiB of doubles.
-            assert row["response_doubles"] * 14 >= (1 << 16)
-        assert (
-            by_arm[True]["calls_per_sec"] >= by_arm[False]["calls_per_sec"]
-        )

@@ -10,7 +10,8 @@ from repro.errors import SOAPFaultError
 from repro.schema.composite import ArrayType
 from repro.schema.registry import TypeRegistry
 from repro.schema.types import DOUBLE, INT
-from repro.server.service import HTTPSoapServer, SOAPService
+from repro.server.service import SOAPService
+from repro.server.threaded_server import HTTPSoapServer
 from repro.soap.message import Parameter, SOAPMessage
 
 

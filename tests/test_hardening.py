@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import socket
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +40,7 @@ from repro.schema.composite import ArrayType
 from repro.schema.types import DOUBLE
 from repro.server.diffdeser import DifferentialDeserializer
 from repro.server.parser import SOAPRequestParser
-from repro.server.service import HTTPSoapServer
+from repro.server.threaded_server import HTTPSoapServer
 from repro.soap.fault import SOAPFault
 from repro.soap.message import Parameter, SOAPMessage
 from repro.transport.dummy_server import DummyServer
@@ -334,117 +333,6 @@ def _parse_response(payload: bytes):
 
     status, headers, body, consumed = parse_http_response(payload)
     return status, headers, body, consumed
-
-
-# ----------------------------------------------------------------------
-# HTTP front-end limits over live sockets
-# ----------------------------------------------------------------------
-class TestHTTPFrontEnd:
-    def _server(self, **overrides):
-        service = build_fuzz_service(limits=DEFAULT_LIMITS.replace(**overrides))
-        return service, HTTPSoapServer(service)
-
-    def _reject_count(self, service, status: int) -> float:
-        counter = service.obs.metrics.get("repro_http_rejects_total")
-        return 0.0 if counter is None else counter.value(status=str(status))
-
-    def test_oversized_content_length_gets_413(self):
-        service, server = self._server(max_body_bytes=1024)
-        with server:
-            raw = (
-                b"POST / HTTP/1.1\r\nContent-Length: 1025\r\n\r\n" + b"x" * 64
-            )
-            _d, status, _p = exchange(server.port, raw)
-            assert status == 413
-        assert self._reject_count(service, 413) == 1
-
-    def test_at_limit_content_length_is_served(self):
-        wire = doubles_wire([1.0, 2.0])
-        service, server = self._server(max_body_bytes=len(wire))
-        with server:
-            _d, status, _p = exchange(server.port, http_post(wire))
-            assert status == 200
-
-    def test_unparseable_framing_gets_400(self):
-        service, server = self._server()
-        with server:
-            _d, status, _p = exchange(server.port, b"NONSENSE\r\n\r\n")
-            assert status == 400
-        assert self._reject_count(service, 400) == 1
-
-    def test_eof_mid_request_gets_400(self):
-        service, server = self._server()
-        with server:
-            # Declares 100 body bytes, sends 3, then half-closes.
-            raw = b"POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\nabc"
-            _d, status, _p = exchange(server.port, raw)
-            assert status == 400
-        assert self._reject_count(service, 400) == 1
-
-    def test_read_deadline_gets_408(self):
-        service, server = self._server(read_deadline=0.3)
-        with server:
-            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
-                sock.settimeout(5.0)
-                sock.sendall(b"POST / HTTP/1.1\r\n")  # never completes
-                start = time.monotonic()
-                payload = _read_all(sock)
-                elapsed = time.monotonic() - start
-            assert payload.startswith(b"HTTP/1.1 408"), payload[:40]
-            assert elapsed < 4.0
-        assert self._reject_count(service, 408) == 1
-
-    def test_request_cap_closes_connection_with_503(self):
-        wire = doubles_wire([1.0])
-        service, server = self._server(max_requests_per_connection=2)
-        with server:
-            raw = http_post(wire) * 3  # three pipelined requests
-            _d, status, payload = exchange(server.port, raw)
-            assert status == 200
-            statuses = []
-            while payload:
-                code, _headers, _body, consumed = _parse_response(payload)
-                statuses.append(code)
-                payload = payload[consumed:]
-            assert statuses == [200, 200, 503]
-        assert self._reject_count(service, 503) == 1
-
-    def test_connection_cap_rejects_extra_connection(self):
-        service, server = self._server(max_concurrent_connections=1)
-        with server:
-            with socket.create_connection(("127.0.0.1", server.port), timeout=5) as first:
-                first.sendall(b"POST / HTTP/1.1\r\n")  # keep the slot busy
-                time.sleep(0.1)  # let the server thread claim the slot
-                with socket.create_connection(
-                    ("127.0.0.1", server.port), timeout=5
-                ) as second:
-                    second.settimeout(5.0)
-                    payload = _read_all(second)
-                assert payload.startswith(b"HTTP/1.1 503"), payload[:40]
-        assert self._reject_count(service, 503) == 1
-
-    def test_rejections_visible_in_metrics_endpoint(self):
-        service, server = self._server()
-        with server:
-            exchange(server.port, b"NONSENSE\r\n\r\n")
-            _d, status, payload = exchange(
-                server.port, b"GET /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
-            )
-            assert status == 200
-            assert b'repro_http_rejects_total{status="400"} 1' in payload
-
-
-def _read_all(sock: socket.socket) -> bytes:
-    chunks = []
-    while True:
-        try:
-            data = sock.recv(65536)
-        except (socket.timeout, OSError):
-            break
-        if not data:
-            break
-        chunks.append(data)
-    return b"".join(chunks)
 
 
 # ----------------------------------------------------------------------

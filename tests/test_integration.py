@@ -21,7 +21,8 @@ from repro.schema.registry import TypeRegistry
 from repro.schema.types import DOUBLE, INT
 from repro.server.diffdeser import DeserKind
 from repro.server.parser import SOAPRequestParser
-from repro.server.service import HTTPSoapServer, SOAPService
+from repro.server.service import SOAPService
+from repro.server.threaded_server import HTTPSoapServer
 from repro.soap.message import Parameter, SOAPMessage
 from repro.transport.dummy_server import DummyServer
 from repro.transport.http import HTTPTransport

@@ -234,7 +234,7 @@ class TestMetricsEndpoint:
         return service
 
     def test_metrics_served_and_typed(self):
-        from repro.server.service import HTTPSoapServer
+        from repro.server.threaded_server import HTTPSoapServer
 
         with HTTPSoapServer(self._service()) as httpd:
             status, head, body = self._get(httpd.host, httpd.port, "/metrics")
@@ -246,7 +246,7 @@ class TestMetricsEndpoint:
             assert parsed["repro_faults_returned_total"] == 0
 
     def test_metrics_404_without_registry(self):
-        from repro.server.service import HTTPSoapServer
+        from repro.server.threaded_server import HTTPSoapServer
 
         with HTTPSoapServer(self._service(obs=NULL_OBS)) as httpd:
             status, _head, body = self._get(httpd.host, httpd.port, "/metrics")

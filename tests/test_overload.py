@@ -40,7 +40,7 @@ from repro.resilience.budget import RetryBudget
 from repro.resilience.reconnect import ReconnectingTCPTransport
 from repro.resilience.retry import RetryPolicy, parse_retry_after
 from repro.runtime.loadgen import build_service, message_sequence
-from repro.server.service import HTTPSoapServer
+from repro.server.threaded_server import HTTPSoapServer
 from repro.transport.loopback import CollectSink
 from repro.wire.frame import encode_frame
 

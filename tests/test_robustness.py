@@ -26,7 +26,8 @@ from repro.schema.registry import TypeRegistry
 from repro.schema.types import DOUBLE
 from repro.server.diffdeser import DifferentialDeserializer
 from repro.server.parser import SOAPRequestParser
-from repro.server.service import HTTPSoapServer, SOAPService
+from repro.server.service import SOAPService
+from repro.server.threaded_server import HTTPSoapServer
 from repro.soap.fault import SOAPFault
 from repro.soap.message import Parameter, SOAPMessage, structure_signature
 from repro.transport.dummy_server import DummyServer

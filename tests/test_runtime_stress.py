@@ -39,7 +39,7 @@ from repro.runtime.loadgen import (
 )
 from repro.runtime.pool import ClientPool
 from repro.schema.registry import TypeRegistry
-from repro.server.service import HTTPSoapServer
+from repro.server.threaded_server import HTTPSoapServer
 
 pytestmark = pytest.mark.slow
 

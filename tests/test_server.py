@@ -11,7 +11,8 @@ from repro.schema.registry import TypeRegistry
 from repro.schema.types import DOUBLE, INT, STRING
 from repro.server.diffdeser import DeserKind, DifferentialDeserializer
 from repro.server.parser import SOAPRequestParser
-from repro.server.service import HTTPSoapServer, Operation, SOAPService
+from repro.server.service import Operation, SOAPService
+from repro.server.threaded_server import HTTPSoapServer
 from repro.soap.fault import SOAPFault
 from repro.soap.message import Parameter, SOAPMessage
 from repro.transport.http import HTTPTransport

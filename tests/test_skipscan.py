@@ -614,7 +614,8 @@ class TestSkipScanCorpus:
         the connection never drops, and the session's skip-scan lane
         records both hits and drift fallbacks."""
         from repro.hardening.fuzz import build_fuzz_service
-        from repro.server.service import HTTPSoapServer, Operation
+        from repro.server.service import Operation
+        from repro.server.threaded_server import HTTPSoapServer
         from repro.soap.fault import SOAPFault
         from repro.transport.http import IncompleteHTTPError, parse_http_response
 

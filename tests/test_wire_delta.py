@@ -30,7 +30,8 @@ from repro.obs import Observability
 from repro.schema.composite import ArrayType
 from repro.schema.registry import TypeRegistry
 from repro.schema.types import DOUBLE
-from repro.server.service import HTTPSoapServer, SOAPService
+from repro.server.service import SOAPService
+from repro.server.threaded_server import HTTPSoapServer
 from repro.soap.message import Parameter, SOAPMessage
 from repro.transport.loopback import CollectSink
 from repro.wire import (

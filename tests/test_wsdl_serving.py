@@ -9,7 +9,8 @@ from repro.errors import SOAPError
 from repro.schema.composite import ArrayType
 from repro.schema.types import DOUBLE, INT
 from repro.server.parser import SOAPRequestParser
-from repro.server.service import HTTPSoapServer, SOAPService
+from repro.server.service import SOAPService
+from repro.server.threaded_server import HTTPSoapServer
 from repro.soap.message import Parameter, SOAPMessage
 from repro.transport.http import parse_http_response
 from repro.channel import RPCChannel
