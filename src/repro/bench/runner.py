@@ -18,7 +18,7 @@ from repro.errors import TransportError
 from repro.transport.dummy_server import DummyServer
 from repro.transport.http import HTTPTransport
 from repro.transport.loopback import MemcpySink, NullSink
-from repro.transport.tcp import TCPTransport
+from repro.transport.tcp import PAPER_SOCKET_OPTIONS, TCPTransport
 from repro.transport.timing import SendTimer
 
 __all__ = ["time_loop", "adaptive_reps", "TransportRig", "Sample"]
@@ -119,7 +119,9 @@ class TransportRig:
             self.transport = MemcpySink()
         else:
             self.server = DummyServer().start()
-            tcp = TCPTransport("127.0.0.1", self.server.port)
+            tcp = TCPTransport(
+                "127.0.0.1", self.server.port, socket_options=PAPER_SOCKET_OPTIONS
+            )
             if self.kind == "tcp":
                 self.transport = tcp
             elif self.kind == "http":

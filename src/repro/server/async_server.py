@@ -56,6 +56,7 @@ from repro.server.service import SOAPService
 from repro.server.threaded_server import HTTPSoapServer
 from repro.server.timerwheel import TimerWheel
 from repro.transport.http import HTTPRequest
+from repro.transport.tcp import apply_socket_options
 
 __all__ = ["AsyncHTTPSoapServer", "SERVER_MODES", "make_server"]
 
@@ -154,9 +155,10 @@ class AsyncHTTPSoapServer:
         self._state_counts = {state: 0 for state in CONN_STATES}
         self._gauges_dirty = False
         # Reusable receive buffer (loop-thread private): recv_into it
-        # and copy out only the bytes that arrived — plain recv(n)
-        # mallocs (and for these sizes, mmaps) n bytes per call.
-        self._recv_buf = bytearray(_RECV_SIZE)
+        # and let the framer copy out only the bytes that arrived —
+        # plain recv(n) mallocs (and for these sizes, mmaps) n bytes
+        # per call.
+        self._recv_view = memoryview(bytearray(_RECV_SIZE))
         metrics = service.obs.metrics
         self._conn_state_gauge = (
             metrics.gauge(
@@ -352,6 +354,11 @@ class AsyncHTTPSoapServer:
                     self._pause_accepting()
                 return
             sock.setblocking(False)
+            try:
+                apply_socket_options(sock)
+            except OSError:  # the peer reset before we got to it
+                sock.close()
+                continue
             limits = self.service.limits
             session_id = f"conn-{next(self._conn_ids)}"
             conn = _Connection(sock, session_id, HttpConnection(limits))
@@ -433,7 +440,7 @@ class AsyncHTTPSoapServer:
         if conn.state != "reading":
             return
         try:
-            nbytes = conn.sock.recv_into(self._recv_buf)
+            nbytes = conn.sock.recv_into(self._recv_view)
         except (BlockingIOError, InterruptedError):
             return
         except OSError:
@@ -446,7 +453,7 @@ class AsyncHTTPSoapServer:
             else:
                 self._close_conn(conn)
             return
-        conn.http.receive(bytes(memoryview(self._recv_buf)[:nbytes]))
+        conn.http.receive(self._recv_view[:nbytes])
         self._pump_requests(conn)
 
     def _pump_requests(self, conn: _Connection) -> None:

@@ -5,9 +5,11 @@ Everything an HTTP front end *decides* lives here; everything it
 socket, selector, thread or clock, so each rule below is a plain
 function of bytes in → events / head bytes out:
 
-* **per-connection half** — :class:`HttpConnection` buffers received
-  bytes and turns them into ``HTTPRequest | Reject | None`` (need more
-  bytes).  It owns the framing taxonomy — ``400`` for unparseable
+* **per-connection half** — :class:`HttpConnection` feeds received
+  bytes to the one incremental
+  :class:`~repro.transport.http.HttpFramer` and turns its outcomes into
+  ``HTTPRequest | Reject | None`` (need more bytes).  It owns the
+  framing taxonomy — ``400`` for unparseable
   framing and for EOF mid-request, ``413`` for an oversized header
   block, declared or accumulated body, or more than ``recv_cap``
   buffered bytes, ``503`` past the per-connection request cap — and
@@ -47,15 +49,10 @@ from typing import (
     Union,
 )
 
-from repro.errors import (
-    HTTPFramingError,
-    IncompleteHTTPError,
-    RequestTooLargeError,
-    SOAPError,
-)
+from repro.errors import HTTPFramingError, RequestTooLargeError, SOAPError
 from repro.hardening.limits import ResourceLimits
 from repro.obs.export import render_prometheus
-from repro.transport.http import HTTPRequest, parse_http_request
+from repro.transport.http import HttpFramer, HTTPRequest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.server.service import SOAPService
@@ -146,47 +143,45 @@ class HttpConnection:
     followers wait in the buffer.  After a :class:`Reject` the
     connection is :attr:`closed`: further bytes are dropped and no more
     events are produced.
+
+    Framing itself is :class:`~repro.transport.http.HttpFramer`'s (the
+    same incremental framer the client reads responses with); this
+    class maps its outcomes onto the status taxonomy.
     """
 
-    __slots__ = ("limits", "served", "closed", "_buffered")
+    __slots__ = ("limits", "served", "closed", "_framer")
 
     def __init__(self, limits: ResourceLimits) -> None:
         self.limits = limits
         #: Requests framed over the connection's life.
         self.served = 0
         self.closed = False
-        self._buffered = b""
+        self._framer = HttpFramer.for_requests(limits)
 
-    def receive(self, data: bytes) -> None:
-        """Buffer bytes the peer sent."""
+    def receive(self, data) -> None:
+        """Buffer bytes the peer sent (any bytes-like; copied)."""
         if not self.closed:
-            self._buffered = self._buffered + data if self._buffered else data
+            self._framer.feed(data)
 
     def next_event(self) -> Union[HTTPRequest, Reject, None]:
         """The next complete request, a rejection, or ``None`` (need more)."""
-        buffered = self._buffered
-        if not buffered:
-            return None
-        limits = self.limits
-        if len(buffered) > limits.recv_cap:
-            # Backstop for framing that grows without ever declaring a
-            # length (parse_http_request caps the declared sizes first).
-            return self._reject(413)
         try:
-            request, consumed = parse_http_request(buffered, limits=limits)
-        except IncompleteHTTPError:
-            return None
+            message = self._framer.next_message()
         except RequestTooLargeError:
+            # Header block, declared or accumulated body, or the total
+            # buffered (``recv_cap``) past its bound.
             return self._reject(413)
         except HTTPFramingError:
             # Malformed beyond repair: request boundaries in the
             # stream can no longer be trusted.
             return self._reject(400)
-        if self.served >= limits.max_requests_per_connection:
+        if message is None:
+            return None
+        if self.served >= self.limits.max_requests_per_connection:
             return self._reject(503)
         self.served += 1
-        self._buffered = buffered[consumed:]
-        return request
+        (method, path, version), headers, body, _consumed = message
+        return HTTPRequest(method, path, version, headers, body)
 
     def eof(self) -> Optional[Reject]:
         """The peer closed its sending side.
@@ -195,14 +190,15 @@ class HttpConnection:
         still buffered can never complete and is answered ``400``; a
         clean EOF between requests produces nothing.
         """
-        if self._buffered:
+        if self._framer.buffered:
             return self._reject(400)
         self.closed = True
         return None
 
     def _reject(self, status: int) -> Reject:
         self.closed = True
-        self._buffered = b""
+        # Drop whatever was buffered; the spent framer is never fed again.
+        self._framer = HttpFramer.for_requests(self.limits)
         return Reject(status)
 
 

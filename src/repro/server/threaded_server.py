@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.buffers.iovec import IovecCursor
 from repro.server.http_core import HttpConnection, HttpFrontEnd, Reject
 from repro.server.service import SOAPService
+from repro.transport.tcp import RECV_SIZE, apply_socket_options
 
 __all__ = ["HTTPSoapServer"]
 
@@ -156,12 +157,19 @@ class HTTPSoapServer:
         limits = self.service.limits
         read_deadline = limits.read_deadline
         http = HttpConnection(limits)
+        recv_view = memoryview(bytearray(RECV_SIZE))
         conn.settimeout(0.2)
         deadline = time.monotonic() + read_deadline
         try:
             # Published by the connection itself, so the gauge already
             # counts it by the time it can answer a GET /metrics.
             front.set_open_connections(self.open_connections())
+            try:
+                # Replies can span several sendmsg calls (a 440 KB
+                # echo): without TCP_NODELAY each would wait on Nagle.
+                apply_socket_options(conn)
+            except OSError:
+                return  # the peer reset before we got to it
             while self._running.is_set():
                 if time.monotonic() > deadline:
                     # No complete request within the read deadline —
@@ -170,17 +178,17 @@ class HTTPSoapServer:
                     self._send(conn, [front.reject(408)])
                     break
                 try:
-                    data = conn.recv(1 << 20)
+                    nbytes = conn.recv_into(recv_view)
                 except socket.timeout:
                     continue
                 except OSError:
                     break
-                if not data:
+                if not nbytes:
                     rejected = http.eof()
                     if rejected is not None:
                         self._send(conn, [front.reject(rejected.status)])
                     break
-                http.receive(data)
+                http.receive(recv_view[:nbytes])
                 served = http.served
                 if not self._answer_buffered(conn, http, session_id):
                     break

@@ -8,9 +8,10 @@ This package provides that whole spectrum:
   serialization cost),
 * :class:`~repro.transport.loopback.MemcpySink` — copies into a drain
   buffer (models the kernel copy without a socket),
-* :class:`~repro.transport.tcp.TCPTransport` — a real socket with the
-  paper's options (TCP_NODELAY, 32 KiB send/recv buffers, keep-alive)
-  and scatter-gather ``sendmsg``,
+* :class:`~repro.transport.tcp.TCPTransport` — a real socket
+  (TCP_NODELAY, keep-alive; the paper's 32 KiB send/recv buffers when
+  the figure rig passes ``PAPER_SOCKET_OPTIONS``) and scatter-gather
+  ``sendmsg``,
 * :class:`~repro.transport.http.HTTPTransport` — SOAP-over-HTTP
   framing: HTTP/1.0 Content-Length or HTTP/1.1 chunked streaming,
 * :class:`~repro.transport.dummy_server.DummyServer` — the paper's

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.errors import TransportError
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
-from repro.transport.tcp import apply_paper_options
+from repro.transport.tcp import PAPER_SOCKET_OPTIONS, RECV_SIZE, apply_socket_options
 
 if TYPE_CHECKING:  # pragma: no cover - repro.server imports this package
     from repro.server.http_core import HttpConnection
@@ -136,23 +136,24 @@ class DummyServer:
     def _drain_loop(self, conn: socket.socket) -> None:
         from repro.server.http_core import HttpConnection  # see top of file
 
-        apply_paper_options(conn)
+        apply_socket_options(conn, PAPER_SOCKET_OPTIONS)
         conn.settimeout(0.2)
         http = HttpConnection(self.limits) if self.respond else None
+        recv_view = memoryview(bytearray(RECV_SIZE))
         try:
             while self._running.is_set():
                 try:
-                    data = conn.recv(1 << 20)
+                    nbytes = conn.recv_into(recv_view)
                 except socket.timeout:
                     continue
                 except OSError:
                     break
-                if not data:
+                if not nbytes:
                     break
                 with self._lock:
-                    self.bytes_drained += len(data)
+                    self.bytes_drained += nbytes
                 if http is not None:
-                    http.receive(data)
+                    http.receive(recv_view[:nbytes])
                     self._respond(conn, http)
         finally:
             try:

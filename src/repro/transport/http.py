@@ -19,7 +19,7 @@ The framer wraps any inner :class:`~repro.transport.base.Transport`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import (
     HTTPFramingError,
@@ -29,7 +29,14 @@ from repro.errors import (
 from repro.hardening.limits import ResourceLimits
 from repro.transport.base import Transport, ViewStream
 
-__all__ = ["HTTPTransport", "parse_http_request", "decode_chunked", "HTTPRequest"]
+__all__ = [
+    "HTTPTransport",
+    "HttpFramer",
+    "HTTPRequest",
+    "parse_http_request",
+    "parse_http_response",
+    "decode_chunked",
+]
 
 _CRLF = b"\r\n"
 
@@ -154,7 +161,6 @@ class HTTPTransport:
         if self._wire_bytes_counter is not None:
             framed = self._count_wire(framed)
         self.inner.send_message(framed)
-        assert total_bytes is None or total_bytes >= 0
         if self._messages_counter is not None:
             self._messages_counter.inc(1, mode=self.mode)
             self._wire_bytes_counter.inc(self._wire_sent, mode=self.mode)
@@ -203,7 +209,7 @@ class HTTPTransport:
 
 
 # ----------------------------------------------------------------------
-# server-side parsing (dummy server boundaries + the SOAP service)
+# receive side: one incremental framer for requests and responses
 # ----------------------------------------------------------------------
 @dataclass(slots=True)
 class HTTPRequest:
@@ -216,89 +222,254 @@ class HTTPRequest:
     body: bytes
 
 
-def decode_chunked(data: bytes, max_body: Optional[int] = None) -> Tuple[bytes, int]:
-    """Decode a chunked body; return ``(payload, bytes_consumed)``.
-
-    Raises :class:`IncompleteHTTPError` when the body is merely
-    truncated (more bytes may arrive), plain
-    :class:`HTTPFramingError` when the framing is provably invalid,
-    and :class:`RequestTooLargeError` when *max_body* is given and the
-    declared chunk sizes add up past it — checked against the declared
-    sizes so an oversized body is rejected before it is buffered.
-    """
-    out: List[bytes] = []
-    decoded = 0
-    pos = 0
-    while True:
-        eol = data.find(_CRLF, pos)
-        if eol < 0:
-            raise IncompleteHTTPError("truncated chunk-size line")
-        size_line = data[pos:eol].split(b";", 1)[0].strip()
-        try:
-            size = int(size_line, 16)
-        except ValueError:
-            raise HTTPFramingError(f"bad chunk size {size_line!r}") from None
-        if size < 0:
-            raise HTTPFramingError(f"negative chunk size {size_line!r}")
-        decoded += size
-        if max_body is not None and decoded > max_body:
-            raise RequestTooLargeError(
-                f"chunked body exceeds {max_body} bytes"
-            )
-        pos = eol + 2
-        if size == 0:
-            # Optional trailers until blank line.
-            end = data.find(_CRLF, pos)
-            if end < 0:
-                raise IncompleteHTTPError("truncated chunked trailer")
-            while end != pos:
-                pos = end + 2
-                end = data.find(_CRLF, pos)
-                if end < 0:
-                    raise IncompleteHTTPError("truncated chunked trailer")
-            return b"".join(out), end + 2
-        if pos + size + 2 > len(data):
-            raise IncompleteHTTPError("truncated chunk body")
-        out.append(data[pos : pos + size])
-        if data[pos + size : pos + size + 2] != _CRLF:
-            raise HTTPFramingError("chunk body missing CRLF terminator")
-        pos += size + 2
-
-
-def parse_http_response(data: bytes) -> Tuple[int, Dict[str, str], bytes, int]:
-    """Parse an HTTP response: ``(status, headers, body, consumed)``.
-
-    Raises :class:`IncompleteHTTPError` when the response is merely
-    incomplete — callers receiving from a socket retry with more data —
-    and plain :class:`HTTPFramingError` when it is malformed beyond
-    repair.
-    """
-    head_end = data.find(b"\r\n\r\n")
-    if head_end < 0:
-        raise IncompleteHTTPError("incomplete HTTP response header block")
-    head = data[:head_end].decode("latin-1")
-    lines = head.split("\r\n")
-    parts = lines[0].split(" ", 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-        raise HTTPFramingError(f"bad status line {lines[0]!r}")
+def _request_line(line: str) -> Tuple[str, str, str]:
     try:
-        status = int(parts[1])
+        method, path, version = line.split(" ", 2)
     except ValueError:
-        raise HTTPFramingError(f"bad status line {lines[0]!r}") from None
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        if ":" not in line:
-            raise HTTPFramingError(f"bad header line {line!r}")
-        key, value = line.split(":", 1)
-        headers[key.strip().lower()] = value.strip()
-    body_start = head_end + 4
-    if headers.get("transfer-encoding", "").lower() == "chunked":
-        body, consumed = decode_chunked(data[body_start:])
-        return status, headers, body, body_start + consumed
-    length = _content_length(headers)
-    if body_start + length > len(data):
-        raise IncompleteHTTPError("truncated response body")
-    return status, headers, data[body_start : body_start + length], body_start + length
+        raise HTTPFramingError(f"bad request line {line!r}") from None
+    if not version.startswith("HTTP/"):
+        raise HTTPFramingError(f"bad request line {line!r}")
+    return method, path, version
+
+
+def _status_line(line: str) -> int:
+    parts = line.split(" ", 2)
+    if len(parts) < 2 or not parts[0].startswith("HTTP/"):
+        raise HTTPFramingError(f"bad status line {line!r}")
+    try:
+        return int(parts[1])
+    except ValueError:
+        raise HTTPFramingError(f"bad status line {line!r}") from None
+
+
+# Framer states; the value is what a one-shot parse reports as missing.
+_HEAD = "incomplete HTTP header block"
+_BODY = "truncated identity body"
+_CHUNK_SIZE = "truncated chunk-size line"
+_CHUNK_DATA = "truncated chunk body"
+_TRAILER = "truncated chunked trailer"
+
+
+class HttpFramer:
+    """Incremental HTTP/1.x framing: bytes in, whole messages out.
+
+    :attr:`feed` buffers whatever a read produced (any bytes-like; it
+    is copied, so a reused read buffer is fine); :meth:`next_message`
+    returns ``(start, headers, body, consumed)`` for the oldest complete
+    message — *start* is what the start-line parser returned, *consumed*
+    the message's size on the wire — or ``None`` when more bytes are
+    needed.  Pipelined followers stay buffered for the next call.
+
+    Every byte is examined once.  The head terminator and chunk-size
+    lines are searched from where the last search stopped.  Once a head
+    is parsed, identity body bytes bypass the search buffer and are
+    only counted; a chunk is cut out when it is complete.  Body pieces
+    are joined once at the end, so memory follows what was received,
+    never what a header declares: a lying ``Content-Length`` commits
+    nothing.
+
+    Malformed framing raises :class:`HTTPFramingError`; crossing
+    *max_header*/*max_body* (on the declared sizes, before the body is
+    buffered) or holding more than *max_buffered* bytes raises
+    :class:`RequestTooLargeError`.  After either the framer is spent.
+    """
+
+    __slots__ = (
+        "feed", "_start_line", "_max_header", "_max_body", "_max_buffered",
+        "_pending", "_state", "_taken", "_scan", "_need", "_decoded",
+        "_start", "_headers", "_parts",
+    )
+
+    def __init__(
+        self,
+        start_line: Callable[[str], object],
+        max_header: Optional[int] = None,
+        max_body: Optional[int] = None,
+        max_buffered: Optional[int] = None,
+    ) -> None:
+        self._start_line = start_line
+        self._max_header = max_header
+        self._max_body = max_body
+        self._max_buffered = max_buffered
+        # Unframed bytes, only ever mutated in place: ``feed`` is its
+        # bound ``extend`` (no Python frame per read) except while an
+        # identity body is arriving, when it is ``_feed_body``.
+        self._pending = bytearray()
+        self.feed = self._pending.extend
+        self._state = _HEAD
+        # Bytes of the message in progress no longer in _pending.
+        self._taken = 0
+        # Where in _pending the terminator search resumes.
+        self._scan = 0
+        # Bytes still missing from the identity body or current chunk.
+        self._need = 0
+        self._decoded = 0
+        self._start: object = None
+        self._headers: Dict[str, str] = {}
+        self._parts: List[bytes] = []
+
+    @classmethod
+    def for_requests(cls, limits: Optional[ResourceLimits] = None) -> "HttpFramer":
+        """A request framer enforcing *limits*' header/body/buffer bounds."""
+        if limits is None:
+            return cls(_request_line)
+        return cls(
+            _request_line,
+            limits.max_header_bytes,
+            limits.max_body_bytes,
+            limits.recv_cap,
+        )
+
+    @classmethod
+    def for_responses(cls) -> "HttpFramer":
+        """A response framer; the caller bounds :attr:`buffered`."""
+        return cls(_status_line)
+
+    @property
+    def buffered(self) -> int:
+        """Bytes fed and not yet returned as part of a message."""
+        return self._taken + len(self._pending)
+
+    @property
+    def waiting_for(self) -> str:
+        """What the message in progress still lacks."""
+        return self._state
+
+    def _feed_body(self, data) -> None:
+        """``feed`` while an identity body arrives: count, do not search."""
+        need = self._need
+        if len(data) > need:  # the tail belongs to a pipelined follower
+            view = memoryview(data)
+            self._pending += view[need:]
+            data = view[:need]
+        self._parts.append(bytes(data))
+        self._taken += len(data)
+        self._need = need - len(data)
+        if not self._need:
+            self.feed = self._pending.extend
+
+    def next_message(self) -> Optional[Tuple[object, Dict[str, str], bytes, int]]:
+        """The oldest complete message, or ``None`` (need more bytes)."""
+        pending = self._pending
+        state = self._state
+        if state is _BODY:
+            if self._need:
+                return None
+        elif not pending:
+            return None
+        cap = self._max_buffered
+        if cap is not None and self._taken + len(pending) > cap:
+            # Backstop for framing that grows without ever declaring a
+            # length (the declared sizes are capped below).
+            raise RequestTooLargeError(f"more than {cap} bytes buffered")
+        while True:
+            if state is _HEAD:
+                end = pending.find(b"\r\n\r\n", self._scan)
+                max_header = self._max_header
+                if end < 0:
+                    if max_header is not None and len(pending) > max_header:
+                        raise RequestTooLargeError(
+                            f"header block exceeds {max_header} bytes "
+                            "without terminating"
+                        )
+                    self._scan = max(0, len(pending) - 3)
+                    return None
+                if max_header is not None and end > max_header:
+                    raise RequestTooLargeError(
+                        f"header block exceeds {max_header} bytes"
+                    )
+                lines = pending[:end].decode("latin-1").split("\r\n")
+                start = self._start_line(lines[0])
+                headers: Dict[str, str] = {}
+                for line in lines[1:]:
+                    key, colon, value = line.partition(":")
+                    if not colon:
+                        raise HTTPFramingError(f"bad header line {line!r}")
+                    headers[key.strip().lower()] = value.strip()
+                body_at = end + 4
+                if headers.get("transfer-encoding", "").lower() != "chunked":
+                    length = _content_length(headers)
+                    max_body = self._max_body
+                    if max_body is not None and length > max_body:
+                        raise RequestTooLargeError(
+                            f"Content-Length {length} exceeds "
+                            f"max_body_bytes={max_body}"
+                        )
+                    stop = body_at + length
+                    if len(pending) >= stop:  # arrived whole: no state kept
+                        body = bytes(pending[body_at:stop])
+                        del pending[:stop]
+                        self._scan = 0
+                        return start, headers, body, stop
+                    self._start, self._headers = start, headers
+                    self._parts = [bytes(pending[body_at:])]
+                    self._need = stop - len(pending)
+                    self._drop(len(pending))
+                    self._state = _BODY
+                    self.feed = self._feed_body
+                    return None
+                self._start, self._headers = start, headers
+                self._parts = []
+                self._decoded = 0
+                self._drop(body_at)
+                state = self._state = _CHUNK_SIZE
+            elif state is _BODY:
+                return self._finish(0)
+            elif state is _CHUNK_SIZE:
+                eol = pending.find(_CRLF, self._scan)
+                if eol < 0:
+                    self._scan = max(0, len(pending) - 1)
+                    return None
+                size_line = bytes(pending[:eol]).split(b";", 1)[0].strip()
+                try:
+                    size = int(size_line, 16)
+                except ValueError:
+                    raise HTTPFramingError(f"bad chunk size {size_line!r}") from None
+                if size < 0:
+                    raise HTTPFramingError(f"negative chunk size {size_line!r}")
+                self._decoded += size
+                max_body = self._max_body
+                if max_body is not None and self._decoded > max_body:
+                    raise RequestTooLargeError(
+                        f"chunked body exceeds {max_body} bytes"
+                    )
+                self._drop(eol + 2)
+                self._need = size
+                state = self._state = _CHUNK_DATA if size else _TRAILER
+            elif state is _CHUNK_DATA:
+                size = self._need
+                if len(pending) < size + 2:
+                    return None
+                if pending[size : size + 2] != _CRLF:
+                    raise HTTPFramingError("chunk body missing CRLF terminator")
+                with memoryview(pending) as view:
+                    self._parts.append(bytes(view[:size]))
+                self._drop(size + 2)
+                state = self._state = _CHUNK_SIZE
+            else:  # _TRAILER: optional trailer lines until a blank one
+                eol = pending.find(_CRLF, self._scan)
+                if eol < 0:
+                    self._scan = max(0, len(pending) - 1)
+                    return None
+                if eol == 0:
+                    return self._finish(2)
+                self._drop(eol + 2)
+
+    def _drop(self, count: int) -> None:
+        """Forget *count* framed bytes of the message in progress."""
+        del self._pending[:count]
+        self._taken += count
+        self._scan = 0
+
+    def _finish(self, tail: int):
+        """The message in progress is complete once *tail* more bytes go."""
+        self._drop(tail)
+        consumed = self._taken
+        body = b"".join(self._parts)
+        self._parts = []
+        self._state = _HEAD
+        self._taken = 0
+        return self._start, self._headers, body, consumed
 
 
 def _content_length(headers: Dict[str, str]) -> int:
@@ -313,60 +484,50 @@ def _content_length(headers: Dict[str, str]) -> int:
     return length
 
 
+def _one_shot(framer: HttpFramer, data: bytes):
+    framer.feed(data)
+    message = framer.next_message()
+    if message is None:
+        raise IncompleteHTTPError(framer.waiting_for)
+    return message
+
+
 def parse_http_request(
     data: bytes, *, limits: Optional[ResourceLimits] = None
 ) -> Tuple[HTTPRequest, int]:
-    """Parse one HTTP request from *data*.
+    """Parse one HTTP request from *data* (one-shot :class:`HttpFramer`).
 
-    Returns the request and the number of bytes consumed (so a server
-    can handle pipelined requests on one connection).  Raises
-    :class:`IncompleteHTTPError` when more bytes could complete the
-    request, :class:`HTTPFramingError` when it is malformed beyond
-    repair, and — when *limits* is given —
-    :class:`RequestTooLargeError` when the header block or the
-    declared body size crosses the configured bounds (the declared
-    ``Content-Length``/chunk sizes are checked *before* the body is
-    buffered, so a lying header cannot make the server accumulate it).
+    Returns the request and the number of bytes consumed (pipelined
+    followers are left alone).  Raises :class:`IncompleteHTTPError`
+    when more bytes could complete the request,
+    :class:`HTTPFramingError` when it is malformed beyond repair, and —
+    when *limits* is given — :class:`RequestTooLargeError` when the
+    header block, the declared body size or *data* itself (against
+    ``recv_cap``) crosses the configured bounds.
     """
-    max_header = limits.max_header_bytes if limits is not None else None
-    max_body = limits.max_body_bytes if limits is not None else None
-    head_end = data.find(b"\r\n\r\n")
-    if head_end < 0:
-        if max_header is not None and len(data) > max_header:
-            raise RequestTooLargeError(
-                f"header block exceeds {max_header} bytes without terminating"
-            )
-        raise IncompleteHTTPError("incomplete HTTP header block")
-    if max_header is not None and head_end > max_header:
-        raise RequestTooLargeError(f"header block exceeds {max_header} bytes")
-    head = data[:head_end].decode("latin-1")
-    lines = head.split("\r\n")
-    try:
-        method, path, version = lines[0].split(" ", 2)
-    except ValueError:
-        raise HTTPFramingError(f"bad request line {lines[0]!r}") from None
-    if not version.startswith("HTTP/"):
-        raise HTTPFramingError(f"bad request line {lines[0]!r}")
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        if ":" not in line:
-            raise HTTPFramingError(f"bad header line {line!r}")
-        key, value = line.split(":", 1)
-        headers[key.strip().lower()] = value.strip()
+    (method, path, version), headers, body, consumed = _one_shot(
+        HttpFramer.for_requests(limits), data
+    )
+    return HTTPRequest(method, path, version, headers, body), consumed
 
-    body_start = head_end + 4
-    if headers.get("transfer-encoding", "").lower() == "chunked":
-        body, consumed = decode_chunked(data[body_start:], max_body)
-        return (
-            HTTPRequest(method, path, version, headers, body),
-            body_start + consumed,
-        )
-    length = _content_length(headers)
-    if max_body is not None and length > max_body:
-        raise RequestTooLargeError(
-            f"Content-Length {length} exceeds max_body_bytes={max_body}"
-        )
-    if body_start + length > len(data):
-        raise IncompleteHTTPError("truncated identity body")
-    body = data[body_start : body_start + length]
-    return HTTPRequest(method, path, version, headers, body), body_start + length
+
+def parse_http_response(data: bytes) -> Tuple[int, Dict[str, str], bytes, int]:
+    """Parse one HTTP response: ``(status, headers, body, consumed)``.
+
+    Raises :class:`IncompleteHTTPError` when the response is merely
+    incomplete and plain :class:`HTTPFramingError` when it is
+    malformed beyond repair.
+    """
+    return _one_shot(HttpFramer.for_responses(), data)
+
+
+def decode_chunked(data: bytes, max_body: Optional[int] = None) -> Tuple[bytes, int]:
+    """Decode a chunked body; return ``(payload, bytes_consumed)``.
+
+    Raises as :func:`parse_http_request` does, with *max_body* bounding
+    the sum of the declared chunk sizes.
+    """
+    framer = HttpFramer(_status_line, max_body=max_body)
+    framer._state = _CHUNK_SIZE  # as if a chunked head had just been framed
+    _start, _headers, body, consumed = _one_shot(framer, data)
+    return body, consumed

@@ -1,10 +1,20 @@
-"""TCP transport with the paper's socket configuration.
+"""TCP transport: a persistent connection and scatter-gather sends.
 
-The performance study (§4) sets ``SO_KEEPALIVE``, ``TCP_NODELAY`` and
-32 KiB send/receive buffers, and sends to a dummy server over a fast
-link.  This transport reproduces that: a persistent connection, the
-same options, and scatter-gather ``sendmsg`` so a multi-chunk message
-goes out without coalescing copies.
+Two socket profiles, both plain ``(level, option, value)`` tuples:
+
+* :data:`RUNTIME_SOCKET_OPTIONS` — ``SO_KEEPALIVE`` + ``TCP_NODELAY``,
+  buffer sizes left to kernel autotuning.  What every runtime
+  connection (``RPCChannel``, the reconnecting transport, the servers'
+  accepted sockets) uses.
+* :data:`PAPER_SOCKET_OPTIONS` — the paper's §4 rig: the same two plus
+  32 KiB send/receive buffers.  Applied only by the figure-reproduction
+  rig (``TransportRig``, ``DummyServer``), at both ends.  A 32 KiB
+  send buffer holds less than one loopback segment (MTU 65536), so
+  against a receiver with kernel-sized buffers every sub-segment send
+  waits out a delayed ACK (``docs/perf.md``, "socket profiles").
+
+A multi-chunk message goes out through ``sendmsg`` without coalescing
+copies.
 """
 
 from __future__ import annotations
@@ -12,25 +22,42 @@ from __future__ import annotations
 import socket
 from typing import List, Optional, Sequence, Tuple
 
-from repro.buffers.iovec import IOV_MAX
+from repro.buffers.iovec import IovecCursor
 from repro.errors import TransportError
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
 from repro.transport.base import ViewStream
+from repro.transport.http import HttpFramer
 
-__all__ = ["TCPTransport", "PAPER_SOCKET_OPTIONS", "apply_paper_options"]
+__all__ = [
+    "TCPTransport",
+    "PAPER_SOCKET_OPTIONS",
+    "RUNTIME_SOCKET_OPTIONS",
+    "apply_socket_options",
+]
 
-#: (level, option, value) triples from the paper's §4 test setup.
-PAPER_SOCKET_OPTIONS: Tuple[Tuple[int, int, int], ...] = (
+SocketOptions = Tuple[Tuple[int, int, int], ...]
+
+#: What runtime connections set: no Nagle, keep-alive, kernel-sized buffers.
+RUNTIME_SOCKET_OPTIONS: SocketOptions = (
     (socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1),
     (socket.IPPROTO_TCP, socket.TCP_NODELAY, 1),
+)
+
+#: (level, option, value) triples from the paper's §4 test setup.
+PAPER_SOCKET_OPTIONS: SocketOptions = RUNTIME_SOCKET_OPTIONS + (
     (socket.SOL_SOCKET, socket.SO_SNDBUF, 32768),
     (socket.SOL_SOCKET, socket.SO_RCVBUF, 32768),
 )
 
+#: Bytes pulled per ``recv_into``: one loopback segment.
+RECV_SIZE = 65536
 
-def apply_paper_options(sock: socket.socket) -> None:
-    """Apply the paper's socket options to *sock*."""
-    for level, option, value in PAPER_SOCKET_OPTIONS:
+
+def apply_socket_options(
+    sock: socket.socket, options: SocketOptions = RUNTIME_SOCKET_OPTIONS
+) -> None:
+    """Set *options* on *sock* (a dialed or an accepted connection)."""
+    for level, option, value in options:
         sock.setsockopt(level, option, value)
 
 
@@ -40,7 +67,7 @@ class TCPTransport:
     Parameters
     ----------
     host, port:
-        Peer address (usually a :class:`DummyServer`).
+        Peer address.
     gather:
         Use ``sendmsg`` with iovec batching (default).  When False,
         falls back to ``sendall`` per segment — the ablation bench
@@ -48,8 +75,11 @@ class TCPTransport:
     limits:
         :class:`~repro.hardening.ResourceLimits` bounding how many
         response bytes :meth:`recv_http_response` buffers (its
-        ``recv_cap``), replacing the old hardcoded ``1 << 24`` so
-        client and server agree on one configurable bound.
+        ``recv_cap``), so client and server agree on one configurable
+        bound.
+    socket_options:
+        The socket profile; the paper rig passes
+        :data:`PAPER_SOCKET_OPTIONS`.
     """
 
     def __init__(
@@ -60,6 +90,7 @@ class TCPTransport:
         gather: bool = True,
         connect_timeout: float = 5.0,
         limits: Optional[ResourceLimits] = None,
+        socket_options: SocketOptions = RUNTIME_SOCKET_OPTIONS,
     ) -> None:
         self.gather = gather
         self.limits = limits if limits is not None else DEFAULT_LIMITS
@@ -68,54 +99,42 @@ class TCPTransport:
         except OSError as exc:
             raise TransportError(f"connect to {host}:{port} failed: {exc}") from exc
         self._sock.settimeout(30.0)
-        apply_paper_options(self._sock)
+        apply_socket_options(self._sock, socket_options)
         self.messages = 0
         self.bytes_total = 0
-        # Bytes received past the end of the last parsed response.
-        # With HTTP pipelining several responses can land in one
-        # recv(); the surplus belongs to the next call, not the floor.
-        self._recv_buffer = b""
+        # Response framing state.  With HTTP pipelining several
+        # responses can land in one read; the surplus stays in the
+        # framer for the next call.
+        self._framer = HttpFramer.for_responses()
+        self._recv_view = memoryview(bytearray(RECV_SIZE))
 
     # ------------------------------------------------------------------
-    def _sendmsg_all(self, batch: Sequence[memoryview | bytes]) -> int:
-        """sendmsg with partial-send recovery; returns bytes sent."""
-        sock = self._sock
-        total = sum(len(b) for b in batch)
-        sent = 0
-        pending: List[memoryview | bytes] = list(batch)
-        while pending:
-            try:
-                n = sock.sendmsg(pending)
-            except OSError as exc:
-                raise TransportError(f"sendmsg failed: {exc}") from exc
-            sent += n
-            if sent >= total:
-                break
-            # Drop fully-sent segments, trim the partial one.
-            while pending and n >= len(pending[0]):
-                n -= len(pending[0])
-                pending.pop(0)
-            if pending and n:
-                head = pending[0]
-                pending[0] = memoryview(head)[n:]
-        return total
+    def _flush(self, batch: Sequence[memoryview | bytes]) -> int:
+        """``sendmsg`` *batch*, resuming short writes; returns bytes sent."""
+        cursor = IovecCursor(batch)
+        try:
+            cursor.drain(self._sock.sendmsg)
+        except OSError as exc:
+            raise TransportError(f"sendmsg failed: {exc}") from exc
+        return cursor.sent
 
     def send_message(self, views: ViewStream, total_bytes: Optional[int] = None) -> int:
         sent = 0
-        if self.gather:
+        if self.gather and isinstance(views, (list, tuple)):
+            sent = self._flush(views)
+        elif self.gather:
             batch: List[memoryview | bytes] = []
-            lazy = not isinstance(views, (list, tuple))
             for view in views:
-                if len(view) == 0:
-                    continue
                 batch.append(view)
-                # A lazy stream may reuse buffers after the yield, so
-                # each segment must hit the socket before advancing.
-                if lazy or len(batch) >= IOV_MAX:
-                    sent += self._sendmsg_all(batch)
+                # A lazy stream may rewrite a payload buffer after the
+                # yield, so a view must hit the socket before
+                # advancing; immutable ``bytes`` (framing) wait for
+                # the view they frame.
+                if not isinstance(view, bytes):
+                    sent += self._flush(batch)
                     batch = []
             if batch:
-                sent += self._sendmsg_all(batch)
+                sent += self._flush(batch)
         else:
             for view in views:
                 try:
@@ -136,49 +155,42 @@ class TCPTransport:
         *limit* overrides the configured ``limits.recv_cap`` for this
         one read (``None`` uses the transport's limits).
 
-        Only :class:`IncompleteHTTPError` triggers another ``recv`` —
-        a genuinely malformed response (bad status line, bad chunk
-        size...) raises :class:`HTTPFramingError` immediately instead
-        of buffering toward the size limit.
+        Reads go through one reusable buffer into the incremental
+        :class:`~repro.transport.http.HttpFramer`, so no byte is parsed
+        twice.  A genuinely malformed response (bad status line, bad
+        chunk size...) raises :class:`HTTPFramingError` immediately
+        instead of buffering toward the size limit.
         """
-        from repro.errors import IncompleteHTTPError
-        from repro.transport.http import parse_http_response
-
         if limit is None:
             limit = self.limits.recv_cap
-        buffered = self._recv_buffer
-        while True:
-            try:
-                status, headers, body, consumed = parse_http_response(buffered)
-            except IncompleteHTTPError:
-                pass
-            else:
-                if consumed > limit:
-                    # The cap applies to *this response's* size, not
-                    # the raw buffer: pipelined surplus behind it is
-                    # the next response's business.
-                    self._recv_buffer = b""
-                    raise TransportError(
-                        f"response of {consumed} bytes exceeds size limit {limit}"
-                    )
-                # Keep the surplus: pipelined responses arrive
-                # back-to-back, and bytes past this response belong to
-                # the next one.
-                self._recv_buffer = buffered[consumed:]
-                return status, headers, body
-            if len(buffered) >= limit:
-                break
-            try:
-                data = self._sock.recv(65536)
-            except OSError as exc:
-                self._recv_buffer = b""
-                raise TransportError(f"recv failed: {exc}") from exc
-            if not data:
-                self._recv_buffer = b""
-                raise TransportError("connection closed mid-response")
-            buffered += data
-        self._recv_buffer = b""
-        raise TransportError("response exceeds size limit")
+        framer = self._framer
+        view = self._recv_view
+        try:
+            while True:
+                message = framer.next_message()
+                if message is not None:
+                    status, headers, body, consumed = message
+                    if consumed > limit:
+                        # The cap applies to *this response's* size,
+                        # not the raw buffer: pipelined surplus behind
+                        # it is the next response's business.
+                        raise TransportError(
+                            f"response of {consumed} bytes exceeds size limit {limit}"
+                        )
+                    return status, headers, body
+                if framer.buffered >= limit:
+                    raise TransportError("response exceeds size limit")
+                try:
+                    nbytes = self._sock.recv_into(view)
+                except OSError as exc:
+                    raise TransportError(f"recv failed: {exc}") from exc
+                if not nbytes:
+                    raise TransportError("connection closed mid-response")
+                framer.feed(view[:nbytes])
+        except TransportError:
+            # Response boundaries are lost: drop whatever was buffered.
+            self._framer = HttpFramer.for_responses()
+            raise
 
     def recv_until_close(self, limit: int = 1 << 20) -> bytes:
         """Read a response until EOF (request/response tests)."""

@@ -1,8 +1,12 @@
 """Unit tests for sinks, TCP, HTTP framing, dummy server, timing."""
 
+import socket
+import threading
 import time
 
 import pytest
+
+from repro.bench.runner import TransportRig
 
 from repro.errors import HTTPFramingError, TransportError
 from repro.transport.dummy_server import DummyServer
@@ -185,8 +189,128 @@ class TestTCPAndDummyServer:
             tcp.close()
 
     def test_paper_socket_options_present(self):
-        import socket
-
         levels = {(lvl, opt) for lvl, opt, _ in PAPER_SOCKET_OPTIONS}
         assert (socket.IPPROTO_TCP, socket.TCP_NODELAY) in levels
         assert (socket.SOL_SOCKET, socket.SO_SNDBUF) in levels
+
+
+class _CountingSocket:
+    """Stands in for a transport's socket: records each ``sendmsg``."""
+
+    def __init__(self, accept_at_most=None):
+        self.batches = []
+        self.wire = bytearray()
+        self.accept_at_most = accept_at_most
+
+    def sendmsg(self, batch):
+        data = b"".join(bytes(view) for view in batch)
+        if self.accept_at_most is not None:
+            data = data[: self.accept_at_most]
+        self.batches.append(len(batch))
+        self.wire += data
+        return len(data)
+
+    def close(self):
+        pass
+
+
+def _with_socket(server, sock) -> TCPTransport:
+    tcp = TCPTransport("127.0.0.1", server.port)
+    tcp.close()
+    tcp._sock = sock
+    return tcp
+
+
+class TestGatherSends:
+    def test_lazy_chunked_stream_flushes_once_per_payload_view(self):
+        # k payload views cost k + 1 sendmsg calls, not 3k + 2: framing
+        # bytes ride with the view they frame.
+        segments = [bytearray(b"a" * 10), bytearray(b"b" * 20), bytearray(b"c" * 5)]
+        with DummyServer() as server:
+            eager, lazy = _CountingSocket(), _CountingSocket()
+            views = [memoryview(segment) for segment in segments]
+            reference = CollectSink()
+            HTTPTransport(reference, mode="chunked").send_message(views)
+            HTTPTransport(_with_socket(server, lazy), mode="chunked").send_message(
+                iter(views)
+            )
+            _with_socket(server, eager).send_message(list(views))
+        assert bytes(lazy.wire) == reference.last
+        # head+size+view, crlf+size+view, crlf+size+view, crlf+terminator
+        assert lazy.batches == [3, 3, 3, 2]
+        assert eager.batches == [3]
+
+    def test_short_writes_resume_and_report_bytes_sent(self):
+        with DummyServer() as server:
+            sock = _CountingSocket(accept_at_most=7)
+            tcp = _with_socket(server, sock)
+            payload = [b"0123456789", memoryview(b"abcdefghij"), b"", b"XYZ"]
+            assert tcp.send_message(payload) == 23
+        assert bytes(sock.wire) == b"0123456789abcdefghijXYZ"
+        assert len(sock.batches) == 4  # 7 + 7 + 7 + 2
+
+
+def _sndbuf(sock: socket.socket) -> int:
+    return sock.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+
+
+class TestSocketProfiles:
+    def test_runtime_transport_leaves_buffers_to_the_kernel(self):
+        with DummyServer() as server:
+            tcp = TCPTransport("127.0.0.1", server.port)
+            plain = socket.create_connection(("127.0.0.1", server.port))
+            try:
+                assert _sndbuf(tcp._sock) == _sndbuf(plain)
+                assert tcp._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                assert tcp._sock.getsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE)
+            finally:
+                plain.close()
+                tcp.close()
+
+    def test_paper_rig_keeps_the_papers_buffers(self):
+        clamped = socket.socket()
+        clamped.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 32768)
+        try:
+            with TransportRig("tcp") as tcp:
+                assert _sndbuf(tcp._sock) == _sndbuf(clamped)
+                assert tcp._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            clamped.close()
+
+    def test_mid_size_frame_does_not_wait_on_delayed_acks(self):
+        """176 KB to a peer with kernel-sized buffers goes out at once.
+
+        Under the paper's 32 KiB ``SO_SNDBUF`` each sub-segment send
+        waited ~40 ms for the receiver's delayed ACK (~86 ms per
+        frame).  The peer is a plain draining socket, not
+        :class:`DummyServer`: the dummy server's accepted sockets carry
+        the paper's ``SO_RCVBUF``, whose window updates mask the stall.
+        """
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def drain():
+            conn, _ = listener.accept()
+            with conn:
+                while conn.recv(1 << 16):
+                    pass
+
+        thread = threading.Thread(target=drain, daemon=True)
+        thread.start()
+        frame = [b"head", memoryview(bytes(176 * 1024))]
+        samples = []
+        try:
+            with TCPTransport("127.0.0.1", listener.getsockname()[1]) as tcp:
+                for _ in range(3):  # leave the connection's quick-ACK phase
+                    tcp.send_message(frame)
+                    time.sleep(0.002)
+                for _ in range(5):
+                    started = time.perf_counter()
+                    tcp.send_message(frame)
+                    samples.append(time.perf_counter() - started)
+                    time.sleep(0.002)
+        finally:
+            thread.join(timeout=5.0)
+            listener.close()
+        assert min(samples) < 0.020, samples
