@@ -108,7 +108,7 @@ class RPCChannel:
             raw_transport = ReconnectingTCPTransport(host, port)
             raw_transport.connect()  # fail fast on a bad address
         self._raw = raw_transport
-        #: Shared with the client and framer, so one registry carries
+        #: Shared with the client and framer, so one registry serves
         #: the per-send counters, wire bytes, and call latency/retries.
         self.obs: Observability = obs if obs is not None else NULL_OBS
         resolved_policy = policy if policy is not None else DiffPolicy()
@@ -150,6 +150,7 @@ class RPCChannel:
         # Counters may be read (channel_stats) while a pipelined
         # send/receive pair mutates them from two threads.
         self._stats_lock = threading.Lock()
+        self.obs.watch(self)
 
     #: SendReport of the most recent call (match kind, rewrite stats,
     #: retry/rollback accounting).
@@ -223,7 +224,7 @@ class RPCChannel:
             self.last_send_report = report
             with self._stats_lock:
                 self.calls += 1
-            self.obs.record_call(time.monotonic() - started, failures)
+            self.obs.record_call(time.monotonic() - started)
             return response
 
     def _attempt(self, message: SOAPMessage):
@@ -255,7 +256,6 @@ class RPCChannel:
         status, headers, body = self._raw.recv_http_response()
         with self._stats_lock:
             self.client.stats.bytes_received += len(body)
-        self.obs.record_bytes_received(len(body))
         wire = self.client.wire
         if status == 409 and headers.get("x-repro-delta-resync"):
             # The server lost (or refused) our delta mirror: treat as a
@@ -333,6 +333,10 @@ class RPCChannel:
                 "breaker_opens": self.breaker.opens,
             }
 
+    def metric_samples(self) -> Dict[tuple, int]:
+        """Retries (the client and the framer serve their own series)."""
+        return {("repro_call_retries_total",): self.retries_total}
+
     def count_call(self, *, fault: bool = False) -> None:
         """Record one completed call (used by the pipelined wrapper)."""
         with self._stats_lock:
@@ -341,7 +345,9 @@ class RPCChannel:
                 self.faults += 1
 
     def close(self) -> None:
+        """Close the connection; leave the final counts to the registry."""
         self._raw.close()
+        self.obs.retire(self, self.client, self._http)
 
     def __enter__(self) -> "RPCChannel":
         return self

@@ -89,6 +89,8 @@ class BSoapClient:
     ) -> None:
         self.transport: Transport = transport if transport is not None else NullSink()
         self.policy = policy or DiffPolicy()
+        #: The one home of this client's counters; a registry on
+        #: :attr:`obs` reads them when scraped (:meth:`metric_samples`).
         self.stats = ClientStats()
         #: Tracing + metrics sink; the shared no-op default costs one
         #: attribute load and branch per guarded site.
@@ -109,6 +111,14 @@ class BSoapClient:
             if self.policy.delta.offer
             else None
         )
+        self.obs.watch(self)
+
+    def metric_samples(self) -> Dict[tuple, int]:
+        """Counters of this client and its delta encoder, by series."""
+        samples = self.stats.metric_samples()
+        if self.wire is not None:
+            samples.update(self.wire.metric_samples())
+        return samples
 
     # ------------------------------------------------------------------
     # template store
@@ -134,7 +144,7 @@ class BSoapClient:
         if template is None:
             template = build_template(message, self.policy, obs=self.obs)
             self.store.put(signature, template)
-            self._template_built()
+            self.stats.templates_built += 1
         if isinstance(template, OverlayTemplate):
             raise TemplateError(
                 "prepare() targets in-memory templates; overlay sends use send()"
@@ -166,13 +176,13 @@ class BSoapClient:
             if overlay_eligible(message, self.policy):
                 overlay = build_overlay_template(message, self.policy)
                 self.store.put(signature, overlay)
-                self._template_built()
+                self.stats.templates_built += 1
                 return self._send_overlay(
                     overlay, message, first=True, forced_full=resync
                 )
             template = build_template(message, self.policy, obs=self.obs)
             self.store.put(signature, template)
-            self._template_built()
+            self.stats.templates_built += 1
             return self._transmit_guarded(
                 template, MatchKind.FIRST_TIME, RewriteStats(), forced_full=resync
             )
@@ -186,7 +196,7 @@ class BSoapClient:
             # A fresh variant was judged cheaper than rewriting.
             template = build_template(message, self.policy, obs=self.obs)
             self.store.put(signature, template)
-            self._template_built()
+            self.stats.templates_built += 1
             return self._transmit(template, MatchKind.FIRST_TIME, RewriteStats())
         try:
             template.absorb(message)
@@ -221,7 +231,7 @@ class BSoapClient:
             # first-time-send path — rebuilt in place from the tracked
             # values, so the bytes equal a from-scratch serialization.
             template.rebuild_in_place(self.policy, obs=self.obs)
-            self._template_built()
+            self.stats.templates_built += 1
             return self._transmit_guarded(
                 template, MatchKind.FIRST_TIME, RewriteStats(), forced_full=True
             )
@@ -264,7 +274,6 @@ class BSoapClient:
             if self.wire is not None:
                 self.wire.invalidate(template.template_id)
             self.stats.rollbacks += 1
-            self.obs.record_rollback()
             raise
         kind = refine(kind, rewrite)
         template.sends += 1
@@ -287,7 +296,7 @@ class BSoapClient:
         *,
         snapshot=None,
         forced_full: bool = False,
-        moved_before: int = 0,
+        moved_before: Optional[int] = None,
     ) -> SendReport:
         """Transmit with commit/rollback: the template's dirty state is
         only committed once the transport confirms full delivery."""
@@ -307,7 +316,6 @@ class BSoapClient:
                 # unknown; the next send re-announces from scratch.
                 self.wire.invalidate(template.template_id)
             self.stats.rollbacks += 1
-            self.obs.record_rollback()
             raise
 
     def _transmit(
@@ -316,7 +324,7 @@ class BSoapClient:
         kind: MatchKind,
         rewrite: RewriteStats,
         forced_full: bool = False,
-        moved_before: int = 0,
+        moved_before: Optional[int] = None,
         template_id: Optional[int] = None,
         snapshot=None,
     ) -> SendReport:
@@ -377,7 +385,6 @@ class BSoapClient:
         except TransportError:
             overlay.suspect = True
             self.stats.rollbacks += 1
-            self.obs.record_rollback()
             raise
         kind = MatchKind.FIRST_TIME if first else MatchKind.PERFECT_STRUCTURAL
         report = SendReport(
@@ -403,32 +410,31 @@ class BSoapClient:
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    def _template_built(self) -> None:
-        self.stats.templates_built += 1
-        self.obs.record_template_built()
-
     def _record(
         self,
         report: SendReport,
         *,
-        moved_before: int = 0,
+        moved_before: Optional[int] = None,
         started: float = 0.0,
         pipelined: bool = False,
     ) -> None:
-        """Fold one send into the legacy stats and the obs layer.
+        """Count one successful send; time and trace it when observed.
 
-        The single funnel for every successful send — keeping it that
-        way is what makes ``repro_sends_total`` reconcile exactly with
-        :class:`ClientStats`.
+        The single funnel for every successful send: :attr:`stats` is
+        the only count, and ``repro_sends_total`` is a view of it.
+        *moved_before* is the buffer's ``bytes_moved`` before this
+        send's rewrite pass (``None``: no pass ran, nothing moved).
         """
         self.stats.record(report)
+        if moved_before is not None:
+            self.stats.buffer_bytes_moved += (
+                report.buffer_bytes_moved - moved_before
+            )
         obs = self.obs
         if not obs.enabled:
             return
         duration = perf_counter() - started if started else 0.0
-        obs.record_send(report)
         obs.record_send_duration(report.match_kind.value, duration)
-        obs.record_buffer_bytes_moved(report.buffer_bytes_moved - moved_before)
         if obs.tracer.enabled:
             obs.tracer.emit(
                 "send",

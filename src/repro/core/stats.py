@@ -4,15 +4,21 @@ The performance study needs to know *which* path a send took (the
 paper's four matching possibilities, §3) and how much mechanical work
 the differential rewrite did (values rewritten, closing-tag shifts,
 chunk-tail memmoves, splits, reallocations, steals).
+
+Counters live here and nowhere else: a component adds to a plain
+attribute under whatever lock or thread already serialises its work,
+and readers — ``ClientPool.stats``, ``merged_counters``, ``GET
+/metrics`` — sum the live members when asked (:class:`MemberTotals`).
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Callable, Dict, Hashable, List, Mapping
 
-__all__ = ["MatchKind", "RewriteStats", "SendReport", "ClientStats"]
+__all__ = ["MatchKind", "RewriteStats", "SendReport", "ClientStats", "MemberTotals"]
 
 
 class MatchKind(enum.Enum):
@@ -126,38 +132,81 @@ class ClientStats:
     rollbacks: int = 0
     #: Forced full serializations performed to resynchronize the peer.
     forced_full_sends: int = 0
-    #: Rewrite-plan cache activity (see RewriteStats), client-lifetime.
-    plan_hits: int = 0
-    plan_misses: int = 0
-    plan_invalidations: int = 0
+    #: ``bytes_sent`` split by match level.
+    bytes_by_kind: Dict[MatchKind, int] = field(
+        default_factory=lambda: {k: 0 for k in MatchKind}
+    )
+    #: Every send's :class:`RewriteStats` summed, client-lifetime.
+    rewrite: RewriteStats = field(default_factory=RewriteStats)
+    #: Bytes memmoved by chunk-tail shifts during this client's sends.
+    buffer_bytes_moved: int = 0
+
+    @property
+    def plan_hits(self) -> int:
+        return self.rewrite.plan_hits
+
+    @property
+    def plan_misses(self) -> int:
+        return self.rewrite.plan_misses
+
+    @property
+    def plan_invalidations(self) -> int:
+        return self.rewrite.plan_invalidations
 
     def record(self, report: SendReport) -> None:
+        kind = report.match_kind
         self.sends += 1
-        self.by_kind[report.match_kind] += 1
+        self.by_kind[kind] += 1
         self.bytes_sent += report.bytes_sent
+        self.bytes_by_kind[kind] += report.bytes_sent
         if report.delta:
             self.delta_sends += 1
         if report.forced_full:
             self.forced_full_sends += 1
-        rw = report.rewrite
-        self.plan_hits += rw.plan_hits
-        self.plan_misses += rw.plan_misses
-        self.plan_invalidations += rw.plan_invalidations
+        if kind is not MatchKind.CONTENT_MATCH:  # no rewrite pass ran
+            self.rewrite.merge(report.rewrite)
 
-    def merge_from(self, other: "ClientStats") -> None:
-        """Accumulate *other*'s counters (per-session stats merged on read)."""
-        self.sends += other.sends
-        for kind, count in other.by_kind.items():
-            self.by_kind[kind] += count
-        self.bytes_sent += other.bytes_sent
-        self.bytes_received += other.bytes_received
-        self.delta_sends += other.delta_sends
-        self.templates_built += other.templates_built
-        self.rollbacks += other.rollbacks
-        self.forced_full_sends += other.forced_full_sends
-        self.plan_hits += other.plan_hits
-        self.plan_misses += other.plan_misses
-        self.plan_invalidations += other.plan_invalidations
+    def __add__(self, other: "ClientStats") -> "ClientStats":
+        """A new ``ClientStats`` holding both operands' counters."""
+        total = ClientStats()
+        for part in (self, other):
+            for name in self.__slots__:
+                value = getattr(part, name)
+                if isinstance(value, dict):
+                    for kind, count in value.items():
+                        getattr(total, name)[kind] += count
+                elif isinstance(value, RewriteStats):
+                    total.rewrite.merge(value)
+                else:
+                    setattr(total, name, getattr(total, name) + value)
+        return total
+
+    def metric_samples(self) -> Dict[tuple, int]:
+        """These counters as ``{(series name, *label values): value}``."""
+        rw = self.rewrite
+        samples = {
+            ("repro_bytes_sent_total",): self.bytes_sent,
+            ("repro_bytes_received_total",): self.bytes_received,
+            ("repro_values_rewritten_total",): rw.values_rewritten,
+            ("repro_tag_shifts_total",): rw.tag_shifts,
+            ("repro_pad_bytes_total",): rw.pad_bytes,
+            ("repro_expansions_total", "inplace"): rw.shifts_inplace,
+            ("repro_expansions_total", "realloc"): rw.reallocs,
+            ("repro_expansions_total", "split"): rw.splits,
+            ("repro_expansions_total", "steal"): rw.steals,
+            ("repro_buffer_bytes_shifted_total",): self.buffer_bytes_moved,
+            ("repro_templates_built_total",): self.templates_built,
+            ("repro_rollbacks_total",): self.rollbacks,
+            ("repro_forced_full_sends_total",): self.forced_full_sends,
+            ("repro_plan_events_total", "hit"): rw.plan_hits,
+            ("repro_plan_events_total", "miss"): rw.plan_misses,
+            ("repro_plan_events_total", "invalidation"): rw.plan_invalidations,
+            ("repro_plan_spliced_values_total",): rw.plan_spliced,
+        }
+        for kind in MatchKind:
+            samples["repro_sends_total", kind.value] = self.by_kind[kind]
+            samples["repro_send_bytes_total", kind.value] = self.bytes_by_kind[kind]
+        return samples
 
     def summary(self) -> str:
         parts = [f"sends={self.sends}", f"bytes={self.bytes_sent}"]
@@ -176,3 +225,55 @@ class ClientStats:
         if self.plan_hits or self.plan_misses:
             parts.append(f"plan_hits={self.plan_hits}/{self.plan_hits + self.plan_misses}")
         return " ".join(parts)
+
+
+class MemberTotals:
+    """Counters summed over a changing set of members, exact across death.
+
+    The one implementation of "sum the live members, fold a member in
+    when it dies" — behind ``ServerSessionManager.merged_counters``
+    (members: sessions), ``ClientPool.stats`` (channels) and every
+    counter ``MetricsRegistry`` renders (whatever registered itself).
+
+    *read* turns one member into ``{key: value}``; values only need
+    ``+``.  Members keep counting on their own attributes and are read
+    when :meth:`totals` is called — racily, but each counter only
+    grows, so every total is monotone.  :meth:`retire` keeps a member's
+    final reading and drops the reference to it; :meth:`totals` takes
+    the retired sums and the live set under one lock, so a retiring
+    member is counted in exactly one of the two.
+    """
+
+    def __init__(self, read: Callable[[object], Mapping[Hashable, object]]) -> None:
+        self._read = read
+        self._lock = threading.Lock()
+        self._live: Dict[int, object] = {}
+        self._retired: Dict[Hashable, object] = {}
+
+    def add(self, member: object) -> None:
+        with self._lock:
+            self._live[id(member)] = member
+
+    def retire(self, member: object) -> None:
+        """Fold *member*'s final counts in and forget it (no-op if unknown)."""
+        with self._lock:
+            if self._live.pop(id(member), None) is not None:
+                _accumulate(self._retired, self._read(member))
+
+    def members(self) -> List[object]:
+        with self._lock:
+            return list(self._live.values())
+
+    def totals(self) -> Dict[Hashable, object]:
+        """Retired + live, per key."""
+        with self._lock:
+            totals = dict(self._retired)
+            live = list(self._live.values())
+        for member in live:
+            _accumulate(totals, self._read(member))
+        return totals
+
+
+def _accumulate(totals: Dict, part: Mapping) -> None:
+    for key, value in part.items():
+        totals[key] = totals[key] + value if key in totals else value

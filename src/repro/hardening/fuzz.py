@@ -753,6 +753,23 @@ class FuzzReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def export_to(self, obs) -> "FuzzReport":
+        """Serve :attr:`outcomes` as ``repro_fuzz_cases_total``."""
+        if obs.metrics is not None:
+            obs.metrics.counter(
+                "repro_fuzz_cases_total",
+                "Fuzz cases by driver mode and outcome",
+                ("mode", "outcome"),
+            )
+            obs.metrics.watch(self)
+        return self
+
+    def metric_samples(self) -> Dict[tuple, int]:
+        return {
+            ("repro_fuzz_cases_total", self.mode, outcome): count
+            for outcome, count in self.outcomes.copy().items()
+        }
+
     def record(self, outcome: str, mutator: str) -> None:
         self.iterations += 1
         self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
@@ -810,16 +827,7 @@ def fuzz_service(
     service = service if service is not None else build_fuzz_service()
     wires = list(corpus) if corpus is not None else default_corpus()
     fuzzer = WireFuzzer(wires, seed, limits=service.limits)
-    report = FuzzReport(seed=seed, mode="service")
-    counter = (
-        service.obs.metrics.counter(
-            "repro_fuzz_cases_total",
-            "Fuzz cases by driver mode and outcome",
-            ("mode", "outcome"),
-        )
-        if service.obs.metrics is not None
-        else None
-    )
+    report = FuzzReport(seed=seed, mode="service").export_to(service.obs)
 
     # Calibrate the probe set: corpus wires the service answers
     # without a fault when pristine, with the checksum answer each one
@@ -871,8 +879,6 @@ def fuzz_service(
             )
             outcome = "crash"
         report.record(outcome, mutator)
-        if counter is not None:
-            counter.inc(mode="service", outcome=outcome)
         if probe_every and (case_no + 1) % probe_every == 0:
             _probe(case_no)
     _probe(iterations)
@@ -926,16 +932,7 @@ def fuzz_http(
     service = service if service is not None else build_fuzz_service()
     wires = list(corpus) if corpus is not None else default_corpus()
     fuzzer = HTTPFuzzer(WireFuzzer(wires, seed, limits=service.limits))
-    report = FuzzReport(seed=seed, mode="http")
-    counter = (
-        service.obs.metrics.counter(
-            "repro_fuzz_cases_total",
-            "Fuzz cases by driver mode and outcome",
-            ("mode", "outcome"),
-        )
-        if service.obs.metrics is not None
-        else None
-    )
+    report = FuzzReport(seed=seed, mode="http").export_to(service.obs)
     with HTTPSoapServer(service, host) as server:
         for case_no in range(iterations):
             raw, label = fuzzer.next_case()
@@ -965,8 +962,6 @@ def fuzz_http(
                 else:
                     outcome = f"http_{status}"
             report.record(outcome, label)
-            if counter is not None:
-                counter.inc(mode="http", outcome=outcome)
     return report
 
 
@@ -1006,16 +1001,7 @@ def fuzz_delta(
     wires = list(corpus) if corpus is not None else default_corpus()
     rng = random.Random(seed)
     fuzzer = DeltaFrameFuzzer(rng, service.limits)
-    report = FuzzReport(seed=seed, mode="delta")
-    counter = (
-        service.obs.metrics.counter(
-            "repro_fuzz_cases_total",
-            "Fuzz cases by driver mode and outcome",
-            ("mode", "outcome"),
-        )
-        if service.obs.metrics is not None
-        else None
-    )
+    report = FuzzReport(seed=seed, mode="delta").export_to(service.obs)
     session_id = "fuzz-delta"
     probes = [w for w in wires if _classify_response(service.handle(w)) == "ok"]
     if not probes:
@@ -1073,8 +1059,6 @@ def fuzz_delta(
             )
             outcome = "crash"
         report.record(outcome, mutator)
-        if counter is not None:
-            counter.inc(mode="delta", outcome=outcome)
         if probe_every and (case_no + 1) % probe_every == 0:
             _probe(case_no)
     _probe(iterations)
@@ -1101,16 +1085,7 @@ def fuzz_delta_http(
     wires = list(corpus) if corpus is not None else default_corpus()
     rng = random.Random(seed)
     fuzzer = DeltaFrameFuzzer(rng, service.limits)
-    report = FuzzReport(seed=seed, mode="delta-http")
-    counter = (
-        service.obs.metrics.counter(
-            "repro_fuzz_cases_total",
-            "Fuzz cases by driver mode and outcome",
-            ("mode", "outcome"),
-        )
-        if service.obs.metrics is not None
-        else None
-    )
+    report = FuzzReport(seed=seed, mode="delta-http").export_to(service.obs)
     with HTTPSoapServer(service, host) as server:
         for case_no in range(iterations):
             body = rng.choice(wires)
@@ -1165,8 +1140,6 @@ def fuzz_delta_http(
                 else:
                     outcome = "http_" + "_".join(str(s) for s in statuses)
             report.record(outcome, mutator)
-            if counter is not None:
-                counter.inc(mode="delta-http", outcome=outcome)
     return report
 
 

@@ -32,8 +32,8 @@ instead of fatal:
   3. ``session`` — LRU idle sessions (the client falls back to a
      first-time send).
 
-  Every shed emits ``repro_overload_events_total{tier}`` and an
-  ``overload`` span; nothing in the ladder can lose a request, only
+  Every shed counts in ``repro_overload_events_total{tier}`` and emits
+  an ``overload`` span; nothing in the ladder can lose a request, only
   speed.  Relief stops at the low watermark
   (``shed_target_fraction`` × budget) to avoid shed/refill thrash.
 
@@ -140,19 +140,18 @@ class AdmissionController:
         self,
         policy: Optional[OverloadPolicy] = None,
         *,
-        obs: Optional[Observability] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.policy = policy if policy is not None else OverloadPolicy()
-        self.obs = obs if obs is not None else NULL_OBS
         self._clock = clock
         self._cond = threading.Condition()
         self._in_flight = 0
         self._queued = 0
         self._tokens = float(self.policy.burst)
         self._refilled_at = clock()
-        #: Decision counters (also mirrored into
-        #: ``repro_admission_total{outcome}`` when metrics are on).
+        #: Decision counters, written under ``_cond``; the service this
+        #: controller fronts serves them as
+        #: ``repro_admission_total{outcome}``.
         self.admitted = 0
         self.rejected: Dict[str, int] = {
             "concurrency": 0,
@@ -189,7 +188,6 @@ class AdmissionController:
 
     def _reject(self, gate: str, hint_s: float) -> AdmissionRejectedError:
         self.rejected[gate] += 1
-        self.obs.record_admission(f"rejected-{gate}")
         retry_after = self._hint(hint_s)
         return AdmissionRejectedError(
             f"admission rejected at the {gate} gate", gate, retry_after
@@ -226,7 +224,6 @@ class AdmissionController:
             self._tokens -= 1.0
             self._in_flight += 1
             self.admitted += 1
-        self.obs.record_admission("admitted")
 
     def release(self) -> None:
         with self._cond:
@@ -239,6 +236,13 @@ class AdmissionController:
         return _AdmissionTicket(self)
 
     # ------------------------------------------------------------------
+    def metric_samples(self) -> Dict[tuple, int]:
+        """``repro_admission_total{outcome}`` samples."""
+        samples = {("repro_admission_total", "admitted"): self.admitted}
+        for gate, count in self.rejected.items():
+            samples["repro_admission_total", f"rejected-{gate}"] = count
+        return samples
+
     def counters(self) -> Dict[str, int]:
         with self._cond:
             out: Dict[str, int] = {"admitted": self.admitted}
@@ -275,9 +279,10 @@ class MemoryAccountant:
     (:meth:`~repro.runtime.sessions.ServerSessionManager.relieve_pressure`),
     which knows locking and recovery semantics.
 
-    The gauge mirror: every charge pushes the component's new total
-    into ``repro_state_bytes{component}``, so ``GET /metrics`` shows
-    live state sizes the same way ``merged_counters`` does.
+    Handed an ``obs`` with a registry, the ledger serves
+    ``repro_state_bytes{component}`` and
+    ``repro_overload_events_total{tier}`` from its own fields at scrape
+    time, so ``GET /metrics`` shows what ``merged_counters`` does.
     """
 
     def __init__(
@@ -307,6 +312,20 @@ class MemoryAccountant:
         #: reports them through :meth:`note_shed`).
         self.sheds: Dict[str, int] = {t: 0 for t in SHED_TIERS}
         self.over_budget_ticks = 0
+        if self.obs.metrics is not None:
+            self.obs.metrics.watch(self)
+            self.obs.metrics.gauge("repro_state_bytes").bind(
+                lambda: {(c,): n for c, n in self.usage_by_component().items()}
+            )
+
+    def metric_samples(self) -> Dict[tuple, int]:
+        """``repro_overload_events_total{tier}`` samples."""
+        samples = {
+            ("repro_overload_events_total", tier): count
+            for tier, count in self.sheds.copy().items()
+        }
+        samples["repro_overload_events_total", "over-budget"] = self.over_budget_ticks
+        return samples
 
     # ------------------------------------------------------------------
     def charge(self, component: str, delta: int) -> None:
@@ -320,7 +339,6 @@ class MemoryAccountant:
             self._usage += new_total - old
             if self._usage > self.peak_bytes:
                 self.peak_bytes = self._usage
-        self.obs.record_state_bytes(component, new_total)
 
     @property
     def usage_bytes(self) -> int:
@@ -349,7 +367,7 @@ class MemoryAccountant:
 
     # ------------------------------------------------------------------
     def note_shed(self, tier: str) -> None:
-        """Record one shed at *tier* (metrics + span + counter)."""
+        """Record one shed at *tier* (counter + span)."""
         with self._lock:
             self.sheds[tier] = self.sheds.get(tier, 0) + 1
         self.obs.record_overload(tier)

@@ -18,16 +18,18 @@ observable on a live system without scattering ad-hoc counters:
   ``HTTPSoapServer`` under ``GET /metrics``) and the standard
   ``repro-bench-result/1`` JSON.
 
-The :class:`Observability` facade bundles one tracer + one registry
-and owns the hot-path recording helpers.  The default is the shared
-:data:`NULL_OBS`: every guarded site then costs exactly one attribute
-load and branch (``if obs.enabled:``), verified by the overhead guard
-in ``tests/test_obs_overhead.py``.
+The :class:`Observability` facade bundles one tracer + one registry.
+Counting components keep their counters on their own attributes and
+register themselves with :meth:`Observability.watch`; the registry
+reads them when scraped (see :mod:`repro.obs.metrics`).  The default
+is the shared :data:`NULL_OBS`: every guarded site then costs exactly
+one attribute load and branch (``if obs.enabled:``), verified by the
+overhead guard in ``tests/test_obs_overhead.py``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -44,9 +46,6 @@ from repro.obs.trace import (
     Span,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.stats import SendReport
-
 __all__ = [
     "Observability",
     "NULL_OBS",
@@ -62,57 +61,98 @@ __all__ = [
     "SPAN_NAMES",
 ]
 
-#: Expansion-stat field → ``mode`` label on ``repro_expansions_total``.
-_EXPANSION_MODES = (
-    ("shifts_inplace", "inplace"),
-    ("reallocs", "realloc"),
-    ("splits", "split"),
-    ("steals", "steal"),
-)
+#: Every series a registry declares up front, so ``GET /metrics`` has
+#: the same HELP/TYPE lines whichever components have attached so far:
+#: ``name{label names}`` → HELP.  Counters unless :data:`_KINDS` says
+#: otherwise; who owns each count is in ``docs/observability.md``.
+_SERIES = {
+    "repro_sends_total{kind}": "Client sends by match level",
+    "repro_send_bytes_total{kind}": "Payload bytes sent by match level",
+    "repro_send_duration_seconds{kind}": (
+        "Client-side serialize+transmit time by match level"
+    ),
+    "repro_values_rewritten_total": (
+        "Dirty values re-serialized by the differential rewrite"
+    ),
+    "repro_tag_shifts_total": (
+        "Closing-tag rewrites (value length changed in its field)"
+    ),
+    "repro_pad_bytes_total": (
+        "Whitespace pad bytes written (shrinks + stuffing upkeep)"
+    ),
+    "repro_expansions_total{mode}": "Field expansions by resolution mode",
+    "repro_buffer_bytes_shifted_total": (
+        "Bytes memmoved by chunk-tail shifts (cumulative)"
+    ),
+    "repro_templates_built_total": (
+        "Full template serializations (first-time + resync)"
+    ),
+    "repro_rollbacks_total": "Send epochs rolled back after transport failures",
+    "repro_forced_full_sends_total": (
+        "Forced full serializations resynchronizing a peer"
+    ),
+    "repro_call_latency_seconds": "Round-trip RPC latency (send + wait + decode)",
+    "repro_call_retries_total": "Failed attempts that were retried",
+    "repro_plan_events_total{event}": (
+        "Rewrite-plan cache activity (hit / miss / invalidation)"
+    ),
+    "repro_plan_spliced_values_total": (
+        "Values written via strided splice runs of cached plans"
+    ),
+    "repro_delta_frames_total{outcome}": (
+        "Delta-frame protocol events by outcome "
+        "(encoded / fallback-* client-side, applied / resync-* "
+        "server-side)"
+    ),
+    "repro_delta_bytes_saved_total": (
+        "Document bytes not sent thanks to delta frames "
+        "(doc_len - frame size, summed)"
+    ),
+    "repro_bytes_sent_total": (
+        "Payload bytes sent on the wire (tx; frames at frame size)"
+    ),
+    "repro_bytes_received_total": "Payload bytes received from the wire (rx)",
+    "repro_skipscan_events_total{event}": (
+        "Skip-scan deserializer events (compiled / hit / "
+        "hit-vector / fallback-* / *-drift / uncompilable-*)"
+    ),
+    "repro_overload_events_total{tier}": (
+        "Pressure-relief sheds by tier (mirror / seektable / "
+        "session) plus over-budget ticks when nothing is "
+        "sheddable"
+    ),
+    "repro_admission_total{outcome}": (
+        "Admission controller decisions by outcome (admitted / "
+        "rejected-concurrency / rejected-queue / rejected-rate)"
+    ),
+    "repro_state_bytes{component}": (
+        "Live per-session server state by component (deser "
+        "templates / seek tables / delta mirrors / response "
+        "templates), summed across sessions"
+    ),
+}
+_KINDS = {
+    "repro_send_duration_seconds": "histogram",
+    "repro_call_latency_seconds": "histogram",
+    "repro_state_bytes": "gauge",
+}
 
 
 class Observability:
-    """One tracer + one metrics registry, with recording helpers.
+    """One tracer + one metrics registry.
 
     Components (client, channel, pool, sessions, service) hold an
-    ``Observability`` and call its ``record_*`` helpers at the same
-    sites that update their legacy counters — which is what makes the
-    Prometheus totals reconcile exactly with
-    :class:`~repro.core.stats.ClientStats` and the session manager's
-    merged counters.
+    ``Observability``.  One that counts calls :meth:`watch` on itself
+    and from then on ``metrics`` serves its counters at read time;
+    only durations are pushed (:meth:`record_send_duration`,
+    :meth:`record_call`), because a histogram cannot be read off an
+    attribute.
 
     ``enabled`` is a plain attribute (computed once) so the hot path
     can guard with a single load + branch.
     """
 
-    __slots__ = (
-        "tracer",
-        "metrics",
-        "enabled",
-        "_sends",
-        "_send_bytes",
-        "_send_duration",
-        "_values_rewritten",
-        "_tag_shifts",
-        "_pad_bytes",
-        "_expansions",
-        "_buffer_bytes_moved",
-        "_templates_built",
-        "_rollbacks",
-        "_forced_full",
-        "_call_latency",
-        "_call_retries",
-        "_plan_events",
-        "_plan_spliced",
-        "_delta_frames",
-        "_delta_bytes_saved",
-        "_skipscan_events",
-        "_bytes_sent",
-        "_bytes_received",
-        "_overload_events",
-        "_admission",
-        "_state_bytes",
-    )
+    __slots__ = ("tracer", "metrics", "enabled", "_send_duration", "_call_latency")
 
     def __init__(
         self,
@@ -125,117 +165,12 @@ class Observability:
             metrics is not None
         )
         if metrics is not None:
-            self._sends = metrics.counter(
-                "repro_sends_total",
-                "Client sends by match level",
-                ("kind",),
-            )
-            self._send_bytes = metrics.counter(
-                "repro_send_bytes_total",
-                "Payload bytes sent by match level",
-                ("kind",),
-            )
-            self._send_duration = metrics.histogram(
-                "repro_send_duration_seconds",
-                "Client-side serialize+transmit time by match level",
-                ("kind",),
-            )
-            self._values_rewritten = metrics.counter(
-                "repro_values_rewritten_total",
-                "Dirty values re-serialized by the differential rewrite",
-            )
-            self._tag_shifts = metrics.counter(
-                "repro_tag_shifts_total",
-                "Closing-tag rewrites (value length changed in its field)",
-            )
-            self._pad_bytes = metrics.counter(
-                "repro_pad_bytes_total",
-                "Whitespace pad bytes written (shrinks + stuffing upkeep)",
-            )
-            self._expansions = metrics.counter(
-                "repro_expansions_total",
-                "Field expansions by resolution mode",
-                ("mode",),
-            )
-            self._buffer_bytes_moved = metrics.counter(
-                "repro_buffer_bytes_shifted_total",
-                "Bytes memmoved by chunk-tail shifts (cumulative)",
-            )
-            self._templates_built = metrics.counter(
-                "repro_templates_built_total",
-                "Full template serializations (first-time + resync)",
-            )
-            self._rollbacks = metrics.counter(
-                "repro_rollbacks_total",
-                "Send epochs rolled back after transport failures",
-            )
-            self._forced_full = metrics.counter(
-                "repro_forced_full_sends_total",
-                "Forced full serializations resynchronizing a peer",
-            )
-            self._call_latency = metrics.histogram(
-                "repro_call_latency_seconds",
-                "Round-trip RPC latency (send + wait + decode)",
-            )
-            self._call_retries = metrics.counter(
-                "repro_call_retries_total",
-                "Failed attempts that were retried",
-            )
-            self._plan_events = metrics.counter(
-                "repro_plan_events_total",
-                "Rewrite-plan cache activity (hit / miss / invalidation)",
-                ("event",),
-            )
-            self._plan_spliced = metrics.counter(
-                "repro_plan_spliced_values_total",
-                "Values written via strided splice runs of cached plans",
-            )
-            self._delta_frames = metrics.counter(
-                "repro_delta_frames_total",
-                "Delta-frame protocol events by outcome "
-                "(encoded / fallback-* client-side, applied / resync-* "
-                "server-side)",
-                ("outcome",),
-            )
-            self._delta_bytes_saved = metrics.counter(
-                "repro_delta_bytes_saved_total",
-                "Document bytes not sent thanks to delta frames "
-                "(doc_len - frame size, summed)",
-            )
-            self._bytes_sent = metrics.counter(
-                "repro_bytes_sent_total",
-                "Payload bytes sent on the wire (tx; frames at frame size)",
-            )
-            self._bytes_received = metrics.counter(
-                "repro_bytes_received_total",
-                "Payload bytes received from the wire (rx)",
-            )
-            self._skipscan_events = metrics.counter(
-                "repro_skipscan_events_total",
-                "Skip-scan deserializer events (compiled / hit / "
-                "hit-vector / fallback-* / *-drift / uncompilable-*)",
-                ("event",),
-            )
-            self._overload_events = metrics.counter(
-                "repro_overload_events_total",
-                "Pressure-relief sheds by tier (mirror / seektable / "
-                "session) plus over-budget ticks when nothing is "
-                "sheddable",
-                ("tier",),
-            )
-            self._admission = metrics.counter(
-                "repro_admission_total",
-                "Admission controller decisions by outcome (admitted / "
-                "rejected-concurrency / rejected-queue / rejected-rate)",
-                ("outcome",),
-            )
-            self._state_bytes = metrics.gauge(
-                "repro_state_bytes",
-                "Live per-session server state by component (deser "
-                "templates / seek tables / delta mirrors / response "
-                "templates), summed across sessions",
-                ("component",),
-            )
+            for spec, help_ in _SERIES.items():
+                name, _, labels = spec.rstrip("}").partition("{")
+                declare = getattr(metrics, _KINDS.get(name, "counter"))
+                declare(name, help_, labels.split(",") if labels else ())
+            self._send_duration = metrics.get("repro_send_duration_seconds")
+            self._call_latency = metrics.get("repro_call_latency_seconds")
 
     # ------------------------------------------------------------------
     # constructors
@@ -251,111 +186,40 @@ class Observability:
         return cls(None, MetricsRegistry())
 
     # ------------------------------------------------------------------
-    # client-side recording (call sites mirror ClientStats updates)
+    # counters: read through, never pushed
     # ------------------------------------------------------------------
-    def record_send(self, report: "SendReport") -> None:
-        """Fold one :class:`SendReport` into the counters.
+    def watch(self, source: object) -> None:
+        """Serve ``source.metric_samples()`` on the registry, if any."""
+        if self.metrics is not None:
+            self.metrics.watch(source)
 
-        Called exactly where ``ClientStats.record`` is, so
-        ``repro_sends_total{kind}`` reconciles with ``stats.by_kind``.
-        """
-        if self.metrics is None:
-            return
-        kind = report.match_kind.value
-        self._sends.inc(1, kind=kind)
-        self._send_bytes.inc(report.bytes_sent, kind=kind)
-        self._bytes_sent.inc(report.bytes_sent)
-        rewrite = report.rewrite
-        if rewrite.values_rewritten:
-            self._values_rewritten.inc(rewrite.values_rewritten)
-        if rewrite.tag_shifts:
-            self._tag_shifts.inc(rewrite.tag_shifts)
-        if rewrite.pad_bytes:
-            self._pad_bytes.inc(rewrite.pad_bytes)
-        for attr, mode in _EXPANSION_MODES:
-            n = getattr(rewrite, attr)
-            if n:
-                self._expansions.inc(n, mode=mode)
-        if rewrite.plan_hits:
-            self._plan_events.inc(rewrite.plan_hits, event="hit")
-        if rewrite.plan_misses:
-            self._plan_events.inc(rewrite.plan_misses, event="miss")
-        if rewrite.plan_invalidations:
-            self._plan_events.inc(rewrite.plan_invalidations, event="invalidation")
-        if rewrite.plan_spliced:
-            self._plan_spliced.inc(rewrite.plan_spliced)
-        if report.forced_full:
-            self._forced_full.inc()
+    def retire(self, *sources: object) -> None:
+        """The owner of *sources* is discarding them: keep their final
+        counts in the registry, drop its references to them."""
+        if self.metrics is not None:
+            for source in sources:
+                self.metrics.retire(source)
 
+    # ------------------------------------------------------------------
+    # durations: the only pushed metrics
+    # ------------------------------------------------------------------
     def record_send_duration(self, kind: str, duration_s: float) -> None:
         if self.metrics is not None:
             self._send_duration.observe(duration_s, kind=kind)
 
-    def record_template_built(self) -> None:
+    def record_call(self, duration_s: float) -> None:
         if self.metrics is not None:
-            self._templates_built.inc()
+            self._call_latency.observe(duration_s)
 
-    def record_rollback(self) -> None:
-        if self.metrics is not None:
-            self._rollbacks.inc()
-
-    def record_buffer_bytes_moved(self, n: int) -> None:
-        if self.metrics is not None and n > 0:
-            self._buffer_bytes_moved.inc(n)
-
-    def record_delta_frame(self, outcome: str, bytes_saved: int = 0) -> None:
-        """One delta-protocol event (client encode or server apply)."""
-        if self.metrics is None:
-            return
-        self._delta_frames.inc(1, outcome=outcome)
-        if bytes_saved > 0:
-            self._delta_bytes_saved.inc(bytes_saved)
-
-    # ------------------------------------------------------------------
-    # channel-side recording
-    # ------------------------------------------------------------------
-    def record_call(self, duration_s: float, retries: int = 0) -> None:
-        if self.metrics is None:
-            return
-        self._call_latency.observe(duration_s)
-        if retries:
-            self._call_retries.inc(retries)
-
-    def record_bytes_received(self, n: int) -> None:
-        if self.metrics is not None and n > 0:
-            self._bytes_received.inc(n)
-
-    # ------------------------------------------------------------------
-    # overload-control recording
-    # ------------------------------------------------------------------
     def record_overload(self, tier: str) -> None:
-        """One pressure-relief event (a shed, or an over-budget tick).
+        """An ``overload`` span for one pressure-relief event.
 
-        Also emits an ``overload`` span when tracing is on, carrying
-        the tier — the chaos harness and tests use the span stream to
-        check every degradation is observable.
+        The chaos harness and tests use the span stream to check every
+        degradation is observable; the count itself is the
+        accountant's (``repro_overload_events_total``).
         """
-        if self.metrics is not None:
-            self._overload_events.inc(1, tier=tier)
         if getattr(self.tracer, "enabled", False):
             self.tracer.emit("overload", tier=tier)
-
-    def record_admission(self, outcome: str) -> None:
-        if self.metrics is not None:
-            self._admission.inc(1, outcome=outcome)
-
-    def record_state_bytes(self, component: str, nbytes: int) -> None:
-        """Push a live state-size gauge sample for *component*."""
-        if self.metrics is not None:
-            self._state_bytes.set(nbytes, component=component)
-
-    # ------------------------------------------------------------------
-    # server-side deserializer recording
-    # ------------------------------------------------------------------
-    def record_skipscan(self, event: str) -> None:
-        """One skip-scan deserializer event (see ``docs/skipscan.md``)."""
-        if self.metrics is not None:
-            self._skipscan_events.inc(1, event=event)
 
 
 #: The shared no-op default: tracing disabled, no registry.

@@ -44,12 +44,13 @@ def _format_value(value: float) -> str:
 def render_prometheus(registry: MetricsRegistry) -> str:
     """The registry in Prometheus text exposition format."""
     lines: List[str] = []
+    views = registry.read()
     for metric in registry.metrics():
         if metric.help:
             lines.append(f"# HELP {metric.name} {metric.help}")
         lines.append(f"# TYPE {metric.name} {metric.kind}")
         if isinstance(metric, (Counter, Gauge)):
-            samples = metric.samples()
+            samples = metric.samples(views.get(metric.name, {}))
             if not samples and not metric.labelnames:
                 samples = [({}, 0.0)]
             for labels, value in samples:
@@ -106,9 +107,10 @@ def metrics_rows(registry: MetricsRegistry) -> List[Dict[str, object]]:
     ``labels`` is the canonical ``k=v,...`` text (empty for none).
     """
     rows: List[Dict[str, object]] = []
+    views = registry.read()
     for metric in registry.metrics():
         if isinstance(metric, (Counter, Gauge)):
-            for labels, value in metric.samples():
+            for labels, value in metric.samples(views.get(metric.name, {})):
                 rows.append(
                     {
                         "metric": metric.name,

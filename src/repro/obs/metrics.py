@@ -1,28 +1,35 @@
-"""Counters and histograms for the differential send path.
+"""Counters, gauges and histograms for the differential send path.
 
 A :class:`MetricsRegistry` is the aggregation point the runtime layer
-shares: every pooled channel, pipelined worker, and server session
-increments the *same* registry, so the totals reconcile with the
-ad-hoc counters (:class:`~repro.core.stats.ClientStats`,
-``ServerSessionManager.merged_counters``) by construction — both are
-incremented at the same call sites.
+shares — every pooled channel, pipelined worker and server session is
+handed the *same* registry — but it stores no count of its own for
+them.  A counting component keeps its counters on plain attributes and
+registers itself (:meth:`MetricsRegistry.watch`); the registry reads
+``component.metric_samples()`` when somebody asks (``GET /metrics``,
+``metric.value()``, ``metrics_rows``).  When an owner discards a member
+(an evicted session, a replaced pool channel) it calls
+:meth:`MetricsRegistry.retire`, which folds the member's final counts
+into the registry and drops the reference, so totals stay exact and
+monotone while dead members are freed.  Gauges are bound to a reader
+the same way (:meth:`Gauge.bind`).  Only histograms are pushed: a
+latency distribution cannot be rebuilt from a component's attributes.
 
 Model (deliberately a small subset of Prometheus):
 
-* **Counter** — monotonically increasing float, optionally labelled.
+* **Counter** — monotonically increasing, optionally labelled.
+* **Gauge** — a live value, optionally labelled.
 * **Histogram** — cumulative buckets + sum + count, optionally
   labelled; bucket bounds are fixed at creation.
 
-Metrics are thread-safe: a registry owns one lock shared by all its
-metrics (increments are far too cheap to justify finer locking).
-Registries are never reset — retired sessions and replaced channels
-keep counting, which is what makes reconciliation exact.
+``Counter.inc`` / ``Histogram.observe`` are thread-safe under the
+registry's one lock; nothing inside ``repro`` calls the first
+(``tests/test_one_counter_home.py``).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -66,25 +73,66 @@ def _label_key(
         ) from None
 
 
-class Counter:
-    """A monotonically increasing, optionally labelled counter."""
+#: One series' slice of :meth:`MetricsRegistry.read`.
+View = Mapping[LabelValues, float]
 
-    kind = "counter"
 
-    __slots__ = ("name", "help", "labelnames", "_values", "_lock")
+class _Series:
+    """Pushed values plus the registry's read-through view of this
+    series, summed per label set."""
+
+    __slots__ = ("name", "help", "labelnames", "_values", "_registry", "_lock")
 
     def __init__(
         self,
         name: str,
         help: str,  # noqa: A002 - mirrors prometheus_client
         labelnames: Tuple[str, ...],
-        lock: threading.Lock,
+        registry: "MetricsRegistry",
     ) -> None:
         self.name = name
         self.help = help
         self.labelnames = labelnames
         self._values: Dict[LabelValues, float] = {}
-        self._lock = lock
+        self._registry = registry
+        self._lock = registry._lock
+
+    def _merged(self, view: Optional[View]) -> Dict[LabelValues, float]:
+        if view is None:
+            view = self._registry.read().get(self.name, {})
+        with self._lock:
+            merged = dict(self._values)
+        for key, value in view.items():
+            merged[key] = merged.get(key, 0.0) + value
+        return merged
+
+    def value(self, **labels: object) -> float:
+        key = _label_key(self.name, self.labelnames, labels)
+        return self._merged(None).get(key, 0.0)
+
+    def samples(
+        self, view: Optional[View] = None
+    ) -> List[Tuple[Dict[str, str], float]]:
+        """``[(labels_dict, value)]`` as of now.  Exporters pass *view*,
+        this series' slice of one :meth:`MetricsRegistry.read`, so the
+        components are read once per scrape, not once per series."""
+        return [
+            (dict(zip(self.labelnames, key)), value)
+            for key, value in self._merged(view).items()
+        ]
+
+
+class Counter(_Series):
+    """A monotonically increasing, optionally labelled counter.
+
+    Its value is what registered components report at read time (see
+    :meth:`MetricsRegistry.watch`) plus anything pushed with
+    :meth:`inc`.
+    """
+
+    kind = "counter"
+
+    __slots__ = ()
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         if amount < 0:
@@ -93,60 +141,30 @@ class Counter:
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels: object) -> float:
-        key = _label_key(self.name, self.labelnames, labels)
-        with self._lock:
-            return self._values.get(key, 0.0)
 
-    def samples(self) -> List[Tuple[Dict[str, str], float]]:
-        """``[(labels_dict, value)]`` snapshot, insertion-ordered."""
-        with self._lock:
-            items = list(self._values.items())
-        return [(dict(zip(self.labelnames, key)), value) for key, value in items]
-
-
-class Gauge:
-    """A settable, optionally labelled value (Prometheus gauge).
+class Gauge(_Series):
+    """A live, optionally labelled value (Prometheus gauge).
 
     Unlike :class:`Counter` it may move in either direction — live
-    state sizes (session-state bytes, mirrors held, sessions live) are
-    the intended use.  ``set`` overwrites; there is no ``inc`` because
-    every caller in this codebase derives the value from an
-    authoritative ledger and pushes snapshots.
+    state sizes (session-state bytes, open connections) are the
+    intended use.  :meth:`bind` attaches the reader that is called at
+    read time (the latest binding wins); there is no ``set``.
     """
 
     kind = "gauge"
 
-    __slots__ = ("name", "help", "labelnames", "_values", "_lock")
+    __slots__ = ("_reader",)
 
-    def __init__(
-        self,
-        name: str,
-        help: str,  # noqa: A002 - mirrors prometheus_client
-        labelnames: Tuple[str, ...],
-        lock: threading.Lock,
-    ) -> None:
-        self.name = name
-        self.help = help
-        self.labelnames = labelnames
-        self._values: Dict[LabelValues, float] = {}
-        self._lock = lock
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._reader: Callable[[], View] = dict
 
-    def set(self, value: float, **labels: object) -> None:
-        key = _label_key(self.name, self.labelnames, labels)
-        with self._lock:
-            self._values[key] = float(value)
+    def bind(self, read: Callable[[], View]) -> None:
+        """Serve this gauge from *read* (``{label values: number}``)."""
+        self._reader = read
 
-    def value(self, **labels: object) -> float:
-        key = _label_key(self.name, self.labelnames, labels)
-        with self._lock:
-            return self._values.get(key, 0.0)
-
-    def samples(self) -> List[Tuple[Dict[str, str], float]]:
-        """``[(labels_dict, value)]`` snapshot, insertion-ordered."""
-        with self._lock:
-            items = list(self._values.items())
-        return [(dict(zip(self.labelnames, key)), value) for key, value in items]
+    def read_bound(self) -> Dict[LabelValues, float]:
+        return {tuple(map(str, k)): v for k, v in self._reader().items()}
 
 
 class _HistogramState:
@@ -228,24 +246,61 @@ class MetricsRegistry:
     """Get-or-create metric registry with a stable render order."""
 
     def __init__(self) -> None:
+        # Deferred: ``repro.core`` imports ``repro.obs`` at import time.
+        from repro.core.stats import MemberTotals
+
         self._lock = threading.Lock()
         # Shared value lock — metric mutation and registry mutation are
         # both rare enough that one lock serves.
         self._metrics: "Dict[str, Counter | Gauge | Histogram]" = {}
+        self._sources = MemberTotals(lambda source: source.metric_samples())
+
+    # ------------------------------------------------------------------
+    # read-through counter views
+    # ------------------------------------------------------------------
+    def watch(self, source: object) -> None:
+        """Serve counters from ``source.metric_samples()`` from now on.
+
+        The method returns ``{(series name, *label values): count}``
+        for counters only; it is called at read time, from any thread,
+        without a lock.  Idempotent per source.
+        """
+        self._sources.add(source)
+
+    def retire(self, source: object) -> None:
+        """*source* has stopped counting and is being discarded: keep
+        its final counts, drop the reference to it."""
+        self._sources.retire(source)
+
+    def read(self) -> Dict[str, Dict[LabelValues, float]]:
+        """Every view as of now: ``{series name: {label values: n}}``.
+
+        One pass over the watched sources, then the bound gauges.
+        Labelled counters that never counted are left out, as a pushed
+        counter never incremented would be.
+        """
+        grouped: Dict[str, Dict[LabelValues, float]] = {}
+        for (name, *labels), value in self._sources.totals().items():
+            if value or not labels:
+                grouped.setdefault(name, {})[tuple(map(str, labels))] = value
+        for metric in self.metrics():
+            if isinstance(metric, Gauge):
+                grouped[metric.name] = metric.read_bound()
+        return grouped
 
     # ------------------------------------------------------------------
     def counter(
         self, name: str, help: str = "", labelnames: Sequence[str] = ()
     ) -> Counter:
         return self._get_or_create(
-            name, Counter, lambda: Counter(name, help, tuple(labelnames), self._lock)
+            name, Counter, lambda: Counter(name, help, tuple(labelnames), self)
         )
 
     def gauge(
         self, name: str, help: str = "", labelnames: Sequence[str] = ()
     ) -> Gauge:
         return self._get_or_create(
-            name, Gauge, lambda: Gauge(name, help, tuple(labelnames), self._lock)
+            name, Gauge, lambda: Gauge(name, help, tuple(labelnames), self)
         )
 
     def histogram(

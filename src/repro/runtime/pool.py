@@ -15,8 +15,8 @@ channels use reconnecting transports and circuit breakers, so most
 failures self-heal (redial, degrade to full sends).  A channel that
 reports itself unrecoverable (``broken`` — one-shot transport died) is
 retired at checkin and replaced with a freshly dialed one; its
-counters are folded into the pool totals so nothing is lost from
-:meth:`stats`.
+counters are folded into the pool totals (and, by ``channel.close()``,
+into the metrics registry) so nothing is lost from :meth:`stats`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.channel import RPCChannel
 from repro.core.policy import DiffPolicy
+from repro.core.stats import MemberTotals
 from repro.errors import PoolError, PoolTimeoutError
 from repro.obs import NULL_OBS, Observability
 from repro.resilience.budget import RetryBudget
@@ -48,6 +49,11 @@ _COUNTER_KEYS = (
     "forced_full_sends",
     "breaker_opens",
 )
+
+
+def _channel_counts(channel: RPCChannel) -> Dict[str, int]:
+    stats = channel.channel_stats()
+    return {key: int(stats.get(key, 0)) for key in _COUNTER_KEYS}  # type: ignore
 
 
 class ClientPool:
@@ -99,10 +105,9 @@ class ClientPool:
         self.host = host
         self.port = port
         self.size = size
-        #: One Observability shared by every pooled channel: the
-        #: registry aggregates across channels (and survives channel
-        #: replacement, unlike per-channel ClientStats, which retire
-        #: into ``_retired_totals``).
+        #: One Observability shared by every pooled channel: its
+        #: registry sums the channels' counters at scrape time and
+        #: keeps a replaced channel's final counts.
         self.obs: Observability = obs if obs is not None else NULL_OBS
         self.checkout_timeout = checkout_timeout
         self._registry = registry
@@ -115,13 +120,12 @@ class ClientPool:
         self._factory = channel_factory or self._default_factory
         self._lock = threading.Lock()
         self._idle: "queue.LifoQueue[RPCChannel]" = queue.LifoQueue()
-        self._members: List[RPCChannel] = []
+        #: Live channels, plus the counters of every retired one.
+        self._channels = MemberTotals(_channel_counts)
         self._closed = False
         self._next_index = 0
         self.checkouts = 0
         self.replacements = 0
-        #: Counters inherited from retired (replaced) channels.
-        self._retired_totals: Dict[str, int] = {k: 0 for k in _COUNTER_KEYS}
         for _ in range(size):
             channel = self._spawn()
             self._idle.put(channel)
@@ -147,12 +151,12 @@ class ClientPool:
         # pooled channels would let one channel's diff run against
         # bytes another connection sent.
         with self._lock:
-            for other in self._members:
+            for other in self._channels.members():
                 if channel.client.store is other.client.store:
                     raise PoolError(
                         "pooled channels must not share a TemplateStore"
                     )
-            self._members.append(channel)
+            self._channels.add(channel)
         return channel
 
     # ------------------------------------------------------------------
@@ -181,9 +185,8 @@ class ClientPool:
 
     def checkin(self, channel: RPCChannel) -> None:
         """Return a borrowed channel, replacing it if unrecoverable."""
-        with self._lock:
-            if channel not in self._members:
-                raise PoolError("channel does not belong to this pool")
+        if channel not in self._channels.members():
+            raise PoolError("channel does not belong to this pool")
         if self._closed:
             self._retire(channel)
             return
@@ -207,12 +210,7 @@ class ClientPool:
         return not channel.broken
 
     def _retire(self, channel: RPCChannel) -> None:
-        stats = channel.channel_stats()
-        with self._lock:
-            for key in _COUNTER_KEYS:
-                self._retired_totals[key] += int(stats.get(key, 0))  # type: ignore[arg-type]
-            if channel in self._members:
-                self._members.remove(channel)
+        self._channels.retire(channel)
         channel.close()
 
     @contextmanager
@@ -243,23 +241,18 @@ class ClientPool:
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, object]:
         """Pool totals: summed channel counters + pool lifecycle."""
+        totals: Dict[str, object] = {key: 0 for key in _COUNTER_KEYS}
+        totals.update(self._channels.totals())
+        totals["breakers_open"] = sum(
+            channel.breaker.state == "open"
+            for channel in self._channels.members()
+        )
         with self._lock:
-            members = list(self._members)
-            totals = dict(self._retired_totals)
-            meta = {
-                "size": self.size,
-                "checkouts": self.checkouts,
-                "replacements": self.replacements,
-            }
-        breaker_open = 0
-        for channel in members:
-            stats = channel.channel_stats()
-            for key in _COUNTER_KEYS:
-                totals[key] += int(stats.get(key, 0))  # type: ignore[arg-type]
-            if stats.get("breaker_state") == "open":
-                breaker_open += 1
-        totals["breakers_open"] = breaker_open
-        totals.update(meta)
+            totals.update(
+                size=self.size,
+                checkouts=self.checkouts,
+                replacements=self.replacements,
+            )
         if self.retry_budget is not None:
             totals.update(self.retry_budget.counters())
         return totals

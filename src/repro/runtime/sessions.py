@@ -24,12 +24,12 @@ template-per-channel invariant (see ``docs/runtime.md``).
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Callable, Dict, Hashable, Iterator, List, Optional
 
 from repro.core.client import BSoapClient
 from repro.core.policy import DiffPolicy
-from repro.core.stats import ClientStats
+from repro.core.stats import ClientStats, MemberTotals
 from repro.hardening.limits import ResourceLimits
 from repro.hardening.overload import SHED_TIERS, MemoryAccountant
 from repro.obs import NULL_OBS, Observability
@@ -72,12 +72,14 @@ class ServerSession:
         "lock",
         "requests_handled",
         "faults_returned",
+        "rejected",
         "bytes_received",
         "bytes_sent",
         "delta",
         "pinned",
         "in_use",
         "accounted",
+        "__weakref__",
     )
 
     def __init__(
@@ -105,6 +107,9 @@ class ServerSession:
         self.lock = threading.Lock()
         self.requests_handled = 0
         self.faults_returned = 0
+        #: Requests faulted before dispatch, by reason (a resource
+        #: limit's name or the exception class).
+        self.rejected: Dict[str, int] = {}
         #: Request/response payload bytes seen by this session (the
         #: server-side half of the tx/rx accounting).
         self.bytes_received = 0
@@ -121,6 +126,22 @@ class ServerSession:
         #: :class:`~repro.hardening.overload.MemoryAccountant`; the
         #: manager's ``note_usage`` keeps it in sync after requests.
         self.accounted: Dict[str, int] = {}
+        if obs is not None:
+            obs.watch(self)
+
+    def metric_samples(self) -> Dict[tuple, int]:
+        """Request counters (responder and deserializer serve theirs)."""
+        samples = {
+            ("repro_requests_handled_total",): self.requests_handled,
+            ("repro_faults_returned_total",): self.faults_returned,
+            ("repro_bytes_received_total",): self.bytes_received,
+            ("repro_delta_bytes_saved_total",): self.delta.bytes_saved,
+        }
+        for reason, count in self.rejected.copy().items():
+            samples["repro_requests_rejected_total", reason] = count
+        for outcome, count in self.delta.outcomes.copy().items():
+            samples["repro_delta_frames_total", outcome] = count
+        return samples
 
     # ------------------------------------------------------------------
     def state_components(self) -> Dict[str, int]:
@@ -159,20 +180,13 @@ class DeserializerView:
 
     @property
     def stats(self) -> Dict[DeserKind, int]:
-        totals = dict(self._manager.retired_deser_stats())
-        for session in self._manager.sessions():
-            for kind, count in session.deserializer.stats.items():
-                totals[kind] += count
-        return totals
+        totals = self._manager.totals()
+        return {kind: totals.get(kind, 0) for kind in DeserKind}
 
     @property
     def skipscan_stats(self) -> Dict[str, int]:
         """Skip-scan event counts summed over live + retired sessions."""
-        totals = dict(self._manager.retired_skipscan_stats())
-        for session in self._manager.sessions():
-            for event, count in session.deserializer.skipscan_stats.items():
-                totals[event] = totals.get(event, 0) + count
-        return totals
+        return dict(self._manager.totals().get("skipscan", ()))
 
     @property
     def has_template(self) -> bool:
@@ -184,6 +198,38 @@ class DeserializerView:
         """Drop every session's stored template."""
         for session in self._manager.sessions():
             session.deserializer.reset()
+
+
+#: Integer keys of :func:`_session_counts` that ``merged_counters``
+#: reports under the same name.
+_COUNTER_KEYS = (
+    "requests_handled",
+    "faults_returned",
+    "bytes_received",
+    "bytes_sent",
+    "delta_frames_applied",
+    "delta_resyncs",
+    "delta_bytes_saved",
+)
+
+
+def _session_counts(session: ServerSession) -> Dict[object, object]:
+    """Everything one session has counted, as :class:`MemberTotals` reads
+    it: :data:`_COUNTER_KEYS` ints, deserializer outcomes under their
+    :class:`DeserKind`, and two values that add as a whole."""
+    delta = session.delta
+    return {
+        "requests_handled": session.requests_handled,
+        "faults_returned": session.faults_returned,
+        "bytes_received": session.bytes_received,
+        "bytes_sent": session.bytes_sent,
+        "delta_frames_applied": delta.frames_applied,
+        "delta_resyncs": delta.resyncs,
+        "delta_bytes_saved": delta.bytes_saved,
+        "responses": session.responder.stats,
+        "skipscan": Counter(session.deserializer.skipscan_stats),
+        **session.deserializer.stats,
+    }
 
 
 class ServerSessionManager:
@@ -234,9 +280,9 @@ class ServerSessionManager:
         #: Resource limits handed to each session's deserializer, so
         #: every connection shares one inbound threat model.
         self.limits = limits
-        #: Shared by every session's responder: the registry is never
-        #: reset and counts at the same sites as each responder's
-        #: ClientStats, so its totals match
+        #: Shared by every session and its responder/deserializer: a
+        #: registry on it reads their counters at scrape time and is
+        #: told when a session retires, so its totals match
         #: :meth:`merged_response_stats` (retired sessions included).
         self.obs: Observability = obs if obs is not None else NULL_OBS
         #: Byte ledger for the overload story (None = unaccounted).
@@ -249,17 +295,8 @@ class ServerSessionManager:
         self.sessions_created = 0
         self.evictions = 0
         # Retired (closed/evicted) sessions keep counting in aggregate
-        # views: their stats are folded in here before deletion.
-        self._retired_deser: Dict[DeserKind, int] = {k: 0 for k in DeserKind}
-        self._retired_skipscan: Dict[str, int] = {}
-        self._retired_responses = ClientStats()
-        self._retired_handled = 0
-        self._retired_faulted = 0
-        self._retired_rx = 0
-        self._retired_tx = 0
-        self._retired_delta_applied = 0
-        self._retired_delta_resyncs = 0
-        self._retired_delta_saved = 0
+        # views: their final counts are folded in here at deletion.
+        self._totals = MemberTotals(_session_counts)
         #: Optional front-end census callback (set by a serving front
         #: end on start): returns live connection/accept counters that
         #: :meth:`merged_counters` folds in, so one call reconciles
@@ -294,11 +331,16 @@ class ServerSessionManager:
                     descriptors=self.descriptors,
                 )
                 self._sessions[key] = session
+                self._totals.add(session)
                 self.sessions_created += 1
+                # In use before evicting: with every older session busy
+                # the newcomer would be the only idle candidate, and
+                # the caller would get an orphan nobody folds.
+                session.in_use += 1
                 self._evict_locked()
             else:
                 self._sessions.move_to_end(key)
-            session.in_use += 1
+                session.in_use += 1
             return session
 
     def release(self, session: ServerSession) -> None:
@@ -319,26 +361,15 @@ class ServerSessionManager:
             self.evictions += 1
 
     def _retire_locked(self, session: ServerSession) -> None:
-        """Fold a dying session's stats into the retired totals."""
+        """Fold a dying session's counts into the retired totals, here
+        and in the metrics registry, and let go of it."""
         if self.accountant is not None:
             for component, nbytes in session.accounted.items():
                 if nbytes:
                     self.accountant.charge(component, -nbytes)
             session.accounted = {}
-        for kind, count in session.deserializer.stats.items():
-            self._retired_deser[kind] += count
-        for event, count in session.deserializer.skipscan_stats.items():
-            self._retired_skipscan[event] = (
-                self._retired_skipscan.get(event, 0) + count
-            )
-        self._retired_responses.merge_from(session.responder.stats)
-        self._retired_handled += session.requests_handled
-        self._retired_faulted += session.faults_returned
-        self._retired_rx += session.bytes_received
-        self._retired_tx += session.bytes_sent
-        self._retired_delta_applied += session.delta.frames_applied
-        self._retired_delta_resyncs += session.delta.resyncs
-        self._retired_delta_saved += session.delta.bytes_saved
+        self._totals.retire(session)
+        self.obs.retire(session, session.responder, session.deserializer)
 
     def close_session(self, key: Optional[Hashable]) -> None:
         """Free *key*'s session eagerly (connection closed).
@@ -488,56 +519,26 @@ class ServerSessionManager:
     def deserializer_view(self) -> DeserializerView:
         return DeserializerView(self)
 
-    def retired_deser_stats(self) -> Dict[DeserKind, int]:
-        """Deserializer stats carried over from retired sessions."""
-        with self._lock:
-            return dict(self._retired_deser)
-
-    def retired_skipscan_stats(self) -> Dict[str, int]:
-        """Skip-scan event counts carried over from retired sessions."""
-        with self._lock:
-            return dict(self._retired_skipscan)
+    def totals(self) -> Dict[object, object]:
+        """:func:`_session_counts` summed over all sessions, live and
+        retired."""
+        return self._totals.totals()
 
     def merged_response_stats(self) -> ClientStats:
         """Response-side ClientStats summed over all sessions, live
         and retired."""
-        merged = ClientStats()
-        with self._lock:
-            merged.merge_from(self._retired_responses)
-        for session in self.sessions():
-            merged.merge_from(session.responder.stats)
-        return merged
+        # ``+`` so the caller gets a copy even with one live session.
+        return ClientStats() + self.totals().get("responses", ClientStats())
 
     def merged_counters(self) -> Dict[str, int]:
-        with self._lock:
-            handled = self._retired_handled
-            faulted = self._retired_faulted
-            rx = self._retired_rx
-            tx = self._retired_tx
-            delta_applied = self._retired_delta_applied
-            delta_resyncs = self._retired_delta_resyncs
-            delta_saved = self._retired_delta_saved
-        for session in self.sessions():
-            handled += session.requests_handled
-            faulted += session.faults_returned
-            rx += session.bytes_received
-            tx += session.bytes_sent
-            delta_applied += session.delta.frames_applied
-            delta_resyncs += session.delta.resyncs
-            delta_saved += session.delta.bytes_saved
-        out = {
-            "requests_handled": handled,
-            "faults_returned": faulted,
-            "bytes_received": rx,
-            "bytes_sent": tx,
-            "delta_frames_applied": delta_applied,
-            "delta_resyncs": delta_resyncs,
-            "delta_bytes_saved": delta_saved,
-            "sessions": len(self),
-            "sessions_created": self.sessions_created,
-            "evictions": self.evictions,
-            "pressure_evictions": self.pressure_evictions,
-        }
+        totals = self.totals()
+        out = {key: totals.get(key, 0) for key in _COUNTER_KEYS}
+        out.update(
+            sessions=len(self),
+            sessions_created=self.sessions_created,
+            evictions=self.evictions,
+            pressure_evictions=self.pressure_evictions,
+        )
         if self.accountant is not None:
             out.update(self.accountant.counters())
         census = self._frontend_census

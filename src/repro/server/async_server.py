@@ -153,22 +153,21 @@ class AsyncHTTPSoapServer:
         self._wake_r: Optional[socket.socket] = None
         self._wake_w: Optional[socket.socket] = None
         self._state_counts = {state: 0 for state in CONN_STATES}
-        self._gauges_dirty = False
         # Reusable receive buffer (loop-thread private): recv_into it
         # and let the framer copy out only the bytes that arrived —
         # plain recv(n) mallocs (and for these sizes, mmaps) n bytes
         # per call.
         self._recv_view = memoryview(bytearray(_RECV_SIZE))
+        # Both connection gauges are read from the loop's own counts at
+        # scrape time; the loop never publishes them.
+        self._front.open_connections = self.open_connections
         metrics = service.obs.metrics
-        self._conn_state_gauge = (
+        if metrics is not None:
             metrics.gauge(
                 "repro_http_connections_state",
                 "Live connections by state-machine state (async server)",
                 ("state",),
-            )
-            if metrics is not None
-            else None
-        )
+            ).bind(lambda: {(s,): n for s, n in self._state_counts.items()})
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -239,24 +238,13 @@ class AsyncHTTPSoapServer:
         return out
 
     # ------------------------------------------------------------------
-    # gauge/state bookkeeping (loop thread only)
+    # state bookkeeping (loop thread only)
     # ------------------------------------------------------------------
     def _set_state(self, conn: _Connection, state: str) -> None:
         counts = self._state_counts
         counts[conn.state] -= 1
         counts[state] += 1
         conn.state = state
-        self._gauges_dirty = True
-
-    def _publish_gauges(self) -> None:
-        # Batched: called once per loop iteration when anything moved,
-        # not per transition — a request crosses three states, and at
-        # C10K rates per-transition gauge writes are real loop time.
-        self._gauges_dirty = False
-        self._front.set_open_connections(len(self._conns))
-        if self._conn_state_gauge is not None:
-            for state, count in self._state_counts.items():
-                self._conn_state_gauge.set(count, state=state)
 
     # ------------------------------------------------------------------
     # the loop
@@ -286,8 +274,6 @@ class AsyncHTTPSoapServer:
                         self._on_conn_event(kind, _mask)
                 self._drain_done()
                 self._fire_timers()
-                if self._gauges_dirty:
-                    self._publish_gauges()
         finally:
             self._teardown()
 
@@ -369,7 +355,6 @@ class AsyncHTTPSoapServer:
             else:
                 self._register(conn, selectors.EVENT_READ)
                 self._wheel.arm(conn.fd, limits.read_deadline)
-            self._gauges_dirty = True
 
     def _pause_accepting(self) -> None:
         if self._accept_paused or self._selector is None:
@@ -421,7 +406,6 @@ class AsyncHTTPSoapServer:
         # Free the connection's session state eagerly; a returning
         # client dials a new connection and pays one full parse.
         self.service.sessions.close_session(conn.session_id)
-        self._gauges_dirty = True
 
     # ------------------------------------------------------------------
     # reading

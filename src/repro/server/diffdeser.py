@@ -86,8 +86,10 @@ class DifferentialDeserializer:
         declared shape before a seek table compiles; operations
         without one compile schema-free.
     obs:
-        Observability facade for ``repro_skipscan_events_total`` and
-        ``skipscan`` spans (defaults to the no-op :data:`NULL_OBS`).
+        Observability facade: its registry serves
+        ``repro_skipscan_events_total`` from :attr:`skipscan_stats`,
+        its tracer gets ``skipscan`` spans (defaults to the no-op
+        :data:`NULL_OBS`).
     """
 
     def __init__(
@@ -108,15 +110,20 @@ class DifferentialDeserializer:
         self._table: Optional[SeekTable] = None
         self.stats = {kind: 0 for kind in DeserKind}
         #: Skip-scan event counts (compiled / hit / hit-vector /
-        #: fallback-* / length-drift / skeleton-drift / uncompilable-*),
-        #: mirrored into ``repro_skipscan_events_total`` when metrics
-        #: are attached.
+        #: fallback-* / length-drift / skeleton-drift / uncompilable-*).
         self.skipscan_stats: Dict[str, int] = {}
+        self.obs.watch(self)
+
+    def metric_samples(self) -> Dict[tuple, int]:
+        """``repro_skipscan_events_total{event}`` samples."""
+        return {
+            ("repro_skipscan_events_total", event): count
+            for event, count in self.skipscan_stats.copy().items()
+        }
 
     # ------------------------------------------------------------------
     def _skip_event(self, event: str) -> None:
         self.skipscan_stats[event] = self.skipscan_stats.get(event, 0) + 1
-        self.obs.record_skipscan(event)
 
     def _full_parse(self, data: bytes) -> tuple[DecodedMessage, DeserReport]:
         result = self.parser.parse(data)

@@ -2,8 +2,9 @@
 
 Everything an HTTP front end *decides* lives here; everything it
 *does* to a socket lives in a driver.  This module touches no
-socket, selector, thread or clock, so each rule below is a plain
-function of bytes in → events / head bytes out:
+socket, selector, thread or clock (one lock guards the reject
+counters), so each rule below is a plain function of bytes in →
+events / head bytes out:
 
 * **per-connection half** — :class:`HttpConnection` feeds received
   bytes to the one incremental
@@ -17,10 +18,10 @@ function of bytes in → events / head bytes out:
   buffered).  It depends only on
   :class:`~repro.hardening.limits.ResourceLimits`.
 * **per-server half** — :class:`HttpFrontEnd` owns the front-end
-  metrics (registered once), the reject- and response-head builders,
-  the ``Retry-After`` hint, the ``GET /metrics`` / ``?wsdl`` router,
-  the ``500`` answer to a crashed request pipeline, and the
-  ``accept()`` error classifier.
+  counters (read by the metrics registry at scrape time), the reject-
+  and response-head builders, the ``Retry-After`` hint, the ``GET
+  /metrics`` / ``?wsdl`` router, the ``500`` answer to a crashed
+  request pipeline, and the ``accept()`` error classifier.
 
 Timing (the ``408`` read deadline) and the connection cap (``503`` at
 accept) are detected by the drivers, which know about clocks and live
@@ -38,8 +39,10 @@ from __future__ import annotations
 
 import errno
 import logging
+import threading
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Dict,
     List,
     NamedTuple,
@@ -212,34 +215,50 @@ class HttpFrontEnd:
 
     def __init__(self, service: "SOAPService") -> None:
         self.service = service
-        #: ``accept()`` failures survived by backing off.
-        self.accept_errors = 0
+        #: The driver's live connection count (drivers assign theirs);
+        #: ``repro_http_open_connections`` calls it at scrape time.
+        self.open_connections: Callable[[], int] = lambda: 0
+        #: Rejections answered, by HTTP status.
+        self.rejects: Dict[int, int] = {}
+        #: ``accept()`` failures survived by backing off, by errno name
+        #: (written by the one accepting thread).
+        self.accept_errnos: Dict[str, int] = {}
+        # Rejections come from every connection thread of a threaded
+        # driver; nothing else serialises them.
+        self._lock = threading.Lock()
         metrics = service.obs.metrics
         if metrics is not None:
-            self._rejects_counter = metrics.counter(
+            metrics.counter(
                 "repro_http_rejects_total",
                 "Connections/requests rejected at the HTTP layer, by status",
                 ("status",),
             )
-            self._accept_errors_counter = metrics.counter(
+            metrics.counter(
                 "repro_accept_errors_total",
                 "accept() failures survived by backing off, by errno name",
                 ("errno",),
             )
-            self._open_conns_gauge = metrics.gauge(
+            metrics.gauge(
                 "repro_http_open_connections",
                 "Live connections currently held by the front end",
-            )
-        else:
-            self._rejects_counter = None
-            self._accept_errors_counter = None
-            self._open_conns_gauge = None
+            ).bind(lambda: {(): self.open_connections()})
+            metrics.watch(self)
 
     # ------------------------------------------------------------------
-    def set_open_connections(self, count: int) -> None:
-        """Publish the live-connection gauge."""
-        if self._open_conns_gauge is not None:
-            self._open_conns_gauge.set(count)
+    @property
+    def accept_errors(self) -> int:
+        """``accept()`` failures survived by backing off."""
+        return sum(self.accept_errnos.copy().values())
+
+    def metric_samples(self) -> Dict[tuple, int]:
+        """Rejections by status and accept errors by errno, by series."""
+        samples = {
+            ("repro_http_rejects_total", status): count
+            for status, count in self.rejects.copy().items()
+        }
+        for name, count in self.accept_errnos.copy().items():
+            samples["repro_accept_errors_total", name] = count
+        return samples
 
     def census(self, open_connections: int) -> Dict[str, int]:
         """Front-end counters folded into ``merged_counters``."""
@@ -266,8 +285,8 @@ class HttpFrontEnd:
         return reject_head(status, retry_after)
 
     def _count_reject(self, status: int) -> None:
-        if self._rejects_counter is not None:
-            self._rejects_counter.inc(status=str(status))
+        with self._lock:
+            self.rejects[status] = self.rejects.get(status, 0) + 1
 
     def route(self, request: HTTPRequest) -> Optional[bytes]:
         """Answer the front end's own GET endpoints.
@@ -338,11 +357,8 @@ class HttpFrontEnd:
             return "stop"
         if exc.errno not in ACCEPT_ERRNOS:
             return "retry"
-        self.accept_errors += 1
-        if self._accept_errors_counter is not None:
-            self._accept_errors_counter.inc(
-                errno=errno.errorcode.get(exc.errno, str(exc.errno))
-            )
+        name = errno.errorcode.get(exc.errno, str(exc.errno))
+        self.accept_errnos[name] = self.accept_errnos.get(name, 0) + 1
         # The connection the kernel could not hand us was effectively
         # turned away at the door: account it with the 503 rejects so
         # dashboards see one "turned away" series.

@@ -153,35 +153,34 @@ class SOAPService:
 
             descriptors = generate_descriptors(definition)
         #: Metrics are on by default server-side (tracing stays off):
-        #: every session responder shares this registry, which is what
+        #: every session registers with this registry, which is what
         #: ``GET /metrics`` on the HTTP front ends serves.
         self.obs: Observability = (
             obs if obs is not None else Observability.metrics_only()
         )
         if self.obs.metrics is not None:
-            self._requests_counter = self.obs.metrics.counter(
+            # Counted on each ServerSession, under its lock.
+            self.obs.metrics.counter(
                 "repro_requests_handled_total",
                 "Requests dispatched to a handler successfully",
             )
-            self._faults_counter = self.obs.metrics.counter(
+            self.obs.metrics.counter(
                 "repro_faults_returned_total",
                 "Requests answered with a SOAP Fault",
             )
-            self._rejects_counter = self.obs.metrics.counter(
+            self.obs.metrics.counter(
                 "repro_requests_rejected_total",
                 "Requests rejected before dispatch, by reason",
                 ("reason",),
             )
-        else:
-            self._requests_counter = None
-            self._faults_counter = None
-            self._rejects_counter = None
         #: Optional admission gates fronting :meth:`handle_wire` (the
         #: HTTP request path).  None → every request is admitted, the
         #: pre-overload behaviour.  ``GET /metrics`` and ``?wsdl`` are
         #: served by the front end before this and stay reachable
         #: during overload.
         self.admission = admission
+        if admission is not None:
+            self.obs.watch(admission)  # repro_admission_total{outcome}
         shed_fraction = (
             admission.policy.shed_target_fraction
             if admission is not None
@@ -350,28 +349,21 @@ class SOAPService:
                     f"bad parameters for {op.name!r}: {exc}"
                 ) from exc
             session.requests_handled += 1
-            if self._requests_counter is not None:
-                self._requests_counter.inc()
             return self._serialize_response(session, op, result)
         except (SOAPError, XMLError, LexicalError, SchemaError) as exc:
             # Anything the request bytes can provoke in the scan /
             # parse / decode layers is the client's fault: answer a
             # well-formed Client fault, never a traceback.
             session.faults_returned += 1
-            if self._faults_counter is not None:
-                self._faults_counter.inc()
-            if self._rejects_counter is not None:
-                reason = (
-                    exc.limit_name
-                    if isinstance(exc, ResourceLimitError) and exc.limit_name
-                    else type(exc).__name__
-                )
-                self._rejects_counter.inc(reason=reason)
+            reason = (
+                exc.limit_name
+                if isinstance(exc, ResourceLimitError) and exc.limit_name
+                else type(exc).__name__
+            )
+            session.rejected[reason] = session.rejected.get(reason, 0) + 1
             return ResponsePayload.of(SOAPFault.client(str(exc)).to_xml())
         except Exception as exc:  # handler bug → Server fault
             session.faults_returned += 1
-            if self._faults_counter is not None:
-                self._faults_counter.inc()
             return ResponsePayload.of(
                 SOAPFault.server(f"{type(exc).__name__}: {exc}").to_xml()
             )
@@ -454,7 +446,6 @@ class SOAPService:
             with session.lock:
                 try:
                     session.bytes_received += len(body)
-                    self.obs.record_bytes_received(len(body))
                     if headers.get("x-repro-delta-frame") == "1":
                         status, response = self._handle_frame(session, body)
                         if status != 200:
@@ -476,7 +467,7 @@ class SOAPService:
     ) -> Tuple[int, ResponsePayload]:
         """Reconstruct a delta frame and run the SOAP pipeline on it."""
         if not self.delta_enabled:
-            self.obs.record_delta_frame("resync-disabled")
+            session.delta.note("resync-disabled")
             return 409, ResponsePayload()
         try:
             document = session.delta.apply(body, self.limits)
@@ -484,9 +475,9 @@ class SOAPService:
             # A bad frame is a protocol-state problem, not a SOAP
             # fault: drop to 409 so the client re-announces.  The
             # mirror is already gone (apply drops it before raising).
-            self.obs.record_delta_frame(f"resync-{exc.reason}")
+            session.delta.note(f"resync-{exc.reason}")
             return 409, ResponsePayload()
-        self.obs.record_delta_frame("applied", len(document) - len(body))
+        session.delta.note("applied")
         return 200, self._handle_in_session_views(session, document)
 
     def _maybe_store_mirror(

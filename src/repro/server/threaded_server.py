@@ -59,6 +59,7 @@ class HTTPSoapServer:
         self.host = host
         self.port = 0
         self._front = HttpFrontEnd(service)
+        self._front.open_connections = self.open_connections
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._conn_threads: List[threading.Thread] = []
@@ -161,9 +162,6 @@ class HTTPSoapServer:
         conn.settimeout(0.2)
         deadline = time.monotonic() + read_deadline
         try:
-            # Published by the connection itself, so the gauge already
-            # counts it by the time it can answer a GET /metrics.
-            front.set_open_connections(self.open_connections())
             try:
                 # Replies can span several sendmsg calls (a 440 KB
                 # echo): without TCP_NODELAY each would wait on Nagle.
@@ -204,7 +202,6 @@ class HTTPSoapServer:
             # Free the connection's session state eagerly; a returning
             # client dials a new connection and pays one full parse.
             self.service.sessions.close_session(session_id)
-            front.set_open_connections(self.open_connections())
 
     def _answer_buffered(
         self, conn: socket.socket, http: HttpConnection, session_id: str

@@ -70,23 +70,39 @@ class HTTPTransport:
         # Armed by the client's DeltaEncoder just before a full send;
         # consumed (and cleared) by the next message's header block.
         self._announce: Optional[Tuple[int, int]] = None
-        # Wire-level counters: framing overhead is invisible to the
-        # payload-level SendReport, so it is counted here.
+        # Wire-level counters, by framing mode: framing overhead is
+        # invisible to the payload-level SendReport, so it is counted
+        # here — when a registry is there to read it.
+        self.messages: Dict[str, int] = {}
+        self.wire_bytes: Dict[str, int] = {}
         metrics = getattr(obs, "metrics", None)
+        self._counting = metrics is not None
         if metrics is not None:
-            self._messages_counter = metrics.counter(
+            metrics.counter(
                 "repro_http_messages_total",
                 "HTTP requests framed, by framing mode",
                 ("mode",),
             )
-            self._wire_bytes_counter = metrics.counter(
+            metrics.counter(
                 "repro_http_wire_bytes_total",
                 "Bytes written including HTTP headers and chunk framing",
                 ("mode",),
             )
-        else:
-            self._messages_counter = None
-            self._wire_bytes_counter = None
+            metrics.watch(self)
+
+    def metric_samples(self) -> Dict[tuple, int]:
+        """Framed requests and wire bytes per mode, by series."""
+        samples = {
+            ("repro_http_messages_total", mode): count
+            for mode, count in self.messages.copy().items()
+        }
+        for mode, nbytes in self.wire_bytes.copy().items():
+            samples["repro_http_wire_bytes_total", mode] = nbytes
+        return samples
+
+    def _count(self, mode: str, wire_bytes: int) -> None:
+        self.messages[mode] = self.messages.get(mode, 0) + 1
+        self.wire_bytes[mode] = self.wire_bytes.get(mode, 0) + wire_bytes
 
     # ------------------------------------------------------------------
     # delta-frame extensions (consumed by repro.wire.client)
@@ -110,11 +126,8 @@ class HTTPTransport:
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
         self.inner.send_message([head, frame])
         self._payload_sent = len(frame)
-        if self._messages_counter is not None:
-            self._messages_counter.inc(1, mode="delta-frame")
-            self._wire_bytes_counter.inc(
-                len(head) + len(frame), mode="delta-frame"
-            )
+        if self._counting:
+            self._count("delta-frame", len(head) + len(frame))
         return len(frame)
 
     def _delta_lines(self) -> List[str]:
@@ -158,12 +171,11 @@ class HTTPTransport:
             framed = self._frame_identity(views, total_bytes)
         else:
             framed = self._frame_chunked(views)
-        if self._wire_bytes_counter is not None:
+        if self._counting:
             framed = self._count_wire(framed)
         self.inner.send_message(framed)
-        if self._messages_counter is not None:
-            self._messages_counter.inc(1, mode=self.mode)
-            self._wire_bytes_counter.inc(self._wire_sent, mode=self.mode)
+        if self._counting:
+            self._count(self.mode, self._wire_sent)
         return self._payload_sent
 
     # The framer tracks payload bytes (excluding framing) per message.

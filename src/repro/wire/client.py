@@ -70,10 +70,20 @@ class DeltaEncoder:
         self.obs = obs
         self._baselines: Dict[int, _Baseline] = {}
         self._epoch_counter = 0
-        # Lifetime counters (mirrored into metrics when obs is live).
+        # Lifetime counters (the owning client serves them as metrics).
         self.frames_sent = 0
         self.bytes_saved = 0
         self.fallbacks: Dict[str, int] = {}
+
+    def metric_samples(self) -> Dict[tuple, int]:
+        """The encoder's counters, by series (see ``repro.obs.metrics``)."""
+        samples = {
+            ("repro_delta_frames_total", "encoded"): self.frames_sent,
+            ("repro_delta_bytes_saved_total",): self.bytes_saved,
+        }
+        for reason, count in self.fallbacks.copy().items():
+            samples["repro_delta_frames_total", "fallback-" + reason] = count
+        return samples
 
     # ------------------------------------------------------------------
     def announce(self, template) -> None:
@@ -189,23 +199,18 @@ class DeltaEncoder:
         if saved > 0:
             self.bytes_saved += saved
         obs = self.obs
-        if obs is not None and obs.enabled:
-            obs.record_delta_frame("encoded", max(0, saved))
-            if obs.tracer.enabled:
-                obs.tracer.emit(
-                    "delta-encode",
-                    template_id=template.template_id,
-                    epoch=baseline.epoch,
-                    seq=baseline.seq,
-                    splices=len(out_offsets),
-                    frame_bytes=len(frame),
-                    doc_bytes=baseline.doc_len,
-                )
+        if obs is not None and obs.tracer.enabled:
+            obs.tracer.emit(
+                "delta-encode",
+                template_id=template.template_id,
+                epoch=baseline.epoch,
+                seq=baseline.seq,
+                splices=len(out_offsets),
+                frame_bytes=len(frame),
+                doc_bytes=baseline.doc_len,
+            )
         return frame
 
     def _fallback(self, reason: str) -> None:
         self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
-        obs = self.obs
-        if obs is not None and obs.enabled:
-            obs.record_delta_frame("fallback-" + reason, 0)
         return None

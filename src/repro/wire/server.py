@@ -20,7 +20,7 @@ decode validates everything first, and state checks precede the write.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.errors import DeltaResyncError
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
@@ -47,6 +47,7 @@ class DeltaSession:
         "frames_applied",
         "resyncs",
         "bytes_saved",
+        "outcomes",
         "last_reconstructed",
     )
 
@@ -57,6 +58,10 @@ class DeltaSession:
         self.frames_applied = 0
         self.resyncs = 0
         self.bytes_saved = 0
+        #: Frames by outcome (``applied`` / ``resync-<reason>``) — the
+        #: ``repro_delta_frames_total{outcome}`` samples; written by
+        #: :meth:`note` under the owning session's lock.
+        self.outcomes: Dict[str, int] = {}
         #: Most recent reconstructed document (oracle tests compare it
         #: byte-for-byte against the naive serialization).
         self.last_reconstructed: Optional[bytes] = None
@@ -114,6 +119,10 @@ class DeltaSession:
         self.bytes_saved += max(0, len(document) - len(frame_bytes))
         self.last_reconstructed = document
         return document
+
+    def note(self, outcome: str) -> None:
+        """Count one frame answered with *outcome*."""
+        self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
 
     def drop(self, template_id: int) -> None:
         self.mirrors.pop(template_id, None)

@@ -266,11 +266,11 @@ class TestObservabilityFacade:
         assert NULL_OBS.metrics is None
         assert NULL_OBS.tracer is NULL_TRACER
         # Helpers are safe no-ops without a registry.
-        NULL_OBS.record_template_built()
-        NULL_OBS.record_rollback()
-        NULL_OBS.record_call(0.1, retries=2)
+        NULL_OBS.watch(object())
+        NULL_OBS.retire(object())
+        NULL_OBS.record_call(0.1)
         NULL_OBS.record_send_duration("content", 0.1)
-        NULL_OBS.record_buffer_bytes_moved(10)
+        NULL_OBS.record_overload("mirror")
 
     def test_default_client_uses_null_obs(self):
         client = BSoapClient(CollectSink())

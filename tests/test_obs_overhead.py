@@ -16,6 +16,14 @@ both quantities directly and compares their ratio:
 
 The real send path executes ~6 guarded sites per call; we charge 16.
 Even so the disabled-instrumentation tax must stay under 3%.
+
+The server path (``SOAPService.handle_wire_vectored`` on the default
+metrics-on, tracer-off service) gets the same guard, with the guarded
+sites *counted* by a disabled tracer that tallies every consultation,
+and a second, count-based budget for what is switched on there: a warm
+content-match RPC may perform at most two locked registry operations
+in the server process (the response-send duration histogram is the one
+it performs; every counter and gauge is read at scrape time instead).
 """
 
 from __future__ import annotations
@@ -25,14 +33,27 @@ import time
 import numpy as np
 import pytest
 
+from repro.baselines.naive import NaiveClient
+from repro.channel import RPCChannel
 from repro.core.client import BSoapClient
-from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
+from repro.core.policy import DeltaPolicy, DiffPolicy, StuffingPolicy, StuffMode
 from repro.core.stats import MatchKind
-from repro.obs import NULL_OBS
+from repro.hardening.overload import AdmissionController, OverloadPolicy
+from repro.obs import (
+    NULL_OBS,
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    Observability,
+)
+from repro.runtime.loadgen import build_service, message_sequence
 from repro.schema.composite import ArrayType
+from repro.schema.registry import TypeRegistry
 from repro.schema.types import DOUBLE
+from repro.server.async_server import make_server
 from repro.soap.message import Parameter, SOAPMessage
-from repro.transport.loopback import NullSink
+from repro.transport.loopback import CollectSink, NullSink
 
 #: Pessimistic guarded-sites-per-send multiplier (actual path: ~6).
 GUARDS_PER_SEND = 16
@@ -113,3 +134,107 @@ def test_null_obs_never_records():
     assert NULL_OBS.enabled is False
     assert NULL_OBS.metrics is None
     assert not NULL_OBS.tracer.spans()
+
+
+# ----------------------------------------------------------------------
+# the server path
+# ----------------------------------------------------------------------
+#: Registry operations (``inc`` / ``observe``) one warm
+#: content-match RPC may perform server-side.
+MAX_REGISTRY_OPS_PER_CALL = 2
+
+
+class _TallyingDisabledTracer:
+    """A switched-off tracer that counts how often it is consulted."""
+
+    def __init__(self):
+        self.consulted = 0
+        self.emitted = 0
+
+    @property
+    def enabled(self):
+        self.consulted += 1
+        return False
+
+    def emit(self, name, **attrs):  # pragma: no cover - a guard was missed
+        self.emitted += 1
+
+
+def _content_body() -> bytes:
+    sink = CollectSink()
+    NaiveClient(sink).send(message_sequence("content", 16, 1)[0])
+    return sink.last
+
+
+def test_server_path_tracer_off_overhead_under_3_percent():
+    tracer = _TallyingDisabledTracer()
+    service = build_service(
+        obs=Observability(tracer, MetricsRegistry()),
+        admission=AdmissionController(OverloadPolicy()),
+    )
+    body = _content_body()
+    for _ in range(3):  # first-time, then warm content matches
+        status, _extra, _payload = service.handle_wire_vectored(body, {}, "c")
+        assert status == 200
+    tracer.consulted = 0
+    service.handle_wire_vectored(body, {}, "c")
+    sites = tracer.consulted
+    assert tracer.emitted == 0, "a span was emitted past a disabled tracer"
+    assert 0 < sites <= GUARDS_PER_SEND, sites
+
+    calls = 400
+
+    def run():
+        for _ in range(calls):
+            service.handle_wire_vectored(body, {}, "c")
+
+    handle_s = _best_of(5, run) / calls
+    guard_s = _measure_guard_seconds(iterations=200_000)
+    overhead = (guard_s * GUARDS_PER_SEND) / handle_s
+    assert overhead < MAX_OVERHEAD_FRACTION, (
+        f"tracer-off tax {overhead:.2%} exceeds {MAX_OVERHEAD_FRACTION:.0%} "
+        f"(handle={handle_s * 1e6:.1f}us, guard={guard_s * 1e9:.1f}ns x "
+        f"{GUARDS_PER_SEND} sites, {sites} consulted)"
+    )
+
+
+@pytest.mark.parametrize("mode", ["threaded", "async"])
+def test_registry_ops_per_warm_rpc(mode, monkeypatch):
+    """Count, not time: what a served call pushes into the registry."""
+    ops = []
+    # Every push the registry offers (gauges have none: they are bound).
+    assert not hasattr(Gauge, "set")
+    for cls, method in ((Counter, "inc"), (Histogram, "observe")):
+        original = getattr(cls, method)
+
+        def counted(self, *args, _original=original, **kwargs):
+            ops.append(self.name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, method, counted)
+
+    service = build_service(admission=AdmissionController(OverloadPolicy()))
+    message = message_sequence("content", 16, 1)[0]
+    with make_server(service, mode) as server:
+        # The ledger's client: MAX stuffing, delta offered — and on
+        # NULL_OBS, so every op counted is the server's.
+        with RPCChannel(
+            "127.0.0.1",
+            server.port,
+            registry=TypeRegistry(),
+            policy=DiffPolicy(
+                stuffing=StuffingPolicy(StuffMode.MAX),
+                delta=DeltaPolicy(offer=True),
+            ),
+        ) as channel:
+            for _ in range(3):
+                channel.call(message)
+            report = channel.last_send_report
+            assert report.match_kind is MatchKind.CONTENT_MATCH and report.delta
+            del ops[:]
+            calls = 20
+            for _ in range(calls):
+                channel.call(message)
+            per_call = len(ops) / calls
+    assert service.requests_handled == calls + 3
+    assert per_call <= MAX_REGISTRY_OPS_PER_CALL, (per_call, sorted(set(ops)))

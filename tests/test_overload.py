@@ -35,7 +35,7 @@ from repro.hardening.overload import (
     OverloadPolicy,
 )
 from repro.obs import Observability
-from repro.obs.export import parse_prometheus
+from repro.obs.export import parse_prometheus, render_prometheus
 from repro.resilience.budget import RetryBudget
 from repro.resilience.reconnect import ReconnectingTCPTransport
 from repro.resilience.retry import RetryPolicy, parse_retry_after
@@ -159,13 +159,13 @@ class TestAdmissionController:
         assert info.value.retry_after == 5
 
     def test_counters_reconcile_with_metrics(self):
-        obs = Observability.metrics_only()
         ctrl = AdmissionController(
             OverloadPolicy(
                 max_concurrent_requests=1, max_queue_depth=0, queue_timeout=0.0
-            ),
-            obs=obs,
+            )
         )
+        # The service a controller fronts serves its counters.
+        obs = build_service(admission=ctrl).obs
         with ctrl.admit():
             with pytest.raises(AdmissionRejectedError):
                 ctrl.try_admit()
@@ -347,6 +347,18 @@ class TestServiceAdmission:
             status, _extra, _resp = service.handle_wire(body, {}, "s")
             assert status == 200
         assert admission.in_flight == 0
+
+
+def test_admission_metrics_without_controller_obs():
+    """``repro_admission_total`` carries samples for a controller that
+    was never handed an ``Observability`` — how loadgen, the ledger and
+    every bench build theirs (it used to render HELP/TYPE only)."""
+    admission = AdmissionController(OverloadPolicy())
+    service = build_service(0.0, admission=admission)
+    status, _extra, _resp = service.handle_wire(_checksum_body(), {}, "s")
+    assert status == 200 and admission.admitted == 1
+    parsed = parse_prometheus(render_prometheus(service.obs.metrics))
+    assert parsed['repro_admission_total{outcome="admitted"}'] == 1
 
 
 class TestShedLadder:

@@ -81,7 +81,7 @@ class TestClientPool:
 
     def test_channels_have_private_template_stores(self, server):
         with ClientPool(server.host, server.port, 3) as pool:
-            stores = {id(ch.client.store) for ch in pool._members}
+            stores = {id(ch.client.store) for ch in pool._channels.members()}
             assert len(stores) == 3
 
     def test_shared_store_rejected(self, server):
@@ -265,6 +265,20 @@ class TestServerSessionManager:
         keys = {s.key for s in manager.sessions()}
         assert "old" in keys and "recent" not in keys
         manager.release(oldest)
+
+    def test_new_session_is_not_its_own_eviction_victim(self):
+        """Over budget with every older session busy: the session being
+        handed out must stay registered, or its counts are never folded."""
+        manager = ServerSessionManager(max_sessions=1)
+        busy = manager.acquire("busy")
+        fresh = manager.acquire("fresh")
+        assert manager.evictions == 0
+        assert fresh in manager.sessions()
+        fresh.requests_handled += 1
+        manager.release(fresh)
+        manager.release(busy)
+        manager.close_session("fresh")
+        assert manager.merged_counters()["requests_handled"] == 1
 
     def test_closed_session_stats_survive(self):
         """Aggregate views keep counting after a connection closes."""
