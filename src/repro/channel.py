@@ -28,6 +28,16 @@ Failure handling (see DESIGN.md §"Failure model and recovery"):
 
 Semantics are at-least-once: a response lost after the server consumed
 the request is retried, so non-idempotent operations may execute twice.
+
+The reply direction runs through the same engine as the server's
+request direction: a bounded fault peek (``Body``'s first child, never
+the payload), then a skip-scan
+:class:`~repro.server.diffdeser.DifferentialDeserializer`; and, when
+the policy offers delta, a :class:`~repro.wire.server.DeltaSession`
+mirroring the server's replies so steady-state answers arrive as RDF1
+frames (``docs/wire_protocol.md``, "Reply direction").  A reply frame
+the mirror cannot take is a :class:`~repro.errors.DeltaResyncError`
+like the server's 409: drop the connection, resend full.
 """
 
 from __future__ import annotations
@@ -41,24 +51,41 @@ from repro.core.policy import DiffPolicy
 from repro.core.stats import SendReport
 from repro.obs import NULL_OBS, Observability
 from repro.errors import (
+    DeltaFrameError,
     DeltaResyncError,
     HTTPStatusError,
     ReproError,
     SOAPFaultError,
     TransportError,
 )
+from repro.hardening.limits import DEFAULT_LIMITS
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.budget import RetryBudget
 from repro.resilience.reconnect import ReconnectingTCPTransport
 from repro.resilience.retry import RetryPolicy, parse_retry_after
 from repro.schema.registry import TypeRegistry
-from repro.server.diffdeser import DeserReport, DifferentialDeserializer
+from repro.server.diffdeser import DeserKind, DeserReport, DifferentialDeserializer
+from repro.server.parser import DecodedMessage, DecodedParam
 from repro.soap.fault import SOAPFault
 from repro.soap.message import SOAPMessage
 from repro.soap.rpc import RPCResponse
 from repro.transport.http import HTTPTransport
+from repro.wire.server import DeltaSession
 
 __all__ = ["RPCChannel"]
+
+
+def _owned(param: DecodedParam):
+    """*param*'s value as the caller may keep it.
+
+    Array containers belong to the deserializer's template, which the
+    next differential reply rewrites in place: hand out a copy (one
+    memcpy per numeric array)."""
+    if param.kind == "array":
+        return param.value.copy()
+    if param.kind == "struct_array":
+        return {name: column.copy() for name, column in param.value.items()}
+    return param.value
 
 
 class RPCChannel:
@@ -130,10 +157,22 @@ class RPCChannel:
         self.budget = budget
         # Responses are differentially deserialized: a service reusing
         # its response template sends same-skeleton bodies, so the
-        # channel re-parses only the result values that changed — the
-        # client-side mirror of the server's request handling.
-        self.deserializer = DifferentialDeserializer(registry)
+        # channel re-parses only the result values that changed —
+        # built like a server session's request deserializer.
+        self.deserializer = DifferentialDeserializer(
+            registry, skipscan=True, obs=self.obs
+        )
+        self.deserializer.metric_prefix = "reply-"
         self.parser = self.deserializer.parser
+        #: Inbound bounds for reply frames: the transport's, as for
+        #: the response bytes themselves.
+        self._limits = getattr(raw_transport, "limits", None) or DEFAULT_LIMITS
+        #: Mirror of the server's replies (None unless the policy
+        #: offers delta): full replies that announce a baseline deposit
+        #: here, reply frames are applied here.
+        self.replies: Optional[DeltaSession] = (
+            DeltaSession(self._limits) if resolved_policy.delta.offer else None
+        )
         self.calls = 0
         self.faults = 0
         #: Failed attempts that were retried, channel lifetime total.
@@ -147,6 +186,9 @@ class RPCChannel:
         #: Raw body bytes of the most recent decoded response (oracle
         #: byte-equivalence checks in the concurrency tests).
         self.last_response_body: Optional[bytes] = None
+        # Decode of :attr:`last_response_body`, while the deserializer
+        # template still holds it (None after a failed decode).
+        self._last_decoded: Optional[DecodedMessage] = None
         # Counters may be read (channel_stats) while a pipelined
         # send/receive pair mutates them from two threads.
         self._stats_lock = threading.Lock()
@@ -164,6 +206,10 @@ class RPCChannel:
         :class:`~repro.errors.SOAPFaultError` when the server answered
         with a SOAP Fault, :class:`TransportError` (or a subclass) when
         the wire problem outlived the retry budget.
+
+        The returned values are the caller's: arrays are copied out of
+        the channel's decode template, so a reply kept across later
+        calls never changes under its holder.
         """
         started = time.monotonic()
         failures = 0
@@ -268,18 +314,36 @@ class RPCChannel:
             )
         if wire is not None and headers.get("x-repro-delta") == "1":
             wire.negotiated = True
-        try:
-            fault = SOAPFault.from_xml(body)
-        except (ReproError, UnicodeDecodeError) as exc:
-            raise TransportError(f"response undecodable: {exc}") from exc
-        if fault is not None:
-            fault.raise_()
-        try:
-            decoded, deser_report = self.deserializer.deserialize(body)
-        except (ReproError, UnicodeDecodeError) as exc:
-            # A corrupted 200 body: the request likely succeeded but
-            # the answer is unusable — classified retryable.
-            raise TransportError(f"response undecodable: {exc}") from exc
+        replies = self.replies
+        if replies is not None and headers.get("x-repro-delta-frame") == "1":
+            # Frames carry responder output only: never a fault.
+            body = self._apply_reply_frame(replies, body)
+        else:
+            try:
+                fault = SOAPFault.from_xml(body)
+            except (ReproError, UnicodeDecodeError) as exc:
+                raise TransportError(f"response undecodable: {exc}") from exc
+            if fault is not None:
+                # Before mirror and template: a fault enters neither.
+                fault.raise_()
+            if replies is not None:
+                replies.store_announced(headers, body)
+        decoded = self._last_decoded
+        if decoded is not None and body is self.last_response_body:
+            # A header-only frame: the mirror handed back the very
+            # document decoded last time, so its decode stands.
+            deser_report = DeserReport(
+                DeserKind.CONTENT_MATCH, 0, self.last_deser_report.total_leaves
+            )
+        else:
+            self._last_decoded = None
+            try:
+                decoded, deser_report = self.deserializer.deserialize(body)
+            except (ReproError, UnicodeDecodeError) as exc:
+                # A corrupted 200 body: the request likely succeeded but
+                # the answer is unusable — classified retryable.
+                raise TransportError(f"response undecodable: {exc}") from exc
+            self._last_decoded = decoded
         self.last_deser_report = deser_report
         self.last_response_body = body
         if tracing:
@@ -293,8 +357,24 @@ class RPCChannel:
             )
         return RPCResponse(
             operation=decoded.operation,
-            values={p.name: p.value for p in decoded.params},
+            values={p.name: _owned(p) for p in decoded.params},
         )
+
+    def _apply_reply_frame(self, replies: DeltaSession, frame: bytes) -> bytes:
+        """Reconstruct the reply document *frame* patches."""
+        try:
+            document = replies.apply(frame, self._limits)
+        except (DeltaFrameError, DeltaResyncError) as exc:
+            # The mirror and the server's baseline disagree (apply
+            # already dropped the mirror): the client-side 409.  The
+            # retry drops the connection, so the server's next reply
+            # is full XML with a fresh announce.
+            replies.note(f"reply-resync-{exc.reason}")
+            raise DeltaResyncError(
+                f"reply frame rejected: {exc}", exc.reason
+            ) from exc
+        replies.note("reply-applied")
+        return document
 
     def _mark_broken(self) -> None:
         """Drop the connection so no stale half-response survives."""
@@ -302,6 +382,9 @@ class RPCChannel:
             # A new connection means a new server session with no delta
             # mirrors: every template must re-announce its baseline.
             self.client.wire.reset_baselines()
+        if self.replies is not None:
+            # ... and a new responder that frames against none of ours.
+            self.replies.clear()
         disconnect = getattr(self._raw, "disconnect", None)
         if disconnect is not None:
             disconnect()
@@ -334,8 +417,15 @@ class RPCChannel:
             }
 
     def metric_samples(self) -> Dict[tuple, int]:
-        """Retries (the client and the framer serve their own series)."""
-        return {("repro_call_retries_total",): self.retries_total}
+        """Retries and the reply mirror's frames (the client, the
+        framer and the deserializer serve their own series)."""
+        samples = {("repro_call_retries_total",): self.retries_total}
+        replies = self.replies
+        if replies is not None:
+            samples["repro_delta_bytes_saved_total",] = replies.bytes_saved
+            for outcome, count in replies.outcomes.copy().items():
+                samples["repro_delta_frames_total", outcome] = count
+        return samples
 
     def count_call(self, *, fault: bool = False) -> None:
         """Record one completed call (used by the pipelined wrapper)."""
@@ -347,7 +437,7 @@ class RPCChannel:
     def close(self) -> None:
         """Close the connection; leave the final counts to the registry."""
         self._raw.close()
-        self.obs.retire(self, self.client, self._http)
+        self.obs.retire(self, self.client, self._http, self.deserializer)
 
     def __enter__(self) -> "RPCChannel":
         return self

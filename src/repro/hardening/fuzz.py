@@ -24,7 +24,12 @@ doc-len lies, out-of-bounds offsets, stale epochs, sequence gaps):
   any garbage;
 * :func:`fuzz_delta_http` does the same over real sockets, one
   connection per case carrying a well-formed announce plus a mutated
-  frame.
+  frame;
+* :func:`fuzz_delta_reply` turns the same mutators on the *reply*
+  direction: an :class:`~repro.channel.RPCChannel` is fed an announced
+  full reply and then a mutated reply frame — the call must come back
+  with the right values (frame accepted, or one resync retry answered
+  by a full reply) and never raise or return a wrong value.
 
 Everything is driven by one ``random.Random(seed)``: a failing case
 replays exactly from the printed seed.  Mutations are corpus-based
@@ -40,7 +45,8 @@ Run standalone (CI ``fuzz-smoke`` job)::
     PYTHONPATH=src python -m repro.hardening.fuzz \
         --corpus tests/golden --seed 12345 \
         --service-iterations 2000 --http-iterations 200 \
-        --delta-iterations 600 --delta-http-iterations 100
+        --delta-iterations 600 --delta-http-iterations 100 \
+        --delta-reply-iterations 600
 
 Outcome counts are exported through the service's
 :class:`~repro.obs.MetricsRegistry` as
@@ -80,6 +86,7 @@ __all__ = [
     "fuzz_http",
     "fuzz_delta",
     "fuzz_delta_http",
+    "fuzz_delta_reply",
     "ALLOWED_HTTP_STATUSES",
     "main",
 ]
@@ -1143,6 +1150,153 @@ def fuzz_delta_http(
     return report
 
 
+class _ScriptedReplies:
+    """``raw_transport=`` stub: swallows sends, serves queued replies."""
+
+    def __init__(self) -> None:
+        self.replies: List[Tuple[int, Dict[str, str], bytes]] = []
+
+    def send_message(self, views, total_bytes: Optional[int] = None) -> int:
+        return sum(len(view) for view in views)
+
+    def recv_http_response(self, limit: Optional[int] = None):
+        return self.replies.pop(0)
+
+    def disconnect(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+def _same_values(a: Dict[str, object], b: Dict[str, object]) -> bool:
+    """Decoded reply values equal, arrays compared element-wise."""
+    import numpy as np
+
+    if a.keys() != b.keys():
+        return False
+    for name, left in a.items():
+        right = b[name]
+        if isinstance(left, dict) and isinstance(right, dict):
+            if not _same_values(left, right):
+                return False
+        elif not np.array_equal(left, right):
+            return False
+    return True
+
+
+def fuzz_delta_reply(
+    service: Optional[SOAPService] = None,
+    corpus: Optional[Sequence[bytes]] = None,
+    *,
+    iterations: int = 600,
+    seed: int = 0,
+    probe_every: int = 50,
+) -> FuzzReport:
+    """Drive mutated *reply* frames through an ``RPCChannel``'s decode.
+
+    The channel reads from a scripted transport.  Each case is two
+    calls: the first is answered by a full reply announcing a fresh
+    baseline (new epoch), the second by one mutated frame against it,
+    with a full reply queued behind for the resync retry.  Invariants:
+    ``call`` never raises; what it returns decodes to the reply's
+    values — through the frame, or through exactly one retry — unless
+    the mutator spliced CRC-valid garbage into the document; and the
+    probe, a pristine header-only frame after a fresh announce, still
+    decodes without a retry after any amount of garbage.
+    """
+    from repro.channel import RPCChannel
+    from repro.core.policy import DeltaPolicy, DiffPolicy
+    from repro.resilience.retry import RetryPolicy
+    from repro.soap.message import SOAPMessage
+
+    service = service if service is not None else build_fuzz_service()
+    wires = list(corpus) if corpus is not None else default_corpus()
+    rng = random.Random(seed)
+    fuzzer = DeltaFrameFuzzer(rng, service.limits)
+    report = FuzzReport(seed=seed, mode="delta-reply").export_to(service.obs)
+    bodies = [
+        bytes(response)
+        for response in (service.handle(wire) for wire in wires)
+        if _classify_response(response) == "ok"
+    ]
+    if not bodies:
+        report.violate("no corpus wire gets a non-fault response pristine")
+        return report
+
+    transport = _ScriptedReplies()
+    channel = RPCChannel(
+        "fuzz",
+        0,
+        registry=service.registry,
+        policy=DiffPolicy(delta=DeltaPolicy(offer=True)),
+        retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
+        raw_transport=transport,
+    )
+    request = SOAPMessage("probe", service.namespace, [])
+    epoch = 0
+
+    def _announce(body: bytes) -> Dict[str, object]:
+        """Deliver *body* as a full reply announcing a fresh baseline."""
+        nonlocal epoch
+        epoch += 1
+        transport.replies = [
+            (200, _announce_headers(_FUZZ_TEMPLATE_ID, epoch), body)
+        ]
+        return channel.call(request).values
+
+    def _framed(frame: bytes, body: bytes) -> Tuple[Dict[str, object], int]:
+        """One call answered by *frame*; a full reply awaits the retry."""
+        transport.replies = [(200, _FRAME_HEADERS, frame), (200, {}, body)]
+        values = channel.call(request).values
+        return values, channel.last_send_report.retries
+
+    def _probe(case_no: int) -> None:
+        body = bodies[(case_no // max(1, probe_every)) % len(bodies)]
+        try:
+            expected = _announce(body)
+            frame = encode_frame(
+                _FUZZ_TEMPLATE_ID, epoch, 1, len(body), [], [], b""
+            )
+            values, retries = _framed(frame, body)
+        except Exception as exc:  # noqa: BLE001 - the invariant under test
+            report.violate(f"probe after case {case_no} raised {exc!r}")
+            return
+        if retries or not _same_values(values, expected):
+            report.violate(
+                f"probe after case {case_no} needed {retries} retries or "
+                "decoded differently: reply mirror poisoned"
+            )
+
+    for case_no in range(iterations):
+        body = rng.choice(bodies)
+        mutator = "announce"
+        try:
+            expected = _announce(body)
+            frame, mutator = fuzzer.next_case(_FUZZ_TEMPLATE_ID, epoch, 1, body)
+            values, retries = _framed(frame, body)
+        except Exception as exc:  # noqa: BLE001 - the invariant under test
+            report.violate(
+                f"case {case_no} ({mutator}) escaped call(): "
+                f"{type(exc).__name__}: {exc}"
+            )
+            outcome = "crash"
+        else:
+            outcome = "resync" if retries else "ok"
+            if mutator != "payload_garbage" and not _same_values(values, expected):
+                report.violate(
+                    f"case {case_no} ({mutator}, {outcome}): decoded a "
+                    "wrong value from a reply frame"
+                )
+                outcome = "wrong_value"
+        report.record(outcome, mutator)
+        if probe_every and (case_no + 1) % probe_every == 0:
+            _probe(case_no)
+    _probe(iterations)
+    channel.close()
+    return report
+
+
 def _first_status(payload: bytes) -> Optional[int]:
     """Status code of the first HTTP response in *payload* (or None)."""
     line, _, _ = payload.partition(b"\r\n")
@@ -1173,6 +1327,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--http-iterations", type=int, default=200)
     parser.add_argument("--delta-iterations", type=int, default=0)
     parser.add_argument("--delta-http-iterations", type=int, default=0)
+    parser.add_argument("--delta-reply-iterations", type=int, default=0)
     args = parser.parse_args(argv)
 
     corpus = load_corpus(args.corpus) if args.corpus else default_corpus()
@@ -1205,6 +1360,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             fuzz_delta_http(
                 corpus=corpus,
                 iterations=args.delta_http_iterations,
+                seed=args.seed,
+            )
+        )
+        print(reports[-1].summary())
+    if args.delta_reply_iterations > 0:
+        reports.append(
+            fuzz_delta_reply(
+                corpus=corpus,
+                iterations=args.delta_reply_iterations,
                 seed=args.seed,
             )
         )

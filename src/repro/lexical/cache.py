@@ -89,6 +89,11 @@ class ConversionMemo:
     per-hit bookkeeping.  Rotation is checked once per *batch* (see
     :meth:`maybe_rotate`), so a single batch may overshoot the bound
     by its own length; residency stays ≤ ``2 × capacity + batch``.
+    At ~110 bytes an entry (float key, bytes value, dict slot) the
+    default bound is ~3.5 MiB a memo: a process that keeps converting
+    values it has not seen before holds that much for good, so the
+    bound is sized to the recurring sets the tree has (pools of a few
+    hundred readings), not to the largest array.
 
     Thread safety: individual dict operations are GIL-atomic and a
     racing rotation can at worst cause spurious misses, never wrong
@@ -108,7 +113,7 @@ class ConversionMemo:
         "bypassed_batches",
     )
 
-    def __init__(self, capacity: int = 1 << 16) -> None:
+    def __init__(self, capacity: int = 1 << 14) -> None:
         self.hot: Dict[float, bytes] = {}
         self.cold: Dict[float, bytes] = {}
         self.capacity = capacity

@@ -56,7 +56,11 @@ class ServerSession:
         The response-side bSOAP serializer and the sink holding the
         last serialized response.  Response templates are per session,
         so concurrent connections cannot corrupt each other's saved
-        response bytes.
+        response bytes.  When *response_policy* offers delta the
+        responder carries the same
+        :class:`~repro.wire.client.DeltaEncoder` a client does and the
+        sink may hold a reply frame (``docs/wire_protocol.md``, "Reply
+        direction").
     lock:
         Serializes request handling within the session.  A connection
         is served by one thread, so this is normally uncontended; it
@@ -104,6 +108,8 @@ class ServerSession:
         )
         self.sink = LatestSink()
         self.responder = BSoapClient(self.sink, response_policy, obs=obs)
+        if self.responder.wire is not None:
+            self.responder.wire.metric_prefix = "reply-"
         self.lock = threading.Lock()
         self.requests_handled = 0
         self.faults_returned = 0
@@ -151,7 +157,7 @@ class ServerSession:
         ``deser`` (the deserializer's raw template + decode), the
         compiled ``seektable``, delta ``mirror`` documents, and
         ``response`` templates (store footprint + retained last
-        response).
+        response, XML or reply frame).
         """
         return {
             "deser": self.deserializer.approx_bytes(),
@@ -218,6 +224,7 @@ def _session_counts(session: ServerSession) -> Dict[object, object]:
     it: :data:`_COUNTER_KEYS` ints, deserializer outcomes under their
     :class:`DeserKind`, and two values that add as a whole."""
     delta = session.delta
+    wire = session.responder.wire
     return {
         "requests_handled": session.requests_handled,
         "faults_returned": session.faults_returned,
@@ -225,7 +232,10 @@ def _session_counts(session: ServerSession) -> Dict[object, object]:
         "bytes_sent": session.bytes_sent,
         "delta_frames_applied": delta.frames_applied,
         "delta_resyncs": delta.resyncs,
-        "delta_bytes_saved": delta.bytes_saved,
+        # Both directions, as ``repro_delta_bytes_saved_total`` reads:
+        # request frames applied plus reply frames encoded.
+        "delta_bytes_saved": delta.bytes_saved
+        + (wire.bytes_saved if wire is not None else 0),
         "responses": session.responder.stats,
         "skipscan": Counter(session.deserializer.skipscan_stats),
         **session.deserializer.stats,

@@ -105,7 +105,9 @@ class DifferentialDeserializer:
         self.skipscan = skipscan
         self.descriptors = descriptors
         self.obs = obs if obs is not None else NULL_OBS
-        self._last_raw: Optional[np.ndarray] = None  # uint8 copy
+        # uint8 view of the last decoded message: *data* is immutable
+        # bytes, so holding it is holding the template (no copy).
+        self._last_raw: Optional[np.ndarray] = None
         self._result: Optional[ParseResult] = None
         self._table: Optional[SeekTable] = None
         self.stats = {kind: 0 for kind in DeserKind}
@@ -114,10 +116,15 @@ class DifferentialDeserializer:
         self.skipscan_stats: Dict[str, int] = {}
         self.obs.watch(self)
 
+    #: Prefix of this deserializer's ``event`` label values; the owner
+    #: of a reply-direction instance (the channel) sets ``"reply-"``.
+    metric_prefix = ""
+
     def metric_samples(self) -> Dict[tuple, int]:
         """``repro_skipscan_events_total{event}`` samples."""
+        prefix = self.metric_prefix
         return {
-            ("repro_skipscan_events_total", event): count
+            ("repro_skipscan_events_total", prefix + event): count
             for event, count in self.skipscan_stats.copy().items()
         }
 
@@ -128,7 +135,7 @@ class DifferentialDeserializer:
     def _full_parse(self, data: bytes) -> tuple[DecodedMessage, DeserReport]:
         result = self.parser.parse(data)
         self._result = result
-        self._last_raw = np.frombuffer(data, dtype=np.uint8).copy()
+        self._last_raw = np.frombuffer(data, dtype=np.uint8)
         self._table = None
         if self.skipscan:
             descriptor = (
@@ -148,6 +155,8 @@ class DifferentialDeserializer:
 
     def deserialize(self, data: bytes) -> tuple[DecodedMessage, DeserReport]:
         """Decode *data*, reusing the stored template when possible."""
+        if not isinstance(data, bytes):
+            data = bytes(data)  # the template aliases it: must not change
         last = self._last_raw
         result = self._result
         if last is None or result is None or len(data) != len(last):
@@ -219,10 +228,9 @@ class DifferentialDeserializer:
                 # one full parse.
                 self.reset()
                 raise
-        # Refresh the raw template in place (only the changed regions).
-        for j in changed.tolist():
-            s, e = int(starts[j]), int(ends[j])
-            last[s:e] = incoming[s:e]
+        # Every differing byte was inside a re-parsed region: the new
+        # message is the template now.
+        self._last_raw = incoming
         self.stats[DeserKind.DIFFERENTIAL] += 1
         self.stats_last_changed = int(changed.size)
         return result.message, DeserReport(

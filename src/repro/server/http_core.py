@@ -95,6 +95,7 @@ _STATUS_PHRASES = {
 }
 
 _SOAP_CONTENT_TYPE = 'text/xml; charset="utf-8"'
+_FRAME_CONTENT_TYPE = "application/x-repro-delta"
 _NOT_FOUND = b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n"
 
 
@@ -339,7 +340,8 @@ class HttpFrontEnd:
         except Exception:  # noqa: BLE001 - fault-not-crash boundary
             _LOG.exception("request pipeline crashed; answering 500")
             return [self.reject(500)], True
-        head = response_head(status, _SOAP_CONTENT_TYPE, payload.total, extra)
+        content_type = _FRAME_CONTENT_TYPE if payload.frame else _SOAP_CONTENT_TYPE
+        head = response_head(status, content_type, payload.total, extra)
         return [head, *payload.views], False
 
     def on_accept_error(self, exc: OSError, running: bool) -> str:

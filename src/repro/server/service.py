@@ -23,7 +23,7 @@ behaviour).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.policy import DiffPolicy
@@ -75,10 +75,18 @@ class ResponsePayload:
     session responder's live buffers — valid until the *same session*
     handles its next request, so front ends must finish writing a
     response before dispatching the connection's next request.
+
+    ``frame`` marks the body as a binary delta frame against the
+    client's reply mirror; ``announce`` is the ``(template id, epoch)``
+    baseline a full-XML body establishes for later frames.  Both stay
+    unset for clients that did not declare a reply mirror, and for
+    faults, which never enter differential state.
     """
 
     views: List = field(default_factory=list)
     total: int = 0
+    frame: bool = False
+    announce: Optional[Tuple[int, int]] = None
 
     @classmethod
     def of(cls, data: bytes) -> "ResponsePayload":
@@ -128,8 +136,9 @@ class SOAPService:
     ) -> None:
         self.namespace = namespace
         #: Accept the client's ``X-Repro-Delta`` offer and serve binary
-        #: delta frames.  Off → offers are ignored (no ack header), so
-        #: clients stay on full XML; frames are answered with a resync.
+        #: delta frames, in both directions.  Off → offers are ignored
+        #: (no ack header), so clients stay on full XML; frames are
+        #: answered with a resync and replies are never framed.
         self.delta_enabled = delta_enabled
         #: Optional :class:`~repro.wsdl.model.ServiceDef` for WSDL serving.
         self.definition = definition
@@ -194,6 +203,16 @@ class SOAPService:
             self.limits.max_state_bytes,
             shed_target_fraction=shed_fraction,
             obs=self.obs,
+        )
+        # Reply frames ride the same switch as request frames: each
+        # session's responder gets a delta encoder exactly when the
+        # service serves the protocol.  The policy's frame gates
+        # (max_splices, max_frame_fraction) apply to replies as given.
+        if response_policy is None:
+            response_policy = DiffPolicy()
+        response_policy = replace(
+            response_policy,
+            delta=replace(response_policy.delta, offer=delta_enabled),
         )
         self.sessions = ServerSessionManager(
             self.registry,
@@ -318,8 +337,10 @@ class SOAPService:
         return self._handle_in_session_views(session, body).tobytes()
 
     def _handle_in_session_views(
-        self, session: ServerSession, body: bytes
+        self, session: ServerSession, body: bytes, mirrored: bool = False
     ) -> ResponsePayload:
+        """Decode, dispatch, serialize.  *mirrored*: the caller holds a
+        reply mirror, so the response may be a frame or an announce."""
         try:
             if len(body) > self.limits.max_body_bytes:
                 raise ResourceLimitError(
@@ -349,7 +370,7 @@ class SOAPService:
                     f"bad parameters for {op.name!r}: {exc}"
                 ) from exc
             session.requests_handled += 1
-            return self._serialize_response(session, op, result)
+            return self._serialize_response(session, op, result, mirrored)
         except (SOAPError, XMLError, LexicalError, SchemaError) as exc:
             # Anything the request bytes can provoke in the scan /
             # parse / decode layers is the client's fault: answer a
@@ -386,7 +407,11 @@ class SOAPService:
         extra_header_lines, response_body)`` for the front end to frame
         — status 200 with the SOAP response, or 409 with an empty body
         and ``X-Repro-Delta-Resync: 1`` when the client must fall back
-        to full XML.
+        to full XML.  For a client that declared a reply mirror
+        (``x-repro-delta-reply: 1``) the 200 body is either full XML
+        whose header lines announce a baseline or, with
+        ``X-Repro-Delta-Frame: 1`` among them, a binary frame against
+        it (``docs/wire_protocol.md``, "Reply direction").
 
         *headers* keys must be lowercase (as
         :func:`~repro.transport.http.parse_http_request` produces).
@@ -437,24 +462,37 @@ class SOAPService:
         headers: Dict[str, str],
         session_id: Optional[Hashable],
     ) -> Tuple[int, List[str], ResponsePayload]:
-        offered = headers.get("x-repro-delta") == "1"
-        extra: List[str] = []
-        if offered and self.delta_enabled:
-            extra.append("X-Repro-Delta: 1")
+        accepted = self.delta_enabled and headers.get("x-repro-delta") == "1"
+        # The client also keeps a mirror of our replies.
+        mirrored = accepted and headers.get("x-repro-delta-reply") == "1"
+        extra: List[str] = ["X-Repro-Delta: 1"] if accepted else []
         session = self.sessions.acquire(session_id)
         try:
             with session.lock:
                 try:
                     session.bytes_received += len(body)
                     if headers.get("x-repro-delta-frame") == "1":
-                        status, response = self._handle_frame(session, body)
+                        status, response = self._handle_frame(
+                            session, body, mirrored
+                        )
                         if status != 200:
                             return status, ["X-Repro-Delta-Resync: 1"], response
                     else:
-                        if offered and self.delta_enabled:
-                            self._maybe_store_mirror(session, headers, body)
-                        response = self._handle_in_session_views(session, body)
+                        if accepted:
+                            session.delta.store_announced(headers, body)
+                        response = self._handle_in_session_views(
+                            session, body, mirrored
+                        )
                     session.bytes_sent += response.total
+                    if response.frame:
+                        extra.append("X-Repro-Delta-Frame: 1")
+                    elif response.announce is not None:
+                        extra.append(
+                            "X-Repro-Delta-Template: %d" % response.announce[0]
+                        )
+                        extra.append(
+                            "X-Repro-Delta-Epoch: %d" % response.announce[1]
+                        )
                     return 200, extra, response
                 finally:
                     self.sessions.note_usage(session)
@@ -463,7 +501,7 @@ class SOAPService:
             self.sessions.relieve_pressure()
 
     def _handle_frame(
-        self, session: ServerSession, body: bytes
+        self, session: ServerSession, body: bytes, mirrored: bool
     ) -> Tuple[int, ResponsePayload]:
         """Reconstruct a delta frame and run the SOAP pipeline on it."""
         if not self.delta_enabled:
@@ -478,25 +516,7 @@ class SOAPService:
             session.delta.note(f"resync-{exc.reason}")
             return 409, ResponsePayload()
         session.delta.note("applied")
-        return 200, self._handle_in_session_views(session, document)
-
-    def _maybe_store_mirror(
-        self, session: ServerSession, headers: Dict[str, str], body: bytes
-    ) -> None:
-        """Deposit an announced full-XML body as a delta mirror.
-
-        Announce headers are attacker-controlled text: garbage values
-        are ignored (no mirror, no fault) — the client simply never
-        gets a frame accepted against them.
-        """
-        try:
-            template_id = int(headers["x-repro-delta-template"])
-            epoch = int(headers["x-repro-delta-epoch"])
-        except (KeyError, ValueError):
-            return
-        if template_id < 0 or epoch < 0:
-            return
-        session.delta.store(template_id, epoch, body)
+        return 200, self._handle_in_session_views(session, document, mirrored)
 
     def _decode(self, session: ServerSession, body: bytes) -> DecodedMessage:
         if self._differential_deser:
@@ -505,7 +525,11 @@ class SOAPService:
         return session.deserializer.parser.parse(body).message
 
     def _serialize_response(
-        self, session: ServerSession, op: Operation, result: object
+        self,
+        session: ServerSession,
+        op: Operation,
+        result: object,
+        mirrored: bool,
     ) -> ResponsePayload:
         params: List[Parameter] = []
         if op.result_type is not None:
@@ -515,5 +539,18 @@ class SOAPService:
             namespace=self.namespace,
             params=params,
         )
+        wire = session.responder.wire
+        if wire is not None and wire.negotiated != mirrored:
+            # The peer started (or stopped) mirroring replies: nothing
+            # announced under the other regime ever reached a mirror.
+            wire.negotiated = mirrored
+            wire.reset_baselines()
         session.responder.send(message)
-        return ResponsePayload(session.sink.views(), session.sink.last_bytes())
+        sink = session.sink
+        announce = sink.take_announce()
+        return ResponsePayload(
+            sink.views(),
+            sink.last_bytes(),
+            sink.is_frame,
+            announce if mirrored else None,
+        )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.errors import SOAPError, SOAPFaultError
 from repro.soap.constants import SOAP_ENV_PREFIX, STANDARD_NSDECLS
@@ -11,6 +11,10 @@ from repro.xmlkit.scanner import Characters, EndElement, StartElement, XMLScanne
 from repro.xmlkit.writer import XMLWriter
 
 __all__ = ["SOAPFault"]
+
+
+def _local(name: str) -> str:
+    return name.rsplit(":", 1)[-1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,33 +49,49 @@ class SOAPFault:
 
     @classmethod
     def from_xml(cls, data: bytes) -> Optional["SOAPFault"]:
-        """Extract a fault from an envelope, or ``None`` if not a fault."""
-        stack: List[str] = []
-        fields = {"faultcode": "", "faultstring": "", "detail": ""}
-        in_fault = False
-        found = False
-        current: Optional[str] = None
-        for event in XMLScanner(data):
+        """Extract a fault from an envelope, or ``None`` if not a fault.
+
+        A SOAP 1.1 fault is the first child element of ``Body``, so the
+        scan stops there: a reply that is not a fault costs a handful of
+        scanner events whatever its payload size, and a payload element
+        that happens to be called ``Fault`` is not mistaken for one.
+        Only the prefix read is checked for well-formedness; the
+        caller's full parse of a non-fault body stays authoritative.
+        """
+        scanner = XMLScanner(data)
+        for event in scanner:
+            # Depth 2: a child of the root, whatever its prefix; a
+            # ``Header`` sibling before it is walked, never the payload.
+            if (
+                isinstance(event, StartElement)
+                and scanner.depth == 2
+                and not event.self_closing
+                and _local(event.name) == "Body"
+            ):
+                break
+        else:
+            return None
+        for event in scanner:
+            if isinstance(event, EndElement):
+                return None  # an empty Body
             if isinstance(event, StartElement):
-                stack.append(event.name)
-                local = event.name.rsplit(":", 1)[-1]
-                if local == "Fault" and len(stack) >= 2:
-                    in_fault = True
-                    found = True
-                elif in_fault and local in fields:
-                    current = local
+                if _local(event.name) != "Fault":
+                    return None
+                break
+        fields = {"faultcode": "", "faultstring": "", "detail": ""}
+        current: Optional[str] = None
+        for event in scanner:
+            if isinstance(event, StartElement):
+                if _local(event.name) in fields:
+                    current = _local(event.name)
             elif isinstance(event, Characters):
                 if current is not None:
                     fields[current] += event.text
             elif isinstance(event, EndElement):
-                local = event.name.rsplit(":", 1)[-1]
-                if local in fields:
+                if scanner.depth < 3:  # </Fault> (Envelope/Body/Fault)
+                    break
+                if _local(event.name) in fields:
                     current = None
-                if local == "Fault":
-                    in_fault = False
-                stack.pop()
-        if not found:
-            return None
         if not fields["faultcode"]:
             raise SOAPError("Fault element missing faultcode")
         return cls(fields["faultcode"], fields["faultstring"], fields["detail"])

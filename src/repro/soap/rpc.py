@@ -41,7 +41,13 @@ class RPCRequest:
 
 @dataclass(slots=True)
 class RPCResponse:
-    """A decoded RPC response: result values keyed by part name."""
+    """A decoded RPC response: result values keyed by part name.
+
+    The values belong to whoever holds the response:
+    :class:`~repro.channel.RPCChannel` copies arrays and struct-array
+    columns out of its decode template, so a response kept across
+    later calls keeps its values (``docs/runtime.md``).
+    """
 
     operation: str
     values: dict = field(default_factory=dict)

@@ -65,7 +65,9 @@ class HTTPTransport:
         self.soap_action = soap_action
         self.user_agent = user_agent
         #: When True every request offers the delta-frame protocol
-        #: (``X-Repro-Delta: 1``); see ``docs/wire_protocol.md``.
+        #: (``X-Repro-Delta: 1``) and declares that whoever reads the
+        #: replies mirrors them (``X-Repro-Delta-Reply: 1``), so the
+        #: server may answer with frames; see ``docs/wire_protocol.md``.
         self.delta_offer = delta_offer
         # Armed by the client's DeltaEncoder just before a full send;
         # consumed (and cleared) by the next message's header block.
@@ -120,9 +122,11 @@ class HTTPTransport:
             "Content-Type: application/x-repro-delta",
             f"SOAPAction: {self.soap_action}",
             "X-Repro-Delta: 1",
-            "X-Repro-Delta-Frame: 1",
-            f"Content-Length: {len(frame)}",
         ]
+        if self.delta_offer:
+            lines.append("X-Repro-Delta-Reply: 1")
+        lines.append("X-Repro-Delta-Frame: 1")
+        lines.append(f"Content-Length: {len(frame)}")
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
         self.inner.send_message([head, frame])
         self._payload_sent = len(frame)
@@ -134,6 +138,7 @@ class HTTPTransport:
         lines = []
         if self.delta_offer:
             lines.append("X-Repro-Delta: 1")
+            lines.append("X-Repro-Delta-Reply: 1")
         if self._announce is not None:
             template_id, epoch = self._announce
             self._announce = None

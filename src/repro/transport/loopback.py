@@ -10,7 +10,7 @@ sessions).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.transport.base import ViewStream
 
@@ -112,24 +112,50 @@ class LatestSink:
     finish writing response *i* before dispatching request *i+1* on a
     connection, which is exactly that window).  :attr:`last` joins on
     demand for callers that want contiguous bytes.
+
+    It also carries the delta-frame extensions
+    (``set_delta_announce`` / ``send_delta_frame``, see
+    :mod:`repro.wire.client`), so a responder whose policy offers
+    delta can answer with a binary frame: :attr:`is_frame` says which
+    kind the retained message is, :meth:`take_announce` hands over the
+    baseline a full message announced.
     """
 
     def __init__(self) -> None:
         self._views: Optional[List[memoryview | bytes]] = None
         self._total = 0
+        self._announce: Optional[Tuple[int, int]] = None
+        #: True when the retained message is a delta frame, not XML.
+        self.is_frame = False
         self.messages_sent = 0
         self.bytes_total = 0
 
     def send_message(self, views: ViewStream, total_bytes: Optional[int] = None) -> int:
         # Materializing a lazy stream drives the interleaved rewrite;
         # yielded chunk views are final once the iterator is exhausted.
-        parts: List[memoryview | bytes] = [v for v in views if len(v)]
+        return self._retain([v for v in views if len(v)], False)
+
+    def send_delta_frame(self, frame: bytes) -> int:
+        """Retain one binary delta frame as the message."""
+        return self._retain([frame], True)
+
+    def _retain(self, parts: List[memoryview | bytes], is_frame: bool) -> int:
         total = sum(len(v) for v in parts)
         self._views = parts
         self._total = total
+        self.is_frame = is_frame
         self.messages_sent += 1
         self.bytes_total += total
         return total
+
+    def set_delta_announce(self, template_id: int, epoch: int) -> None:
+        """The next full message is the baseline *(template_id, epoch)*."""
+        self._announce = (template_id, epoch)
+
+    def take_announce(self) -> Optional[Tuple[int, int]]:
+        """The baseline armed since the last call, if any (clears it)."""
+        announce, self._announce = self._announce, None
+        return announce
 
     @property
     def last(self) -> bytes:

@@ -31,10 +31,12 @@ templates and policies are duck-typed.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Dict, Optional
 
 import numpy as np
 
+from repro.hardening.limits import DEFAULT_LIMITS
 from repro.wire.frame import DIR_ENTRY, HEADER, encode_frame
 
 __all__ = ["DeltaEncoder"]
@@ -68,21 +70,31 @@ class DeltaEncoder:
         #: the acceptance header.  Frames are only sent when True.
         self.negotiated = False
         self.obs = obs
-        self._baselines: Dict[int, _Baseline] = {}
+        # LRU in the order the peer's mirror store uses (announce and
+        # frame both touch), capped at the default mirror count: a
+        # baseline the peer has evicted would only earn a resync.
+        self._baselines: "OrderedDict[int, _Baseline]" = OrderedDict()
         self._epoch_counter = 0
         # Lifetime counters (the owning client serves them as metrics).
         self.frames_sent = 0
         self.bytes_saved = 0
         self.fallbacks: Dict[str, int] = {}
 
+    #: Prefix of this encoder's ``outcome`` label values; the owner of
+    #: a reply-direction instance (a server session) sets ``"reply-"``.
+    metric_prefix = ""
+
     def metric_samples(self) -> Dict[tuple, int]:
         """The encoder's counters, by series (see ``repro.obs.metrics``)."""
+        prefix = self.metric_prefix
         samples = {
-            ("repro_delta_frames_total", "encoded"): self.frames_sent,
+            ("repro_delta_frames_total", prefix + "encoded"): self.frames_sent,
             ("repro_delta_bytes_saved_total",): self.bytes_saved,
         }
         for reason, count in self.fallbacks.copy().items():
-            samples["repro_delta_frames_total", "fallback-" + reason] = count
+            samples[
+                "repro_delta_frames_total", f"{prefix}fallback-{reason}"
+            ] = count
         return samples
 
     # ------------------------------------------------------------------
@@ -97,7 +109,11 @@ class DeltaEncoder:
             template.total_bytes,
             template.buffer.layout_epoch,
         )
-        self._baselines[template.template_id] = baseline
+        baselines = self._baselines
+        baselines.pop(template.template_id, None)
+        baselines[template.template_id] = baseline
+        if len(baselines) > DEFAULT_LIMITS.max_delta_mirrors:
+            baselines.popitem(last=False)
         self.transport.set_delta_announce(template.template_id, baseline.epoch)
 
     def invalidate(self, template_id: int) -> None:
@@ -185,6 +201,12 @@ class DeltaEncoder:
             payload = b""
 
         baseline.seq += 1
+        try:
+            self._baselines.move_to_end(template.template_id)
+        except KeyError:
+            # Invalidated under us (a pipelined receiver quarantining
+            # the template): the frame goes out, the peer resyncs.
+            pass
         frame = encode_frame(
             template.template_id,
             baseline.epoch,

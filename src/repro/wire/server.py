@@ -49,6 +49,7 @@ class DeltaSession:
         "bytes_saved",
         "outcomes",
         "last_reconstructed",
+        "_reconstructed_id",
     )
 
     def __init__(self, limits: Optional[ResourceLimits] = None) -> None:
@@ -65,14 +66,34 @@ class DeltaSession:
         #: Most recent reconstructed document (oracle tests compare it
         #: byte-for-byte against the naive serialization).
         self.last_reconstructed: Optional[bytes] = None
+        # Template whose mirror :attr:`last_reconstructed` still equals.
+        self._reconstructed_id: Optional[int] = None
 
     # ------------------------------------------------------------------
     def store(self, template_id: int, epoch: int, body: bytes) -> None:
         """Deposit the announced baseline *body* as a mirror."""
         self.mirrors.pop(template_id, None)
         self.mirrors[template_id] = _Mirror(bytearray(body), epoch)
+        if self._reconstructed_id == template_id:
+            self._reconstructed_id = None
         while len(self.mirrors) > self.max_mirrors:
             self.mirrors.popitem(last=False)
+
+    def store_announced(self, headers: Dict[str, str], body: bytes) -> None:
+        """Deposit *body* as the baseline its announce *headers* name.
+
+        *headers* (lowercase keys) are peer-controlled text: a message
+        that announces nothing, or garbage, deposits no mirror and
+        raises nothing — the peer simply never gets a frame accepted
+        against it.
+        """
+        try:
+            template_id = int(headers["x-repro-delta-template"])
+            epoch = int(headers["x-repro-delta-epoch"])
+        except (KeyError, ValueError):
+            return
+        if template_id >= 0 and epoch >= 0:
+            self.store(template_id, epoch, body)
 
     def apply(self, frame_bytes: bytes, limits: ResourceLimits) -> bytes:
         """Decode + validate + apply one frame; return the document.
@@ -111,13 +132,17 @@ class DeltaSession:
                 f"{len(mirror.data)}",
                 "doc-len-mismatch",
             )
-        apply_frame(frame, mirror.data)
+        if frame.splice_count or self._reconstructed_id != frame.template_id:
+            apply_frame(frame, mirror.data)
+            self.last_reconstructed = bytes(mirror.data)
+            self._reconstructed_id = frame.template_id
+        # else a header-only frame on the document handed out last
+        # time: the same bytes object again, nothing copied.
         mirror.seq = frame.seq
         self.mirrors.move_to_end(frame.template_id)
         self.frames_applied += 1
-        document = bytes(mirror.data)
+        document = self.last_reconstructed
         self.bytes_saved += max(0, len(document) - len(frame_bytes))
-        self.last_reconstructed = document
         return document
 
     def note(self, outcome: str) -> None:

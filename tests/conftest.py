@@ -59,6 +59,23 @@ def sink():
 
 
 @pytest.fixture
+def scanner_events(monkeypatch):
+    """A list that grows by one per ``XMLScanner`` event scanned
+    (count-based perf guards: ``del events[:]``, act, ``len(events)``)."""
+    from repro.xmlkit.scanner import XMLScanner
+
+    events = []
+    original = XMLScanner._next_event
+
+    def counting(self):
+        events.append(1)
+        return original(self)
+
+    monkeypatch.setattr(XMLScanner, "_next_event", counting)
+    return events
+
+
+@pytest.fixture
 def client(sink):
     return BSoapClient(sink)
 

@@ -32,6 +32,7 @@ import pytest
 from repro.buffers.iovec import IovecCursor
 from repro.bench.workloads import SERVICE_NS
 from repro.channel import RPCChannel
+from repro.core.policy import DiffPolicy
 from repro.errors import IncompleteHTTPError
 from repro.hardening.limits import ResourceLimits
 from repro.hardening.overload import AdmissionController, OverloadPolicy
@@ -466,6 +467,48 @@ class TestServerParityOracle:
             bodies[mode] = collected
         assert bodies["threaded"] == bodies["async"]
         assert all(body for body in bodies["async"])
+
+    @pytest.mark.parametrize("level", MATCH_LEVELS)
+    def test_byte_identical_reply_frames_across_levels(self, level):
+        """An offering client sees the same reply stream from both
+        drivers: the same announces on the same full bodies, then
+        byte-identical RDF1 frames (bar the template id, which is a
+        process-wide counter)."""
+        from repro.core.policy import DeltaPolicy
+        from tests.test_reply_delta import _open
+
+        base = level_policy(level)
+        policy = DiffPolicy(stuffing=base.stuffing, delta=DeltaPolicy(offer=True))
+        streams = {}
+        for mode in ("threaded", "async"):
+            with make_server(self._build(), mode) as server:
+                channel, recorder = _open(server.port, policy)
+                with channel:
+                    for message in message_sequence(level, 40, 8, seed=17):
+                        echo = SOAPMessage(ECHO_OPERATION, SERVICE_NS, message.params)
+                        channel.call(echo)
+                        assert channel.last_send_report.retries == 0
+            stream = []
+            for status, headers, body in recorder.responses:
+                framed = headers.get("x-repro-delta-frame") == "1"
+                if framed:
+                    body = body[:4] + body[12:]  # mask the template id
+                stream.append(
+                    (
+                        status,
+                        headers["content-type"],
+                        framed,
+                        headers.get("x-repro-delta-epoch"),
+                        body,
+                    )
+                )
+            streams[mode] = stream
+        assert streams["threaded"] == streams["async"]
+        framed = [entry[2] for entry in streams["async"]]
+        if level in ("content", "perfect-structural"):
+            assert framed == [False] + [True] * 7
+        else:
+            assert not any(framed)
 
     def test_byte_identical_multi_chunk_echo(self):
         bodies = {}

@@ -365,6 +365,15 @@ def test_metric_surface_matches_parent_and_docs():
     assert parsed['repro_http_messages_total{mode="delta-frame"}'] >= 2
     assert parsed['repro_delta_frames_total{outcome="resync-unknown-template"}'] == 1
 
+    # The reply direction adds samples, never series: the responder's
+    # encoder, the channel's mirror and its deserializer count under
+    # the same names with a ``reply-`` prefix on the label value.
+    encoded = parsed['repro_delta_frames_total{outcome="reply-encoded"}']
+    assert encoded >= 2
+    assert parsed['repro_delta_frames_total{outcome="reply-applied"}'] == encoded
+    assert parsed['repro_skipscan_events_total{event="reply-compiled"}'] >= 1
+    assert parsed['repro_skipscan_events_total{event="compiled"}'] >= 1
+
     doc = Path(__file__).resolve().parents[1] / "docs" / "observability.md"
     documented = set(
         re.findall(r"^\| `(repro_\w+)` \|", doc.read_text(), flags=re.MULTILINE)

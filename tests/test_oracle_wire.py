@@ -8,6 +8,12 @@ serialize-everything baseline emits for the same message.  The
 match level the client actually chose, agreeing with the
 :class:`SendReport`.
 
+The reply direction gets the same treatment over live servers
+(:func:`reply_lockstep`): an offering channel, whose replies arrive as
+RDF1 frames against its mirror, runs in lockstep with a plain one, and
+what it reconstructs must be byte-identical to the full-XML reply at
+each of the *responder's* four match levels, on both front ends.
+
 Each parametrized level runs enough randomized (schema, mutation
 sequence) rounds for the suite to total 200 oracle-checked calls
 (4 levels x 50), per the acceptance criterion.  Schemas are
@@ -294,3 +300,101 @@ def test_partial_sequences_actually_expand(rng_seed):
     for message in _sequence("partial-structural", rng, 6):
         expansions += client.send(message).rewrite.expansions
     assert expansions > 0
+
+
+# ----------------------------------------------------------------------
+# the reply direction, over live servers
+# ----------------------------------------------------------------------
+#: The responder's match level for a reply that echoes a request of
+#: *level*: its default policy is unstuffed, so a wider value outgrows
+#: its field (partial) and a new array length is a new structure.
+_RESPONDER_KIND = {
+    "content": MatchKind.CONTENT_MATCH,
+    "perfect-structural": MatchKind.PERFECT_STRUCTURAL,
+    "partial-structural": MatchKind.PARTIAL_STRUCTURAL,
+    "first-time": MatchKind.FIRST_TIME,
+}
+
+
+def reply_lockstep(level: str, front: str, rng: np.random.Generator):
+    """Drive ``CALLS_PER_LEVEL`` echo calls through an offering and a
+    plain channel in lockstep; yields ``(call index, sent values,
+    offering channel, its response, plain channel, its response)``
+    after checking the responder took *level*'s path for both."""
+    from repro.channel import RPCChannel
+    from repro.core.policy import DeltaPolicy
+    from repro.schema.registry import TypeRegistry
+    from repro.server.async_server import make_server
+    from repro.server.service import SOAPService
+
+    service = SOAPService("urn:oracle", TypeRegistry())
+
+    @service.operation("echo", result_type=ArrayType(DOUBLE))
+    def echo(data):
+        return data
+
+    def echo_of(message: SOAPMessage) -> SOAPMessage:
+        data = message.params[0]
+        return SOAPMessage("echo", "urn:oracle", [data])
+
+    seq_len = 6 if level == "partial-structural" else 5
+    base = _level_policy(level)
+    offer = DiffPolicy(stuffing=base.stuffing, delta=DeltaPolicy(offer=True))
+    checked = 0
+    with make_server(service, front) as server:
+        while checked < CALLS_PER_LEVEL:
+            with RPCChannel(
+                "127.0.0.1", server.port, policy=offer
+            ) as offering, RPCChannel(
+                "127.0.0.1", server.port, policy=base
+            ) as plain:
+                for i, message in enumerate(_sequence(level, rng, seq_len)):
+                    message = echo_of(message)
+                    before = service.response_stats.by_kind
+                    got = offering.call(message)
+                    want = plain.call(message)
+                    after = service.response_stats.by_kind
+                    kind = (
+                        MatchKind.FIRST_TIME if i == 0 else _RESPONDER_KIND[level]
+                    )
+                    assert after[kind] - before[kind] == 2, (
+                        f"call {i} at {level}: responder took "
+                        f"{ {k.value: after[k] - before[k] for k in after} }"
+                    )
+                    yield i, message.params[0].value, offering, got, plain, want
+                    checked += 1
+                    if checked >= CALLS_PER_LEVEL:
+                        break
+
+
+@pytest.mark.parametrize("front", ("threaded", "async"))
+@pytest.mark.parametrize("level", LEVELS)
+def test_oracle_reply_frame_reconstruction(level, front, rng_seed):
+    """What the offering channel reconstructs from reply frames is
+    byte-identical to the full-XML reply the plain channel receives,
+    and both decode to the echoed values."""
+    rng = np.random.default_rng(rng_seed + 41 + LEVELS.index(level))
+    framed = 0
+    for i, values, offering, got, plain, want in reply_lockstep(level, front, rng):
+        assert np.array_equal(got.result(), values), f"call {i} at {level}"
+        assert np.array_equal(want.result(), values), f"call {i} at {level}"
+        assert offering.last_response_body == plain.last_response_body, (
+            f"call {i} at {level}: reply reconstruction diverged from the "
+            "full-XML reply"
+        )
+        assert offering.last_send_report.retries == 0
+        applied = offering.replies.frames_applied
+        if i == 0:
+            seen = 0
+        # Steady-state content/perfect replies must be frames, every
+        # other reply full XML with a fresh announce.
+        expect_frame = i > 0 and level in ("content", "perfect-structural")
+        assert applied - seen == int(expect_frame), f"call {i} at {level}"
+        seen = applied
+        framed += int(expect_frame)
+        assert not any(
+            outcome.startswith("reply-resync")
+            for outcome in offering.replies.outcomes
+        )
+    if level in ("content", "perfect-structural"):
+        assert framed >= CALLS_PER_LEVEL * 3 // 4

@@ -25,6 +25,7 @@ from repro.core.serializer import build_template
 from repro.core.stats import RewriteStats
 from repro.lexical.cache import (
     DOUBLE_FIXED_WIDTH,
+    ConversionMemo,
     SMALL_INT_MAX,
     SMALL_INT_MIN,
     clear_memos,
@@ -203,7 +204,7 @@ class TestConversionMemo:
         assert len(memo) <= 2 * memo.capacity + 1
         assert memo.rotations > 0
         clear_memos()
-        memo.capacity = 1 << 16
+        memo.capacity = ConversionMemo().capacity
 
 
 class TestSmallIntTable:

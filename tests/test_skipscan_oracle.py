@@ -32,6 +32,7 @@ from tests.test_oracle_wire import (
     LEVELS,
     _level_policy,
     _sequence,
+    reply_lockstep,
 )
 from tests.test_skipscan_property import _assert_decoded_equal
 
@@ -85,6 +86,35 @@ def test_skipscan_lockstep_oracle(level, rng_seed):
         stats = deser.skipscan_stats
         assert skipscan_hits > 0
         assert stats.get("hit", 0) + stats.get("hit-vector", 0) > 0
+
+
+@pytest.mark.parametrize("front", ("threaded", "async"))
+@pytest.mark.parametrize("level", LEVELS)
+def test_skipscan_reply_lockstep_oracle(level, front, rng_seed):
+    """The client side of the same oracle: whatever the channel's
+    skip-scan deserializer decoded from a reply — full XML or a
+    reconstruction from a reply frame — equals a fresh full parse of
+    the same bytes, and steady-state replies ride the seek table."""
+    rng = np.random.default_rng(rng_seed + 53 * LEVELS.index(level))
+    hits = 0
+    for i, values, offering, got, plain, want in reply_lockstep(level, front, rng):
+        for channel, response in ((offering, got), (plain, want)):
+            reference = SOAPRequestParser(_registry()).parse(
+                channel.last_response_body
+            ).message
+            assert response.operation == reference.operation
+            assert list(response.values) == [p.name for p in reference.params]
+            for param in reference.params:
+                assert np.array_equal(response.values[param.name], param.value)
+            report = channel.last_deser_report
+            if report.kind is DeserKind.CONTENT_MATCH:
+                assert level == "content" and i > 0
+            if level == "perfect-structural" and i > 0:
+                assert report.kind is DeserKind.DIFFERENTIAL
+                assert report.skipscan
+                hits += 1
+    if level == "perfect-structural":
+        assert hits > 0
 
 
 def test_mid_session_skeleton_drift_drill(rng_seed):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import SchemaError, SOAPError, SOAPFaultError
+from repro.errors import SchemaError, SOAPError, SOAPFaultError, XMLSyntaxError
 from repro.schema.composite import ArrayType
 from repro.schema.mio import make_mio_array_type
 from repro.schema.types import DOUBLE, INT, STRING
@@ -181,6 +181,81 @@ class TestFault:
         layout = envelope_layout("urn:x", "op")
         doc = layout.prefix + b"<a>1</a>" + layout.suffix
         assert SOAPFault.from_xml(doc) is None
+
+    def test_payload_element_named_fault_is_not_a_fault(self):
+        """Only Body's first child can be the fault: a result field
+        called ``Fault`` is payload (it used to raise "missing
+        faultcode", which the channel retried as a transport error)."""
+        layout = envelope_layout("urn:x", "statusResponse")
+        doc = (
+            layout.prefix
+            + b"<return><Fault>none</Fault><code>7</code></return>"
+            + layout.suffix
+        )
+        assert SOAPFault.from_xml(doc) is None
+
+    @pytest.mark.parametrize(
+        "envelope",
+        [
+            # no prolog, a foreign prefix
+            b'<s:Envelope xmlns:s="http://schemas.xmlsoap.org/soap/envelope/">'
+            b"<s:Body><s:Fault>%s</s:Fault></s:Body></s:Envelope>",
+            # prolog, comments and whitespace before Body
+            b'<?xml version="1.0"?>\n<!-- hello -->\n'
+            b'<SOAP-ENV:Envelope xmlns:SOAP-ENV="u">\n  <!-- note -->\n'
+            b"  <SOAP-ENV:Body>\n   <!-- c -->\n   <SOAP-ENV:Fault>%s"
+            b"</SOAP-ENV:Fault>\n  </SOAP-ENV:Body>\n</SOAP-ENV:Envelope>\n",
+            # a Header sibling, itself holding a Body and a Fault element
+            b'<e:Envelope xmlns:e="u"><e:Header><t:Body xmlns:t="v">'
+            b"<t:Fault><faultcode>decoy</faultcode></t:Fault></t:Body>"
+            b"</e:Header><e:Body><e:Fault>%s</e:Fault></e:Body></e:Envelope>",
+            # unprefixed
+            b"<Envelope><Body><Fault>%s</Fault></Body></Envelope>",
+        ],
+    )
+    def test_fault_envelope_shapes(self, envelope):
+        fields = (
+            b"<faultcode>s:Server</faultcode>"
+            b"<faultstring>boom &amp; bust</faultstring>"
+            b"<detail><trace>line 1</trace></detail>"
+        )
+        assert SOAPFault.from_xml(envelope % fields) == SOAPFault(
+            "s:Server", "boom & bust", "line 1"
+        )
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            b"<e:Envelope xmlns:e='u'><e:Body/></e:Envelope>",
+            b"<e:Envelope xmlns:e='u'><e:Body></e:Body></e:Envelope>",
+            b"<e:Envelope xmlns:e='u'><e:Header/></e:Envelope>",
+            # a Fault that is not Body's first child is payload
+            b"<e:Envelope xmlns:e='u'><e:Body><r/><e:Fault/></e:Body></e:Envelope>",
+        ],
+    )
+    def test_no_body_child_is_not_a_fault(self, doc):
+        assert SOAPFault.from_xml(doc) is None
+
+    def test_fault_without_faultcode_is_an_error(self):
+        doc = b"<e:Envelope xmlns:e='u'><e:Body><e:Fault/></e:Body></e:Envelope>"
+        with pytest.raises(SOAPError, match="faultcode"):
+            SOAPFault.from_xml(doc)
+
+    def test_malformed_prefix_raises(self):
+        with pytest.raises(XMLSyntaxError):
+            SOAPFault.from_xml(b"<e:Envelope xmlns:e='u'><e:Body><oops")
+
+    def test_non_fault_check_never_scans_the_payload(self, scanner_events):
+        """Single-digit scanner events, whatever the payload size."""
+        events = scanner_events
+        layout = envelope_layout("urn:x", "echoResponse")
+        counts = []
+        for n in (4, 16384):
+            del events[:]
+            doc = layout.prefix + b"<item>1.5</item>" * n + layout.suffix
+            assert SOAPFault.from_xml(doc) is None
+            counts.append(len(events))
+        assert counts[0] == counts[1] < 10
 
     def test_raise(self):
         with pytest.raises(SOAPFaultError) as exc_info:
