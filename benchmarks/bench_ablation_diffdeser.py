@@ -6,7 +6,13 @@ one, only the changed spans need parsing.  This bench isolates what each
 engine is worth across dirty fractions on a 64Ki-double request:
 
 * ``full-parse`` — a fresh :class:`SOAPRequestParser` pass over every
-  wire (the authoritative baseline, also the fallback path);
+  wire (the fallback path every miss lands on; its leaf-run lane takes
+  the double array in bulk);
+* ``full-parse-generic`` — the same parser's private generic event
+  path, the authority the lane defers to, on the same wires with
+  lockstep-equal output asserted (nothing in ``src/`` selects this
+  path, so its service round trip runs with ``parse`` class-patched to
+  it for the duration of the timer);
 * ``differential`` — :class:`DifferentialDeserializer` with the legacy
   per-span scanner (``skipscan=False``);
 * ``skipscan`` — the same deserializer with a compiled
@@ -31,7 +37,8 @@ Before timing, two sanity gates run on small copies:
 Emits one ``repro-bench-result/1`` document.  The headline row
 (``skipscan`` at ``dirty_frac=0.01``) is what the CI ``perf-smoke`` job
 checks against ``BENCH_diffdeser.json`` (>= 5x parse speedup full run,
->= 3x in ``--smoke``).
+>= 3x in ``--smoke``); the same job requires ``full-parse`` to be
+>= 3x ``full-parse-generic`` in every cell (the lane's own gate).
 
 Usage::
 
@@ -54,6 +61,7 @@ from repro.bench.workloads import double_array_message, doubles_of_width
 from repro.core.client import BSoapClient
 from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
 from repro.errors import XMLError
+from repro.hardening.fuzz import parse_divergence
 from repro.lexical.floats import FloatFormat
 from repro.schema import INT, TypeRegistry
 from repro.server.diffdeser import DeserKind, DifferentialDeserializer
@@ -75,13 +83,15 @@ REQUIRED_COLUMNS = (
     "skipscan_hits",
 )
 
-VARIANTS = ("full-parse", "differential", "skipscan")
+VARIANTS = ("full-parse", "full-parse-generic", "differential", "skipscan")
 FRACTIONS = (0.0, 0.01, 0.25)
 
 #: Headline cell for the CI gate: sparse dirty set, seek table at its best.
 HEADLINE_FRAC = 0.01
 MIN_HEADLINE_SPEEDUP = 5.0
 MIN_SMOKE_SPEEDUP = 3.0
+#: The leaf-run lane against the generic event path, every cell.
+MIN_LANE_SPEEDUP = 3.0
 
 #: Fixed-format MAX stuffing keeps every span width constant, so each
 #: resend is a perfect structural match and the three engines differ
@@ -116,9 +126,14 @@ def _time_parse(variant: str, wires: List[bytes]) -> Tuple[float, str, int]:
     skip-scan hit count) over ``wires[1:]``; ``wires[0]`` warms the
     template untimed."""
     registry = TypeRegistry()
-    if variant == "full-parse":
+    if variant in ("full-parse", "full-parse-generic"):
         parser = SOAPRequestParser(registry)
         fn = lambda wire: parser.parse(wire).message  # noqa: E731
+        if variant == "full-parse-generic":
+            for i, wire in enumerate(wires[:3]):
+                divergence = parse_divergence(parser, wire)
+                assert divergence is None, f"lane != generic on wire {i}: {divergence}"
+            fn = lambda wire: parser._parse_generic(wire).message  # noqa: E731
         deser = None
     else:
         deser = DifferentialDeserializer(
@@ -144,7 +159,7 @@ def _time_handle(variant: str, wires: List[bytes]) -> float:
     service = SOAPService(
         "urn:diffdeser",
         registry=TypeRegistry(),
-        differential_deser=(variant != "full-parse"),
+        differential_deser=not variant.startswith("full-parse"),
         skipscan=(variant == "skipscan"),
     )
 
@@ -152,11 +167,17 @@ def _time_handle(variant: str, wires: List[bytes]) -> float:
     def handler(data):
         return len(data)
 
-    assert b"Fault" not in service.handle(wires[0], "bench")
-    t0 = time.perf_counter()
-    for wire in wires[1:]:
-        response = service.handle(wire, "bench")
-    elapsed = time.perf_counter() - t0
+    lane = SOAPRequestParser.parse
+    if variant == "full-parse-generic":
+        SOAPRequestParser.parse = SOAPRequestParser._parse_generic
+    try:
+        assert b"Fault" not in service.handle(wires[0], "bench")
+        t0 = time.perf_counter()
+        for wire in wires[1:]:
+            response = service.handle(wire, "bench")
+        elapsed = time.perf_counter() - t0
+    finally:
+        SOAPRequestParser.parse = lane
     assert b"Fault" not in response
     return elapsed
 
@@ -287,6 +308,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     rows: List[Dict[str, object]] = []
     headline = None
+    lane_speedups: List[float] = []
     for frac in FRACTIONS:
         base_ms = None
         for variant in VARIANTS:
@@ -298,15 +320,25 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             if variant == "skipscan" and frac == HEADLINE_FRAC:
                 headline = row
+            if variant == "full-parse-generic":
+                lane_speedups.append(row["mean_parse_ms"] / max(base_ms, 1e-9))
             rows.append(row)
             print(
-                f"frac={frac:<5} {variant:<12} "
+                f"frac={frac:<5} {variant:<18} "
                 f"parse {row['mean_parse_ms']:>9.3f} ms  "
-                f"x{row['parse_speedup_vs_full']:.1f} vs full  "
+                f"x{row['parse_speedup_vs_full']:.2f} vs full  "
                 f"(dispatch {row['mean_dispatch_ms']:.3f} ms, "
                 f"{row['kind']}, {row['skipscan_hits']} skip-scan hits)",
                 file=sys.stderr,
             )
+
+    if min(lane_speedups) < MIN_LANE_SPEEDUP:
+        print(
+            f"FAIL: leaf-run lane only {min(lane_speedups):.2f}x the generic "
+            f"full parse (gate {MIN_LANE_SPEEDUP}x)",
+            file=sys.stderr,
+        )
+        return 1
 
     if headline is None or headline["parse_speedup_vs_full"] < min_speedup:
         got = None if headline is None else headline["parse_speedup_vs_full"]
@@ -325,6 +357,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "seed": args.seed,
             "smoke": args.smoke,
             "headline": f"variant=skipscan dirty_frac={HEADLINE_FRAC}",
+            "lane_vs_generic_min": round(min(lane_speedups), 2),
         },
         results=rows,
         notes=(
@@ -332,7 +365,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             "through each engine; parse timer is the deserializer alone, "
             "handle timer is the full SOAPService round trip; lockstep "
             "equality and a skeleton-drift recovery drill asserted before "
-            "timing; dirty_frac=0.0 rows show the content-match ceiling"
+            "timing; dirty_frac=0.0 rows show the content-match ceiling; "
+            "full-parse is the parser with its leaf-run lane (FIXED-format "
+            "wires), full-parse-generic its private event path on the same "
+            "wires, lane == generic asserted (parse_divergence) before timing"
         ),
     )
     validate_result(doc, required_columns=REQUIRED_COLUMNS)

@@ -31,6 +31,14 @@ doc-len lies, out-of-bounds offsets, stale epochs, sequence gaps):
   with the right values (frame accepted, or one resync retry answered
   by a full reply) and never raise or return a wrong value.
 
+One more works below the service, on the parser alone:
+
+* :func:`fuzz_parse` decodes every mutated wire twice — through
+  ``SOAPRequestParser.parse`` (leaf-run lane on) and through the
+  generic event path the lane defers to — and requires the same
+  values, spans, regions and layouts, or the same exception type and
+  message (:func:`parse_divergence`).
+
 Everything is driven by one ``random.Random(seed)``: a failing case
 replays exactly from the printed seed.  Mutations are corpus-based
 (byte-level: bit flips, truncations, slice splices) plus
@@ -46,7 +54,7 @@ Run standalone (CI ``fuzz-smoke`` job)::
         --corpus tests/golden --seed 12345 \
         --service-iterations 2000 --http-iterations 200 \
         --delta-iterations 600 --delta-http-iterations 100 \
-        --delta-reply-iterations 600
+        --delta-reply-iterations 600 --parse-iterations 2000
 
 Outcome counts are exported through the service's
 :class:`~repro.obs.MetricsRegistry` as
@@ -87,6 +95,8 @@ __all__ = [
     "fuzz_delta",
     "fuzz_delta_http",
     "fuzz_delta_reply",
+    "fuzz_parse",
+    "parse_divergence",
     "ALLOWED_HTTP_STATUSES",
     "main",
 ]
@@ -1297,6 +1307,99 @@ def fuzz_delta_reply(
     return report
 
 
+def _parse_outcome(parse: Callable[[bytes], object], wire: bytes):
+    """``("ok", ParseResult)`` or ``("raised", type, message)``."""
+    try:
+        return ("ok", parse(wire))
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return ("raised", type(exc), str(exc))
+
+
+def _same_leaves(a: object, b: object) -> bool:
+    """Decoded values equal down to the bit pattern of every double
+    (``-0.0``, denormals and ``inf`` all distinguish)."""
+    import numpy as np
+
+    if isinstance(a, dict) and isinstance(b, dict):
+        return list(a) == list(b) and all(_same_leaves(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return (
+            a.dtype == b.dtype
+            and a.shape == b.shape
+            and a.tobytes() == b.tobytes()
+        )
+    if isinstance(a, float) and isinstance(b, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return type(a) is type(b) and a == b
+
+
+def parse_divergence(parser, wire: bytes) -> Optional[str]:
+    """How ``parser.parse`` and its generic event path disagree on
+    *wire* — ``None`` when they do not.
+
+    Agreement is the same :class:`~repro.server.parser.ParseResult`
+    (operation, parameter names/kinds/element types, values bit for
+    bit, ``spans``, ``regions``, layouts) or the same exception type
+    and message.  The oracle of the full parse's leaf-run lane.
+    """
+    import numpy as np
+
+    lane = _parse_outcome(parser.parse, wire)
+    generic = _parse_outcome(parser._parse_generic, wire)
+    if lane[0] != generic[0]:
+        return f"lane {lane[:2]} but generic {generic[:2]}"
+    if lane[0] == "raised":
+        return None if lane == generic else f"lane {lane[1:]} != generic {generic[1:]}"
+    a, b = lane[1], generic[1]
+    if a.message.operation != b.message.operation:
+        return "operation differs"
+    if len(a.message.params) != len(b.message.params):
+        return "parameter count differs"
+    for p, q in zip(a.message.params, b.message.params):
+        if (p.name, p.kind, p.element_type) != (q.name, q.kind, q.element_type):
+            return f"parameter {p.name!r}: name/kind/element type differs"
+        if not _same_leaves(p.value, q.value):
+            return f"parameter {p.name!r}: values differ"
+    for label in ("spans", "regions"):
+        x, y = getattr(a, label), getattr(b, label)
+        if x.dtype != y.dtype or x.shape != y.shape or not np.array_equal(x, y):
+            return f"{label} differ"
+    shapes = [
+        [
+            (l.leaf_base, l.leaf_count, l.arity, l.leaf_types, l.field_names)
+            for l in result.layouts
+        ]
+        for result in (a, b)
+    ]
+    if shapes[0] != shapes[1]:
+        return "layouts differ"
+    return None
+
+
+def fuzz_parse(
+    corpus: Optional[Sequence[bytes]] = None,
+    *,
+    iterations: int = 2000,
+    seed: int = 0,
+    limits: Optional[ResourceLimits] = None,
+) -> FuzzReport:
+    """Lane ≡ generic on mutated wires; see :func:`parse_divergence`."""
+    from repro.server.parser import SOAPRequestParser
+
+    service = build_fuzz_service(limits=limits)
+    parser = SOAPRequestParser(service.registry, service.limits)
+    wires = list(corpus) if corpus is not None else default_corpus()
+    fuzzer = WireFuzzer(wires, seed, limits=service.limits)
+    report = FuzzReport(seed=seed, mode="parse")
+    for case_no in range(iterations):
+        wire, mutator = fuzzer.next_case()
+        divergence = parse_divergence(parser, wire)
+        if divergence is not None:
+            report.violate(f"case {case_no} ({mutator}, {len(wire)}B): {divergence}")
+        report.record("diverged" if divergence else "agreed", mutator)
+    return report
+
+
 def _first_status(payload: bytes) -> Optional[int]:
     """Status code of the first HTTP response in *payload* (or None)."""
     line, _, _ = payload.partition(b"\r\n")
@@ -1328,6 +1431,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--delta-iterations", type=int, default=0)
     parser.add_argument("--delta-http-iterations", type=int, default=0)
     parser.add_argument("--delta-reply-iterations", type=int, default=0)
+    parser.add_argument("--parse-iterations", type=int, default=0)
     args = parser.parse_args(argv)
 
     corpus = load_corpus(args.corpus) if args.corpus else default_corpus()
@@ -1370,6 +1474,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 corpus=corpus,
                 iterations=args.delta_reply_iterations,
                 seed=args.seed,
+            )
+        )
+        print(reports[-1].summary())
+
+    if args.parse_iterations > 0:
+        reports.append(
+            fuzz_parse(
+                corpus=corpus, iterations=args.parse_iterations, seed=args.seed
             )
         )
         print(reports[-1].summary())

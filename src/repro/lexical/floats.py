@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -55,6 +55,10 @@ __all__ = [
     "FloatFormat",
     "format_double",
     "parse_double",
+    "parse_double_rows",
+    "whitespace_run_ends",
+    "gather_rows",
+    "WS_LUT",
     "format_double_array",
 ]
 
@@ -69,6 +73,16 @@ DOUBLE_MAX_WIDTH = 24
 DOUBLE_MIN_WIDTH = 1
 
 _ALLOWED = frozenset(b"+-.0123456789eE")
+_WHITESPACE = b" \t\r\n"
+
+#: Byte-class tables for the batch (NumPy) paths.  ``WS_LUT`` is the
+#: whitespace ``parse_double`` strips from both ends of a value — and
+#: the only bytes legal in a stuffing pad; ``_ALLOWED_LUT`` is its
+#: ``_ALLOWED`` charset.
+WS_LUT = np.zeros(256, dtype=bool)
+WS_LUT[list(_WHITESPACE)] = True
+_ALLOWED_LUT = np.zeros(256, dtype=bool)
+_ALLOWED_LUT[list(_ALLOWED)] = True
 
 
 class FloatFormat(enum.Enum):
@@ -109,7 +123,7 @@ def format_double(value: float, fmt: FloatFormat = FloatFormat.MINIMAL) -> bytes
 
 def parse_double(data: bytes) -> float:
     """Parse a double lexical form (XSD whiteSpace=collapse)."""
-    text = data.strip(b" \t\r\n")
+    text = data.strip(_WHITESPACE)
     if not text:
         raise LexicalError("empty double lexical form")
     if text == b"INF":
@@ -124,6 +138,89 @@ def parse_double(data: bytes) -> float:
         return float(text)
     except ValueError as exc:
         raise LexicalError(f"invalid double lexical form {data!r}") from exc
+
+
+def parse_double_rows(mat: np.ndarray, in_value: np.ndarray) -> Optional[np.ndarray]:
+    """Batch :func:`parse_double` over the rows of a byte matrix.
+
+    *mat* is an ``(m, W)`` ``uint8`` matrix holding one value per row,
+    *in_value* the same-shape mask of the bytes that belong to it (the
+    rest of a row is whatever the gather picked up and is ignored).
+    Returns the ``m`` values as ``float64``, or ``None`` when any row
+    is not ``whitespace* core whitespace*`` with a non-empty *core*
+    inside ``parse_double``'s charset (``INF``, ``NaN``, entities,
+    interior blanks, garbage) or when NumPy's string conversion
+    refuses a core.  ``None`` commits nothing: the caller hands those
+    values to :func:`parse_double`, which stays authoritative for both
+    the value and the error.  NumPy converts through the same
+    correctly rounded ``strtod`` as ``float()``, so accepted rows are
+    bit-identical to the scalar parser (pinned by the lane oracle).
+    """
+    m, width = mat.shape
+    if m == 0:
+        return np.empty(0, dtype=np.float64)
+    if width == 0:
+        return None
+    core = _ALLOWED_LUT.take(mat) & in_value
+    if bool(np.any(in_value & ~core & ~WS_LUT.take(mat))):
+        return None
+    first = core.argmax(axis=1)
+    last = width - 1 - core[:, ::-1].argmax(axis=1)
+    count = core.sum(axis=1)
+    if int(count.min()) < 1 or bool(np.any(last - first + 1 != count)):
+        return None
+    blanked = np.where(core, mat, 0x20).astype(np.uint8, copy=False)
+    try:
+        return (
+            np.ascontiguousarray(blanked)
+            .view(f"S{width}")
+            .ravel()
+            .astype(np.float64)
+        )
+    except ValueError:
+        return None
+
+
+def whitespace_run_ends(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """First non-whitespace offset at or after each of *starts*.
+
+    *buf* is a ``uint8`` document view; an offset whose whitespace run
+    reaches the end of the document maps to ``len(buf)``.  Vectorized
+    ``lstrip``: only a non-whitespace byte that follows a whitespace
+    byte can end a run, so the search runs over those few candidates
+    (one per whitespace run in the document) and never materializes a
+    per-byte index array.
+    """
+    n = int(buf.shape[0])
+    ws = WS_LUT.take(buf)
+    run_ends = np.flatnonzero(ws[:-1] & ~ws[1:]) + 1
+    run_ends = np.append(run_ends, n)
+    in_run = ws[np.minimum(starts, n - 1)] & (starts < n)
+    return np.where(in_run, run_ends[np.searchsorted(run_ends, starts)], starts)
+
+
+#: Rows gathered per step by :func:`gather_rows`: bounds the ``int64``
+#: index block to ``_GATHER_ROWS x width`` entries however long the
+#: document is.
+_GATHER_ROWS = 4096
+
+
+def gather_rows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """``(len(starts), width)`` matrix of ``buf[start : start + width]``.
+
+    A row that runs past the end of *buf* repeats its last byte (the
+    caller masks what it did not ask for).  Gathered a block of rows at
+    a time: a one-shot fancy index would build a ``rows x width``
+    ``int64`` index matrix — for an array document several times the
+    document itself.
+    """
+    out = np.empty((starts.shape[0], width), dtype=np.uint8)
+    cols = np.arange(width)
+    last = buf.shape[0] - 1
+    for lo in range(0, starts.shape[0], _GATHER_ROWS):
+        rows = starts[lo : lo + _GATHER_ROWS, None] + cols
+        out[lo : lo + _GATHER_ROWS] = buf[np.minimum(rows, last)]
+    return out
 
 
 def _format_minimal_one(v: float) -> bytes:

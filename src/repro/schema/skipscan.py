@@ -30,9 +30,11 @@ so the table trusts nothing it has not just checked:
   leaf's expected tag id exactly; trailing pad must be whitespace.
 * **Values go through the real lexical parsers.**  The per-leaf path
   uses the same :class:`~repro.schema.types.XSDType` parsers as a full
-  parse.  The vectorized double path first proves every value byte is
-  in ``parse_double``'s accepted charset; anything else (``INF``,
-  ``NaN``, tabs, garbage) drops to the per-leaf loop.
+  parse.  The vectorized double path is the tree's one batch converter
+  (:func:`repro.lexical.floats.parse_double_rows`, shared with the
+  full parse's leaf-run lane), which first proves every value is
+  inside ``parse_double``'s contract; anything else (``INF``, ``NaN``,
+  entities, garbage) drops to the per-leaf loop.
 * **Two-phase apply.**  All regions are validated and parsed before
   any value is committed, so a failure midway never leaves the cached
   decode half-updated (the poisoned-session hazard from PR 4).
@@ -53,6 +55,12 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
+from repro.lexical.floats import (
+    WS_LUT,
+    gather_rows,
+    parse_double_rows,
+    whitespace_run_ends,
+)
 from repro.xmlkit.trie import ByteTrie
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -63,23 +71,6 @@ __all__ = ["SkipScanFallback", "SeekTable"]
 _LT = 0x3C  # b"<"
 _GT = 0x3E  # b">"
 _AMP = 0x26  # b"&"
-_SPACE = 0x20
-
-#: Whitespace legal in the pad after a closing tag (mirrors the
-#: sender-side stuffing alphabet and ``_field_regions``).
-_WS_LUT = np.zeros(256, dtype=bool)
-for _b in b" \t\r\n":
-    _WS_LUT[_b] = True
-
-#: Bytes the vectorized double path accepts inside a value: exactly
-#: ``parse_double``'s ``_ALLOWED`` charset plus the space pad of the
-#: FIXED ``%24.16e`` form.  Tabs/CR/LF are deliberately excluded —
-#: ``parse_double`` strips them but NumPy's string→float conversion
-#: is not guaranteed to agree, so those rows take the per-leaf path.
-_DOUBLE_LUT = np.zeros(256, dtype=bool)
-for _b in b"+-.0123456789eE ":
-    _DOUBLE_LUT[_b] = True
-del _b
 
 
 class SkipScanFallback(Exception):
@@ -115,7 +106,6 @@ class SeekTable:
         trie: ByteTrie,
         tag_ids: np.ndarray,
         tag_lens: np.ndarray,
-        leaf_types: Tuple[object, ...],
     ) -> None:
         self.result = result
         self.starts = starts  # region starts == value starts (int64)
@@ -123,7 +113,6 @@ class SeekTable:
         self.trie = trie
         self.tag_ids = tag_ids  # expected close-tag id per leaf
         self.tag_lens = tag_lens  # close-tag key length per leaf
-        self.leaf_types = leaf_types  # XSDType per leaf (None = string)
         # Vectorized double lane (set up by compile when eligible).
         self._vec_len: Optional[int] = None
         self._vec_key: Optional[np.ndarray] = None
@@ -172,37 +161,66 @@ class SeekTable:
         ):
             raise SkipScanFallback("region-shape")
 
-        keys: dict = {}
+        keys = cls._single_close_tag(data, spans[:, 1], ends)
+        if keys is not None:
+            (key,) = keys
+            tag_ids = np.zeros(k, dtype=np.int64)
+            tag_lens = np.full(k, len(key), dtype=np.int64)
+        else:
+            keys = {}
+            tag_ids = np.empty(k, dtype=np.int64)
+            tag_lens = np.empty(k, dtype=np.int64)
+            for j in range(k):
+                vend = int(spans[j, 1])
+                if vend >= n or data[vend] != _LT:
+                    raise SkipScanFallback("no-close-tag", f"leaf {j}")
+                gt = data.find(b">", vend, int(ends[j]))
+                if gt < 0:
+                    raise SkipScanFallback("no-close-tag", f"leaf {j}")
+                key = data[vend:gt]
+                if not key.startswith(b"</"):
+                    raise SkipScanFallback("no-close-tag", f"leaf {j}: {key[:20]!r}")
+                tag_ids[j] = keys.setdefault(key, len(keys))
+                tag_lens[j] = len(key)
+                # Everything after the closing tag up to the region end
+                # must already be pad in the template itself.
+                tail = data[gt + 1 : int(ends[j])]
+                if tail.strip(b" \t\r\n"):
+                    raise SkipScanFallback("region-shape", f"leaf {j} tail")
         trie = ByteTrie()
-        tag_ids = np.empty(k, dtype=np.int64)
-        tag_lens = np.empty(k, dtype=np.int64)
-        for j in range(k):
-            vend = int(spans[j, 1])
-            if vend >= n or data[vend] != _LT:
-                raise SkipScanFallback("no-close-tag", f"leaf {j}")
-            gt = data.find(b">", vend, int(ends[j]))
-            if gt < 0:
-                raise SkipScanFallback("no-close-tag", f"leaf {j}")
-            key = data[vend:gt]
-            if not key.startswith(b"</"):
-                raise SkipScanFallback("no-close-tag", f"leaf {j}: {key[:20]!r}")
-            tid = keys.get(key)
-            if tid is None:
-                tid = len(keys)
-                keys[key] = tid
-                trie.insert(key, tid)
-            tag_ids[j] = tid
-            tag_lens[j] = len(key)
-            # Everything after the closing tag up to the region end must
-            # already be pad in the template itself.
-            tail = data[gt + 1 : int(ends[j])]
-            if tail.strip(b" \t\r\n"):
-                raise SkipScanFallback("region-shape", f"leaf {j} tail")
+        for key, tid in keys.items():
+            trie.insert(key, tid)
 
-        types = tuple(result.leaf_type(j) for j in range(k))
-        table = cls(result, starts, ends, trie, tag_ids, tag_lens, types)
+        table = cls(result, starts, ends, trie, tag_ids, tag_lens)
         table._setup_vector_lane(data, keys)
         return table
+
+    @staticmethod
+    def _single_close_tag(
+        data: bytes, vends: np.ndarray, ends: np.ndarray
+    ) -> Optional[dict]:
+        """``{key: 0}`` when one closing tag provably ends every leaf.
+
+        The homogeneous-array shape: leaf 0 names the tag, which is
+        then compared at every value end, and one whitespace scan
+        proves every tail is pad.  ``None`` for anything else — mixed
+        tags or a malformed leaf — which the per-leaf walk in
+        :meth:`compile` then classifies.
+        """
+        vend = int(vends[0])
+        gt = data.find(b">", vend, int(ends[0]))
+        if gt < 0 or not data.startswith(b"</", vend):
+            return None
+        tag = np.frombuffer(data[vend : gt + 1], dtype=np.uint8)
+        buf = np.frombuffer(data, dtype=np.uint8)
+        tails = vends + tag.size
+        if (
+            bool(np.any(tails > ends))
+            or not bool(np.all(gather_rows(buf, vends, tag.size) == tag))
+            or bool(np.any(whitespace_run_ends(buf, tails) < ends))
+        ):
+            return None
+        return {data[vend:gt]: 0}
 
     def _setup_vector_lane(self, data: bytes, keys: dict) -> None:
         """Enable the batched NumPy lane when the template allows it.
@@ -300,7 +318,7 @@ class SeekTable:
         key = self._vec_key
         assert length is not None and key is not None
         m = int(changed.size)
-        mat = incoming[self.starts[changed, None] + np.arange(length)]
+        mat = gather_rows(incoming, self.starts[changed], length)
         lt_mask = mat == _LT
         if not bool(lt_mask.any(axis=1).all()):
             raise SkipScanFallback("tag-drift", "closing tag missing")
@@ -315,21 +333,11 @@ class SeekTable:
             raise SkipScanFallback("tag-drift", "closing tag not terminated")
         cols = np.arange(length)
         in_pad = cols[None, :] > (ltpos + klen)[:, None]
-        if bool(np.any(in_pad & ~_WS_LUT[mat])):
+        if bool(np.any(in_pad & ~WS_LUT.take(mat))):
             raise SkipScanFallback("pad-drift")
-        in_value = cols[None, :] < ltpos[:, None]
-        if bool(np.any(in_value & ~_DOUBLE_LUT[mat])):
+        values = parse_double_rows(mat, cols[None, :] < ltpos[:, None])
+        if values is None:
             return None  # INF/NaN/odd bytes: per-leaf lexical parse
-        blanked = np.where(in_value, mat, _SPACE).astype(np.uint8)
-        try:
-            values = (
-                np.ascontiguousarray(blanked)
-                .view(f"S{length}")
-                .ravel()
-                .astype(np.float64)
-            )
-        except ValueError:
-            return None  # let parse_double produce the authoritative error
         # Commit (all validation above is done — two-phase contract).
         param_of = self._vec_param_of[changed]
         item_of = self._vec_item_of[changed]
@@ -359,7 +367,7 @@ class SeekTable:
             if pad.strip(b" \t\r\n"):
                 raise SkipScanFallback("pad-drift", f"leaf {j}")
             raw = data[s:lt]
-            xsd = self.leaf_types[j]
+            xsd = self.result.leaf_type(j)
             if xsd.np_dtype is None:  # string leaf
                 if _AMP in raw:
                     # Entity references need the real scanner; the full

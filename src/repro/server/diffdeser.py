@@ -232,7 +232,6 @@ class DifferentialDeserializer:
         # message is the template now.
         self._last_raw = incoming
         self.stats[DeserKind.DIFFERENTIAL] += 1
-        self.stats_last_changed = int(changed.size)
         return result.message, DeserReport(
             DeserKind.DIFFERENTIAL,
             int(changed.size),

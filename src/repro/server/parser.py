@@ -5,6 +5,15 @@ stream, then decodes the RPC body into typed values: NumPy arrays for
 numeric array parameters, column dicts for struct arrays, Python
 scalars otherwise.
 
+A parameter whose start tag declares ``arrayType="xsd:double[N]"`` is
+consumed by the **leaf-run lane** (:func:`_scan_double_run`) instead of
+``4N`` scanner events: NumPy finds the ``2N`` item tags, proves every
+tag and pad byte, and batch-converts the values; the scanner resumes
+at the array's end tag.  The lane never raises — on any doubt it
+declines and the events parse the same element from the same position,
+so the generic path remains the only source of errors (see
+``docs/skipscan.md``, "The full parse's leaf-run lane").
+
 Crucially for differential deserialization, it also records the **raw
 byte span of every leaf value** (including any whitespace stuffing
 inside the span's tail) in document order, plus enough layout to
@@ -14,21 +23,28 @@ table.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ResourceLimitError, SOAPError
+from repro.errors import ReproError, ResourceLimitError, SOAPError
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
+from repro.lexical.floats import (
+    WS_LUT,
+    gather_rows,
+    parse_double_rows,
+    whitespace_run_ends,
+)
 from repro.schema.composite import StructType
 from repro.schema.registry import TypeRegistry
-from repro.schema.types import XSDType, primitive_by_name
+from repro.schema.types import DOUBLE, XSDType, primitive_by_name
 from repro.soap.encoding import parse_array_type_attr
 from repro.xmlkit.scanner import (
     Characters,
     EndElement,
-    Event,
     StartElement,
     XMLScanner,
 )
@@ -55,6 +71,96 @@ def _leaf_from_text(xsd_type: XSDType, text: str):
     return xsd_type.parse(raw)
 
 
+_LT = 0x3C  # b"<"
+_GT = 0x3E  # b">"
+
+#: Widest item value the leaf-run lane gathers.  No double lexical form
+#: the tree writes exceeds 25 bytes; a longer value is left to the
+#: events, so one long value cannot inflate the ``N x width`` matrix.
+_RUN_MAX_VALUE_BYTES = 32
+
+#: Item tag names the lane recognizes.  Far narrower than what the
+#: scanner accepts as a name — anything else takes the events.
+_RUN_ITEM_NAME = re.compile(rb"[A-Za-z_][A-Za-z0-9_.:-]*")
+
+
+@dataclass(slots=True)
+class _LeafRun:
+    """A whole array body decoded in bulk by :func:`_scan_double_run`."""
+
+    values: np.ndarray  # (N,) float64
+    spans: np.ndarray  # (N, 2) int64 value spans, document offsets
+    end: int  # offset of the array's own end tag
+
+
+def _scan_double_run(
+    data: bytes, pos: int, parent: bytes, count: int, max_token: int
+) -> Optional[_LeafRun]:
+    """Decode ``count`` double items starting at ``data[pos]`` in bulk.
+
+    Accepts exactly ``count`` repetitions of ``<name>value</name>pad``
+    (one attribute-free item name, whitespace-only pads) running up to
+    the first ``</parent``, every byte of every tag and pad compared,
+    every value inside :func:`parse_double_rows`' contract.  Returns
+    ``None`` — having raised nothing and touched nothing — for
+    anything else; the caller then reads the same bytes as events.
+    """
+    end = data.find(b"</" + parent, pos)
+    if end < 0:
+        return None
+    if count == 0:
+        if end != pos:
+            return None
+        return _LeafRun(
+            np.empty(0, dtype=np.float64), np.empty((0, 2), dtype=np.int64), end
+        )
+    # The first item names the tag (bounded like any scanner token).
+    gt = data.find(b">", pos, min(end, pos + max_token + 2))
+    if gt < 0 or data[pos] != _LT:
+        return None
+    name = data[pos + 1 : gt]
+    if _RUN_ITEM_NAME.fullmatch(name) is None:
+        return None
+    open_tag = np.frombuffer(b"<" + name + b">", dtype=np.uint8)
+    close_tag = np.frombuffer(b"</" + name + b">", dtype=np.uint8)
+
+    # Tile the body: the 2N '<' bytes alternate item open / item close.
+    body = np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos)
+    lt = np.flatnonzero(body == _LT)
+    if lt.size != 2 * count:
+        return None
+    opens, closes = lt[0::2], lt[1::2]
+    vstart = opens + open_tag.size
+    vlen = closes - vstart
+    pad = np.append(opens[1:], body.size) - closes - close_tag.size
+    width = int(vlen.max())
+    if (
+        opens[0] != 0
+        or int(vlen.min()) < 1
+        or int(pad.min()) < 0
+        or width > _RUN_MAX_VALUE_BYTES
+        or not bool(np.all(gather_rows(body, opens, open_tag.size) == open_tag))
+        or not bool(np.all(gather_rows(body, closes, close_tag.size) == close_tag))
+    ):
+        return None
+
+    # Values: one (N, W) uint8 matrix; a short row over-reads into what
+    # follows it and ``in_value`` masks that out.
+    mat = gather_rows(body, vstart, width)
+    in_value = np.arange(width) < vlen[:, None]
+    # Pads: the tags hold no whitespace, so whitespace outside the
+    # values is whitespace in the pads — all of them, or it is text.
+    outside = int(np.count_nonzero(WS_LUT.take(body))) - int(
+        np.count_nonzero(WS_LUT.take(mat) & in_value)
+    )
+    if outside != int(pad.sum()):
+        return None
+    values = parse_double_rows(mat, in_value)
+    if values is None:
+        return None
+    return _LeafRun(values, np.stack([vstart, closes], axis=1) + pos, end)
+
+
 @dataclass(slots=True)
 class _Node:
     """One parsed element: name, attrs, children, text + raw text span."""
@@ -64,6 +170,7 @@ class _Node:
     children: List["_Node"]
     text: str
     span: Optional[Tuple[int, int]]  # raw byte span of the text content
+    run: Optional[_LeafRun] = None  # the children, when the lane took them
 
     @property
     def local(self) -> str:
@@ -128,7 +235,7 @@ class ParseResult:
         #: region — what differential deserialization diffs against.
         self.regions = regions if regions is not None else spans
         self._layouts = layouts
-        self._bases = np.asarray([l.leaf_base for l in layouts], dtype=np.int64)
+        self._bases = [l.leaf_base for l in layouts]
 
     @property
     def leaf_count(self) -> int:
@@ -150,8 +257,7 @@ class ParseResult:
         return layout.leaf_types[(j - layout.leaf_base) % layout.arity]
 
     def _layout_for(self, j: int) -> _ParamLayout:
-        pos = int(np.searchsorted(self._bases, j, side="right")) - 1
-        return self._layouts[pos]
+        return self._layouts[bisect_right(self._bases, j) - 1]
 
     def set_leaf(self, j: int, raw: bytes) -> None:
         """Re-parse one leaf from raw bytes and store it in place."""
@@ -180,16 +286,22 @@ class ParseResult:
             param.value = value
 
 
+#: One parameter's leaf value spans: ``(start, end)`` pairs from the
+#: tree, or the ``(N, 2)`` array a leaf run already holds.
+_Spans = Union[List[Tuple[int, int]], np.ndarray]
+
+
 class _Frame:
     """Mutable per-element state during the iterative tree build."""
 
-    __slots__ = ("start", "children", "text_parts", "span")
+    __slots__ = ("start", "children", "text_parts", "span", "run")
 
     def __init__(self, start: StartElement) -> None:
         self.start = start
         self.children: List[_Node] = []
         self.text_parts: List[str] = []
         self.span: Optional[Tuple[int, int]] = None
+        self.run: Optional[_LeafRun] = None
 
 
 class SOAPRequestParser:
@@ -214,14 +326,15 @@ class SOAPRequestParser:
     # ------------------------------------------------------------------
     # tree building
     # ------------------------------------------------------------------
-    def _build_tree(self, data: bytes) -> _Node:
+    def _build_tree(self, data: bytes, *, runs: bool) -> _Node:
         """Build the element tree with an explicit stack.
 
         Iterative on purpose: nesting depth is attacker-controlled, so
         the build must never recurse (a 10k-deep document would
         otherwise die with ``RecursionError`` instead of faulting).
-        The scanner enforces ``limits`` incrementally while the event
-        list materializes.
+        The scanner enforces ``limits`` incrementally as events are
+        pulled.  With *runs*, an element at parameter depth may hand
+        its children to the leaf-run lane (:meth:`_leaf_run`).
         """
         if len(data) > self.limits.max_body_bytes:
             raise ResourceLimitError(
@@ -229,22 +342,22 @@ class SOAPRequestParser:
                 f"max_body_bytes={self.limits.max_body_bytes}",
                 "max_body_bytes",
             )
-        events: List[Event] = list(
-            XMLScanner(data, keep_whitespace=True, limits=self.limits)
-        )
-        i = 0
-        while i < len(events) and not isinstance(events[i], StartElement):
-            i += 1
-        if i == len(events):
-            raise SOAPError("no root element")
-
-        stack: List[_Frame] = [_Frame(events[i])]
-        i += 1
-        n = len(events)
-        while i < n:
-            ev = events[i]
-            frame = stack[-1]
-            if isinstance(ev, EndElement):
+        scanner = XMLScanner(data, keep_whitespace=True, limits=self.limits)
+        stack: List[_Frame] = []
+        root: Optional[_Node] = None
+        for ev in scanner:
+            kind = type(ev)
+            if kind is StartElement:
+                frame = _Frame(ev)
+                # Envelope > Body > operation > parameter: the only
+                # depth whose elements ``_decode_param`` ever reads.
+                if runs and len(stack) == 3 and not ev.self_closing:
+                    frame.run = self._leaf_run(data, scanner, ev)
+                stack.append(frame)
+            elif not stack:
+                continue  # prolog / epilog comments and PIs
+            elif kind is EndElement:
+                frame = stack.pop()
                 span = frame.span
                 if span is None and not frame.children:
                     # Empty leaf: zero-length span at the close tag.
@@ -256,30 +369,77 @@ class SOAPRequestParser:
                     frame.children,
                     "".join(frame.text_parts),
                     span,
+                    frame.run,
                 )
-                stack.pop()
-                if not stack:
-                    return node
-                stack[-1].children.append(node)
-            elif isinstance(ev, Characters):
+                if stack:
+                    stack[-1].children.append(node)
+                else:
+                    # Keep pulling: trailing garbage must still raise.
+                    root = node
+            elif kind is Characters:
+                frame = stack[-1]
                 frame.text_parts.append(ev.text)
-                nxt = events[i + 1] if i + 1 < n else ev
-                end_off = getattr(nxt, "offset", ev.offset + len(ev.text))
+                # The run ends where the next event starts.
                 frame.span = (
                     frame.span[0] if frame.span else ev.offset,
-                    end_off,
+                    scanner.position,
                 )
-            elif isinstance(ev, StartElement):
-                stack.append(_Frame(ev))
-            i += 1
-        raise SOAPError("unterminated element tree")
+        if root is None:
+            raise SOAPError("no root element")
+        return root
+
+    def _array_decl(
+        self, attrs: Dict[str, str]
+    ) -> Optional[Tuple[Union[XSDType, StructType], Optional[int]]]:
+        """``(element type, declared length)`` of an ``arrayType`` attribute."""
+        for key, value in attrs.items():
+            if key.rsplit(":", 1)[-1] == "arrayType":
+                type_name, declared = parse_array_type_attr(value)
+                return self._resolve_type(type_name), declared
+        return None
+
+    def _leaf_run(
+        self, data: bytes, scanner: XMLScanner, start: StartElement
+    ) -> Optional[_LeafRun]:
+        """Take the children of *start* in bulk, or decline.
+
+        Declines (``None``, scanner untouched) unless *start* declares
+        a double array with a length, :func:`_scan_double_run` proves
+        its body, and the scanner's limits have room for the items.
+        """
+        try:
+            decl = self._array_decl(start.attrs)
+        except ReproError:
+            return None  # ``_decode_param`` raises it, in its own turn
+        if decl is None or decl[0] is not DOUBLE or decl[1] is None:
+            return None
+        run = _scan_double_run(
+            data,
+            scanner.position,
+            start.name.encode("utf-8"),
+            decl[1],
+            self.limits.max_token_bytes,
+        )
+        if run is None or not scanner.skip_leaf_children(run.end, decl[1]):
+            return None
+        return run
 
     # ------------------------------------------------------------------
     # typed decoding
     # ------------------------------------------------------------------
     def parse(self, data: bytes) -> ParseResult:
         """Full parse: decode the message and record all leaf spans."""
-        root = self._build_tree(data)
+        return self._decode(data, self._build_tree(data, runs=True))
+
+    def _parse_generic(self, data: bytes) -> ParseResult:
+        """:meth:`parse` with every element read as scanner events.
+
+        The authority the leaf-run lane defers to, and the oracle its
+        tests compare against; nothing in ``src/`` selects it.
+        """
+        return self._decode(data, self._build_tree(data, runs=False))
+
+    def _decode(self, data: bytes, root: _Node) -> ParseResult:
         if root.local != "Envelope":
             raise SOAPError(f"root element is {root.name!r}, expected Envelope")
         body = self._child_by_local(root, "Body")
@@ -288,17 +448,17 @@ class SOAPRequestParser:
         op_node = body.children[0]
         message = DecodedMessage(operation=op_node.local)
 
-        spans: List[Tuple[int, int]] = []
+        leaf_count = 0
+        spans: List[np.ndarray] = []
         layouts: List[_ParamLayout] = []
         for pnode in op_node.children:
-            param, layout_entries = self._decode_param(pnode, len(spans))
+            param, (layout, param_spans) = self._decode_param(pnode, leaf_count)
             message.params.append(param)
-            layouts.append(layout_entries[0])
-            spans.extend(layout_entries[1])
+            layouts.append(layout)
+            spans.append(np.asarray(param_spans, dtype=np.int64).reshape(-1, 2))
+            leaf_count += layout.leaf_count
         span_arr = (
-            np.asarray(spans, dtype=np.int64)
-            if spans
-            else np.empty((0, 2), dtype=np.int64)
+            np.concatenate(spans) if spans else np.empty((0, 2), dtype=np.int64)
         )
         regions = self._field_regions(data, span_arr)
         return ParseResult(message, span_arr, layouts, regions)
@@ -314,18 +474,17 @@ class SOAPRequestParser:
         if spans.shape[0] == 0:
             return spans
         regions = spans.copy()
-        n = len(data)
-        ws = b" \t\r\n"
-        for j in range(spans.shape[0]):
-            end = int(spans[j, 1])
-            # Skip the closing tag that immediately follows the value.
-            gt = data.find(b">", end)
-            if gt < 0:  # pragma: no cover - malformed, keep text span
-                continue
-            pos = gt + 1
-            while pos < n and data[pos] in ws:
-                pos += 1
-            regions[j, 1] = pos
+        buf = np.frombuffer(data, dtype=np.uint8)
+        # The closing tag ends at the first '>' at or after the value.
+        gts = np.flatnonzero(buf == _GT)
+        k = np.searchsorted(gts, spans[:, 1])
+        closed = k < gts.size  # else malformed: keep the text span
+        if not bool(closed.any()):
+            return regions
+        after = gts[np.minimum(k, gts.size - 1)] + 1
+        regions[:, 1] = np.where(
+            closed, whitespace_run_ends(buf, after), spans[:, 1]
+        )
         return regions
 
     @staticmethod
@@ -346,17 +505,11 @@ class SOAPRequestParser:
 
     def _decode_param(
         self, node: _Node, leaf_base: int
-    ) -> Tuple[DecodedParam, Tuple[_ParamLayout, List[Tuple[int, int]]]]:
+    ) -> Tuple[DecodedParam, Tuple[_ParamLayout, _Spans]]:
         attrs = node.attrs
-        array_decl = None
-        for key, value in attrs.items():
-            if key.rsplit(":", 1)[-1] == "arrayType":
-                array_decl = value
-                break
-
+        array_decl = self._array_decl(attrs)
         if array_decl is not None:
-            type_name, declared = parse_array_type_attr(array_decl)
-            element = self._resolve_type(type_name)
+            element, declared = array_decl
             if isinstance(element, StructType):
                 return self._decode_struct_array(node, element, declared, leaf_base)
             return self._decode_primitive_array(node, element, declared, leaf_base)
@@ -381,7 +534,14 @@ class SOAPRequestParser:
 
     def _decode_primitive_array(
         self, node: _Node, element: XSDType, declared: Optional[int], leaf_base: int
-    ) -> Tuple[DecodedParam, Tuple[_ParamLayout, List[Tuple[int, int]]]]:
+    ) -> Tuple[DecodedParam, Tuple[_ParamLayout, _Spans]]:
+        run = node.run
+        if run is not None:  # the lane proved count, type and values
+            param = DecodedParam(node.local, "array", run.values, element)
+            layout = _ParamLayout(
+                param, leaf_base, len(run.values), 1, (element,), ()
+            )
+            return param, (layout, run.spans)
         items = node.children
         if declared is not None and declared != len(items):
             raise SOAPError(

@@ -235,8 +235,6 @@ class XMLScanner:
     def _next_event(self) -> Optional[Event]:
         if self._pending_end is not None:
             event, self._pending_end = self._pending_end, None
-            if not self._stack:
-                pass
             return event
 
         data = self._data
@@ -358,6 +356,35 @@ class XMLScanner:
     def depth(self) -> int:
         """Current element nesting depth."""
         return len(self._stack)
+
+    @property
+    def position(self) -> int:
+        """Offset of the next unread byte."""
+        return self._pos
+
+    def skip_leaf_children(self, end: int, count: int) -> bool:
+        """Resume at *end*, charging *count* child elements as scanned.
+
+        For a caller that has proven byte for byte that
+        ``data[position:end]`` is exactly *count* complete childless
+        children of the open element (plus whitespace) and that *end*
+        is where that element's end tag starts.  The scanner keeps its
+        stack — the end tag is still matched by the next event — and
+        the children count toward ``max_xml_elements`` and sit one
+        level down for ``max_xml_depth`` exactly as if each had been
+        scanned.  When either limit would be crossed nothing changes
+        and ``False`` is returned: the caller reads the events instead,
+        and they raise at the exact element.
+        """
+        limits = self._limits
+        if limits is not None:
+            if self._elements + count > limits.max_xml_elements:
+                return False
+            if count and len(self._stack) >= limits.max_xml_depth:
+                return False
+            self._elements += count
+        self._pos = end
+        return True
 
 
 def parse_document(data: bytes, *, keep_whitespace: bool = False) -> List[Event]:
