@@ -1,9 +1,9 @@
-"""Ablation — server-side deserialization: full parse vs differential vs skip-scan.
+"""Ablation — server-side deserialization: full parse vs skip-scan.
 
 The server mirrors the client's trick (DESIGN.md §4b, docs/skipscan.md):
 when a request is a byte-diff away from the previous
-one, only the changed spans need parsing.  This bench isolates what each
-engine is worth across dirty fractions on a 64Ki-double request:
+one, only the changed spans need parsing.  This bench isolates what the
+seek table is worth across dirty fractions on a 64Ki-double request:
 
 * ``full-parse`` — a fresh :class:`SOAPRequestParser` pass over every
   wire (the fallback path every miss lands on; its leaf-run lane takes
@@ -13,23 +13,24 @@ engine is worth across dirty fractions on a 64Ki-double request:
   lockstep-equal output asserted (nothing in ``src/`` selects this
   path, so its service round trip runs with ``parse`` class-patched to
   it for the duration of the timer);
-* ``differential`` — :class:`DifferentialDeserializer` with the legacy
-  per-span scanner (``skipscan=False``);
-* ``skipscan`` — the same deserializer with a compiled
-  :class:`~repro.schema.skipscan.SeekTable` (``skipscan=True``): seek
+* ``skipscan`` — :class:`DifferentialDeserializer`, whose structural
+  lane is a compiled :class:`~repro.schema.skipscan.SeekTable`: seek
   straight to the dirty spans, trie-check the close tags, never
   re-tokenize the skeleton.
 
-The timers are split: ``mean_parse_ms`` times the deserializer alone on
+The timers are split: ``mean_parse_ms`` times the decoder alone on
 pre-captured wires, while ``mean_handle_ms`` times the full
 ``SOAPService.handle`` round trip (parse + dispatch + response) over the
 same traffic — ``mean_dispatch_ms`` is their difference, so the
-skip-scan ablation measures parse, not handler noise.
+skip-scan ablation measures parse, not handler noise.  A service has no
+full-parse mode, so the ``full-parse*`` handle series drops the session
+template before each call: every request is a miss, which also pays the
+seek-table compile a real miss pays.
 
 Before timing, two sanity gates run on small copies:
 
-* lockstep equality — skip-scan, legacy differential, and a fresh full
-  parse decode every wire identically (and agree on the match kind);
+* lockstep equality — skip-scan and a fresh full parse decode every
+  wire identically, at the match kind the traffic was built for;
 * drift drill — a flipped skeleton byte mid-session raises the same
   error class as a full parse and the fast lane re-arms on the next
   clean wire (no session poisoning).
@@ -83,7 +84,7 @@ REQUIRED_COLUMNS = (
     "skipscan_hits",
 )
 
-VARIANTS = ("full-parse", "full-parse-generic", "differential", "skipscan")
+VARIANTS = ("full-parse", "full-parse-generic", "skipscan")
 FRACTIONS = (0.0, 0.01, 0.25)
 
 #: Headline cell for the CI gate: sparse dirty set, seek table at its best.
@@ -94,8 +95,8 @@ MIN_SMOKE_SPEEDUP = 3.0
 MIN_LANE_SPEEDUP = 3.0
 
 #: Fixed-format MAX stuffing keeps every span width constant, so each
-#: resend is a perfect structural match and the three engines differ
-#: only in how much of the wire they re-parse.
+#: resend is a perfect structural match and the engines differ only in
+#: how much of the wire they re-parse.
 POLICY = DiffPolicy(
     float_format=FloatFormat.FIXED, stuffing=StuffingPolicy(StuffMode.MAX)
 )
@@ -136,9 +137,7 @@ def _time_parse(variant: str, wires: List[bytes]) -> Tuple[float, str, int]:
             fn = lambda wire: parser._parse_generic(wire).message  # noqa: E731
         deser = None
     else:
-        deser = DifferentialDeserializer(
-            registry, skipscan=(variant == "skipscan")
-        )
+        deser = DifferentialDeserializer(registry)
         fn = lambda wire: deser.deserialize(wire)  # noqa: E731
     fn(wires[0])
     t0 = time.perf_counter()
@@ -155,13 +154,9 @@ def _time_parse(variant: str, wires: List[bytes]) -> Tuple[float, str, int]:
 
 def _time_handle(variant: str, wires: List[bytes]) -> float:
     """Time the full ``SOAPService.handle`` round trip on the same
-    traffic (parse + dispatch + response serialization)."""
-    service = SOAPService(
-        "urn:diffdeser",
-        registry=TypeRegistry(),
-        differential_deser=not variant.startswith("full-parse"),
-        skipscan=(variant == "skipscan"),
-    )
+    traffic (parse + dispatch + response serialization).  The
+    ``full-parse*`` variants forget the template before each call."""
+    service = SOAPService("urn:diffdeser", registry=TypeRegistry())
 
     @service.operation("sendDoubles", result_type=INT, result_name="n")
     def handler(data):
@@ -172,8 +167,12 @@ def _time_handle(variant: str, wires: List[bytes]) -> float:
         SOAPRequestParser.parse = SOAPRequestParser._parse_generic
     try:
         assert b"Fault" not in service.handle(wires[0], "bench")
+        (session,) = service.sessions.sessions()
+        forget = variant.startswith("full-parse")
         t0 = time.perf_counter()
         for wire in wires[1:]:
+            if forget:
+                session.deserializer.reset()
             response = service.handle(wire, "bench")
         elapsed = time.perf_counter() - t0
     finally:
@@ -220,34 +219,25 @@ def _decoded_equal(a, b) -> bool:
 
 
 def _assert_lockstep(n: int, frac: float, seed: int) -> None:
-    """Skip-scan == legacy differential == fresh full parse, wire for
-    wire, including the match kind — on the bench's own traffic."""
+    """Skip-scan == fresh full parse, wire for wire, at the match kind
+    the traffic was built for — on the bench's own traffic."""
     wires = _wires(n, frac, 6, seed)
     registry = TypeRegistry()
-    skip = DifferentialDeserializer(registry, skipscan=True)
-    legacy = DifferentialDeserializer(registry, skipscan=False)
+    skip = DifferentialDeserializer(registry)
+    steady = DeserKind.DIFFERENTIAL if frac > 0 else DeserKind.CONTENT_MATCH
     for i, wire in enumerate(wires):
         decoded, report = skip.deserialize(wire)
-        legacy_decoded, legacy_report = legacy.deserialize(wire)
         reference = SOAPRequestParser(registry).parse(wire).message
-        if not (
-            _decoded_equal(decoded, reference)
-            and _decoded_equal(legacy_decoded, reference)
-        ):
+        if not _decoded_equal(decoded, reference):
             raise AssertionError(
-                f"engines diverged at dirty_frac={frac}, wire {i}"
+                f"skip-scan != full parse at dirty_frac={frac}, wire {i}"
             )
-        if report.kind is not legacy_report.kind:
+        expected = steady if i else DeserKind.FULL
+        if report.kind is not expected:
             raise AssertionError(
-                f"match kinds diverged at dirty_frac={frac}, wire {i}: "
-                f"{report.kind} != {legacy_report.kind}"
+                f"match kind at dirty_frac={frac}, wire {i}: "
+                f"{report.kind} != {expected}"
             )
-    stats = skip.skipscan_stats
-    if frac > 0 and stats.get("hit", 0) + stats.get("hit-vector", 0) == 0:
-        raise AssertionError(
-            f"lockstep check at dirty_frac={frac} never skip-scanned - "
-            "the bench would not be measuring the fast lane"
-        )
 
 
 def _assert_drift_recovers(n: int, seed: int) -> None:
@@ -255,7 +245,7 @@ def _assert_drift_recovers(n: int, seed: int) -> None:
     parse, and the fast lane re-arms on the next clean wire."""
     wires = _wires(n, 0.01, 4, seed)
     registry = TypeRegistry()
-    deser = DifferentialDeserializer(registry, skipscan=True)
+    deser = DifferentialDeserializer(registry)
     deser.deserialize(wires[0])
     deser.deserialize(wires[1])
     pos = wires[2].index(b"<item>")
@@ -270,7 +260,7 @@ def _assert_drift_recovers(n: int, seed: int) -> None:
         except XMLError:
             pass
     _, report = deser.deserialize(wires[3])
-    assert report.kind is DeserKind.DIFFERENTIAL and report.skipscan, (
+    assert report.kind is DeserKind.DIFFERENTIAL, (
         "fast lane did not re-arm after skeleton drift"
     )
     assert deser.skipscan_stats.get("skeleton-drift") == 1
@@ -301,7 +291,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _assert_lockstep(256, frac, args.seed)
     _assert_drift_recovers(256, args.seed)
     print(
-        "lockstep: skip-scan == differential == full parse (all fractions); "
+        "lockstep: skip-scan == full parse (all fractions); "
         "skeleton-drift drill passed",
         file=sys.stderr,
     )
@@ -362,8 +352,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         results=rows,
         notes=(
             "pre-captured perfect-structural resend traffic replayed "
-            "through each engine; parse timer is the deserializer alone, "
-            "handle timer is the full SOAPService round trip; lockstep "
+            "through each engine; parse timer is the decoder alone "
+            "(SOAPRequestParser.parse for full-parse*), handle timer is the "
+            "full SOAPService round trip, with the session template reset "
+            "before each call for full-parse* (every request a miss, "
+            "seek-table compile included); lockstep "
             "equality and a skeleton-drift recovery drill asserted before "
             "timing; dirty_frac=0.0 rows show the content-match ceiling; "
             "full-parse is the parser with its leaf-run lane (FIXED-format "

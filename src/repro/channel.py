@@ -159,9 +159,7 @@ class RPCChannel:
         # its response template sends same-skeleton bodies, so the
         # channel re-parses only the result values that changed —
         # built like a server session's request deserializer.
-        self.deserializer = DifferentialDeserializer(
-            registry, skipscan=True, obs=self.obs
-        )
+        self.deserializer = DifferentialDeserializer(registry, obs=self.obs)
         self.deserializer.metric_prefix = "reply-"
         self.parser = self.deserializer.parser
         #: Inbound bounds for reply frames: the transport's, as for

@@ -27,8 +27,8 @@ instead of fatal:
 
   1. ``mirror`` — delta mirrors (client recovers via the existing
      409-resync → full-XML re-announce);
-  2. ``seektable`` — compiled seek tables (the per-leaf loop and the
-     full parse stay authoritative);
+  2. ``seektable`` — compiled seek tables (the next changed request
+     costs one full parse, which compiles again);
   3. ``session`` — LRU idle sessions (the client falls back to a
      first-time send).
 
@@ -37,10 +37,11 @@ instead of fatal:
   speed.  Relief stops at the low watermark
   (``shed_target_fraction`` × budget) to avoid shed/refill thrash.
 
-Both pieces are optional and off by default: a service built without
-them behaves exactly as before.  ``docs/overload.md`` walks the whole
-recovery ladder; the chaos harness (:mod:`repro.chaos`) proves it
-under deterministic fault schedules.
+The admission gates are optional and off by default; the accountant
+is always on in a :class:`~repro.server.service.SOAPService` (its
+relief ladder only engages past the budget).  ``docs/overload.md``
+walks the whole recovery ladder; the chaos harness
+(:mod:`repro.chaos`) proves it under deterministic fault schedules.
 """
 
 from __future__ import annotations

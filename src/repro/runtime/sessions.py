@@ -95,14 +95,12 @@ class ServerSession:
         pinned: bool = False,
         obs: Optional[Observability] = None,
         limits: Optional[ResourceLimits] = None,
-        skipscan: bool = False,
         descriptors: Optional[Dict[str, type]] = None,
     ) -> None:
         self.key = key
         self.deserializer = DifferentialDeserializer(
             registry,
             limits,
-            skipscan=skipscan,
             descriptors=descriptors,
             obs=obs,
         )
@@ -256,10 +254,10 @@ class ServerSessionManager:
         session id simply pays one full parse to resynchronize).
         Sessions currently in use and the pinned default session are
         never evicted.
-    skipscan / descriptors:
-        Passed to each session's deserializer: compile a skip-scan
-        seek table per template, optionally gated by WSDL-generated
-        message descriptors (see :mod:`repro.schema.skipscan`).
+    descriptors:
+        Passed to each session's deserializer: WSDL-generated message
+        descriptors that gate its skip-scan seek table (see
+        :mod:`repro.schema.skipscan`).
     accountant:
         Optional :class:`~repro.hardening.overload.MemoryAccountant`.
         When present, every session's state bytes are charged against
@@ -276,7 +274,6 @@ class ServerSessionManager:
         max_sessions: int = 256,
         obs: Optional[Observability] = None,
         limits: Optional[ResourceLimits] = None,
-        skipscan: bool = False,
         descriptors: Optional[Dict[str, type]] = None,
         accountant: Optional[MemoryAccountant] = None,
     ) -> None:
@@ -285,7 +282,6 @@ class ServerSessionManager:
         self.registry = registry
         self.response_policy = response_policy
         self.max_sessions = max_sessions
-        self.skipscan = skipscan
         self.descriptors = descriptors
         #: Resource limits handed to each session's deserializer, so
         #: every connection shares one inbound threat model.
@@ -337,7 +333,6 @@ class ServerSessionManager:
                     pinned=key == DEFAULT_SESSION,
                     obs=self.obs,
                     limits=self.limits,
-                    skipscan=self.skipscan,
                     descriptors=self.descriptors,
                 )
                 self._sessions[key] = session
@@ -426,8 +421,8 @@ class ServerSessionManager:
            client's next frame gets a 409 resync and re-announces
            full XML.
         2. ``seektable`` — compiled seek tables from idle sessions;
-           structural matches fall back to the per-leaf loop, full
-           parse stays authoritative.
+           the session's next changed request costs one full parse,
+           which compiles a new table.
         3. ``session`` — LRU idle unpinned sessions retire outright;
            a returning client pays one first-time send.
 

@@ -1,9 +1,10 @@
 """Schema-compiled skip-scan deserialization.
 
 The paper's §6 future-work note — a server could use stored messages
-to "avoid complete server-side parsing" — is implemented one level up
-from :class:`~repro.server.diffdeser.DifferentialDeserializer`'s
-per-leaf re-parse: once a session template is known, a
+to "avoid complete server-side parsing" — is implemented as the
+structural lane of
+:class:`~repro.server.diffdeser.DifferentialDeserializer`: once a
+session template is known, a
 :class:`SeekTable` is *compiled* from its parse result, and every
 subsequent structural match **seeks** directly to the byte regions the
 template marks mutable, parses only those values, and never
@@ -133,7 +134,9 @@ class SeekTable:
         """Build a seek table from a freshly full-parsed template.
 
         Raises :class:`SkipScanFallback` when the template cannot be
-        compiled; the deserializer then simply keeps full-parsing.
+        compiled; the deserializer then full-parses every changed
+        message (content matches stay free) and tries to compile
+        again from each one.
         """
         if descriptor is not None:
             mismatch = descriptor.check(result.message)

@@ -5,32 +5,34 @@
     arrivals.  This could help avoid complete server-side parsing and
     improve performance, through differential deserialization."
 
-The deserializer keeps, per sender, the previous raw message and its
+The deserializer keeps, per sender, the previous raw message, its
 :class:`~repro.server.parser.ParseResult` (decoded values + leaf byte
-spans).  For an incoming message of the *same length*:
+spans) and a :class:`~repro.schema.skipscan.SeekTable` compiled from
+the two.  For an incoming message of the *same length*:
 
 1. vectorized byte comparison against the stored copy
    (``np.frombuffer`` + ``!=``),
 2. if nothing differs → return the cached decoded message (the
    server-side content match — zero parsing),
-3. if all differing bytes fall inside known leaf value spans → re-parse
-   only those leaves in place (the structural match),
-4. otherwise (length change or skeleton bytes differ) → full parse and
+3. if all differing bytes fall inside known leaf field regions → the
+   seek table re-parses only those leaves (the structural match): it
+   seeks directly to the changed regions, trie-validates the closing
+   tags (the only movable skeleton tokens), batch-parses uniform
+   double regions with NumPy and commits only when the whole batch is
+   clean (see ``docs/skipscan.md``),
+4. otherwise (length change, skeleton bytes differ, the seek table
+   declines the bytes, or no seek table is armed) → full parse and
    refresh the cache.
+
+The seek table is the only structural lane and the full parse is its
+authority.  "No seek table armed" covers a template
+:meth:`SeekTable.compile` refused (``uncompilable-*``) and one whose
+table the overload ladder shed (``shed``): both answer the next
+changed message with one full parse, which compiles again.
 
 This is exactly dual to client-side differential serialization: the
 sender's stuffed/fixed-width messages produce same-length byte streams
 whose only variation is inside value spans.
-
-With ``skipscan=True`` the structural-match branch runs through a
-:class:`~repro.schema.skipscan.SeekTable` compiled from the template's
-parse result: seeks directly to the changed regions, trie-validates
-the closing tags (the only movable skeleton tokens), batch-parses
-uniform double regions with NumPy, and falls back to the full parse on
-any drift or doubt (see ``docs/skipscan.md``).  Successful skip-scans
-still count as :attr:`DeserKind.DIFFERENTIAL` — same match level,
-faster engine — flagged by :attr:`DeserReport.skipscan` and the
-``skipscan_stats`` event counters.
 """
 
 from __future__ import annotations
@@ -66,9 +68,6 @@ class DeserReport:
     kind: DeserKind
     leaves_parsed: int
     total_leaves: int
-    #: True when the differential branch ran through the compiled
-    #: skip-scan seek table instead of the per-leaf ``set_leaf`` loop.
-    skipscan: bool = False
 
 
 class DifferentialDeserializer:
@@ -76,9 +75,6 @@ class DifferentialDeserializer:
 
     Parameters
     ----------
-    skipscan:
-        Compile a :class:`~repro.schema.skipscan.SeekTable` per
-        template and route structural matches through it.
     descriptors:
         Optional ``operation name → MessageDescriptor subclass`` map
         (see :mod:`repro.schema.descriptors`).  When the parsed
@@ -97,12 +93,10 @@ class DifferentialDeserializer:
         registry: Optional[TypeRegistry] = None,
         limits: Optional[ResourceLimits] = None,
         *,
-        skipscan: bool = False,
         descriptors: Optional[Dict[str, type]] = None,
         obs: Optional[Observability] = None,
     ) -> None:
         self.parser = SOAPRequestParser(registry, limits)
-        self.skipscan = skipscan
         self.descriptors = descriptors
         self.obs = obs if obs is not None else NULL_OBS
         # uint8 view of the last decoded message: *data* is immutable
@@ -137,18 +131,17 @@ class DifferentialDeserializer:
         self._result = result
         self._last_raw = np.frombuffer(data, dtype=np.uint8)
         self._table = None
-        if self.skipscan:
-            descriptor = (
-                self.descriptors.get(result.message.operation)
-                if self.descriptors is not None
-                else None
-            )
-            try:
-                self._table = SeekTable.compile(data, result, descriptor)
-            except SkipScanFallback as exc:
-                self._skip_event(f"uncompilable-{exc.reason}")
-            else:
-                self._skip_event("compiled")
+        descriptor = (
+            self.descriptors.get(result.message.operation)
+            if self.descriptors is not None
+            else None
+        )
+        try:
+            self._table = SeekTable.compile(data, result, descriptor)
+        except SkipScanFallback as exc:
+            self._skip_event(f"uncompilable-{exc.reason}")
+        else:
+            self._skip_event("compiled")
         report = DeserReport(DeserKind.FULL, result.leaf_count, result.leaf_count)
         self.stats[DeserKind.FULL] += 1
         return result.message, report
@@ -172,71 +165,46 @@ class DifferentialDeserializer:
                 DeserKind.CONTENT_MATCH, 0, result.leaf_count
             )
 
-        regions = result.regions
-        if regions.shape[0] == 0:
+        table = self._table
+        if table is None:
+            # Uncompilable or shed: the full parse is the only other
+            # decoder, and it compiles again.
             return self._full_parse(data)
-        starts = regions[:, 0]
-        ends = regions[:, 1]
         # Each differing byte must fall inside some leaf field region
         # (value + closing tag + whitespace pad).
-        owner = np.searchsorted(starts, diff_pos, side="right") - 1
-        inside = (owner >= 0) & (diff_pos < ends[np.clip(owner, 0, None)])
+        owner = np.searchsorted(table.starts, diff_pos, side="right") - 1
+        inside = (owner >= 0) & (diff_pos < table.ends[np.clip(owner, 0, None)])
         if not bool(inside.all()):
             # Skeleton bytes changed — not the same template.
-            if self._table is not None:
-                self._skip_event("skeleton-drift")
+            self._skip_event("skeleton-drift")
             return self._full_parse(data)
 
         changed = np.unique(owner)
-        used_skipscan = False
-        if self._table is not None:
-            # Skip-scan lane: validate + parse everything, commit only
-            # when the whole batch is clean; any drift or parse doubt
-            # answers with the authoritative full parse instead of an
-            # error from hand-computed offsets.
-            trace = self.obs.enabled and self.obs.tracer.enabled
-            t0 = time.perf_counter() if trace else 0.0
-            try:
-                parsed, vectorized = self._table.apply(data, incoming, changed)
-            except SkipScanFallback as exc:
-                self._skip_event(f"fallback-{exc.reason}")
-                return self._full_parse(data)
-            self._skip_event("hit-vector" if vectorized else "hit")
-            if trace:
-                self.obs.tracer.emit(
-                    "skipscan",
-                    duration_s=time.perf_counter() - t0,
-                    leaves=parsed,
-                    vectorized=vectorized,
-                )
-            used_skipscan = True
-        else:
-            try:
-                for j in changed.tolist():
-                    raw = data[int(starts[j]) : int(ends[j])]
-                    # Trim at the (possibly moved) closing tag.
-                    lt = raw.find(b"<")
-                    if lt >= 0:
-                        raw = raw[:lt]
-                    result.set_leaf(j, raw)
-            except Exception:
-                # A leaf failed to re-parse (garbage bytes inside a
-                # value span) after earlier leaves were already updated
-                # in place.  The cached decode and the raw template now
-                # disagree, so the template must not survive — drop it
-                # and let the fault propagate; the next request pays
-                # one full parse.
-                self.reset()
-                raise
+        # Validate + parse everything, commit only when the whole
+        # batch is clean; any drift or parse doubt answers with the
+        # authoritative full parse instead of an error from
+        # hand-computed offsets.
+        trace = self.obs.enabled and self.obs.tracer.enabled
+        t0 = time.perf_counter() if trace else 0.0
+        try:
+            parsed, vectorized = table.apply(data, incoming, changed)
+        except SkipScanFallback as exc:
+            self._skip_event(f"fallback-{exc.reason}")
+            return self._full_parse(data)
+        self._skip_event("hit-vector" if vectorized else "hit")
+        if trace:
+            self.obs.tracer.emit(
+                "skipscan",
+                duration_s=time.perf_counter() - t0,
+                leaves=parsed,
+                vectorized=vectorized,
+            )
         # Every differing byte was inside a re-parsed region: the new
         # message is the template now.
         self._last_raw = incoming
         self.stats[DeserKind.DIFFERENTIAL] += 1
         return result.message, DeserReport(
-            DeserKind.DIFFERENTIAL,
-            int(changed.size),
-            result.leaf_count,
-            skipscan=used_skipscan,
+            DeserKind.DIFFERENTIAL, int(changed.size), result.leaf_count
         )
 
     # ------------------------------------------------------------------
@@ -259,10 +227,9 @@ class DifferentialDeserializer:
         """Shed the compiled seek table; return its byte size.
 
         A pressure-relief tier (see :mod:`repro.hardening.overload`):
-        the template itself survives, so structural matches keep
-        working through the per-leaf loop — strictly slower, never
-        wrong.  No recompile happens until the next full parse
-        refreshes the template.  Returns 0 when no table is armed.
+        the template itself survives, so content matches stay free,
+        and the next changed message costs one full parse, which
+        compiles a new table.  Returns 0 when no table is armed.
         """
         if self._table is None:
             return 0

@@ -259,19 +259,13 @@ class ParseResult:
     def _layout_for(self, j: int) -> _ParamLayout:
         return self._layouts[bisect_right(self._bases, j) - 1]
 
-    def set_leaf(self, j: int, raw: bytes) -> None:
-        """Re-parse one leaf from raw bytes and store it in place."""
-        layout = self._layout_for(j)
-        fpos = (j - layout.leaf_base) % layout.arity
-        self.store_leaf(j, layout.leaf_types[fpos].parse(raw))
-
     def store_leaf(self, j: int, value: object) -> None:
         """Store an already-parsed leaf value in place.
 
-        The skip-scan commit phase: the value was produced by the same
-        lexical parser :meth:`set_leaf` would have used, just earlier
-        (two-phase parse-then-commit, so a mid-batch parse failure
-        never leaves the decode half-updated).
+        The skip-scan commit phase: the value was produced by
+        :meth:`leaf_type`'s lexical parser earlier (two-phase
+        parse-then-commit, so a mid-batch parse failure never leaves
+        the decode half-updated).
         """
         layout = self._layout_for(j)
         local = j - layout.leaf_base

@@ -49,7 +49,6 @@ from repro.runtime.sessions import (
 from repro.schema.composite import ArrayType, StructType
 from repro.schema.registry import TypeRegistry
 from repro.schema.types import XSDType
-from repro.server.parser import DecodedMessage
 from repro.server.tagdispatch import OperationPeeker
 from repro.soap.fault import SOAPFault
 from repro.soap.message import Parameter, SOAPMessage
@@ -125,8 +124,6 @@ class SOAPService:
         registry: Optional[TypeRegistry] = None,
         *,
         response_policy: Optional[DiffPolicy] = None,
-        differential_deser: bool = True,
-        skipscan: bool = True,
         delta_enabled: bool = True,
         definition: Optional[object] = None,
         max_sessions: int = 256,
@@ -150,14 +147,10 @@ class SOAPService:
         self.limits = limits if limits is not None else DEFAULT_LIMITS
         self._operations: Dict[str, Operation] = {}
         self._peeker = OperationPeeker(())
-        self._differential_deser = differential_deser
-        #: Compile per-session skip-scan seek tables for structural
-        #: matches (see ``docs/skipscan.md``).  Only meaningful with
-        #: ``differential_deser``; a WSDL definition additionally gates
-        #: compilation behind generated message descriptors.
-        self.skipscan = skipscan and differential_deser
+        # A WSDL definition gates each session's skip-scan seek table
+        # behind generated message descriptors (``docs/skipscan.md``).
         descriptors: Optional[Dict[str, type]] = None
-        if self.skipscan and definition is not None:
+        if definition is not None:
             from repro.wsdl.stubgen import generate_descriptors
 
             descriptors = generate_descriptors(definition)
@@ -220,7 +213,6 @@ class SOAPService:
             max_sessions=max_sessions,
             obs=self.obs,
             limits=self.limits,
-            skipscan=self.skipscan,
             descriptors=descriptors,
             accountant=self.accountant,
         )
@@ -354,7 +346,7 @@ class SOAPService:
             status, peeked = self._peeker.classify(body)
             if status == "unknown":
                 raise SOAPError(f"unknown operation {peeked!r}")
-            decoded = self._decode(session, body)
+            decoded, _report = session.deserializer.deserialize(body)
             op = self._operations.get(decoded.operation)
             if op is None:
                 raise SOAPError(f"unknown operation {decoded.operation!r}")
@@ -517,12 +509,6 @@ class SOAPService:
             return 409, ResponsePayload()
         session.delta.note("applied")
         return 200, self._handle_in_session_views(session, document, mirrored)
-
-    def _decode(self, session: ServerSession, body: bytes) -> DecodedMessage:
-        if self._differential_deser:
-            message, _report = session.deserializer.deserialize(body)
-            return message
-        return session.deserializer.parser.parse(body).message
 
     def _serialize_response(
         self,

@@ -216,6 +216,5 @@ class TestReplyPath:
                 assert np.array_equal(response.result(), values)
                 report = channel.last_deser_report
                 assert report.kind is DeserKind.DIFFERENTIAL
-                assert report.skipscan
                 assert report.leaves_parsed == len(dirty)
         assert per_length[0] == per_length[1] < 10

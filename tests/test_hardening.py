@@ -270,15 +270,19 @@ class TestDifferentialPoisoning:
         wire = doubles_wire([1.5, 2.5, 3.5])
         deser.deserialize(wire)
         assert deser.has_template
-        # Same length, digits corrupted in place: the differential
-        # matcher accepts the shape, then set_leaf hits garbage.
-        poisoned = wire.replace(b"2.5", b"2.Z")
+        # Same length, digits corrupted in place, after an earlier
+        # leaf that changed legitimately: the differential matcher
+        # accepts the shape, then a leaf turns out to be garbage.
+        poisoned = wire.replace(b"1.5", b"4.5").replace(b"2.5", b"2.Z")
         assert len(poisoned) == len(wire)
         with pytest.raises(repro.errors.ReproError):
             deser.deserialize(poisoned)
-        # The half-updated template must have been dropped...
-        assert not deser.has_template
-        # ...so the next legitimate wire full-parses correctly.
+        # Whatever template survived decodes equal to a fresh parse
+        # of its own bytes: resending them — a content match if it is
+        # still stored — must not show the 4.5 of a half-done update...
+        message, _ = deser.deserialize(wire)
+        assert np.array_equal(message.value("data"), [1.5, 2.5, 3.5])
+        # ...and the next legitimate wire decodes correctly.
         message, _ = deser.deserialize(doubles_wire([9.0, 8.0, 7.0]))
         assert np.allclose(message.value("data"), [9.0, 8.0, 7.0])
 

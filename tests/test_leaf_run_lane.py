@@ -392,7 +392,7 @@ def _first_time_events(n, scanner_events, monkeypatch, fmt=FloatFormat.MINIMAL):
     wire = _serialize(
         [Parameter("data", ArrayType(DOUBLE), np.arange(n) * 0.37)], fmt, StuffMode.MAX
     )
-    deser = DifferentialDeserializer(skipscan=True)
+    deser = DifferentialDeserializer()
     del scanner_events[:]
     decoded, report = deser.deserialize(wire)
     assert report.kind is DeserKind.FULL and report.leaves_parsed == n

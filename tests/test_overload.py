@@ -25,8 +25,9 @@ import pytest
 
 from repro.baselines.naive import NaiveClient
 from repro.channel import RPCChannel
-from repro.core.policy import DeltaPolicy, DiffPolicy
-from repro.errors import AdmissionRejectedError, HTTPStatusError
+from repro.core.client import BSoapClient
+from repro.core.policy import DeltaPolicy, DiffPolicy, StuffingPolicy, StuffMode
+from repro.errors import AdmissionRejectedError, HTTPStatusError, XMLError
 from repro.hardening.limits import ResourceLimits
 from repro.hardening.overload import (
     SHED_TIERS,
@@ -34,13 +35,23 @@ from repro.hardening.overload import (
     MemoryAccountant,
     OverloadPolicy,
 )
+from repro.lexical.floats import FloatFormat
 from repro.obs import Observability
 from repro.obs.export import parse_prometheus, render_prometheus
 from repro.resilience.budget import RetryBudget
 from repro.resilience.reconnect import ReconnectingTCPTransport
 from repro.resilience.retry import RetryPolicy, parse_retry_after
-from repro.runtime.loadgen import build_service, message_sequence
+from repro.runtime.loadgen import (
+    OPERATION,
+    SERVICE_NS,
+    build_service,
+    message_sequence,
+)
+from repro.schema import DOUBLE, ArrayType
+from repro.server.parser import SOAPRequestParser
 from repro.server.threaded_server import HTTPSoapServer
+from repro.soap.fault import SOAPFault
+from repro.soap.message import Parameter, SOAPMessage
 from repro.transport.loopback import CollectSink
 from repro.wire.frame import encode_frame
 
@@ -425,6 +436,63 @@ class TestShedLadder:
         for i in range(4):
             service.handle_wire(_checksum_body(64, seed=i), {}, f"s{i}")
         assert sum(service.accountant.sheds.values()) == 0
+
+    def test_after_seektable_shed_corrupt_wire_faults_like_full_parse(self):
+        """Tier 2 takes the seek table; the template stays.  A
+        same-length wire with a damaged closing tag or non-whitespace
+        pad inside a field region then gets what a full parse of those
+        bytes gives — a Client fault — never an unvalidated update."""
+        # A budget under the pinned default session's floor: no mirror
+        # to shed, nothing evictable, so every request ends with its
+        # seek table shed while the session is idle.
+        service = build_service(0.0, limits=ResourceLimits(max_state_bytes=1000))
+        sink = CollectSink()
+        client = BSoapClient(
+            sink,
+            DiffPolicy(
+                float_format=FloatFormat.MINIMAL,
+                stuffing=StuffingPolicy(StuffMode.MAX),
+            ),
+        )
+        call = client.prepare(
+            SOAPMessage(
+                OPERATION,
+                SERVICE_NS,
+                [Parameter("data", ArrayType(DOUBLE), np.array([1.5, 2.5, 3.5]))],
+            )
+        )
+
+        def checksum(wire: bytes) -> float:
+            reply = service.handle(wire)
+            assert SOAPFault.from_xml(reply) is None
+            return SOAPRequestParser().parse(reply).message.params[0].value
+
+        call.send()
+        template = sink.last
+        assert checksum(template) == 7.5
+        (session,) = service.sessions.sessions()
+        deser = session.deserializer
+        assert session.pinned and deser.has_template and not deser.has_seek_table
+        assert service.accountant.sheds["seektable"] == 1
+        call.tracked("data").update(np.array([0]), np.array([9.5]))
+        call.send()
+        clean = sink.last
+        i = clean.index(b"2.5</item>")
+        gt = i + len(b"2.5</item>")
+        assert clean[gt : gt + 1].isspace()
+        for bad in (
+            clean[: i + 5] + b"j" + clean[i + 6 :],  # </jtem>
+            clean[:gt] + b"&" + clean[gt + 1 :],  # entity start in the pad
+        ):
+            with pytest.raises(XMLError):
+                SOAPRequestParser().parse(bad)
+            fault = SOAPFault.from_xml(service.handle(bad))
+            assert fault is not None and fault.faultcode.endswith("Client")
+            # The template is still the first wire and still decodes
+            # to its own parse.
+            assert checksum(template) == 7.5
+        assert checksum(clean) == 15.5
+        assert service.accountant.sheds["seektable"] >= 2
 
 
 class TestStateGauges:

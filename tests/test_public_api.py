@@ -1,6 +1,7 @@
 """Repo-wide API hygiene: every module imports, every __all__ resolves."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -52,3 +53,25 @@ def test_top_level_exports():
 def test_version_string():
     parts = repro.__version__.split(".")
     assert len(parts) == 3 and all(p.isdigit() for p in parts)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "repro.server.diffdeser.DifferentialDeserializer",
+        "repro.runtime.sessions.ServerSession",
+        "repro.runtime.sessions.ServerSessionManager",
+        "repro.server.service.SOAPService",
+    ],
+)
+def test_decoder_has_no_mode_options(path):
+    """The seek table is the one structural decode lane and the full
+    parse its authority: nothing on the way to a deserializer selects
+    another, and the per-span entry point stays deleted."""
+    from repro.server.parser import ParseResult
+
+    module, _, name = path.rpartition(".")
+    cls = getattr(importlib.import_module(module), name)
+    params = inspect.signature(cls).parameters
+    assert not {"skipscan", "differential_deser"} & set(params)
+    assert not hasattr(ParseResult, "set_leaf")

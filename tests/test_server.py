@@ -104,8 +104,9 @@ class TestRequestParser:
             SOAPMessage("put", "urn:t", [Parameter("a", ArrayType(DOUBLE), [0.5, 1.5])])
         )
         result = SOAPRequestParser().parse(data)
-        result.set_leaf(1, b"9.25")
+        result.store_leaf(1, result.leaf_type(1).parse(b"9.25"))
         assert result.message.value("a")[1] == 9.25
+        assert result.message.value("a")[0] == 0.5
 
     def test_missing_body_rejected(self):
         from repro.errors import SOAPError

@@ -38,6 +38,7 @@ from repro.schema import (
 from repro.server.diffdeser import DeserKind, DifferentialDeserializer
 from repro.server.parser import SOAPRequestParser
 from repro.server.service import SOAPService
+from repro.soap.fault import SOAPFault
 from repro.soap.message import Parameter, SOAPMessage
 from repro.transport.loopback import CollectSink
 from repro.wsdl.model import OperationDef, ParamDef, ServiceDef
@@ -251,16 +252,15 @@ class TestDescriptors:
 
 class TestStoreLeaf:
     def test_store_leaf_matches_set_leaf(self):
+        """Storing parsed leaves in place equals a full parse of the
+        wire that carries those values."""
         sink, client = _client(fmt=FloatFormat.MINIMAL)
         client.send(_mixed_msg(5, ["ab"], [1.5, 2.5]))
-        wire = sink.last
-        a = SOAPRequestParser().parse(wire)
-        b = SOAPRequestParser().parse(wire)
-        a.set_leaf(0, b"99")
-        b.store_leaf(0, 99)
-        a.set_leaf(2, b"-7.5")
-        b.store_leaf(2, -7.5)
-        _decoded_equal(a.message, b.message)
+        stored = SOAPRequestParser().parse(sink.last)
+        stored.store_leaf(0, stored.leaf_type(0).parse(b"99"))
+        stored.store_leaf(2, stored.leaf_type(2).parse(b"-7.5"))
+        client.send(_mixed_msg(99, ["ab"], [-7.5, 2.5]))
+        _decoded_equal(stored.message, SOAPRequestParser().parse(sink.last).message)
 
 
 class TestSkipScanApply:
@@ -271,7 +271,7 @@ class TestSkipScanApply:
         sink, client = _client(fmt=fmt)
         call = client.prepare(_doubles_msg(values))
         call.send()
-        deser = DifferentialDeserializer(skipscan=True)
+        deser = DifferentialDeserializer()
         deser.deserialize(sink.last)
         assert deser.has_seek_table
         mutated = np.asarray(values).copy()
@@ -284,7 +284,6 @@ class TestSkipScanApply:
         sink, call, deser, expected = self._steady()
         decoded, report = deser.deserialize(sink.last)
         assert report.kind is DeserKind.DIFFERENTIAL
-        assert report.skipscan
         assert deser.skipscan_stats.get("hit-vector") == 1
         assert np.array_equal(decoded.value("data"), expected)
 
@@ -294,13 +293,12 @@ class TestSkipScanApply:
         sink, client = _client(fmt=FloatFormat.MINIMAL)
         call = client.prepare(_mixed_msg(41, ["abc", "def"], [1.5, 2.5]))
         call.send()
-        deser = DifferentialDeserializer(skipscan=True)
+        deser = DifferentialDeserializer()
         deser.deserialize(sink.last)
         call.tracked("vals").update(np.array([1]), np.array([9.5]))
         call.send()
         decoded, report = deser.deserialize(sink.last)
         assert report.kind is DeserKind.DIFFERENTIAL
-        assert report.skipscan
         assert deser.skipscan_stats.get("hit") == 1
         assert np.array_equal(decoded.value("vals"), [1.5, 9.5])
         assert decoded.value("names") == ["abc", "def"]
@@ -309,14 +307,14 @@ class TestSkipScanApply:
         sink, client = _client()
         call = client.prepare(_doubles_msg([1.5, 2.5, 3.5]))
         call.send()
-        deser = DifferentialDeserializer(skipscan=True)
+        deser = DifferentialDeserializer()
         deser.deserialize(sink.last)
         call.tracked("data").update(
             np.array([0, 2]), np.array([np.inf, np.nan])
         )
         call.send()
         decoded, report = deser.deserialize(sink.last)
-        assert report.skipscan
+        assert report.kind is DeserKind.DIFFERENTIAL
         assert deser.skipscan_stats.get("hit") == 1  # charset rejected INF
         got = decoded.value("data")
         assert got[0] == np.inf and np.isnan(got[2]) and got[1] == 2.5
@@ -346,7 +344,7 @@ class TestSkipScanApply:
         sink, client = _client(fmt=FloatFormat.MINIMAL)
         call = client.prepare(_doubles_msg([1.5, 2.5, 3.5]))
         call.send()
-        deser = DifferentialDeserializer(skipscan=True)
+        deser = DifferentialDeserializer()
         deser.deserialize(sink.last)
         wire = sink.last
         s, e = self._region(deser, 0)
@@ -380,7 +378,7 @@ class TestSkipScanApply:
         sink, client = _client(fmt=FloatFormat.MINIMAL)
         call = client.prepare(_mixed_msg(5, ["abcdef"], [1.5]))
         call.send()
-        deser = DifferentialDeserializer(skipscan=True)
+        deser = DifferentialDeserializer()
         deser.deserialize(sink.last)
         wire = sink.last
         i = wire.index(b"abcdef")
@@ -423,7 +421,7 @@ class TestSkipScanApply:
         template; the following structural match skip-scans again."""
         sink, call, deser, expected = self._steady()
         decoded, report = deser.deserialize(sink.last)
-        assert report.skipscan
+        assert report.kind is DeserKind.DIFFERENTIAL
         # Fresh shape = structural drift: full parse, new table.
         sink2, client2 = _client()
         call2 = client2.prepare(_doubles_msg([7.0, 8.0, 9.0, 10.0]))
@@ -434,29 +432,15 @@ class TestSkipScanApply:
         call2.tracked("data").update(np.array([1]), np.array([-1.25]))
         call2.send()
         decoded, report = deser.deserialize(sink2.last)
-        assert report.skipscan
-        assert decoded.value("data")[1] == -1.25
-
-    def test_skipscan_off_uses_legacy_path(self):
-        sink, client = _client()
-        call = client.prepare(_doubles_msg([1.5, 2.5]))
-        call.send()
-        deser = DifferentialDeserializer(skipscan=False)
-        deser.deserialize(sink.last)
-        assert not deser.has_seek_table
-        call.tracked("data").update(np.array([0]), np.array([4.5]))
-        call.send()
-        decoded, report = deser.deserialize(sink.last)
         assert report.kind is DeserKind.DIFFERENTIAL
-        assert not report.skipscan
-        assert deser.skipscan_stats == {}
+        assert decoded.value("data")[1] == -1.25
 
     def test_obs_counter_and_span(self):
         obs = Observability.recording()
         sink, client = _client()
         call = client.prepare(_doubles_msg([1.5, 2.5]))
         call.send()
-        deser = DifferentialDeserializer(skipscan=True, obs=obs)
+        deser = DifferentialDeserializer(obs=obs)
         deser.deserialize(sink.last)
         call.tracked("data").update(np.array([0]), np.array([4.5]))
         call.send()
@@ -467,6 +451,109 @@ class TestSkipScanApply:
         span = obs.tracer.last("skipscan")
         assert span is not None and span.attrs["leaves"] == 1
         assert span.attrs["vectorized"] is True
+
+
+class TestNoSeekTable:
+    """A template without a seek table — shed by the overload ladder,
+    or never compiled — answers every changed wire with the full
+    parse: same decode or same error class, and a template that still
+    equals the parse of its own bytes."""
+
+    def _unarmed(self, how):
+        """Template stored, no table armed, one mutated resend ready."""
+        sink, client = _client(fmt=FloatFormat.MINIMAL)
+        call = client.prepare(_doubles_msg([1.5, 2.5, 3.5]))
+        call.send()
+        template = sink.last
+        if how == "shed":
+            deser = DifferentialDeserializer()
+            deser.deserialize(template)
+            assert deser.drop_seek_table() > 0
+        else:
+
+            class WrongShape(MessageDescriptor):
+                __operation__ = "putDoubles"
+                data = Array(INT)  # wire carries doubles
+
+            deser = DifferentialDeserializer(descriptors={"putDoubles": WrongShape})
+            deser.deserialize(template)
+            assert deser.skipscan_stats == {"uncompilable-descriptor-mismatch": 1}
+        assert deser.has_template and not deser.has_seek_table
+        call.tracked("data").update(np.array([0]), np.array([9.5]))
+        call.send()
+        assert len(sink.last) == len(template)
+        return deser, template, sink.last
+
+    @staticmethod
+    def _corrupt(wire, corruption):
+        """Damage leaf 1's field region, length preserved."""
+        i = wire.index(b"2.5</item>")
+        gt = i + len(b"2.5</item>")
+        if corruption == "close-tag":
+            return wire[: i + 5] + b"j" + wire[i + 6 :]  # </jtem>
+        assert wire[gt : gt + 1].isspace()  # real pad exists
+        return wire[:gt] + corruption + wire[gt + 1 :]
+
+    @pytest.mark.parametrize("corruption", ("close-tag", b"x", b"&"))
+    @pytest.mark.parametrize("how", ("shed", "descriptor-mismatch"))
+    def test_corrupt_region_matches_full_parse(self, how, corruption):
+        deser, template, clean = self._unarmed(how)
+        bad = self._corrupt(clean, corruption)
+        assert len(bad) == len(clean) and bad != clean
+        try:
+            reference = SOAPRequestParser().parse(bad).message
+        except XMLError as exc:
+            with pytest.raises(type(exc)):
+                deser.deserialize(bad)
+            survivor = template
+        else:
+            # Stray text in the pad is ignorable mixed content to the
+            # full parse; agreeing with it means accepting it too.
+            decoded, report = deser.deserialize(bad)
+            assert report.kind is DeserKind.FULL
+            _decoded_equal(decoded, reference)
+            survivor = bad
+        assert (survivor is bad) == (corruption == b"x")
+        # The stored template is exactly *survivor* and decodes to the
+        # parse of those bytes.
+        cached, report = deser.deserialize(survivor)
+        assert report.kind is DeserKind.CONTENT_MATCH
+        _decoded_equal(cached, SOAPRequestParser().parse(survivor).message)
+        decoded, _ = deser.deserialize(clean)
+        assert np.array_equal(decoded.value("data"), [9.5, 2.5, 3.5])
+
+    def test_shed_costs_one_full_parse_then_skipscans_again(self):
+        """Tier-2 recovery: one full parse, one recompile, then hits."""
+        sink, client = _client()
+        call = client.prepare(_doubles_msg([1.5, 2.5, 3.5]))
+        call.send()
+        deser = DifferentialDeserializer()
+        deser.deserialize(sink.last)
+        assert deser.drop_seek_table() > 0
+        assert deser.drop_seek_table() == 0  # nothing left to shed
+        # An unchanged request needs no table.
+        _, report = deser.deserialize(sink.last)
+        assert report.kind is DeserKind.CONTENT_MATCH
+        assert deser.stats[DeserKind.FULL] == 1
+        assert deser.skipscan_stats == {"compiled": 1, "shed": 1}
+
+        call.tracked("data").update(np.array([1]), np.array([9.5]))
+        call.send()
+        decoded, report = deser.deserialize(sink.last)
+        assert report.kind is DeserKind.FULL
+        assert np.array_equal(decoded.value("data"), [1.5, 9.5, 3.5])
+        assert deser.stats[DeserKind.FULL] == 2
+        assert deser.skipscan_stats == {"compiled": 2, "shed": 1}
+        assert deser.has_seek_table
+
+        call.tracked("data").update(np.array([2]), np.array([-4.25]))
+        call.send()
+        decoded, report = deser.deserialize(sink.last)
+        assert report.kind is DeserKind.DIFFERENTIAL
+        assert report.leaves_parsed == 1
+        assert np.array_equal(decoded.value("data"), [1.5, 9.5, -4.25])
+        assert deser.stats[DeserKind.FULL] == 2
+        assert deser.skipscan_stats == {"compiled": 2, "shed": 1, "hit-vector": 1}
 
 
 class TestServiceIntegration:
@@ -498,16 +585,6 @@ class TestServiceIntegration:
         stats = service.deserializer.skipscan_stats
         assert stats.get("compiled") == 1
         assert stats.get("hit-vector") == 1
-
-    def test_service_skipscan_disabled(self):
-        service = self._service(skipscan=False)
-        sink, call = self._wire([1.5, 2.5])
-        service.handle(sink.last, "c1")
-        call.tracked("data").update(np.array([0]), np.array([9.5]))
-        call.send()
-        service.handle(sink.last, "c1")
-        assert service.deserializer.skipscan_stats == {}
-        assert service.deserializer.stats[DeserKind.DIFFERENTIAL] == 1
 
     def test_retired_sessions_keep_skipscan_stats(self):
         service = self._service()
@@ -562,6 +639,20 @@ class TestServiceIntegration:
         stats = service.deserializer.skipscan_stats
         assert stats.get("uncompilable-descriptor-mismatch") == 1
         assert stats.get("compiled") is None
+        # Every changed wire is a full parse (and one more refused
+        # compile), so a damaged closing tag inside a field region is
+        # a Client fault, as it is for a fresh parse of those bytes.
+        call.tracked("data").update(np.array([0]), np.array([9.5]))
+        call.send()
+        assert b"Fault" not in service.handle(sink.last, "c1")
+        i = sink.last.rindex(b"</item>")
+        bad = sink.last[: i + 2] + b"j" + sink.last[i + 3 :]  # </jtem>
+        fault = SOAPFault.from_xml(service.handle(bad, "c1"))
+        assert fault is not None and fault.faultcode.endswith("Client")
+        assert service.deserializer.stats[DeserKind.FULL] == 2
+        assert service.deserializer.stats[DeserKind.DIFFERENTIAL] == 0
+        stats = service.deserializer.skipscan_stats
+        assert stats == {"uncompilable-descriptor-mismatch": 2}
 
 
 # ----------------------------------------------------------------------
@@ -588,7 +679,7 @@ class TestSkipScanCorpus:
         entry = _MANIFEST[name]
         template = (MALFORMED_DIR / entry["skipscan"]["template"]).read_bytes()
         data = (MALFORMED_DIR / name).read_bytes()
-        deser = DifferentialDeserializer(skipscan=True)
+        deser = DifferentialDeserializer()
         deser.deserialize(template)
         assert deser.has_seek_table, "template must compile a seek table"
         expected = entry["error"]
@@ -616,7 +707,6 @@ class TestSkipScanCorpus:
         from repro.hardening.fuzz import build_fuzz_service
         from repro.server.service import Operation
         from repro.server.threaded_server import HTTPSoapServer
-        from repro.soap.fault import SOAPFault
         from repro.transport.http import IncompleteHTTPError, parse_http_response
 
         def post(sock, body):

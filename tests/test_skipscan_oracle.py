@@ -66,7 +66,7 @@ def test_skipscan_lockstep_oracle(level, rng_seed):
     while checked < CALLS_PER_LEVEL:
         sink = CollectSink()
         client = BSoapClient(sink, _level_policy(level))
-        deser = DifferentialDeserializer(_registry(), skipscan=True)
+        deser = DifferentialDeserializer(_registry())
         for i, message in enumerate(_sequence(level, rng, seq_len)):
             client.send(message)
             wire = sink.last
@@ -76,7 +76,7 @@ def test_skipscan_lockstep_oracle(level, rng_seed):
             assert report.kind is _expected_kind(level, i), (
                 f"call {i} at {level}: {report.kind}"
             )
-            skipscan_hits += bool(report.skipscan)
+            skipscan_hits += report.kind is DeserKind.DIFFERENTIAL
             checked += 1
             if checked >= CALLS_PER_LEVEL:
                 break
@@ -111,7 +111,6 @@ def test_skipscan_reply_lockstep_oracle(level, front, rng_seed):
                 assert level == "content" and i > 0
             if level == "perfect-structural" and i > 0:
                 assert report.kind is DeserKind.DIFFERENTIAL
-                assert report.skipscan
                 hits += 1
     if level == "perfect-structural":
         assert hits > 0
@@ -124,7 +123,7 @@ def test_mid_session_skeleton_drift_drill(rng_seed):
     rng = np.random.default_rng(rng_seed + 7)
     sink = CollectSink()
     client = BSoapClient(sink, _level_policy("perfect-structural"))
-    deser = DifferentialDeserializer(_registry(), skipscan=True)
+    deser = DifferentialDeserializer(_registry())
     messages = _sequence("perfect-structural", rng, 8)
     for i, message in enumerate(messages):
         client.send(message)
@@ -144,7 +143,6 @@ def test_mid_session_skeleton_drift_drill(rng_seed):
             # The drift never cost the session its template: clean
             # wires still ride the differential path.
             assert report.kind is DeserKind.DIFFERENTIAL
-            assert report.skipscan
     assert deser.skipscan_stats.get("skeleton-drift") == 2
 
 
