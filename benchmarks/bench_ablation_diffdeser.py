@@ -16,11 +16,21 @@ seek table is worth across dirty fractions on a 64Ki-double request:
 * ``skipscan`` — :class:`DifferentialDeserializer`, whose structural
   lane is a compiled :class:`~repro.schema.skipscan.SeekTable`: seek
   straight to the dirty spans, trie-check the close tags, never
-  re-tokenize the skeleton.
+  re-tokenize the skeleton.  Document entry: each wire arrives whole
+  and is byte-compared with the template to find what changed (what a
+  client that negotiated no delta frames gets).
+* ``skipscan-frame`` — the same deserializer entered the way
+  steady-state repro↔repro traffic enters it: the same sends encoded
+  as RDF1 frames, through ``DeltaSession.apply`` → ``deserialize`` on
+  the one buffer mirror and decode template share.  The frame's splice
+  directory names the changed leaves; nothing document-sized is
+  compared or copied.
 
 The timers are split: ``mean_parse_ms`` times the decoder alone on
-pre-captured wires, while ``mean_handle_ms`` times the full
-``SOAPService.handle`` round trip (parse + dispatch + response) over the
+pre-captured traffic (for ``skipscan-frame`` that is frame validation +
+mirror patch + deserialize, everything that stands in for the
+document entry's compare), while ``mean_handle_ms`` times the full
+``SOAPService`` round trip (parse + dispatch + response) over the
 same traffic — ``mean_dispatch_ms`` is their difference, so the
 skip-scan ablation measures parse, not handler noise.  A service has no
 full-parse mode, so the ``full-parse*`` handle series drops the session
@@ -29,8 +39,10 @@ seek-table compile a real miss pays.
 
 Before timing, two sanity gates run on small copies:
 
-* lockstep equality — skip-scan and a fresh full parse decode every
-  wire identically, at the match kind the traffic was built for;
+* lockstep equality — frame entry, document entry and a fresh full
+  parse decode every send identically, at the match kind the traffic
+  was built for, and what the frames reconstruct is byte for byte the
+  wire the plain client sends;
 * drift drill — a flipped skeleton byte mid-session raises the same
   error class as a full parse and the fast lane re-arms on the next
   clean wire (no session poisoning).
@@ -53,6 +65,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -60,15 +73,18 @@ import numpy as np
 from repro.bench.resultjson import dump_result, make_result, validate_result
 from repro.bench.workloads import double_array_message, doubles_of_width
 from repro.core.client import BSoapClient
-from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
+from repro.core.policy import DeltaPolicy, DiffPolicy, StuffingPolicy, StuffMode
 from repro.errors import XMLError
 from repro.hardening.fuzz import parse_divergence
+from repro.hardening.limits import DEFAULT_LIMITS
 from repro.lexical.floats import FloatFormat
 from repro.schema import INT, TypeRegistry
 from repro.server.diffdeser import DeserKind, DifferentialDeserializer
 from repro.server.parser import SOAPRequestParser
 from repro.server.service import SOAPService
 from repro.transport.loopback import CollectSink
+from repro.wire.loopback import DeltaLoopback
+from repro.wire.server import DeltaSession
 
 REQUIRED_COLUMNS = (
     "variant",
@@ -84,7 +100,7 @@ REQUIRED_COLUMNS = (
     "skipscan_hits",
 )
 
-VARIANTS = ("full-parse", "full-parse-generic", "skipscan")
+VARIANTS = ("full-parse", "full-parse-generic", "skipscan", "skipscan-frame")
 FRACTIONS = (0.0, 0.01, 0.25)
 
 #: Headline cell for the CI gate: sparse dirty set, seek table at its best.
@@ -102,15 +118,42 @@ POLICY = DiffPolicy(
 )
 
 
-def _wires(n: int, frac: float, sends: int, seed: int) -> List[bytes]:
-    """Pre-capture ``sends + 1`` wires (first is the first-time send);
-    every engine replays the identical byte traffic."""
-    sink = CollectSink()
-    client = BSoapClient(sink, POLICY)
+FRAME_HEADERS = {"x-repro-delta": "1", "x-repro-delta-frame": "1"}
+
+
+def _announce_headers(announce: Tuple[int, int]) -> Dict[str, str]:
+    return {
+        "x-repro-delta": "1",
+        "x-repro-delta-template": str(announce[0]),
+        "x-repro-delta-epoch": str(announce[1]),
+    }
+
+
+class _FrameCapture(DeltaLoopback):
+    """The in-process delta peer, keeping each frame (and the baseline
+    it was announced under) beside the document it reconstructs."""
+
+    def __init__(self) -> None:
+        super().__init__(keep_documents=True)
+        self.frames: List[bytes] = []
+        self.announce: Optional[Tuple[int, int]] = None
+
+    def set_delta_announce(self, template_id: int, epoch: int) -> None:
+        self.announce = (template_id, epoch)
+        super().set_delta_announce(template_id, epoch)
+
+    def send_delta_frame(self, frame: bytes) -> int:
+        self.frames.append(bytes(frame))
+        return super().send_delta_frame(frame)
+
+
+def _drive(client: BSoapClient, n: int, frac: float, sends: int, seed: int, sent) -> None:
+    """One first-time send, then *sends* resends with ``frac`` of the
+    array rewritten; *sent* is called after each."""
     rng = np.random.default_rng(seed)
     call = client.prepare(double_array_message(doubles_of_width(n, 18, seed=seed)))
     call.send()
-    out = [sink.last]
+    sent()
     tracked = call.tracked("data")
     k = max(1, int(frac * n)) if frac > 0 else 0
     for i in range(sends):
@@ -118,14 +161,42 @@ def _wires(n: int, frac: float, sends: int, seed: int) -> List[bytes]:
             idx = np.sort(rng.choice(n, k, replace=False))
             tracked.update(idx, doubles_of_width(k, 18, seed=seed + 1 + i))
         call.send()
-        out.append(sink.last)
+        sent()
+
+
+def _wires(n: int, frac: float, sends: int, seed: int) -> List[bytes]:
+    """Pre-capture ``sends + 1`` wires (first is the first-time send);
+    every engine replays the identical byte traffic."""
+    sink = CollectSink()
+    out: List[bytes] = []
+    _drive(BSoapClient(sink, POLICY), n, frac, sends, seed, lambda: out.append(sink.last))
     return out
 
 
-def _time_parse(variant: str, wires: List[bytes]) -> Tuple[float, str, int]:
+def _frames(
+    n: int, frac: float, sends: int, seed: int
+) -> Tuple[Tuple[int, int], List[bytes]]:
+    """The same sends as a delta-negotiated client puts them on the
+    wire: ``(announced baseline, [first-time body] + RDF1 frames)``.
+    What the frames reconstruct is checked to be :func:`_wires`."""
+    peer = _FrameCapture()
+    client = BSoapClient(peer, replace(POLICY, delta=DeltaPolicy(offer=True)))
+    client.wire.negotiated = True  # the capture peer takes frames
+    _drive(client, n, frac, sends, seed, lambda: None)
+    assert len(peer.frames) == sends, "a resend fell back to full XML"
+    assert peer.documents == _wires(n, frac, sends, seed), (
+        "frames do not reconstruct the plain client's wires"
+    )
+    return peer.announce, [peer.documents[0]] + peer.frames
+
+
+def _time_parse(
+    variant: str, wires: List[bytes], announce: Optional[Tuple[int, int]] = None
+) -> Tuple[float, str, int]:
     """Time the deserializer alone.  Returns (seconds, last kind,
     skip-scan hit count) over ``wires[1:]``; ``wires[0]`` warms the
-    template untimed."""
+    template untimed.  With *announce*, ``wires[1:]`` are frames
+    against ``wires[0]`` deposited under that baseline."""
     registry = TypeRegistry()
     if variant in ("full-parse", "full-parse-generic"):
         parser = SOAPRequestParser(registry)
@@ -139,7 +210,14 @@ def _time_parse(variant: str, wires: List[bytes]) -> Tuple[float, str, int]:
     else:
         deser = DifferentialDeserializer(registry)
         fn = lambda wire: deser.deserialize(wire)  # noqa: E731
-    fn(wires[0])
+    if announce is not None:
+        mirrors = DeltaSession()
+        deser.deserialize(mirrors.store(*announce, wires[0]))
+        fn = lambda frame: deser.deserialize(  # noqa: E731
+            mirrors.apply(frame, DEFAULT_LIMITS)
+        )
+    else:
+        fn(wires[0])
     t0 = time.perf_counter()
     for wire in wires[1:]:
         result = fn(wire)
@@ -152,10 +230,13 @@ def _time_parse(variant: str, wires: List[bytes]) -> Tuple[float, str, int]:
     return elapsed, kind, hits
 
 
-def _time_handle(variant: str, wires: List[bytes]) -> float:
-    """Time the full ``SOAPService.handle`` round trip on the same
-    traffic (parse + dispatch + response serialization).  The
-    ``full-parse*`` variants forget the template before each call."""
+def _time_handle(
+    variant: str, wires: List[bytes], announce: Optional[Tuple[int, int]] = None
+) -> float:
+    """Time the full ``SOAPService`` round trip on the same traffic
+    (parse + dispatch + response serialization).  The ``full-parse*``
+    variants forget the template before each call; with *announce* the
+    traffic is frames through ``handle_wire``."""
     service = SOAPService("urn:diffdeser", registry=TypeRegistry())
 
     @service.operation("sendDoubles", result_type=INT, result_name="n")
@@ -166,6 +247,17 @@ def _time_handle(variant: str, wires: List[bytes]) -> float:
     if variant == "full-parse-generic":
         SOAPRequestParser.parse = SOAPRequestParser._parse_generic
     try:
+        if announce is not None:
+            first = _announce_headers(announce)
+            assert b"Fault" not in service.handle_wire(wires[0], first, "bench")[2]
+            t0 = time.perf_counter()
+            for frame in wires[1:]:
+                status, _extra, response = service.handle_wire(
+                    frame, FRAME_HEADERS, "bench"
+                )
+            elapsed = time.perf_counter() - t0
+            assert status == 200
+            return elapsed
         assert b"Fault" not in service.handle(wires[0], "bench")
         (session,) = service.sessions.sessions()
         forget = variant.startswith("full-parse")
@@ -184,13 +276,17 @@ def _time_handle(variant: str, wires: List[bytes]) -> float:
 def _run_cell(
     variant: str, n: int, frac: float, sends: int, seed: int
 ) -> Dict[str, object]:
-    wires = _wires(n, frac, sends, seed)
-    parse_s, kind, hits = _time_parse(variant, wires)
-    handle_s = _time_handle(variant, wires)
-    # The in-bench invariant the ablation rests on: the skip-scan cell
+    announce = None
+    if variant == "skipscan-frame":
+        announce, wires = _frames(n, frac, sends, seed)
+    else:
+        wires = _wires(n, frac, sends, seed)
+    parse_s, kind, hits = _time_parse(variant, wires, announce)
+    handle_s = _time_handle(variant, wires, announce)
+    # The in-bench invariant the ablation rests on: the skip-scan cells
     # must actually ride the seek table on steady-state resends.
-    if variant == "skipscan" and frac > 0:
-        assert hits == sends, f"skip-scan hit {hits}/{sends} resends"
+    if variant.startswith("skipscan") and frac > 0:
+        assert hits == sends, f"{variant} hit {hits}/{sends} resends"
     return {
         "variant": variant,
         "n": n,
@@ -219,25 +315,38 @@ def _decoded_equal(a, b) -> bool:
 
 
 def _assert_lockstep(n: int, frac: float, seed: int) -> None:
-    """Skip-scan == fresh full parse, wire for wire, at the match kind
-    the traffic was built for — on the bench's own traffic."""
+    """Frame entry == document entry == fresh full parse, send for
+    send, at the match kind the traffic was built for — on the
+    bench's own traffic."""
     wires = _wires(n, frac, 6, seed)
+    announce, framed = _frames(n, frac, 6, seed)
     registry = TypeRegistry()
     skip = DifferentialDeserializer(registry)
+    by_frame = DifferentialDeserializer(registry)
+    mirrors = DeltaSession()
     steady = DeserKind.DIFFERENTIAL if frac > 0 else DeserKind.CONTENT_MATCH
     for i, wire in enumerate(wires):
-        decoded, report = skip.deserialize(wire)
+        document = (
+            mirrors.apply(framed[i], DEFAULT_LIMITS)
+            if i
+            else mirrors.store(*announce, framed[0])
+        )
         reference = SOAPRequestParser(registry).parse(wire).message
-        if not _decoded_equal(decoded, reference):
-            raise AssertionError(
-                f"skip-scan != full parse at dirty_frac={frac}, wire {i}"
-            )
         expected = steady if i else DeserKind.FULL
-        if report.kind is not expected:
-            raise AssertionError(
-                f"match kind at dirty_frac={frac}, wire {i}: "
-                f"{report.kind} != {expected}"
-            )
+        for entry, data in (("document", wire), ("frame", document)):
+            deser = skip if entry == "document" else by_frame
+            decoded, report = deser.deserialize(data)
+            if not _decoded_equal(decoded, reference):
+                raise AssertionError(
+                    f"{entry} entry != full parse at dirty_frac={frac}, send {i}"
+                )
+            if report.kind is not expected:
+                raise AssertionError(
+                    f"{entry} entry match kind at dirty_frac={frac}, send {i}: "
+                    f"{report.kind} != {expected}"
+                )
+        if by_frame.template_buffer is not document.buffer:
+            raise AssertionError("frame entry decoded from a copy of the mirror")
 
 
 def _assert_drift_recovers(n: int, seed: int) -> None:
@@ -291,8 +400,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         _assert_lockstep(256, frac, args.seed)
     _assert_drift_recovers(256, args.seed)
     print(
-        "lockstep: skip-scan == full parse (all fractions); "
-        "skeleton-drift drill passed",
+        "lockstep: frame entry == document entry == full parse "
+        "(all fractions); skeleton-drift drill passed",
         file=sys.stderr,
     )
 
@@ -356,9 +465,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             "(SOAPRequestParser.parse for full-parse*), handle timer is the "
             "full SOAPService round trip, with the session template reset "
             "before each call for full-parse* (every request a miss, "
-            "seek-table compile included); lockstep "
-            "equality and a skeleton-drift recovery drill asserted before "
-            "timing; dirty_frac=0.0 rows show the content-match ceiling; "
+            "seek-table compile included); skipscan is the document entry "
+            "(whole wire in, byte compare against the template), "
+            "skipscan-frame the same sends as RDF1 frames through "
+            "DeltaSession.apply -> deserialize on the shared mirror/template "
+            "buffer (its parse timer includes frame validation and the "
+            "mirror patch; its handle timer is handle_wire), frames checked "
+            "to reconstruct the document entry's wires byte for byte; lockstep "
+            "equality of both entries with a fresh full parse and a "
+            "skeleton-drift recovery drill asserted before "
+            "timing; dirty_frac=0.0 rows show the content-match ceiling "
+            "(a header-only frame for skipscan-frame); "
             "full-parse is the parser with its leaf-run lane (FIXED-format "
             "wires), full-parse-generic its private event path on the same "
             "wires, lane == generic asserted (parse_divergence) before timing"

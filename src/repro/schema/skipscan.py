@@ -17,11 +17,19 @@ Every seek is a hand-computed offset into attacker-controlled bytes,
 so the table trusts nothing it has not just checked:
 
 * **Skeleton bytes are proven equal before apply.**  The caller (the
-  differential deserializer) has already vectorized-compared the
-  incoming message against the stored template and established that
-  *every* differing byte falls inside a known mutable region.  Bytes
-  outside the regions are therefore byte-identical to the template the
-  table was compiled from — no re-validation needed.
+  differential deserializer) establishes that *every* byte that may
+  differ from the template falls inside a known mutable region, one of
+  two ways.  For a document: a vectorized compare against the stored
+  template, each differing byte mapped to its region.  For a delta
+  frame patched into the template buffer itself: per splice, not per
+  byte — the buffer changes only through validated frames, the frame
+  is the next in sequence for the buffer this table's decode follows,
+  and each of its sorted, non-overlapping splices lies inside one
+  region (a splice that crosses a region edge or touches skeleton
+  bytes, even to rewrite them unchanged, is refused).  Either way,
+  bytes outside the regions handed to :meth:`SeekTable.apply` are
+  byte-identical to the template the table was compiled from — no
+  re-validation needed.
 * **The only movable skeleton tokens are re-validated.**  Inside a
   changed region the closing tag may sit at a new offset (the value
   width changed), so it is the one piece of markup skip-scan must
@@ -52,7 +60,7 @@ does not match its operation's declared shape never gets a table.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -290,27 +298,44 @@ class SeekTable:
     # ------------------------------------------------------------------
     # application
     # ------------------------------------------------------------------
+    @property
+    def region_len(self) -> Optional[int]:
+        """Byte length every region shares when the vectorized double
+        lane is armed, else ``None``."""
+        return self._vec_len
+
     def apply(
-        self, data: bytes, incoming: np.ndarray, changed: np.ndarray
+        self,
+        data: Union[bytes, bytearray],
+        incoming: np.ndarray,
+        changed: np.ndarray,
+        rows: Optional[np.ndarray] = None,
     ) -> Tuple[int, bool]:
         """Parse the *changed* regions of *incoming* and commit them.
 
-        *incoming* is the message as a uint8 view; *changed* the sorted
-        leaf indices whose regions contain differing bytes (computed by
-        the caller's template diff).  Returns ``(leaves_parsed,
-        vectorized)``.  Raises :class:`SkipScanFallback` on any drift —
-        nothing is committed in that case.
+        *incoming* is the message *data* as a uint8 view; *changed* the
+        sorted leaf indices whose regions may hold new bytes (from the
+        caller's template diff, or a delta frame's splice directory).
+        *rows*, when the caller already has them, are those regions'
+        bytes as a ``(len(changed), region_len)`` matrix — a frame
+        payload of whole-region splices — and save the gather.  Returns
+        ``(leaves_parsed, vectorized)``.  Raises
+        :class:`SkipScanFallback` on any drift — nothing is committed
+        in that case.
         """
-        if self._vec_len is not None:
-            parsed = self._apply_vectorized(incoming, changed)
+        length = self._vec_len
+        if length is not None:
+            if rows is None:
+                rows = gather_rows(incoming, self.starts[changed], length)
+            parsed = self._apply_vectorized(rows, changed)
             if parsed is not None:
                 return parsed, True
         return self._apply_per_leaf(data, changed), False
 
     def _apply_vectorized(
-        self, incoming: np.ndarray, changed: np.ndarray
+        self, mat: np.ndarray, changed: np.ndarray
     ) -> Optional[int]:
-        """Batched parse of uniform double regions.
+        """Batched parse of uniform double regions, one per row of *mat*.
 
         Returns ``None`` to route the batch to the per-leaf path (a
         value byte outside the strict charset, or a conversion NumPy
@@ -321,7 +346,6 @@ class SeekTable:
         key = self._vec_key
         assert length is not None and key is not None
         m = int(changed.size)
-        mat = gather_rows(incoming, self.starts[changed], length)
         lt_mask = mat == _LT
         if not bool(lt_mask.any(axis=1).all()):
             raise SkipScanFallback("tag-drift", "closing tag missing")
@@ -350,7 +374,9 @@ class SeekTable:
                 container[item_of[mask]] = values[mask]
         return m
 
-    def _apply_per_leaf(self, data: bytes, changed: np.ndarray) -> int:
+    def _apply_per_leaf(
+        self, data: Union[bytes, bytearray], changed: np.ndarray
+    ) -> int:
         """Seek + trie-validate + parse each changed region singly."""
         starts = self.starts
         ends = self.ends
@@ -369,7 +395,7 @@ class SeekTable:
             pad = data[end + 1 : e]
             if pad.strip(b" \t\r\n"):
                 raise SkipScanFallback("pad-drift", f"leaf {j}")
-            raw = data[s:lt]
+            raw = bytes(data[s:lt])
             xsd = self.result.leaf_type(j)
             if xsd.np_dtype is None:  # string leaf
                 if _AMP in raw:

@@ -53,6 +53,7 @@ from repro.server.tagdispatch import OperationPeeker
 from repro.soap.fault import SOAPFault
 from repro.soap.message import Parameter, SOAPMessage
 from repro.soap.rpc import RESPONSE_SUFFIX
+from repro.wire.server import MirroredDocument
 
 __all__ = [
     "Operation",
@@ -329,21 +330,27 @@ class SOAPService:
         return self._handle_in_session_views(session, body).tobytes()
 
     def _handle_in_session_views(
-        self, session: ServerSession, body: bytes, mirrored: bool = False
+        self,
+        session: ServerSession,
+        body: Union[bytes, MirroredDocument],
+        mirrored: bool = False,
     ) -> ResponsePayload:
-        """Decode, dispatch, serialize.  *mirrored*: the caller holds a
-        reply mirror, so the response may be a frame or an announce."""
+        """Decode, dispatch, serialize.  *body* is the request XML, or
+        the session mirror holding it (deposited by an announce or
+        patched by a frame).  *mirrored*: the caller holds a reply
+        mirror, so the response may be a frame or an announce."""
         try:
-            if len(body) > self.limits.max_body_bytes:
+            document = body.buffer if isinstance(body, MirroredDocument) else body
+            if len(document) > self.limits.max_body_bytes:
                 raise ResourceLimitError(
-                    f"request body of {len(body)} bytes exceeds "
+                    f"request body of {len(document)} bytes exceeds "
                     f"max_body_bytes={self.limits.max_body_bytes}",
                     "max_body_bytes",
                 )
             # Trie peek (Chiu et al.'s tag-trie optimization applied
             # to dispatch): an unknown operation tag faults before any
             # parsing work is spent on the body.
-            status, peeked = self._peeker.classify(body)
+            status, peeked = self._peeker.classify(document)
             if status == "unknown":
                 raise SOAPError(f"unknown operation {peeked!r}")
             decoded, _report = session.deserializer.deserialize(body)
@@ -393,9 +400,9 @@ class SOAPService:
         """Handle one request with its HTTP *headers* in view.
 
         The delta-aware superset of :meth:`handle`: binary frames are
-        reconstructed against the session's mirror before the normal
-        SOAP pipeline runs, announced full-XML bodies deposit mirrors,
-        and offers are acknowledged.  Returns ``(status,
+        patched into the session's mirror and the normal SOAP pipeline
+        runs on that mirror (which is the decode template), announced
+        full-XML bodies deposit mirrors, and offers are acknowledged.  Returns ``(status,
         extra_header_lines, response_body)`` for the front end to frame
         — status 200 with the SOAP response, or 409 with an empty body
         and ``X-Repro-Delta-Resync: 1`` when the client must fall back
@@ -470,10 +477,17 @@ class SOAPService:
                         if status != 200:
                             return status, ["X-Repro-Delta-Resync: 1"], response
                     else:
-                        if accepted:
+                        # An announced body is decoded where it was
+                        # deposited: the mirror becomes the template.
+                        document = (
                             session.delta.store_announced(headers, body)
+                            if accepted
+                            else None
+                        )
                         response = self._handle_in_session_views(
-                            session, body, mirrored
+                            session,
+                            body if document is None else document,
+                            mirrored,
                         )
                     session.bytes_sent += response.total
                     if response.frame:
@@ -495,7 +509,8 @@ class SOAPService:
     def _handle_frame(
         self, session: ServerSession, body: bytes, mirrored: bool
     ) -> Tuple[int, ResponsePayload]:
-        """Reconstruct a delta frame and run the SOAP pipeline on it."""
+        """Patch the session mirror with a delta frame and run the SOAP
+        pipeline on it."""
         if not self.delta_enabled:
             session.delta.note("resync-disabled")
             return 409, ResponsePayload()

@@ -22,7 +22,7 @@ from repro.wire.frame import (
     encode_frame,
 )
 from repro.wire.loopback import DeltaLoopback
-from repro.wire.server import DeltaSession
+from repro.wire.server import DeltaSession, MirroredDocument
 
 __all__ = [
     "MAGIC",
@@ -34,5 +34,6 @@ __all__ = [
     "apply_frame",
     "DeltaEncoder",
     "DeltaSession",
+    "MirroredDocument",
     "DeltaLoopback",
 ]

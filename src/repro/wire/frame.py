@@ -54,6 +54,10 @@ MAGIC = b"RDF1"
 HEADER = struct.Struct("<4sQIIQII")
 DIR_ENTRY = struct.Struct("<QI")
 _DIR_DTYPE = np.dtype([("off", "<u8"), ("width", "<u4")])
+#: Splices from which :func:`apply_frame` scatters same-width splices in
+#: one NumPy store; below it (a scalar reply's single splice) setting
+#: the store up costs more than the slice assignments it replaces.
+_SCATTER_MIN = 16
 
 
 @dataclass(slots=True)
@@ -68,8 +72,9 @@ class DeltaFrame:
     offsets: np.ndarray
     #: Per-splice byte widths (int64), all positive.
     widths: np.ndarray
-    #: Concatenated splice bytes, ``widths.sum()`` long.
-    payload: bytes
+    #: Concatenated splice bytes, ``widths.sum()`` long: a view of the
+    #: received frame, which it keeps alive.
+    payload: memoryview
 
     @property
     def splice_count(self) -> int:
@@ -135,10 +140,10 @@ def decode_frame(
         raise DeltaFrameError(
             f"directory for {count} splices overruns the frame", "truncated"
         )
-    tail = data[HEADER.size:]
-    if zlib.crc32(tail) & 0xFFFFFFFF != crc:
+    body = memoryview(data)
+    if zlib.crc32(body[HEADER.size:]) & 0xFFFFFFFF != crc:
         raise DeltaFrameError("frame CRC mismatch", "crc-mismatch")
-    payload = data[dir_end:]
+    payload = body[dir_end:]
     if count:
         directory = np.frombuffer(
             data, dtype=_DIR_DTYPE, count=count, offset=HEADER.size
@@ -200,8 +205,18 @@ def apply_frame(frame: DeltaFrame, mirror: bytearray) -> None:
             f"mirror is {len(mirror)} bytes, frame expects {frame.doc_len}",
             "doc-len-mismatch",
         )
+    count = frame.splice_count
     payload = frame.payload
+    widths = frame.widths
+    if count >= _SCATTER_MIN and bool((widths == widths[0]).all()):
+        # Same-width splices (a fixed-width array's dirty fields): one
+        # scatter of the payload's rows.
+        width = int(widths[0])
+        np.frombuffer(mirror, dtype=np.uint8)[
+            frame.offsets[:, None] + np.arange(width)
+        ] = np.frombuffer(payload, dtype=np.uint8).reshape(count, width)
+        return
     pos = 0
-    for off, width in zip(frame.offsets.tolist(), frame.widths.tolist()):
+    for off, width in zip(frame.offsets.tolist(), widths.tolist()):
         mirror[off : off + width] = payload[pos : pos + width]
         pos += width

@@ -6,8 +6,8 @@ extensions (``set_delta_announce`` / ``send_delta_frame``) and plays
 the server role itself: announced full sends deposit mirrors in an
 embedded :class:`~repro.wire.server.DeltaSession`, frames are decoded
 and applied under real :class:`~repro.hardening.ResourceLimits`, and
-every delivered *document* (full body or reconstruction) is exposed to
-the caller.
+every delivered *document* (full body, or a copy of the patched mirror
+taken here) is exposed to the caller.
 
 Two consumers:
 
@@ -73,7 +73,9 @@ class DeltaLoopback:
         document = self.delta.apply(frame, self.limits)
         self.delta_sends += 1
         self.payload_bytes += len(frame)
-        self._deliver(document)
+        # The mirror is patched in place; the delivered documents are
+        # this loopback's own copies.
+        self._deliver(document.tobytes())
         return len(frame)
 
     def close(self) -> None:

@@ -5,10 +5,14 @@ One :class:`DeltaSession` lives on each
 carrying announce headers deposit a *mirror* — a byte copy of the body
 keyed by the client's template id.  A later binary frame is decoded
 under the session's :class:`~repro.hardening.ResourceLimits`, matched
-against the mirror's epoch/sequence, applied in place, and the
-reconstructed document handed to the normal SOAP pipeline (where the
-:class:`~repro.server.diffdeser.DifferentialDeserializer` then gets a
-guaranteed same-length, value-spans-only diff — its best case).
+against the mirror's epoch/sequence and applied in place.  What the
+SOAP pipeline gets is a :class:`MirroredDocument`: the mirror itself —
+never a copy of it — with the validated frame that just patched it.
+The mirror is also the
+:class:`~repro.server.diffdeser.DifferentialDeserializer`'s decode
+template (one ``bytearray`` per mirrored template), so the frame's
+splice directory tells the deserializer which leaves changed and it
+reads no other byte of the document.
 
 Every mismatch *drops* the mirror and raises
 :class:`~repro.errors.DeltaResyncError`; the front end answers the
@@ -20,13 +24,35 @@ decode validates everything first, and state checks precede the write.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.errors import DeltaResyncError
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
-from repro.wire.frame import apply_frame, decode_frame
+from repro.wire.frame import DeltaFrame, apply_frame, decode_frame
 
-__all__ = ["DeltaSession"]
+__all__ = ["DeltaSession", "MirroredDocument"]
+
+
+@dataclass(slots=True)
+class MirroredDocument:
+    """A document as it sits in a :class:`DeltaSession` mirror.
+
+    ``buffer`` is the mirror — the live ``bytearray`` later frames
+    patch, not a copy — and ``frame`` the validated frame that produced
+    its current content from its previous content (``None``: the whole
+    document was deposited by a full-XML announce).
+    """
+
+    buffer: bytearray
+    frame: Optional[DeltaFrame] = None
+
+    def __len__(self) -> int:
+        return len(self.buffer)
+
+    def tobytes(self) -> bytes:
+        """The document as immutable bytes (one copy)."""
+        return bytes(self.buffer)
 
 
 class _Mirror:
@@ -48,8 +74,6 @@ class DeltaSession:
         "resyncs",
         "bytes_saved",
         "outcomes",
-        "last_reconstructed",
-        "_reconstructed_id",
     )
 
     def __init__(self, limits: Optional[ResourceLimits] = None) -> None:
@@ -63,40 +87,39 @@ class DeltaSession:
         #: ``repro_delta_frames_total{outcome}`` samples; written by
         #: :meth:`note` under the owning session's lock.
         self.outcomes: Dict[str, int] = {}
-        #: Most recent reconstructed document (oracle tests compare it
-        #: byte-for-byte against the naive serialization).
-        self.last_reconstructed: Optional[bytes] = None
-        # Template whose mirror :attr:`last_reconstructed` still equals.
-        self._reconstructed_id: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def store(self, template_id: int, epoch: int, body: bytes) -> None:
-        """Deposit the announced baseline *body* as a mirror."""
+    def store(self, template_id: int, epoch: int, body: bytes) -> MirroredDocument:
+        """Deposit the announced baseline *body* as a mirror (always a
+        new ``bytearray``) and return the document in it."""
         self.mirrors.pop(template_id, None)
-        self.mirrors[template_id] = _Mirror(bytearray(body), epoch)
-        if self._reconstructed_id == template_id:
-            self._reconstructed_id = None
+        mirror = self.mirrors[template_id] = _Mirror(bytearray(body), epoch)
         while len(self.mirrors) > self.max_mirrors:
             self.mirrors.popitem(last=False)
+        return MirroredDocument(mirror.data)
 
-    def store_announced(self, headers: Dict[str, str], body: bytes) -> None:
+    def store_announced(
+        self, headers: Dict[str, str], body: bytes
+    ) -> Optional[MirroredDocument]:
         """Deposit *body* as the baseline its announce *headers* name.
 
         *headers* (lowercase keys) are peer-controlled text: a message
-        that announces nothing, or garbage, deposits no mirror and
-        raises nothing — the peer simply never gets a frame accepted
-        against it.
+        that announces nothing, or garbage, deposits no mirror, returns
+        ``None`` and raises nothing — the peer simply never gets a
+        frame accepted against it.
         """
         try:
             template_id = int(headers["x-repro-delta-template"])
             epoch = int(headers["x-repro-delta-epoch"])
         except (KeyError, ValueError):
-            return
+            return None
         if template_id >= 0 and epoch >= 0:
-            self.store(template_id, epoch, body)
+            return self.store(template_id, epoch, body)
+        return None
 
-    def apply(self, frame_bytes: bytes, limits: ResourceLimits) -> bytes:
-        """Decode + validate + apply one frame; return the document.
+    def apply(self, frame_bytes: bytes, limits: ResourceLimits) -> MirroredDocument:
+        """Decode + validate + apply one frame; return the patched
+        mirror with the frame (nothing document-sized is copied).
 
         Raises :class:`~repro.errors.DeltaFrameError` for malformed
         frames and :class:`~repro.errors.DeltaResyncError` for state
@@ -132,18 +155,13 @@ class DeltaSession:
                 f"{len(mirror.data)}",
                 "doc-len-mismatch",
             )
-        if frame.splice_count or self._reconstructed_id != frame.template_id:
+        if frame.splice_count:
             apply_frame(frame, mirror.data)
-            self.last_reconstructed = bytes(mirror.data)
-            self._reconstructed_id = frame.template_id
-        # else a header-only frame on the document handed out last
-        # time: the same bytes object again, nothing copied.
         mirror.seq = frame.seq
         self.mirrors.move_to_end(frame.template_id)
         self.frames_applied += 1
-        document = self.last_reconstructed
-        self.bytes_saved += max(0, len(document) - len(frame_bytes))
-        return document
+        self.bytes_saved += max(0, frame.doc_len - len(frame_bytes))
+        return MirroredDocument(mirror.data, frame)
 
     def note(self, outcome: str) -> None:
         """Count one frame answered with *outcome*."""
@@ -153,12 +171,15 @@ class DeltaSession:
         self.mirrors.pop(template_id, None)
 
     def drop_lru(self) -> int:
-        """Shed the least-recently-used mirror; return its byte size.
+        """Let go of the least-recently-used mirror; return its byte size.
 
         The cheapest pressure-relief tier: the client's next frame for
         the dropped template answers ``unknown-template`` resync and
         the existing retry machinery re-announces full XML.  Returns 0
-        when no mirror is held.
+        when no mirror is held.  The bytes are only freed once a
+        deserializer sharing the buffer lets go as well
+        (:meth:`ServerSession.shed_mirror
+        <repro.runtime.sessions.ServerSession.shed_mirror>`).
         """
         if not self.mirrors:
             return 0
@@ -167,6 +188,13 @@ class DeltaSession:
 
     def clear(self) -> None:
         self.mirrors.clear()
+
+    def holds(self, buffer: object) -> bool:
+        """True when *buffer* is one of the live mirrors (by identity)."""
+        for mirror in self.mirrors.values():
+            if mirror.data is buffer:
+                return True
+        return False
 
     def approx_bytes(self) -> int:
         """Approximate retained bytes (mirror documents dominate)."""

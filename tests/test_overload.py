@@ -495,6 +495,111 @@ class TestShedLadder:
         assert service.accountant.sheds["seektable"] >= 2
 
 
+def _retained(session) -> int:
+    """Bytes *session* holds, counted from the objects themselves:
+    every distinct document once (by identity), the decode at the
+    ledger's one-document estimate, the seek table, the response."""
+    documents = {id(m.data): len(m.data) for m in session.delta.mirrors.values()}
+    decode = 0
+    template = session.deserializer.template_buffer
+    if template is not None:
+        documents[id(template)] = decode = len(template)
+    return (
+        sum(documents.values())
+        + decode
+        + session.deserializer.seek_table_bytes()
+        + session.responder.store.approx_bytes()
+        + session.sink.last_bytes()
+    )
+
+
+class TestSharedBufferLedger:
+    """Mirror and decode template are one ``bytearray``: the ledger
+    charges it once, and each shed tier is counted for what a
+    re-measure says it freed."""
+
+    def _check(self, service) -> int:
+        total = 0
+        for session in service.sessions.sessions():
+            components = session.state_components()
+            assert sum(components.values()) == _retained(session), session.key
+            assert session.accounted == components, session.key
+            total += sum(components.values())
+        assert service.accountant.usage_bytes == total
+        return total
+
+    def _shed_once(self, service) -> dict:
+        """Lower the budget to one byte under usage, the low watermark
+        just under that: the ladder needs a few bytes, so one shed."""
+        acct = service.accountant
+        acct.shed_target_fraction = 0.999
+        acct.budget_bytes = acct.usage_bytes - 1
+        sheds = service.sessions.relieve_pressure()
+        assert sum(sheds.values()) == 1, sheds
+        return sheds
+
+    def test_ledger_equals_retained_bytes_through_every_tier(self):
+        service = build_service(0.0)
+        # "plain": full XML, never announced — a template of its own.
+        plain_body = _checksum_body(128, seed=9)
+        assert service.handle_wire(plain_body, {}, "plain")[0] == 200
+        # "framed": two announced templates, then a frame on the second.
+        first, second = _checksum_body(256, seed=1), _checksum_body(200, seed=2)
+        for template_id, body in enumerate((first, second)):
+            headers = dict(_ANNOUNCE)
+            headers["x-repro-delta-template"] = str(template_id)
+            assert service.handle_wire(body, headers, "framed")[0] == 200
+        frame = encode_frame(1, 0, 1, len(second), [], [], b"")
+        assert service.handle_wire(frame, {"x-repro-delta-frame": "1"}, "framed")[0] == 200
+        plain, framed = (
+            next(s for s in service.sessions.sessions() if s.key == key)
+            for key in ("plain", "framed")
+        )
+
+        # Before any shed: one document per mirrored template.
+        shared = framed.delta.mirrors[1].data
+        assert framed.deserializer.template_buffer is shared
+        components = framed.state_components()
+        assert components["mirror"] == len(first) + len(second)
+        assert components["deser"] == len(second)  # the decode alone
+        assert plain.state_components()["deser"] == 2 * len(plain_body)
+        usage = self._check(service)
+
+        # Tier 1, a mirror nobody else holds: exactly its bytes.
+        assert self._shed_once(service) == {"mirror": 1}
+        assert list(framed.delta.mirrors) == [1]
+        assert framed.deserializer.template_buffer is shared
+        assert self._check(service) == usage - len(first)
+        usage -= len(first)
+
+        # Tier 1, the mirror that is the decode template: the
+        # deserializer lets go as well — document, decode, seek table.
+        table = framed.deserializer.seek_table_bytes()
+        assert table > 0
+        assert self._shed_once(service) == {"mirror": 1}
+        assert not framed.delta.mirrors and not framed.deserializer.has_template
+        assert self._check(service) == usage - 2 * len(second) - table
+        usage -= 2 * len(second) + table
+        # A frame for it now resyncs; nothing trusts a gone buffer.
+        frame = encode_frame(1, 0, 2, len(second), [], [], b"")
+        assert service.handle_wire(frame, {"x-repro-delta-frame": "1"}, "framed")[0] == 409
+        usage = self._check(service)
+
+        # Tier 2: the one seek table left; its template stays.
+        table = plain.deserializer.seek_table_bytes()
+        assert self._shed_once(service) == {"seektable": 1}
+        assert plain.deserializer.has_template and not plain.deserializer.has_seek_table
+        assert self._check(service) == usage - table
+        usage -= table
+
+        # Tier 3: sessions retire, LRU first, with all they were charged.
+        charged = sum(plain.accounted.values())
+        assert self._shed_once(service) == {"session": 1}
+        assert [s.key for s in service.sessions.sessions()] == ["framed"]
+        assert self._check(service) == usage - charged
+        assert service.accountant.sheds == {"mirror": 2, "seektable": 1, "session": 1}
+
+
 class TestStateGauges:
     def test_metrics_endpoint_serves_state_bytes(self):
         service = build_service(0.0)

@@ -201,7 +201,12 @@ def test_header_only_frame_returns_the_cached_decode():
             decoded_before = dict(channel.deserializer.stats)
             again = channel.call(_msg(values)).result()  # frame 2: header only
             assert len(recorder.responses[-1][2]) == 36
-            assert channel.last_response_body is body
+            # Nothing was reconstructed: the reply mirror is the decode
+            # template, and the body is copied out of it on request.
+            (mirror,) = channel.replies.mirrors.values()
+            assert channel.deserializer.template_buffer is mirror.data
+            assert channel.last_response_body == body
+            decoded_before[DeserKind.CONTENT_MATCH] += 1
             assert channel.deserializer.stats == decoded_before
             report = channel.last_deser_report
             assert (report.kind, report.leaves_parsed) == (DeserKind.CONTENT_MATCH, 0)
@@ -459,3 +464,7 @@ def test_reply_frame_fuzz_smoke(rng_seed):
     assert report.ok, report.violations[:3]
     assert report.outcomes.get("resync", 0) > 0
     assert report.outcomes.get("ok", 0) > 0
+    # Frames whose directory names leaf regions of the reply — the ones
+    # the channel's frame lane decodes from — were among the cases.
+    aimed = ("region_splices", "region_garbage")
+    assert sum(report.mutators.get(name, 0) for name in aimed) > 0

@@ -168,6 +168,28 @@ class TestFrameCodec:
         with pytest.raises(DeltaFrameError):
             apply_frame(frame, bytearray(b"short"))
 
+    @pytest.mark.parametrize("count", (1, 15, 16, 300))
+    @pytest.mark.parametrize("uniform", (True, False))
+    def test_apply_equals_splice_by_splice_reference(self, count, uniform):
+        """Many same-width splices go down in one scatter; the result
+        is what assigning the slices one by one gives."""
+        rng = np.random.default_rng(count)
+        document = bytes(rng.integers(0, 256, 40 * count + 7, dtype=np.uint8))
+        offsets = [40 * i + int(rng.integers(0, 8)) for i in range(count)]
+        widths = [24 if uniform else int(rng.integers(1, 30)) for _ in offsets]
+        if not uniform:
+            widths[-1] = widths[0] + 1  # never all equal by chance
+        pieces = [bytes(rng.integers(0, 256, w, dtype=np.uint8)) for w in widths]
+        frame = decode_frame(
+            encode_frame(1, 1, 1, len(document), offsets, widths, b"".join(pieces))
+        )
+        expected = bytearray(document)
+        for offset, piece in zip(offsets, pieces):
+            expected[offset : offset + len(piece)] = piece
+        mirror = bytearray(document)
+        apply_frame(frame, mirror)
+        assert mirror == expected
+
 
 # ----------------------------------------------------------------------
 # server-side mirror session
@@ -183,7 +205,10 @@ class TestDeltaSession:
         session = DeltaSession()
         session.store(1, 1, b"0123456789")
         doc = session.apply(self._frame(splices=[(3, 2, b"XY")]), None)
-        assert doc == b"012XY56789"
+        # The patched mirror itself, with the frame that patched it.
+        assert doc.buffer is session.mirrors[1].data
+        assert doc.tobytes() == b"012XY56789" and len(doc) == 10
+        assert (doc.frame.seq, doc.frame.splice_count) == (1, 1)
         assert session.frames_applied == 1
         # sequence advances: the same seq replayed is now a gap
         with pytest.raises(DeltaResyncError) as err:
@@ -200,8 +225,8 @@ class TestDeltaSession:
     def test_consecutive_sequences_accepted(self):
         session = DeltaSession()
         session.store(1, 1, b"0123456789")
-        assert session.apply(self._frame(seq=1, splices=[(0, 1, b"A")]), None)[0:1] == b"A"
-        assert session.apply(self._frame(seq=2, splices=[(1, 1, b"B")]), None)[1:2] == b"B"
+        assert session.apply(self._frame(seq=1, splices=[(0, 1, b"A")]), None).buffer[0:1] == b"A"
+        assert session.apply(self._frame(seq=2, splices=[(1, 1, b"B")]), None).buffer[1:2] == b"B"
 
     @pytest.mark.parametrize(
         "tid,epoch,seq,reason",
