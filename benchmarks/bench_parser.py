@@ -1,9 +1,7 @@
-"""Parsing-side costs: scanner, feed scanner, schema-guided parser.
+"""Parsing-side costs: scanner, schema-guided parser.
 
 Context for the differential-deserialization ablation: these are the
-baseline costs the server avoids.  The incremental FeedScanner is
-compared against the whole-document scanner over the same bytes to
-price the streaming capability.
+baseline costs the server avoids.
 """
 
 import pytest
@@ -13,7 +11,6 @@ from repro.bench.workloads import double_array_message, random_doubles
 from repro.core.client import BSoapClient
 from repro.server.parser import SOAPRequestParser
 from repro.transport.loopback import CollectSink
-from repro.xmlkit.feed import FeedScanner
 from repro.xmlkit.scanner import XMLScanner
 
 N = 5000
@@ -29,21 +26,6 @@ def document():
 def test_whole_document_scan(benchmark, document):
     benchmark.group = f"parser costs (n={N} doubles)"
     benchmark(lambda: sum(1 for _ in XMLScanner(document)))
-
-
-def test_feed_scan_8k_fragments(benchmark, document):
-    benchmark.group = f"parser costs (n={N} doubles)"
-
-    def run():
-        scanner = FeedScanner()
-        count = 0
-        for pos in range(0, len(document), 8192):
-            count += len(scanner.feed(document[pos : pos + 8192]))
-        count += len(scanner.close())
-        return count
-
-    assert run() == sum(1 for _ in XMLScanner(document))
-    benchmark(run)
 
 
 def test_schema_guided_parse(benchmark, document):

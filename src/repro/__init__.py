@@ -34,7 +34,6 @@ from repro.core import (
     MatchKind,
     MessageTemplate,
     OverlayPolicy,
-    PlanPolicy,
     PreparedCall,
     SendReport,
     StuffMode,
@@ -69,7 +68,6 @@ __all__ = [
     "StuffingPolicy",
     "StuffMode",
     "OverlayPolicy",
-    "PlanPolicy",
     "DeltaPolicy",
     "DeltaEncoder",
     "DeltaSession",

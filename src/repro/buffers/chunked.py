@@ -83,11 +83,10 @@ class ChunkedBuffer:
         self._bytes_moved = 0  # instrumentation: memmove traffic from gaps
         #: Monotonic **layout epoch**: bumped by every operation that
         #: moves bytes or changes backing stores (gap open, realloc,
-        #: split, steal).  Compiled rewrite plans (``repro.core.plan``)
-        #: capture the epoch at build time and are valid only while it
-        #: is unchanged — cheap O(1) invalidation with no tracking of
-        #: *what* moved.  Note a fresh buffer restarts at 0, so plan
-        #: caches must be cleared explicitly on template rebuild.
+        #: split, steal).  The delta encoder records the epoch with its
+        #: announced baseline and sends a frame only while it is
+        #: unchanged (``repro.wire.client``) — O(1) with no tracking of
+        #: *what* moved.  A fresh buffer restarts at 0.
         self.layout_epoch = 0
 
     # ------------------------------------------------------------------

@@ -17,13 +17,11 @@ from repro.core.client import BSoapClient, PreparedCall
 from repro.core.differential import rewrite_dirty, write_entry
 from repro.core.matcher import classify, refine
 from repro.core.overlay import OverlayTemplate, build_overlay_template, overlay_eligible
-from repro.core.plan import PlanCache, RewritePlan, compile_plan
 from repro.core.policy import (
     DiffPolicy,
     Expansion,
     OverlayPolicy,
     DeltaPolicy,
-    PlanPolicy,
     StuffMode,
     StuffingPolicy,
 )
@@ -41,11 +39,7 @@ __all__ = [
     "StuffMode",
     "OverlayPolicy",
     "DeltaPolicy",
-    "PlanPolicy",
     "Expansion",
-    "PlanCache",
-    "RewritePlan",
-    "compile_plan",
     "MessageTemplate",
     "BoundParam",
     "build_template",

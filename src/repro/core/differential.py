@@ -11,20 +11,22 @@ serialized form:
   chunk tail (possibly reallocating or splitting the chunk), then
   write.
 
-Three code paths per parameter:
-
-**Plan path** (steady state — the same dirty signature repeating
-under an unchanged layout): a compiled :class:`~repro.core.plan.RewritePlan`
-replays precomputed offsets/close-tags/chunk groupings, skipping the
-per-send planning below entirely; max-stuffed fixed-format double
-runs collapse to strided NumPy splices.
+Both drivers — :func:`rewrite_dirty` (parameter by parameter) and
+:func:`iter_rewrite_and_views` (chunk by chunk, for pipelined send) —
+hand each parameter's dirty entries to one routine,
+:func:`_rewrite_run`.  It converts the new values through the
+conversion memo and reads their locations from the DUT on every send:
+the table already is the write program (paper §3.1), so nothing about
+the layout is kept between sends.
 
 **Fast path** (perfect structural match — no value outgrew its field,
-checked with one vectorized comparison): DUT columns for the dirty
-subset are pulled into plain Python lists once and the write loop
-touches the chunk ``bytearray`` directly.  Locations cannot move on
-this path, so the cached offsets stay valid — which is also what
-makes the freshly compiled plan stored here valid for the next send.
+checked with one vectorized comparison): locations cannot move, so the
+dirty subset's DUT columns are read once.  A chunk run of at least
+:data:`STORE_MIN_RUN` values whose new and old lengths are all one
+length ``L`` (every finite FIXED double, any fixed-width reading) moves
+no closing tag and is written with one NumPy store of its ``(m, L)``
+row matrix; every other entry takes the slice loop over the chunk
+``bytearray``.
 
 **Slow path** (some value needs expansion): entries are processed in
 ascending document order through :func:`write_entry`, re-reading
@@ -33,11 +35,11 @@ locations from the DUT at each step because shifts move later entries.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
-from repro.core.plan import compile_plan
 from repro.core.policy import DiffPolicy, Expansion
 from repro.core.stats import RewriteStats
 from repro.core.stealing import try_steal
@@ -48,6 +50,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["rewrite_dirty", "write_entry"]
 
 _PAD = tuple(b" " * i for i in range(64))
+
+#: Shortest same-length chunk run written with one NumPy store; shorter
+#: runs take the slice loop.  The store costs ~14 µs more up front
+#: (run split, length checks, join, views) and ~0.3 µs less per value,
+#: so on one run of 14- or 24-byte doubles the two meet between 48 and
+#: 64 values (docs/perf.md, "The steady-state rewrite").
+STORE_MIN_RUN = 56
 
 
 def write_entry(
@@ -112,6 +121,20 @@ def write_entry(
         dut.ser_len[entry] = new_len
 
 
+def _store_run(
+    data: bytearray, offs: np.ndarray, texts: Sequence[bytes], length: int
+) -> None:
+    """Write *texts*, each *length* bytes, at *offs* with one NumPy store.
+
+    Row ``i`` of the window view is ``data[i : i + length]``, so
+    indexing it with *offs* scatters the ``(m, length)`` row matrix
+    without building an ``m × length`` index array.
+    """
+    window = np.ndarray((len(data) - length + 1, length), np.uint8, data, 0, (1, 1))
+    rows = np.frombuffer(b"".join(texts), dtype=np.uint8)
+    window[offs] = rows.reshape(len(offs), length)
+
+
 def _fast_rewrite(
     template: "MessageTemplate",
     bp: "BoundParam",
@@ -121,65 +144,136 @@ def _fast_rewrite(
     lens: np.ndarray,
     stats: RewriteStats,
 ) -> None:
-    """Perfect-structural write loop over cached locations.
+    """Perfect-structural write over locations read from the DUT.
 
     Preconditions (checked by the caller): every new length fits its
-    field width, so no location changes during the loop and the chunk
+    field width, so no location changes during the write and the chunk
     ``bytearray`` can be written without re-validating bounds — the
     template layout invariant guarantees the spans are in range.
     """
     dut = template.dut
     buffer = template.buffer
-    offs: List[int] = dut.value_off[idxs].tolist()
-    olds: List[int] = dut.ser_len[idxs].tolist()
-    cids: List[int] = dut.chunk_id[idxs].tolist()
+    offs_a = dut.value_off[idxs]
+    olds_a = dut.ser_len[idxs]
+    cids_a = dut.chunk_id[idxs]
+    n = len(idxs)
 
-    uniform = bp.arity == 1
-    if uniform:
-        close = bp.close_tags[0]
-        clen = len(close)
-        closes = None
-    else:
-        leaf_pos = ((idxs - bp.entry_base) % bp.arity).tolist()
-        closes = [bp.close_tags[p] for p in leaf_pos]
+    # Entries left for the slice loop: all of them, unless some chunk
+    # run [s, e) is long enough and all its new and old lengths are
+    # one length — then no closing tag moves and the store writes it.
+    # A chunk's entries are contiguous, so a long enough run exists iff
+    # some entry shares its chunk with the one STORE_MIN_RUN - 1 later.
+    loop = range(n)
+    reach = STORE_MIN_RUN - 1
+    if n > reach and bool((cids_a[reach:] == cids_a[: n - reach]).any()):
+        cuts = np.flatnonzero(cids_a[1:] != cids_a[:-1]) + 1
+        starts = np.concatenate(([0], cuts))
+        ends = np.concatenate((cuts, [n]))
+        lo = np.minimum.reduceat(np.minimum(lens, olds_a), starts)
+        hi = np.maximum.reduceat(np.maximum(lens, olds_a), starts)
+        stored = (ends - starts >= STORE_MIN_RUN) & (lo == hi)
+        loop = []
+        for s, e, store in zip(starts.tolist(), ends.tolist(), stored.tolist()):
+            if store:
+                data = buffer.chunk(int(cids_a[s])).data
+                _store_run(data, offs_a[s:e], texts[s:e], lens_l[s])
+            else:
+                loop.extend(range(s, e))
 
-    pad = _PAD
     tag_shifts = 0
     pad_bytes = 0
-    data = None
-    last_cid = -1
-    for k in range(len(offs)):
-        cid = cids[k]
-        if cid != last_cid:
-            data = buffer.chunk(cid).data
-            last_cid = cid
-        off = offs[k]
-        text = texts[k]
-        new_len = lens_l[k]
-        end_v = off + new_len
-        data[off:end_v] = text  # type: ignore[index]
-        old = olds[k]
-        if new_len != old:
-            if not uniform:
-                close = closes[k]  # type: ignore[index]
-                clen = len(close)
-            data[end_v : end_v + clen] = close  # type: ignore[index]
-            tag_shifts += 1
-            if new_len < old:
-                gap = old - new_len
-                start = end_v + clen
-                # _PAD only interns gaps < 64; a string shrinking by
-                # more (possible for TrackedStringArray) needs a
-                # fresh pad of the exact size.
-                data[start : start + gap] = (  # type: ignore[index]
-                    pad[gap] if gap < 64 else b" " * gap
-                )
-                pad_bytes += gap
+    if loop:
+        offs: List[int] = offs_a.tolist()
+        olds: List[int] = olds_a.tolist()
+        cids: List[int] = cids_a.tolist()
+        uniform = bp.arity == 1
+        if uniform:
+            close = bp.close_tags[0]
+            clen = len(close)
+            closes = None
+        else:
+            leaf_pos = ((idxs - bp.entry_base) % bp.arity).tolist()
+            closes = [bp.close_tags[p] for p in leaf_pos]
+
+        pad = _PAD
+        data = None
+        last_cid = -1
+        for k in loop:
+            cid = cids[k]
+            if cid != last_cid:
+                data = buffer.chunk(cid).data
+                last_cid = cid
+            off = offs[k]
+            new_len = lens_l[k]
+            end_v = off + new_len
+            data[off:end_v] = texts[k]  # type: ignore[index]
+            old = olds[k]
+            if new_len != old:
+                if not uniform:
+                    close = closes[k]  # type: ignore[index]
+                    clen = len(close)
+                data[end_v : end_v + clen] = close  # type: ignore[index]
+                tag_shifts += 1
+                if new_len < old:
+                    gap = old - new_len
+                    start = end_v + clen
+                    # _PAD only interns gaps < 64; a string shrinking by
+                    # more (possible for TrackedStringArray) needs a
+                    # fresh pad of the exact size.
+                    data[start : start + gap] = (  # type: ignore[index]
+                        pad[gap] if gap < 64 else b" " * gap
+                    )
+                    pad_bytes += gap
 
     dut.ser_len[idxs] = lens
-    stats.values_rewritten += len(offs)
+    stats.values_rewritten += n
     stats.tag_shifts += tag_shifts
     stats.pad_bytes += pad_bytes
+
+
+def _rewrite_run(
+    template: "MessageTemplate",
+    bp: "BoundParam",
+    idxs: np.ndarray,
+    policy: DiffPolicy,
+    stats: RewriteStats,
+    obs,
+) -> None:
+    """Re-serialize *bp*'s dirty entries *idxs* (ascending DUT indices).
+
+    Resends always convert through the conversion memo; only
+    first-time builds format directly (they would poison its hit-rate
+    window, see :mod:`repro.core.serializer`).
+    """
+    texts = bp.tracked.lexical_for(
+        idxs - bp.entry_base, policy.float_format, cached=True
+    )
+    lens_l = list(map(len, texts))
+    lens = np.asarray(lens_l, dtype=np.int32)
+    if bool((lens > template.dut.field_width[idxs]).any()):
+        # Partial structural match: at least one expansion needed.
+        for entry, text in zip(idxs.tolist(), texts):
+            write_entry(template, entry, text, policy, stats, obs)
+    else:
+        _fast_rewrite(template, bp, idxs, texts, lens_l, lens, stats)
+
+
+def _emit_rewrite(
+    obs,
+    template: "MessageTemplate",
+    stats: RewriteStats,
+    pipelined: bool,
+    duration_s: float,
+) -> None:
+    obs.tracer.emit(
+        "rewrite",
+        duration_s=duration_s,
+        template_id=template.template_id,
+        pipelined=pipelined,
+        values=stats.values_rewritten,
+        expansions=stats.expansions,
+        tag_shifts=stats.tag_shifts,
+    )
 
 
 def iter_rewrite_and_views(
@@ -199,13 +293,14 @@ def iter_rewrite_and_views(
     iteration naturally picks it up.
 
     Dirty bits of processed entries are cleared as they are written.
+    The ``rewrite`` span's ``duration_s`` counts the rewriting only,
+    not the time the consumer holds each yielded view.
     """
+    tracing = obs is not None and obs.tracer.enabled
+    busy = 0.0
+    t0 = perf_counter() if tracing else 0.0
     dut = template.dut
     buffer = template.buffer
-    fmt = policy.float_format
-    plan_pol = policy.plan
-    cache = template.plan_cache if plan_pol.enabled else None
-    conv = plan_pol.enabled and plan_pol.conversion_cache
     index = 0
     while index < buffer.num_chunks:
         cid = buffer.chunk_id_at(index)
@@ -218,65 +313,19 @@ def iter_rewrite_and_views(
                 # Sorted dirty indices + contiguous param entry ranges
                 # ⇒ one param's entries form one contiguous run.
                 take = idxs[(idxs >= bp.entry_base) & (idxs < bp.entry_end)]
-                texts = None
-                done = False
-                if cache is not None:
-                    seg_lo = max(lo, bp.entry_base)
-                    seg_hi = min(hi, bp.entry_end)
-                    plan = cache.lookup(
-                        (seg_lo, seg_hi),
-                        buffer.layout_epoch,
-                        dut.dirty[seg_lo:seg_hi],
-                        stats,
-                    )
-                    if plan is not None:
-                        stats.plan_hits += 1
-                        texts = plan.execute(template, bp, policy, stats)
-                        done = texts is None
-                    else:
-                        stats.plan_misses += 1
-                if not done:
-                    if texts is None:
-                        texts = bp.tracked.lexical_for(
-                            take - bp.entry_base, fmt, cached=conv
-                        )
-                    lens_l = list(map(len, texts))
-                    lens = np.asarray(lens_l, dtype=np.int32)
-                    if bool((lens > dut.field_width[take]).any()):
-                        for entry, text in zip(take.tolist(), texts):
-                            write_entry(template, entry, text, policy, stats, obs)
-                    else:
-                        _fast_rewrite(template, bp, take, texts, lens_l, lens, stats)
-                        if (
-                            cache is not None
-                            and len(take) >= plan_pol.min_dirty
-                            and cache.should_compile((seg_lo, seg_hi))
-                        ):
-                            cache.store(
-                                (seg_lo, seg_hi),
-                                compile_plan(
-                                    template, bp, seg_lo, seg_hi, take, policy
-                                ),
-                                plan_pol.max_plans_per_segment,
-                            )
+                _rewrite_run(template, bp, take, policy, stats, obs)
                 dut.dirty[take] = False
                 pos += len(take)
         chunk = buffer.chunk(cid)
         if chunk.used:
+            if tracing:
+                busy += perf_counter() - t0
             yield chunk.view()
+            if tracing:
+                t0 = perf_counter()
         index += 1
-    if obs is not None and obs.tracer.enabled:
-        obs.tracer.emit(
-            "rewrite",
-            template_id=template.template_id,
-            pipelined=True,
-            values=stats.values_rewritten,
-            expansions=stats.expansions,
-            tag_shifts=stats.tag_shifts,
-            plan_hits=stats.plan_hits,
-            plan_misses=stats.plan_misses,
-            plan_spliced=stats.plan_spliced,
-        )
+    if tracing:
+        _emit_rewrite(obs, template, stats, True, busy + perf_counter() - t0)
 
 
 def rewrite_dirty(
@@ -284,74 +333,16 @@ def rewrite_dirty(
 ) -> RewriteStats:
     """Re-serialize every dirty entry; clear dirty bits; return stats."""
     tracing = obs is not None and obs.tracer.enabled
-    if tracing:
-        from time import perf_counter
-
-        t0 = perf_counter()
+    t0 = perf_counter() if tracing else 0.0
     stats = RewriteStats()
     dut = template.dut
-    buffer = template.buffer
-    fmt = policy.float_format
-    plan_pol = policy.plan
-    cache = template.plan_cache if plan_pol.enabled else None
-    conv = plan_pol.enabled and plan_pol.conversion_cache
     for bp in template.params:
         base, end = bp.entry_base, bp.entry_end
         seg = dut.dirty[base:end]
         if not seg.any():
             continue
-        texts = None
-        if cache is not None:
-            plan = cache.lookup((base, end), buffer.layout_epoch, seg, stats)
-            if plan is not None:
-                stats.plan_hits += 1
-                texts = plan.execute(template, bp, policy, stats)
-                if texts is None:
-                    dut.clear_dirty(base, end)
-                    continue
-                # Some value outgrew its field: the plan handed back
-                # the converted texts; expansion path below.
-                idxs = plan.take
-            else:
-                stats.plan_misses += 1
-                idxs = base + np.flatnonzero(seg)
-        else:
-            idxs = base + np.flatnonzero(seg)
-        if texts is None:
-            texts = bp.tracked.lexical_for(idxs - base, fmt, cached=conv)
-        lens_l = list(map(len, texts))
-        lens = np.asarray(lens_l, dtype=np.int32)
-        if bool((lens > dut.field_width[idxs]).any()):
-            # Partial structural match: at least one expansion needed.
-            for entry, text in zip(idxs.tolist(), texts):
-                write_entry(template, entry, text, policy, stats, obs)
-        else:
-            _fast_rewrite(template, bp, idxs, texts, lens_l, lens, stats)
-            if (
-                cache is not None
-                and len(idxs) >= plan_pol.min_dirty
-                and cache.should_compile((base, end))
-            ):
-                # Layout unchanged by the fast path, so locations
-                # gathered now are exactly what the next identical
-                # dirty signature needs.
-                cache.store(
-                    (base, end),
-                    compile_plan(template, bp, base, end, idxs, policy),
-                    plan_pol.max_plans_per_segment,
-                )
+        _rewrite_run(template, bp, base + np.flatnonzero(seg), policy, stats, obs)
         dut.clear_dirty(base, end)
     if tracing:
-        obs.tracer.emit(
-            "rewrite",
-            duration_s=perf_counter() - t0,
-            template_id=template.template_id,
-            pipelined=False,
-            values=stats.values_rewritten,
-            expansions=stats.expansions,
-            tag_shifts=stats.tag_shifts,
-            plan_hits=stats.plan_hits,
-            plan_misses=stats.plan_misses,
-            plan_spliced=stats.plan_spliced,
-        )
+        _emit_rewrite(obs, template, stats, False, perf_counter() - t0)
     return stats

@@ -166,7 +166,6 @@ class OverlayTemplate:
         leaf_types: Tuple[XSDType, ...],
         n_items: int,
         fmt: FloatFormat,
-        conv: bool = False,
     ) -> None:
         self.signature = signature
         self.prefix = prefix
@@ -177,10 +176,6 @@ class OverlayTemplate:
         self.leaf_types = leaf_types
         self.n_items = n_items
         self.fmt = fmt
-        #: Route the per-portion re-conversion through the conversion
-        #: memo — overlay sends reformat the *whole* array every time,
-        #: so repeated values benefit even more than the diff path.
-        self.conv = conv
         self.sends = 0
         from repro.core.template import next_template_id
 
@@ -233,8 +228,10 @@ class OverlayTemplate:
         for p in range(self.full_portions):
             lo = p * per_portion * arity
             hi = lo + per_portion * arity
+            # Every overlay send reformats the whole array, so
+            # recurring values are worth the conversion memo.
             texts = self.tracked.lexical_for(
-                np.arange(lo, hi), self.fmt, cached=self.conv
+                np.arange(lo, hi), self.fmt, cached=True
             )
             self.portion.rewrite(texts, stats)
             yield self.portion.view()
@@ -242,7 +239,7 @@ class OverlayTemplate:
             lo = self.full_portions * per_portion * arity
             hi = self.n_items * arity
             texts = self.tracked.lexical_for(
-                np.arange(lo, hi), self.fmt, cached=self.conv
+                np.arange(lo, hi), self.fmt, cached=True
             )
             self.tail.rewrite(texts, stats)
             yield self.tail.view()
@@ -365,5 +362,4 @@ def build_overlay_template(
         leaf_types=leaf_types,
         n_items=n_items,
         fmt=fmt,
-        conv=policy.plan.enabled and policy.plan.conversion_cache,
     )

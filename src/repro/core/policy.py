@@ -21,7 +21,6 @@ __all__ = [
     "StuffMode",
     "StuffingPolicy",
     "OverlayPolicy",
-    "PlanPolicy",
     "DeltaPolicy",
     "DiffPolicy",
     "Expansion",
@@ -103,32 +102,6 @@ class OverlayPolicy:
 
 
 @dataclass(frozen=True, slots=True)
-class PlanPolicy:
-    """Compiled rewrite plans + conversion caching (steady-state path).
-
-    When a perfect-structural send repeats the *same* dirty-index set
-    for a parameter under an unchanged buffer layout, the pre-derived
-    offsets/close-tags/chunk groupings from the previous send are
-    byte-for-byte reusable.  A :class:`~repro.core.plan.RewritePlan`
-    captures them once; subsequent sends validate the plan (layout
-    epoch + dirty-mask equality) and skip the per-send planning work
-    entirely.  Plans never change wire bytes — only how fast they are
-    produced — so they are on by default.
-    """
-
-    enabled: bool = True
-    #: Distinct dirty signatures cached per (param, dirty-range)
-    #: segment before FIFO eviction; steady-state clients need 1.
-    max_plans_per_segment: int = 4
-    #: Segments with fewer dirty entries than this are not worth a
-    #: plan (the generic path is already ~free).
-    min_dirty: int = 1
-    #: Route dirty-value formatting through the conversion memo /
-    #: small-int table in :mod:`repro.lexical.cache`.
-    conversion_cache: bool = True
-
-
-@dataclass(frozen=True, slots=True)
 class DeltaPolicy:
     """Negotiated binary delta frames for repro↔repro traffic.
 
@@ -183,9 +156,6 @@ class DiffPolicy:
     #: remaining re-serialization.  Requires a streaming-capable
     #: transport framing (raw TCP or HTTP chunked).
     pipelined_send: bool = False
-    #: Compiled rewrite plans + conversion caches for the steady-state
-    #: resend path (see :class:`PlanPolicy`).
-    plan: PlanPolicy = field(default_factory=PlanPolicy)
     #: Negotiated binary delta frames (see :class:`DeltaPolicy`);
     #: defaults off — nothing changes on the wire unless offered *and*
     #: acknowledged by the server.

@@ -53,15 +53,6 @@ class RewriteStats:
     steals: int = 0
     #: Bytes of pad written (shrinks + stuffing maintenance).
     pad_bytes: int = 0
-    #: Rewrite segments served by a cached plan (no per-send planning).
-    plan_hits: int = 0
-    #: Segments that compiled a fresh plan (first sight of a dirty
-    #: signature, or cache miss after eviction).
-    plan_misses: int = 0
-    #: Cached plans dropped because the buffer layout epoch moved.
-    plan_invalidations: int = 0
-    #: Values written through a plan's strided splice runs.
-    plan_spliced: int = 0
 
     @property
     def expansions(self) -> int:
@@ -76,10 +67,6 @@ class RewriteStats:
         self.splits += other.splits
         self.steals += other.steals
         self.pad_bytes += other.pad_bytes
-        self.plan_hits += other.plan_hits
-        self.plan_misses += other.plan_misses
-        self.plan_invalidations += other.plan_invalidations
-        self.plan_spliced += other.plan_spliced
 
 
 @dataclass(slots=True)
@@ -141,17 +128,16 @@ class ClientStats:
     #: Bytes memmoved by chunk-tail shifts during this client's sends.
     buffer_bytes_moved: int = 0
 
+    # The rewrite keeps no plan cache; ``benchmarks/ledger/child.py``
+    # reads these two for ``core.plan_hit_share`` until the ledger
+    # retires that row (ROADMAP item 2).
     @property
     def plan_hits(self) -> int:
-        return self.rewrite.plan_hits
+        return 0
 
     @property
     def plan_misses(self) -> int:
-        return self.rewrite.plan_misses
-
-    @property
-    def plan_invalidations(self) -> int:
-        return self.rewrite.plan_invalidations
+        return 0
 
     def record(self, report: SendReport) -> None:
         kind = report.match_kind
@@ -198,10 +184,6 @@ class ClientStats:
             ("repro_templates_built_total",): self.templates_built,
             ("repro_rollbacks_total",): self.rollbacks,
             ("repro_forced_full_sends_total",): self.forced_full_sends,
-            ("repro_plan_events_total", "hit"): rw.plan_hits,
-            ("repro_plan_events_total", "miss"): rw.plan_misses,
-            ("repro_plan_events_total", "invalidation"): rw.plan_invalidations,
-            ("repro_plan_spliced_values_total",): rw.plan_spliced,
         }
         for kind in MatchKind:
             samples["repro_sends_total", kind.value] = self.by_kind[kind]
@@ -222,8 +204,6 @@ class ClientStats:
             parts.append(f"rollbacks={self.rollbacks}")
         if self.forced_full_sends:
             parts.append(f"resyncs={self.forced_full_sends}")
-        if self.plan_hits or self.plan_misses:
-            parts.append(f"plan_hits={self.plan_hits}/{self.plan_hits + self.plan_misses}")
         return " ".join(parts)
 
 

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.buffers.chunked import ChunkedBuffer
-from repro.core.plan import PlanCache
 from repro.dut.table import DUTTable
 from repro.dut.tracked import (
     TrackedArray,
@@ -129,7 +128,6 @@ class MessageTemplate:
         "sends",
         "suspect",
         "template_id",
-        "plan_cache",
     )
 
     def __init__(
@@ -149,9 +147,6 @@ class MessageTemplate:
         self._bases = np.asarray([p.entry_base for p in self.params], dtype=np.int64)
         self.sends = 0
         self.template_id = next_template_id()
-        #: Compiled rewrite plans for repeated dirty signatures
-        #: (see :mod:`repro.core.plan`).
-        self.plan_cache = PlanCache()
         #: Set when a send failed after the template was mutated: the
         #: serialized form may no longer match what the server holds,
         #: so the next send must be a full resynchronization.
@@ -259,9 +254,6 @@ class MessageTemplate:
         self.params = fresh.params
         self._by_name = {p.name: p for p in self.params}
         self._bases = np.asarray([p.entry_base for p in self.params], dtype=np.int64)
-        # The fresh buffer's epoch counter restarts at 0, so stale
-        # plans could otherwise pass the epoch check against it.
-        self.plan_cache.clear()
         self.suspect = False
 
     # ------------------------------------------------------------------

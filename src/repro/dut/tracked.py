@@ -18,7 +18,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import DUTError, SchemaError
-from repro.lexical.cache import format_double_fixed_blob
+# Both batch formatters are module names here because the ledger's
+# tracing (``benchmarks/ledger/tracing.py``) wraps them by name for
+# ``lexical.format``; the rewrite formats through ``format_double_array``.
+from repro.lexical.cache import format_double_fixed_blob  # noqa: F401
 from repro.lexical.floats import FloatFormat, format_double_array
 from repro.lexical.integers import format_int_array
 from repro.schema.composite import StructType
@@ -162,21 +165,6 @@ class TrackedArray(_Bindable):
         return format_column(
             self.xsd_type, self._data[leaf_indices], fmt, cached=cached
         )
-
-    def lexical_fixed_blob(
-        self, leaf_indices: np.ndarray, cached: bool = False
-    ) -> Optional[bytes]:
-        """Fixed-width batch form for the rewrite-plan splice path.
-
-        Doubles only: one contiguous ``n × 24``-byte blob (row *k* is
-        leaf ``leaf_indices[k]``'s exact lexical form under
-        :attr:`FloatFormat.FIXED`), or ``None`` when any selected
-        value is non-finite — the caller falls back to the
-        variable-width path.
-        """
-        if self.xsd_type is not DOUBLE:
-            return None
-        return format_double_fixed_blob(self._data[leaf_indices], cached=cached)
 
     def _expected_shape(self) -> tuple:
         return (len(self._data),)

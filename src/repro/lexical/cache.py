@@ -19,9 +19,8 @@ points).  This module caches the conversions themselves:
 * :func:`format_double_fixed_blob` — the fixed-width batch formatter
   behind :attr:`~repro.lexical.floats.FloatFormat.FIXED`: every
   finite double formats to exactly :data:`DOUBLE_FIXED_WIDTH`
-  characters, so a whole batch packs into one contiguous blob that
-  the rewrite-plan splice path writes with strided NumPy assignment
-  (see ``repro.core.plan``).
+  characters, so a whole batch packs into one contiguous ``n × 24``
+  blob.
 
 Correctness notes baked into the implementation:
 
@@ -268,10 +267,8 @@ def format_double_fixed_blob(
     Returns ``None`` when any value is non-finite (``NaN``/``INF``
     lexical forms are narrower than the fixed width, so the caller
     must take the variable-width path).  The blob's row *k* is exactly
-    the bytes of value *k* — the rewrite-plan splice path reshapes it
-    to ``(n, 24)`` and writes it with one strided NumPy assignment
-    per chunk run, which is what makes this the "vectorized"
-    formatter: Python-level work is one ``%``-format per value (or a
+    the bytes of value *k*, so it reshapes to an ``(n, 24)`` row
+    matrix: Python-level work is one ``%``-format per value (or a
     memo hit) plus a single ``join``.
     """
     if isinstance(values, np.ndarray):

@@ -20,9 +20,9 @@ Two formats are supported:
     characters (17 significant digits, round-trip exact; shorter
     forms are left-padded with spaces, legal under XSD's
     ``whiteSpace=collapse``).  Constant widths mean a resend can
-    never shift a closing tag, which is what enables the
-    rewrite-plan *splice* path (``repro.core.plan``) to write whole
-    dirty runs with strided NumPy assignments.
+    never shift a closing tag, so the differential rewrite writes
+    whole dirty runs with one NumPy store
+    (:mod:`repro.core.differential`).
 
 Special values use the XML Schema lexical forms ``INF``, ``-INF`` and
 ``NaN``.
@@ -95,8 +95,8 @@ class FloatFormat(enum.Enum):
     #: smallest double costs a single character, and is the default.
     MINIMAL = "minimal"
     #: Constant-width ``%24.16e``: every finite double is exactly 24
-    #: characters, enabling splice-run rewrite plans (no closing-tag
-    #: shift can ever occur for doubles).
+    #: characters, so no closing-tag shift can occur for finite
+    #: doubles and dirty runs are written with one NumPy store.
     FIXED = "fixed"
 
 

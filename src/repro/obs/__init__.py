@@ -93,12 +93,6 @@ _SERIES = {
     ),
     "repro_call_latency_seconds": "Round-trip RPC latency (send + wait + decode)",
     "repro_call_retries_total": "Failed attempts that were retried",
-    "repro_plan_events_total{event}": (
-        "Rewrite-plan cache activity (hit / miss / invalidation)"
-    ),
-    "repro_plan_spliced_values_total": (
-        "Values written via strided splice runs of cached plans"
-    ),
     "repro_delta_frames_total{outcome}": (
         "Delta-frame protocol events by outcome "
         "(encoded / fallback-* client-side, applied / resync-* "

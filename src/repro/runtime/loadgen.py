@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.bench.workloads import SERVICE_NS, doubles_of_width
 from repro.channel import RPCChannel
-from repro.core.policy import DiffPolicy, PlanPolicy, StuffingPolicy, StuffMode
+from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
 from repro.core.stats import MatchKind
 from repro.errors import ReproError
 from repro.runtime.pipeline import PipelinedSender
@@ -132,17 +132,12 @@ def serve(delay_ms: float = 0.0, server: str = "threaded"):
     return make_server(build_service(delay_ms), server=server).start()
 
 
-def level_policy(level: str, plans: bool = True) -> DiffPolicy:
-    """Client policy pinning the workload to its match level.
-
-    *plans=False* disables the rewrite-plan cache + conversion memo
-    (ablation runs; see ``benchmarks/bench_ablation_plan_cache.py``).
-    """
-    plan = PlanPolicy(enabled=plans)
+def level_policy(level: str) -> DiffPolicy:
+    """Client policy pinning the workload to its match level."""
     if level == "partial-structural":
         # No stuffing: width changes must shift, not fill slack.
-        return DiffPolicy(stuffing=StuffingPolicy(StuffMode.NONE), plan=plan)
-    return DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX), plan=plan)
+        return DiffPolicy(stuffing=StuffingPolicy(StuffMode.NONE))
+    return DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX))
 
 
 def message_sequence(

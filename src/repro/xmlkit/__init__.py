@@ -14,8 +14,6 @@ Contents
     Streaming XML writer over any ``write(bytes)`` sink.
 :mod:`repro.xmlkit.scanner`
     Pull-based event scanner (tokenizer + well-formedness checks).
-:mod:`repro.xmlkit.feed`
-    Incremental (push/feed) scanner for streaming input.
 :mod:`repro.xmlkit.trie`
     Byte trie for single-pass tag matching (Chiu et al. optimization).
 :mod:`repro.xmlkit.canonical`
@@ -39,7 +37,6 @@ from repro.xmlkit.scanner import (
     XMLScanner,
     parse_document,
 )
-from repro.xmlkit.feed import FeedScanner
 from repro.xmlkit.trie import ByteTrie
 from repro.xmlkit.writer import XMLWriter
 from repro.xmlkit.canonical import canonical_events, documents_equivalent
@@ -60,7 +57,6 @@ __all__ = [
     "ProcessingInstruction",
     "parse_document",
     "ByteTrie",
-    "FeedScanner",
     "canonical_events",
     "documents_equivalent",
 ]

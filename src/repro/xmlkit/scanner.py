@@ -104,9 +104,7 @@ def parse_start_tag_at(
     Returns ``(name, attrs, self_closing, end_pos)``; raises
     :class:`XMLSyntaxError` on malformed or truncated input and
     :class:`~repro.errors.ResourceLimitError` when *limits* bound the
-    token length or attribute count and the tag exceeds them.  Shared
-    by the whole-document :class:`XMLScanner` and the incremental
-    :class:`~repro.xmlkit.feed.FeedScanner`.
+    token length or attribute count and the tag exceeds them.
     """
     max_token = limits.max_token_bytes if limits is not None else None
     max_attrs = limits.max_attributes if limits is not None else None

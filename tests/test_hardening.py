@@ -47,7 +47,6 @@ from repro.transport.dummy_server import DummyServer
 from repro.transport.http import parse_http_request
 from repro.transport.loopback import CollectSink
 from repro.transport.tcp import TCPTransport
-from repro.xmlkit.feed import FeedScanner
 from repro.xmlkit.scanner import XMLScanner
 
 MALFORMED_DIR = Path(__file__).parent / "malformed"
@@ -173,11 +172,6 @@ class TestScannerLimits:
         with pytest.raises(ResourceLimitError) as err:
             scan(b"<" + b"t" * 9 + b"/>")
         assert err.value.limit_name == "max_token_bytes"
-
-    def test_feed_scanner_enforces_same_depth(self):
-        feed = FeedScanner(limits=LIM)
-        with pytest.raises(ResourceLimitError):
-            feed.feed(b"<a>" * 5)
 
     def test_resource_limit_error_is_soap_error(self):
         # The service layer relies on this to answer a Client fault.

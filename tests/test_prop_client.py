@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from repro.buffers.config import ChunkPolicy
 from repro.core.client import BSoapClient
-from repro.core.policy import DiffPolicy, Expansion, PlanPolicy, StuffingPolicy, StuffMode
+from repro.core import differential
+from repro.core.policy import DiffPolicy, Expansion, StuffingPolicy, StuffMode
 from repro.core.serializer import build_template
 from repro.core.stats import MatchKind
 from repro.lexical.floats import FloatFormat
@@ -24,6 +25,8 @@ from repro.schema.types import DOUBLE
 from repro.soap.message import Parameter, SOAPMessage
 from repro.transport.loopback import CollectSink
 from repro.xmlkit.canonical import diff_documents, documents_equivalent
+
+from tests.test_rewrite_store import store_min_run
 
 POLICIES = [
     DiffPolicy(),
@@ -109,73 +112,76 @@ class TestAutoDiffProperty:
             assert report.match_kind is MatchKind.FIRST_TIME
 
 
-class TestPlanCacheProperty:
-    """Cached rewrite plans must be wire-invisible (ISSUE 5 satellite).
+class TestRewriteStoreProperty:
+    """NumPy store ≡ slice loop ≡ fresh serialization.
 
-    Two clients run the same randomized call sequence — one with the
-    plan cache + conversion memo on (the default), one with both off.
-    Sequences deliberately mix perfect-structural repeats (plan hits)
-    with width-growing values (shift/split/steal invalidations) and
-    occasional template rebuilds; every send must produce the exact
-    same bytes either way, and each must canonically match a fresh
-    serialization.
+    The same randomized call sequence runs three times: with the store
+    taking every eligible chunk run (threshold 1), at the shipped
+    threshold (arrays up to ~4× ``STORE_MIN_RUN``, so runs fall on both
+    sides of it) and with the slice loop only.  Sequences mix same-width
+    repeats (store runs), specials (``inf``/``nan``/``-0.0``: lengths
+    change), wide values (shift/steal/split), pipelined and batch sends
+    and an optional rebuild midway.  Every send of every run must be
+    byte-identical across the three, and each must canonically match a
+    fresh serialization of the values it carried.
     """
 
-    # Each op is (dirty stride, value pool index); strides repeat so
-    # plans get hit, pools include wide values so layouts get invalidated.
+    # Each op is (dirty stride, value pool index).
     _POOLS = [
-        [0.5, 7.0, -1.0],                      # narrow: same-width rewrites
-        [123.456, 0.1234567890123456],         # mid-width
-        [1e200, -1.2345678901234567e-300],     # wide: forces expansion
-        [0.0, -0.0, float("inf"), float("nan")],  # specials: splice fallback
+        [0.5, 7.25, -1.5],                        # narrow, one width
+        [123.456, 0.1234567890123456],            # mid-width
+        [1e200, -1.2345678901234567e-300],        # wide: forces expansion
+        [0.0, -0.0, float("inf"), float("nan")],  # specials
+    ]
+    _POLICIES = POLICIES + [
+        DiffPolicy(float_format=FloatFormat.FIXED, stuffing=StuffingPolicy(StuffMode.MAX)),
     ]
 
     @given(
-        st.integers(min_value=8, max_value=40),
+        st.integers(min_value=8, max_value=4 * differential.STORE_MIN_RUN),
         st.lists(
             st.tuples(
                 st.sampled_from([1, 2, 3, 7]),
                 st.integers(min_value=0, max_value=3),
             ),
             min_size=2,
-            max_size=10,
+            max_size=8,
         ),
-        st.sampled_from(POLICIES),
+        st.sampled_from(_POLICIES),
+        st.booleans(),
         st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_plans_on_off_byte_identical(self, n, ops, policy, rebuild_midway):
-        def run(plans: bool):
-            sink = CollectSink()
-            client = BSoapClient(
-                sink,
-                dataclasses.replace(
-                    policy, plan=PlanPolicy(enabled=plans, conversion_cache=plans)
-                ),
-            )
-            call = client.prepare(
-                SOAPMessage(
-                    "op", "urn:p", [Parameter("a", ArrayType(DOUBLE), [1.5] * n)]
-                )
-            )
-            call.send()
-            tracked = call.tracked("a")
-            for i, (stride, pool) in enumerate(ops):
-                idx = np.arange(0, n, stride)
-                vals = self._POOLS[pool] * (len(idx) // len(self._POOLS[pool]) + 1)
-                tracked.update(idx, np.asarray(vals[: len(idx)]))
-                call.send()
-                if rebuild_midway and i == len(ops) // 2:
-                    call.template.rebuild_in_place(client.policy)
-            expected = SOAPMessage(
-                "op",
-                "urn:p",
-                [Parameter("a", ArrayType(DOUBLE), list(map(float, tracked.data)))],
-            )
-            wire_oracle(sink, expected, client.policy)
-            return sink.messages, client.stats
+    def test_store_loop_fresh_identical(self, n, ops, policy, pipelined, rebuild_midway):
+        policy = dataclasses.replace(policy, pipelined_send=pipelined)
 
-        on_wire, on_stats = run(True)
-        off_wire, off_stats = run(False)
-        assert on_wire == off_wire
-        assert (off_stats.plan_hits, off_stats.plan_misses) == (0, 0)
+        def run(threshold: int, check_fresh: bool):
+            sink = CollectSink()
+            client = BSoapClient(sink, policy)
+            with store_min_run(threshold):
+                call = client.prepare(
+                    SOAPMessage(
+                        "op", "urn:p", [Parameter("a", ArrayType(DOUBLE), [1.5] * n)]
+                    )
+                )
+                call.send()
+                tracked = call.tracked("a")
+                for i, (stride, pool) in enumerate(ops):
+                    idx = np.arange(0, n, stride)
+                    vals = self._POOLS[pool] * (len(idx) // len(self._POOLS[pool]) + 1)
+                    tracked.update(idx, np.asarray(vals[: len(idx)]))
+                    call.send()
+                    if check_fresh:
+                        expected = SOAPMessage(
+                            "op",
+                            "urn:p",
+                            [Parameter("a", ArrayType(DOUBLE), list(map(float, tracked.data)))],
+                        )
+                        wire_oracle(sink, expected, policy)
+                    if rebuild_midway and i == len(ops) // 2:
+                        call.template.rebuild_in_place(client.policy)
+            return sink.messages
+
+        shipped = run(differential.STORE_MIN_RUN, check_fresh=True)
+        assert run(1, check_fresh=False) == shipped
+        assert run(1 << 30, check_fresh=False) == shipped
