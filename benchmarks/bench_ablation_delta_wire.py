@@ -21,7 +21,9 @@ degradation floor is ~1.0x, never worse.
 Before timing, two sanity gates run on small copies:
 
 * wire identity — every document the delta peer reconstructs is
-  byte-identical to the plain client's serialization, per call;
+  byte-identical to the plain client's serialization, per call, at
+  ``IDENTITY_N`` doubles (six 32 KiB chunks, so frames are harvested
+  and applied across chunk boundaries) and ``IDENTITY_FRACTIONS``;
 * fallback drill — a structural change and a wiped-mirror resync
   (epoch loss) both degrade to full XML and then resume framing.
 
@@ -69,6 +71,11 @@ REQUIRED_COLUMNS = (
 
 VARIANTS = ("full-xml", "delta")
 FRACTIONS = (0.01, 0.1, 1.0)
+
+#: Wire-identity drill: an array spanning several chunks, and the
+#: paper's 25 % point beside the timing grid's fractions.
+IDENTITY_N = 4096
+IDENTITY_FRACTIONS = (0.01, 0.1, 0.25, 1.0)
 
 #: Headline cell for the CI gate: sparse dirty set, frames at their best.
 HEADLINE_FRAC = 0.01
@@ -159,7 +166,7 @@ def _assert_wire_identical(n: int, frac: float, seed: int) -> None:
                 f"delta reconstruction diverged from the plain wire "
                 f"(dirty_frac={frac}, call {i})"
             )
-    if frac <= 0.1 and loop.delta_sends == 0:
+    if frac <= 0.25 and loop.delta_sends == 0:
         raise AssertionError(
             f"identity check at dirty_frac={frac} never framed - "
             "the bench would not be measuring the delta path"
@@ -212,8 +219,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.n = 4096
         args.sends = 8
 
-    for frac in FRACTIONS:
-        _assert_wire_identical(512, frac, args.seed)
+    for frac in IDENTITY_FRACTIONS:
+        _assert_wire_identical(IDENTITY_N, frac, args.seed)
     _assert_fallback_recovers(512, args.seed)
     print(
         "wire identity: delta reconstruction == full wire (all fractions); "

@@ -3,18 +3,23 @@
 The TCP transport sends a chunked message with ``socket.sendmsg`` —
 one syscall over a list of buffers (an iovec) instead of one ``send``
 per chunk or a costly coalescing copy.  These helpers build and bound
-those lists.
+those lists.  :func:`row_window` is the in-memory counterpart: it
+gathers or scatters fixed-width byte rows at arbitrary offsets of one
+buffer in a single NumPy op.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, List, Sequence
 
+import numpy as np
+
 __all__ = [
     "gather_bytes",
     "coalesce_views",
     "total_size",
     "batch_iovecs",
+    "row_window",
     "IovecCursor",
     "IOV_MAX",
 ]
@@ -22,6 +27,19 @@ __all__ = [
 #: Conservative bound on iovec entries per sendmsg call (POSIX minimum
 #: is 16; Linux allows 1024).
 IOV_MAX = 1024
+
+
+def row_window(buf, width: int) -> np.ndarray:
+    """``(len(buf) - width + 1, width)`` ``uint8`` view of *buf* whose
+    row ``i`` is ``buf[i : i + width]`` (no rows if *buf* is shorter).
+
+    Rows overlap and alias *buf*: indexing the view with an offset array
+    gathers those rows, and assigning through it scatters them (when
+    *buf* is writable), without the ``rows x width`` index matrix a
+    per-byte fancy index builds.  *buf* is any contiguous byte buffer.
+    """
+    rows = max(len(buf) - width + 1, 0)
+    return np.ndarray((rows, width), np.uint8, buf, 0, (1, 1))
 
 
 def total_size(views: Iterable[memoryview | bytes]) -> int:

@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, List, Sequence
 
 import numpy as np
 
+from repro.buffers.iovec import row_window
 from repro.core.policy import DiffPolicy, Expansion
 from repro.core.stats import RewriteStats
 from repro.core.stealing import try_steal
@@ -124,15 +125,10 @@ def write_entry(
 def _store_run(
     data: bytearray, offs: np.ndarray, texts: Sequence[bytes], length: int
 ) -> None:
-    """Write *texts*, each *length* bytes, at *offs* with one NumPy store.
-
-    Row ``i`` of the window view is ``data[i : i + length]``, so
-    indexing it with *offs* scatters the ``(m, length)`` row matrix
-    without building an ``m × length`` index array.
-    """
-    window = np.ndarray((len(data) - length + 1, length), np.uint8, data, 0, (1, 1))
+    """Write *texts*, each *length* bytes, at *offs* with one NumPy store
+    through the :func:`~repro.buffers.iovec.row_window` view."""
     rows = np.frombuffer(b"".join(texts), dtype=np.uint8)
-    window[offs] = rows.reshape(len(offs), length)
+    row_window(data, length)[offs] = rows.reshape(len(offs), length)
 
 
 def _fast_rewrite(

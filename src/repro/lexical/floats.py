@@ -41,6 +41,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.buffers.iovec import row_window
 from repro.errors import LexicalError
 from repro.lexical.cache import (
     DOUBLE_FIXED_WIDTH,
@@ -202,27 +203,24 @@ def whitespace_run_ends(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.where(in_run, run_ends[np.searchsorted(run_ends, starts)], starts)
 
 
-#: Rows gathered per step by :func:`gather_rows`: bounds the ``int64``
-#: index block to ``_GATHER_ROWS x width`` entries however long the
-#: document is.
-_GATHER_ROWS = 4096
-
-
 def gather_rows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     """``(len(starts), width)`` matrix of ``buf[start : start + width]``.
 
     A row that runs past the end of *buf* repeats its last byte (the
-    caller masks what it did not ask for).  Gathered a block of rows at
-    a time: a one-shot fancy index would build a ``rows x width``
-    ``int64`` index matrix — for an array document several times the
-    document itself.
+    caller masks what it did not ask for).  Every row is one index of a
+    :func:`~repro.buffers.iovec.row_window` view — of *buf*, or for
+    past-end rows of its last bytes followed by ``width`` copies of the
+    last one — so no ``rows x width`` index matrix is ever built.
     """
+    n = buf.shape[0]
+    past = starts > n - width
+    if not past.any():
+        return row_window(buf, width)[starts]
     out = np.empty((starts.shape[0], width), dtype=np.uint8)
-    cols = np.arange(width)
-    last = buf.shape[0] - 1
-    for lo in range(0, starts.shape[0], _GATHER_ROWS):
-        rows = starts[lo : lo + _GATHER_ROWS, None] + cols
-        out[lo : lo + _GATHER_ROWS] = buf[np.minimum(rows, last)]
+    out[~past] = row_window(buf, width)[starts[~past]]
+    base = max(n - width, 0)
+    tail = np.concatenate((buf[base:], np.repeat(buf[-1:], width)))
+    out[past] = row_window(tail, width)[np.minimum(starts[past], n) - base]
     return out
 
 

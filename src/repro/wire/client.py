@@ -36,8 +36,9 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.buffers.iovec import row_window
 from repro.hardening.limits import DEFAULT_LIMITS
-from repro.wire.frame import DIR_ENTRY, HEADER, encode_frame
+from repro.wire.frame import DIR_ENTRY, HEADER, SCATTER_MIN, encode_frame
 
 __all__ = ["DeltaEncoder"]
 
@@ -180,19 +181,23 @@ class DeltaEncoder:
             )
             if estimated > self.policy.max_frame_fraction * baseline.doc_len:
                 return self._fallback("frame-too-large")
-            parts = []
-            cids_l = cids.tolist()
-            offs_l = value_offs.tolist()
-            widths_l = widths.tolist()
-            last_cid = -1
-            data = b""
-            for k in range(take.size):
-                cid = cids_l[k]
-                if cid != last_cid:
-                    data = buffer.chunk(cid).data
-                    last_cid = cid
-                off = offs_l[k]
-                parts.append(bytes(data[off : off + widths_l[k]]))
+            # Regions of one width (a MAX- or FIXED-stuffed array), at
+            # least SCATTER_MIN per chunk run on average: one row-window
+            # gather per run.  Anything else: one slice per region.
+            lo = [0, *(np.flatnonzero(cids[1:] != cids[:-1]) + 1).tolist()]
+            width = int(widths[0])
+            if take.size >= SCATTER_MIN * len(lo) and bool((widths == width).all()):
+                parts = [
+                    row_window(buffer.chunk(cid).data, width)[value_offs[s:e]]
+                    for cid, s, e in zip(cids[lo].tolist(), lo, lo[1:] + [take.size])
+                ]
+            else:
+                data = {cid: buffer.chunk(cid).data for cid in chunk_ids}
+                stops = (value_offs + widths).tolist()
+                parts = [
+                    data[c][a:b]
+                    for c, a, b in zip(cids.tolist(), value_offs.tolist(), stops)
+                ]
             payload = b"".join(parts)
         else:
             # Content match: nothing dirty — a header-only frame.

@@ -37,6 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.buffers.iovec import row_window
 from repro.errors import DeltaFrameError
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
 
@@ -54,10 +55,10 @@ MAGIC = b"RDF1"
 HEADER = struct.Struct("<4sQIIQII")
 DIR_ENTRY = struct.Struct("<QI")
 _DIR_DTYPE = np.dtype([("off", "<u8"), ("width", "<u4")])
-#: Splices from which :func:`apply_frame` scatters same-width splices in
-#: one NumPy store; below it (a scalar reply's single splice) setting
-#: the store up costs more than the slice assignments it replaces.
-_SCATTER_MIN = 16
+#: Same-width rows per NumPy op from which a row-window scatter
+#: (:func:`apply_frame`) or gather (the encoder, per chunk run) beats
+#: slicing; below it setting the op up costs more than the slices.
+SCATTER_MIN = 16
 
 
 @dataclass(slots=True)
@@ -92,16 +93,15 @@ def encode_frame(
 ) -> bytes:
     """Serialize one frame.  Caller guarantees the splice invariants."""
     n = len(offsets)
+    dir_bytes = b""
     if n:
         directory = np.empty(n, dtype=_DIR_DTYPE)
         directory["off"] = offsets
         directory["width"] = widths
-        tail = directory.tobytes() + payload
-    else:
-        tail = payload
-    crc = zlib.crc32(tail) & 0xFFFFFFFF
+        dir_bytes = directory.tobytes()
+    crc = zlib.crc32(payload, zlib.crc32(dir_bytes))
     head = HEADER.pack(MAGIC, template_id, epoch, seq, doc_len, n, crc)
-    return head + tail
+    return b"".join((head, dir_bytes, payload))
 
 
 def decode_frame(
@@ -208,13 +208,13 @@ def apply_frame(frame: DeltaFrame, mirror: bytearray) -> None:
     count = frame.splice_count
     payload = frame.payload
     widths = frame.widths
-    if count >= _SCATTER_MIN and bool((widths == widths[0]).all()):
+    if count >= SCATTER_MIN and bool((widths == widths[0]).all()):
         # Same-width splices (a fixed-width array's dirty fields): one
-        # scatter of the payload's rows.
+        # scatter of the payload's rows; each ends by doc_len
+        # (decode_frame), so each offset names a row of the window.
         width = int(widths[0])
-        np.frombuffer(mirror, dtype=np.uint8)[
-            frame.offsets[:, None] + np.arange(width)
-        ] = np.frombuffer(payload, dtype=np.uint8).reshape(count, width)
+        rows = np.frombuffer(payload, dtype=np.uint8).reshape(count, width)
+        row_window(mirror, width)[frame.offsets] = rows
         return
     pos = 0
     for off, width in zip(frame.offsets.tolist(), widths.tolist()):

@@ -12,6 +12,7 @@ from repro.lexical.floats import (
     FloatFormat,
     format_double,
     format_double_array,
+    gather_rows,
     parse_double,
 )
 from repro.lexical.integers import (
@@ -138,6 +139,29 @@ class TestDoubles:
 
     def test_sequence_input(self):
         assert format_double_array([0.5, 2.0]) == [b"0.5", b"2"]
+
+    @pytest.mark.parametrize(
+        "size,rows", [(300, 40), (300, 9000), (10, 9000), (300, 0)]
+    )
+    def test_gather_rows_window_and_clamped_tail(self, size, rows):
+        """In-bounds rows come from the buffer's row window and past-end
+        rows repeat its last byte: together the matrix that clamping
+        every byte index to the buffer gives (the old block path)."""
+        width = 24
+        rng = np.random.default_rng(size + rows)
+        buf = rng.integers(0, 256, size, dtype=np.uint8)
+        starts = rng.integers(0, size, rows)
+        # First row, the last whole row, rows one byte and all but one
+        # byte short, and rows starting at and beyond the end.
+        edges = [0, size - width, size - width + 1, size - 1, size, size + 7]
+        starts[: len(edges)] = edges[: min(rows, len(edges))]
+        starts = np.maximum(starts, 0)
+        clamped = buf[np.minimum(starts[:, None] + np.arange(width), size - 1)]
+        got = gather_rows(buf, starts, width)
+        assert got.dtype == np.uint8 and got.shape == (rows, width)
+        assert np.array_equal(got, clamped)
+        inside = starts <= size - width
+        assert np.array_equal(gather_rows(buf, starts[inside], width), clamped[inside])
 
 
 class TestBooleans:
