@@ -1,13 +1,15 @@
 """Ablation — double formatting policy.
 
-Three converters (the library's ``FloatFormat``): MINIMAL (shortest
-round-trip, integral values drop ``.0``), SHORTEST (Python ``repr``)
-and G17 (``%.17g``, near-constant width).  Two effects to expose:
+Four converters (the library's ``FloatFormat``): MINIMAL (shortest
+round-trip, integral values drop ``.0``), SHORTEST (Python ``repr``),
+G17 (``%.17g``) and FIXED (``%24.16e``).  Two effects to expose:
 
 * raw conversion cost (the §2 bottleneck itself),
-* *width stability*: G17 values almost always have the same length,
-  so structural rewrites cause far fewer closing-tag shifts and can
-  never outgrow G17-sized fields.
+* *width stability*: only FIXED has one width, so only its structural
+  rewrites can never shift a closing tag.  ``%.17g`` strips trailing
+  zeros, so G17 widths of uniform randoms spread as widely as
+  MINIMAL's; its one guarantee is the 24-character bound, so a G17
+  value never outgrows a MAX-stuffed field.
 """
 
 import numpy as np
@@ -53,9 +55,11 @@ def test_structural_rewrite(benchmark, fmt):
 
 
 def test_g17_width_stability():
-    """G17 forms of uniform randoms are (nearly) constant width."""
+    """FIXED has one width; G17 stays within 24 characters; MINIMAL varies."""
     values = random_doubles(5000, seed=3)
+    fixed_lens = {len(t) for t in format_double_array(values, FloatFormat.FIXED)}
     g17_lens = {len(t) for t in format_double_array(values, FloatFormat.G17)}
     min_lens = {len(t) for t in format_double_array(values, FloatFormat.MINIMAL)}
-    assert len(g17_lens) <= 3
-    assert len(min_lens) > len(g17_lens)
+    assert fixed_lens == {24}
+    assert max(g17_lens) <= 24
+    assert len(min_lens) > 1

@@ -312,18 +312,16 @@ def format_double_fixed_blob(
 
 
 def memo_format_batch(
-    lst: Sequence[float], fmt_key: str, format_one
+    lst: Sequence[float], memo: ConversionMemo, format_one
 ) -> List[bytes]:
     """Generic memoized batch conversion for *finite* floats.
 
     ``format_one(v) -> bytes`` supplies the miss path.  Used by
-    :func:`repro.lexical.floats.format_double_array` for the
-    variable-width formats; zero is never memoized (see module
-    docstring) and the caller guarantees finiteness.
+    :func:`repro.lexical.floats.format_double_array` once *memo* has
+    agreed to be probed (during a bypass the caller formats the batch
+    without it); zero is never memoized (see module docstring) and the
+    caller guarantees finiteness.
     """
-    memo = memo_for(fmt_key)
-    if not memo.should_probe():
-        return [format_one(v) for v in lst]
     hot = memo.hot
     cold = memo.cold
     hot_get = hot.get

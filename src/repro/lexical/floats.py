@@ -6,15 +6,20 @@ order of a microsecond, while copying its already-serialized bytes is
 tens of nanoseconds).  Differential serialization's win comes from
 skipping calls into this module.
 
-Two formats are supported:
+Four formats are supported:
 
+``FloatFormat.MINIMAL`` (the default)
+    ``repr`` with an integral value's ``.0`` dropped (``5.0`` → ``5``),
+    as the paper's C encoder writes it.  Lengths vary from 1 (``0``)
+    to 24 characters, which is what makes shifting/stuffing
+    interesting.
 ``FloatFormat.SHORTEST``
-    Python ``repr`` — the shortest string that round-trips exactly.
-    Lengths vary from 1 (``0``... actually ``0.0``) to 24 characters,
-    which is what makes shifting/stuffing interesting.
+    Python ``repr`` — the shortest string that round-trips exactly,
+    3 (``0.0``) to 24 characters.
 ``FloatFormat.G17``
-    ``%.17g`` — fixed 17 significant digits, also round-trip exact,
-    at most 24 characters.
+    ``%.17g`` — at most 17 significant digits, also round-trip exact,
+    at most 24 characters; trailing zeros are stripped, so widths vary
+    about as much as MINIMAL's.
 ``FloatFormat.FIXED``
     ``%24.16e`` — every finite double occupies **exactly** 24
     characters (17 significant digits, round-trip exact; shorter
@@ -30,14 +35,15 @@ Special values use the XML Schema lexical forms ``INF``, ``-INF`` and
 Batch converters accept ``cached=True`` to route repeated values
 through the conversion memo in :mod:`repro.lexical.cache` —
 byte-identical output, one dict probe instead of a fresh conversion
-on a hit.
+on a hit.  The batch parser, :func:`parse_double_column`, serves both
+server decode lanes.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +52,7 @@ from repro.errors import LexicalError
 from repro.lexical.cache import (
     DOUBLE_FIXED_WIDTH,
     format_double_fixed,
+    memo_for,
     memo_format_batch,
 )
 
@@ -56,7 +63,8 @@ __all__ = [
     "FloatFormat",
     "format_double",
     "parse_double",
-    "parse_double_rows",
+    "parse_double_column",
+    "length_groups",
     "whitespace_run_ends",
     "gather_rows",
     "WS_LUT",
@@ -78,12 +86,12 @@ _WHITESPACE = b" \t\r\n"
 
 #: Byte-class tables for the batch (NumPy) paths.  ``WS_LUT`` is the
 #: whitespace ``parse_double`` strips from both ends of a value — and
-#: the only bytes legal in a stuffing pad; ``_ALLOWED_LUT`` is its
-#: ``_ALLOWED`` charset.
+#: the only bytes legal in a stuffing pad; ``_VALUE_LUT`` adds its
+#: ``_ALLOWED`` charset: every byte a batch-parsed value may hold.
 WS_LUT = np.zeros(256, dtype=bool)
 WS_LUT[list(_WHITESPACE)] = True
-_ALLOWED_LUT = np.zeros(256, dtype=bool)
-_ALLOWED_LUT[list(_ALLOWED)] = True
+_VALUE_LUT = WS_LUT.copy()
+_VALUE_LUT[list(_ALLOWED)] = True
 
 
 class FloatFormat(enum.Enum):
@@ -101,6 +109,30 @@ class FloatFormat(enum.Enum):
     FIXED = "fixed"
 
 
+def _format_minimal_one(v: float) -> bytes:
+    text = repr(v)
+    if text.endswith(".0"):
+        text = text[:-2]
+    return text.encode("ascii")
+
+
+def _format_shortest_one(v: float) -> bytes:
+    return repr(v).encode("ascii")
+
+
+def _format_g17_one(v: float) -> bytes:
+    return b"%.17g" % v
+
+
+#: Per-format converters of one finite value.
+_FORMAT_ONE = {
+    FloatFormat.MINIMAL: _format_minimal_one,
+    FloatFormat.SHORTEST: _format_shortest_one,
+    FloatFormat.G17: _format_g17_one,
+    FloatFormat.FIXED: format_double_fixed,
+}
+
+
 def format_double(value: float, fmt: FloatFormat = FloatFormat.MINIMAL) -> bytes:
     """Serialize one double to its lexical form."""
     if value != value:  # NaN
@@ -109,17 +141,7 @@ def format_double(value: float, fmt: FloatFormat = FloatFormat.MINIMAL) -> bytes
         return b"INF"
     if value == -math.inf:
         return b"-INF"
-    if fmt is FloatFormat.G17:
-        return b"%.17g" % value
-    if fmt is FloatFormat.FIXED:
-        return format_double_fixed(value)
-    text = repr(value)
-    if fmt is FloatFormat.MINIMAL:
-        if text.endswith(".0"):
-            text = text[:-2]
-        elif ".0e" in text:  # e.g. 1.0e+100 never produced by repr, but be safe
-            text = text.replace(".0e", "e")
-    return text.encode("ascii")
+    return _FORMAT_ONE[fmt](value)
 
 
 def parse_double(data: bytes) -> float:
@@ -141,48 +163,52 @@ def parse_double(data: bytes) -> float:
         raise LexicalError(f"invalid double lexical form {data!r}") from exc
 
 
-def parse_double_rows(mat: np.ndarray, in_value: np.ndarray) -> Optional[np.ndarray]:
-    """Batch :func:`parse_double` over the rows of a byte matrix.
+def parse_double_column(
+    buf: np.ndarray, starts: np.ndarray, lens: np.ndarray
+) -> Optional[np.ndarray]:
+    """Batch :func:`parse_double` over ``buf[starts[i] : starts[i] + lens[i]]``.
 
-    *mat* is an ``(m, W)`` ``uint8`` matrix holding one value per row,
-    *in_value* the same-shape mask of the bytes that belong to it (the
-    rest of a row is whatever the gather picked up and is ignored).
-    Returns the ``m`` values as ``float64``, or ``None`` when any row
-    is not ``whitespace* core whitespace*`` with a non-empty *core*
-    inside ``parse_double``'s charset (``INF``, ``NaN``, entities,
-    interior blanks, garbage) or when NumPy's string conversion
-    refuses a core.  ``None`` commits nothing: the caller hands those
-    values to :func:`parse_double`, which stays authoritative for both
-    the value and the error.  NumPy converts through the same
-    correctly rounded ``strtod`` as ``float()``, so accepted rows are
-    bit-identical to the scalar parser (pinned by the lane oracle).
+    *buf* is a ``uint8`` view.  Values are grouped by length; each
+    group is one :func:`~repro.buffers.iovec.row_window` gather whose
+    contiguous ``S{L}`` view NumPy casts to ``float64`` in one call.
+    Returns the values in order, or ``None`` when a value is empty,
+    holds a byte outside ``parse_double``'s charset and the whitespace
+    it strips (``INF``, ``NaN``, entities, ``_``, NUL, garbage), or
+    the cast refuses it (a blank core, an interior blank, ``1e5e5``).
+    ``None`` commits nothing: the caller hands those values to
+    :func:`parse_double`, which stays authoritative for both the value
+    and the error.  NumPy strips the same whitespace and converts
+    through the same correctly rounded ``strtod`` as ``float()``, so
+    accepted values are bit-identical to the scalar parser (pinned by
+    ``tests/test_column_parse.py``).
     """
-    m, width = mat.shape
-    if m == 0:
-        return np.empty(0, dtype=np.float64)
-    if width == 0:
-        return None
-    core = _ALLOWED_LUT.take(mat) & in_value
-    if bool(np.any(in_value & ~core & ~WS_LUT.take(mat))):
-        return None
-    first = core.argmax(axis=1)
-    last = width - 1 - core[:, ::-1].argmax(axis=1)
-    count = core.sum(axis=1)
-    if int(count.min()) < 1 or bool(np.any(last - first + 1 != count)):
-        return None
-    # ``core ? mat : b" "`` as wrapping uint8 arithmetic: the same bytes
-    # as ``np.where``, which takes ~30x as long on a byte matrix.
-    blank = np.uint8(0x20)
-    blanked = (mat - blank) * core.view(np.uint8) + blank
-    try:
-        return (
-            np.ascontiguousarray(blanked)
-            .view(f"S{width}")
-            .ravel()
-            .astype(np.float64)
-        )
-    except ValueError:
-        return None
+    out = np.empty(starts.shape[0], dtype=np.float64)
+    for length, sel in length_groups(lens):
+        if length < 1:
+            return None
+        rows = row_window(buf, length)[starts[sel]]
+        if not bool(_VALUE_LUT.take(rows).all()):
+            return None
+        try:
+            out[sel] = rows.view(f"S{length}").ravel().astype(np.float64)
+        except ValueError:
+            return None
+    return out
+
+
+def length_groups(lens: np.ndarray) -> List[Tuple[int, object]]:
+    """``(length, selector)`` per distinct value of *lens*, ascending.
+
+    The selector indexes the entries of that length: a boolean mask,
+    or ``slice(None)`` when all of them share it (no mask, no copy).
+    """
+    if lens.size == 0:
+        return []
+    lo = int(lens.min())
+    counts = np.bincount(lens - lo)
+    if counts.size == 1:
+        return [(lo, slice(None))]
+    return [(lo + d, lens == lo + d) for d in np.flatnonzero(counts).tolist()]
 
 
 def whitespace_run_ends(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -224,30 +250,6 @@ def gather_rows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _format_minimal_one(v: float) -> bytes:
-    text = repr(v)
-    if text.endswith(".0"):
-        text = text[:-2]
-    return text.encode("ascii")
-
-
-def _format_shortest_one(v: float) -> bytes:
-    return repr(v).encode("ascii")
-
-
-def _format_g17_one(v: float) -> bytes:
-    return b"%.17g" % v
-
-
-#: Per-format finite-value converters for the memoized batch path.
-_FORMAT_ONE = {
-    FloatFormat.MINIMAL: _format_minimal_one,
-    FloatFormat.SHORTEST: _format_shortest_one,
-    FloatFormat.G17: _format_g17_one,
-    FloatFormat.FIXED: format_double_fixed,
-}
-
-
 def format_double_array(
     values: Sequence[float] | np.ndarray,
     fmt: FloatFormat = FloatFormat.MINIMAL,
@@ -260,7 +262,8 @@ def format_double_array(
     conversion cost that differential serialization avoids.  With
     ``cached=True`` repeated finite values resolve through the
     conversion memo (:mod:`repro.lexical.cache`) instead of being
-    re-converted; output bytes are identical either way.
+    re-converted, unless the memo's adaptive bypass is on; output
+    bytes are identical either way.
     """
     if isinstance(values, np.ndarray):
         if values.dtype.kind != "f":
@@ -275,23 +278,21 @@ def format_double_array(
         return [format_double(v, fmt) for v in values]
 
     if cached:
-        return memo_format_batch(values, fmt.value, _FORMAT_ONE[fmt])
+        memo = memo_for(fmt.value)
+        if memo.should_probe():
+            return memo_format_batch(values, memo, _FORMAT_ONE[fmt])
+
+    if fmt is FloatFormat.MINIMAL:
+        # One C-level pass instead of a Python loop: ``repr`` never
+        # emits whitespace, and a token ends in ``.0`` exactly when the
+        # per-value form strips it.
+        return (" ".join(map(repr, values)) + " ").encode().replace(b".0 ", b" ").split()
 
     if fmt is FloatFormat.G17:
         return [b"%.17g" % v for v in values]
 
     if fmt is FloatFormat.FIXED:
         return [b"%24.16e" % v for v in values]
-
-    if fmt is FloatFormat.MINIMAL:
-        out: List[bytes] = []
-        append = out.append
-        for v in values:
-            text = repr(v)
-            if text.endswith(".0"):
-                text = text[:-2]
-            append(text.encode("ascii"))
-        return out
 
     # SHORTEST
     return [repr(v).encode("ascii") for v in values]

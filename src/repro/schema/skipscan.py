@@ -40,7 +40,7 @@ so the table trusts nothing it has not just checked:
 * **Values go through the real lexical parsers.**  The per-leaf path
   uses the same :class:`~repro.schema.types.XSDType` parsers as a full
   parse.  The vectorized double path is the tree's one batch converter
-  (:func:`repro.lexical.floats.parse_double_rows`, shared with the
+  (:func:`repro.lexical.floats.parse_double_column`, shared with the
   full parse's leaf-run lane), which first proves every value is
   inside ``parse_double``'s contract; anything else (``INF``, ``NaN``,
   entities, garbage) drops to the per-leaf loop.
@@ -67,7 +67,8 @@ import numpy as np
 from repro.lexical.floats import (
     WS_LUT,
     gather_rows,
-    parse_double_rows,
+    length_groups,
+    parse_double_column,
     whitespace_run_ends,
 )
 from repro.xmlkit.trie import ByteTrie
@@ -124,7 +125,7 @@ class SeekTable:
         self.tag_lens = tag_lens  # close-tag key length per leaf
         # Vectorized double lane (set up by compile when eligible).
         self._vec_len: Optional[int] = None
-        self._vec_key: Optional[np.ndarray] = None
+        self._vec_tag: Optional[np.ndarray] = None  # closing tag through '>'
         self._vec_containers: List[np.ndarray] = []
         self._vec_param_of: Optional[np.ndarray] = None
         self._vec_item_of: Optional[np.ndarray] = None
@@ -267,7 +268,7 @@ class SeekTable:
             item_of[base : base + count] = np.arange(count)
         (key,) = keys
         self._vec_len = length
-        self._vec_key = np.frombuffer(key, dtype=np.uint8)
+        self._vec_tag = np.frombuffer(key + b">", dtype=np.uint8)
         self._vec_containers = containers
         self._vec_param_of = param_of
         self._vec_item_of = item_of
@@ -286,7 +287,7 @@ class SeekTable:
             + self.tag_ids.nbytes
             + self.tag_lens.nbytes
         )
-        for arr in (self._vec_key, self._vec_param_of, self._vec_item_of):
+        for arr in (self._vec_tag, self._vec_param_of, self._vec_item_of):
             if arr is not None:
                 total += arr.nbytes
         # The trie stores one key per distinct close tag — small, but
@@ -343,26 +344,25 @@ class SeekTable:
         :class:`SkipScanFallback` for structural drift.
         """
         length = self._vec_len
-        key = self._vec_key
-        assert length is not None and key is not None
+        tag = self._vec_tag
+        assert length is not None and tag is not None
         m = int(changed.size)
-        lt_mask = mat == _LT
-        if not bool(lt_mask.any(axis=1).all()):
-            raise SkipScanFallback("tag-drift", "closing tag missing")
-        ltpos = lt_mask.argmax(axis=1)
-        klen = int(key.shape[0])
-        if bool(np.any(ltpos + klen + 1 > length)):
-            raise SkipScanFallback("tag-drift", "closing tag overruns region")
-        rows = np.arange(m)[:, None]
-        if not bool(np.all(mat[rows, ltpos[:, None] + np.arange(klen)] == key)):
-            raise SkipScanFallback("tag-drift", "closing tag bytes differ")
-        if not bool(np.all(mat[np.arange(m), ltpos + klen] == _GT)):
-            raise SkipScanFallback("tag-drift", "closing tag not terminated")
-        cols = np.arange(length)
-        in_pad = cols[None, :] > (ltpos + klen)[:, None]
-        if bool(np.any(in_pad & ~WS_LUT.take(mat))):
+        # A row's first '<' ends its value and must open the closing
+        # tag; a row without one reads as 0 and fails the tag compare.
+        lens = (mat == _LT).argmax(axis=1)
+        tlen = int(tag.shape[0])
+        tag_ok = pad_ok = True
+        for vlen, sel in length_groups(lens):
+            if vlen + tlen > length:
+                raise SkipScanFallback("tag-drift", "closing tag overruns region")
+            tag_ok = tag_ok and bool((mat[sel, vlen : vlen + tlen] == tag).all())
+            pad_ok = pad_ok and bool(WS_LUT.take(mat[sel, vlen + tlen :]).all())
+        # Tag drift outranks pad drift, whichever group shows it first.
+        if not tag_ok:
+            raise SkipScanFallback("tag-drift", "closing tag differs")
+        if not pad_ok:
             raise SkipScanFallback("pad-drift")
-        values = parse_double_rows(mat, cols[None, :] < ltpos[:, None])
+        values = parse_double_column(mat.reshape(-1), np.arange(m) * length, lens)
         if values is None:
             return None  # INF/NaN/odd bytes: per-leaf lexical parse
         # Commit (all validation above is done — two-phase contract).

@@ -35,7 +35,7 @@ from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
 from repro.lexical.floats import (
     WS_LUT,
     gather_rows,
-    parse_double_rows,
+    parse_double_column,
     whitespace_run_ends,
 )
 from repro.schema.composite import StructType
@@ -76,7 +76,7 @@ _GT = 0x3E  # b">"
 
 #: Widest item value the leaf-run lane gathers.  No double lexical form
 #: the tree writes exceeds 25 bytes; a longer value is left to the
-#: events, so one long value cannot inflate the ``N x width`` matrix.
+#: events, so the batch parse has at most this many length groups.
 _RUN_MAX_VALUE_BYTES = 32
 
 #: Item tag names the lane recognizes.  Far narrower than what the
@@ -101,7 +101,7 @@ def _scan_double_run(
     Accepts exactly ``count`` repetitions of ``<name>value</name>pad``
     (one attribute-free item name, whitespace-only pads) running up to
     the first ``</parent``, every byte of every tag and pad compared,
-    every value inside :func:`parse_double_rows`' contract.  Returns
+    every value inside :func:`parse_double_column`'s contract.  Returns
     ``None`` — having raised nothing and touched nothing — for
     anything else; the caller then reads the same bytes as events.
     """
@@ -133,32 +133,29 @@ def _scan_double_run(
     vstart = opens + open_tag.size
     vlen = closes - vstart
     pad = np.append(opens[1:], body.size) - closes - close_tag.size
-    width = int(vlen.max())
     if (
         opens[0] != 0
         or int(vlen.min()) < 1
         or int(pad.min()) < 0
-        or width > _RUN_MAX_VALUE_BYTES
+        or int(vlen.max()) > _RUN_MAX_VALUE_BYTES
         or not bool(np.all(gather_rows(body, opens, open_tag.size) == open_tag))
         or not bool(np.all(gather_rows(body, closes, close_tag.size) == close_tag))
     ):
         return None
 
-    # Values: one (N, W) uint8 matrix; a short row over-reads into what
-    # follows it and ``in_value`` masks that out.
-    mat = gather_rows(body, vstart, width)
-    in_value = np.arange(width) < vlen[:, None]
     # Pads: the tags hold no whitespace, so whitespace outside the
     # values is whitespace in the pads — all of them, or it is text.
-    outside = int(np.count_nonzero(WS_LUT.take(body))) - int(
-        np.count_nonzero(WS_LUT.take(mat) & in_value)
-    )
-    if outside != int(pad.sum()):
+    # A value's count fits a uint8 accumulator (at most 32 bytes), which
+    # spares reduceat a cast of the whole body to a wider type.
+    spans = np.stack([vstart, closes], axis=1)
+    ws = WS_LUT.take(body)
+    inside = np.add.reduceat(ws.view(np.uint8), spans.ravel(), dtype=np.uint8)[0::2]
+    if np.count_nonzero(ws) - int(inside.sum()) != int(pad.sum()):
         return None
-    values = parse_double_rows(mat, in_value)
+    values = parse_double_column(body, vstart, vlen)
     if values is None:
         return None
-    return _LeafRun(values, np.stack([vstart, closes], axis=1) + pos, end)
+    return _LeafRun(values, spans + pos, end)
 
 
 @dataclass(slots=True)

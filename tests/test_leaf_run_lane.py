@@ -28,7 +28,7 @@ from repro.hardening.limits import DEFAULT_LIMITS
 from repro.lexical.floats import (
     FloatFormat,
     parse_double,
-    parse_double_rows,
+    parse_double_column,
     whitespace_run_ends,
 )
 from repro.schema import DOUBLE, INT, STRING, ArrayType, MIO_TYPE, TypeRegistry
@@ -468,26 +468,27 @@ def test_field_regions_and_whitespace_runs_on_arbitrary_bytes(raw, data):
     )
 
 
-def _rows(texts, width):
-    mat = np.frombuffer(
-        b"".join(t.ljust(width, b"#") for t in texts), dtype=np.uint8
-    ).reshape(len(texts), width)
-    return mat, np.arange(width) < np.array([len(t) for t in texts])[:, None]
+def _column(texts):
+    """``(buf, starts, lens)`` for *texts* laid out with ``#`` between."""
+    buf = b"#".join(texts) + b"#"
+    lens = np.array([len(t) for t in texts], dtype=np.int64)
+    starts = np.cumsum(lens + 1) - lens - 1
+    return np.frombuffer(buf, dtype=np.uint8), starts, lens
 
 
-def test_parse_double_rows_is_parse_double_or_none():
+def test_parse_double_column_is_parse_double_or_none():
     good = [t.encode() for t in LEXICAL_EDGE]
-    got = parse_double_rows(*_rows(good, 24))
+    got = parse_double_column(*_column(good))
     want = np.array([parse_double(t) for t in good])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     for bad in (b"", b"  ", b"1 5", b"1&2", b"1e5e5", b".", b"--1", b"1_0", b"1\x005"):
         with pytest.raises(LexicalError):
             parse_double(bad)
-        assert parse_double_rows(*_rows([b"1.5", bad], 8)) is None
+        assert parse_double_column(*_column([b"1.5", bad])) is None
     for special in (b"INF", b"-INF", b"NaN"):  # legal, but not the batch's
-        assert parse_double_rows(*_rows([b"1.5", special], 8)) is None
-    assert parse_double_rows(np.empty((0, 5), np.uint8), np.empty((0, 5), bool)).shape == (0,)
-    assert parse_double_rows(np.empty((2, 0), np.uint8), np.empty((2, 0), bool)) is None
+        assert parse_double_column(*_column([b"1.5", special])) is None
+    empty = np.empty(0, dtype=np.int64)
+    assert parse_double_column(np.empty(0, np.uint8), empty, empty).shape == (0,)
 
 
 def test_seek_table_single_tag_compile_equals_the_per_leaf_walk(monkeypatch, rng):
