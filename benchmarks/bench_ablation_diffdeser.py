@@ -21,8 +21,8 @@ seek table is worth across dirty fractions on a 64Ki-double request:
   client that negotiated no delta frames gets).
 * ``skipscan-frame`` — the same deserializer entered the way
   steady-state repro↔repro traffic enters it: the same sends encoded
-  as RDF1 frames, through ``DeltaSession.apply`` → ``deserialize`` on
-  the one buffer mirror and decode template share.  The frame's splice
+  as RDF1 frames, through ``DeltaSession.apply`` → ``deserialize`` of
+  the store entry holding the mirror and its decode.  The frame's splice
   directory names the changed leaves; nothing document-sized is
   compared or copied.
 
@@ -345,8 +345,8 @@ def _assert_lockstep(n: int, frac: float, seed: int) -> None:
                     f"{entry} entry match kind at dirty_frac={frac}, send {i}: "
                     f"{report.kind} != {expected}"
                 )
-        if by_frame.template_buffer is not document.buffer:
-            raise AssertionError("frame entry decoded from a copy of the mirror")
+        if document.entry.decoded != document.entry.seq:
+            raise AssertionError("frame entry's decode lags its mirror")
 
 
 def _assert_drift_recovers(n: int, seed: int) -> None:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.core.client import BSoapClient
 from repro.core.policy import DiffPolicy
@@ -155,21 +155,24 @@ class RPCChannel:
         #: token; a dry budget surfaces the original error instead of
         #: amplifying an overload.  None → per-call policy only.
         self.budget = budget
+        #: Inbound bounds for replies and reply frames: the transport's,
+        #: as for the response bytes themselves.
+        self._limits = getattr(raw_transport, "limits", None) or DEFAULT_LIMITS
         # Responses are differentially deserialized: a service reusing
         # its response template sends same-skeleton bodies, so the
         # channel re-parses only the result values that changed —
         # built like a server session's request deserializer.
-        self.deserializer = DifferentialDeserializer(registry, obs=self.obs)
+        self.deserializer = DifferentialDeserializer(
+            registry, self._limits, obs=self.obs
+        )
         self.deserializer.metric_prefix = "reply-"
         self.parser = self.deserializer.parser
-        #: Inbound bounds for reply frames: the transport's, as for
-        #: the response bytes themselves.
-        self._limits = getattr(raw_transport, "limits", None) or DEFAULT_LIMITS
-        #: Mirror of the server's replies (None unless the policy
-        #: offers delta): full replies that announce a baseline deposit
-        #: here, reply frames are applied here.
+        #: The reply store, when the policy offers delta (else None):
+        #: full replies that announce a baseline deposit a mirror entry
+        #: here, reply frames patch it.  Replies that announce nothing
+        #: share the plain key ``None``.
         self.replies: Optional[DeltaSession] = (
-            DeltaSession(self._limits) if resolved_policy.delta.offer else None
+            self.deserializer.store if resolved_policy.delta.offer else None
         )
         self.calls = 0
         self.faults = 0
@@ -181,9 +184,8 @@ class RPCChannel:
         #: non-reconnecting raw transport (it cannot recover).
         self.broken = False
         self.last_deser_report: Optional[DeserReport] = None
-        # The most recent decoded response: its body bytes, or the
-        # reply mirror holding it.
-        self._last_response: Union[bytes, MirroredDocument, None] = None
+        # The reply store entry holding the most recent decoded response.
+        self._last_response: Optional[MirroredDocument] = None
         # Counters may be read (channel_stats) while a pipelined
         # send/receive pair mutates them from two threads.
         self._stats_lock = threading.Lock()
@@ -203,7 +205,7 @@ class RPCChannel:
         on every call.
         """
         last = self._last_response
-        return last.tobytes() if isinstance(last, MirroredDocument) else last
+        return None if last is None else last.tobytes()
 
     # ------------------------------------------------------------------
     def call(self, message: SOAPMessage) -> RPCResponse:
@@ -215,7 +217,7 @@ class RPCChannel:
         the wire problem outlived the retry budget.
 
         The returned values are the caller's: arrays are copied out of
-        the channel's decode template, so a reply kept across later
+        the reply store entry's decode, so a reply kept across later
         calls never changes under its holder.
         """
         started = time.monotonic()
@@ -322,7 +324,6 @@ class RPCChannel:
         if wire is not None and headers.get("x-repro-delta") == "1":
             wire.negotiated = True
         replies = self.replies
-        document: Union[bytes, MirroredDocument] = body
         if replies is not None and headers.get("x-repro-delta-frame") == "1":
             # Frames carry responder output only: never a fault.
             document = self._apply_reply_frame(replies, body)
@@ -332,14 +333,11 @@ class RPCChannel:
             except (ReproError, UnicodeDecodeError) as exc:
                 raise TransportError(f"response undecodable: {exc}") from exc
             if fault is not None:
-                # Before mirror and template: a fault enters neither.
+                # Before the store: a fault enters no entry.
                 fault.raise_()
-            if replies is not None:
-                # Decoded where it was deposited: the reply mirror
-                # becomes the decode template.
-                announced = replies.store_announced(headers, body)
-                if announced is not None:
-                    document = announced
+            document = self.deserializer.store.deposit(
+                body, None, headers if replies is not None else None
+            )
         try:
             # A header-only frame is the deserializer's content match:
             # the cached decode, no byte of the document read.

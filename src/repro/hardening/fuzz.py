@@ -18,10 +18,11 @@ sharing a :class:`DeltaFrameFuzzer` whose mutators aim at each
 decoder/mirror check individually (truncations, splice-count and
 doc-len lies, out-of-bounds offsets, stale epochs, sequence gaps):
 
-* :func:`fuzz_delta` announces a baseline then pushes mutated frames
-  through :meth:`SOAPService.handle_wire` — only 200/409 may come
-  back, nothing raises, and a pristine frame still reconstructs after
-  any garbage;
+* :func:`fuzz_delta` announces a baseline under one of several
+  template ids, then pushes mutated frames through
+  :meth:`SOAPService.handle_wire` — only 200/409 may come back,
+  nothing raises, and a pristine frame against another id still
+  decodes to its pristine values after any garbage;
 * :func:`fuzz_delta_http` does the same over real sockets, one
   connection per case carrying a well-formed announce plus a mutated
   frame;
@@ -1046,7 +1047,8 @@ def fuzz_http(
 #: Headers marking a request body as a binary delta frame.
 _FRAME_HEADERS = {"x-repro-delta": "1", "x-repro-delta-frame": "1"}
 
-#: Template id the delta fuzzers announce their mirrors under.
+#: Template id the delta fuzzers announce their mirrors under
+#: (:func:`fuzz_delta`: the first of ``max_delta_mirrors + 1``).
 _FUZZ_TEMPLATE_ID = 71
 
 
@@ -1068,12 +1070,14 @@ def fuzz_delta(
 ) -> FuzzReport:
     """Drive mutated delta frames through ``service.handle_wire``.
 
-    Each case announces a fresh full-XML baseline (new epoch), then
+    Each case announces a fresh full-XML baseline (new epoch) under one
+    of ``max_delta_mirrors + 1`` template ids, drawn from the seed, then
     submits one mutated frame against it.  Invariants: ``handle_wire``
     never raises, answers only 200 (with a parseable envelope) or 409
     (resync), and — the probe — a pristine zero-splice frame against a
-    fresh announce still reconstructs and dispatches cleanly after any
-    amount of garbage.
+    fresh announce under *another* id than the case just fuzzed still
+    reconstructs and dispatches to the values the pristine wire decodes
+    to, after any amount of garbage: poisoning must not cross entries.
     """
     service = service if service is not None else build_fuzz_service()
     wires = list(corpus) if corpus is not None else default_corpus()
@@ -1081,25 +1085,34 @@ def fuzz_delta(
     fuzzer = DeltaFrameFuzzer(rng, service.limits)
     report = FuzzReport(seed=seed, mode="delta").export_to(service.obs)
     session_id = "fuzz-delta"
-    probes = [w for w in wires if _classify_response(service.handle(w)) == "ok"]
+    probes: List[bytes] = []
+    baselines: List[list] = []
+    for wire in wires:
+        response = service.handle(wire)
+        if _classify_response(response) == "ok":
+            probes.append(wire)
+            baselines.append(_response_values(response))
     if not probes:
         report.violate("no corpus wire gets a non-fault response pristine")
         return report
+    ids = [
+        _FUZZ_TEMPLATE_ID + i for i in range(service.limits.max_delta_mirrors + 1)
+    ]
     epoch = 0
+    fuzzed = ids[0]
 
-    def _announce(body: bytes) -> None:
+    def _announce(template_id: int, body: bytes) -> None:
         nonlocal epoch
         epoch += 1
-        service.handle_wire(
-            body, _announce_headers(_FUZZ_TEMPLATE_ID, epoch), session_id
-        )
+        service.handle_wire(body, _announce_headers(template_id, epoch), session_id)
 
     def _probe(case_no: int) -> None:
-        body = probes[(case_no // max(1, probe_every)) % len(probes)]
-        _announce(body)
-        frame = encode_frame(
-            _FUZZ_TEMPLATE_ID, epoch, 1, len(body), [], [], b""
-        )
+        index = (case_no // max(1, probe_every)) % len(probes)
+        body = probes[index]
+        # Any id but the one just fuzzed: each is a store entry of its own.
+        template_id = ids[(ids.index(fuzzed) + 1 + index % (len(ids) - 1)) % len(ids)]
+        _announce(template_id, body)
+        frame = encode_frame(template_id, epoch, 1, len(body), [], [], b"")
         try:
             status, _extra, response = service.handle_wire(
                 frame, _FRAME_HEADERS, session_id
@@ -1112,11 +1125,17 @@ def fuzz_delta(
                 f"probe after case {case_no} rejected (status {status}): "
                 "delta state poisoned"
             )
+        elif _response_values(response) != baselines[index]:
+            report.violate(
+                f"probe after case {case_no} returned a different value "
+                "checksum: decoded state poisoned"
+            )
 
     for case_no in range(iterations):
         body = rng.choice(probes)
-        _announce(body)
-        frame, mutator = fuzzer.next_case(_FUZZ_TEMPLATE_ID, epoch, 1, body)
+        fuzzed = rng.choice(ids)
+        _announce(fuzzed, body)
+        frame, mutator = fuzzer.next_case(fuzzed, epoch, 1, body)
         try:
             status, _extra, response = service.handle_wire(
                 frame, _FRAME_HEADERS, session_id
@@ -1274,7 +1293,7 @@ def fuzz_delta_reply(
     values — through the frame, or through exactly one retry — unless
     the mutator spliced CRC-valid garbage into the document (frames
     whose directory names leaf regions reach the channel's frame lane:
-    the mirror a reply is deposited in is its decode template); and the
+    the store entry a reply is deposited in holds its decode); and the
     probe, a pristine header-only frame after a fresh announce, still
     decodes without a retry after any amount of garbage.
     """

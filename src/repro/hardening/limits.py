@@ -63,9 +63,10 @@ class ResourceLimits:
     #: already caps it at ``max_body_bytes``; this is the tighter bound
     #: a patch-sized payload should never legitimately reach.
     max_delta_frame_bytes: int = 1 << 24
-    #: Mirror documents retained per server session for delta
-    #: reconstruction (LRU beyond this; an evicted template's next
-    #: frame answers resync and the client re-announces).
+    #: Template entries — a mirror or plain document with its decode —
+    #: each session direction's document store keeps (LRU beyond this;
+    #: an evicted template's next frame answers resync and the client
+    #: re-announces).
     max_delta_mirrors: int = 4
     #: Global byte budget for *all* per-session server state —
     #: deserializer templates, compiled seek tables, delta mirrors,

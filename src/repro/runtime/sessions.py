@@ -1,22 +1,24 @@
 """Per-connection server sessions for differential deserialization.
 
 The paper's server-side template matching (§6) is stateful: the
-deserializer's stored raw message must be the *previous message of the
-same sender*, or the byte comparison degrades to a full parse on every
-request.  A server with one shared :class:`DifferentialDeserializer`
-under a thread-per-connection front end has two problems at once:
+document a message is compared with must be the *previous message of
+the same sender for the same template*, or the byte comparison degrades
+to a full parse on every request.  A server with one shared
+:class:`DifferentialDeserializer` under a thread-per-connection front
+end has two problems at once:
 
 * **correctness** — two connection threads interleaving
-  ``deserialize()`` calls race on the stored template and the parse
-  result they both mutate in place;
+  ``deserialize()`` calls race on the stored documents and the parse
+  results they both mutate in place;
 * **performance** — even with a lock, interleaved streams from
   different clients never match each other, so the differential path
   is always missed.
 
 A :class:`ServerSessionManager` fixes both by giving every accepted
-connection its own :class:`ServerSession` — a private deserializer,
+connection its own :class:`ServerSession` — a private deserializer and
+its document store (one entry per template, request direction),
 response-template serializer, and counters — behind a registry with a
-lock and LRU eviction.  The template-per-connection invariant this
+lock and LRU eviction.  The store-per-connection invariant this
 enforces is the server-side mirror of the client pool's
 template-per-channel invariant (see ``docs/runtime.md``).
 """
@@ -36,7 +38,6 @@ from repro.obs import NULL_OBS, Observability
 from repro.schema.registry import TypeRegistry
 from repro.server.diffdeser import DeserKind, DifferentialDeserializer
 from repro.transport.loopback import LatestSink
-from repro.wire.server import DeltaSession
 
 __all__ = ["ServerSession", "ServerSessionManager", "DeserializerView"]
 
@@ -50,8 +51,12 @@ class ServerSession:
 
     Attributes
     ----------
-    deserializer:
-        This session's request-side differential deserializer.
+    deserializer / delta:
+        This session's request-side differential deserializer and the
+        document store whose entries it decodes
+        (:class:`~repro.wire.server.DeltaSession`): one entry per
+        template id the client announced, per operation it sent as
+        plain XML.
     responder / sink:
         The response-side bSOAP serializer and the sink holding the
         last serialized response.  Response templates are per session,
@@ -118,9 +123,7 @@ class ServerSession:
         #: server-side half of the tx/rx accounting).
         self.bytes_received = 0
         self.bytes_sent = 0
-        #: Delta-frame mirror store (repro.wire.server); populated only
-        #: when the front end routes announced bodies / frames here.
-        self.delta = DeltaSession(limits)
+        self.delta = self.deserializer.store
         #: Pinned sessions (the default one) are never LRU-evicted.
         self.pinned = pinned
         #: Number of threads currently between acquire() and release();
@@ -152,44 +155,27 @@ class ServerSession:
         """Current state bytes split by ledger component.
 
         Keys match :data:`~repro.hardening.overload.STATE_COMPONENTS`:
-        ``deser`` (the deserializer's decode, plus its template
-        document when no mirror holds that), the compiled
-        ``seektable``, delta ``mirror`` documents, and ``response``
+        the store's entries (:meth:`DeltaSession.state_bytes
+        <repro.wire.server.DeltaSession.state_bytes>` — mirror
+        documents as ``mirror``, plain documents and decodes as
+        ``deser``, compiled ``seektable``\\ s), and ``response``
         templates (store footprint + retained last response, XML or
-        reply frame).  A document that is both a mirror and the decode
-        template is one ``bytearray`` and is charged once, as a mirror.
+        reply frame).
         """
-        deser = self.deserializer.approx_bytes()
-        template = self.deserializer.template_buffer
-        if template is not None and self.delta.holds(template):
-            deser -= len(template)
-        return {
-            "deser": deser,
-            "seektable": self.deserializer.seek_table_bytes(),
-            "mirror": self.delta.approx_bytes(),
-            "response": self.responder.store.approx_bytes()
-            + self.sink.last_bytes(),
-        }
+        return dict(
+            self.delta.state_bytes(),
+            response=self.responder.store.approx_bytes() + self.sink.last_bytes(),
+        )
 
     def approx_bytes(self) -> int:
         """Total state bytes this session currently holds."""
         return sum(self.state_components().values())
 
     def shed_mirror(self) -> bool:
-        """Let go of the least-recently-used mirror (pressure tier 1).
-
-        When that mirror is also the decode template the deserializer
-        lets go of it too — the document is only freed once nobody
-        holds it, and a template no frame can reach any more would
-        only serve a full-XML resend of the same length.  False when
-        no mirror is held.
-        """
-        if not self.delta.drop_lru():
-            return False
-        template = self.deserializer.template_buffer
-        if isinstance(template, bytearray) and not self.delta.holds(template):
-            self.deserializer.reset()
-        return True
+        """Let go of the least-recently-used mirror entry, its decode
+        and seek table with it (pressure tier 1).  False when no mirror
+        is held."""
+        return self.delta.drop_lru() is not None
 
 
 class DeserializerView:
@@ -221,7 +207,7 @@ class DeserializerView:
         )
 
     def reset(self) -> None:
-        """Drop every session's stored template."""
+        """Drop every session's stored decodes."""
         for session in self._manager.sessions():
             session.deserializer.reset()
 
@@ -271,8 +257,8 @@ class ServerSessionManager:
         Passed through to each session's deserializer and responder.
     max_sessions:
         Upper bound on live sessions.  Beyond it the least recently
-        *acquired* idle session is evicted (its deserializer template
-        and response templates are dropped; an evicted-then-returning
+        *acquired* idle session is evicted (its document store and
+        response templates are dropped; an evicted-then-returning
         session id simply pays one full parse to resynchronize).
         Sessions currently in use and the pinned default session are
         never evicted.
@@ -445,15 +431,13 @@ class ServerSessionManager:
         The tier ladder, cheapest client recovery first (every shed is
         a speed loss, never a correctness loss):
 
-        1. ``mirror`` — LRU delta mirrors from idle sessions; the
-           client's next frame gets a 409 resync and re-announces
-           full XML.  The mirror that is the session's decode
-           template goes last (it is the most recently used) and takes
-           the decode and the seek table with it: one document, one
-           holder.
-        2. ``seektable`` — compiled seek tables from idle sessions;
-           the session's next changed request costs one full parse,
-           which compiles a new table.
+        1. ``mirror`` — LRU mirror entries from idle sessions, each
+           with its decode and seek table; the client's next frame for
+           it gets a 409 resync and re-announces full XML.  Plain
+           entries are never taken here.
+        2. ``seektable`` — compiled seek tables from idle sessions, LRU
+           entry first; that entry's next changed request costs one
+           full parse, which compiles a new table.
         3. ``session`` — LRU idle unpinned sessions retire outright;
            a returning client pays one first-time send.
 
@@ -478,7 +462,7 @@ class ServerSessionManager:
             return {}
         sheds = {tier: 0 for tier in SHED_TIERS}
         with self._lock:
-            # Tier 1: delta mirrors, LRU-session-first then LRU-mirror
+            # Tier 1: mirror entries, LRU-session-first then LRU-entry
             # within each session.
             for session in list(self._sessions.values()):
                 if needed <= 0:
@@ -496,11 +480,10 @@ class ServerSessionManager:
                         break
                     if session.in_use:
                         continue
-                    if not session.deserializer.drop_seek_table():
-                        continue
-                    accountant.note_shed("seektable")
-                    sheds["seektable"] += 1
-                    needed -= self._recharge(session)
+                    while needed > 0 and session.deserializer.drop_seek_table():
+                        accountant.note_shed("seektable")
+                        sheds["seektable"] += 1
+                        needed -= self._recharge(session)
             # Tier 3: LRU idle sessions retire outright.
             while needed > 0:
                 victim_key = None

@@ -5,18 +5,17 @@
     arrivals.  This could help avoid complete server-side parsing and
     improve performance, through differential deserialization."
 
-The deserializer keeps, per sender, the previous message (the
-*template document*), its :class:`~repro.server.parser.ParseResult`
-(decoded values + leaf byte spans) and a
-:class:`~repro.schema.skipscan.SeekTable` compiled from the two.  What
-it does with an incoming message depends on the kind of input:
+The stored messages are the entries of a
+:class:`~repro.wire.server.DeltaSession` — one per template the sender
+uses, not one per sender.  Each entry holds a document, its
+:class:`~repro.server.parser.ParseResult` (decoded values + leaf byte
+spans) and a :class:`~repro.schema.skipscan.SeekTable` compiled from
+the two.  :meth:`DifferentialDeserializer.deserialize` decodes the
+entry it is handed, by one of two lanes:
 
-* **A mirrored document with its frame**
-  (:class:`~repro.wire.server.MirroredDocument`, what
-  :meth:`DeltaSession.apply <repro.wire.server.DeltaSession.apply>`
-  returns).  The mirror the frame patched *is* the template document —
-  one ``bytearray``, held by both — so the sender's splice directory
-  already says which bytes changed:
+* **Directory lane** — the entry was just patched by a frame that is
+  the next one after the sequence number its decode has followed.  The
+  sender's splice directory already says which bytes changed:
 
   1. a header-only frame → the cached decode (zero work),
   2. one ``searchsorted`` of the directory against the seek table's
@@ -24,31 +23,27 @@ it does with an incoming message depends on the kind of input:
      leaf's field region touched the skeleton (``skeleton-drift``),
   3. the seek table validates and re-parses those leaves only — closing
      tags, pad, charset, two-phase commit, see ``docs/skipscan.md`` —
-     reading uniform double regions straight from the frame payload,
-  4. any doubt (skeleton drift, the seek table declines the bytes, no
-     table armed, a frame that is not the next one for this buffer) →
-     full parse of the patched buffer.  The buffer changed before its
-     bytes were checked, so the old decode is dropped *before* that
-     parse: if it raises, no template is left rather than a stale one.
+     reading uniform double regions straight from the frame payload.
 
   No step reads, compares or copies the document.
 
-* **A document** (``bytes``; or a mirrored document that is not the
-  current template — a full-XML announce, another operation's mirror).
-  For a message of the *same length* as the template:
+* **Document lane** — anything else: full XML deposited in the entry
+  (an announce, or plain XML).  For a document of the *same length* as
+  the one the entry's own previous decode describes:
 
-  1. vectorized byte comparison against the template
-     (``np.frombuffer`` + ``!=``),
+  1. vectorized byte comparison (``np.frombuffer`` + ``!=``),
   2. if nothing differs → the cached decode (content match),
   3. if all differing bytes fall inside known leaf field regions → the
-     seek table re-parses only those leaves (the structural match),
-  4. otherwise (length change, skeleton bytes differ, the seek table
-     declines the bytes, or no seek table is armed) → full parse and
-     refresh the template.  A parse that raises leaves the previous
-     template as it was.
+     seek table re-parses only those leaves (the structural match).
 
-  Either way the message becomes the template; a mirrored document is
-  adopted as it is, so the next frame against it takes the first lane.
+Any doubt — skeleton or length drift, the seek table declines the
+bytes, no table armed, a frame whose predecessor the decode never
+followed, an entry with no decode — is answered by a full parse of the
+entry's document, which compiles a new table.  A patched document
+changed before its bytes were checked, so a frame's doubt drops the
+entry's decode *before* that parse: if it raises, no decode is left
+rather than a stale one.  A deposited document that fails to parse
+leaves the previous decode as it was.
 
 The seek table is the only structural lane and the full parse is its
 authority.  "No seek table armed" covers a template
@@ -74,14 +69,11 @@ from repro.hardening.limits import ResourceLimits
 from repro.obs import NULL_OBS, Observability
 from repro.schema.registry import TypeRegistry
 from repro.schema.skipscan import SeekTable, SkipScanFallback
-from repro.server.parser import DecodedMessage, ParseResult, SOAPRequestParser
+from repro.server.parser import DecodedMessage, SOAPRequestParser
 from repro.wire.frame import DeltaFrame
-from repro.wire.server import MirroredDocument
+from repro.wire.server import DeltaSession, DocumentEntry, MirroredDocument
 
 __all__ = ["DeserKind", "DeserReport", "DifferentialDeserializer"]
-
-#: A template document: immutable, or a mirror patched in place.
-Document = Union[bytes, bytearray]
 
 
 class DeserKind(enum.Enum):
@@ -130,17 +122,11 @@ class DifferentialDeserializer:
         self.parser = SOAPRequestParser(registry, limits)
         self.descriptors = descriptors
         self.obs = obs if obs is not None else NULL_OBS
-        # The template document, held and never copied: immutable
-        # ``bytes`` from full-XML traffic, or the ``bytearray`` a
-        # DeltaSession mirror patches in place.
-        self._buffer: Optional[Document] = None
-        # uint8 view of it.
-        self._last_raw: Optional[np.ndarray] = None
-        # Sequence number of the last frame whose patch to a mirrored
-        # ``_buffer`` the decode below has followed (0: none yet).
-        self._seq = 0
-        self._result: Optional[ParseResult] = None
-        self._table: Optional[SeekTable] = None
+        #: The store whose entries this deserializer decodes — a server
+        #: session's request direction, a channel's replies.  Bare
+        #: ``bytes`` handed to :meth:`deserialize` are held in it under
+        #: the plain key ``None``.
+        self.store = DeltaSession(limits)
         self.stats = {kind: 0 for kind in DeserKind}
         #: Skip-scan event counts (compiled / hit / hit-vector /
         #: fallback-* / length-drift / skeleton-drift / uncompilable-*).
@@ -163,27 +149,19 @@ class DifferentialDeserializer:
     def _skip_event(self, event: str) -> None:
         self.skipscan_stats[event] = self.skipscan_stats.get(event, 0) + 1
 
-    def _adopt(self, buffer: Document, raw: np.ndarray, seq: int) -> None:
-        """*buffer* (viewed by *raw*) is what ``_result`` decodes now."""
-        self._buffer = buffer
-        self._last_raw = raw
-        self._seq = seq
-
-    def _full_parse(
-        self, buffer: Document, seq: int
-    ) -> tuple[DecodedMessage, DeserReport]:
-        data = buffer if isinstance(buffer, bytes) else bytes(buffer)
-        result = self.parser.parse(data)
-        self._result = result
-        self._adopt(buffer, np.frombuffer(buffer, dtype=np.uint8), seq)
-        self._table = None
+    def _full_parse(self, entry: DocumentEntry) -> tuple[DecodedMessage, DeserReport]:
+        data = entry.data
+        document = data if isinstance(data, bytes) else bytes(data)
+        result = self.parser.parse(document)
+        entry.base, entry.decoded = data, entry.seq
+        entry.result, entry.table = result, None
         descriptor = (
             self.descriptors.get(result.message.operation)
             if self.descriptors is not None
             else None
         )
         try:
-            self._table = SeekTable.compile(data, result, descriptor)
+            entry.table = SeekTable.compile(document, result, descriptor)
         except SkipScanFallback as exc:
             self._skip_event(f"uncompilable-{exc.reason}")
         else:
@@ -192,8 +170,8 @@ class DifferentialDeserializer:
         self.stats[DeserKind.FULL] += 1
         return result.message, report
 
-    def _content_match(self) -> tuple[DecodedMessage, DeserReport]:
-        result = self._result
+    def _content_match(self, entry: DocumentEntry) -> tuple[DecodedMessage, DeserReport]:
+        result = entry.result
         self.stats[DeserKind.CONTENT_MATCH] += 1
         return result.message, DeserReport(
             DeserKind.CONTENT_MATCH, 0, result.leaf_count
@@ -202,7 +180,7 @@ class DifferentialDeserializer:
     def _seek(
         self,
         table: SeekTable,
-        buffer: Document,
+        buffer: Union[bytes, bytearray],
         raw: np.ndarray,
         changed: np.ndarray,
         rows: Optional[np.ndarray] = None,
@@ -234,51 +212,41 @@ class DifferentialDeserializer:
     def deserialize(
         self, data: Union[bytes, MirroredDocument]
     ) -> tuple[DecodedMessage, DeserReport]:
-        """Decode *data*, reusing the stored template when possible.
+        """Decode *data*, reusing its entry's decode when possible.
 
-        The kind of input selects the lane (module docstring): a
-        :class:`~repro.wire.server.MirroredDocument` whose buffer is
-        the current template follows its frame's splice directory;
-        anything else is compared with the template as a document.
+        *data* is a store entry with the frame that just patched it
+        (:class:`~repro.wire.server.MirroredDocument`), or bare bytes,
+        first held in :attr:`store` under the key ``None``.  The frame
+        lane is taken when the frame is the next one after the sequence
+        number the entry's decode has followed; anything else is
+        compared, as a document, with the entry's own previous decode.
         """
-        if isinstance(data, MirroredDocument):
-            frame = data.frame
-            seq = frame.seq if frame is not None else 0
-            if data.buffer is self._buffer:
-                return self._decode_patched(frame, seq)
-            return self._decode_document(data.buffer, seq)
-        if not isinstance(data, bytes):
-            data = bytes(data)  # the template aliases it: must not change
-        return self._decode_document(data, 0)
-
-    def _decode_patched(
-        self, frame: Optional[DeltaFrame], seq: int
-    ) -> tuple[DecodedMessage, DeserReport]:
-        """The template buffer was patched in place (by *frame*)."""
-        if frame is not None and seq == self._seq + 1:
-            # Exactly this frame's splices separate the buffer from
-            # what ``_result`` decodes.
+        if not isinstance(data, MirroredDocument):
+            # The decode keeps the document as its base: it must not change.
+            data = self.store.deposit(bytes(data))
+        entry, frame = data.entry, data.frame
+        if frame is None:
+            return self._decode_document(entry)
+        if frame.seq == entry.decoded + 1:
             out = (
-                self._follow_directory(frame)
+                self._follow_directory(entry, frame)
                 if frame.splice_count
-                else self._content_match()
+                else self._content_match(entry)
             )
             if out is not None:
-                self._seq = seq
+                entry.decoded = frame.seq
                 return out
-        # No older copy to compare with: the full parse decides, and
-        # the decode of the buffer's former content goes first — a
-        # parse that raises must leave no template, not a stale one.
-        buffer = self._buffer
-        self.reset()
-        return self._full_parse(buffer, seq)
+        # No older copy to compare with: the full parse decides, and the
+        # decode of the document's former content goes first.
+        entry.drop_decode()
+        return self._full_parse(entry)
 
     def _follow_directory(
-        self, frame: DeltaFrame
+        self, entry: DocumentEntry, frame: DeltaFrame
     ) -> Optional[tuple[DecodedMessage, DeserReport]]:
         """Re-parse the leaves *frame*'s splices lie in, or ``None``
         (the decline counted) when the seek table cannot answer."""
-        table = self._table
+        table = entry.table
         if table is None:
             return None
         offsets, widths = frame.offsets, frame.widths
@@ -298,33 +266,35 @@ class DifferentialDeserializer:
         else:
             changed = np.unique(owner)
             rows = None
+        raw = np.frombuffer(entry.data, dtype=np.uint8)
         try:
-            return self._seek(table, self._buffer, self._last_raw, changed, rows)
+            return self._seek(table, entry.data, raw, changed, rows)
         except SkipScanFallback as exc:
             self._skip_event(f"fallback-{exc.reason}")
             return None
 
     def _decode_document(
-        self, buffer: Document, seq: int
+        self, entry: DocumentEntry
     ) -> tuple[DecodedMessage, DeserReport]:
-        """Compare *buffer* with the template; it becomes the template."""
-        last = self._last_raw
-        if last is None or len(buffer) != len(last):
-            if self._table is not None:
+        """Compare the entry's document with its decode's base; on
+        success the document is the base."""
+        data, base = entry.data, entry.base
+        if entry.result is None or len(data) != len(base):
+            if entry.table is not None:
                 self._skip_event("length-drift")
-            return self._full_parse(buffer, seq)
+            return self._full_parse(entry)
 
-        incoming = np.frombuffer(buffer, dtype=np.uint8)
-        diff_pos = np.flatnonzero(incoming != last)
+        incoming = np.frombuffer(data, dtype=np.uint8)
+        diff_pos = np.flatnonzero(incoming != np.frombuffer(base, dtype=np.uint8))
         if diff_pos.size == 0:
-            self._adopt(buffer, incoming, seq)
-            return self._content_match()
+            entry.base, entry.decoded = data, entry.seq
+            return self._content_match(entry)
 
-        table = self._table
+        table = entry.table
         if table is None:
             # Uncompilable or shed: the full parse is the only other
             # decoder, and it compiles again.
-            return self._full_parse(buffer, seq)
+            return self._full_parse(entry)
         # Each differing byte must fall inside some leaf field region
         # (value + closing tag + whitespace pad).
         owner = np.searchsorted(table.starts, diff_pos, side="right") - 1
@@ -332,74 +302,51 @@ class DifferentialDeserializer:
         if not bool(inside.all()):
             # Skeleton bytes changed — not the same template.
             self._skip_event("skeleton-drift")
-            return self._full_parse(buffer, seq)
+            return self._full_parse(entry)
 
         try:
-            out = self._seek(table, buffer, incoming, np.unique(owner))
+            out = self._seek(table, data, incoming, np.unique(owner))
         except SkipScanFallback as exc:
             self._skip_event(f"fallback-{exc.reason}")
-            return self._full_parse(buffer, seq)
-        # Every differing byte was inside a re-parsed region: the new
-        # message is the template now.
-        self._adopt(buffer, incoming, seq)
+            return self._full_parse(entry)
+        # Every differing byte was inside a re-parsed region: the
+        # document is the decode's base now.
+        entry.base, entry.decoded = data, entry.seq
         return out
 
     # ------------------------------------------------------------------
     @property
     def has_template(self) -> bool:
-        return self._result is not None
-
-    @property
-    def template_buffer(self) -> Optional[Document]:
-        """The template document itself: ``bytes`` this deserializer
-        alone holds, or a ``bytearray`` shared with the
-        :class:`~repro.wire.server.DeltaSession` mirror that patches
-        it (``None`` without a template)."""
-        return self._buffer
+        """True when some entry of :attr:`store` holds a decode."""
+        return any(e.result is not None for e in list(self.store.entries.values()))
 
     def reset(self) -> None:
-        """Drop the stored template (and its compiled seek table)."""
-        self._buffer = None
-        self._last_raw = None
-        self._seq = 0
-        self._result = None
-        self._table = None
+        """Drop every entry's decode (and its compiled seek table)."""
+        for entry in list(self.store.entries.values()):
+            entry.drop_decode()
 
     @property
     def has_seek_table(self) -> bool:
-        """True when a compiled skip-scan table is armed."""
-        return self._table is not None
+        """True when some entry has a compiled skip-scan table armed."""
+        return any(e.table is not None for e in list(self.store.entries.values()))
 
     def drop_seek_table(self) -> int:
-        """Shed the compiled seek table; return its byte size.
+        """Shed the least-recently-used entry's seek table; return its
+        byte size.
 
         A pressure-relief tier (see :mod:`repro.hardening.overload`):
-        the template itself survives, so content matches stay free,
-        and the next changed message costs one full parse, which
-        compiles a new table.  Returns 0 when no table is armed.
+        the entry's decode survives, so content matches stay free, and
+        its next changed message costs one full parse, which compiles a
+        new table.  Returns 0 when no table is armed.
         """
-        if self._table is None:
-            return 0
-        freed = self._table.approx_bytes()
-        self._table = None
-        self._skip_event("shed")
-        return freed
+        for entry in self.store.entries.values():
+            if entry.table is not None:
+                freed = entry.table.approx_bytes()
+                entry.table = None
+                self._skip_event("shed")
+                return freed
+        return 0
 
     def seek_table_bytes(self) -> int:
-        """Bytes held by the compiled seek table (0 when none)."""
-        return 0 if self._table is None else self._table.approx_bytes()
-
-    def approx_bytes(self) -> int:
-        """Approximate retained template bytes (document + decode).
-
-        The decoded :class:`ParseResult` is dominated by its value
-        containers, which scale with the raw document — fold them in
-        as one extra raw-sized charge rather than walking every leaf.
-        The document is counted whether or not a mirror shares it
-        (:attr:`template_buffer`; the session ledger charges a shared
-        one once).  The seek table is accounted separately
-        (:meth:`seek_table_bytes`) because it sheds on its own tier.
-        """
-        if self._last_raw is None:
-            return 0
-        return 2 * self._last_raw.nbytes
+        """Bytes held by the compiled seek tables (0 when none)."""
+        return self.store.state_bytes()["seektable"]

@@ -10,8 +10,9 @@ same-shaped response repeatedly gets content/structural matches on the
 (Google/Amazon-style fixed response schemas).
 
 Sessions (see :mod:`repro.runtime.sessions`): differential
-deserialization is stateful per *sender*, so the service keeps one
-deserializer/responder pair per session id behind a
+deserialization is stateful per *sender* and template, so the service
+keeps one deserializer/responder pair per session id — its document
+store holding one entry per template — behind a
 :class:`~repro.runtime.sessions.ServerSessionManager`.
 :class:`~repro.server.threaded_server.HTTPSoapServer` and
 :class:`~repro.server.async_server.AsyncHTTPSoapServer` pass each
@@ -334,11 +335,13 @@ class SOAPService:
         session: ServerSession,
         body: Union[bytes, MirroredDocument],
         mirrored: bool = False,
+        announce: Optional[Dict[str, str]] = None,
     ) -> ResponsePayload:
         """Decode, dispatch, serialize.  *body* is the request XML, or
-        the session mirror holding it (deposited by an announce or
-        patched by a frame).  *mirrored*: the caller holds a reply
-        mirror, so the response may be a frame or an announce."""
+        the session store entry a frame just patched.  Full XML is
+        held in the store under the template id its *announce* headers
+        name, else under its operation.  *mirrored*: the caller holds a
+        reply mirror, so the response may be a frame or an announce."""
         try:
             document = body.buffer if isinstance(body, MirroredDocument) else body
             if len(document) > self.limits.max_body_bytes:
@@ -353,6 +356,8 @@ class SOAPService:
             status, peeked = self._peeker.classify(document)
             if status == "unknown":
                 raise SOAPError(f"unknown operation {peeked!r}")
+            if not isinstance(body, MirroredDocument):
+                body = session.delta.deposit(body, peeked, announce)
             decoded, _report = session.deserializer.deserialize(body)
             op = self._operations.get(decoded.operation)
             if op is None:
@@ -400,9 +405,9 @@ class SOAPService:
         """Handle one request with its HTTP *headers* in view.
 
         The delta-aware superset of :meth:`handle`: binary frames are
-        patched into the session's mirror and the normal SOAP pipeline
-        runs on that mirror (which is the decode template), announced
-        full-XML bodies deposit mirrors, and offers are acknowledged.  Returns ``(status,
+        patched into their entry of the session's document store and
+        the normal SOAP pipeline decodes that entry, announced full-XML
+        bodies deposit mirror entries, and offers are acknowledged.  Returns ``(status,
         extra_header_lines, response_body)`` for the front end to frame
         — status 200 with the SOAP response, or 409 with an empty body
         and ``X-Repro-Delta-Resync: 1`` when the client must fall back
@@ -477,17 +482,8 @@ class SOAPService:
                         if status != 200:
                             return status, ["X-Repro-Delta-Resync: 1"], response
                     else:
-                        # An announced body is decoded where it was
-                        # deposited: the mirror becomes the template.
-                        document = (
-                            session.delta.store_announced(headers, body)
-                            if accepted
-                            else None
-                        )
                         response = self._handle_in_session_views(
-                            session,
-                            body if document is None else document,
-                            mirrored,
+                            session, body, mirrored, headers if accepted else None
                         )
                     session.bytes_sent += response.total
                     if response.frame:
@@ -509,8 +505,8 @@ class SOAPService:
     def _handle_frame(
         self, session: ServerSession, body: bytes, mirrored: bool
     ) -> Tuple[int, ResponsePayload]:
-        """Patch the session mirror with a delta frame and run the SOAP
-        pipeline on it."""
+        """Patch a session mirror entry with a delta frame and run the
+        SOAP pipeline on it."""
         if not self.delta_enabled:
             session.delta.note("resync-disabled")
             return 409, ResponsePayload()

@@ -1,20 +1,31 @@
-"""Server side of the delta-frame protocol: per-session mirror store.
+"""The document store of one session direction.
 
-One :class:`DeltaSession` lives on each
-:class:`~repro.runtime.sessions.ServerSession`.  Full-XML requests
-carrying announce headers deposit a *mirror* — a byte copy of the body
-keyed by the client's template id.  A later binary frame is decoded
-under the session's :class:`~repro.hardening.ResourceLimits`, matched
-against the mirror's epoch/sequence and applied in place.  What the
-SOAP pipeline gets is a :class:`MirroredDocument`: the mirror itself —
-never a copy of it — with the validated frame that just patched it.
-The mirror is also the
-:class:`~repro.server.diffdeser.DifferentialDeserializer`'s decode
-template (one ``bytearray`` per mirrored template), so the frame's
-splice directory tells the deserializer which leaves changed and it
-reads no other byte of the document.
+One :class:`DeltaSession` holds, for one direction of one connection,
+what the peer's documents are: an LRU of :class:`DocumentEntry`\\ s,
+one per template, bounded by ``ResourceLimits.max_delta_mirrors``.  A
+server session keeps one for requests, a channel one for replies.
 
-Every mismatch *drops* the mirror and raises
+* **Keys.**  A full-XML body whose announce headers name a template id
+  is kept under that id, as a *mirror* later frames may patch.  Full
+  XML that announces nothing is kept under a *plain* key: the operation
+  the server's dispatch peek reads (``None`` when unscannable), or
+  ``None`` for a channel's replies.  An announce for an id the store
+  does not know takes over the plain entry of the same operation, with
+  that entry's decode kept as the comparison base.
+* **Frames.**  A binary frame is decoded under the session's
+  :class:`~repro.hardening.ResourceLimits`, matched against its
+  entry's epoch/sequence and applied in place.
+* **Decodes.**  Each entry also carries the
+  :class:`~repro.server.diffdeser.DifferentialDeserializer`'s decode of
+  its document — the ``ParseResult``, the ``SeekTable`` and the frame
+  sequence the decode has followed — so a template's document and its
+  decode live, are shed and are charged together.
+
+What the SOAP pipeline gets is a :class:`MirroredDocument`: the entry
+itself — never a copy of its document — with the validated frame that
+just patched it.
+
+Every frame mismatch *drops* the entry, decode and all, and raises
 :class:`~repro.errors.DeltaResyncError`; the front end answers the
 resync status and the client re-announces with full XML.  Nothing in
 this module lets a bad frame leave a half-patched mirror behind:
@@ -25,50 +36,76 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Hashable, Optional, Union
 
 from repro.errors import DeltaResyncError
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
 from repro.wire.frame import DeltaFrame, apply_frame, decode_frame
 
-__all__ = ["DeltaSession", "MirroredDocument"]
+__all__ = ["DeltaSession", "DocumentEntry", "MirroredDocument"]
+
+
+class DocumentEntry:
+    """One template's document and its decode (``docs/wire_protocol.md``,
+    "One store per direction")."""
+
+    __slots__ = ("data", "epoch", "seq", "decoded", "base", "result", "table")
+
+    def __init__(self) -> None:
+        #: The document: a ``bytearray`` frames patch in place (a
+        #: mirror), or the immutable ``bytes`` of plain full XML.
+        self.data: Union[bytes, bytearray] = b""
+        #: Layout epoch the announce named; ``None``: plain, and no
+        #: frame can address the entry.
+        self.epoch: Optional[int] = None
+        #: Sequence number of the last frame applied to :attr:`data`.
+        self.seq = 0
+        #: Sequence number of :attr:`data` the decode has followed
+        #: (-1: the decode, if any, is of an older document).
+        self.decoded = -1
+        #: The document the decode describes: :attr:`data` once it is
+        #: decoded, the previous document until then.
+        self.base: Union[bytes, bytearray, None] = None
+        #: The decode: a ``ParseResult`` and its compiled ``SeekTable``
+        #: (each ``None`` when not held).
+        self.result = None
+        self.table = None
+
+    def drop_decode(self) -> None:
+        self.decoded = -1
+        self.base = self.result = self.table = None
 
 
 @dataclass(slots=True)
 class MirroredDocument:
-    """A document as it sits in a :class:`DeltaSession` mirror.
+    """A document as it sits in a :class:`DeltaSession` entry.
 
-    ``buffer`` is the mirror — the live ``bytearray`` later frames
-    patch, not a copy — and ``frame`` the validated frame that produced
-    its current content from its previous content (``None``: the whole
-    document was deposited by a full-XML announce).
+    ``entry`` holds the live document later frames patch, not a copy;
+    ``frame`` is the validated frame that produced its current content
+    from its previous content (``None``: the whole document was
+    deposited as full XML).
     """
 
-    buffer: bytearray
+    entry: DocumentEntry
     frame: Optional[DeltaFrame] = None
 
+    @property
+    def buffer(self) -> Union[bytes, bytearray]:
+        return self.entry.data
+
     def __len__(self) -> int:
-        return len(self.buffer)
+        return len(self.entry.data)
 
     def tobytes(self) -> bytes:
-        """The document as immutable bytes (one copy)."""
-        return bytes(self.buffer)
-
-
-class _Mirror:
-    __slots__ = ("data", "epoch", "seq")
-
-    def __init__(self, data: bytearray, epoch: int) -> None:
-        self.data = data
-        self.epoch = epoch
-        self.seq = 0
+        """The document as immutable bytes (one copy of a mirror)."""
+        return bytes(self.entry.data)
 
 
 class DeltaSession:
-    """Mirror documents and counters for one server session."""
+    """The document store and frame counters of one session direction."""
 
     __slots__ = (
-        "mirrors",
+        "entries",
         "max_mirrors",
         "frames_applied",
         "resyncs",
@@ -78,7 +115,7 @@ class DeltaSession:
 
     def __init__(self, limits: Optional[ResourceLimits] = None) -> None:
         limits = limits if limits is not None else DEFAULT_LIMITS
-        self.mirrors: "OrderedDict[int, _Mirror]" = OrderedDict()
+        self.entries: "OrderedDict[Hashable, DocumentEntry]" = OrderedDict()
         self.max_mirrors = limits.max_delta_mirrors
         self.frames_applied = 0
         self.resyncs = 0
@@ -88,114 +125,145 @@ class DeltaSession:
         #: :meth:`note` under the owning session's lock.
         self.outcomes: Dict[str, int] = {}
 
-    # ------------------------------------------------------------------
-    def store(self, template_id: int, epoch: int, body: bytes) -> MirroredDocument:
-        """Deposit the announced baseline *body* as a mirror (always a
-        new ``bytearray``) and return the document in it."""
-        self.mirrors.pop(template_id, None)
-        mirror = self.mirrors[template_id] = _Mirror(bytearray(body), epoch)
-        while len(self.mirrors) > self.max_mirrors:
-            self.mirrors.popitem(last=False)
-        return MirroredDocument(mirror.data)
+    @property
+    def mirrors(self) -> Dict[int, DocumentEntry]:
+        """The entries a frame can address (announced), LRU first."""
+        return {k: e for k, e in self.entries.items() if e.epoch is not None}
 
-    def store_announced(
-        self, headers: Dict[str, str], body: bytes
-    ) -> Optional[MirroredDocument]:
-        """Deposit *body* as the baseline its announce *headers* name.
+    # ------------------------------------------------------------------
+    def _hold(
+        self, key: Hashable, entry: DocumentEntry, data: Union[bytes, bytearray]
+    ) -> MirroredDocument:
+        entry.data = data
+        self.entries[key] = entry
+        self.entries.move_to_end(key)
+        while len(self.entries) > self.max_mirrors:
+            self.entries.popitem(last=False)
+        return MirroredDocument(entry)
+
+    def store(
+        self, template_id: int, epoch: int, body: bytes, key: Hashable = None
+    ) -> MirroredDocument:
+        """Deposit the announced baseline *body* (always a new
+        ``bytearray``) and return the document in its entry.
+
+        The entry is *template_id*'s own, else the plain entry *key*
+        names, else a new one.  Its decode stays as the comparison base
+        only if it followed every frame the old document took.
+        """
+        entry = self.entries.pop(template_id, None)
+        if entry is None:
+            plain = self.entries.get(key)
+            if plain is not None and plain.epoch is None:
+                entry = self.entries.pop(key)
+            else:
+                entry = DocumentEntry()
+        if entry.decoded != entry.seq:
+            entry.drop_decode()
+        entry.epoch, entry.seq, entry.decoded = epoch, 0, -1
+        return self._hold(template_id, entry, bytearray(body))
+
+    def deposit(
+        self,
+        body: bytes,
+        key: Hashable = None,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> MirroredDocument:
+        """Hold full-XML *body*: as the baseline its announce *headers*
+        name, else as plain XML under *key*.
 
         *headers* (lowercase keys) are peer-controlled text: a message
-        that announces nothing, or garbage, deposits no mirror, returns
-        ``None`` and raises nothing — the peer simply never gets a
-        frame accepted against it.
+        that announces nothing, or garbage, is held as plain XML and
+        raises nothing — the peer simply never gets a frame accepted
+        against it.
         """
         try:
             template_id = int(headers["x-repro-delta-template"])
             epoch = int(headers["x-repro-delta-epoch"])
-        except (KeyError, ValueError):
-            return None
+        except (TypeError, KeyError, ValueError):  # no headers, no announce
+            template_id = epoch = -1
         if template_id >= 0 and epoch >= 0:
-            return self.store(template_id, epoch, body)
-        return None
+            return self.store(template_id, epoch, body, key)
+        entry = self.entries.get(key)
+        return self._hold(key, entry if entry is not None else DocumentEntry(), body)
 
     def apply(self, frame_bytes: bytes, limits: ResourceLimits) -> MirroredDocument:
         """Decode + validate + apply one frame; return the patched
-        mirror with the frame (nothing document-sized is copied).
+        entry with the frame (nothing document-sized is copied).
 
         Raises :class:`~repro.errors.DeltaFrameError` for malformed
         frames and :class:`~repro.errors.DeltaResyncError` for state
-        mismatches; both drop any affected mirror first.
+        mismatches; the latter drops the affected entry first.
         """
         frame = decode_frame(frame_bytes, limits=limits)
-        mirror = self.mirrors.get(frame.template_id)
-        if mirror is None:
-            self.resyncs += 1
-            raise DeltaResyncError(
-                f"no mirror for template {frame.template_id}",
-                "unknown-template",
-            )
-        if frame.epoch != mirror.epoch:
-            self.mirrors.pop(frame.template_id, None)
-            self.resyncs += 1
-            raise DeltaResyncError(
-                f"frame epoch {frame.epoch} != mirror epoch {mirror.epoch}",
+        # An int key: only ever an announced entry, never a plain one.
+        entry = self.entries.get(frame.template_id)
+        if entry is None:
+            problem = (f"no mirror for template {frame.template_id}", "unknown-template")
+        elif frame.epoch != entry.epoch:
+            problem = (
+                f"frame epoch {frame.epoch} != mirror epoch {entry.epoch}",
                 "stale-epoch",
             )
-        if frame.seq != mirror.seq + 1:
-            self.mirrors.pop(frame.template_id, None)
-            self.resyncs += 1
-            raise DeltaResyncError(
-                f"frame seq {frame.seq} after mirror seq {mirror.seq}",
+        elif frame.seq != entry.seq + 1:
+            problem = (
+                f"frame seq {frame.seq} after mirror seq {entry.seq}",
                 "sequence-gap",
             )
-        if frame.doc_len != len(mirror.data):
-            self.mirrors.pop(frame.template_id, None)
-            self.resyncs += 1
-            raise DeltaResyncError(
-                f"frame doc_len {frame.doc_len} != mirror length "
-                f"{len(mirror.data)}",
+        elif frame.doc_len != len(entry.data):
+            problem = (
+                f"frame doc_len {frame.doc_len} != mirror length {len(entry.data)}",
                 "doc-len-mismatch",
             )
+        else:
+            problem = None
+        if problem is not None:
+            self.entries.pop(frame.template_id, None)
+            self.resyncs += 1
+            raise DeltaResyncError(*problem)
         if frame.splice_count:
-            apply_frame(frame, mirror.data)
-        mirror.seq = frame.seq
-        self.mirrors.move_to_end(frame.template_id)
+            apply_frame(frame, entry.data)
+        entry.seq = frame.seq
+        self.entries.move_to_end(frame.template_id)
         self.frames_applied += 1
         self.bytes_saved += max(0, frame.doc_len - len(frame_bytes))
-        return MirroredDocument(mirror.data, frame)
+        return MirroredDocument(entry, frame)
 
     def note(self, outcome: str) -> None:
         """Count one frame answered with *outcome*."""
         self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
 
-    def drop(self, template_id: int) -> None:
-        self.mirrors.pop(template_id, None)
-
-    def drop_lru(self) -> int:
-        """Let go of the least-recently-used mirror; return its byte size.
+    def drop_lru(self) -> Optional[int]:
+        """Let go of the least-recently-used mirror entry — document,
+        decode and seek table; return its document's byte size.
 
         The cheapest pressure-relief tier: the client's next frame for
         the dropped template answers ``unknown-template`` resync and
-        the existing retry machinery re-announces full XML.  Returns 0
-        when no mirror is held.  The bytes are only freed once a
-        deserializer sharing the buffer lets go as well
-        (:meth:`ServerSession.shed_mirror
-        <repro.runtime.sessions.ServerSession.shed_mirror>`).
+        the existing retry machinery re-announces full XML.  Returns
+        ``None`` when no mirror is held; plain entries are never taken.
         """
-        if not self.mirrors:
-            return 0
-        _key, mirror = self.mirrors.popitem(last=False)
-        return len(mirror.data)
+        for key, entry in self.entries.items():
+            if entry.epoch is not None:
+                del self.entries[key]
+                return len(entry.data)
+        return None
 
     def clear(self) -> None:
-        self.mirrors.clear()
+        self.entries.clear()
 
-    def holds(self, buffer: object) -> bool:
-        """True when *buffer* is one of the live mirrors (by identity)."""
-        for mirror in self.mirrors.values():
-            if mirror.data is buffer:
-                return True
-        return False
+    def state_bytes(self) -> Dict[str, int]:
+        """Bytes held, by ledger component: a mirror's document counts
+        as ``mirror``, a plain document and every decode as ``deser``,
+        compiled tables as ``seektable`` — each once, by construction.
 
-    def approx_bytes(self) -> int:
-        """Approximate retained bytes (mirror documents dominate)."""
-        return sum(len(m.data) for m in self.mirrors.values())
+        A decode is charged as one document-sized estimate: its value
+        containers scale with the raw document.
+        """
+        out = {"deser": 0, "seektable": 0, "mirror": 0}
+        for entry in self.entries.values():
+            out["deser" if entry.epoch is None else "mirror"] += len(entry.data)
+            if entry.result is not None:
+                out["deser"] += len(entry.base)
+            if entry.table is not None:
+                out["seektable"] += entry.table.approx_bytes()
+        return out

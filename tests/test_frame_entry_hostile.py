@@ -33,7 +33,7 @@ from repro.server.parser import SOAPRequestParser
 from repro.soap.message import Parameter, SOAPMessage
 from repro.transport.loopback import CollectSink
 from repro.wire.frame import encode_frame
-from repro.wire.server import DeltaSession
+from repro.wire.server import DeltaSession, DocumentEntry
 from tests.test_skipscan_property import _assert_decoded_equal
 
 CLOSE = b"</item>"
@@ -66,11 +66,12 @@ def _outcome(fn):
 
 
 class Peer:
-    """A mirror and the deserializer sharing it, fed hand-made frames."""
+    """A mirror entry and the deserializer decoding it, fed hand-made
+    frames."""
 
     def __init__(self, body: bytes) -> None:
-        self.delta = DeltaSession()
         self.deser = DifferentialDeserializer()
+        self.delta = self.deser.store
         self.decoded, _report = self.deser.deserialize(self.delta.store(1, 1, body))
         assert self.deser.has_seek_table
         self.regions = SOAPRequestParser().parse(body).regions
@@ -78,8 +79,12 @@ class Peer:
         self.seq = 0
 
     @property
+    def entry(self) -> DocumentEntry:
+        return self.delta.mirrors[1]
+
+    @property
     def buffer(self) -> bytearray:
-        return self.delta.mirrors[1].data
+        return self.entry.data
 
     def frame(self, *splices) -> bytes:
         """The next frame in sequence, from ``(offset, bytes)`` pairs."""
@@ -136,7 +141,7 @@ def test_whole_region_splices_take_the_payload_lane(peer):
     assert (report.kind, report.leaves_parsed) == (DeserKind.DIFFERENTIAL, 2)
     assert peer.deser.skipscan_stats["hit-vector"] == 1
     assert (peer.value(3), peer.value(9)) == (42.25, -0.007)
-    assert peer.deser.template_buffer is peer.buffer
+    assert peer.entry.decoded == peer.entry.seq
 
 
 def test_splice_spanning_two_regions_is_skeleton_drift(peer):
@@ -213,7 +218,7 @@ def test_special_values_take_the_per_leaf_lane(peer, text):
 def test_non_uniform_regions_use_the_per_leaf_lane():
     values = [1.5, 22.25, 333.125, 4444.0625, 5.0]
     peer = Peer(_body(values, StuffMode.NONE))
-    assert peer.deser._table.region_len is None
+    assert peer.entry.table.region_len is None
     start, end = (int(x) for x in peer.regions[2])
     report = peer.send((start, b"987.625" + CLOSE))  # as wide as 333.125
     assert (report.kind, report.leaves_parsed) == (DeserKind.DIFFERENTIAL, 1)
@@ -234,7 +239,7 @@ def test_value_fault_drops_decode_state_then_recovers(peer):
     raised = peer.send(peer.field(5, b"7.25"), peer.field(10, b"abc"))
     assert issubclass(raised, LexicalError)
     assert not peer.deser.has_template and not peer.deser.has_seek_table
-    assert peer.deser.template_buffer is None
+    assert peer.entry.base is None
     before = dict(peer.deser.stats), dict(peer.deser.skipscan_stats)
     # The clean frame repairs leaf 10; leaf 5 must read 7.25, the
     # value the faulting frame wrote next to the bad one.
@@ -243,7 +248,7 @@ def test_value_fault_drops_decode_state_then_recovers(peer):
     assert peer.deser.stats[DeserKind.FULL] == before[0][DeserKind.FULL] + 1
     assert peer.deser.skipscan_stats["compiled"] == before[1]["compiled"] + 1
     assert (peer.value(5), peer.value(10)) == (7.25, 0.5)
-    assert peer.deser.template_buffer is peer.buffer
+    assert peer.entry.decoded == peer.entry.seq
     peer.clean_follow_up(11, DeserKind.DIFFERENTIAL)
 
 
@@ -283,10 +288,10 @@ def test_service_answers_a_client_fault_and_the_next_frame_full_parses():
     assert (stats.stats[DeserKind.FULL], stats.skipscan_stats["compiled"]) == (
         before[0] + 1, before[1] + 1,
     )
-    document = bytes(session.delta.mirrors[1].data)
-    expected = float(np.sum(SOAPRequestParser().parse(document).message.value("data")))
+    entry = session.delta.mirrors[1]
+    expected = float(np.sum(SOAPRequestParser().parse(bytes(entry.data)).message.value("data")))
     assert format_double(expected) in response
-    assert session.deserializer.template_buffer is session.delta.mirrors[1].data
+    assert entry.decoded == entry.seq
 
 
 def test_frame_decoded_without_its_predecessor_full_parses(peer):
@@ -339,7 +344,7 @@ def test_header_only_frame_is_the_cached_decode(peer, monkeypatch):
     cached = peer.decoded
     events = dict(peer.deser.skipscan_stats)
     # Zero work: not one byte of the document may be read.
-    monkeypatch.setattr(peer.deser, "_last_raw", None)
+    monkeypatch.setattr(peer.entry, "base", None)
     monkeypatch.setattr(peer.deser.parser, "parse", None)
     document = peer.delta.apply(peer.frame(), DEFAULT_LIMITS)
     decoded, report = peer.deser.deserialize(document)
@@ -364,7 +369,7 @@ def test_frame_after_mirror_shed_resyncs_and_reannounce_full_parses():
     body = _body(np.linspace(1.0, 2.0, 16))
     service.handle_wire(body, ANNOUNCE, "s")
     (session,) = [s for s in service.sessions.sessions() if s.key == "s"]
-    assert session.deserializer.template_buffer is session.delta.mirrors[1].data
+    assert session.delta.mirrors[1].decoded == 0
     assert session.shed_mirror()
     # The document had one holder left; it let go too.
     assert not session.deserializer.has_template
@@ -377,7 +382,7 @@ def test_frame_after_mirror_shed_resyncs_and_reannounce_full_parses():
     headers = dict(ANNOUNCE, **{"x-repro-delta-epoch": "2"})
     status, _x, response = service.handle_wire(body, headers, "s")
     assert status == 200 and b"Fault" not in response
-    assert session.deserializer.template_buffer is session.delta.mirrors[1].data
+    assert session.delta.mirrors[1].decoded == 0
     frame = encode_frame(1, 2, 1, len(body), [], [], b"")
     assert service.handle_wire(frame, FRAME, "s")[0] == 200
     assert service.deserializer.stats[DeserKind.CONTENT_MATCH] == 1
@@ -445,7 +450,7 @@ def test_frame_call_allocates_nothing_document_sized():
         tracemalloc.stop()
     assert (report.kind, report.leaves_parsed) == (DeserKind.DIFFERENTIAL, 16)
     assert peak < 64 * 1024, f"frame call allocated {peak} bytes at peak"
-    assert deser.template_buffer is delta.mirrors[1].data
+    assert delta.mirrors[1].decoded == 2
 
 
 def test_no_second_copy_of_the_document_is_named_in_the_source():

@@ -7,19 +7,19 @@ leaves.  On the 200-call streams of ``test_skipscan_oracle`` (4 levels
 x 50 calls, ``--rng-seed`` reseeds them) three decoders run in
 lockstep on every call:
 
-* **frame entry**: ``DeltaSession.apply`` → ``deserialize`` on the one
-  buffer mirror and decode template share,
+* **frame entry**: ``DeltaSession.apply`` → ``deserialize`` of the
+  store entry whose document the frame patched,
 * **document entry**: a second deserializer fed the same document as
-  ``bytes`` (a plain client's wire),
+  plain full XML (a plain client's wire), keyed by its operation,
 * **full parse**: a fresh ``SOAPRequestParser`` on those bytes.
 
 They must agree on the values, on the :class:`DeserKind` and on the
-leaves parsed, and the shared buffer must equal the plain
+leaves parsed, and the entry's document must equal the plain
 differential client's bytes (and parse-equal the naive client's) after
 every call.  The same is checked in both directions over live servers
 on both front ends, on a ``StuffMode.NONE`` stream whose regions are
 non-uniform (the per-leaf lane), and on a two-operation stream whose
-frames alternate between mirrors.
+frames alternate between entries.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.server.parser import SOAPRequestParser
 from repro.server.service import SOAPService
 from repro.soap.message import Parameter, SOAPMessage
 from repro.transport.loopback import CollectSink
-from repro.wire.server import DeltaSession
 from repro.xmlkit.canonical import diff_documents, documents_equivalent
 from tests.test_oracle_wire import CALLS_PER_LEVEL, LEVELS, _level_policy, _sequence
 from tests.test_skipscan_oracle import SEQ_LEN, _expected_kind, _registry
@@ -64,8 +63,8 @@ class FramePeer:
     """
 
     def __init__(self) -> None:
-        self.delta = DeltaSession()
         self.deser = DifferentialDeserializer(_registry())
+        self.delta = self.deser.store
         self.frames = 0
         self.decoded = self.report = None
         self._announce = None
@@ -92,10 +91,11 @@ class FramePeer:
         pass
 
     def check_one_buffer(self) -> bytes:
-        """The template document; it must be a live mirror, not a copy."""
-        buffer = self.deser.template_buffer
-        assert isinstance(buffer, bytearray) and self.delta.holds(buffer)
-        return bytes(buffer)
+        """The last-used entry's document; it must be a live mirror
+        whose decode followed every frame applied to it."""
+        entry = next(reversed(self.delta.entries.values()))
+        assert entry.epoch is not None and entry.decoded == entry.seq
+        return bytes(entry.data)
 
 
 class Lockstep:
@@ -122,7 +122,10 @@ class Lockstep:
             f"{where} diverged from the naive oracle: "
             + diff_documents(wire, self.naive_sink.last)
         )
-        decoded, report = self.by_document.deserialize(wire)
+        # Keyed by operation, as a server keys plain full XML.
+        decoded, report = self.by_document.deserialize(
+            self.by_document.store.deposit(wire, message.operation)
+        )
         reference = SOAPRequestParser(_registry()).parse(wire).message
         _assert_decoded_equal(self.peer.decoded, reference)
         _assert_decoded_equal(decoded, reference)
@@ -203,10 +206,9 @@ def test_frame_entry_per_leaf_lane_oracle(rng_seed):
 
 
 def test_two_operations_alternate_mirrors(rng_seed):
-    """Frames for two operations interleave: each has its own mirror,
-    the decode template follows whichever spoke last, and a frame for
-    the other mirror is a document to compare, never a directory to
-    trust."""
+    """Frames for three operations interleave: each has its own store
+    entry, mirror and decode together, so every repeat of an operation
+    follows its frame's directory, whichever operation spoke last."""
     rng = np.random.default_rng(rng_seed + 71)
     run = Lockstep(DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX)))
     # opA/opB: same length, other skeleton; opC: another length.
@@ -218,7 +220,6 @@ def test_two_operations_alternate_mirrors(rng_seed):
     fresh = iter(doubles_of_width(64, 14, seed=int(rng.integers(1 << 30))))
     order = "A B A B C A A A B B C B A".split()
     seen = set()
-    previous = None
     for step, letter in enumerate(order):
         op = "op" + letter
         values = state[op] = state[op].copy()
@@ -227,17 +228,14 @@ def test_two_operations_alternate_mirrors(rng_seed):
         report = run.send(message, f"step {step} ({op})")
         if op not in seen:
             assert report.kind is DeserKind.FULL  # first-time announce
-        elif op == previous:
-            # The frame's mirror is the template: the directory lane.
-            assert (report.kind, report.leaves_parsed) == (DeserKind.DIFFERENTIAL, 1)
         else:
-            assert report.kind is DeserKind.FULL  # length or skeleton drift
+            # The entry's decode followed its last frame: the directory lane.
+            assert (report.kind, report.leaves_parsed) == (DeserKind.DIFFERENTIAL, 1)
         seen.add(op)
-        previous = op
     assert len(run.peer.delta.mirrors) == 3
     assert run.peer.frames == len(order) - 3
     stats = run.peer.deser.skipscan_stats
-    assert stats["skeleton-drift"] >= 3 and stats["length-drift"] >= 3
+    assert "skeleton-drift" not in stats and "length-drift" not in stats
     # Every mirror still equals what its operation sent last.
     for mirror in run.peer.delta.mirrors.values():
         decoded = SOAPRequestParser(_registry()).parse(bytes(mirror.data)).message
@@ -294,11 +292,11 @@ def test_frame_entry_live_lockstep(level, front, rng_seed):
 
                     # Request direction: one buffer, equal documents,
                     # equal decodes, equal lanes.
-                    wire = whole.deserializer.template_buffer
+                    wire = next(reversed(whole.delta.entries.values())).data
                     assert isinstance(wire, bytes)
-                    buffer = framed.deserializer.template_buffer
-                    assert framed.delta.holds(buffer), where
-                    assert bytes(buffer) == wire, where
+                    entry = next(reversed(framed.delta.entries.values()))
+                    assert entry.decoded == entry.seq, where
+                    assert bytes(entry.data) == wire, where
                     reference = SOAPRequestParser(_registry()).parse(wire).message
                     for seen in received[-2:]:
                         assert list(seen) == [p.name for p in reference.params]
@@ -313,7 +311,8 @@ def test_frame_entry_live_lockstep(level, front, rng_seed):
                     assert framed.deserializer.stats[_expected_kind(level, i)] > 0
 
                     # Reply direction: the same, on the channels.
-                    assert offering.replies.holds(offering.deserializer.template_buffer)
+                    mirror = next(reversed(offering.replies.entries.values()))
+                    assert mirror.epoch is not None and mirror.decoded == mirror.seq
                     assert offering.last_response_body == plain.last_response_body
                     reply = SOAPRequestParser(_registry()).parse(
                         plain.last_response_body

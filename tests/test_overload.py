@@ -496,27 +496,23 @@ class TestShedLadder:
 
 
 def _retained(session) -> int:
-    """Bytes *session* holds, counted from the objects themselves:
-    every distinct document once (by identity), the decode at the
-    ledger's one-document estimate, the seek table, the response."""
-    documents = {id(m.data): len(m.data) for m in session.delta.mirrors.values()}
-    decode = 0
-    template = session.deserializer.template_buffer
-    if template is not None:
-        documents[id(template)] = decode = len(template)
-    return (
-        sum(documents.values())
-        + decode
-        + session.deserializer.seek_table_bytes()
-        + session.responder.store.approx_bytes()
-        + session.sink.last_bytes()
-    )
+    """Bytes *session* holds, counted from its store's entries: each
+    entry's document, its decode at the ledger's one-document estimate
+    and its seek table; then the response."""
+    total = session.responder.store.approx_bytes() + session.sink.last_bytes()
+    for entry in session.delta.entries.values():
+        total += len(entry.data)
+        if entry.result is not None:
+            total += len(entry.base)
+        if entry.table is not None:
+            total += entry.table.approx_bytes()
+    return total
 
 
 class TestSharedBufferLedger:
-    """Mirror and decode template are one ``bytearray``: the ledger
-    charges it once, and each shed tier is counted for what a
-    re-measure says it freed."""
+    """A template's document and decode live in one store entry: the
+    ledger charges each document once, and each shed tier is counted
+    for what a re-measure says it freed."""
 
     def _check(self, service) -> int:
         total = 0
@@ -556,24 +552,24 @@ class TestSharedBufferLedger:
             for key in ("plain", "framed")
         )
 
-        # Before any shed: one document per mirrored template.
+        # Before any shed: one document per mirrored template, and
+        # each announced template keeps its own decode.
         shared = framed.delta.mirrors[1].data
-        assert framed.deserializer.template_buffer is shared
         components = framed.state_components()
         assert components["mirror"] == len(first) + len(second)
-        assert components["deser"] == len(second)  # the decode alone
+        assert components["deser"] == len(first) + len(second)  # the decodes
         assert plain.state_components()["deser"] == 2 * len(plain_body)
         usage = self._check(service)
 
-        # Tier 1, a mirror nobody else holds: exactly its bytes.
+        # Tier 1, the LRU mirror entry: its document, decode and table.
+        table = framed.delta.mirrors[0].table.approx_bytes()
         assert self._shed_once(service) == {"mirror": 1}
         assert list(framed.delta.mirrors) == [1]
-        assert framed.deserializer.template_buffer is shared
-        assert self._check(service) == usage - len(first)
-        usage -= len(first)
+        assert framed.delta.mirrors[1].data is shared
+        assert self._check(service) == usage - 2 * len(first) - table
+        usage -= 2 * len(first) + table
 
-        # Tier 1, the mirror that is the decode template: the
-        # deserializer lets go as well — document, decode, seek table.
+        # Tier 1, the last mirror entry — document, decode, seek table.
         table = framed.deserializer.seek_table_bytes()
         assert table > 0
         assert self._shed_once(service) == {"mirror": 1}

@@ -201,10 +201,11 @@ def test_header_only_frame_returns_the_cached_decode():
             decoded_before = dict(channel.deserializer.stats)
             again = channel.call(_msg(values)).result()  # frame 2: header only
             assert len(recorder.responses[-1][2]) == 36
-            # Nothing was reconstructed: the reply mirror is the decode
-            # template, and the body is copied out of it on request.
+            # Nothing was reconstructed: the reply mirror's decode
+            # followed its frames, and the body is copied out of it on
+            # request.
             (mirror,) = channel.replies.mirrors.values()
-            assert channel.deserializer.template_buffer is mirror.data
+            assert mirror.decoded == mirror.seq == 2
             assert channel.last_response_body == body
             decoded_before[DeserKind.CONTENT_MATCH] += 1
             assert channel.deserializer.stats == decoded_before
@@ -268,14 +269,16 @@ def test_length_drift_and_skeleton_drift_reannounce():
             assert [(f.epoch, f.seq) for f in recorder.frames()] == [(2, 1)]
 
             # Same length, other skeleton: each operation's reply has
-            # its own responder template and its own mirror.
+            # its own responder template and its own store entry, so
+            # the first ``bbb`` reply is a fresh decode, not a drift.
             other = channel.call(_msg(again, "bbb"))
             assert other.operation == "bbbResponse"
             assert np.array_equal(other.result(), again)
             _status, headers, body = recorder.responses[-1]
             assert "x-repro-delta-template" in headers
             assert len(body) == len(recorder.responses[-3][2])
-            assert channel.deserializer.skipscan_stats["skeleton-drift"] == 1
+            assert channel.last_deser_report.kind is DeserKind.FULL
+            assert "skeleton-drift" not in channel.deserializer.skipscan_stats
             assert len(channel.replies.mirrors) == 2
             assert channel.channel_stats()["retries"] == 0
         kinds = server.service.response_stats.by_kind

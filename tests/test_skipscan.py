@@ -320,7 +320,7 @@ class TestSkipScanApply:
         assert got[0] == np.inf and np.isnan(got[2]) and got[1] == 2.5
 
     def _region(self, deser, j):
-        table = deser._table
+        table = deser.store.entries[None].table
         return int(table.starts[j]), int(table.ends[j])
 
     def test_tag_drift_falls_back_to_full_parse(self):

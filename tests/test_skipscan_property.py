@@ -253,8 +253,7 @@ def test_fallback_matches_full_parse_under_byte_flips(seed, flips, shed):
         _assert_decoded_equal(got, ref)
         # Byte-identical fallback: whatever path accepted these bytes,
         # the stored template *is* these bytes.
-        assert deser._last_raw is not None
-        assert deser._last_raw.tobytes() == bad
+        assert deser.store.entries[None].base == bad
     # Session is never poisoned: the next clean wire still decodes
     # exactly as a full parse would.
     client.send(messages[2])
@@ -288,7 +287,7 @@ def test_value_span_rewrites_match_full_parse(seed, payloads):
     deser.deserialize(wire)
     if not deser.has_seek_table:
         return  # nothing to probe for this draw
-    table = deser._table
+    table = deser.store.entries[None].table
     k = len(table.starts)
     bad = bytearray(wire)
     for i, payload in enumerate(payloads):
