@@ -46,7 +46,12 @@ from repro.core.serializer import build_template
 from repro.core.stats import ClientStats, MatchKind, RewriteStats, SendReport
 from repro.core.store import TemplateStore
 from repro.core.template import MessageTemplate, Tracked
-from repro.errors import StructureMismatchError, TemplateError, TransportError
+from repro.errors import (
+    LexicalError,
+    StructureMismatchError,
+    TemplateError,
+    TransportError,
+)
 from repro.soap.message import SOAPMessage, Signature, structure_signature
 from repro.transport.base import Transport
 from repro.transport.loopback import NullSink
@@ -248,7 +253,14 @@ class BSoapClient:
         if self.policy.pipelined_send:
             return self._transmit_pipelined(template, kind, snapshot)
         moved_before = template.buffer.bytes_moved
-        rewrite = rewrite_dirty(template, self.policy, self.obs)
+        try:
+            rewrite = rewrite_dirty(template, self.policy, self.obs)
+        except LexicalError:
+            # A value with no legal lexical form (an out-of-range
+            # xsd:int): earlier parameters are already rewritten and
+            # their dirty bits cleared, so undo the epoch.
+            template.rollback_send(snapshot)
+            raise
         kind = refine(kind, rewrite)
         return self._transmit_guarded(
             template, kind, rewrite, snapshot=snapshot, moved_before=moved_before
@@ -268,7 +280,7 @@ class BSoapClient:
             bytes_sent = self.transport.send_message(
                 iter_rewrite_and_views(template, self.policy, rewrite, self.obs)
             )
-        except TransportError:
+        except (TransportError, LexicalError):
             # Some chunks may be on the wire, others not even rewritten.
             template.rollback_send(snapshot)
             if self.wire is not None:

@@ -14,8 +14,8 @@ serialized form:
 Both drivers — :func:`rewrite_dirty` (parameter by parameter) and
 :func:`iter_rewrite_and_views` (chunk by chunk, for pipelined send) —
 hand each parameter's dirty entries to one routine,
-:func:`_rewrite_run`.  It converts the new values through the
-conversion memo and reads their locations from the DUT on every send:
+:func:`_rewrite_run`.  It formats the new values in one batch per
+column and reads their locations from the DUT on every send:
 the table already is the write program (paper §3.1), so nothing about
 the layout is kept between sends.
 
@@ -235,15 +235,8 @@ def _rewrite_run(
     stats: RewriteStats,
     obs,
 ) -> None:
-    """Re-serialize *bp*'s dirty entries *idxs* (ascending DUT indices).
-
-    Resends always convert through the conversion memo; only
-    first-time builds format directly (they would poison its hit-rate
-    window, see :mod:`repro.core.serializer`).
-    """
-    texts = bp.tracked.lexical_for(
-        idxs - bp.entry_base, policy.float_format, cached=True
-    )
+    """Re-serialize *bp*'s dirty entries *idxs* (ascending DUT indices)."""
+    texts = bp.tracked.lexical_for(idxs - bp.entry_base, policy.float_format)
     lens_l = list(map(len, texts))
     lens = np.asarray(lens_l, dtype=np.int32)
     if bool((lens > template.dut.field_width[idxs]).any()):

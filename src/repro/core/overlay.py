@@ -228,19 +228,13 @@ class OverlayTemplate:
         for p in range(self.full_portions):
             lo = p * per_portion * arity
             hi = lo + per_portion * arity
-            # Every overlay send reformats the whole array, so
-            # recurring values are worth the conversion memo.
-            texts = self.tracked.lexical_for(
-                np.arange(lo, hi), self.fmt, cached=True
-            )
+            texts = self.tracked.lexical_for(np.arange(lo, hi), self.fmt)
             self.portion.rewrite(texts, stats)
             yield self.portion.view()
         if self.tail is not None:
             lo = self.full_portions * per_portion * arity
             hi = self.n_items * arity
-            texts = self.tracked.lexical_for(
-                np.arange(lo, hi), self.fmt, cached=True
-            )
+            texts = self.tracked.lexical_for(np.arange(lo, hi), self.fmt)
             self.tail.rewrite(texts, stats)
             yield self.tail.view()
         yield self.suffix

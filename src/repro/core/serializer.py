@@ -422,11 +422,6 @@ def _emit_param(
     """Serialize one parameter, returning its binding record."""
     width_for = policy.stuffing.width_for
     fmt = policy.float_format
-    # First-time builds convert every value exactly once, so probing
-    # the conversion memo here is near-pure miss traffic — it would
-    # both cost time and poison the memo's adaptive hit-rate window
-    # for the differential rewrites the memo actually targets.
-    conv = False
     entry_base = len(dutb)
     name = param.name
     ptype = param.ptype
@@ -437,7 +432,7 @@ def _emit_param(
         buffer.append(
             b"<" + name.encode("ascii") + _attrs_bytes(attrs) + b">"
         )
-        texts = tracked.lexical_all(fmt, cached=conv)
+        texts = tracked.lexical_all(fmt)
         if isinstance(ptype.element, StructType):
             emit_struct_items(buffer, dutb, texts, ptype.element, ptype.item_tag, width_for)
             arity = ptype.element.arity
@@ -458,7 +453,7 @@ def _emit_param(
     elif isinstance(ptype, StructType):
         attrs = {"xsi:type": f"ns:{ptype.name}"}
         buffer.append(b"<" + name.encode("ascii") + _attrs_bytes(attrs) + b">")
-        texts = tracked.lexical_all(fmt, cached=conv)
+        texts = tracked.lexical_all(fmt)
         # A scalar struct is a single "item" whose container is the
         # parameter element itself, so emit fields inline.
         arity = ptype.arity
@@ -491,7 +486,7 @@ def _emit_param(
             + _attrs_bytes({attr_name: attr_value}) + b">"
         )
         close_tag = b"</" + name.encode("ascii") + b">"
-        text = tracked.lexical_all(fmt, cached=conv)[0]
+        text = tracked.lexical_all(fmt)[0]
         L = len(text)
         width = width_for(ptype, L)
         loc = buffer.append(open_tag + text + close_tag + _pad(width - L))

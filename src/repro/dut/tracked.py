@@ -37,21 +37,15 @@ __all__ = [
 
 
 def format_column(
-    xsd_type: XSDType,
-    values: np.ndarray | Sequence,
-    fmt: FloatFormat,
-    cached: bool = False,
+    xsd_type: XSDType, values: np.ndarray | Sequence, fmt: FloatFormat
 ) -> List[bytes]:
-    """Batch-format a homogeneous column of values.
-
-    ``cached=True`` routes doubles through the conversion memo and
-    ints through the small-int table (:mod:`repro.lexical.cache`);
-    output bytes are identical either way.
-    """
+    """Batch-format a homogeneous column of values."""
     if xsd_type is DOUBLE:
-        return format_double_array(values, fmt, cached=cached)
-    if xsd_type is INT or xsd_type is LONG:
-        return format_int_array(values, cached=cached)
+        return format_double_array(values, fmt)
+    if xsd_type is INT:
+        return format_int_array(values, bits=32)
+    if xsd_type is LONG:
+        return format_int_array(values)
     return [xsd_type.format(v) for v in values]
 
 
@@ -154,17 +148,13 @@ class TrackedArray(_Bindable):
         self._data[:] = incoming
 
     # -- serialization support -------------------------------------------
-    def lexical_all(self, fmt: FloatFormat, cached: bool = False) -> List[bytes]:
+    def lexical_all(self, fmt: FloatFormat) -> List[bytes]:
         """Lexical forms of every element, in order."""
-        return format_column(self.xsd_type, self._data, fmt, cached=cached)
+        return format_column(self.xsd_type, self._data, fmt)
 
-    def lexical_for(
-        self, leaf_indices: np.ndarray, fmt: FloatFormat, cached: bool = False
-    ) -> List[bytes]:
+    def lexical_for(self, leaf_indices: np.ndarray, fmt: FloatFormat) -> List[bytes]:
         """Lexical forms for specific leaf indices, in the given order."""
-        return format_column(
-            self.xsd_type, self._data[leaf_indices], fmt, cached=cached
-        )
+        return format_column(self.xsd_type, self._data[leaf_indices], fmt)
 
     def _expected_shape(self) -> tuple:
         return (len(self._data),)
@@ -275,21 +265,18 @@ class TrackedStructArray(_Bindable):
         col[:] = incoming
 
     # -- serialization support -------------------------------------------
-    def lexical_all(self, fmt: FloatFormat, cached: bool = False) -> List[bytes]:
+    def lexical_all(self, fmt: FloatFormat) -> List[bytes]:
         """All leaves in document (item-major) order."""
         arity = self.arity
         per_field = [
-            format_column(f.xsd_type, self._cols[f.name], fmt, cached=cached)
-            for f in self.struct.fields
+            format_column(f.xsd_type, self._cols[f.name], fmt) for f in self.struct.fields
         ]
         out: List[bytes] = [b""] * (self._n * arity)
         for fpos, texts in enumerate(per_field):
             out[fpos::arity] = texts
         return out
 
-    def lexical_for(
-        self, leaf_indices: np.ndarray, fmt: FloatFormat, cached: bool = False
-    ) -> List[bytes]:
+    def lexical_for(self, leaf_indices: np.ndarray, fmt: FloatFormat) -> List[bytes]:
         """Lexical forms for specific leaf indices, preserving order."""
         arity = self.arity
         out: List[Optional[bytes]] = [None] * len(leaf_indices)
@@ -299,9 +286,7 @@ class TrackedStructArray(_Bindable):
             sel = np.flatnonzero(fields == fpos)
             if len(sel) == 0:
                 continue
-            texts = format_column(
-                f.xsd_type, self._cols[f.name][items[sel]], fmt, cached=cached
-            )
+            texts = format_column(f.xsd_type, self._cols[f.name][items[sel]], fmt)
             for k, text in zip(sel, texts):
                 out[k] = text
         return out  # type: ignore[return-value]
@@ -330,16 +315,14 @@ class TrackedScalar(_Bindable):
         if self._dirty is not None:
             self._dirty[0] = True
 
-    def lexical_all(self, fmt: FloatFormat, cached: bool = False) -> List[bytes]:
+    def lexical_all(self, fmt: FloatFormat) -> List[bytes]:
         if self.xsd_type is DOUBLE:
             from repro.lexical.floats import format_double
 
             return [format_double(self._value, fmt)]
         return [self.xsd_type.format(self._value)]
 
-    def lexical_for(
-        self, leaf_indices: np.ndarray, fmt: FloatFormat, cached: bool = False
-    ) -> List[bytes]:
+    def lexical_for(self, leaf_indices: np.ndarray, fmt: FloatFormat) -> List[bytes]:
         return [self.lexical_all(fmt)[0] for _ in leaf_indices]
 
     def __len__(self) -> int:
@@ -373,12 +356,10 @@ class TrackedStringArray(_Bindable):
     def xsd_type(self) -> XSDType:
         return STRING
 
-    def lexical_all(self, fmt: FloatFormat, cached: bool = False) -> List[bytes]:
+    def lexical_all(self, fmt: FloatFormat) -> List[bytes]:
         return [STRING.format(s) for s in self._items]
 
-    def lexical_for(
-        self, leaf_indices: np.ndarray, fmt: FloatFormat, cached: bool = False
-    ) -> List[bytes]:
+    def lexical_for(self, leaf_indices: np.ndarray, fmt: FloatFormat) -> List[bytes]:
         return [STRING.format(self._items[int(i)]) for i in leaf_indices]
 
     def _expected_shape(self) -> tuple:

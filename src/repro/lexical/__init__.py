@@ -13,11 +13,7 @@ schema lexical forms.  Everything the serializers need lives here:
 
 from repro.lexical.cache import (
     DOUBLE_FIXED_WIDTH,
-    ConversionMemo,
-    clear_memos,
     format_double_fixed_blob,
-    memo_for,
-    memo_stats,
     small_int_bytes,
 )
 from repro.lexical.integers import (
@@ -43,10 +39,6 @@ __all__ = [
     "LONG_MAX_WIDTH",
     "DOUBLE_MAX_WIDTH",
     "DOUBLE_FIXED_WIDTH",
-    "ConversionMemo",
-    "memo_for",
-    "memo_stats",
-    "clear_memos",
     "small_int_bytes",
     "format_double_fixed_blob",
     "FloatFormat",

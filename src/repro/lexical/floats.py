@@ -32,10 +32,10 @@ Four formats are supported:
 Special values use the XML Schema lexical forms ``INF``, ``-INF`` and
 ``NaN``.
 
-Batch converters accept ``cached=True`` to route repeated values
-through the conversion memo in :mod:`repro.lexical.cache` —
-byte-identical output, one dict probe instead of a fresh conversion
-on a hit.  The batch parser, :func:`parse_double_column`, serves both
+Every send formats through the same batch converter for its format,
+:func:`format_double_array` — first-time build, resend, overlay and
+pipelined alike; nothing is memoized (:mod:`repro.lexical.cache`
+says why).  The batch parser, :func:`parse_double_column`, serves both
 server decode lanes.
 """
 
@@ -49,12 +49,7 @@ import numpy as np
 
 from repro.buffers.iovec import row_window
 from repro.errors import LexicalError
-from repro.lexical.cache import (
-    DOUBLE_FIXED_WIDTH,
-    format_double_fixed,
-    memo_for,
-    memo_format_batch,
-)
+from repro.lexical.cache import DOUBLE_FIXED_WIDTH, format_double_fixed
 
 __all__ = [
     "DOUBLE_MAX_WIDTH",
@@ -253,17 +248,13 @@ def gather_rows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
 def format_double_array(
     values: Sequence[float] | np.ndarray,
     fmt: FloatFormat = FloatFormat.MINIMAL,
-    cached: bool = False,
 ) -> List[bytes]:
     """Batch conversion of doubles to lexical forms.
 
     The hot loop runs over unboxed Python floats (``ndarray.tolist``)
     — the fastest pure-Python formulation; this *is* the measured
-    conversion cost that differential serialization avoids.  With
-    ``cached=True`` repeated finite values resolve through the
-    conversion memo (:mod:`repro.lexical.cache`) instead of being
-    re-converted, unless the memo's adaptive bypass is on; output
-    bytes are identical either way.
+    conversion cost that differential serialization avoids.  Output is
+    :func:`format_double`'s bytes, value by value.
     """
     if isinstance(values, np.ndarray):
         if values.dtype.kind != "f":
@@ -276,11 +267,6 @@ def format_double_array(
 
     if not finite:
         return [format_double(v, fmt) for v in values]
-
-    if cached:
-        memo = memo_for(fmt.value)
-        if memo.should_probe():
-            return memo_format_batch(values, memo, _FORMAT_ONE[fmt])
 
     if fmt is FloatFormat.MINIMAL:
         # One C-level pass instead of a Python loop: ``repr`` never

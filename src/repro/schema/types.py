@@ -15,6 +15,7 @@ Each primitive carries:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -85,7 +86,9 @@ def _make(name: str, type_id: int, formatter, parser, np_dtype, python_type) -> 
     )
 
 
-INT = _make("int", 0, format_int, parse_int, np.int64, int)
+INT = _make(
+    "int", 0, partial(format_int, bits=32), partial(parse_int, bits=32), np.int64, int
+)
 DOUBLE = _make("double", 1, format_double, parse_double, np.float64, float)
 STRING = _make("string", 2, format_string, parse_string, None, str)
 BOOLEAN = _make("boolean", 3, format_bool, parse_bool, np.bool_, bool)

@@ -8,8 +8,7 @@
   a per-row walk of the region finds, and through the full parse's
   leaf-run lane it decodes what the event path decodes.
 * :func:`~repro.lexical.floats.format_double_array` emits
-  :func:`~repro.lexical.floats.format_double`'s bytes per value, with
-  and without the conversion memo, probed or bypassed.
+  :func:`~repro.lexical.floats.format_double`'s bytes per value.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.core.client import BSoapClient
 from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
 from repro.errors import LexicalError
 from repro.hardening.fuzz import parse_divergence
-from repro.lexical.cache import clear_memos, memo_for
 from repro.lexical.floats import (
     FloatFormat,
     format_double,
@@ -222,46 +220,25 @@ _EDGES = [
 _SPECIAL = [math.nan, math.inf, -math.inf]
 
 
-@pytest.fixture
-def fresh_memos():
-    clear_memos()
-    yield
-    clear_memos()
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(
         st.one_of(st.floats(width=64), st.sampled_from(_EDGES + _SPECIAL)), max_size=40
     ),
     st.sampled_from(list(FloatFormat)),
-    st.sampled_from(["uncached", "probed", "bypassed"]),
     st.booleans(),
 )
-def test_batch_format_is_the_per_value_form(values, fmt, memo_state, as_array):
+def test_batch_format_is_the_per_value_form(values, fmt, as_array):
     want = [format_double(v, fmt) for v in values]
-    memo = memo_for(fmt.value)
-    memo.bypass_remaining = 8 if memo_state == "bypassed" else 0
     arg = np.array(values, dtype=np.float64) if as_array else values
-    try:
-        got = format_double_array(arg, fmt, cached=memo_state != "uncached")
-    finally:
-        clear_memos()
+    got = format_double_array(arg, fmt)
     assert got == want
     assert all(type(t) is bytes for t in got)
 
 
-def test_minimal_batch_edges_probed_then_bypassed(fresh_memos):
+def test_minimal_batch_edges():
     values = np.array(_EDGES * 3)
-    want = [format_double(v) for v in values.tolist()]
-    assert format_double_array(values) == want
-    memo = memo_for(FloatFormat.MINIMAL.value)
-    assert format_double_array(values, cached=True) == want  # misses...
-    assert format_double_array(values, cached=True) == want  # ...then hits
-    assert memo.hits > 0
-    memo.bypass_remaining = 1
-    assert format_double_array(values, cached=True) == want
-    assert memo.bypass_remaining == 0 and memo.bypassed_batches == 1
+    assert format_double_array(values) == [format_double(v) for v in values.tolist()]
     mixed = values.tolist() + _SPECIAL
-    assert format_double_array(mixed, cached=True) == [format_double(v) for v in mixed]
+    assert format_double_array(mixed) == [format_double(v) for v in mixed]
     assert format_double_array([]) == []

@@ -1,9 +1,13 @@
-"""The names the ledger's traced pass wraps (``benchmarks/ledger/tracing.py``).
+"""The names the ledger's traced pass wraps (``benchmarks/ledger/tracing.py``)
+and the counters its child reads (``benchmarks/ledger/child.py``).
 
 The ledger times each layer by replacing these attributes for the life
 of a pass.  A missing name crashes the pass; a name the hot path no
 longer goes through silently reads its per-layer row as zero.  Both
-are pinned here, against the library alone.
+are pinned here, against the library alone.  So are the sources of two
+retired rows (``lexical.conv_hit_share``, ``core.plan_hit_share``):
+they read 0, and the child must keep importing and summing them until
+the benchmark itself drops the rows.
 """
 
 from __future__ import annotations
@@ -14,6 +18,8 @@ import pytest
 import repro.dut.tracked as tracked_mod
 from repro.core.client import BSoapClient
 from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
+from repro.core.stats import ClientStats
+from repro.lexical.cache import memo_stats
 from repro.lexical.floats import FloatFormat
 from repro.schema.composite import ArrayType
 from repro.schema.types import DOUBLE
@@ -73,3 +79,10 @@ def test_a_dirty_resend_formats_through_the_wrapped_name(fmt, monkeypatch, rng):
     report = client.send(message)
     assert report.rewrite.values_rewritten == 16
     assert sum(calls) == 16
+
+
+def test_retired_row_sources_still_read_as_the_child_sums_them():
+    memos = memo_stats().values()
+    assert sum(m["hits"] for m in memos) + sum(m["misses"] for m in memos) == 0
+    stats = ClientStats()
+    assert type(stats.plan_hits) is int and type(stats.plan_misses) is int
