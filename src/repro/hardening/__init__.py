@@ -6,11 +6,12 @@ Two halves:
   enforced at the scanner, parser, and HTTP framing layers (imported
   eagerly; it has no dependencies beyond :mod:`repro.errors`, so the
   low-level xmlkit/transport modules can import it without cycles).
-* :mod:`repro.hardening.fuzz` — a deterministic corpus-mutation fuzzer
-  driving mutated wires through ``SOAPService.handle`` and a live
-  ``HTTPSoapServer``, asserting the fault-not-crash invariant.  Loaded
-  lazily because it imports the server stack, which itself imports
-  this package's limits.
+* :mod:`repro.hardening.fuzz` — a deterministic corpus-mutation fuzzer:
+  one seeded loop (``run``) over entry adapters — the service, its
+  delta-frame entry, live HTTP on both front ends, the reply channel
+  and the parser — asserting the fault-not-crash invariant and probing
+  for poisoned state.  Loaded lazily because it imports the server
+  stack, which itself imports this package's limits.
 * :mod:`repro.hardening.overload` — admission control (concurrency /
   queue-depth / rate gates answering ``503 + Retry-After``) and the
   :class:`MemoryAccountant` byte ledger behind the tiered
@@ -28,11 +29,13 @@ __all__ = [
     "UNLIMITED",
     "WireFuzzer",
     "HTTPFuzzer",
+    "DeltaFrameFuzzer",
     "FuzzReport",
-    "fuzz_service",
-    "fuzz_http",
+    "ENTRIES",
+    "run",
     "load_corpus",
     "build_fuzz_service",
+    "parse_divergence",
     "OverloadPolicy",
     "AdmissionController",
     "MemoryAccountant",
@@ -42,11 +45,13 @@ _FUZZ_NAMES = frozenset(
     [
         "WireFuzzer",
         "HTTPFuzzer",
+        "DeltaFrameFuzzer",
         "FuzzReport",
-        "fuzz_service",
-        "fuzz_http",
+        "ENTRIES",
+        "run",
         "load_corpus",
         "build_fuzz_service",
+        "parse_divergence",
     ]
 )
 

@@ -1,71 +1,38 @@
 """Seeded wire fuzzer for the fault-not-crash contract.
 
-Two drivers share one corpus-mutation engine:
+One loop, :func:`run`, drives one *entry* of :data:`ENTRIES` — an
+adapter over one way into the stack: the service, its delta-frame
+entry, live HTTP on each front end of ``SERVER_MODES`` (bodies, and
+delta frames), the reply channel, and the parser — through cases drawn
+from one ``random.Random(seed)``, so a failing case replays from the
+printed seed.  No case may raise, hang or go unanswered; each adapter
+names the answers it allows.
 
-* :func:`fuzz_service` pushes mutated SOAP bodies straight through
-  :meth:`SOAPService.handle` — the invariant is that ``handle`` never
-  raises, always returns a parseable envelope (response or Fault), and
-  that a pristine *probe* wire still gets a non-fault answer after any
-  amount of garbage (no poisoned session state).
-* :func:`fuzz_http` wraps mutated bodies in (sometimes deliberately
-  broken) HTTP framing and drives them through a live
-  :class:`HTTPSoapServer` over real sockets — the invariant is that
-  every connection gets an answer (no hangs, no silent drops) with a
-  status from the allowed set.
+One probe rule holds for every entry: every ``probe_every`` cases, and
+once at the end, a pristine input through the same entry must decode to
+the values a full parse gives.  A frame entry's probe frame changes one
+leaf's value and expects the full parse of the patched document, so a
+mirror that drops or misplaces a splice is caught, not only one that
+faults.  Probes draw nothing from the case RNG.
 
-Two more target the binary delta-frame protocol (``repro.wire``),
-sharing a :class:`DeltaFrameFuzzer` whose mutators aim at each
-decoder/mirror check individually (truncations, splice-count and
-doc-len lies, out-of-bounds offsets, stale epochs, sequence gaps):
+Mutators are corpus-based byte edits plus structure-aware ones aimed at
+what the stack trusts (:class:`WireFuzzer`, :class:`HTTPFuzzer`,
+:class:`DeltaFrameFuzzer`).  CI's ``fuzz-smoke`` job::
 
-* :func:`fuzz_delta` announces a baseline under one of several
-  template ids, then pushes mutated frames through
-  :meth:`SOAPService.handle_wire` — only 200/409 may come back,
-  nothing raises, and a pristine frame against another id still
-  decodes to its pristine values after any garbage;
-* :func:`fuzz_delta_http` does the same over real sockets, one
-  connection per case carrying a well-formed announce plus a mutated
-  frame;
-* :func:`fuzz_delta_reply` turns the same mutators on the *reply*
-  direction: an :class:`~repro.channel.RPCChannel` is fed an announced
-  full reply and then a mutated reply frame — the call must come back
-  with the right values (frame accepted, or one resync retry answered
-  by a full reply) and never raise or return a wrong value.
+    PYTHONPATH=src python -m repro.hardening.fuzz --corpus tests/golden \
+        --seed 12345 --entry service=2000 --entry service-delta=600 \
+        --entry http:threaded=200 --entry http:async=200 \
+        --entry delta-http:threaded=60 --entry delta-http:async=60 \
+        --entry delta-reply=600 --entry parse=2000
 
-One more works below the service, on the parser alone:
-
-* :func:`fuzz_parse` decodes every mutated wire twice — through
-  ``SOAPRequestParser.parse`` (leaf-run lane on) and through the
-  generic event path the lane defers to — and requires the same
-  values, spans, regions and layouts, or the same exception type and
-  message (:func:`parse_divergence`).
-
-Everything is driven by one ``random.Random(seed)``: a failing case
-replays exactly from the printed seed.  Mutations are corpus-based
-(byte-level: bit flips, truncations, slice splices) plus
-structure-aware ones that target what this codebase actually relies
-on: tag splices, digit/width perturbation of the stuffed DUT field
-regions, ``arrayType`` count lies, entity garbage, and
-limits-shaped bombs (nesting depth, attribute count, token length)
-sized just past the service's :class:`ResourceLimits`.
-
-Run standalone (CI ``fuzz-smoke`` job)::
-
-    PYTHONPATH=src python -m repro.hardening.fuzz \
-        --corpus tests/golden --seed 12345 \
-        --service-iterations 2000 --http-iterations 200 \
-        --delta-iterations 600 --delta-http-iterations 100 \
-        --delta-reply-iterations 600 --parse-iterations 2000
-
-Outcome counts are exported through the service's
-:class:`~repro.obs.MetricsRegistry` as
-``repro_fuzz_cases_total{mode,outcome}`` so a fuzzed server's
-``/metrics`` endpoint shows the rejection mix.
+Outcome counts are served on the service's metrics registry as
+``repro_fuzz_cases_total{mode,outcome}``, ``mode`` being the entry.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import re
 import socket
@@ -76,30 +43,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import ReproError
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
 from repro.schema.types import INT
+from repro.server.async_server import SERVER_MODES, make_server
+from repro.server.parser import SOAPRequestParser
 from repro.server.service import Operation, SOAPService
-from repro.server.threaded_server import HTTPSoapServer
 from repro.soap.fault import SOAPFault
-from repro.wire.frame import HEADER, encode_frame
+from repro.transport.http import parse_http_response
+from repro.transport.loopback import NullSink
+from repro.wire.frame import encode_frame
 
 __all__ = [
-    "WireFuzzer",
-    "HTTPFuzzer",
-    "DeltaFrameFuzzer",
-    "FuzzReport",
-    "build_fuzz_service",
-    "load_corpus",
-    "default_corpus",
-    "fuzz_service",
-    "fuzz_http",
-    "fuzz_delta",
-    "fuzz_delta_http",
-    "fuzz_delta_reply",
-    "fuzz_parse",
-    "parse_divergence",
-    "ALLOWED_HTTP_STATUSES",
-    "main",
+    "WireFuzzer", "HTTPFuzzer", "DeltaFrameFuzzer", "FuzzReport", "ENTRIES",
+    "run", "raw_exchange", "build_fuzz_service", "load_corpus",
+    "default_corpus", "parse_divergence", "ALLOWED_HTTP_STATUSES", "main",
 ]
 
 #: Statuses a hardened front end may legitimately answer with
@@ -108,13 +66,7 @@ ALLOWED_HTTP_STATUSES = frozenset({200, 400, 404, 408, 409, 413, 503})
 
 #: Operations appearing in the golden corpus — the fuzz service
 #: registers a handler for each so pristine wires dispatch cleanly.
-CORPUS_OPERATIONS = (
-    "putDoubles",
-    "putMesh",
-    "exchangeAds",
-    "shareArrays",
-    "configure",
-)
+CORPUS_OPERATIONS = ("putDoubles", "putMesh", "exchangeAds", "shareArrays", "configure")
 
 _DIGIT_RUN = re.compile(rb"[0-9][0-9.eE+\-]{0,30}")
 _ARRAYTYPE = re.compile(rb'arrayType="[^"]*"')
@@ -126,14 +78,12 @@ _LEAF_REGION = re.compile(rb">([^<>]+</[^<>]+>[ \t\r\n]*)")
 
 
 # ----------------------------------------------------------------------
-# Corpus
+# Corpus and service
 # ----------------------------------------------------------------------
 def load_corpus(path) -> List[bytes]:
     """Load every ``*.xml``/``*.bin`` wire under *path*, sorted by name."""
     directory = Path(path)
-    files = sorted(
-        p for p in directory.glob("*") if p.suffix in (".xml", ".bin")
-    )
+    files = sorted(p for p in directory.glob("*") if p.suffix in (".xml", ".bin"))
     if not files:
         raise FileNotFoundError(f"no corpus wires under {directory}")
     return [p.read_bytes() for p in files]
@@ -148,27 +98,19 @@ def _synthetic_corpus() -> List[bytes]:
     from repro.schema.types import DOUBLE, STRING
     from repro.soap.message import Parameter, SOAPMessage
 
-    doubles = SOAPMessage(
-        "putDoubles",
-        "urn:golden",
-        [
-            Parameter(
-                "data",
-                ArrayType(DOUBLE),
-                np.array([0.0, 1.5, -2.25, 3.141592653589793]),
-            )
-        ],
-    )
-    mixed = SOAPMessage(
-        "configure",
-        "urn:golden",
-        [
+    doubles = np.array([0.0, 1.5, -2.25, 3.141592653589793])
+    messages = {
+        "putDoubles": [Parameter("data", ArrayType(DOUBLE), doubles)],
+        "configure": [
             Parameter("n", INT, -42),
             Parameter("scale", DOUBLE, 0.125),
             Parameter("names", ArrayType(STRING), ["alpha", "b<c"]),
         ],
-    )
-    return [build_template(m).tobytes() for m in (doubles, mixed)]
+    }
+    return [
+        build_template(SOAPMessage(op, "urn:golden", params)).tobytes()
+        for op, params in messages.items()
+    ]
 
 
 def default_corpus() -> List[bytes]:
@@ -183,10 +125,9 @@ def default_corpus() -> List[bytes]:
 def _checksum_handler(**params: object) -> int:
     """Deterministic CRC over every decoded value, not just a count.
 
-    The pristine-probe poisoning check compares this answer against a
-    calibration baseline, so a session whose skip-scan lane silently
-    committed *wrong values* (not just a fault) flips the probe — the
-    failure mode trusted-offset parsing has to prove it does not have.
+    Probes compare this answer with the checksum of a full parse's
+    values, so a session whose skip-scan lane or mirror silently
+    committed *wrong values* (not just a fault) flips the probe.
     """
     import numpy as np
 
@@ -206,14 +147,12 @@ def _checksum_handler(**params: object) -> int:
 
 
 def build_fuzz_service(
-    *,
-    limits: Optional[ResourceLimits] = None,
-    obs=None,
+    *, limits: Optional[ResourceLimits] = None, obs=None
 ) -> SOAPService:
     """A service accepting every corpus operation (``urn:golden``).
 
-    Handlers take arbitrary keyword parameters and return a count, so
-    any well-formed corpus wire dispatches without a fault while the
+    Handlers take arbitrary keyword parameters and return a checksum,
+    so any well-formed corpus wire dispatches without a fault while the
     response side still exercises the differential serializer.
     """
     from repro.apps.classads import MACHINE_AD_TYPE
@@ -226,9 +165,7 @@ def build_fuzz_service(
     service = SOAPService("urn:golden", registry, limits=limits, obs=obs)
     for name in CORPUS_OPERATIONS:
         service.register(
-            Operation(
-                name, _checksum_handler, result_type=INT, result_name="count"
-            )
+            Operation(name, _checksum_handler, result_type=INT, result_name="count")
         )
     return service
 
@@ -236,79 +173,98 @@ def build_fuzz_service(
 # ----------------------------------------------------------------------
 # Mutation engine
 # ----------------------------------------------------------------------
-class WireFuzzer:
-    """Deterministic corpus mutator (one :class:`random.Random`).
+def _pick(rng: random.Random, pattern: re.Pattern, wire: bytes):
+    """A random match of *pattern* in *wire* (``None`` if none)."""
+    matches = list(pattern.finditer(wire))
+    return rng.choice(matches) if matches else None
+
+
+def _digits(rng: random.Random, low: int, high: int) -> bytes:
+    return bytes(rng.choice(b"0123456789") for _ in range(rng.randint(low, high)))
+
+
+class _Mutators:
+    """A table of named mutators: ``_<name>`` for each name in
+    :attr:`MUTATORS`, drawn in that order.  The byte-level ones are
+    shared by the wire and the frame fuzzer (a frame mutator also gets
+    the case context, which these ignore)."""
+
+    MUTATORS: Tuple[str, ...] = ()
+
+    def __init__(self, limits: Optional[ResourceLimits] = None) -> None:
+        self.limits = limits if limits is not None else DEFAULT_LIMITS
+        self._mutators = [(name, getattr(self, "_" + name)) for name in self.MUTATORS]
+
+    @staticmethod
+    def _identity(rng: random.Random, data: bytes, ctx=None) -> bytes:
+        return data
+
+    @staticmethod
+    def _bit_flip(rng: random.Random, data: bytes, ctx=None) -> bytes:
+        out = bytearray(data)
+        for _ in range(rng.randint(1, 8)):
+            out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
+        return bytes(out)
+
+    @staticmethod
+    def _truncate(rng: random.Random, data: bytes, ctx=None) -> bytes:
+        return data[: rng.randrange(len(data))]
+
+    @staticmethod
+    def _pure_garbage(rng: random.Random, data: bytes, ctx=None) -> bytes:
+        return bytes(rng.getrandbits(8) for _ in range(rng.randint(1, 256)))
+
+
+class WireFuzzer(_Mutators):
+    """Corpus mutator; every draw comes from the :class:`random.Random`
+    handed to :meth:`next_case`.
 
     Structure-aware mutators are sized off *limits* so the bombs land
     just past the configured bounds — the interesting side of each
     limit.
     """
 
+    MUTATORS = (
+        "identity", "bit_flip", "truncate", "delete_slice", "duplicate_slice",
+        "tag_splice", "digit_perturb", "width_perturb", "arraytype_lie",
+        "skeleton_flip", "span_length_lie", "offset_desync", "pad_crlf",
+        "entity_garbage", "utf8_garbage", "nest_bomb", "attr_bomb", "token_bomb",
+        "pure_garbage",
+    )
+
     def __init__(
-        self,
-        corpus: Sequence[bytes],
-        seed: int = 0,
-        *,
-        limits: Optional[ResourceLimits] = None,
+        self, corpus: Sequence[bytes], *, limits: Optional[ResourceLimits] = None
     ) -> None:
+        super().__init__(limits)
         self.corpus = [bytes(w) for w in corpus if w]
         if not self.corpus:
             raise ValueError("fuzz corpus is empty")
-        self.seed = seed
-        self.limits = limits if limits is not None else DEFAULT_LIMITS
-        self._rng = random.Random(seed)
-        self._mutators: List[Tuple[str, Callable[[random.Random, bytes], bytes]]] = [
-            ("identity", lambda rng, w: w),
-            ("bit_flip", self._bit_flip),
-            ("truncate", self._truncate),
-            ("delete_slice", self._delete_slice),
-            ("duplicate_slice", self._duplicate_slice),
-            ("tag_splice", self._tag_splice),
-            ("digit_perturb", self._digit_perturb),
-            ("width_perturb", self._width_perturb),
-            ("arraytype_lie", self._arraytype_lie),
-            ("skeleton_flip", self._skeleton_flip),
-            ("span_length_lie", self._span_length_lie),
-            ("offset_desync", self._offset_desync),
-            ("pad_crlf", self._pad_crlf),
-            ("entity_garbage", self._entity_garbage),
-            ("utf8_garbage", self._utf8_garbage),
-            ("nest_bomb", self._nest_bomb),
-            ("attr_bomb", self._attr_bomb),
-            ("token_bomb", self._token_bomb),
-            ("pure_garbage", self._pure_garbage),
-        ]
 
-    def next_case(self) -> Tuple[bytes, str]:
+    def next_case(self, rng: random.Random) -> Tuple[bytes, str]:
         """One mutated wire plus the mutator name that produced it."""
-        rng = self._rng
         wire = rng.choice(self.corpus)
         name, mutate = rng.choice(self._mutators)
         return mutate(rng, wire), name
 
     # -- byte-level ----------------------------------------------------
     @staticmethod
-    def _bit_flip(rng: random.Random, wire: bytes) -> bytes:
-        out = bytearray(wire)
-        for _ in range(rng.randint(1, 8)):
-            out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
-        return bytes(out)
-
-    @staticmethod
-    def _truncate(rng: random.Random, wire: bytes) -> bytes:
-        return wire[: rng.randrange(len(wire))]
-
-    @staticmethod
-    def _delete_slice(rng: random.Random, wire: bytes) -> bytes:
+    def _slice(rng: random.Random, wire: bytes) -> Tuple[int, int]:
         i = rng.randrange(len(wire))
-        j = min(len(wire), i + rng.randint(1, 64))
+        return i, min(len(wire), i + rng.randint(1, 64))
+
+    def _delete_slice(self, rng: random.Random, wire: bytes) -> bytes:
+        i, j = self._slice(rng, wire)
         return wire[:i] + wire[j:]
 
-    @staticmethod
-    def _duplicate_slice(rng: random.Random, wire: bytes) -> bytes:
-        i = rng.randrange(len(wire))
-        j = min(len(wire), i + rng.randint(1, 64))
+    def _duplicate_slice(self, rng: random.Random, wire: bytes) -> bytes:
+        i, j = self._slice(rng, wire)
         return wire[:j] + wire[i:j] + wire[j:]
+
+    @staticmethod
+    def _insert(rng: random.Random, wire: bytes, junk: Sequence[bytes]) -> bytes:
+        piece = rng.choice(junk)
+        pos = rng.randrange(len(wire))
+        return wire[:pos] + piece + wire[pos:]
 
     # -- structure-aware -----------------------------------------------
     def _tag_splice(self, rng: random.Random, wire: bytes) -> bytes:
@@ -317,15 +273,13 @@ class WireFuzzer:
         if len(starts) < 2:
             return self._bit_flip(rng, wire)
         src, dst = rng.sample(starts, 2)
-        piece = wire[src : src + rng.randint(2, 40)]
-        return wire[:dst] + piece + wire[dst:]
+        return wire[:dst] + wire[src : src + rng.randint(2, 40)] + wire[dst:]
 
     def _digit_perturb(self, rng: random.Random, wire: bytes) -> bytes:
         """Corrupt characters inside a numeric run (DUT field region)."""
-        runs = list(_DIGIT_RUN.finditer(wire))
-        if not runs:
+        run = _pick(rng, _DIGIT_RUN, wire)
+        if run is None:
             return self._bit_flip(rng, wire)
-        run = rng.choice(runs)
         out = bytearray(wire)
         for _ in range(rng.randint(1, 3)):
             pos = rng.randrange(run.start(), run.end())
@@ -334,13 +288,11 @@ class WireFuzzer:
 
     def _width_perturb(self, rng: random.Random, wire: bytes) -> bytes:
         """Grow or shrink a numeric run (breaks stuffed-width framing)."""
-        runs = list(_DIGIT_RUN.finditer(wire))
-        if not runs:
+        run = _pick(rng, _DIGIT_RUN, wire)
+        if run is None:
             return self._truncate(rng, wire)
-        run = rng.choice(runs)
         if rng.random() < 0.5:
-            extra = bytes(rng.choice(b"0123456789") for _ in range(rng.randint(1, 24)))
-            return wire[: run.end()] + extra + wire[run.end() :]
+            return wire[: run.end()] + _digits(rng, 1, 24) + wire[run.end() :]
         keep = rng.randrange(run.end() - run.start())
         return wire[: run.start() + keep] + wire[run.end() :]
 
@@ -349,72 +301,53 @@ class WireFuzzer:
         match = _ARRAYTYPE.search(wire)
         if match is None:
             return self._tag_splice(rng, wire)
-        lie = rng.choice(
-            [
-                b'arrayType="xsd:double[%d]"' % rng.randrange(0, 1 << 16),
-                b'arrayType="xsd:double[-1]"',
-                b'arrayType="garbage"',
-                b'arrayType=""',
-            ]
-        )
-        return wire[: match.start()] + lie + wire[match.end() :]
+        count = b"xsd:double[%d]" % rng.randrange(0, 1 << 16)
+        lie = rng.choice([count, b"xsd:double[-1]", b"garbage", b""])
+        return wire[: match.start()] + b'arrayType="%s"' % lie + wire[match.end() :]
 
     # -- skip-scan-aware (trusted-offset deserialization) --------------
     def _skeleton_flip(self, rng: random.Random, wire: bytes) -> bytes:
         """Flip one tag-name byte behind still-valid ``<``/``>`` framing
         — exactly the skeleton bytes a compiled seek table trusts."""
-        tags = list(_TAG_NAME.finditer(wire))
-        if not tags:
+        match = _pick(rng, _TAG_NAME, wire)
+        if match is None:
             return self._bit_flip(rng, wire)
-        match = rng.choice(tags)
         out = bytearray(wire)
-        out[rng.randrange(match.start(1), match.end(1))] = rng.choice(
-            b"abcdefghijkz"
-        )
+        out[rng.randrange(match.start(1), match.end(1))] = rng.choice(b"abcdefghijkz")
         return bytes(out)
 
     def _span_length_lie(self, rng: random.Random, wire: bytes) -> bytes:
         """Grow or truncate one ``<item>`` value without adjusting the
         pad, so the wire length lies to any armed seek table."""
-        runs = list(_ITEM_VALUE.finditer(wire))
-        if not runs:
+        match = _pick(rng, _ITEM_VALUE, wire)
+        if match is None:
             return self._width_perturb(rng, wire)
-        match = rng.choice(runs)
         value = match.group(1)
         if rng.random() < 0.5 and len(value) > 1:
             new = value[: rng.randrange(1, len(value))]
         else:
-            new = value + bytes(
-                rng.choice(b"0123456789") for _ in range(rng.randint(1, 12))
-            )
+            new = value + _digits(rng, 1, 12)
         return wire[: match.start(1)] + new + wire[match.end(1) :]
 
     def _offset_desync(self, rng: random.Random, wire: bytes) -> bytes:
         """Slide a close tag within its stuffing pad: same length, same
         dirty regions, but every offset the seek table computed from
         its template is now wrong by a few bytes."""
-        runs = list(_CLOSE_PAD.finditer(wire))
-        if not runs:
+        match = _pick(rng, _CLOSE_PAD, wire)
+        if match is None:
             return self._span_length_lie(rng, wire)
-        match = rng.choice(runs)
         tag, pad = match.group(1), match.group(2)
         shift = rng.randint(1, len(pad))
-        return (
-            wire[: match.start()]
-            + pad[:shift]
-            + tag
-            + pad[shift:]
-            + wire[match.end() :]
-        )
+        moved = pad[:shift] + tag + pad[shift:]
+        return wire[: match.start()] + moved + wire[match.end() :]
 
     def _pad_crlf(self, rng: random.Random, wire: bytes) -> bytes:
         """Rewrite stuffing pad with CRLF/TAB soup (legal whitespace the
         vectorized pad check must accept) or sneak in one non-WS byte
         (which it must refuse)."""
-        runs = list(_CLOSE_PAD.finditer(wire))
-        if not runs:
+        match = _pick(rng, _CLOSE_PAD, wire)
+        if match is None:
             return self._bit_flip(rng, wire)
-        match = rng.choice(runs)
         pad = bytearray(match.group(2))
         alphabet = b"\r\n\t " if rng.random() < 0.7 else b"\r\n\t x"
         for _ in range(rng.randint(1, len(pad))):
@@ -422,16 +355,11 @@ class WireFuzzer:
         return wire[: match.start(2)] + bytes(pad) + wire[match.end(2) :]
 
     def _entity_garbage(self, rng: random.Random, wire: bytes) -> bytes:
-        junk = rng.choice(
-            [b"&bogus;", b"&#xFFFFFFFF;", b"&#x110000;", b"&#-1;", b"&#;", b"&"]
-        )
-        pos = rng.randrange(len(wire))
-        return wire[:pos] + junk + wire[pos:]
+        junk = [b"&bogus;", b"&#xFFFFFFFF;", b"&#x110000;", b"&#-1;", b"&#;", b"&"]
+        return self._insert(rng, wire, junk)
 
     def _utf8_garbage(self, rng: random.Random, wire: bytes) -> bytes:
-        junk = rng.choice([b"\xff\xfe", b"\xc3", b"\xe2\x28\xa1", b"\x80"])
-        pos = rng.randrange(len(wire))
-        return wire[:pos] + junk + wire[pos:]
+        return self._insert(rng, wire, [b"\xff\xfe", b"\xc3", b"\xe2\x28\xa1", b"\x80"])
 
     # -- limits-shaped bombs -------------------------------------------
     def _nest_bomb(self, rng: random.Random, wire: bytes) -> bytes:
@@ -440,191 +368,122 @@ class WireFuzzer:
 
     def _attr_bomb(self, rng: random.Random, wire: bytes) -> bytes:
         count = self.limits.max_attributes + rng.randint(1, 64)
-        attrs = b" ".join(b'a%d="v"' % i for i in range(count))
-        return b"<e " + attrs + b"/>"
+        return b"<e " + b" ".join(b'a%d="v"' % i for i in range(count)) + b"/>"
 
     def _token_bomb(self, rng: random.Random, wire: bytes) -> bytes:
         name = b"t" * (self.limits.max_token_bytes + rng.randint(1, 64))
         return b"<" + name + b">x</" + name + b">"
 
-    @staticmethod
-    def _pure_garbage(rng: random.Random, wire: bytes) -> bytes:
-        return bytes(rng.getrandbits(8) for _ in range(rng.randint(1, 256)))
 
-
-# Byte offsets of the delta-frame header fields ("<4sQIIQII"): the
-# header is not CRC-covered, so patching these fields yields frames
-# that pass the CRC check and land on the decoder's semantic checks.
-_F_TEMPLATE = 4
-_F_EPOCH = 12
-_F_SEQ = 16
-_F_DOC_LEN = 20
-_F_COUNT = 28
-
-
-def _patch_u32(frame: bytes, offset: int, value: int) -> bytes:
-    return frame[:offset] + struct.pack("<I", value & 0xFFFFFFFF) + frame[offset + 4:]
-
-
-def _patch_u64(frame: bytes, offset: int, value: int) -> bytes:
-    return (
-        frame[:offset]
-        + struct.pack("<Q", value & 0xFFFFFFFFFFFFFFFF)
-        + frame[offset + 8:]
+def _encode(ctx: dict, offsets: List[int], widths: List[int], payload: bytes) -> bytes:
+    """A frame for the case *ctx* with the given splice directory."""
+    return encode_frame(
+        ctx["template_id"], ctx["epoch"], ctx["seq"], len(ctx["body"]),
+        offsets, widths, payload,
     )
 
 
-class DeltaFrameFuzzer:
+def _fixed(offsets: List[int], widths: List[int], payload: bytes):
+    """A frame mutator whose splice directory is always the one given."""
+    return staticmethod(lambda rng, frame, ctx: _encode(ctx, offsets, widths, payload))
+
+
+def _header_lie(offset: int, fmt: str, lie: Callable):
+    """A frame mutator writing ``lie(rng, true_value, limits)`` over the
+    header field at *offset* (``"<4sQIIQII"``).  The header is not
+    CRC-covered, so the frame lands on the decoder's semantic checks."""
+    size = struct.calcsize(fmt)
+
+    def mutate(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        (now,) = struct.unpack_from(fmt, frame, offset)
+        value = lie(rng, now, self.limits) % (1 << 8 * size)
+        return frame[:offset] + struct.pack(fmt, value) + frame[offset + size :]
+
+    return mutate
+
+
+class DeltaFrameFuzzer(_Mutators):
     """Structure-aware mutator for binary delta frames.
 
     Each case starts from a freshly encoded *valid* frame (splices
     copying bytes of the mirror body, so pristine application is a
-    no-op reconstruction) and applies one mutation targeting a
-    specific decoder or mirror-matching check: framing lies (magic,
-    truncation, CRC), directory lies (splice-count, widths,
-    out-of-bounds and overlapping offsets, payload length), state
-    lies (stale/future epochs, sequence gaps, unknown templates,
-    doc_len disagreement), and directories aimed at the body's leaf
-    field regions — what the deserializer's frame lane trusts a
-    directory to name — whole, partial, straddling two, or filled
-    with garbage.
+    no-op) and applies one mutation aimed at one decoder or mirror
+    check: framing lies (magic, truncation, CRC), header lies (splice
+    count, epochs, sequence, doc_len, template), directory lies
+    (out-of-bounds and overlapping offsets, widths, payload length),
+    and directories aimed at the body's leaf field regions — what the
+    deserializer's frame lane trusts — whole, partial, straddling two,
+    or filled with garbage.  A mutator takes ``(rng, frame, ctx)``,
+    *ctx* holding the case's ``template_id``, ``epoch``, ``seq`` and
+    ``body``.
     """
 
-    def __init__(
-        self, rng: random.Random, limits: Optional[ResourceLimits] = None
-    ) -> None:
-        self._rng = rng
-        self.limits = limits if limits is not None else DEFAULT_LIMITS
-        self._mutators: List[
-            Tuple[str, Callable[[random.Random, bytes, dict], bytes]]
-        ] = [
-            ("identity", lambda rng, f, ctx: f),
-            ("truncate", self._truncate),
-            ("bit_flip", self._bit_flip),
-            ("bad_magic", self._bad_magic),
-            ("splice_count_lie", self._splice_count_lie),
-            ("giant_splice_count", self._giant_splice_count),
-            ("stale_epoch", self._stale_epoch),
-            ("future_epoch", self._future_epoch),
-            ("sequence_gap", self._sequence_gap),
-            ("doc_len_lie", self._doc_len_lie),
-            ("unknown_template", self._unknown_template),
-            ("oob_offset", self._oob_offset),
-            ("overlapping_splices", self._overlapping_splices),
-            ("zero_width_splice", self._zero_width_splice),
-            ("payload_length_lie", self._payload_length_lie),
-            ("payload_garbage", self._payload_garbage),
-            ("region_splices", self._region_splices),
-            ("region_garbage", self._region_garbage),
-            ("pure_garbage", self._pure_garbage),
-        ]
+    MUTATORS = (
+        "identity", "truncate", "bit_flip", "bad_magic", "splice_count_lie",
+        "giant_splice_count", "stale_epoch", "future_epoch", "sequence_gap",
+        "doc_len_lie", "unknown_template", "oob_offset", "overlapping_splices",
+        "zero_width_splice", "payload_length_lie", "payload_garbage",
+        "region_splices", "region_garbage", "pure_garbage",
+    )
 
     #: Mutators whose frames decode cleanly but splice bytes the body
     #: never held: the reconstruction may parse to other values.
     REWRITES_VALUES = frozenset({"payload_garbage", "region_garbage"})
 
-    # ------------------------------------------------------------------
+    @staticmethod
     def valid_frame(
-        self, template_id: int, epoch: int, seq: int, body: bytes
+        rng: random.Random, template_id: int, epoch: int, seq: int, body: bytes
     ) -> bytes:
         """A decodable frame whose splices copy *body*'s own bytes."""
-        rng = self._rng
         offsets: List[int] = []
         widths: List[int] = []
-        pieces: List[bytes] = []
         n = rng.randint(0, 4)
         if n and len(body) >= 8:
-            prev_end = 0
             for start in sorted(rng.sample(range(len(body)), n)):
-                if start < prev_end:
-                    continue
-                width = min(rng.randint(1, 16), len(body) - start)
-                offsets.append(start)
-                widths.append(width)
-                pieces.append(body[start : start + width])
-                prev_end = start + width
-        return encode_frame(
-            template_id, epoch, seq, len(body), offsets, widths, b"".join(pieces)
-        )
+                if not offsets or start >= offsets[-1] + widths[-1]:
+                    offsets.append(start)
+                    widths.append(min(rng.randint(1, 16), len(body) - start))
+        payload = b"".join(body[o : o + w] for o, w in zip(offsets, widths))
+        doc_len = len(body)
+        return encode_frame(template_id, epoch, seq, doc_len, offsets, widths, payload)
 
     def next_case(
-        self, template_id: int, epoch: int, seq: int, body: bytes
+        self, rng: random.Random, template_id: int, epoch: int, seq: int, body: bytes
     ) -> Tuple[bytes, str]:
         """One mutated frame plus the mutator name that produced it."""
-        rng = self._rng
-        frame = self.valid_frame(template_id, epoch, seq, body)
-        ctx = {
-            "template_id": template_id,
-            "epoch": epoch,
-            "seq": seq,
-            "body": body,
-        }
+        frame = self.valid_frame(rng, template_id, epoch, seq, body)
+        ctx = {"template_id": template_id, "epoch": epoch, "seq": seq, "body": body}
         name, mutate = rng.choice(self._mutators)
         return mutate(rng, frame, ctx), name
 
-    # -- framing lies --------------------------------------------------
-    @staticmethod
-    def _truncate(rng: random.Random, frame: bytes, ctx: dict) -> bytes:
-        return frame[: rng.randrange(len(frame))]
-
-    @staticmethod
-    def _bit_flip(rng: random.Random, frame: bytes, ctx: dict) -> bytes:
-        out = bytearray(frame)
-        for _ in range(rng.randint(1, 8)):
-            out[rng.randrange(len(out))] ^= 1 << rng.randrange(8)
-        return bytes(out)
+    _splice_count_lie = _header_lie(
+        28, "<I", lambda r, n, lim: r.choice([0, 1, 7, 0xFFFF])
+    )
+    _giant_splice_count = _header_lie(
+        28, "<I", lambda r, n, lim: lim.max_delta_splices + r.randint(1, 1 << 10)
+    )
+    _stale_epoch = _header_lie(12, "<I", lambda r, n, lim: max(0, n - 1))
+    _future_epoch = _header_lie(12, "<I", lambda r, n, lim: n + r.randint(1, 5))
+    _sequence_gap = _header_lie(
+        16, "<I", lambda r, n, lim: r.choice([0, n + r.randint(1, 10)])
+    )
+    _doc_len_lie = _header_lie(
+        20, "<Q", lambda r, n, lim: r.choice([0, n - 1, n + 1, n * 2, 1 << 40])
+    )
+    _unknown_template = _header_lie(4, "<Q", lambda r, n, lim: n + 1000)
+    _overlapping_splices = _fixed([5, 8], [8, 4], b"Y" * 12)
+    _zero_width_splice = _fixed([3], [0], b"")
+    _payload_length_lie = _fixed([2], [6], b"zz")
 
     @staticmethod
     def _bad_magic(rng: random.Random, frame: bytes, ctx: dict) -> bytes:
         return bytes(rng.getrandbits(8) for _ in range(4)) + frame[4:]
 
-    # -- directory lies ------------------------------------------------
-    @staticmethod
-    def _splice_count_lie(rng: random.Random, frame: bytes, ctx: dict) -> bytes:
-        lie = rng.choice([0, 1, 7, 0xFFFF])
-        return _patch_u32(frame, _F_COUNT, lie)
-
-    def _giant_splice_count(
-        self, rng: random.Random, frame: bytes, ctx: dict
-    ) -> bytes:
-        lie = self.limits.max_delta_splices + rng.randint(1, 1 << 10)
-        return _patch_u32(frame, _F_COUNT, lie)
-
     @staticmethod
     def _oob_offset(rng: random.Random, frame: bytes, ctx: dict) -> bytes:
         doc_len = len(ctx["body"])
-        offset = rng.choice(
-            [doc_len, doc_len + 1, doc_len * 2 + 17, (1 << 63), (1 << 64) - 1]
-        )
-        return encode_frame(
-            ctx["template_id"], ctx["epoch"], ctx["seq"], doc_len,
-            [offset], [4], b"XXXX",
-        )
-
-    @staticmethod
-    def _overlapping_splices(
-        rng: random.Random, frame: bytes, ctx: dict
-    ) -> bytes:
-        return encode_frame(
-            ctx["template_id"], ctx["epoch"], ctx["seq"], len(ctx["body"]),
-            [5, 8], [8, 4], b"Y" * 12,
-        )
-
-    @staticmethod
-    def _zero_width_splice(rng: random.Random, frame: bytes, ctx: dict) -> bytes:
-        return encode_frame(
-            ctx["template_id"], ctx["epoch"], ctx["seq"], len(ctx["body"]),
-            [3], [0], b"",
-        )
-
-    @staticmethod
-    def _payload_length_lie(
-        rng: random.Random, frame: bytes, ctx: dict
-    ) -> bytes:
-        return encode_frame(
-            ctx["template_id"], ctx["epoch"], ctx["seq"], len(ctx["body"]),
-            [2], [6], b"zz",
-        )
+        offsets = [doc_len, doc_len + 1, doc_len * 2 + 17, 1 << 63, (1 << 64) - 1]
+        return _encode(ctx, [rng.choice(offsets)], [4], b"XXXX")
 
     @staticmethod
     def _payload_garbage(rng: random.Random, frame: bytes, ctx: dict) -> bytes:
@@ -634,10 +493,7 @@ class DeltaFrameFuzzer:
         width = min(rng.randint(1, 32), len(body))
         offset = rng.randrange(len(body) - width + 1)
         junk = bytes(rng.getrandbits(8) for _ in range(width))
-        return encode_frame(
-            ctx["template_id"], ctx["epoch"], ctx["seq"], len(body),
-            [offset], [width], junk,
-        )
+        return _encode(ctx, [offset], [width], junk)
 
     # -- directories aimed at leaf regions -----------------------------
     @staticmethod
@@ -655,9 +511,9 @@ class DeltaFrameFuzzer:
         if not regions:
             return frame
         shape = rng.choice(("whole", "partial", "straddle"))
-        picks = sorted(rng.sample(range(len(regions)), min(len(regions), rng.randint(1, 4))))
+        count = min(len(regions), rng.randint(1, 4))
         spans: List[Tuple[int, int]] = []
-        for j in picks:
+        for j in sorted(rng.sample(range(len(regions)), count)):
             start, end = regions[j]
             if shape == "partial" and end - start > 1:
                 start = rng.randrange(start, end - 1)
@@ -666,8 +522,8 @@ class DeltaFrameFuzzer:
                 end = regions[j + 1][1]
             if not spans or start >= spans[-1][1]:
                 spans.append((start, end))
-        return encode_frame(
-            ctx["template_id"], ctx["epoch"], ctx["seq"], len(body),
+        return _encode(
+            ctx,
             [start for start, _ in spans],
             [end - start for start, end in spans],
             b"".join(body[start:end] for start, end in spans),
@@ -676,150 +532,557 @@ class DeltaFrameFuzzer:
     def _region_garbage(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
         """One whole-region splice whose bytes are the region's own
         with a few replaced — digits, markup, entity starts, junk."""
-        body = ctx["body"]
-        regions = self._regions(body)
+        regions = self._regions(ctx["body"])
         if not regions:
             return frame
         start, end = rng.choice(regions)
-        data = bytearray(body[start:end])
+        data = bytearray(ctx["body"][start:end])
         for _ in range(rng.randint(1, 3)):
-            data[rng.randrange(len(data))] = rng.choice(b"0123456789.-eE <>/&;x\x00\xff")
-        return encode_frame(
-            ctx["template_id"], ctx["epoch"], ctx["seq"], len(body),
-            [start], [len(data)], bytes(data),
-        )
+            junk = rng.choice(b"0123456789.-eE <>/&;x\x00\xff")
+            data[rng.randrange(len(data))] = junk
+        return _encode(ctx, [start], [len(data)], bytes(data))
 
-    # -- state lies ----------------------------------------------------
-    @staticmethod
-    def _stale_epoch(rng: random.Random, frame: bytes, ctx: dict) -> bytes:
-        return _patch_u32(frame, _F_EPOCH, max(0, ctx["epoch"] - 1))
 
-    @staticmethod
-    def _future_epoch(rng: random.Random, frame: bytes, ctx: dict) -> bytes:
-        return _patch_u32(frame, _F_EPOCH, ctx["epoch"] + rng.randint(1, 5))
-
-    @staticmethod
-    def _sequence_gap(rng: random.Random, frame: bytes, ctx: dict) -> bytes:
-        lie = rng.choice([0, ctx["seq"] + rng.randint(1, 10)])
-        return _patch_u32(frame, _F_SEQ, lie)
-
-    @staticmethod
-    def _doc_len_lie(rng: random.Random, frame: bytes, ctx: dict) -> bytes:
-        doc_len = len(ctx["body"])
-        lie = rng.choice([0, doc_len - 1, doc_len + 1, doc_len * 2, 1 << 40])
-        return _patch_u64(frame, _F_DOC_LEN, lie)
-
-    @staticmethod
-    def _unknown_template(rng: random.Random, frame: bytes, ctx: dict) -> bytes:
-        return _patch_u64(frame, _F_TEMPLATE, ctx["template_id"] + 1000)
-
-    @staticmethod
-    def _pure_garbage(rng: random.Random, frame: bytes, ctx: dict) -> bytes:
-        return bytes(rng.getrandbits(8) for _ in range(rng.randint(1, 256)))
+def _post(length: int, headers: bytes = b"") -> bytes:
+    """A POST request head declaring *length* body bytes."""
+    return (
+        b"POST / HTTP/1.1\r\nContent-Type: text/xml\r\n%s"
+        b"Content-Length: %d\r\n\r\n" % (headers, length)
+    )
 
 
 class HTTPFuzzer:
     """Wraps :class:`WireFuzzer` bodies in (possibly broken) framing."""
 
+    #: ``_frame_<name>`` each; "valid" twice, so most cases exercise body
+    #: parsing, not framing.
     FRAMINGS = (
-        "valid",
-        "valid",  # weighted: most cases exercise body parsing, not framing
-        "chunked",
-        "lying_short",
-        "lying_long",
-        "chunk_truncated",
-        "chunk_bad_size",
-        "garbage_request_line",
-        "header_bomb",
-        "oversize_declared",
+        "valid", "valid", "chunked", "lying_short", "lying_long", "chunk_truncated",
+        "chunk_bad_size", "garbage_request_line", "header_bomb", "oversize_declared",
     )
 
     def __init__(self, wire_fuzzer: WireFuzzer) -> None:
         self.wires = wire_fuzzer
         self.limits = wire_fuzzer.limits
-        self._rng = wire_fuzzer._rng
 
-    def next_case(self) -> Tuple[bytes, str]:
+    def next_case(self, rng: random.Random) -> Tuple[bytes, str]:
         """One raw request byte-string plus a ``framing/mutator`` label."""
-        rng = self._rng
-        body, mutator = self.wires.next_case()
+        body, mutator = self.wires.next_case(rng)
         framing = rng.choice(self.FRAMINGS)
         raw = getattr(self, "_frame_" + framing)(rng, body)
         return raw, f"{framing}/{mutator}"
 
-    @staticmethod
-    def _head(length: int) -> bytes:
-        return (
-            b"POST / HTTP/1.1\r\nContent-Type: text/xml\r\n"
-            b"Content-Length: %d\r\n\r\n" % length
-        )
-
     def _frame_valid(self, rng: random.Random, body: bytes) -> bytes:
-        return self._head(len(body)) + body
+        return _post(len(body)) + body
 
     def _frame_chunked(self, rng: random.Random, body: bytes) -> bytes:
-        out = [
-            b"POST / HTTP/1.1\r\nContent-Type: text/xml\r\n"
-            b"Transfer-Encoding: chunked\r\n\r\n"
-        ]
+        out = [b"POST / HTTP/1.1\r\nContent-Type: text/xml\r\n"
+               b"Transfer-Encoding: chunked\r\n\r\n"]
         pos = 0
         while pos < len(body):
             size = min(len(body) - pos, rng.randint(1, 512))
             out.append(b"%x\r\n" % size + body[pos : pos + size] + b"\r\n")
             pos += size
-        out.append(b"0\r\n\r\n")
-        return b"".join(out)
+        return b"".join(out) + b"0\r\n\r\n"
 
     def _frame_lying_short(self, rng: random.Random, body: bytes) -> bytes:
         """Declare more bytes than are sent (EOF mid-body)."""
-        return self._head(len(body) + rng.randint(1, 512)) + body
+        return _post(len(body) + rng.randint(1, 512)) + body
 
     def _frame_lying_long(self, rng: random.Random, body: bytes) -> bytes:
         """Declare fewer bytes than are sent (tail parsed as garbage)."""
-        declared = rng.randrange(len(body)) if body else 0
-        return self._head(declared) + body
+        return _post(rng.randrange(len(body)) if body else 0) + body
 
     def _frame_chunk_truncated(self, rng: random.Random, body: bytes) -> bytes:
         """Chunked framing cut at a chunk boundary or mid-chunk."""
         whole = self._frame_chunked(rng, body)
-        header_end = whole.index(b"\r\n\r\n") + 4
-        cut = rng.randrange(header_end, len(whole))
-        return whole[:cut]
+        return whole[: rng.randrange(whole.index(b"\r\n\r\n") + 4, len(whole))]
 
     def _frame_chunk_bad_size(self, rng: random.Random, body: bytes) -> bytes:
         bad = rng.choice([b"ZZZ", b"-5", b"1x", b""])
-        return (
-            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
-            + bad
-            + b"\r\n"
-            + body[:16]
-        )
+        head = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+        return head + bad + b"\r\n" + body[:16]
 
-    def _frame_garbage_request_line(
-        self, rng: random.Random, body: bytes
-    ) -> bytes:
+    def _frame_garbage_request_line(self, rng: random.Random, body: bytes) -> bytes:
         line = bytes(rng.getrandbits(8) for _ in range(rng.randint(1, 64)))
         return line.replace(b"\r", b"?").replace(b"\n", b"?") + b"\r\n\r\n"
 
     def _frame_header_bomb(self, rng: random.Random, body: bytes) -> bytes:
         filler = b"X-Junk: " + b"j" * 1024 + b"\r\n"
         count = self.limits.max_header_bytes // len(filler) + 2
-        return (
-            b"POST / HTTP/1.1\r\n" + filler * count
-            + b"Content-Length: 0\r\n\r\n"
-        )
+        return b"POST / HTTP/1.1\r\n" + filler * count + b"Content-Length: 0\r\n\r\n"
 
     def _frame_oversize_declared(self, rng: random.Random, body: bytes) -> bytes:
-        declared = self.limits.max_body_bytes + rng.randint(1, 1 << 16)
-        return self._head(declared) + body[:64]
+        return _post(self.limits.max_body_bytes + rng.randint(1, 1 << 16)) + body[:64]
 
 
 # ----------------------------------------------------------------------
-# Reports and drivers
+# Decoded values
 # ----------------------------------------------------------------------
+def _same_leaves(a: object, b: object) -> bool:
+    """Decoded values equal down to the bit pattern of every double
+    (``-0.0``, denormals and ``inf`` all distinguish)."""
+    import numpy as np
+
+    if isinstance(a, dict) and isinstance(b, dict):
+        return list(a) == list(b) and all(_same_leaves(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same_leaves, a, b))
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, float) and isinstance(b, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return type(a) is type(b) and a == b
+
+
+def _signature(result) -> Dict[str, object]:
+    """What :func:`parse_divergence` compares of a ``ParseResult``."""
+    params = result.message.params
+    return {
+        "operation": result.message.operation,
+        "parameter names/kinds/types": [
+            (p.name, p.kind, p.element_type) for p in params
+        ],
+        "values": [p.value for p in params],
+        "spans": result.spans,
+        "regions": result.regions,
+        "layouts": [
+            (l.leaf_base, l.leaf_count, l.arity, l.leaf_types, l.field_names)
+            for l in result.layouts
+        ],
+    }
+
+
+def parse_divergence(parser, wire: bytes) -> Optional[str]:
+    """How ``parser.parse`` and its generic event path disagree on
+    *wire* — ``None`` when they do not.
+
+    Agreement is the same :class:`~repro.server.parser.ParseResult`
+    (operation, parameter names/kinds/element types, values bit for
+    bit, ``spans``, ``regions``, layouts) or the same exception type
+    and message.  The oracle of the full parse's leaf-run lane.
+    """
+
+    def outcome(parse) -> tuple:
+        try:
+            return ("ok", _signature(parse(wire)))
+        except Exception as exc:  # noqa: BLE001 - compared, not handled
+            return ("raised", type(exc), str(exc))
+
+    lane, generic = outcome(parser.parse), outcome(parser._parse_generic)
+    if lane[0] == generic[0] == "ok":
+        a, b = lane[1], generic[1]
+        differ = [key for key in a if not _same_leaves(a[key], b[key])]
+        return f"{', '.join(differ)} differ" if differ else None
+    if lane == generic:
+        return None
+    lane_said, generic_said = (
+        "ok" if o[0] == "ok" else f"{o[1].__name__}: {o[2]}" for o in (lane, generic)
+    )
+    return f"lane {lane_said} but generic {generic_said}"
+
+
+def _values(parser: SOAPRequestParser, document) -> Dict[str, object]:
+    """``name -> value`` of a full parse of *document*."""
+    return {p.name: p.value for p in parser.parse(bytes(document)).message.params}
+
+
+def _value_splice(parser: SOAPRequestParser, body: bytes):
+    """A frame entry's probe for *body*: ``(body, (offset, byte),
+    values)``, one digit of a leaf's text changed so that the document
+    still parses, to other *values* (the full parse of the patched
+    document); ``None`` when no digit does that."""
+    pristine = _values(parser, body)
+    for start, end in parser.parse(body).spans.tolist():
+        for pos in range(start, end):
+            if not 0x30 <= body[pos] <= 0x39:
+                continue
+            byte = bytes([body[pos] - 1 if body[pos] > 0x30 else body[pos] + 1])
+            try:
+                values = _values(parser, body[:pos] + byte + body[pos + 1 :])
+            except ReproError:
+                continue
+            if not _same_leaves(values, pristine):
+                return body, (pos, byte), values
+    return None
+
+
+def _classify_response(response: object) -> str:
+    """``ok``/``fault`` for a parseable envelope; raises otherwise."""
+    if not isinstance(response, (bytes, bytearray)) or not response:
+        raise ValueError(f"non-bytes response: {type(response).__name__}")
+    return "fault" if SOAPFault.from_xml(bytes(response)) is not None else "ok"
+
+
+def _poisoned(parser: SOAPRequestParser, response, values) -> Optional[str]:
+    """What is wrong with *response* as the fuzz service's answer to a
+    request decoding to *values* (``None``: nothing)."""
+    if _classify_response(response) != "ok":
+        return "faulted: session state poisoned"
+    answer = {"count": _checksum_handler(**values)}
+    if not _same_leaves(_values(parser, response), answer):
+        return "answered another checksum than the full parse: state poisoned"
+    return None
+
+
+# ----------------------------------------------------------------------
+# Live HTTP
+# ----------------------------------------------------------------------
+def raw_exchange(
+    host: str, port: int, raw: bytes, timeout: float = 10.0
+) -> Tuple[str, bytes]:
+    """Send *raw* on a fresh connection, half-close, read to EOF:
+    ``(disposition, bytes)``, disposition ``"hang"`` when a read timed
+    out, else ``"closed"``."""
+    chunks: List[bytes] = []
+    with socket.create_connection((host, port), timeout=timeout) as sock:
+        try:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:
+            # The server may reject and close while we are still
+            # writing (e.g. oversized framing) — whatever it answered
+            # before the reset is still on our receive queue.
+            pass
+        while True:
+            try:
+                data = sock.recv(65536)
+            except socket.timeout:
+                return "hang", b"".join(chunks)
+            except OSError:
+                break
+            if not data:
+                break
+            chunks.append(data)
+    return "closed", b"".join(chunks)
+
+
+def _http_outcome(disposition: str, payload: bytes, requests: int):
+    """``(outcome, violation, answers)`` of one exchange of *requests*
+    pipelined requests, *answers* its ``(status, body)`` pairs.  The
+    outcome names the first *requests* statuses; every status must be
+    allowed and every request answered."""
+    if disposition == "hang":
+        return "hang", "server hung", []
+    answers: List[Tuple[int, bytes]] = []
+    rest = payload
+    while rest:
+        try:
+            status, _headers, body, consumed = parse_http_response(rest)
+        except ReproError:
+            break
+        answers.append((status, body))
+        rest = rest[consumed:]
+    statuses = [status for status, _body in answers]
+    outcome = "_".join(["http"] + [str(s) for s in statuses[:requests]])
+    bad = [s for s in statuses if s not in ALLOWED_HTTP_STATUSES]
+    if not payload:
+        return "silent_drop", "connection closed with no response", answers
+    if not answers:
+        return "garbled", f"unparseable response {payload[:60]!r}", answers
+    if bad:
+        return outcome, f"unexpected status(es) {bad}", answers
+    if len(answers) < requests:
+        return "missing_response", f"{len(answers)} answers to {requests}", answers
+    return outcome, None, answers
+
+
+def _delta_requests(epoch: int, body: bytes, frame: bytes) -> bytes:
+    """A full-XML announce of *body* pipelined with *frame*."""
+    announce = _post(
+        len(body),
+        b"X-Repro-Delta: 1\r\nX-Repro-Delta-Template: %d\r\n"
+        b"X-Repro-Delta-Epoch: %d\r\n" % (_FUZZ_TEMPLATE_ID, epoch),
+    )
+    framed = _post(len(frame), b"X-Repro-Delta: 1\r\nX-Repro-Delta-Frame: 1\r\n")
+    return announce + body + framed + frame
+
+
+# ----------------------------------------------------------------------
+# Entries and the loop
+# ----------------------------------------------------------------------
+#: Headers marking a request body as a binary delta frame.
+_FRAME_HEADERS = {"x-repro-delta": "1", "x-repro-delta-frame": "1"}
+
+#: Template id the frame entries announce their mirrors under
+#: (``service-delta``: the first of ``max_delta_mirrors + 1``).
+_FUZZ_TEMPLATE_ID = 71
+
+
+def _announce_headers(template_id: int, epoch: int) -> Dict[str, str]:
+    return {
+        "x-repro-delta": "1",
+        "x-repro-delta-template": str(template_id),
+        "x-repro-delta-epoch": str(epoch),
+    }
+
+
+def _probe_frame(template_id: int, epoch: int, probe) -> bytes:
+    """The frame of a frame entry's *probe*: its one splice."""
+    body, (offset, byte), _values = probe
+    return encode_frame(template_id, epoch, 1, len(body), [offset], [1], byte)
+
+
+class _Entry:
+    """One entry point under fuzz: calibration, one exchange with its
+    outcome, and the probe; :func:`run` owns everything else.
+
+    Calibration keeps the corpus wires the service answers without a
+    fault when pristine (:attr:`pristine`, the answers :attr:`replies`)
+    and builds :attr:`probes`, ``(input, splice, values)``: *values* are
+    what a full parse of *input* decodes — for a frame entry
+    (:attr:`frames`), of *input* patched by *splice* ``(offset, byte)``,
+    which changes one leaf's value.  Subclasses define ``exchange(case)
+    -> (outcome, violation or None)``, which may raise, and
+    ``probe(index) -> violation or None``, which sends ``probes[index]``.
+    """
+
+    frames = False
+
+    def __init__(self, service: SOAPService, wires: List[bytes]) -> None:
+        self.service = service
+        self.wires = wires
+        self.parser = SOAPRequestParser(service.registry, service.limits)
+        answers = [(wire, service.handle(wire)) for wire in wires]
+        ok = [(w, bytes(a)) for w, a in answers if _classify_response(a) == "ok"]
+        self.pristine = [wire for wire, _answer in ok]
+        self.replies = [answer for _wire, answer in ok]
+        self.probes = self._probes(self.pristine)
+        if self.frames:
+            self.fuzzer = DeltaFrameFuzzer(service.limits)
+        else:
+            self.fuzzer = WireFuzzer(wires, limits=service.limits)
+        self.epoch = 0
+
+    def _probes(self, bodies: List[bytes]) -> list:
+        if not self.frames:
+            return [(body, None, _values(self.parser, body)) for body in bodies]
+        return [p for p in (_value_splice(self.parser, b) for b in bodies) if p]
+
+    def draw(self, rng: random.Random) -> Tuple[object, str]:
+        """One case and its mutator label; every draw is from *rng*."""
+        return self.fuzzer.next_case(rng)
+
+    def close(self) -> None:
+        pass
+
+
+class _Service(_Entry):
+    """``handle`` never raises and answers a parseable envelope."""
+
+    def exchange(self, wire: bytes):
+        return _classify_response(self.service.handle(wire)), None
+
+    def probe(self, index: int):
+        wire, _splice, values = self.probes[index]
+        return _poisoned(self.parser, self.service.handle(wire), values)
+
+
+class _ServiceDelta(_Entry):
+    """An announce under one of ``max_delta_mirrors + 1`` template ids,
+    then a frame through ``handle_wire``: 200 with an envelope, or 409."""
+
+    frames = True
+    SESSION = "fuzz-delta"
+
+    def __init__(self, service: SOAPService, wires: List[bytes]) -> None:
+        super().__init__(service, wires)
+        count = service.limits.max_delta_mirrors + 1
+        self.ids = [_FUZZ_TEMPLATE_ID + i for i in range(count)]
+        self.fuzzed = self.ids[0]
+
+    def draw(self, rng: random.Random):
+        body = rng.choice(self.pristine)
+        self.fuzzed = rng.choice(self.ids)
+        self.epoch += 1
+        frame, mutator = self.fuzzer.next_case(rng, self.fuzzed, self.epoch, 1, body)
+        return (self.fuzzed, self.epoch, body, frame), mutator
+
+    def _send(self, template_id: int, epoch: int, body: bytes, frame: bytes):
+        headers = _announce_headers(template_id, epoch)
+        self.service.handle_wire(body, headers, self.SESSION)
+        return self.service.handle_wire(frame, _FRAME_HEADERS, self.SESSION)
+
+    def exchange(self, case):
+        status, _extra, response = self._send(*case)
+        if status == 200:
+            return _classify_response(response), None
+        if status == 409:
+            return "resync", None
+        return f"status_{status}", f"unexpected status {status}"
+
+    def probe(self, index: int):
+        # Any id but the one just fuzzed: each is a store entry of its own.
+        ids = self.ids
+        step = 1 + index % (len(ids) - 1)
+        template_id = ids[(ids.index(self.fuzzed) + step) % len(ids)]
+        self.epoch += 1
+        body, _splice, values = probe = self.probes[index]
+        frame = _probe_frame(template_id, self.epoch, probe)
+        status, _extra, response = self._send(template_id, self.epoch, body, frame)
+        if status != 200:
+            return f"rejected (status {status}): delta state poisoned"
+        return _poisoned(self.parser, response, values)
+
+
+class _Http(_Entry):
+    """A live :func:`make_server` front end, one half-closed connection
+    per case: every one of its :attr:`REQUESTS` requests answered with a
+    status in :data:`ALLOWED_HTTP_STATUSES` — no hang, no silent drop."""
+
+    REQUESTS = 1
+
+    def __init__(self, service: SOAPService, wires: List[bytes], mode: str) -> None:
+        super().__init__(service, wires)
+        if not self.frames:
+            self.fuzzer = HTTPFuzzer(self.fuzzer)
+        self.server = make_server(service, mode).start()
+
+    def _send(self, raw: bytes):
+        disposition, payload = raw_exchange("127.0.0.1", self.server.port, raw)
+        return _http_outcome(disposition, payload, self.REQUESTS)
+
+    def exchange(self, raw: bytes):
+        return self._send(raw)[:2]
+
+    def _request(self, probe) -> bytes:
+        return _post(len(probe[0])) + probe[0]
+
+    def probe(self, index: int):
+        probe = self.probes[index]
+        outcome, violation, answers = self._send(self._request(probe))
+        if violation is None and outcome != "http" + "_200" * self.REQUESTS:
+            violation = f"answered {outcome}: front-end state poisoned"
+        if violation is not None:
+            return violation
+        return _poisoned(self.parser, answers[self.REQUESTS - 1][1], probe[2])
+
+    def close(self) -> None:
+        self.server.stop()
+
+
+class _DeltaHttp(_Http):
+    """Per connection, an announce pipelined with a frame."""
+
+    frames = True
+    REQUESTS = 2
+
+    def draw(self, rng: random.Random):
+        body = rng.choice(self.wires)
+        self.epoch += 1
+        frame, mutator = self.fuzzer.next_case(
+            rng, _FUZZ_TEMPLATE_ID, self.epoch, 1, body
+        )
+        return _delta_requests(self.epoch, body, frame), mutator
+
+    def _request(self, probe) -> bytes:
+        # Each connection is a session of its own: epoch 1 is fresh.
+        return _delta_requests(1, probe[0], _probe_frame(_FUZZ_TEMPLATE_ID, 1, probe))
+
+
+class _ScriptedReplies(NullSink):
+    """``raw_transport=`` stub: swallows sends, serves queued replies."""
+
+    replies: List[Tuple[int, Dict[str, str], bytes]]
+
+    def recv_http_response(self, limit: Optional[int] = None):
+        return self.replies.pop(0)
+
+    def disconnect(self) -> None:
+        pass
+
+
+class _DeltaReply(_Entry):
+    """An ``RPCChannel`` over a scripted transport gets an announced full
+    reply, then a mutated reply frame with the full reply queued for the
+    resync retry: the call never raises and returns the reply's values,
+    unless the frame spliced CRC-valid garbage into the document."""
+
+    frames = True
+
+    def __init__(self, service: SOAPService, wires: List[bytes]) -> None:
+        from repro.channel import RPCChannel
+        from repro.core.policy import DeltaPolicy, DiffPolicy
+        from repro.resilience.retry import RetryPolicy
+        from repro.soap.message import SOAPMessage
+
+        super().__init__(service, wires)
+        self.probes = self._probes(self.replies)
+        self.transport = _ScriptedReplies()
+        self.channel = RPCChannel(
+            "fuzz", 0, registry=service.registry,
+            policy=DiffPolicy(delta=DeltaPolicy(offer=True)),
+            retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
+            raw_transport=self.transport,
+        )
+        self.request = SOAPMessage("probe", service.namespace, [])
+
+    def draw(self, rng: random.Random):
+        body = rng.choice(self.replies)
+        self.epoch += 1
+        frame, mutator = self.fuzzer.next_case(
+            rng, _FUZZ_TEMPLATE_ID, self.epoch, 1, body
+        )
+        return (self.epoch, body, frame, mutator), mutator
+
+    def _calls(self, epoch: int, body: bytes, frame: bytes):
+        """``(announced values, values, retries)`` of a call answered by
+        *body* announced as a fresh baseline, then one answered by
+        *frame* with *body* queued behind it."""
+        headers = _announce_headers(_FUZZ_TEMPLATE_ID, epoch)
+        self.transport.replies = [(200, headers, body)]
+        announced = self.channel.call(self.request).values
+        self.transport.replies = [(200, _FRAME_HEADERS, frame), (200, {}, body)]
+        values = self.channel.call(self.request).values
+        return announced, values, self.channel.last_send_report.retries
+
+    def exchange(self, case):
+        epoch, body, frame, mutator = case
+        announced, values, retries = self._calls(epoch, body, frame)
+        outcome = "resync" if retries else "ok"
+        rewrites = mutator in DeltaFrameFuzzer.REWRITES_VALUES
+        if rewrites or _same_leaves(values, announced):
+            return outcome, None
+        return "wrong_value", f"decoded a wrong value from a reply frame ({outcome})"
+
+    def probe(self, index: int):
+        self.epoch += 1
+        body, _splice, expected = probe = self.probes[index]
+        frame = _probe_frame(_FUZZ_TEMPLATE_ID, self.epoch, probe)
+        _announced, values, retries = self._calls(self.epoch, body, frame)
+        if retries or not _same_leaves(values, expected):
+            return f"{retries} retries or other values than the full parse: poisoned"
+        return None
+
+    def close(self) -> None:
+        self.channel.close()
+
+
+class _Parse(_Entry):
+    """The parser's leaf-run lane agrees with its generic event path."""
+
+    def exchange(self, wire: bytes):
+        divergence = parse_divergence(self.parser, wire)
+        return ("diverged" if divergence else "agreed"), divergence
+
+    def probe(self, index: int):
+        return parse_divergence(self.parser, self.probes[index][0])
+
+
+#: Entry name -> adapter factory ``(service, corpus wires) -> entry``.
+ENTRIES: Dict[str, Callable[[SOAPService, List[bytes]], _Entry]] = {
+    "service": _Service,
+    "service-delta": _ServiceDelta,
+    **{f"http:{m}": functools.partial(_Http, mode=m) for m in SERVER_MODES},
+    **{f"delta-http:{m}": functools.partial(_DeltaHttp, mode=m) for m in SERVER_MODES},
+    "delta-reply": _DeltaReply,
+    "parse": _Parse,
+}
+
+
 @dataclass
 class FuzzReport:
-    """Aggregated result of one fuzz run (one seed)."""
+    """Aggregated result of one fuzz run (one entry, one seed)."""
 
     seed: int
     mode: str = "service"
@@ -837,7 +1100,7 @@ class FuzzReport:
         if obs.metrics is not None:
             obs.metrics.counter(
                 "repro_fuzz_cases_total",
-                "Fuzz cases by driver mode and outcome",
+                "Fuzz cases by entry and outcome",
                 ("mode", "outcome"),
             )
             obs.metrics.watch(self)
@@ -858,9 +1121,7 @@ class FuzzReport:
         self.violations.append(f"[seed={self.seed}] {description}")
 
     def summary(self) -> str:
-        mix = ", ".join(
-            f"{name}={count}" for name, count in sorted(self.outcomes.items())
-        )
+        mix = ", ".join(f"{name}={n}" for name, n in sorted(self.outcomes.items()))
         verdict = "OK" if self.ok else f"{len(self.violations)} VIOLATIONS"
         return (
             f"{self.mode} fuzz: {self.iterations} cases (seed {self.seed}) "
@@ -868,638 +1129,65 @@ class FuzzReport:
         )
 
 
-def _classify_response(response: object) -> str:
-    """``ok``/``fault`` for a parseable envelope; raises otherwise."""
-    if not isinstance(response, (bytes, bytearray)) or not response:
-        raise ValueError(f"non-bytes response: {type(response).__name__}")
-    fault = SOAPFault.from_xml(bytes(response))
-    return "fault" if fault is not None else "ok"
-
-
-def _response_values(response: bytes) -> list:
-    """Decoded ``(name, value)`` pairs of a non-fault response body.
-
-    The probe identity check: the checksum handler folds every decoded
-    request value into its answer, so comparing this against the
-    calibration baseline detects sessions that silently decode wrong
-    values, not only sessions that fault."""
-    from repro.server.parser import SOAPRequestParser
-
-    message = SOAPRequestParser().parse(bytes(response)).message
-    return [(p.name, p.value) for p in message.params]
-
-
-def fuzz_service(
-    service: Optional[SOAPService] = None,
-    corpus: Optional[Sequence[bytes]] = None,
-    *,
-    iterations: int = 2000,
-    seed: int = 0,
-    probe_every: int = 100,
+def run(
+    entry: str, seed: int = 0, iterations: int = 200, probe_every: int = 50, *,
+    service: Optional[SOAPService] = None, corpus: Optional[Sequence[bytes]] = None,
 ) -> FuzzReport:
-    """Drive mutated wires through ``service.handle``; see module doc.
+    """Fuzz *entry* (a key of :data:`ENTRIES`) for *iterations* cases.
 
-    Every *probe_every* cases (and once at the end) a pristine corpus
-    wire is replayed and must get a non-fault response — garbage must
-    never poison the session for the next legitimate caller.
+    Every case is drawn from ``random.Random(seed)``; an exchange that
+    raises is a ``crash``.  After every *probe_every* cases, and once
+    at the end, the entry's next probe must decode to its full-parse
+    values.
     """
     service = service if service is not None else build_fuzz_service()
     wires = list(corpus) if corpus is not None else default_corpus()
-    fuzzer = WireFuzzer(wires, seed, limits=service.limits)
-    report = FuzzReport(seed=seed, mode="service").export_to(service.obs)
+    report = FuzzReport(seed=seed, mode=entry).export_to(service.obs)
+    adapter = ENTRIES[entry](service, wires)
+    rng = random.Random(seed)
 
-    # Calibrate the probe set: corpus wires the service answers
-    # without a fault when pristine, with the checksum answer each one
-    # must keep producing for the rest of the run.  There must be at
-    # least one, otherwise the "recovers after garbage" invariant is
-    # vacuous.
-    probes: List[bytes] = []
-    baselines: List[list] = []
-    for wire in fuzzer.corpus:
-        response = service.handle(wire)
-        if _classify_response(response) == "ok":
-            probes.append(wire)
-            baselines.append(_response_values(bytes(response)))
-    if not probes:
-        report.violate("no corpus wire gets a non-fault response pristine")
-        return report
-
-    def _probe(case_no: int) -> None:
-        index = (case_no // max(1, probe_every)) % len(probes)
+    def probe(case_no: int) -> None:
+        index = (case_no // max(1, probe_every)) % len(adapter.probes)
         try:
-            response = service.handle(probes[index])
-            outcome = _classify_response(response)
+            violation = adapter.probe(index)
         except Exception as exc:  # noqa: BLE001 - the invariant under test
-            report.violate(f"probe after case {case_no} raised {exc!r}")
-            return
-        if outcome != "ok":
-            report.violate(
-                f"probe after case {case_no} faulted: session state poisoned"
-            )
-        elif _response_values(bytes(response)) != baselines[index]:
-            # The checksum handler folds every decoded request value
-            # into the answer: a different answer means garbage made a
-            # later pristine request *decode differently* — values
-            # poisoned without a fault, the worst skip-scan failure.
-            report.violate(
-                f"probe after case {case_no} returned a different value "
-                "checksum: decoded state poisoned"
-            )
+            violation = f"raised {exc!r}"
+        if violation is not None:
+            report.violate(f"probe after case {case_no}: {violation}")
 
-    for case_no in range(iterations):
-        wire, mutator = fuzzer.next_case()
-        try:
-            response = service.handle(wire)
-            outcome = _classify_response(response)
-        except Exception as exc:  # noqa: BLE001 - the invariant under test
-            report.violate(
-                f"case {case_no} ({mutator}, {len(wire)}B) escaped handle(): "
-                f"{type(exc).__name__}: {exc}"
-            )
-            outcome = "crash"
-        report.record(outcome, mutator)
-        if probe_every and (case_no + 1) % probe_every == 0:
-            _probe(case_no)
-    _probe(iterations)
-    return report
-
-
-def _one_exchange(
-    host: str, port: int, raw: bytes, timeout: float
-) -> Tuple[str, bytes]:
-    """Send *raw*, half-close, read to EOF.  ``(disposition, bytes)``."""
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        try:
-            sock.sendall(raw)
-            sock.shutdown(socket.SHUT_WR)
-        except OSError:
-            # The server may reject and close while we are still
-            # writing (e.g. oversized framing) — whatever it answered
-            # before the reset is still on our receive queue.
-            pass
-        chunks: List[bytes] = []
-        while True:
+    try:
+        if not adapter.probes:
+            report.violate("no corpus wire makes a pristine probe")
+            return report
+        for case_no in range(iterations):
+            case, label = adapter.draw(rng)
             try:
-                data = sock.recv(65536)
-            except socket.timeout:
-                return "hang", b"".join(chunks)
-            except OSError:
-                break
-            if not data:
-                break
-            chunks.append(data)
-    return "closed", b"".join(chunks)
-
-
-def fuzz_http(
-    service: Optional[SOAPService] = None,
-    corpus: Optional[Sequence[bytes]] = None,
-    *,
-    iterations: int = 200,
-    seed: int = 0,
-    host: str = "127.0.0.1",
-    timeout: float = 10.0,
-) -> FuzzReport:
-    """Fuzz a live :class:`HTTPSoapServer` over real sockets.
-
-    One fresh connection per case (half-closed after sending, so the
-    server's EOF handling is on the hook every time).  Violations:
-    read timeout (hang), empty response (silent drop), or a status
-    outside :data:`ALLOWED_HTTP_STATUSES`.
-    """
-    service = service if service is not None else build_fuzz_service()
-    wires = list(corpus) if corpus is not None else default_corpus()
-    fuzzer = HTTPFuzzer(WireFuzzer(wires, seed, limits=service.limits))
-    report = FuzzReport(seed=seed, mode="http").export_to(service.obs)
-    with HTTPSoapServer(service, host) as server:
-        for case_no in range(iterations):
-            raw, label = fuzzer.next_case()
-            disposition, payload = _one_exchange(host, server.port, raw, timeout)
-            if disposition == "hang":
-                report.violate(f"case {case_no} ({label}): server hung")
-                outcome = "hang"
-            elif not payload:
-                report.violate(
-                    f"case {case_no} ({label}): connection closed with no "
-                    "response (silent drop)"
-                )
-                outcome = "silent_drop"
-            else:
-                status = _first_status(payload)
-                if status is None:
-                    report.violate(
-                        f"case {case_no} ({label}): unparseable response "
-                        f"{payload[:60]!r}"
-                    )
-                    outcome = "garbled"
-                elif status not in ALLOWED_HTTP_STATUSES:
-                    report.violate(
-                        f"case {case_no} ({label}): unexpected status {status}"
-                    )
-                    outcome = f"http_{status}"
-                else:
-                    outcome = f"http_{status}"
+                outcome, violation = adapter.exchange(case)
+            except Exception as exc:  # noqa: BLE001 - the invariant under test
+                outcome, violation = "crash", f"escaped: {type(exc).__name__}: {exc}"
+            if violation is not None:
+                report.violate(f"case {case_no} ({label}): {violation}")
             report.record(outcome, label)
+            if probe_every and (case_no + 1) % probe_every == 0:
+                probe(case_no)
+        probe(iterations)
+    finally:
+        adapter.close()
     return report
-
-
-#: Headers marking a request body as a binary delta frame.
-_FRAME_HEADERS = {"x-repro-delta": "1", "x-repro-delta-frame": "1"}
-
-#: Template id the delta fuzzers announce their mirrors under
-#: (:func:`fuzz_delta`: the first of ``max_delta_mirrors + 1``).
-_FUZZ_TEMPLATE_ID = 71
-
-
-def _announce_headers(template_id: int, epoch: int) -> Dict[str, str]:
-    return {
-        "x-repro-delta": "1",
-        "x-repro-delta-template": str(template_id),
-        "x-repro-delta-epoch": str(epoch),
-    }
-
-
-def fuzz_delta(
-    service: Optional[SOAPService] = None,
-    corpus: Optional[Sequence[bytes]] = None,
-    *,
-    iterations: int = 600,
-    seed: int = 0,
-    probe_every: int = 50,
-) -> FuzzReport:
-    """Drive mutated delta frames through ``service.handle_wire``.
-
-    Each case announces a fresh full-XML baseline (new epoch) under one
-    of ``max_delta_mirrors + 1`` template ids, drawn from the seed, then
-    submits one mutated frame against it.  Invariants: ``handle_wire``
-    never raises, answers only 200 (with a parseable envelope) or 409
-    (resync), and — the probe — a pristine zero-splice frame against a
-    fresh announce under *another* id than the case just fuzzed still
-    reconstructs and dispatches to the values the pristine wire decodes
-    to, after any amount of garbage: poisoning must not cross entries.
-    """
-    service = service if service is not None else build_fuzz_service()
-    wires = list(corpus) if corpus is not None else default_corpus()
-    rng = random.Random(seed)
-    fuzzer = DeltaFrameFuzzer(rng, service.limits)
-    report = FuzzReport(seed=seed, mode="delta").export_to(service.obs)
-    session_id = "fuzz-delta"
-    probes: List[bytes] = []
-    baselines: List[list] = []
-    for wire in wires:
-        response = service.handle(wire)
-        if _classify_response(response) == "ok":
-            probes.append(wire)
-            baselines.append(_response_values(response))
-    if not probes:
-        report.violate("no corpus wire gets a non-fault response pristine")
-        return report
-    ids = [
-        _FUZZ_TEMPLATE_ID + i for i in range(service.limits.max_delta_mirrors + 1)
-    ]
-    epoch = 0
-    fuzzed = ids[0]
-
-    def _announce(template_id: int, body: bytes) -> None:
-        nonlocal epoch
-        epoch += 1
-        service.handle_wire(body, _announce_headers(template_id, epoch), session_id)
-
-    def _probe(case_no: int) -> None:
-        index = (case_no // max(1, probe_every)) % len(probes)
-        body = probes[index]
-        # Any id but the one just fuzzed: each is a store entry of its own.
-        template_id = ids[(ids.index(fuzzed) + 1 + index % (len(ids) - 1)) % len(ids)]
-        _announce(template_id, body)
-        frame = encode_frame(template_id, epoch, 1, len(body), [], [], b"")
-        try:
-            status, _extra, response = service.handle_wire(
-                frame, _FRAME_HEADERS, session_id
-            )
-        except Exception as exc:  # noqa: BLE001 - the invariant under test
-            report.violate(f"probe after case {case_no} raised {exc!r}")
-            return
-        if status != 200 or _classify_response(response) != "ok":
-            report.violate(
-                f"probe after case {case_no} rejected (status {status}): "
-                "delta state poisoned"
-            )
-        elif _response_values(response) != baselines[index]:
-            report.violate(
-                f"probe after case {case_no} returned a different value "
-                "checksum: decoded state poisoned"
-            )
-
-    for case_no in range(iterations):
-        body = rng.choice(probes)
-        fuzzed = rng.choice(ids)
-        _announce(fuzzed, body)
-        frame, mutator = fuzzer.next_case(fuzzed, epoch, 1, body)
-        try:
-            status, _extra, response = service.handle_wire(
-                frame, _FRAME_HEADERS, session_id
-            )
-            if status == 200:
-                outcome = _classify_response(response)
-            elif status == 409:
-                outcome = "resync"
-            else:
-                report.violate(
-                    f"case {case_no} ({mutator}): unexpected status {status}"
-                )
-                outcome = f"status_{status}"
-        except Exception as exc:  # noqa: BLE001 - the invariant under test
-            report.violate(
-                f"case {case_no} ({mutator}, {len(frame)}B) escaped "
-                f"handle_wire(): {type(exc).__name__}: {exc}"
-            )
-            outcome = "crash"
-        report.record(outcome, mutator)
-        if probe_every and (case_no + 1) % probe_every == 0:
-            _probe(case_no)
-    _probe(iterations)
-    return report
-
-
-def fuzz_delta_http(
-    service: Optional[SOAPService] = None,
-    corpus: Optional[Sequence[bytes]] = None,
-    *,
-    iterations: int = 100,
-    seed: int = 0,
-    host: str = "127.0.0.1",
-    timeout: float = 10.0,
-) -> FuzzReport:
-    """Fuzz delta frames against a live :class:`HTTPSoapServer`.
-
-    One fresh connection per case carrying two pipelined POSTs: a
-    well-formed full-XML announce, then a mutated binary frame.
-    Violations: hang, silent drop, fewer than two responses, or any
-    status outside :data:`ALLOWED_HTTP_STATUSES`.
-    """
-    service = service if service is not None else build_fuzz_service()
-    wires = list(corpus) if corpus is not None else default_corpus()
-    rng = random.Random(seed)
-    fuzzer = DeltaFrameFuzzer(rng, service.limits)
-    report = FuzzReport(seed=seed, mode="delta-http").export_to(service.obs)
-    with HTTPSoapServer(service, host) as server:
-        for case_no in range(iterations):
-            body = rng.choice(wires)
-            epoch = case_no + 1
-            announce = (
-                b"POST /soap HTTP/1.1\r\nContent-Type: text/xml\r\n"
-                b"X-Repro-Delta: 1\r\n"
-                b"X-Repro-Delta-Template: %d\r\n"
-                b"X-Repro-Delta-Epoch: %d\r\n"
-                b"Content-Length: %d\r\n\r\n"
-                % (_FUZZ_TEMPLATE_ID, epoch, len(body))
-            ) + body
-            frame, mutator = fuzzer.next_case(
-                _FUZZ_TEMPLATE_ID, epoch, 1, body
-            )
-            frame_req = (
-                b"POST /soap HTTP/1.1\r\n"
-                b"Content-Type: application/x-repro-delta\r\n"
-                b"X-Repro-Delta: 1\r\nX-Repro-Delta-Frame: 1\r\n"
-                b"Content-Length: %d\r\n\r\n" % len(frame)
-            ) + frame
-            disposition, payload = _one_exchange(
-                host, server.port, announce + frame_req, timeout
-            )
-            if disposition == "hang":
-                report.violate(f"case {case_no} ({mutator}): server hung")
-                outcome = "hang"
-            elif not payload:
-                report.violate(
-                    f"case {case_no} ({mutator}): connection closed with "
-                    "no response (silent drop)"
-                )
-                outcome = "silent_drop"
-            else:
-                statuses = [
-                    int(s)
-                    for s in re.findall(rb"HTTP/1\.1 (\d{3})", payload)
-                ]
-                bad = [s for s in statuses if s not in ALLOWED_HTTP_STATUSES]
-                if bad:
-                    report.violate(
-                        f"case {case_no} ({mutator}): unexpected "
-                        f"status(es) {bad}"
-                    )
-                    outcome = "bad_status"
-                elif len(statuses) < 2:
-                    report.violate(
-                        f"case {case_no} ({mutator}): only "
-                        f"{len(statuses)} responses to 2 requests"
-                    )
-                    outcome = "missing_response"
-                else:
-                    outcome = "http_" + "_".join(str(s) for s in statuses)
-            report.record(outcome, mutator)
-    return report
-
-
-class _ScriptedReplies:
-    """``raw_transport=`` stub: swallows sends, serves queued replies."""
-
-    def __init__(self) -> None:
-        self.replies: List[Tuple[int, Dict[str, str], bytes]] = []
-
-    def send_message(self, views, total_bytes: Optional[int] = None) -> int:
-        return sum(len(view) for view in views)
-
-    def recv_http_response(self, limit: Optional[int] = None):
-        return self.replies.pop(0)
-
-    def disconnect(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-def _same_values(a: Dict[str, object], b: Dict[str, object]) -> bool:
-    """Decoded reply values equal, arrays compared element-wise."""
-    import numpy as np
-
-    if a.keys() != b.keys():
-        return False
-    for name, left in a.items():
-        right = b[name]
-        if isinstance(left, dict) and isinstance(right, dict):
-            if not _same_values(left, right):
-                return False
-        elif not np.array_equal(left, right):
-            return False
-    return True
-
-
-def fuzz_delta_reply(
-    service: Optional[SOAPService] = None,
-    corpus: Optional[Sequence[bytes]] = None,
-    *,
-    iterations: int = 600,
-    seed: int = 0,
-    probe_every: int = 50,
-) -> FuzzReport:
-    """Drive mutated *reply* frames through an ``RPCChannel``'s decode.
-
-    The channel reads from a scripted transport.  Each case is two
-    calls: the first is answered by a full reply announcing a fresh
-    baseline (new epoch), the second by one mutated frame against it,
-    with a full reply queued behind for the resync retry.  Invariants:
-    ``call`` never raises; what it returns decodes to the reply's
-    values — through the frame, or through exactly one retry — unless
-    the mutator spliced CRC-valid garbage into the document (frames
-    whose directory names leaf regions reach the channel's frame lane:
-    the store entry a reply is deposited in holds its decode); and the
-    probe, a pristine header-only frame after a fresh announce, still
-    decodes without a retry after any amount of garbage.
-    """
-    from repro.channel import RPCChannel
-    from repro.core.policy import DeltaPolicy, DiffPolicy
-    from repro.resilience.retry import RetryPolicy
-    from repro.soap.message import SOAPMessage
-
-    service = service if service is not None else build_fuzz_service()
-    wires = list(corpus) if corpus is not None else default_corpus()
-    rng = random.Random(seed)
-    fuzzer = DeltaFrameFuzzer(rng, service.limits)
-    report = FuzzReport(seed=seed, mode="delta-reply").export_to(service.obs)
-    bodies = [
-        bytes(response)
-        for response in (service.handle(wire) for wire in wires)
-        if _classify_response(response) == "ok"
-    ]
-    if not bodies:
-        report.violate("no corpus wire gets a non-fault response pristine")
-        return report
-
-    transport = _ScriptedReplies()
-    channel = RPCChannel(
-        "fuzz",
-        0,
-        registry=service.registry,
-        policy=DiffPolicy(delta=DeltaPolicy(offer=True)),
-        retry=RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0),
-        raw_transport=transport,
-    )
-    request = SOAPMessage("probe", service.namespace, [])
-    epoch = 0
-
-    def _announce(body: bytes) -> Dict[str, object]:
-        """Deliver *body* as a full reply announcing a fresh baseline."""
-        nonlocal epoch
-        epoch += 1
-        transport.replies = [
-            (200, _announce_headers(_FUZZ_TEMPLATE_ID, epoch), body)
-        ]
-        return channel.call(request).values
-
-    def _framed(frame: bytes, body: bytes) -> Tuple[Dict[str, object], int]:
-        """One call answered by *frame*; a full reply awaits the retry."""
-        transport.replies = [(200, _FRAME_HEADERS, frame), (200, {}, body)]
-        values = channel.call(request).values
-        return values, channel.last_send_report.retries
-
-    def _probe(case_no: int) -> None:
-        body = bodies[(case_no // max(1, probe_every)) % len(bodies)]
-        try:
-            expected = _announce(body)
-            frame = encode_frame(
-                _FUZZ_TEMPLATE_ID, epoch, 1, len(body), [], [], b""
-            )
-            values, retries = _framed(frame, body)
-        except Exception as exc:  # noqa: BLE001 - the invariant under test
-            report.violate(f"probe after case {case_no} raised {exc!r}")
-            return
-        if retries or not _same_values(values, expected):
-            report.violate(
-                f"probe after case {case_no} needed {retries} retries or "
-                "decoded differently: reply mirror poisoned"
-            )
-
-    for case_no in range(iterations):
-        body = rng.choice(bodies)
-        mutator = "announce"
-        try:
-            expected = _announce(body)
-            frame, mutator = fuzzer.next_case(_FUZZ_TEMPLATE_ID, epoch, 1, body)
-            values, retries = _framed(frame, body)
-        except Exception as exc:  # noqa: BLE001 - the invariant under test
-            report.violate(
-                f"case {case_no} ({mutator}) escaped call(): "
-                f"{type(exc).__name__}: {exc}"
-            )
-            outcome = "crash"
-        else:
-            outcome = "resync" if retries else "ok"
-            if (
-                mutator not in DeltaFrameFuzzer.REWRITES_VALUES
-                and not _same_values(values, expected)
-            ):
-                report.violate(
-                    f"case {case_no} ({mutator}, {outcome}): decoded a "
-                    "wrong value from a reply frame"
-                )
-                outcome = "wrong_value"
-        report.record(outcome, mutator)
-        if probe_every and (case_no + 1) % probe_every == 0:
-            _probe(case_no)
-    _probe(iterations)
-    channel.close()
-    return report
-
-
-def _parse_outcome(parse: Callable[[bytes], object], wire: bytes):
-    """``("ok", ParseResult)`` or ``("raised", type, message)``."""
-    try:
-        return ("ok", parse(wire))
-    except Exception as exc:  # noqa: BLE001 - compared, not handled
-        return ("raised", type(exc), str(exc))
-
-
-def _same_leaves(a: object, b: object) -> bool:
-    """Decoded values equal down to the bit pattern of every double
-    (``-0.0``, denormals and ``inf`` all distinguish)."""
-    import numpy as np
-
-    if isinstance(a, dict) and isinstance(b, dict):
-        return list(a) == list(b) and all(_same_leaves(a[k], b[k]) for k in a)
-    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
-        return (
-            a.dtype == b.dtype
-            and a.shape == b.shape
-            and a.tobytes() == b.tobytes()
-        )
-    if isinstance(a, float) and isinstance(b, float):
-        return struct.pack("<d", a) == struct.pack("<d", b)
-    return type(a) is type(b) and a == b
-
-
-def parse_divergence(parser, wire: bytes) -> Optional[str]:
-    """How ``parser.parse`` and its generic event path disagree on
-    *wire* — ``None`` when they do not.
-
-    Agreement is the same :class:`~repro.server.parser.ParseResult`
-    (operation, parameter names/kinds/element types, values bit for
-    bit, ``spans``, ``regions``, layouts) or the same exception type
-    and message.  The oracle of the full parse's leaf-run lane.
-    """
-    import numpy as np
-
-    lane = _parse_outcome(parser.parse, wire)
-    generic = _parse_outcome(parser._parse_generic, wire)
-    if lane[0] != generic[0]:
-        return f"lane {lane[:2]} but generic {generic[:2]}"
-    if lane[0] == "raised":
-        return None if lane == generic else f"lane {lane[1:]} != generic {generic[1:]}"
-    a, b = lane[1], generic[1]
-    if a.message.operation != b.message.operation:
-        return "operation differs"
-    if len(a.message.params) != len(b.message.params):
-        return "parameter count differs"
-    for p, q in zip(a.message.params, b.message.params):
-        if (p.name, p.kind, p.element_type) != (q.name, q.kind, q.element_type):
-            return f"parameter {p.name!r}: name/kind/element type differs"
-        if not _same_leaves(p.value, q.value):
-            return f"parameter {p.name!r}: values differ"
-    for label in ("spans", "regions"):
-        x, y = getattr(a, label), getattr(b, label)
-        if x.dtype != y.dtype or x.shape != y.shape or not np.array_equal(x, y):
-            return f"{label} differ"
-    shapes = [
-        [
-            (l.leaf_base, l.leaf_count, l.arity, l.leaf_types, l.field_names)
-            for l in result.layouts
-        ]
-        for result in (a, b)
-    ]
-    if shapes[0] != shapes[1]:
-        return "layouts differ"
-    return None
-
-
-def fuzz_parse(
-    corpus: Optional[Sequence[bytes]] = None,
-    *,
-    iterations: int = 2000,
-    seed: int = 0,
-    limits: Optional[ResourceLimits] = None,
-) -> FuzzReport:
-    """Lane ≡ generic on mutated wires; see :func:`parse_divergence`."""
-    from repro.server.parser import SOAPRequestParser
-
-    service = build_fuzz_service(limits=limits)
-    parser = SOAPRequestParser(service.registry, service.limits)
-    wires = list(corpus) if corpus is not None else default_corpus()
-    fuzzer = WireFuzzer(wires, seed, limits=service.limits)
-    report = FuzzReport(seed=seed, mode="parse")
-    for case_no in range(iterations):
-        wire, mutator = fuzzer.next_case()
-        divergence = parse_divergence(parser, wire)
-        if divergence is not None:
-            report.violate(f"case {case_no} ({mutator}, {len(wire)}B): {divergence}")
-        report.record("diverged" if divergence else "agreed", mutator)
-    return report
-
-
-def _first_status(payload: bytes) -> Optional[int]:
-    """Status code of the first HTTP response in *payload* (or None)."""
-    line, _, _ = payload.partition(b"\r\n")
-    parts = line.split()
-    if len(parts) < 2 or not parts[0].startswith(b"HTTP/"):
-        return None
-    try:
-        return int(parts[1])
-    except ValueError:
-        return None
 
 
 # ----------------------------------------------------------------------
 # CLI (the CI fuzz-smoke job)
 # ----------------------------------------------------------------------
+def _entry_arg(text: str) -> Tuple[str, int]:
+    name, _, count = text.partition("=")
+    if name not in ENTRIES or not (count or "0").isdigit():
+        raise argparse.ArgumentTypeError(
+            f"want NAME[=N], NAME one of {', '.join(ENTRIES)}; got {text!r}"
+        )
+    return name, int(count or 200)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.hardening.fuzz",
@@ -1507,71 +1195,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--corpus",
-        default=None,
         help="directory of seed wires (default: tests/golden, else synthetic)",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--service-iterations", type=int, default=2000)
-    parser.add_argument("--http-iterations", type=int, default=200)
-    parser.add_argument("--delta-iterations", type=int, default=0)
-    parser.add_argument("--delta-http-iterations", type=int, default=0)
-    parser.add_argument("--delta-reply-iterations", type=int, default=0)
-    parser.add_argument("--parse-iterations", type=int, default=0)
+    parser.add_argument(
+        "--entry", action="append", type=_entry_arg, metavar="NAME[=N]",
+        help="fuzz entry NAME for N cases (default 200); repeatable; "
+        f"without it every entry runs: {', '.join(ENTRIES)}",
+    )
     args = parser.parse_args(argv)
 
     corpus = load_corpus(args.corpus) if args.corpus else default_corpus()
     print(f"fuzz seed: {args.seed} ({len(corpus)} corpus wires)")
-
-    reports = []
-    if args.service_iterations > 0:
-        reports.append(
-            fuzz_service(
-                corpus=corpus, iterations=args.service_iterations, seed=args.seed
-            )
-        )
-        print(reports[-1].summary())
-    if args.http_iterations > 0:
-        reports.append(
-            fuzz_http(
-                corpus=corpus, iterations=args.http_iterations, seed=args.seed
-            )
-        )
-        print(reports[-1].summary())
-    if args.delta_iterations > 0:
-        reports.append(
-            fuzz_delta(
-                corpus=corpus, iterations=args.delta_iterations, seed=args.seed
-            )
-        )
-        print(reports[-1].summary())
-    if args.delta_http_iterations > 0:
-        reports.append(
-            fuzz_delta_http(
-                corpus=corpus,
-                iterations=args.delta_http_iterations,
-                seed=args.seed,
-            )
-        )
-        print(reports[-1].summary())
-    if args.delta_reply_iterations > 0:
-        reports.append(
-            fuzz_delta_reply(
-                corpus=corpus,
-                iterations=args.delta_reply_iterations,
-                seed=args.seed,
-            )
-        )
-        print(reports[-1].summary())
-
-    if args.parse_iterations > 0:
-        reports.append(
-            fuzz_parse(
-                corpus=corpus, iterations=args.parse_iterations, seed=args.seed
-            )
-        )
-        print(reports[-1].summary())
-
-    failed = [v for r in reports for v in r.violations]
+    failed: List[str] = []
+    for name, iterations in args.entry or [(name, 200) for name in ENTRIES]:
+        report = run(name, args.seed, iterations, corpus=corpus)
+        print(report.summary())
+        failed.extend(report.violations)
     for violation in failed[:25]:
         print(f"VIOLATION: {violation}")
     if failed:

@@ -393,7 +393,8 @@ def test_fuzzer_region_mutators_reach_every_frame_lane_branch(peer, rng_seed):
     land where they aim: hits on whole and partial regions, skeleton
     drift on straddles, seek-table refusals on garbage — each decoded
     as the full parse decodes it."""
-    fuzzer = DeltaFrameFuzzer(random.Random(rng_seed))
+    fuzzer = DeltaFrameFuzzer()
+    rng = random.Random(rng_seed)
     body = bytes(peer.buffer)
     for case in range(120):
         mutate = fuzzer._region_splices if case % 2 else fuzzer._region_garbage
@@ -401,7 +402,7 @@ def test_fuzzer_region_mutators_reach_every_frame_lane_branch(peer, rng_seed):
         epoch = case + 2
         peer.deser.deserialize(peer.delta.store(1, epoch, body))
         ctx = {"template_id": 1, "epoch": epoch, "seq": 1, "body": body}
-        document = peer.delta.apply(mutate(fuzzer._rng, b"", ctx), DEFAULT_LIMITS)
+        document = peer.delta.apply(mutate(rng, b"", ctx), DEFAULT_LIMITS)
         got = _outcome(lambda: peer.deser.deserialize(document))
         want = _outcome(lambda: SOAPRequestParser().parse(document.tobytes()))
         if isinstance(want, type):

@@ -3,13 +3,15 @@
 Each ResourceLimits bound gets a pair of tests at the limit (accepted)
 and one unit past it (rejected); the malformed-wire corpus under
 ``tests/malformed/`` is driven through the deserializer, the service
-dispatcher, and a live HTTP server; and the seeded fuzzer runs its CI
-volumes in-process (2000 service cases + 200 live-socket cases).
+dispatcher, and a live HTTP server; and the seeded fuzzer runs every
+entry in-process, its probe checked against a planted mirror bug.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import random
 import socket
 import threading
 from pathlib import Path
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 import repro.errors
+import repro.wire.server
 from repro.core.client import BSoapClient
 from repro.errors import (
     IncompleteHTTPError,
@@ -29,12 +32,12 @@ from repro.errors import (
 from repro.hardening import DEFAULT_LIMITS, UNLIMITED, ResourceLimits
 from repro.hardening.fuzz import (
     ALLOWED_HTTP_STATUSES,
+    ENTRIES,
     HTTPFuzzer,
     WireFuzzer,
     build_fuzz_service,
-    fuzz_http,
-    fuzz_service,
-    _one_exchange,
+    raw_exchange,
+    run,
 )
 from repro.schema.composite import ArrayType
 from repro.schema.types import DOUBLE
@@ -81,7 +84,7 @@ def http_post(body: bytes) -> bytes:
 
 def exchange(port: int, raw: bytes, timeout: float = 5.0):
     """(disposition, status, payload) for one half-closed exchange."""
-    disposition, payload = _one_exchange("127.0.0.1", port, raw, timeout)
+    disposition, payload = raw_exchange("127.0.0.1", port, raw, timeout)
     status = None
     if payload.startswith(b"HTTP/"):
         status = int(payload.split(None, 2)[1])
@@ -432,49 +435,93 @@ class TestFramingLimits:
 
 
 # ----------------------------------------------------------------------
-# The seeded fuzzer, at CI volumes
+# The seeded fuzzer: every entry, and the probe's teeth
 # ----------------------------------------------------------------------
+#: Entries whose cases carry delta frames through ``DeltaSession.apply``.
+FRAME_ENTRIES = [
+    name for name in ENTRIES if name == "service-delta" or name.startswith("delta-")
+]
+
+
+def drop_last_splice(real):
+    """An ``apply_frame`` that loses the last splice of every frame."""
+
+    def apply(frame, mirror):
+        keep = frame.splice_count - 1
+        kept = int(frame.widths[:keep].sum())
+        real(
+            dataclasses.replace(
+                frame,
+                offsets=frame.offsets[:keep],
+                widths=frame.widths[:keep],
+                payload=frame.payload[:kept],
+            ),
+            mirror,
+        )
+
+    return apply
+
+
 class TestFuzzer:
     def test_wire_fuzzer_is_deterministic(self, rng_seed):
         corpus = [p.read_bytes() for p in sorted(GOLDEN_DIR.glob("*.xml"))]
-        a = WireFuzzer(corpus, rng_seed)
-        b = WireFuzzer(corpus, rng_seed)
-        assert [a.next_case() for _ in range(50)] == [
-            b.next_case() for _ in range(50)
+        fuzzer = WireFuzzer(corpus)
+        a, b = random.Random(rng_seed), random.Random(rng_seed)
+        assert [fuzzer.next_case(a) for _ in range(50)] == [
+            fuzzer.next_case(b) for _ in range(50)
         ]
 
     def test_http_fuzzer_is_deterministic(self, rng_seed):
         corpus = [p.read_bytes() for p in sorted(GOLDEN_DIR.glob("*.xml"))]
-        a = HTTPFuzzer(WireFuzzer(corpus, rng_seed))
-        b = HTTPFuzzer(WireFuzzer(corpus, rng_seed))
-        assert [a.next_case() for _ in range(50)] == [
-            b.next_case() for _ in range(50)
+        fuzzer = HTTPFuzzer(WireFuzzer(corpus))
+        a, b = random.Random(rng_seed), random.Random(rng_seed)
+        assert [fuzzer.next_case(a) for _ in range(50)] == [
+            fuzzer.next_case(b) for _ in range(50)
         ]
 
-    def test_service_fuzz_2000_cases(self, rng_seed):
-        report = fuzz_service(iterations=2000, seed=rng_seed)
-        assert report.ok, "\n".join(report.violations[:10])
-        assert report.iterations == 2000
-        # The mix must contain both accepted and faulted cases —
-        # all-fault would mean the corpus or service is misconfigured.
-        assert report.outcomes.get("ok", 0) > 0
-        assert report.outcomes.get("fault", 0) > 0
-
-    def test_http_fuzz_200_cases(self, rng_seed):
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_entry_fuzz(self, entry, rng_seed):
         service = build_fuzz_service()
-        report = fuzz_http(service, iterations=200, seed=rng_seed)
+        report = run(entry, rng_seed, 200, probe_every=25, service=service)
         assert report.ok, "\n".join(report.violations[:10])
         assert report.iterations == 200
-        for outcome in report.outcomes:
-            assert outcome.startswith("http_")
-            assert int(outcome[5:]) in ALLOWED_HTTP_STATUSES
         # Outcome counts are exported through the obs registry.
         counter = service.obs.metrics.get("repro_fuzz_cases_total")
-        total = sum(count for _labels, count in counter.samples())
-        assert total == 200
+        assert sum(count for _labels, count in counter.samples()) == 200
+        outcomes = report.outcomes
+        if entry == "service":
+            # All-fault would mean the corpus or service is misconfigured.
+            assert outcomes.get("ok", 0) > 0 and outcomes.get("fault", 0) > 0
+        elif entry.startswith(("http:", "delta-http:")):
+            for outcome in outcomes:
+                head, *statuses = outcome.split("_")
+                assert head == "http" and statuses, outcome
+                assert all(int(s) in ALLOWED_HTTP_STATUSES for s in statuses)
+        elif entry == "delta-reply":
+            assert outcomes.get("resync", 0) > 0 and outcomes.get("ok", 0) > 0
+            # Frames whose directory names leaf regions of the reply —
+            # the ones the channel's frame lane decodes from — were
+            # among the cases.
+            aimed = ("region_splices", "region_garbage")
+            assert sum(report.mutators.get(name, 0) for name in aimed) > 0
+        elif entry == "parse":
+            assert outcomes == {"agreed": 200}
+
+    @pytest.mark.parametrize("planted", [False, True], ids=["real", "dropped-splice"])
+    @pytest.mark.parametrize("entry", FRAME_ENTRIES)
+    def test_probe_sees_a_dropped_splice(self, entry, planted, rng_seed, monkeypatch):
+        """The probe frame changes a leaf, so a mirror that silently
+        loses a splice decodes the old value and the probe says so."""
+        if planted:
+            real = repro.wire.server.apply_frame
+            monkeypatch.setattr(repro.wire.server, "apply_frame", drop_last_splice(real))
+        report = run(entry, rng_seed, 20, probe_every=10)
+        probes = [v for v in report.violations if "probe after case" in v]
+        assert bool(probes) is planted, report.violations[:3]
+        assert report.ok is not planted
 
     @pytest.mark.slow
     def test_service_fuzz_multi_seed_soak(self, rng_seed):
         for offset in range(5):
-            report = fuzz_service(iterations=2000, seed=rng_seed + offset)
+            report = run("service", rng_seed + offset, 2000)
             assert report.ok, "\n".join(report.violations[:10])

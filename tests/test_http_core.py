@@ -27,7 +27,7 @@ from repro.chaos.faults import inject_slowloris
 from repro.core.client import BSoapClient
 from repro.errors import HTTPStatusError
 from repro.hardening import DEFAULT_LIMITS, ResourceLimits
-from repro.hardening.fuzz import _one_exchange, build_fuzz_service
+from repro.hardening.fuzz import build_fuzz_service, raw_exchange
 from repro.hardening.overload import AdmissionController, OverloadPolicy
 from repro.obs import NULL_OBS
 from repro.runtime.loadgen import build_service, level_policy, message_sequence
@@ -350,7 +350,7 @@ class TestHttpFrontEnd:
 # ----------------------------------------------------------------------
 def exchange(port: int, raw: bytes, timeout: float = 5.0):
     """(status, payload) for one half-closed exchange read to EOF."""
-    disposition, payload = _one_exchange("127.0.0.1", port, raw, timeout)
+    disposition, payload = raw_exchange("127.0.0.1", port, raw, timeout)
     assert disposition == "closed", "server hung"
     status = int(payload.split(None, 2)[1]) if payload.startswith(b"HTTP/") else None
     return status, payload

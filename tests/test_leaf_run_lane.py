@@ -297,7 +297,7 @@ def test_lane_equals_generic_over_every_mutator(rng_seed):
     service = build_fuzz_service()
     parser = SOAPRequestParser(service.registry, service.limits)
     corpus = load_corpus(HERE / "golden")
-    fuzzer = WireFuzzer(corpus, rng_seed, limits=service.limits)
+    fuzzer = WireFuzzer(corpus, limits=service.limits)
     rng = random.Random(rng_seed)
     for name, mutate in fuzzer._mutators:
         for wire in corpus:

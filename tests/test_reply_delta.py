@@ -22,7 +22,6 @@ from repro.channel import RPCChannel
 from repro.core.policy import DeltaPolicy, DiffPolicy, StuffingPolicy, StuffMode
 from repro.core.stats import MatchKind
 from repro.errors import DeltaFrameError, SOAPFaultError
-from repro.hardening.fuzz import fuzz_delta_reply
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
 from repro.obs import Observability
 from repro.resilience.faults import FaultInjectingTransport, FaultSpec
@@ -461,13 +460,3 @@ def test_reply_counters_have_one_home_each():
         )
         assert service.response_stats.delta_sends == 3
 
-
-def test_reply_frame_fuzz_smoke(rng_seed):
-    report = fuzz_delta_reply(iterations=150, seed=rng_seed, probe_every=25)
-    assert report.ok, report.violations[:3]
-    assert report.outcomes.get("resync", 0) > 0
-    assert report.outcomes.get("ok", 0) > 0
-    # Frames whose directory names leaf regions of the reply — the ones
-    # the channel's frame lane decodes from — were among the cases.
-    aimed = ("region_splices", "region_garbage")
-    assert sum(report.mutators.get(name, 0) for name in aimed) > 0
