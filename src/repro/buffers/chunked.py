@@ -225,11 +225,6 @@ class ChunkedBuffer:
         """Chunk ids in message order (copy)."""
         return list(self._order)
 
-    def chunk_id_at(self, index: int) -> int:
-        """Chunk id at *index* in message order (no copy; supports
-        iteration that survives mid-loop split insertions)."""
-        return self._order[index]
-
     @property
     def num_chunks(self) -> int:
         return len(self._order)

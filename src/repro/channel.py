@@ -25,6 +25,10 @@ Failure handling (see DESIGN.md §"Failure model and recovery"):
   consecutive failed calls; once open, the channel degrades to plain
   full-serialization mode until enough calls succeed, then closes and
   differential sending resumes.
+* Both outcomes are accounted in one place, :meth:`RPCChannel.answered`
+  and :meth:`RPCChannel.lost`; a
+  :class:`~repro.runtime.pipeline.PipelinedChannel` uses the same two,
+  without the retry loop.
 
 Semantics are at-least-once: a response lost after the server consumed
 the request is retried, so non-idempotent operations may execute twice.
@@ -227,21 +231,11 @@ class RPCChannel:
                 report, response = self._attempt(message)
             except SOAPFaultError:
                 # The round trip worked; the *server* answered a Fault.
-                self.breaker.record_success()
-                if self.budget is not None:
-                    self.budget.record_success()
-                with self._stats_lock:
-                    self.calls += 1
-                    self.faults += 1
+                self.answered(started)
                 raise
             except ReproError as exc:
-                self.breaker.record_failure()
                 failures += 1
-                # Delivery of this attempt is unconfirmed either way:
-                # drop the connection (half a response may be buffered)
-                # and force the next send of this structure to resync.
-                self._mark_broken()
-                self.client.quarantine(message)
+                self.lost(message)
                 if not self.retry.retryable(exc):
                     raise
                 # A server Retry-After hint (503 under admission
@@ -272,14 +266,8 @@ class RPCChannel:
                     self.retries_total += 1
                 time.sleep(delay)
                 continue
-            self.breaker.record_success()
-            if self.budget is not None:
-                self.budget.record_success()
             report.retries = failures
-            self.last_send_report = report
-            with self._stats_lock:
-                self.calls += 1
-            self.obs.record_call(time.monotonic() - started)
+            self.answered(started, report)
             return response
 
     def _attempt(self, message: SOAPMessage):
@@ -287,6 +275,43 @@ class RPCChannel:
         report = self.send_request(message)
         response = self.recv_response()
         return report, response
+
+    # ------------------------------------------------------------------
+    # one success rule and one failure rule (call() and
+    # repro.runtime.pipeline share them)
+    # ------------------------------------------------------------------
+    def answered(self, started: float, report: Optional[SendReport] = None) -> None:
+        """Account one completed round trip begun at *started*
+        (``time.monotonic()``).
+
+        *report* is the request's send report; ``None`` means the
+        server answered a SOAP Fault, which counts as a success for the
+        breaker and the retry budget but is neither timed nor reported.
+        """
+        self.breaker.record_success()
+        if self.budget is not None:
+            self.budget.record_success()
+        with self._stats_lock:
+            self.calls += 1
+            if report is None:
+                self.faults += 1
+        if report is not None:
+            self.last_send_report = report
+            self.obs.record_call(time.monotonic() - started)
+
+    def lost(self, *messages: SOAPMessage) -> None:
+        """Account a failed round trip: delivery of *messages* is
+        unconfirmed.
+
+        Drop the connection (half a response may be buffered) with
+        every delta baseline and reply mirror bound to it, and
+        quarantine each message's templates, so the next send of each
+        structure is a full resynchronizing serialization.
+        """
+        self.breaker.record_failure()
+        self._mark_broken()
+        for message in messages:
+            self.client.quarantine(message)
 
     # ------------------------------------------------------------------
     # pipelining building blocks (see repro.runtime.pipeline)
@@ -298,7 +323,8 @@ class RPCChannel:
         ``send_request``s back-to-back and a receiver matches
         :meth:`recv_response` replies in FIFO order.  The client's
         template epoch is rolled back on failure exactly as in
-        :meth:`call`; retry scheduling is the caller's job.
+        :meth:`call`; the caller settles each round trip with
+        :meth:`answered` or :meth:`lost`, and schedules any retry.
         """
         self.client.force_full = not self.breaker.allow_differential()
         return self.client.send(message)
@@ -430,13 +456,6 @@ class RPCChannel:
             for outcome, count in replies.outcomes.copy().items():
                 samples["repro_delta_frames_total", outcome] = count
         return samples
-
-    def count_call(self, *, fault: bool = False) -> None:
-        """Record one completed call (used by the pipelined wrapper)."""
-        with self._stats_lock:
-            self.calls += 1
-            if fault:
-                self.faults += 1
 
     def close(self) -> None:
         """Close the connection; leave the final counts to the registry."""

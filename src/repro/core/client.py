@@ -26,10 +26,13 @@ vectorized comparisons and marks exactly the changed leaves dirty.
 
 Extensions from the paper's §6 are available through the policy and
 the store: shared :class:`~repro.core.store.TemplateStore` instances
-amortize templates across clients (= remote services), multi-variant
-stores keep several templates per call type, and
-``policy.pipelined_send`` streams each chunk to the transport as soon
-as its dirty values are rewritten.
+amortize templates across clients (= remote services), and
+multi-variant stores keep several templates per call type.
+
+Every in-memory template's bytes leave through one path,
+:meth:`BSoapClient._transmit`: full XML with a baseline announce, or
+an RDF1 delta frame once the peer negotiated.  Overlay templates
+stream their portions lazily instead.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, Optional, Union
 
-from repro.core.differential import iter_rewrite_and_views, rewrite_dirty
+from repro.core.differential import rewrite_dirty
 from repro.core.matcher import classify, refine
 from repro.obs import NULL_OBS, Observability
 from repro.core.overlay import OverlayTemplate, build_overlay_template, overlay_eligible
@@ -250,8 +253,6 @@ class BSoapClient:
             return self._transmit_guarded(
                 template, kind, RewriteStats(), snapshot=snapshot
             )
-        if self.policy.pipelined_send:
-            return self._transmit_pipelined(template, kind, snapshot)
         moved_before = template.buffer.bytes_moved
         try:
             rewrite = rewrite_dirty(template, self.policy, self.obs)
@@ -265,40 +266,6 @@ class BSoapClient:
         return self._transmit_guarded(
             template, kind, rewrite, snapshot=snapshot, moved_before=moved_before
         )
-
-    def _transmit_pipelined(
-        self,
-        template: MessageTemplate,
-        kind: MatchKind,
-        snapshot,
-    ) -> SendReport:
-        """Rewrite and transmit chunk by chunk (streaming overlap)."""
-        rewrite = RewriteStats()
-        moved_before = template.buffer.bytes_moved
-        t0 = perf_counter() if self.obs.enabled else 0.0
-        try:
-            bytes_sent = self.transport.send_message(
-                iter_rewrite_and_views(template, self.policy, rewrite, self.obs)
-            )
-        except (TransportError, LexicalError):
-            # Some chunks may be on the wire, others not even rewritten.
-            template.rollback_send(snapshot)
-            if self.wire is not None:
-                self.wire.invalidate(template.template_id)
-            self.stats.rollbacks += 1
-            raise
-        kind = refine(kind, rewrite)
-        template.sends += 1
-        report = SendReport(
-            match_kind=kind,
-            bytes_sent=bytes_sent,
-            rewrite=rewrite,
-            buffer_bytes_moved=template.buffer.bytes_moved,
-            num_chunks=template.buffer.num_chunks,
-            template_id=template.template_id,
-        )
-        self._record(report, moved_before=moved_before, started=t0, pipelined=True)
-        return report
 
     def _transmit_guarded(
         self,
@@ -428,7 +395,6 @@ class BSoapClient:
         *,
         moved_before: Optional[int] = None,
         started: float = 0.0,
-        pipelined: bool = False,
     ) -> None:
         """Count one successful send; time and trace it when observed.
 
@@ -455,7 +421,6 @@ class BSoapClient:
                 match_level=report.match_kind.value,
                 bytes=report.bytes_sent,
                 chunks=report.num_chunks,
-                pipelined=pipelined,
                 forced_full=report.forced_full,
                 delta=report.delta,
             )

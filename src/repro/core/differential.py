@@ -11,13 +11,12 @@ serialized form:
   chunk tail (possibly reallocating or splitting the chunk), then
   write.
 
-Both drivers — :func:`rewrite_dirty` (parameter by parameter) and
-:func:`iter_rewrite_and_views` (chunk by chunk, for pipelined send) —
-hand each parameter's dirty entries to one routine,
+:func:`rewrite_dirty`, the one rewrite driver, walks the template
+parameter by parameter and hands each one's dirty entries to
 :func:`_rewrite_run`.  It formats the new values in one batch per
-column and reads their locations from the DUT on every send:
-the table already is the write program (paper §3.1), so nothing about
-the layout is kept between sends.
+column and reads their locations from the DUT on every send: the
+table already is the write program (paper §3.1), so nothing about the
+layout is kept between sends.
 
 **Fast path** (perfect structural match — no value outgrew its field,
 checked with one vectorized comparison): locations cannot move, so the
@@ -247,76 +246,6 @@ def _rewrite_run(
         _fast_rewrite(template, bp, idxs, texts, lens_l, lens, stats)
 
 
-def _emit_rewrite(
-    obs,
-    template: "MessageTemplate",
-    stats: RewriteStats,
-    pipelined: bool,
-    duration_s: float,
-) -> None:
-    obs.tracer.emit(
-        "rewrite",
-        duration_s=duration_s,
-        template_id=template.template_id,
-        pipelined=pipelined,
-        values=stats.values_rewritten,
-        expansions=stats.expansions,
-        tag_shifts=stats.tag_shifts,
-    )
-
-
-def iter_rewrite_and_views(
-    template: "MessageTemplate",
-    policy: DiffPolicy,
-    stats: RewriteStats,
-    obs=None,
-):
-    """Pipelined send driver: repair one chunk, then yield its view.
-
-    The companion-paper "pipelined send" technique: because DUT
-    entries never straddle chunks and expansion only moves bytes *at
-    or after* the expanding field, a chunk whose dirty entries have
-    been rewritten is final and can go to the transport while later
-    chunks are still being re-serialized.  A mid-loop split inserts
-    the new chunk immediately after the current one, so index-based
-    iteration naturally picks it up.
-
-    Dirty bits of processed entries are cleared as they are written.
-    The ``rewrite`` span's ``duration_s`` counts the rewriting only,
-    not the time the consumer holds each yielded view.
-    """
-    tracing = obs is not None and obs.tracer.enabled
-    busy = 0.0
-    t0 = perf_counter() if tracing else 0.0
-    dut = template.dut
-    buffer = template.buffer
-    index = 0
-    while index < buffer.num_chunks:
-        cid = buffer.chunk_id_at(index)
-        lo, hi = dut.chunk_range(cid)
-        if hi > lo:
-            idxs = dut.dirty_indices(lo, hi)
-            pos = 0
-            while pos < len(idxs):
-                bp = template.param_for_entry(int(idxs[pos]))
-                # Sorted dirty indices + contiguous param entry ranges
-                # ⇒ one param's entries form one contiguous run.
-                take = idxs[(idxs >= bp.entry_base) & (idxs < bp.entry_end)]
-                _rewrite_run(template, bp, take, policy, stats, obs)
-                dut.dirty[take] = False
-                pos += len(take)
-        chunk = buffer.chunk(cid)
-        if chunk.used:
-            if tracing:
-                busy += perf_counter() - t0
-            yield chunk.view()
-            if tracing:
-                t0 = perf_counter()
-        index += 1
-    if tracing:
-        _emit_rewrite(obs, template, stats, True, busy + perf_counter() - t0)
-
-
 def rewrite_dirty(
     template: "MessageTemplate", policy: DiffPolicy, obs=None
 ) -> RewriteStats:
@@ -333,5 +262,12 @@ def rewrite_dirty(
         _rewrite_run(template, bp, base + np.flatnonzero(seg), policy, stats, obs)
         dut.clear_dirty(base, end)
     if tracing:
-        _emit_rewrite(obs, template, stats, False, perf_counter() - t0)
+        obs.tracer.emit(
+            "rewrite",
+            duration_s=perf_counter() - t0,
+            template_id=template.template_id,
+            values=stats.values_rewritten,
+            expansions=stats.expansions,
+            tag_shifts=stats.tag_shifts,
+        )
     return stats

@@ -150,12 +150,6 @@ class DiffPolicy:
     #: of its leaves (and there is room), a new variant is built
     #: instead of rewriting the old one.
     variant_miss_threshold: float = 0.5
-    #: Pipelined send (companion-paper technique): rewrite dirty
-    #: values chunk by chunk, handing each chunk to the transport as
-    #: soon as it is up to date, so transmission overlaps the
-    #: remaining re-serialization.  Requires a streaming-capable
-    #: transport framing (raw TCP or HTTP chunked).
-    pipelined_send: bool = False
     #: Negotiated binary delta frames (see :class:`DeltaPolicy`);
     #: defaults off — nothing changes on the wire unless offered *and*
     #: acknowledged by the server.

@@ -205,11 +205,12 @@ class MessageTemplate:
     def begin_send(self) -> np.ndarray:
         """Open a send epoch: snapshot the dirty bits as the undo record.
 
-        The differential rewrite clears dirty bits *while* it patches
-        template bytes, and a pipelined send interleaves that with the
-        transport — so a mid-send failure would otherwise leave the
-        template claiming those values were delivered.  The snapshot
-        lets :meth:`rollback_send` restore them.
+        The differential rewrite clears dirty bits as it patches
+        template bytes, before the transport has the message — so a
+        failed send would otherwise leave the template claiming those
+        values were delivered.  The snapshot lets
+        :meth:`rollback_send` restore them (and tells the delta
+        encoder which entries changed).
         """
         return self.dut.dirty.copy()
 

@@ -33,9 +33,8 @@ Special values use the XML Schema lexical forms ``INF``, ``-INF`` and
 ``NaN``.
 
 Every send formats through the same batch converter for its format,
-:func:`format_double_array` — first-time build, resend, overlay and
-pipelined alike; nothing is memoized (:mod:`repro.lexical.cache`
-says why).  The batch parser, :func:`parse_double_column`, serves both
+:func:`format_double_array` — first-time build, resend and overlay
+alike; nothing is memoized (:mod:`repro.lexical.cache` says why).  The batch parser, :func:`parse_double_column`, serves both
 server decode lanes.
 """
 

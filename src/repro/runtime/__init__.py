@@ -1,4 +1,4 @@
-"""Concurrent runtime: client pools, pipelined sends, server sessions.
+"""Concurrent runtime: client pools, request pipelining, server sessions.
 
 The paper measures one stub, one template, one connection.  This
 package is the layer that makes differential serialization hold up
@@ -11,7 +11,8 @@ star), built on PR 1's resilience machinery:
 * :class:`~repro.runtime.pipeline.PipelinedChannel` /
   :class:`~repro.runtime.pipeline.PipelinedSender` — overlap the
   differential rewrite of call *i+1* with call *i*'s response wait
-  (bounded in-flight window, backpressure),
+  (bounded in-flight window, backpressure) on one connection; every
+  outcome goes through the channel's own success/failure rule,
 * :class:`~repro.runtime.sessions.ServerSessionManager` — one
   differential deserializer + response-template serializer per
   accepted connection, behind a locked LRU registry,

@@ -24,13 +24,15 @@ socket before *i+1*'s rewrite starts (sends are synchronous within
 the sender thread), and the server applies requests in arrival order —
 so every diff is against exactly the bytes the server saw last.
 
-Failure semantics are deliberately simpler than ``call()``'s retry
-loop: any transport failure fails **all** unanswered calls (their
-responses are indistinguishable once the connection is gone),
-quarantines the affected templates so the next send of each structure
-is a forced full resynchronization, and drops the connection.  The
-channel stays usable — the next submitted call redials.  Callers who
-need at-least-once semantics resubmit failed futures.
+Failure semantics are the channel's own (:meth:`RPCChannel.answered`,
+:meth:`RPCChannel.lost`), minus ``call()``'s retry loop: any transport
+failure fails **all** unanswered calls (their responses are
+indistinguishable once the connection is gone), and the channel's one
+failure rule drops the connection with its delta baselines and reply
+mirror and quarantines every affected template, so the next send of
+each structure is a full resynchronization.  The channel stays usable
+— the next submitted call redials.  Callers who need at-least-once
+semantics resubmit failed futures.
 
 :class:`PipelinedSender` scales this across a
 :class:`~repro.runtime.pool.ClientPool`: one worker per pooled
@@ -43,7 +45,7 @@ from __future__ import annotations
 import queue
 import threading
 from concurrent.futures import Future
-from time import perf_counter
+from time import monotonic
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.channel import RPCChannel
@@ -161,16 +163,12 @@ class PipelinedChannel:
                     self._cv.notify_all()
                 return
             message, future = item  # type: ignore[misc]
-            started = perf_counter()
+            started = monotonic()
             try:
                 report = channel.send_request(message)
             except ReproError as exc:
-                # The client already rolled back its template epoch and
-                # the reconnecting transport dropped the socket; any
-                # in-flight responses died with the connection.
-                channel.breaker.record_failure()
-                channel.client.quarantine(message)
-                self._abort_inflight(exc)
+                # Any in-flight responses die with the connection.
+                self._abort_inflight(exc, message)
                 self._resolve(future, exc=exc)
                 continue
             with self._cv:
@@ -186,47 +184,52 @@ class PipelinedChannel:
                     if self._closed:
                         return
                     continue
-                message, future, report, started = self._inflight[0]
+                head = self._inflight[0]
+            _message, future, report, started = head
             try:
                 response = channel.recv_response()
             except SOAPFaultError as exc:
                 # Round trip succeeded; the server answered a Fault.
-                channel.breaker.record_success()
-                channel.count_call(fault=True)
-                channel.obs.record_call(perf_counter() - started)
-                with self._cv:
-                    self._inflight.pop(0)
-                self._resolve(future, exc=exc, fault=True)
-                continue
+                if self._pop(head):
+                    channel.answered(started)
+                    self._resolve(future, exc=exc, fault=True)
             except ReproError as exc:
-                channel.breaker.record_failure()
-                self._abort_inflight(exc)
-                continue
-            channel.breaker.record_success()
-            channel.count_call()
-            channel.obs.record_call(perf_counter() - started)
-            channel.last_send_report = report
-            with self._cv:
-                self._inflight.pop(0)
-            self._resolve(future, result=PipelinedCall(response, report))
+                self._abort_inflight(exc, head=head)
+            else:
+                if self._pop(head):
+                    channel.answered(started, report)
+                    self._resolve(future, result=PipelinedCall(response, report))
 
-    def _abort_inflight(self, exc: ReproError) -> None:
+    def _pop(self, head) -> bool:
+        """Take *head* off the in-flight FIFO; False when a failed send
+        already aborted it (its call failed with the connection)."""
+        with self._cv:
+            if not self._at_head(head):
+                return False
+            self._inflight.pop(0)
+            return True
+
+    def _at_head(self, head) -> bool:
+        """Whether *head* still leads the FIFO (caller holds ``_cv``)."""
+        return bool(self._inflight) and self._inflight[0] is head
+
+    def _abort_inflight(
+        self, exc: ReproError, *unsent: SOAPMessage, head=None
+    ) -> None:
         """Fail every unanswered call after a connection-level error.
 
-        Responses for sent-but-unanswered calls are lost with the
-        connection; their templates are quarantined so each structure's
-        next send resynchronizes the (new) server session with a full
-        serialization.
+        The channel's failure rule runs once for the lost connection,
+        over the *unsent* message and every sent-but-unanswered call,
+        before any of their futures resolves.  A receive error whose
+        *head* a failed send already aborted changes nothing.
         """
         with self._cv:
+            if head is not None and not self._at_head(head):
+                return
             dead = self._inflight
             self._inflight = []
-        # Ensure no stale half-response survives on the socket.
-        disconnect = getattr(self.channel._raw, "disconnect", None)
-        if disconnect is not None:
-            disconnect()
-        for message, future, _report, _started in dead:
-            self.channel.client.quarantine(message)
+        self.channel.lost(*unsent, *(message for message, *_ in dead))
+        for _message, future, _report, _started in dead:
             self._resolve(
                 future,
                 exc=TransportError(f"pipelined response lost: {exc}"),

@@ -58,7 +58,6 @@ class TestDiffPolicy:
         assert policy.differential_enabled
         assert policy.expansion is Expansion.SHIFT
         assert policy.template_variants == 1
-        assert not policy.pipelined_send
         assert not policy.overlay.enabled
 
     def test_derived_portion_items(self):

@@ -2,12 +2,10 @@
 
 For random sequences of ``client.send(message)`` calls with random
 value arrays, under randomized policies (stuffing × chunking ×
-expansion × float format × variants × pipelining), the bytes on the
+expansion × float format × variants), the bytes on the
 wire must always canonically equal a from-scratch serialization of
 that message — and the match-kind accounting must stay sane.
 """
-
-import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
@@ -38,10 +36,6 @@ POLICIES = [
         expansion=Expansion.STEAL,
     ),
     DiffPolicy(chunk=ChunkPolicy(chunk_size=128, reserve=16, split_threshold=48)),
-    DiffPolicy(
-        pipelined_send=True,
-        chunk=ChunkPolicy(chunk_size=128, reserve=16, split_threshold=48),
-    ),
     DiffPolicy(template_variants=2, variant_miss_threshold=0.4),
 ]
 
@@ -120,10 +114,10 @@ class TestRewriteStoreProperty:
     threshold (arrays up to ~4× ``STORE_MIN_RUN``, so runs fall on both
     sides of it) and with the slice loop only.  Sequences mix same-width
     repeats (store runs), specials (``inf``/``nan``/``-0.0``: lengths
-    change), wide values (shift/steal/split), pipelined and batch sends
-    and an optional rebuild midway.  Every send of every run must be
-    byte-identical across the three, and each must canonically match a
-    fresh serialization of the values it carried.
+    change), wide values (shift/steal/split) and an optional rebuild
+    midway.  Every send of every run must be byte-identical across the
+    three, and each must canonically match a fresh serialization of the
+    values it carried.
     """
 
     # Each op is (dirty stride, value pool index).
@@ -149,12 +143,9 @@ class TestRewriteStoreProperty:
         ),
         st.sampled_from(_POLICIES),
         st.booleans(),
-        st.booleans(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_store_loop_fresh_identical(self, n, ops, policy, pipelined, rebuild_midway):
-        policy = dataclasses.replace(policy, pipelined_send=pipelined)
-
+    def test_store_loop_fresh_identical(self, n, ops, policy, rebuild_midway):
         def run(threshold: int, check_fresh: bool):
             sink = CollectSink()
             client = BSoapClient(sink, policy)

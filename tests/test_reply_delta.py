@@ -21,7 +21,7 @@ from repro.bench.workloads import doubles_of_width
 from repro.channel import RPCChannel
 from repro.core.policy import DeltaPolicy, DiffPolicy, StuffingPolicy, StuffMode
 from repro.core.stats import MatchKind
-from repro.errors import DeltaFrameError, SOAPFaultError
+from repro.errors import DeltaFrameError, SOAPFaultError, TransportError
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
 from repro.obs import Observability
 from repro.resilience.faults import FaultInjectingTransport, FaultSpec
@@ -418,6 +418,37 @@ def test_pipelined_depth_8_keeps_frames_in_sequence(front):
             assert len(frames) == len(steps) - 1
             assert [f.seq for f in frames] == list(range(1, len(steps)))
             assert set(channel.replies.outcomes) == {"reply-applied"}
+
+
+@pytest.mark.parametrize("front", FRONT_ENDS)
+def test_pipelined_lost_reply_resyncs_every_structure(front):
+    """A reply lost under pipelining takes the channel's one failure
+    rule: the new connection starts from no baseline and no mirror, so
+    another structure's content match goes out as full XML, not as a
+    frame against a session that never saw its baseline."""
+    a = doubles_of_width(32, 14, seed=5)
+    b = doubles_of_width(48, 14, seed=6)
+    with make_server(_service(), front) as server:
+        # Sends: A, B, A again (its reply lost), B again.
+        channel, _recorder = _open(
+            server.port, script={2: FaultSpec("reset-before-recv")}
+        )
+        with channel, PipelinedChannel(channel, depth=1) as pipe:
+            for values, op in ((a, "aaa"), (b, "bbb")):
+                got = pipe.submit(_msg(values, op)).result(timeout=10)
+                assert np.array_equal(got.response.result(), values)
+            with pytest.raises(TransportError):
+                pipe.submit(_msg(a, "aaa")).result(timeout=10)
+            assert not channel.replies.entries
+            got = pipe.submit(_msg(b, "bbb")).result(timeout=10)
+            assert np.array_equal(got.response.result(), b)
+            assert got.send_report.match_kind is MatchKind.CONTENT_MATCH
+            assert not got.send_report.delta
+            assert pipe.failed == 1
+            stats = channel.channel_stats()
+            assert stats["reconnects"] == 1
+            assert stats["calls"] == 3
+        assert server.service.sessions.merged_counters()["delta_resyncs"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -232,21 +232,6 @@ class TestTransactionalCommit:
         assert report.match_kind is MatchKind.FIRST_TIME
         assert sink.last == fresh_full_bytes(m0, client.policy)
 
-    def test_pipelined_send_rollback(self):
-        policy = DiffPolicy(pipelined_send=True)
-        client, sink, _inj = self._flaky_client(
-            {1: FaultSpec("reset-mid-send", at_byte=60)}, policy
-        )
-        m0 = _msg(np.linspace(0.0, 1.0, 64))
-        client.send(m0)
-        m1 = _msg(np.linspace(2.0, 3.0, 64))
-        with pytest.raises(TransportError):
-            client.send(m1)
-        assert client.stats.rollbacks == 1
-        report = client.send(m1)
-        assert report.forced_full
-        assert sink.last == fresh_full_bytes(m1, policy)
-
     def test_overlay_send_rollback_rebuilds(self):
         policy = DiffPolicy(
             stuffing=StuffingPolicy(StuffMode.MAX),

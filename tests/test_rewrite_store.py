@@ -8,7 +8,6 @@ against a fresh serialization, and the wire against the other path.
 """
 
 import contextlib
-import dataclasses
 
 import numpy as np
 import pytest
@@ -278,10 +277,8 @@ OPS = ["repeat", "repeat", "grow", "repeat", "other", "special", "repeat", "all"
         DiffPolicy(),
         FIXED_MAX,
         DiffPolicy(chunk=ChunkPolicy(chunk_size=256, reserve=16, split_threshold=128)),
-        DiffPolicy(pipelined_send=True),
-        dataclasses.replace(FIXED_MAX, pipelined_send=True),
     ],
-    ids=["default", "fixed-max", "small-chunks", "pipelined", "pipelined-fixed-max"],
+    ids=["default", "fixed-max", "small-chunks"],
 )
 def test_store_and_loop_wire_identical(base):
     with store_min_run(1):
@@ -300,17 +297,14 @@ def test_client_stats_plan_counters_read_zero():
     assert "plan" not in st.summary()
 
 
-@pytest.mark.parametrize("pipelined", [False, True], ids=["batch", "pipelined"])
-def test_rewrite_span_has_duration_in_both_modes(pipelined):
+def test_rewrite_span_has_duration():
     obs = Observability.recording()
-    pol = dataclasses.replace(FIXED_MAX, pipelined_send=pipelined)
-    client = BSoapClient(CollectSink(), pol, obs=obs)
+    client = BSoapClient(CollectSink(), FIXED_MAX, obs=obs)
     call = client.prepare(msg(Parameter("a", ArrayType(DOUBLE), [1.5] * 64)))
     call.send()
     call.tracked("a").update(np.arange(0, 64, 2), np.full(32, 2.5))
     call.send()
     span = obs.tracer.last("rewrite")
-    assert span.attrs["pipelined"] is pipelined
     assert span.attrs["values"] == 32
     assert span.duration_s > 0
     assert not any(key.startswith("plan") for key in span.attrs)

@@ -16,7 +16,7 @@ import pytest
 
 from repro.channel import RPCChannel
 from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
-from repro.errors import PoolError, PoolTimeoutError, SOAPFaultError
+from repro.errors import PoolError, PoolTimeoutError, SOAPFaultError, TransportError
 from repro.runtime.pipeline import PipelinedChannel, PipelinedSender
 from repro.runtime.pool import ClientPool
 from repro.runtime.sessions import DEFAULT_SESSION, ServerSessionManager
@@ -58,6 +58,42 @@ def _msg(values):
 
 
 MAX_STUFF = DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX))
+
+
+class _ScriptedChannel:
+    """The channel surface a pipeline uses, scripted: send 2 fails
+    while the receiver waits on reply 1, and that read fails only once
+    send 3 is in flight (the worst order for the two threads)."""
+
+    def __init__(self) -> None:
+        self.reading = threading.Event()
+        self.third_sent = threading.Event()
+        self.lost_calls = []
+        self.answered_calls = 0
+        self._sends = 0
+        self._reads = 0
+
+    def send_request(self, message):
+        self._sends += 1
+        if self._sends == 2:
+            raise TransportError("connection reset mid-send")
+        if self._sends == 3:
+            self.third_sent.set()
+        return message
+
+    def recv_response(self):
+        self._reads += 1
+        if self._reads == 1:
+            self.reading.set()
+            self.third_sent.wait(5)
+            raise TransportError("connection closed")
+        return "reply to m3"
+
+    def answered(self, started, report=None) -> None:
+        self.answered_calls += 1
+
+    def lost(self, *messages) -> None:
+        self.lost_calls.append(messages)
 
 
 # ======================================================================
@@ -206,6 +242,24 @@ class TestPipelinedChannel:
                 assert after.result(timeout=10).response.result() == 5.0
             pool.checkin(channel)
             assert channel.channel_stats()["faults"] == 1
+
+    def test_lost_connection_settles_once(self):
+        """A failed send aborts the reply the receiver is waiting for;
+        the receive error that follows on the dropped connection must
+        not run the failure rule again, nor fail a call sent since."""
+        ch = _ScriptedChannel()
+        with PipelinedChannel(ch, depth=2) as pipe:
+            first = pipe.submit("m1")
+            assert ch.reading.wait(5)
+            second = pipe.submit("m2")
+            for future in (first, second):
+                with pytest.raises(TransportError):
+                    future.result(timeout=5)
+            third = pipe.submit("m3")
+            assert third.result(timeout=5).response == "reply to m3"
+        assert ch.lost_calls == [("m2", "m1")]
+        assert ch.answered_calls == 1
+        assert pipe.failed == 2
 
     def test_submit_after_close_rejected(self, server):
         with ClientPool(server.host, server.port, 1) as pool:
