@@ -207,7 +207,7 @@ class BSoapClient:
             self.stats.templates_built += 1
             return self._transmit(template, MatchKind.FIRST_TIME, RewriteStats())
         try:
-            template.absorb(message)
+            template.absorb(message, signature)
         except StructureMismatchError:
             # Array length or type changed — rebuild from scratch.
             self.forget(signature)

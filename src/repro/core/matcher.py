@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.stats import MatchKind, RewriteStats
 from repro.soap.message import Signature
 
@@ -41,7 +43,7 @@ def classify(
         dirty = 0
         template_id = -1
     else:
-        dirty = int(template.dut.dirty.sum())
+        dirty = int(np.count_nonzero(template.dut.dirty))
         template_id = template.template_id
         kind = (
             MatchKind.CONTENT_MATCH

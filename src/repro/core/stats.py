@@ -35,6 +35,11 @@ class MatchKind(enum.Enum):
     #: No usable template — full serialization.
     FIRST_TIME = "first-time"
 
+    # Counters are keyed by kind on every send.  Members are singletons,
+    # so identity is a valid hash, and object's runs in C where Enum's
+    # hashes the member name in Python.
+    __hash__ = object.__hash__
+
 
 @dataclass(slots=True)
 class RewriteStats:

@@ -182,6 +182,20 @@ class TemplateStore:
     def signature_count(self) -> int:
         return len(self._by_sig)
 
+    def layout_key(self) -> tuple:
+        """Equal on two calls only if :meth:`approx_bytes` is too.
+
+        Names each in-memory template's buffer and the buffer's layout
+        epoch, which every change of a chunk's capacity bumps; DUT
+        columns keep their size for the buffer's life.
+        """
+        return tuple(
+            (template.buffer, template.buffer.layout_epoch)
+            for entries in self._by_sig.values()
+            for template in entries
+            if isinstance(template, MessageTemplate)
+        )
+
     def approx_bytes(self) -> int:
         """Approximate bytes retained across every cached template.
 

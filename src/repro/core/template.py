@@ -10,6 +10,7 @@ signature and reuses across sends.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -25,12 +26,14 @@ from repro.dut.tracked import (
 )
 from repro.errors import DUTError, StructureMismatchError, TemplateError
 from repro.schema.composite import ArrayType, StructType
-from repro.schema.types import XSDType
-from repro.soap.message import Parameter, SOAPMessage, Signature
+from repro.schema.types import DOUBLE, XSDType
+from repro.soap.message import Parameter, SOAPMessage, Signature, structure_signature
 
 __all__ = ["BoundParam", "MessageTemplate", "Tracked", "absorb_param"]
 
 Tracked = Union[TrackedArray, TrackedStructArray, TrackedScalar, TrackedStringArray]
+
+_DOUBLE_BITS = struct.Struct("<d")
 
 
 def absorb_param(tracked: Tracked, p: Parameter) -> None:
@@ -63,7 +66,17 @@ def absorb_param(tracked: Tracked, p: Parameter) -> None:
             if tracked[i] != s:
                 tracked[i] = s
     elif isinstance(tracked, TrackedScalar):
-        if tracked.value != value:
+        old = tracked.value
+        try:
+            # A double by bit pattern, as changed_leaves compares arrays.
+            changed = (
+                _DOUBLE_BITS.pack(old) != _DOUBLE_BITS.pack(value)
+                if tracked.xsd_type is DOUBLE
+                else old != value
+            )
+        except struct.error:  # not a number: formatting will say so
+            changed = old != value
+        if changed:
             tracked.value = value
     else:  # pragma: no cover - exhaustive
         raise TemplateError(f"unknown tracked type {type(tracked)!r}")
@@ -184,16 +197,19 @@ class MessageTemplate:
     # ------------------------------------------------------------------
     # value absorption (auto-diff path)
     # ------------------------------------------------------------------
-    def absorb(self, message: SOAPMessage) -> None:
+    def absorb(
+        self, message: SOAPMessage, signature: Optional[Signature] = None
+    ) -> None:
         """Diff a new message's values into the tracked state.
 
         Marks dirty exactly the leaves whose values changed, so a
         subsequent send is a content match when nothing changed.  The
-        message must match this template's structure.
+        message must match this template's structure; *signature* is
+        its :func:`structure_signature` when the caller has it.
         """
-        from repro.soap.message import structure_signature
-
-        if structure_signature(message) != self.signature:
+        if signature is None:
+            signature = structure_signature(message)
+        if signature != self.signature:
             raise StructureMismatchError(
                 "message structure does not match template signature"
             )

@@ -49,6 +49,18 @@ def format_column(
     return [xsd_type.format(v) for v in values]
 
 
+def changed_leaves(incoming: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Mask of the slots where *incoming* differs from *current*.
+
+    Floats compare by bit pattern: ``0.0 → -0.0`` is a change (the two
+    serialize differently), and a NaN that keeps its bits is not.
+    """
+    if current.dtype.kind == "f":
+        bits = np.dtype(f"u{current.dtype.itemsize}")
+        return incoming.view(bits) != current.view(bits)
+    return incoming != current
+
+
 class _Bindable:
     """Shared bind/dirty plumbing."""
 
@@ -139,12 +151,7 @@ class TrackedArray(_Bindable):
                 "array length changes are a structure mismatch"
             )
         if self._dirty is not None:
-            changed = incoming != self._data
-            # NaN != NaN would spuriously dirty; treat NaN→NaN as unchanged.
-            if self._data.dtype.kind == "f":
-                both_nan = np.isnan(incoming) & np.isnan(self._data)
-                changed &= ~both_nan
-            np.logical_or(self._dirty, changed, out=self._dirty)
+            self._dirty |= changed_leaves(incoming, self._data)
         self._data[:] = incoming
 
     # -- serialization support -------------------------------------------
@@ -257,11 +264,7 @@ class TrackedStructArray(_Bindable):
         if incoming.shape != col.shape:
             raise DUTError("set_column length mismatch is a structure mismatch")
         if self._dirty is not None:
-            changed = incoming != col
-            if col.dtype.kind == "f":
-                changed &= ~(np.isnan(incoming) & np.isnan(col))
-            pos = self._field_pos(field)
-            np.logical_or(self._dirty[:, pos], changed, out=self._dirty[:, pos])
+            self._dirty[:, self._field_pos(field)] |= changed_leaves(incoming, col)
         col[:] = incoming
 
     # -- serialization support -------------------------------------------

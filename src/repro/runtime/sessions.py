@@ -88,6 +88,7 @@ class ServerSession:
         "pinned",
         "in_use",
         "accounted",
+        "accounted_key",
         "__weakref__",
     )
 
@@ -133,6 +134,8 @@ class ServerSession:
         #: :class:`~repro.hardening.overload.MemoryAccountant`; the
         #: manager's ``note_usage`` keeps it in sync after requests.
         self.accounted: Dict[str, int] = {}
+        #: :meth:`size_key` when :attr:`accounted` was last measured.
+        self.accounted_key: Optional[tuple] = None
         if obs is not None:
             obs.watch(self)
 
@@ -165,6 +168,19 @@ class ServerSession:
         return dict(
             self.delta.state_bytes(),
             response=self.responder.store.approx_bytes() + self.sink.last_bytes(),
+        )
+
+    def size_key(self) -> tuple:
+        """Equal on two calls only if :meth:`state_components` is too.
+
+        Each part changes whenever its component may have: the store's
+        generation, the response templates' layout key and the
+        retained response's size.
+        """
+        return (
+            self.delta.generation,
+            self.responder.store.layout_key(),
+            self.sink.last_bytes(),
         )
 
     def approx_bytes(self) -> int:
@@ -406,10 +422,14 @@ class ServerSessionManager:
         O(this session) — callers invoke it for the session that just
         handled a request (while still holding its lock), so the global
         ledger stays current without ever walking the registry.  A
-        no-op without an accountant.
+        request that changed no size (:meth:`ServerSession.size_key`)
+        re-measures nothing.  A no-op without an accountant.
         """
         if self.accountant is not None:
-            self._recharge(session)
+            key = session.size_key()
+            if key != session.accounted_key:
+                self._recharge(session)
+                session.accounted_key = key
 
     def _recharge(self, session: ServerSession) -> int:
         """Charge what *session* holds now against what it was charged;

@@ -83,6 +83,9 @@ class DeserKind(enum.Enum):
     CONTENT_MATCH = "content"
     DIFFERENTIAL = "differential"
 
+    # Counted by kind on every decode: as MatchKind, an identity hash.
+    __hash__ = object.__hash__
+
 
 @dataclass(slots=True)
 class DeserReport:
@@ -153,6 +156,7 @@ class DifferentialDeserializer:
         data = entry.data
         document = data if isinstance(data, bytes) else bytes(data)
         result = self.parser.parse(document)
+        self.store.generation += 1
         entry.base, entry.decoded = data, entry.seq
         entry.result, entry.table = result, None
         descriptor = (
@@ -227,18 +231,18 @@ class DifferentialDeserializer:
         entry, frame = data.entry, data.frame
         if frame is None:
             return self._decode_document(entry)
+        if data.unchanged:
+            entry.decoded = frame.seq
+            return self._content_match(entry)
         if frame.seq == entry.decoded + 1:
-            out = (
-                self._follow_directory(entry, frame)
-                if frame.splice_count
-                else self._content_match(entry)
-            )
+            out = self._follow_directory(entry, frame)
             if out is not None:
                 entry.decoded = frame.seq
                 return out
         # No older copy to compare with: the full parse decides, and the
         # decode of the document's former content goes first.
         entry.drop_decode()
+        self.store.generation += 1
         return self._full_parse(entry)
 
     def _follow_directory(
@@ -324,6 +328,7 @@ class DifferentialDeserializer:
         """Drop every entry's decode (and its compiled seek table)."""
         for entry in list(self.store.entries.values()):
             entry.drop_decode()
+        self.store.generation += 1
 
     @property
     def has_seek_table(self) -> bool:
@@ -343,6 +348,7 @@ class DifferentialDeserializer:
             if entry.table is not None:
                 freed = entry.table.approx_bytes()
                 entry.table = None
+                self.store.generation += 1
                 self._skip_event("shed")
                 return freed
         return 0

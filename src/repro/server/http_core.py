@@ -38,6 +38,7 @@ only).
 from __future__ import annotations
 
 import errno
+import functools
 import logging
 import threading
 from typing import (
@@ -121,13 +122,20 @@ def response_head(
     status: int, content_type: str, length: int, extra: Sequence[str] = ()
 ) -> bytes:
     """The head of a keep-alive response carrying *length* body bytes."""
+    return _head_prefix(status, content_type, tuple(extra)) + b"%d\r\n\r\n" % length
+
+
+@functools.lru_cache(maxsize=64)
+def _head_prefix(status: int, content_type: str, extra: Tuple[str, ...]) -> bytes:
+    """A response head up to its ``Content-Length`` value, the only
+    line that differs between the replies of a steady session."""
     phrase = _STATUS_PHRASES.get(status, "Error")
     header_lines = "".join(f"{line}\r\n" for line in extra)
     return (
         f"HTTP/1.1 {status} {phrase}\r\n"
         f"Content-Type: {content_type}\r\n"
         f"{header_lines}"
-        f"Content-Length: {length}\r\n\r\n"
+        "Content-Length: "
     ).encode("ascii")
 
 

@@ -343,7 +343,8 @@ class SOAPService:
         name, else under its operation.  *mirrored*: the caller holds a
         reply mirror, so the response may be a frame or an announce."""
         try:
-            document = body.buffer if isinstance(body, MirroredDocument) else body
+            mirrored_body = isinstance(body, MirroredDocument)
+            document = body.buffer if mirrored_body else body
             if len(document) > self.limits.max_body_bytes:
                 raise ResourceLimitError(
                     f"request body of {len(document)} bytes exceeds "
@@ -352,11 +353,13 @@ class SOAPService:
                 )
             # Trie peek (Chiu et al.'s tag-trie optimization applied
             # to dispatch): an unknown operation tag faults before any
-            # parsing work is spent on the body.
-            status, peeked = self._peeker.classify(document)
-            if status == "unknown":
-                raise SOAPError(f"unknown operation {peeked!r}")
-            if not isinstance(body, MirroredDocument):
+            # parsing work is spent on the body.  A document that is
+            # the one last decoded passed it then, and is not peeked.
+            if not (mirrored_body and body.unchanged):
+                status, peeked = self._peeker.classify(document)
+                if status == "unknown":
+                    raise SOAPError(f"unknown operation {peeked!r}")
+            if not mirrored_body:
                 body = session.delta.deposit(body, peeked, announce)
             decoded, _report = session.deserializer.deserialize(body)
             op = self._operations.get(decoded.operation)

@@ -69,6 +69,20 @@ class HTTPTransport:
         #: replies mirrors them (``X-Repro-Delta-Reply: 1``), so the
         #: server may answer with frames; see ``docs/wire_protocol.md``.
         self.delta_offer = delta_offer
+        # A frame request's head up to the Content-Length value: the
+        # same on every frame, so joined once.
+        frame_lines = [
+            f"POST {path} HTTP/1.1",
+            f"Host: {host}",
+            f"User-Agent: {user_agent}",
+            "Content-Type: application/x-repro-delta",
+            f"SOAPAction: {soap_action}",
+            "X-Repro-Delta: 1",
+            *(["X-Repro-Delta-Reply: 1"] if delta_offer else []),
+            "X-Repro-Delta-Frame: 1",
+            "Content-Length: ",
+        ]
+        self._frame_head = "\r\n".join(frame_lines).encode("ascii")
         # Armed by the client's DeltaEncoder just before a full send;
         # consumed (and cleared) by the next message's header block.
         self._announce: Optional[Tuple[int, int]] = None
@@ -115,19 +129,7 @@ class HTTPTransport:
 
     def send_delta_frame(self, frame: bytes) -> int:
         """POST one binary delta frame (always identity-framed)."""
-        lines = [
-            f"POST {self.path} HTTP/1.1",
-            f"Host: {self.host}",
-            f"User-Agent: {self.user_agent}",
-            "Content-Type: application/x-repro-delta",
-            f"SOAPAction: {self.soap_action}",
-            "X-Repro-Delta: 1",
-        ]
-        if self.delta_offer:
-            lines.append("X-Repro-Delta-Reply: 1")
-        lines.append("X-Repro-Delta-Frame: 1")
-        lines.append(f"Content-Length: {len(frame)}")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("ascii")
+        head = self._frame_head + b"%d\r\n\r\n" % len(frame)
         self.inner.send_message([head, frame])
         self._payload_sent = len(frame)
         if self._counting:
@@ -278,12 +280,13 @@ class HttpFramer:
     needed.  Pipelined followers stay buffered for the next call.
 
     Every byte is examined once.  The head terminator and chunk-size
-    lines are searched from where the last search stopped.  Once a head
-    is parsed, identity body bytes bypass the search buffer and are
-    only counted; a chunk is cut out when it is complete.  Body pieces
-    are joined once at the end, so memory follows what was received,
-    never what a header declares: a lying ``Content-Length`` commits
-    nothing.
+    lines are searched from where the last search stopped; a head equal
+    to the one before it (a steady peer's) is compared, not parsed
+    again.  Once a head is parsed, identity body bytes bypass the
+    search buffer and are only counted; a chunk is cut out when it is
+    complete.  Body pieces are joined once at the end, so memory follows
+    what was received, never what a header declares: a lying
+    ``Content-Length`` commits nothing.
 
     Malformed framing raises :class:`HTTPFramingError`; crossing
     *max_header*/*max_body* (on the declared sizes, before the body is
@@ -294,7 +297,7 @@ class HttpFramer:
     __slots__ = (
         "feed", "_start_line", "_max_header", "_max_body", "_max_buffered",
         "_pending", "_state", "_taken", "_scan", "_need", "_decoded",
-        "_start", "_headers", "_parts",
+        "_start", "_headers", "_parts", "_last_block", "_last_head",
     )
 
     def __init__(
@@ -324,6 +327,10 @@ class HttpFramer:
         self._start: object = None
         self._headers: Dict[str, str] = {}
         self._parts: List[bytes] = []
+        # The last header block and its parse: a steady peer sends the
+        # same head every time, so only the first is parsed.
+        self._last_block: Optional[bytearray] = None
+        self._last_head: tuple = ()
 
     @classmethod
     def for_requests(cls, limits: Optional[ResourceLimits] = None) -> "HttpFramer":
@@ -395,17 +402,15 @@ class HttpFramer:
                     raise RequestTooLargeError(
                         f"header block exceeds {max_header} bytes"
                     )
-                lines = pending[:end].decode("latin-1").split("\r\n")
-                start = self._start_line(lines[0])
-                headers: Dict[str, str] = {}
-                for line in lines[1:]:
-                    key, colon, value = line.partition(":")
-                    if not colon:
-                        raise HTTPFramingError(f"bad header line {line!r}")
-                    headers[key.strip().lower()] = value.strip()
+                block = pending[:end]
+                if block != self._last_block:
+                    self._last_head = self._parse_head(block)
+                    self._last_block = block
+                start, parsed, length = self._last_head
+                # The caller owns what it gets; the memo keeps its own.
+                headers = dict(parsed)
                 body_at = end + 4
-                if headers.get("transfer-encoding", "").lower() != "chunked":
-                    length = _content_length(headers)
+                if length is not None:
                     max_body = self._max_body
                     if max_body is not None and length > max_body:
                         raise RequestTooLargeError(
@@ -471,6 +476,21 @@ class HttpFramer:
                 if eol == 0:
                     return self._finish(2)
                 self._drop(eol + 2)
+
+    def _parse_head(self, block: bytearray):
+        """``(start, headers, Content-Length or None when chunked)`` of
+        one header block; raises as :meth:`next_message` does."""
+        lines = block.decode("latin-1").split("\r\n")
+        start = self._start_line(lines[0])
+        headers: Dict[str, str] = {}
+        for line in lines[1:]:
+            key, colon, value = line.partition(":")
+            if not colon:
+                raise HTTPFramingError(f"bad header line {line!r}")
+            headers[key.strip().lower()] = value.strip()
+        if headers.get("transfer-encoding", "").lower() == "chunked":
+            return start, headers, None
+        return start, headers, _content_length(headers)
 
     def _drop(self, count: int) -> None:
         """Forget *count* framed bytes of the message in progress."""

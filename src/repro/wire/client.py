@@ -146,9 +146,9 @@ class DeltaEncoder:
         if template.total_bytes != baseline.doc_len:
             return self._fallback("doc-len")
 
-        dut = template.dut
-        take = np.flatnonzero(snapshot)
-        if take.size:
+        if np.count_nonzero(snapshot):
+            dut = template.dut
+            take = np.flatnonzero(snapshot)
             chunk_ids = buffer.chunk_ids
             bases = np.zeros(max(chunk_ids) + 1, dtype=np.int64)
             pos = 0

@@ -59,6 +59,9 @@ _DIR_DTYPE = np.dtype([("off", "<u8"), ("width", "<u4")])
 #: (:func:`apply_frame`) or gather (the encoder, per chunk run) beats
 #: slicing; below it setting the op up costs more than the slices.
 SCATTER_MIN = 16
+#: The directory of every header-only frame: shared, so read-only.
+_NO_SPLICES = np.empty(0, dtype=np.int64)
+_NO_SPLICES.flags.writeable = False
 
 
 @dataclass(slots=True)
@@ -93,6 +96,9 @@ def encode_frame(
 ) -> bytes:
     """Serialize one frame.  Caller guarantees the splice invariants."""
     n = len(offsets)
+    if not n and not payload:
+        # A content match; its CRC, of nothing, is 0.
+        return HEADER.pack(MAGIC, template_id, epoch, seq, doc_len, 0, 0)
     dir_bytes = b""
     if n:
         directory = np.empty(n, dtype=_DIR_DTYPE)
@@ -109,15 +115,16 @@ def decode_frame(
 ) -> DeltaFrame:
     """Validate and decode one frame (see module docstring)."""
     limits = limits if limits is not None else DEFAULT_LIMITS
-    if len(data) > limits.max_delta_frame_bytes:
+    size = len(data)
+    if size > limits.max_delta_frame_bytes:
         raise DeltaFrameError(
-            f"frame of {len(data)} bytes exceeds "
+            f"frame of {size} bytes exceeds "
             f"max_delta_frame_bytes={limits.max_delta_frame_bytes}",
             "frame-too-large",
         )
-    if len(data) < HEADER.size:
+    if size < HEADER.size:
         raise DeltaFrameError(
-            f"frame truncated at {len(data)} bytes (header is {HEADER.size})",
+            f"frame truncated at {size} bytes (header is {HEADER.size})",
             "truncated",
         )
     magic, template_id, epoch, seq, doc_len, count, crc = HEADER.unpack_from(data)
@@ -136,60 +143,53 @@ def decode_frame(
             "doc-too-large",
         )
     dir_end = HEADER.size + count * DIR_ENTRY.size
-    if dir_end > len(data):
+    if dir_end > size:
         raise DeltaFrameError(
             f"directory for {count} splices overruns the frame", "truncated"
         )
     body = memoryview(data)
-    if zlib.crc32(body[HEADER.size:]) & 0xFFFFFFFF != crc:
+    # A header-only frame checks against the CRC of nothing, which is 0.
+    if (zlib.crc32(body[HEADER.size:]) if size > HEADER.size else 0) != crc:
         raise DeltaFrameError("frame CRC mismatch", "crc-mismatch")
     payload = body[dir_end:]
-    if count:
-        directory = np.frombuffer(
-            data, dtype=_DIR_DTYPE, count=count, offset=HEADER.size
-        )
-        offsets = directory["off"].astype(np.int64)
-        widths = directory["width"].astype(np.int64)
-        if bool((offsets < 0).any()):
-            # u64 offsets past 2**63 wrap negative in the int64 view;
-            # negative slice indices would *insert* into the mirror.
-            raise DeltaFrameError(
-                "splice offset exceeds the representable range",
-                "out-of-bounds",
-            )
-        if int(widths.sum()) != len(payload):
-            raise DeltaFrameError(
-                "payload length disagrees with the splice directory",
-                "payload-mismatch",
-            )
-        if bool((widths <= 0).any()):
-            raise DeltaFrameError("zero-width splice", "bad-splice")
-        ends = offsets + widths
-        if bool((ends > doc_len).any()):
-            raise DeltaFrameError(
-                "splice reaches past the declared document length",
-                "out-of-bounds",
-            )
-        if bool((offsets[1:] < ends[:-1]).any()):
-            raise DeltaFrameError(
-                "splices unsorted or overlapping", "bad-splice"
-            )
-    else:
+    if not count:
         if payload:
             raise DeltaFrameError(
                 "payload bytes present with zero splices", "payload-mismatch"
             )
-        offsets = np.empty(0, dtype=np.int64)
-        widths = np.empty(0, dtype=np.int64)
-    return DeltaFrame(
-        template_id=int(template_id),
-        epoch=int(epoch),
-        seq=int(seq),
-        doc_len=int(doc_len),
-        offsets=offsets,
-        widths=widths,
-        payload=payload,
+        return DeltaFrame(
+            template_id, epoch, seq, doc_len, _NO_SPLICES, _NO_SPLICES, payload
+        )
+    directory = np.frombuffer(
+        data, dtype=_DIR_DTYPE, count=count, offset=HEADER.size
     )
+    offsets = directory["off"].astype(np.int64)
+    widths = directory["width"].astype(np.int64)
+    if bool((offsets < 0).any()):
+        # u64 offsets past 2**63 wrap negative in the int64 view;
+        # negative slice indices would *insert* into the mirror.
+        raise DeltaFrameError(
+            "splice offset exceeds the representable range",
+            "out-of-bounds",
+        )
+    if int(widths.sum()) != len(payload):
+        raise DeltaFrameError(
+            "payload length disagrees with the splice directory",
+            "payload-mismatch",
+        )
+    if bool((widths <= 0).any()):
+        raise DeltaFrameError("zero-width splice", "bad-splice")
+    ends = offsets + widths
+    if bool((ends > doc_len).any()):
+        raise DeltaFrameError(
+            "splice reaches past the declared document length",
+            "out-of-bounds",
+        )
+    if bool((offsets[1:] < ends[:-1]).any()):
+        raise DeltaFrameError(
+            "splices unsorted or overlapping", "bad-splice"
+        )
+    return DeltaFrame(template_id, epoch, seq, doc_len, offsets, widths, payload)
 
 
 def apply_frame(frame: DeltaFrame, mirror: bytearray) -> None:

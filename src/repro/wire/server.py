@@ -93,6 +93,17 @@ class MirroredDocument:
     def buffer(self) -> Union[bytes, bytearray]:
         return self.entry.data
 
+    @property
+    def unchanged(self) -> bool:
+        """The document is byte for byte the one its entry's decode
+        describes: a header-only frame, next after the decoded one."""
+        frame = self.frame
+        return (
+            frame is not None
+            and not frame.splice_count
+            and frame.seq == self.entry.decoded + 1
+        )
+
     def __len__(self) -> int:
         return len(self.entry.data)
 
@@ -106,6 +117,7 @@ class DeltaSession:
 
     __slots__ = (
         "entries",
+        "generation",
         "max_mirrors",
         "frames_applied",
         "resyncs",
@@ -116,6 +128,10 @@ class DeltaSession:
     def __init__(self, limits: Optional[ResourceLimits] = None) -> None:
         limits = limits if limits is not None else DEFAULT_LIMITS
         self.entries: "OrderedDict[Hashable, DocumentEntry]" = OrderedDict()
+        #: Bumped whenever :meth:`state_bytes` may change: an entry held,
+        #: replaced or dropped, or (by the deserializer) a decode made
+        #: or dropped.  Frames patch in place and change no size.
+        self.generation = 0
         self.max_mirrors = limits.max_delta_mirrors
         self.frames_applied = 0
         self.resyncs = 0
@@ -135,6 +151,7 @@ class DeltaSession:
         self, key: Hashable, entry: DocumentEntry, data: Union[bytes, bytearray]
     ) -> MirroredDocument:
         entry.data = data
+        self.generation += 1
         self.entries[key] = entry
         self.entries.move_to_end(key)
         while len(self.entries) > self.max_mirrors:
@@ -219,6 +236,7 @@ class DeltaSession:
             problem = None
         if problem is not None:
             self.entries.pop(frame.template_id, None)
+            self.generation += 1
             self.resyncs += 1
             raise DeltaResyncError(*problem)
         if frame.splice_count:
@@ -245,11 +263,13 @@ class DeltaSession:
         for key, entry in self.entries.items():
             if entry.epoch is not None:
                 del self.entries[key]
+                self.generation += 1
                 return len(entry.data)
         return None
 
     def clear(self) -> None:
         self.entries.clear()
+        self.generation += 1
 
     def state_bytes(self) -> Dict[str, int]:
         """Bytes held, by ledger component: a mirror's document counts

@@ -27,6 +27,7 @@ from repro.baselines.naive import NaiveClient
 from repro.channel import RPCChannel
 from repro.core.client import BSoapClient
 from repro.core.policy import DeltaPolicy, DiffPolicy, StuffingPolicy, StuffMode
+from repro.core.stats import MatchKind
 from repro.errors import AdmissionRejectedError, HTTPStatusError, XMLError
 from repro.hardening.limits import ResourceLimits
 from repro.hardening.overload import (
@@ -42,12 +43,15 @@ from repro.resilience.budget import RetryBudget
 from repro.resilience.reconnect import ReconnectingTCPTransport
 from repro.resilience.retry import RetryPolicy, parse_retry_after
 from repro.runtime.loadgen import (
+    ECHO_OPERATION,
+    EXPAND_OPERATION,
     OPERATION,
     SERVICE_NS,
     build_service,
     message_sequence,
 )
 from repro.schema import DOUBLE, ArrayType
+from repro.server.async_server import make_server
 from repro.server.parser import SOAPRequestParser
 from repro.server.threaded_server import HTTPSoapServer
 from repro.soap.fault import SOAPFault
@@ -594,6 +598,79 @@ class TestSharedBufferLedger:
         assert [s.key for s in service.sessions.sessions()] == ["framed"]
         assert self._check(service) == usage - charged
         assert service.accountant.sheds == {"mirror": 2, "seektable": 1, "session": 1}
+
+
+@pytest.mark.parametrize("front_end", ("threaded", "async"))
+def test_ledger_exact_after_every_request(front_end):
+    """``note_usage`` re-measures a session whenever one of its sizes may
+    have changed, and only then: after every kind of request — and a
+    shed and an eviction between them — the ledger equals what each
+    session holds."""
+    ledger = TestSharedBufferLedger()
+    service = build_service(0.0, max_sessions=1)
+    policy = DiffPolicy(
+        stuffing=StuffingPolicy(StuffMode.MAX), delta=DeltaPolicy(offer=True)
+    )
+    retry = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
+    values = np.arange(32, dtype=float)
+
+    def call(channel, operation, data):
+        parameter = Parameter("data", ArrayType(DOUBLE), data)
+        channel.call(SOAPMessage(operation, SERVICE_NS, [parameter]))
+        return channel.last_send_report.match_kind.value
+
+    responses = service.sessions.merged_response_stats
+    with make_server(service, front_end) as server:
+        with RPCChannel(
+            "127.0.0.1", server.port, policy=policy, retry=retry
+        ) as channel:
+            assert call(channel, OPERATION, values) == "first-time"
+            ledger._check(service)
+            assert call(channel, OPERATION, values) == "content"
+            ledger._check(service)
+            # A new request template whose reply repeats the last one
+            # byte for byte: only the request store changed size.
+            assert call(channel, OPERATION, np.append(values, 0.0)) == "first-time"
+            assert service.sessions.sessions()[0].sink.last_bytes() == 36
+            ledger._check(service)
+            values[3] = 0.25
+            assert call(channel, OPERATION, values) == "perfect-structural"
+            ledger._check(service)
+            assert call(channel, ECHO_OPERATION, values) == "first-time"
+            ledger._check(service)
+            assert call(channel, ECHO_OPERATION, values) == "content"
+            ledger._check(service)
+            # Every reply value outgrows its field: the reply template
+            # expands and its chunk reallocates.
+            grown = values + 1.0 / 3.0
+            partial = responses().by_kind[MatchKind.PARTIAL_STRUCTURAL]
+            assert call(channel, ECHO_OPERATION, grown) == "perfect-structural"
+            assert responses().by_kind[MatchKind.PARTIAL_STRUCTURAL] == partial + 1
+            ledger._check(service)
+            assert call(channel, EXPAND_OPERATION, values) == "first-time"
+            ledger._check(service)
+            assert call(channel, EXPAND_OPERATION, values) == "content"
+            ledger._check(service)
+
+            acct = service.accountant
+            budget, fraction = acct.budget_bytes, acct.shed_target_fraction
+            assert ledger._shed_once(service) == {"mirror": 1}
+            ledger._check(service)
+            acct.budget_bytes, acct.shed_target_fraction = budget, fraction
+            call(channel, OPERATION, values)  # its mirror may be the one shed
+            ledger._check(service)
+
+            # A second connection under max_sessions=1 evicts the first
+            # connection's (idle) session.
+            evictions = service.sessions.evictions
+            with RPCChannel(
+                "127.0.0.1", server.port, policy=policy, retry=retry
+            ) as other:
+                assert call(other, OPERATION, values) == "first-time"
+                assert service.sessions.evictions == evictions + 1
+                ledger._check(service)
+            call(channel, ECHO_OPERATION, grown)
+            ledger._check(service)
 
 
 class TestStateGauges:

@@ -35,7 +35,7 @@ from repro.server.async_server import make_server
 from repro.server.diffdeser import DeserKind
 from repro.server.service import SOAPService
 from repro.soap.message import Parameter, SOAPMessage
-from repro.wire.frame import decode_frame
+from repro.wire.frame import decode_frame, encode_frame
 from repro.wire.server import DeltaSession
 
 NS = "urn:reply"
@@ -213,6 +213,43 @@ def test_header_only_frame_returns_the_cached_decode():
             assert report.total_leaves == 1024
             assert np.array_equal(again, values) and again is not first
             assert [f.seq for f in recorder.frames()] == [1, 2]
+
+
+@pytest.mark.parametrize("front", FRONT_ENDS)
+def test_content_match_frames_are_header_only_at_both_ends(front):
+    """A resent request and its repeated reply each cross the wire as
+    exactly ``encode_frame(tid, epoch, seq, doc_len, (), (), b"")``."""
+    with make_server(_service(), front) as server:
+        channel, recorder = _open(server.port)
+        requests = []
+        send = recorder.send_message
+
+        def keep(views, total_bytes=None):
+            message = b"".join(bytes(v) for v in views)
+            requests.append(message)
+            return send([message], total_bytes)
+
+        recorder.send_message = keep
+        with channel:
+            values = doubles_of_width(64, 14, seed=5)
+            for _ in range(4):
+                assert np.array_equal(channel.call(_msg(values)).result(), values)
+    request_frames = [
+        message.split(b"\r\n\r\n", 1)[1]
+        for message in requests
+        if b"X-Repro-Delta-Frame: 1\r\n" in message
+    ]
+    reply_frames = [
+        body
+        for _status, headers, body in recorder.responses
+        if headers.get("x-repro-delta-frame") == "1"
+    ]
+    assert len(request_frames) == 3 and len(reply_frames) == 3
+    for body in request_frames + reply_frames:
+        frame = decode_frame(body)
+        assert body == encode_frame(
+            frame.template_id, frame.epoch, frame.seq, frame.doc_len, (), (), b""
+        )
 
 
 # ----------------------------------------------------------------------

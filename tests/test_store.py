@@ -239,3 +239,47 @@ class TestPipelinedSend:
         call.tracked("a")[5] = 3.5
         call.send()
         assert len(seen) > 3  # one segment per chunk
+
+
+class TestLayoutKey:
+    """``layout_key`` is what lets the server skip re-measuring a
+    session's response templates: equal keys must mean equal sizes."""
+
+    @pytest.mark.parametrize(
+        "chunk",
+        [ChunkPolicy(), ChunkPolicy(chunk_size=256, reserve=16, split_threshold=64)],
+        ids=["default", "small-chunks"],
+    )
+    def test_equal_key_means_equal_size(self, chunk):
+        policy = DiffPolicy(chunk=chunk, template_variants=2)
+        client = BSoapClient(CollectSink(), policy)
+        store = client.store
+        rng = np.random.default_rng(3)
+        seen = {}
+        changes = 0
+        for step in range(60):
+            n = 40 if step % 7 else 41  # now and then a second structure
+            digits = int(rng.integers(1, 17))
+            values = np.round(rng.random(n) * 10 ** rng.integers(0, 4), digits)
+            if step % 3 == 0:
+                values[:] = 1.0  # short texts: later sends expand again
+            client.send(msg(values))
+            key, size = store.layout_key(), store.approx_bytes()
+            if key in seen:
+                assert seen[key] == size
+            changes += key not in seen
+            seen[key] = size
+        assert changes > 5  # expansions really moved the key
+
+    def test_content_and_perfect_sends_keep_the_key(self):
+        policy = DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX))
+        client = BSoapClient(CollectSink(), policy)
+        values = np.linspace(0.0, 1.0, 50)
+        client.send(msg(values))
+        key = client.store.layout_key()
+        client.send(msg(values))
+        values[7] = 123.25
+        assert client.send(msg(values)).match_kind is MatchKind.PERFECT_STRUCTURAL
+        assert client.store.layout_key() == key
+        client.forget(structure_signature(msg(values)))
+        assert client.store.layout_key() == ()

@@ -16,6 +16,7 @@ Layers covered:
 from __future__ import annotations
 
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -112,6 +113,32 @@ class TestFrameCodec:
     )
     def test_decode_rejections(self, mutate, reason):
         frame = encode_frame(1, 1, 1, 50, [5], [4], b"abcd")
+        with pytest.raises(DeltaFrameError) as err:
+            decode_frame(mutate(frame))
+        assert err.value.reason == reason
+
+    @pytest.mark.parametrize(
+        "mutate,reason",
+        [
+            (lambda f: f[:10], "truncated"),
+            (lambda f: f[:-1], "truncated"),
+            (lambda f: b"XXXX" + f[4:], "bad-magic"),
+            (lambda f: f[:32] + struct.pack("<I", 1) + f[36:], "crc-mismatch"),
+            (
+                lambda f: f[:28] + struct.pack("<I", 1) + f[32:],
+                "truncated",  # directory for 1 splice overruns
+            ),
+            # One payload byte with count 0, under an honest CRC.
+            (
+                lambda f: f[:32] + struct.pack("<I", zlib.crc32(b"x")) + b"x",
+                "payload-mismatch",
+            ),
+        ],
+    )
+    def test_header_only_decode_rejections(self, mutate, reason):
+        """A content match's frame skips no check: the zero-splice path
+        is as hostile-proof as any other."""
+        frame = encode_frame(1, 1, 1, 50, [], [], b"")
         with pytest.raises(DeltaFrameError) as err:
             decode_frame(mutate(frame))
         assert err.value.reason == reason
