@@ -9,14 +9,18 @@ payload bytes and send latency across dirty fractions:
   whole (rewritten-in-place) document;
 * ``delta`` — the same client with ``DeltaPolicy(offer=True)`` over a
   negotiated :class:`~repro.wire.loopback.DeltaLoopback` peer; eligible
-  resends ship RDF1 frames, the peer reconstructs from its mirror.
+  resends ship RDF2 frames, the peer reconstructs from its mirror.
 
-Both variants run the identical mutation schedule (fixed-format MAX
+Both variants run the identical mutation schedule (MINIMAL-format MAX
 stuffing, so every resend is a perfect structural match and the grid
-isolates *wire bytes*, not match level).  At ``dirty_frac=1.0`` the
-frame outgrows ``max_frame_fraction`` and the encoder voluntarily
-falls back to full XML — the grid keeps that cell to show the
-degradation floor is ~1.0x, never worse.
+isolates *wire bytes*, not match level).  Every dirty double of a
+MINIMAL sender crosses as a typed splice (8 bytes of binary64 and a
+12-byte directory entry); ``typed_share`` is the share of the frames'
+directory entries that were typed, 1.0 unless the encoder silently fell
+back to byte splices.  At ``dirty_frac=1.0`` the frame outgrows
+``max_frame_fraction`` and the encoder voluntarily falls back to full
+XML — the grid keeps that cell to show the degradation floor is ~1.0x,
+never worse.
 
 Before timing, two sanity gates run on small copies:
 
@@ -29,7 +33,8 @@ Before timing, two sanity gates run on small copies:
 
 Emits one ``repro-bench-result/1`` document.  The headline row
 (``delta`` at ``dirty_frac=0.01``) is what the CI ``perf-smoke`` job
-checks against ``BENCH_delta_wire.json`` (>= 50x payload reduction).
+checks against ``BENCH_delta_wire.json`` (>= 50x payload reduction),
+with ``typed_share`` 1.0 on every delta row that framed.
 
 Usage::
 
@@ -67,6 +72,7 @@ REQUIRED_COLUMNS = (
     "mean_send_ms",
     "calls_per_sec",
     "reduction_vs_full",
+    "typed_share",
 )
 
 VARIANTS = ("full-xml", "delta")
@@ -83,11 +89,11 @@ MIN_HEADLINE_REDUCTION = 50.0
 
 
 def _policy(variant: str) -> DiffPolicy:
-    # Fixed-format MAX stuffing keeps every field width constant, so
-    # each resend is a perfect structural match and the two variants
+    # MAX stuffing gives every double the widest text MINIMAL writes,
+    # so each resend is a perfect structural match and the two variants
     # differ only in what crosses the wire.
     return DiffPolicy(
-        float_format=FloatFormat.FIXED,
+        float_format=FloatFormat.MINIMAL,
         stuffing=StuffingPolicy(StuffMode.MAX),
         delta=DeltaPolicy(offer=(variant == "delta")),
     )
@@ -124,6 +130,7 @@ def _run_cell(
     tracked.update(*schedule[0])
     call.send()
     bytes0, delta0, full0 = loop.payload_bytes, loop.delta_sends, loop.full_sends
+    typed0, byte0 = loop.typed_splices, loop.byte_splices
     elapsed = 0.0
     for idx, vals in schedule[1:]:
         tracked.update(idx, vals)
@@ -131,6 +138,8 @@ def _run_cell(
         call.send()
         elapsed += time.perf_counter() - t0
     payload = loop.payload_bytes - bytes0
+    typed = loop.typed_splices - typed0
+    entries = typed + loop.byte_splices - byte0
     return {
         "variant": variant,
         "n": n,
@@ -142,6 +151,7 @@ def _run_cell(
         "mean_send_ms": round(elapsed / sends * 1e3, 4),
         "calls_per_sec": round(sends / elapsed, 1),
         "reduction_vs_full": 1.0,
+        "typed_share": round(typed / entries, 4) if entries else 0.0,
     }
 
 
@@ -247,7 +257,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{row['mean_payload_bytes']:>12.1f} B/send  "
                 f"x{row['reduction_vs_full']:.1f} vs full  "
                 f"({row['delta_sends']} frames, {row['full_sends']} full, "
-                f"{row['mean_send_ms']:.3f} ms/send)",
+                f"typed {row['typed_share']:.2f}, {row['mean_send_ms']:.3f} ms/send)",
                 file=sys.stderr,
             )
 

@@ -21,7 +21,7 @@ seek table is worth across dirty fractions on a 64Ki-double request:
   client that negotiated no delta frames gets).
 * ``skipscan-frame`` — the same deserializer entered the way
   steady-state repro↔repro traffic enters it: the same sends encoded
-  as RDF1 frames, through ``DeltaSession.apply`` → ``deserialize`` of
+  as RDF2 frames, through ``DeltaSession.apply`` → ``deserialize`` of
   the store entry holding the mirror and its decode.  The frame's splice
   directory names the changed leaves; nothing document-sized is
   compared or copied.
@@ -177,7 +177,7 @@ def _frames(
     n: int, frac: float, sends: int, seed: int
 ) -> Tuple[Tuple[int, int], List[bytes]]:
     """The same sends as a delta-negotiated client puts them on the
-    wire: ``(announced baseline, [first-time body] + RDF1 frames)``.
+    wire: ``(announced baseline, [first-time body] + RDF2 frames)``.
     What the frames reconstruct is checked to be :func:`_wires`."""
     peer = _FrameCapture()
     client = BSoapClient(peer, replace(POLICY, delta=DeltaPolicy(offer=True)))
@@ -467,7 +467,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "before each call for full-parse* (every request a miss, "
             "seek-table compile included); skipscan is the document entry "
             "(whole wire in, byte compare against the template), "
-            "skipscan-frame the same sends as RDF1 frames through "
+            "skipscan-frame the same sends as RDF2 frames through "
             "DeltaSession.apply -> deserialize on the shared mirror/template "
             "buffer (its parse timer includes frame validation and the "
             "mirror patch; its handle timer is handle_wire), frames checked "

@@ -38,7 +38,7 @@ request direction: a bounded fault peek (``Body``'s first child, never
 the payload), then a skip-scan
 :class:`~repro.server.diffdeser.DifferentialDeserializer`; and, when
 the policy offers delta, a :class:`~repro.wire.server.DeltaSession`
-mirroring the server's replies so steady-state answers arrive as RDF1
+mirroring the server's replies so steady-state answers arrive as RDF2
 frames (``docs/wire_protocol.md``, "Reply direction").  A reply frame
 the mirror cannot take is a :class:`~repro.errors.DeltaResyncError`
 like the server's 409: drop the connection, resend full.

@@ -31,7 +31,7 @@ multi-variant stores keep several templates per call type.
 
 Every in-memory template's bytes leave through one path,
 :meth:`BSoapClient._transmit`: full XML with a baseline announce, or
-an RDF1 delta frame once the peer negotiated.  Overlay templates
+an RDF2 delta frame once the peer negotiated.  Overlay templates
 stream their portions lazily instead.
 """
 
@@ -115,7 +115,12 @@ class BSoapClient:
         #: Frames flow only once the peer negotiates — the channel
         #: flips ``wire.negotiated`` from the response headers.
         self.wire: Optional[DeltaEncoder] = (
-            DeltaEncoder(self.policy.delta, self.transport, obs=self.obs)
+            DeltaEncoder(
+                self.policy.delta,
+                self.transport,
+                obs=self.obs,
+                float_format=self.policy.float_format,
+            )
             if self.policy.delta.offer
             else None
         )

@@ -163,6 +163,10 @@ class TrackedArray(_Bindable):
         """Lexical forms for specific leaf indices, in the given order."""
         return format_column(self.xsd_type, self._data[leaf_indices], fmt)
 
+    def doubles_for(self, leaf_indices: np.ndarray) -> np.ndarray:
+        """Values of specific (``xsd:double``) leaves, in the given order."""
+        return self._data[leaf_indices]
+
     def _expected_shape(self) -> tuple:
         return (len(self._data),)
 
@@ -294,6 +298,18 @@ class TrackedStructArray(_Bindable):
                 out[k] = text
         return out  # type: ignore[return-value]
 
+    def doubles_for(self, leaf_indices: np.ndarray) -> np.ndarray:
+        """Values of specific ``xsd:double`` leaves, preserving order."""
+        arity = self.arity
+        out = np.empty(len(leaf_indices), dtype=np.float64)
+        fields = leaf_indices % arity
+        items = leaf_indices // arity
+        for fpos, f in enumerate(self.struct.fields):
+            if f.xsd_type is DOUBLE:
+                sel = fields == fpos
+                out[sel] = self._cols[f.name][items[sel]]
+        return out
+
     def _expected_shape(self) -> tuple:
         return (self._n, self.arity)
 
@@ -327,6 +343,9 @@ class TrackedScalar(_Bindable):
 
     def lexical_for(self, leaf_indices: np.ndarray, fmt: FloatFormat) -> List[bytes]:
         return [self.lexical_all(fmt)[0] for _ in leaf_indices]
+
+    def doubles_for(self, leaf_indices: np.ndarray) -> np.ndarray:
+        return np.full(len(leaf_indices), self._value, dtype=np.float64)
 
     def __len__(self) -> int:
         return 1

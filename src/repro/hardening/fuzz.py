@@ -45,7 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
-from repro.schema.types import INT
+from repro.schema.types import DOUBLE, INT
 from repro.server.async_server import SERVER_MODES, make_server
 from repro.server.parser import SOAPRequestParser
 from repro.server.service import Operation, SOAPService
@@ -424,11 +424,34 @@ class DeltaFrameFuzzer(_Mutators):
         "doc_len_lie", "unknown_template", "oob_offset", "overlapping_splices",
         "zero_width_splice", "payload_length_lie", "payload_garbage",
         "region_splices", "region_garbage", "pure_garbage",
+        "typed_values", "typed_nan", "typed_off_start", "typed_in_skeleton",
+        "typed_other_leaf", "typed_payload_lie", "typed_byte_overlap",
     )
 
     #: Mutators whose frames decode cleanly but splice bytes the body
-    #: never held: the reconstruction may parse to other values.
-    REWRITES_VALUES = frozenset({"payload_garbage", "region_garbage"})
+    #: never held, or set leaves to new values: the reconstruction may
+    #: parse to other values.
+    REWRITES_VALUES = frozenset(
+        {"payload_garbage", "region_garbage", "typed_values", "typed_nan"}
+    )
+
+    #: Bit patterns of NaNs a text sender can never produce: signalling,
+    #: negative, and with a payload.  Each must decode as ``NaN`` does.
+    ODD_NANS = (
+        0x7FF0000000000001, 0xFFF8000000000000, 0xFFF0000000000001,
+        0x7FF8DEADBEEF0000, 0x7FFFFFFFFFFFFFFF,
+    )
+    #: Well-formed typed values: signed zeros, infinities, subnormals,
+    #: the extremes.
+    TYPED_VALUES = (
+        0.0, -0.0, float("inf"), float("-inf"), 5e-324, -2.2250738585072014e-308,
+        1.7976931348623157e308, -1.7976931348623157e308, 1.5, -0.1,
+    )
+
+    def __init__(self, limits: Optional[ResourceLimits] = None, registry=None) -> None:
+        super().__init__(limits)
+        self._parser = SOAPRequestParser(registry, self.limits)
+        self._leaf_cache: Dict[bytes, list] = {}
 
     @staticmethod
     def valid_frame(
@@ -528,6 +551,89 @@ class DeltaFrameFuzzer(_Mutators):
             [end - start for start, end in spans],
             b"".join(body[start:end] for start, end in spans),
         )
+
+    # -- typed splices ---------------------------------------------------
+    def _leaves(self, body: bytes) -> List[Tuple[int, int, bool]]:
+        """``(region start, region end, is a double)`` of each leaf of a
+        full parse of *body* (none when it does not parse)."""
+        leaves = self._leaf_cache.get(body)
+        if leaves is None:
+            try:
+                result = self._parser.parse(body)
+            except ReproError:
+                leaves = []
+            else:
+                leaves = [
+                    (start, end, result.leaf_type(j) is DOUBLE)
+                    for j, (start, end) in enumerate(result.regions.tolist())
+                ]
+            if len(self._leaf_cache) < 64:
+                self._leaf_cache[body] = leaves
+        return leaves
+
+    def _pick(self, rng: random.Random, body: bytes, double: bool):
+        """A random leaf, a double one if *double* (else any other kind);
+        ``None`` when the body has no such leaf."""
+        leaves = [leaf for leaf in self._leaves(body) if leaf[2] == double]
+        return rng.choice(leaves) if leaves else None
+
+    def _typed(self, rng: random.Random, ctx: dict, bits: Sequence[int]) -> bytes:
+        """Typed splices with the values *bits* on up to three distinct
+        double leaves (on any leaf when the body has no double)."""
+        body = ctx["body"]
+        leaves = [leaf for leaf in self._leaves(body) if leaf[2]] or self._leaves(body)
+        if not leaves:
+            return _encode(ctx, [0], [0], struct.pack("<Q", bits[0]))
+        chosen = sorted(rng.sample(leaves, min(len(leaves), rng.randint(1, 3))))
+        payload = b"".join(struct.pack("<Q", rng.choice(bits)) for _ in chosen)
+        return _encode(ctx, [leaf[0] for leaf in chosen], [0] * len(chosen), payload)
+
+    def _typed_values(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        bits = [struct.unpack("<Q", struct.pack("<d", v))[0] for v in self.TYPED_VALUES]
+        return self._typed(rng, ctx, bits)
+
+    def _typed_nan(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        return self._typed(rng, ctx, self.ODD_NANS)
+
+    def _typed_off_start(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        """A typed splice inside a double leaf's region, past its start."""
+        leaf = self._pick(rng, ctx["body"], True)
+        if leaf is None or leaf[1] - leaf[0] < 2:
+            return frame
+        offset = rng.randrange(leaf[0] + 1, leaf[1])
+        return _encode(ctx, [offset], [0], struct.pack("<d", 1.5))
+
+    def _typed_in_skeleton(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        """A typed splice on markup: the document's first byte or the
+        first byte after a leaf's region."""
+        ends = [end for _start, end, _double in self._leaves(ctx["body"])]
+        offset = rng.choice([0] + [end for end in ends if end < len(ctx["body"])])
+        return _encode(ctx, [offset], [0], struct.pack("<d", 1.5))
+
+    def _typed_other_leaf(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        """A typed splice at the start of an int, string or boolean leaf."""
+        leaf = self._pick(rng, ctx["body"], False)
+        if leaf is None:
+            return frame
+        return _encode(ctx, [leaf[0]], [0], struct.pack("<d", 7.0))
+
+    def _typed_payload_lie(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        """One typed splice with 7 or 9 payload bytes."""
+        leaf = self._pick(rng, ctx["body"], True)
+        offset = 0 if leaf is None else leaf[0]
+        return _encode(ctx, [offset], [0], b"\x01" * rng.choice((7, 9)))
+
+    def _typed_byte_overlap(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        """A typed splice and a byte splice inside the same leaf's region
+        (the body's own bytes)."""
+        leaf = self._pick(rng, ctx["body"], True)
+        if leaf is None or leaf[1] - leaf[0] < 2:
+            return frame
+        start, end = leaf[0], leaf[1]
+        offset = rng.randrange(start + 1, end)
+        width = rng.randint(1, end - offset)
+        payload = ctx["body"][offset : offset + width] + struct.pack("<d", 2.5)
+        return _encode(ctx, [start, offset], [0, width], payload)
 
     def _region_garbage(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
         """One whole-region splice whose bytes are the region's own
@@ -849,7 +955,7 @@ class _Entry:
         self.replies = [answer for _wire, answer in ok]
         self.probes = self._probes(self.pristine)
         if self.frames:
-            self.fuzzer = DeltaFrameFuzzer(service.limits)
+            self.fuzzer = DeltaFrameFuzzer(service.limits, service.registry)
         else:
             self.fuzzer = WireFuzzer(wires, limits=service.limits)
         self.epoch = 0

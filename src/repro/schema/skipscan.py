@@ -65,12 +65,16 @@ from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.lexical.floats import (
+    DOUBLE_MAX_WIDTH,
     WS_LUT,
+    FloatFormat,
+    format_double_array,
     gather_rows,
     length_groups,
     parse_double_column,
     whitespace_run_ends,
 )
+from repro.schema.types import DOUBLE
 from repro.xmlkit.trie import ByteTrie
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -123,12 +127,26 @@ class SeekTable:
         self.trie = trie
         self.tag_ids = tag_ids  # expected close-tag id per leaf
         self.tag_lens = tag_lens  # close-tag key length per leaf
+        # Commit map (set up by compile when every leaf is an element
+        # of a float64 array): leaf j lives at
+        # ``_containers[_param_of[j]][_item_of[j]]``.
+        self._containers: List[np.ndarray] = []
+        self._param_of: Optional[np.ndarray] = None
+        self._item_of: Optional[np.ndarray] = None
         # Vectorized double lane (set up by compile when eligible).
         self._vec_len: Optional[int] = None
         self._vec_tag: Optional[np.ndarray] = None  # closing tag through '>'
-        self._vec_containers: List[np.ndarray] = []
-        self._vec_param_of: Optional[np.ndarray] = None
-        self._vec_item_of: Optional[np.ndarray] = None
+        # Which leaves are xsd:double (built on first typed commit).
+        self._doubles: Optional[np.ndarray] = None
+        # The distance between consecutive leaf starts when it is one
+        # constant (a stuffed array alone in its message): a typed
+        # splice's leaf is then arithmetic, not a search.
+        steps = np.diff(starts)
+        self._stride: Optional[int] = (
+            int(steps[0])
+            if steps.size and steps[0] > 0 and bool((steps == steps[0]).all())
+            else None
+        )
 
     # ------------------------------------------------------------------
     # compilation
@@ -235,20 +253,15 @@ class SeekTable:
         return {data[vend:gt]: 0}
 
     def _setup_vector_lane(self, data: bytes, keys: dict) -> None:
-        """Enable the batched NumPy lane when the template allows it.
+        """Build the commit map, and arm the batched NumPy lane when the
+        template allows it.
 
-        Requirements: every leaf is a double in a float64 array
-        parameter, all regions have one uniform byte length, and all
-        leaves share a single closing tag — the shape FIXED-format
-        MAX-stuffed double arrays (the paper's headline workload)
-        always produce.
+        The commit map needs every leaf to be a double in a float64
+        array parameter.  The lane also needs all regions to have one
+        uniform byte length and all leaves to share a single closing
+        tag — the shape MAX-stuffed double arrays (the paper's headline
+        workload) always produce.
         """
-        if len(keys) != 1:
-            return
-        lens = self.ends - self.starts
-        length = int(lens[0])
-        if not bool(np.all(lens == length)):
-            return
         containers: List[np.ndarray] = []
         k = int(self.starts.shape[0])
         param_of = np.empty(k, dtype=np.int64)
@@ -266,12 +279,18 @@ class SeekTable:
             base, count = layout.leaf_base, layout.leaf_count
             param_of[base : base + count] = pi
             item_of[base : base + count] = np.arange(count)
+        self._containers = containers
+        self._param_of = param_of
+        self._item_of = item_of
+        if len(keys) != 1:
+            return
+        lens = self.ends - self.starts
+        length = int(lens[0])
+        if not bool(np.all(lens == length)):
+            return
         (key,) = keys
         self._vec_len = length
         self._vec_tag = np.frombuffer(key + b">", dtype=np.uint8)
-        self._vec_containers = containers
-        self._vec_param_of = param_of
-        self._vec_item_of = item_of
 
     # ------------------------------------------------------------------
     def approx_bytes(self) -> int:
@@ -287,7 +306,7 @@ class SeekTable:
             + self.tag_ids.nbytes
             + self.tag_lens.nbytes
         )
-        for arr in (self._vec_tag, self._vec_param_of, self._vec_item_of):
+        for arr in (self._vec_tag, self._param_of, self._item_of, self._doubles):
             if arr is not None:
                 total += arr.nbytes
         # The trie stores one key per distinct close tag — small, but
@@ -366,13 +385,89 @@ class SeekTable:
         if values is None:
             return None  # INF/NaN/odd bytes: per-leaf lexical parse
         # Commit (all validation above is done — two-phase contract).
-        param_of = self._vec_param_of[changed]
-        item_of = self._vec_item_of[changed]
-        for pi, container in enumerate(self._vec_containers):
+        self._store_doubles(changed, values)
+        return m
+
+    def _store_doubles(self, leaves: np.ndarray, values: np.ndarray) -> None:
+        """Scatter float64 *values* into the commit map's containers."""
+        param_of = self._param_of[leaves]
+        item_of = self._item_of[leaves]
+        for pi, container in enumerate(self._containers):
             mask = param_of == pi
             if bool(mask.any()):
                 container[item_of[mask]] = values[mask]
-        return m
+
+    # ------------------------------------------------------------------
+    # typed splices
+    # ------------------------------------------------------------------
+    def typed_leaves(
+        self, offsets: np.ndarray, values: np.ndarray
+    ) -> Optional[np.ndarray]:
+        """The leaf each typed splice at *offsets* sets to *values*.
+
+        ``None`` unless every offset is the region start of an
+        ``xsd:double`` leaf whose region has room for the value's
+        MINIMAL text and the closing tag: what rendering it later
+        writes.  Regions of at least :data:`DOUBLE_MAX_WIDTH` value
+        bytes hold any double, so only narrower ones format anything.
+        """
+        starts = self.starts
+        k = starts.shape[0]
+        if self._stride is not None:
+            leaves, misaligned = np.divmod(offsets - starts[0], self._stride)
+            if bool(misaligned.any()) or not (0 <= leaves[0] and leaves[-1] < k):
+                return None
+        else:
+            leaves = np.searchsorted(starts, offsets)
+            if leaves[-1] >= k or not bool((starts[leaves] == offsets).all()):
+                return None
+        if self._param_of is None and not bool(self._double_leaves()[leaves].all()):
+            return None
+        room = self.ends[leaves] - offsets - self.tag_lens[leaves] - 1
+        narrow = room < DOUBLE_MAX_WIDTH
+        if bool(narrow.any()):
+            texts = format_double_array(values[narrow], FloatFormat.MINIMAL)
+            lens = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+            if bool((lens > room[narrow]).any()):
+                return None
+        return leaves
+
+    def _double_leaves(self) -> np.ndarray:
+        """Mask of the leaves whose type is ``xsd:double``."""
+        if self._doubles is None:
+            mask = np.zeros(self.starts.shape[0], dtype=bool)
+            for layout in self.result.layouts:
+                base, arity = layout.leaf_base, layout.arity
+                end = base + layout.leaf_count
+                for pos, xsd in enumerate(layout.leaf_types):
+                    if xsd is DOUBLE:
+                        mask[base + pos : end : arity] = True
+            self._doubles = mask
+        return self._doubles
+
+    def commit_doubles(self, leaves: np.ndarray, values: np.ndarray) -> None:
+        """Store *values* as the decoded values of *leaves* (validated
+        by :meth:`typed_leaves`)."""
+        if self._param_of is not None:
+            self._store_doubles(leaves, values)
+            return
+        store = self.result.store_leaf
+        for j, value in zip(leaves.tolist(), values.tolist()):
+            store(j, value)
+
+    def leaf_doubles(self, leaves: np.ndarray) -> np.ndarray:
+        """The decoded values of the double *leaves*, as float64."""
+        if self._param_of is None:
+            load = self.result.load_leaf
+            return np.array([load(j) for j in leaves.tolist()], dtype=np.float64)
+        out = np.empty(leaves.shape[0], dtype=np.float64)
+        param_of = self._param_of[leaves]
+        item_of = self._item_of[leaves]
+        for pi, container in enumerate(self._containers):
+            mask = param_of == pi
+            if bool(mask.any()):
+                out[mask] = container[item_of[mask]]
+        return out
 
     def _apply_per_leaf(
         self, data: Union[bytes, bytearray], changed: np.ndarray

@@ -18,10 +18,14 @@ entry it is handed, by one of two lanes:
   sender's splice directory already says which bytes changed:
 
   1. a header-only frame → the cached decode (zero work),
-  2. one ``searchsorted`` of the directory against the seek table's
+  2. typed splices (binary64 values of double leaves) are already in
+     the decode: :meth:`~repro.wire.server.DeltaSession.apply` mapped
+     each to its leaf through the seek table and committed it, leaving
+     the text stale, so a frame of typed splices only is done here,
+  3. one ``searchsorted`` of the byte splices against the seek table's
      regions names the changed leaves; a splice that is not inside one
      leaf's field region touched the skeleton (``skeleton-drift``),
-  3. the seek table validates and re-parses those leaves only — closing
+  4. the seek table validates and re-parses those leaves only — closing
      tags, pad, charset, two-phase commit, see ``docs/skipscan.md`` —
      reading uniform double regions straight from the frame payload.
 
@@ -43,7 +47,9 @@ entry's document, which compiles a new table.  A patched document
 changed before its bytes were checked, so a frame's doubt drops the
 entry's decode *before* that parse: if it raises, no decode is left
 rather than a stale one.  A deposited document that fails to parse
-leaves the previous decode as it was.
+leaves the previous decode as it was.  Dropping a decode, comparing
+against it, shedding its table and full-parsing its document each
+render its stale leaves' text first (``DocumentEntry.render``).
 
 The seek table is the only structural lane and the full parse is its
 authority.  "No seek table armed" covers a template
@@ -154,11 +160,13 @@ class DifferentialDeserializer:
 
     def _full_parse(self, entry: DocumentEntry) -> tuple[DecodedMessage, DeserReport]:
         data = entry.data
+        if entry.base is data:
+            entry.render()
         document = data if isinstance(data, bytes) else bytes(data)
         result = self.parser.parse(document)
         self.store.generation += 1
         entry.base, entry.decoded = data, entry.seq
-        entry.result, entry.table = result, None
+        entry.result, entry.table, entry.stale = result, None, None
         descriptor = (
             self.descriptors.get(result.message.operation)
             if self.descriptors is not None
@@ -188,6 +196,7 @@ class DifferentialDeserializer:
         raw: np.ndarray,
         changed: np.ndarray,
         rows: Optional[np.ndarray] = None,
+        typed: int = 0,
     ) -> tuple[DecodedMessage, DeserReport]:
         """Re-parse the *changed* leaves of *buffer* through *table*.
 
@@ -195,22 +204,27 @@ class DifferentialDeserializer:
         is clean; raises :class:`SkipScanFallback` (nothing committed)
         on any drift or parse doubt, which the caller answers with the
         authoritative full parse instead of an error from
-        hand-computed offsets.
+        hand-computed offsets.  *typed* leaves were committed from a
+        frame's typed splices already and count as served here too (on
+        the vector lane when the table has it armed).
         """
         trace = self.obs.enabled and self.obs.tracer.enabled
         t0 = time.perf_counter() if trace else 0.0
-        parsed, vectorized = table.apply(buffer, raw, changed, rows)
+        if changed.size:
+            parsed, vectorized = table.apply(buffer, raw, changed, rows)
+        else:
+            parsed, vectorized = 0, table.region_len is not None
         self._skip_event("hit-vector" if vectorized else "hit")
         if trace:
             self.obs.tracer.emit(
                 "skipscan",
                 duration_s=time.perf_counter() - t0,
-                leaves=parsed,
+                leaves=parsed + typed,
                 vectorized=vectorized,
             )
         self.stats[DeserKind.DIFFERENTIAL] += 1
         return table.result.message, DeserReport(
-            DeserKind.DIFFERENTIAL, int(changed.size), table.result.leaf_count
+            DeserKind.DIFFERENTIAL, int(changed.size) + typed, table.result.leaf_count
         )
 
     def deserialize(
@@ -253,7 +267,13 @@ class DifferentialDeserializer:
         table = entry.table
         if table is None:
             return None
+        # Typed splices: committed by DeltaSession.apply, which had this
+        # table (a decode that follows its document keeps its table).
+        typed = int(frame.typed_offsets.size)
         offsets, widths = frame.offsets, frame.widths
+        raw = np.frombuffer(entry.data, dtype=np.uint8)
+        if not offsets.size:
+            return self._seek(table, entry.data, raw, offsets, None, typed)
         # Each splice must lie inside one leaf's field region (value +
         # closing tag + whitespace pad).
         owner = np.searchsorted(table.starts, offsets, side="right") - 1
@@ -270,9 +290,8 @@ class DifferentialDeserializer:
         else:
             changed = np.unique(owner)
             rows = None
-        raw = np.frombuffer(entry.data, dtype=np.uint8)
         try:
-            return self._seek(table, entry.data, raw, changed, rows)
+            return self._seek(table, entry.data, raw, changed, rows, typed)
         except SkipScanFallback as exc:
             self._skip_event(f"fallback-{exc.reason}")
             return None
@@ -288,6 +307,7 @@ class DifferentialDeserializer:
                 self._skip_event("length-drift")
             return self._full_parse(entry)
 
+        entry.render()
         incoming = np.frombuffer(data, dtype=np.uint8)
         diff_pos = np.flatnonzero(incoming != np.frombuffer(base, dtype=np.uint8))
         if diff_pos.size == 0:
@@ -347,6 +367,7 @@ class DifferentialDeserializer:
         for entry in self.store.entries.values():
             if entry.table is not None:
                 freed = entry.table.approx_bytes()
+                entry.render()  # the table is what maps stale leaves
                 entry.table = None
                 self.store.generation += 1
                 self._skip_event("shed")

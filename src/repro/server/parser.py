@@ -256,6 +256,18 @@ class ParseResult:
     def _layout_for(self, j: int) -> _ParamLayout:
         return self._layouts[bisect_right(self._bases, j) - 1]
 
+    def load_leaf(self, j: int) -> object:
+        """The decoded value of leaf *j* (the inverse of :meth:`store_leaf`)."""
+        layout = self._layout_for(j)
+        local = j - layout.leaf_base
+        param = layout.param
+        if param.kind == "array":
+            return param.value[local]  # type: ignore[index]
+        if param.kind == "struct_array":
+            name = layout.field_names[local % layout.arity]
+            return param.value[name][local // layout.arity]  # type: ignore[index]
+        return param.value
+
     def store_leaf(self, j: int, value: object) -> None:
         """Store an already-parsed leaf value in place.
 

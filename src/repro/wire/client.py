@@ -9,9 +9,12 @@ The :class:`DeltaEncoder` rides along inside
 * once the server's ``X-Repro-Delta: 1`` response header flips
   :attr:`negotiated`, eligible steady-state sends are encoded as
   binary frames instead: the splices are harvested straight from the
-  DUT dirty snapshot taken by ``begin_send()`` — exactly the byte
-  regions (value + closing tag + pad) the differential rewrite is
-  allowed to touch when no field expanded.
+  DUT dirty snapshot taken by ``begin_send()``.  A dirty ``xsd:double``
+  leaf of a MINIMAL-format sender is a *typed splice*, its value as
+  binary64 from the tracked column, which the receiver renders to the
+  very text the rewrite wrote; every other dirty leaf is a byte
+  splice, exactly the region (value + closing tag + pad) the
+  differential rewrite is allowed to touch when no field expanded.
 
 Eligibility is deliberately conservative; anything else falls back to
 full XML with a fresh announce, so correctness never depends on the
@@ -38,7 +41,9 @@ import numpy as np
 
 from repro.buffers.iovec import row_window
 from repro.hardening.limits import DEFAULT_LIMITS
-from repro.wire.frame import DIR_ENTRY, HEADER, SCATTER_MIN, encode_frame
+from repro.lexical.floats import FloatFormat
+from repro.schema.types import DOUBLE
+from repro.wire.frame import DIR_ENTRY, HEADER, SCATTER_MIN, TYPED_BYTES, encode_frame
 
 __all__ = ["DeltaEncoder"]
 
@@ -58,9 +63,15 @@ class _Baseline:
 class DeltaEncoder:
     """Per-client delta-frame state machine (see module docstring)."""
 
-    def __init__(self, policy, transport, obs=None) -> None:
+    def __init__(
+        self, policy, transport, obs=None, float_format: Optional[FloatFormat] = None
+    ) -> None:
         self.policy = policy
         self.transport = transport
+        #: Dirty doubles travel as typed splices: the sender formats
+        #: them MINIMAL, the form the receiver renders (*float_format*
+        #: ``None``: the sender's format is unknown, byte splices only).
+        self.typed = float_format is FloatFormat.MINIMAL
         #: Offer enabled *and* the transport can carry frames.
         self.active = bool(
             getattr(policy, "offer", False)
@@ -155,49 +166,36 @@ class DeltaEncoder:
             for cid in chunk_ids:
                 bases[cid] = pos
                 pos += buffer.chunk(cid).used
-            cids = dut.chunk_id[take]
-            value_offs = dut.value_off[take].astype(np.int64)
-            # The full region a no-expansion rewrite may touch: value
-            # bytes, the (possibly moved) closing tag, and the pad.
-            widths = (
-                dut.field_width[take].astype(np.int64)
-                + dut.close_len[take].astype(np.int64)
-            )
-            offsets = bases[cids] + value_offs
-            # Entries are in document order, so offsets are sorted;
-            # coalesce byte-adjacent regions into single splices.
-            gap = offsets[1:] != offsets[:-1] + widths[:-1]
-            starts = np.concatenate(([0], np.flatnonzero(gap) + 1))
-            ends = np.concatenate((np.flatnonzero(gap) + 1, [take.size]))
-            cumw = np.concatenate(([0], np.cumsum(widths)))
-            out_offsets = offsets[starts]
-            out_widths = cumw[ends] - cumw[starts]
-            if out_offsets.size > self.policy.max_splices:
+            typed = np.empty(0, dtype=take.dtype)
+            if self.typed:
+                is_double = dut.type_id[take] == DOUBLE.type_id
+                if bool(is_double.any()):
+                    typed, take = take[is_double], take[~is_double]
+            out_offsets, out_widths = _byte_splices(template, take, bases)
+            entries = out_offsets.size + typed.size
+            if entries > self.policy.max_splices:
                 return self._fallback("too-many-splices")
             estimated = (
                 HEADER.size
-                + out_offsets.size * DIR_ENTRY.size
+                + entries * DIR_ENTRY.size
                 + int(out_widths.sum())
+                + typed.size * TYPED_BYTES
             )
             if estimated > self.policy.max_frame_fraction * baseline.doc_len:
                 return self._fallback("frame-too-large")
-            # Regions of one width (a MAX- or FIXED-stuffed array), at
-            # least SCATTER_MIN per chunk run on average: one row-window
-            # gather per run.  Anything else: one slice per region.
-            lo = [0, *(np.flatnonzero(cids[1:] != cids[:-1]) + 1).tolist()]
-            width = int(widths[0])
-            if take.size >= SCATTER_MIN * len(lo) and bool((widths == width).all()):
-                parts = [
-                    row_window(buffer.chunk(cid).data, width)[value_offs[s:e]]
-                    for cid, s, e in zip(cids[lo].tolist(), lo, lo[1:] + [take.size])
-                ]
-            else:
-                data = {cid: buffer.chunk(cid).data for cid in chunk_ids}
-                stops = (value_offs + widths).tolist()
-                parts = [
-                    data[c][a:b]
-                    for c, a, b in zip(cids.tolist(), value_offs.tolist(), stops)
-                ]
+            parts = _region_bytes(template, take)
+            if typed.size:
+                # Directory order is offset order; the values follow the
+                # byte splices' bytes in that order.
+                typed_offsets = bases[dut.chunk_id[typed]] + dut.value_off[typed]
+                parts.append(_typed_values(template, typed).astype("<f8").tobytes())
+                out_offsets = np.concatenate((out_offsets, typed_offsets))
+                out_widths = np.concatenate(
+                    (out_widths, np.zeros(typed.size, dtype=np.int64))
+                )
+                if take.size:
+                    order = np.argsort(out_offsets, kind="stable")
+                    out_offsets, out_widths = out_offsets[order], out_widths[order]
             payload = b"".join(parts)
         else:
             # Content match: nothing dirty — a header-only frame.
@@ -241,3 +239,59 @@ class DeltaEncoder:
     def _fallback(self, reason: str) -> None:
         self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
         return None
+
+
+def _byte_splices(template, take: np.ndarray, bases: np.ndarray):
+    """``(offsets, widths)`` of the byte splices for the dirty DUT
+    entries *take* (document order): each entry's whole region — value
+    bytes, the (possibly moved) closing tag and the pad a no-expansion
+    rewrite may touch — byte-adjacent regions coalesced."""
+    if not take.size:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    dut = template.dut
+    widths = dut.field_width[take].astype(np.int64) + dut.close_len[take]
+    offsets = bases[dut.chunk_id[take]] + dut.value_off[take]
+    gap = offsets[1:] != offsets[:-1] + widths[:-1]
+    starts = np.concatenate(([0], np.flatnonzero(gap) + 1))
+    ends = np.concatenate((np.flatnonzero(gap) + 1, [take.size]))
+    cumw = np.concatenate(([0], np.cumsum(widths)))
+    return offsets[starts], cumw[ends] - cumw[starts]
+
+
+def _region_bytes(template, take: np.ndarray) -> list:
+    """The bytes of the regions of the DUT entries *take*, in order.
+
+    Regions of one width (a MAX- or FIXED-stuffed array), at least
+    SCATTER_MIN per chunk run on average: one row-window gather per
+    run.  Anything else: one slice per region.
+    """
+    if not take.size:
+        return []
+    dut = template.dut
+    buffer = template.buffer
+    cids = dut.chunk_id[take]
+    value_offs = dut.value_off[take].astype(np.int64)
+    widths = dut.field_width[take].astype(np.int64) + dut.close_len[take]
+    lo = [0, *(np.flatnonzero(cids[1:] != cids[:-1]) + 1).tolist()]
+    width = int(widths[0])
+    if take.size >= SCATTER_MIN * len(lo) and bool((widths == width).all()):
+        return [
+            row_window(buffer.chunk(cid).data, width)[value_offs[s:e]]
+            for cid, s, e in zip(cids[lo].tolist(), lo, lo[1:] + [take.size])
+        ]
+    data = {cid: buffer.chunk(cid).data for cid in buffer.chunk_ids}
+    stops = (value_offs + widths).tolist()
+    return [
+        data[c][a:b] for c, a, b in zip(cids.tolist(), value_offs.tolist(), stops)
+    ]
+
+
+def _typed_values(template, typed: np.ndarray) -> np.ndarray:
+    """The current values of the dirty double DUT entries *typed*
+    (document order), gathered from each parameter's tracked column."""
+    out = np.empty(typed.size, dtype=np.float64)
+    for bp in template.params:
+        lo, hi = np.searchsorted(typed, (bp.entry_base, bp.entry_end))
+        if lo < hi:
+            out[lo:hi] = bp.tracked.doubles_for(typed[lo:hi] - bp.entry_base)
+    return out

@@ -7,7 +7,7 @@ patch instead of megabytes of XML.
 
 Layout (all integers little-endian)::
 
-    magic        4s   b"RDF1"  (Repro Delta Frame, version 1)
+    magic        4s   b"RDF2"  (Repro Delta Frame, version 2)
     template_id  u64  client-side MessageTemplate identity
     epoch        u32  baseline epoch (bumped per full-XML announce)
     seq          u32  frame sequence within the epoch (1-based)
@@ -15,21 +15,31 @@ Layout (all integers little-endian)::
     splice_count u32
     crc32        u32  zlib.crc32 over directory + payload
     directory    splice_count × (offset u64, width u32)
-    payload      concatenated splice bytes (sum of widths)
+    payload      the byte splices' bytes (sum of widths), then 8 bytes
+                 of binary64 per typed splice, in directory order
+
+A directory entry of width 0 is a *typed splice*: its offset is the
+start of one ``xsd:double`` leaf's field region and its value travels
+as little-endian binary64, not text.  The receiver commits it straight
+into its decode (:mod:`repro.wire.server`) and renders the text only
+when something reads the document.  Every other entry is a *byte
+splice*: bytes that replace the mirror's bytes at its offset.
 
 A content-match resend is a zero-splice frame: 36 bytes on the wire
 for any document size.
 
 :func:`decode_frame` is the hardened boundary: every cap from
 :class:`~repro.hardening.ResourceLimits` (splice count, frame size),
-every structural property (sorted non-overlapping splices, in-bounds
-offsets, payload length equal to the directory's sum) and the CRC are
+every structural property (sorted non-overlapping splices, a typed
+splice occupying its offset, in-bounds offsets, payload length equal to
+the directory's sum plus 8 bytes per typed splice) and the CRC are
 checked *before* any mirror byte is touched, so a lying frame can only
 ever produce a clean :class:`~repro.errors.DeltaFrameError`.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -45,16 +55,24 @@ __all__ = [
     "MAGIC",
     "HEADER",
     "DIR_ENTRY",
+    "TYPED_BYTES",
+    "CANONICAL_NAN",
     "DeltaFrame",
     "encode_frame",
     "decode_frame",
     "apply_frame",
 ]
 
-MAGIC = b"RDF1"
+MAGIC = b"RDF2"
 HEADER = struct.Struct("<4sQIIQII")
 DIR_ENTRY = struct.Struct("<QI")
 _DIR_DTYPE = np.dtype([("off", "<u8"), ("width", "<u4")])
+#: Payload bytes of one typed splice: a little-endian binary64.
+TYPED_BYTES = 8
+#: What every typed NaN decodes to: the value the text parse of
+#: ``NaN`` gives, so a typed splice and the text path decode the same
+#: bits whatever payload or sign the sender's NaN carried.
+CANONICAL_NAN = np.float64(math.nan)
 #: Same-width rows per NumPy op from which a row-window scatter
 #: (:func:`apply_frame`) or gather (the encoder, per chunk run) beats
 #: slicing; below it setting the op up costs more than the slices.
@@ -62,6 +80,8 @@ SCATTER_MIN = 16
 #: The directory of every header-only frame: shared, so read-only.
 _NO_SPLICES = np.empty(0, dtype=np.int64)
 _NO_SPLICES.flags.writeable = False
+_NO_VALUES = np.empty(0, dtype=np.float64)
+_NO_VALUES.flags.writeable = False
 
 
 @dataclass(slots=True)
@@ -72,17 +92,19 @@ class DeltaFrame:
     epoch: int
     seq: int
     doc_len: int
-    #: Sorted, non-overlapping absolute byte offsets (int64).
+    #: Directory entries: byte and typed splices.
+    splice_count: int
+    #: The byte splices' sorted, non-overlapping absolute offsets (int64).
     offsets: np.ndarray
-    #: Per-splice byte widths (int64), all positive.
+    #: Per-byte-splice widths (int64), all positive.
     widths: np.ndarray
-    #: Concatenated splice bytes, ``widths.sum()`` long: a view of the
-    #: received frame, which it keeps alive.
+    #: Concatenated byte-splice bytes, ``widths.sum()`` long: a view of
+    #: the received frame, which it keeps alive.
     payload: memoryview
-
-    @property
-    def splice_count(self) -> int:
-        return int(self.offsets.shape[0])
+    #: The typed splices' sorted offsets (int64): leaf region starts.
+    typed_offsets: np.ndarray
+    #: Their values (float64), every NaN :data:`CANONICAL_NAN`.
+    typed_values: np.ndarray
 
 
 def encode_frame(
@@ -94,7 +116,11 @@ def encode_frame(
     widths: Sequence[int],
     payload: bytes,
 ) -> bytes:
-    """Serialize one frame.  Caller guarantees the splice invariants."""
+    """Serialize one frame.  Caller guarantees the splice invariants.
+
+    A width of 0 marks a typed splice; *payload* is the byte splices'
+    bytes followed by the typed values as ``<f8`` (module docstring).
+    """
     n = len(offsets)
     if not n and not payload:
         # A content match; its CRC, of nothing, is 0.
@@ -158,7 +184,8 @@ def decode_frame(
                 "payload bytes present with zero splices", "payload-mismatch"
             )
         return DeltaFrame(
-            template_id, epoch, seq, doc_len, _NO_SPLICES, _NO_SPLICES, payload
+            template_id, epoch, seq, doc_len, 0, _NO_SPLICES, _NO_SPLICES,
+            payload, _NO_SPLICES, _NO_VALUES,
         )
     directory = np.frombuffer(
         data, dtype=_DIR_DTYPE, count=count, offset=HEADER.size
@@ -172,14 +199,17 @@ def decode_frame(
             "splice offset exceeds the representable range",
             "out-of-bounds",
         )
-    if int(widths.sum()) != len(payload):
+    typed = widths == 0
+    n_typed = int(np.count_nonzero(typed))
+    spliced = int(widths.sum())
+    if spliced + TYPED_BYTES * n_typed != len(payload):
         raise DeltaFrameError(
             "payload length disagrees with the splice directory",
             "payload-mismatch",
         )
-    if bool((widths <= 0).any()):
-        raise DeltaFrameError("zero-width splice", "bad-splice")
-    ends = offsets + widths
+    # A typed splice occupies the byte its offset names: no other entry
+    # may start there or reach over it.
+    ends = offsets + np.maximum(widths, 1)
     if bool((ends > doc_len).any()):
         raise DeltaFrameError(
             "splice reaches past the declared document length",
@@ -189,11 +219,36 @@ def decode_frame(
         raise DeltaFrameError(
             "splices unsorted or overlapping", "bad-splice"
         )
-    return DeltaFrame(template_id, epoch, seq, doc_len, offsets, widths, payload)
+    if not n_typed:
+        return DeltaFrame(
+            template_id, epoch, seq, doc_len, count, offsets, widths, payload,
+            _NO_SPLICES, _NO_VALUES,
+        )
+    values = np.frombuffer(
+        data, dtype="<f8", count=n_typed, offset=dir_end + spliced
+    ).astype(np.float64, copy=False)
+    nan = np.isnan(values)
+    if bool(nan.any()):
+        values = values.copy()
+        values[nan] = CANONICAL_NAN
+    byte = ~typed
+    return DeltaFrame(
+        template_id,
+        epoch,
+        seq,
+        doc_len,
+        count,
+        offsets[byte],
+        widths[byte],
+        payload[:spliced],
+        offsets[typed],
+        values,
+    )
 
 
 def apply_frame(frame: DeltaFrame, mirror: bytearray) -> None:
-    """Patch *mirror* in place with the frame's splices.
+    """Patch *mirror* in place with the frame's byte splices (its typed
+    splices are the session's: :meth:`~repro.wire.server.DeltaSession.apply`).
 
     The caller has already matched template id / epoch / sequence; the
     only check left is that the mirror really is the document the
@@ -205,7 +260,7 @@ def apply_frame(frame: DeltaFrame, mirror: bytearray) -> None:
             f"mirror is {len(mirror)} bytes, frame expects {frame.doc_len}",
             "doc-len-mismatch",
         )
-    count = frame.splice_count
+    count = int(frame.offsets.shape[0])
     payload = frame.payload
     widths = frame.widths
     if count >= SCATTER_MIN and bool((widths == widths[0]).all()):

@@ -52,6 +52,9 @@ class DeltaLoopback:
         self.delta_sends = 0
         #: Payload bytes that crossed the "wire" (bodies + frames).
         self.payload_bytes = 0
+        #: Directory entries of the applied frames, by kind.
+        self.typed_splices = 0
+        self.byte_splices = 0
         self._announce: Optional[tuple] = None
 
     # -- client-transport surface --------------------------------------
@@ -73,8 +76,11 @@ class DeltaLoopback:
         document = self.delta.apply(frame, self.limits)
         self.delta_sends += 1
         self.payload_bytes += len(frame)
-        # The mirror is patched in place; the delivered documents are
-        # this loopback's own copies.
+        self.typed_splices += int(document.frame.typed_offsets.size)
+        self.byte_splices += int(document.frame.offsets.size)
+        # The mirror is patched in place (its typed splices rendered at
+        # once: no decode holds them); the delivered documents are this
+        # loopback's own copies.
         self._deliver(document.tobytes())
         return len(frame)
 

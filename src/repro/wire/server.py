@@ -14,7 +14,18 @@ server session keeps one for requests, a channel one for replies.
   that entry's decode kept as the comparison base.
 * **Frames.**  A binary frame is decoded under the session's
   :class:`~repro.hardening.ResourceLimits`, matched against its
-  entry's epoch/sequence and applied in place.
+  entry's epoch/sequence and applied in place.  Its byte splices patch
+  the document; its typed splices (binary64 values of double leaves)
+  are committed straight into the entry's decode, through its seek
+  table, and those leaves' text is left *stale*.
+* **Stale text.**  Nothing reads a document while a leaf of it is
+  stale: every reader — a full parse, a document compare, a seek-table
+  shed, :meth:`MirroredDocument.tobytes` — first has
+  :meth:`DocumentEntry.render` write those leaves' MINIMAL text, or
+  drops the document with the decode.  An entry whose seek table
+  cannot name a typed leaf (none compiled, shed, or a decode of another
+  document) gets the text written at once, and its decode follows by a
+  full parse.
 * **Decodes.**  Each entry also carries the
   :class:`~repro.server.diffdeser.DifferentialDeserializer`'s decode of
   its document — the ``ParseResult``, the ``SeekTable`` and the frame
@@ -38,8 +49,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Hashable, Optional, Union
 
-from repro.errors import DeltaResyncError
+import numpy as np
+
+from repro.errors import DeltaFrameError, DeltaResyncError
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
+from repro.lexical.floats import FloatFormat, format_double_array
 from repro.wire.frame import DeltaFrame, apply_frame, decode_frame
 
 __all__ = ["DeltaSession", "DocumentEntry", "MirroredDocument"]
@@ -49,7 +63,9 @@ class DocumentEntry:
     """One template's document and its decode (``docs/wire_protocol.md``,
     "One store per direction")."""
 
-    __slots__ = ("data", "epoch", "seq", "decoded", "base", "result", "table")
+    __slots__ = (
+        "data", "epoch", "seq", "decoded", "base", "result", "table", "stale"
+    )
 
     def __init__(self) -> None:
         #: The document: a ``bytearray`` frames patch in place (a
@@ -70,8 +86,34 @@ class DocumentEntry:
         #: (each ``None`` when not held).
         self.result = None
         self.table = None
+        #: Leaves whose text in :attr:`base` is older than their value
+        #: in the decode (typed splices committed, not rendered): a
+        #: bool mask over the seek table's leaves, or ``None``.
+        self.stale: Optional[np.ndarray] = None
+
+    def render(self) -> None:
+        """Write every stale leaf's text into :attr:`base`: its decoded
+        value in MINIMAL form, the closing tag, space pad — the bytes
+        the sender's rewrite put there."""
+        stale, self.stale = self.stale, None
+        if stale is None:
+            return
+        table = self.table
+        leaves = np.flatnonzero(stale)
+        texts = format_double_array(table.leaf_doubles(leaves), FloatFormat.MINIMAL)
+        base = self.base
+        for start, text, limit in zip(
+            table.starts[leaves].tolist(), texts, table.ends[leaves].tolist()
+        ):
+            new = _text_write(base, start, text, limit)
+            # None: a hostile byte splice garbled the region before the
+            # decode saw it; the full parse that follows judges it.
+            if new is not None:
+                base[start : start + len(new)] = new
 
     def drop_decode(self) -> None:
+        """Let go of the decode; its stale values are rendered first."""
+        self.render()
         self.decoded = -1
         self.base = self.result = self.table = None
 
@@ -108,8 +150,50 @@ class MirroredDocument:
         return len(self.entry.data)
 
     def tobytes(self) -> bytes:
-        """The document as immutable bytes (one copy of a mirror)."""
+        """The document as immutable bytes (one copy of a mirror), its
+        stale leaves rendered first."""
+        self.entry.render()
         return bytes(self.entry.data)
+
+
+#: How far past a typed splice's offset its value and closing tag may
+#: reach when no seek table bounds its region (a double's text is at
+#: most 24 bytes; the rest is the tag).
+_TEXT_REACH = 1024
+_PAD = b" \t\r\n"
+
+
+def _text_write(
+    data: Union[bytes, bytearray], start: int, text: bytes, limit: int
+) -> Optional[bytes]:
+    """The bytes that put *text* over the value at *start* in *data*:
+    the text, the closing tag found after the old value, then space pad
+    over whatever the old value and tag covered beyond.  A longer text
+    takes the whitespace pad after the tag.  ``None`` when no closing
+    tag follows *start*, or the text does not fit, before *limit*."""
+    lt = data.find(b"<", start, limit)
+    gt = data.find(b">", lt, limit) if lt >= 0 else -1
+    if gt < 0:
+        return None
+    new = text + data[lt : gt + 1]
+    span = gt + 1 - start
+    if len(new) < span:
+        return new + b" " * (span - len(new))
+    if len(new) > span and (
+        start + len(new) > limit or data[gt + 1 : start + len(new)].strip(_PAD)
+    ):
+        return None
+    return bytes(new)
+
+
+def _touches(table, frame: DeltaFrame, marked: np.ndarray) -> bool:
+    """Whether a byte splice of *frame* overlaps the field region of a
+    *marked* leaf of *table*."""
+    offsets = frame.offsets
+    first = np.searchsorted(table.ends, offsets, side="right")
+    stop = np.searchsorted(table.starts, offsets + frame.widths, side="left")
+    counts = np.concatenate(([0], np.cumsum(marked)))
+    return bool((counts[stop] > counts[first]).any())
 
 
 class DeltaSession:
@@ -176,6 +260,8 @@ class DeltaSession:
             else:
                 entry = DocumentEntry()
         if entry.decoded != entry.seq:
+            # The document is replaced: its stale text goes with it.
+            entry.stale = None
             entry.drop_decode()
         entry.epoch, entry.seq, entry.decoded = epoch, 0, -1
         return self._hold(template_id, entry, bytearray(body))
@@ -239,13 +325,70 @@ class DeltaSession:
             self.generation += 1
             self.resyncs += 1
             raise DeltaResyncError(*problem)
-        if frame.splice_count:
+        if frame.typed_offsets.size:
+            self._apply_typed(entry, frame)
+        elif frame.splice_count:
             apply_frame(frame, entry.data)
         entry.seq = frame.seq
         self.entries.move_to_end(frame.template_id)
         self.frames_applied += 1
         self.bytes_saved += max(0, frame.doc_len - len(frame_bytes))
         return MirroredDocument(entry, frame)
+
+    @staticmethod
+    def _apply_typed(entry: DocumentEntry, frame: DeltaFrame) -> None:
+        """Apply a frame that carries typed splices; everything is
+        validated before the document or the decode changes.
+
+        When the entry's seek table describes this document, each typed
+        offset must name a double leaf's region (else
+        :class:`~repro.errors.DeltaFrameError`), no byte splice may
+        touch a typed or stale leaf, and the values go into the decode
+        with their text left stale.  Otherwise their text is written
+        now, and the deserializer's full parse follows.
+        """
+        offsets, values = frame.typed_offsets, frame.typed_values
+        table = entry.table
+        data = entry.data
+        if table is not None and entry.base is data:
+            leaves = table.typed_leaves(offsets, values)
+            if leaves is None:
+                raise DeltaFrameError(
+                    "typed splice names no double leaf's field region", "bad-splice"
+                )
+            stale = entry.stale
+            marked = np.zeros(table.starts.shape[0], bool) if stale is None else stale.copy()
+            marked[leaves] = True
+            if frame.offsets.size and _touches(table, frame, marked):
+                raise DeltaFrameError(
+                    "byte splice inside a typed leaf's field region", "bad-splice"
+                )
+            apply_frame(frame, data)
+            table.commit_doubles(leaves, values)
+            entry.stale = marked
+            return
+        writes = []
+        for start, text in zip(
+            offsets.tolist(), format_double_array(values, FloatFormat.MINIMAL)
+        ):
+            new = _text_write(data, start, text, min(start + _TEXT_REACH, len(data)))
+            if new is None:
+                raise DeltaFrameError(
+                    f"typed value at {start} has no field to take it", "bad-splice"
+                )
+            writes.append((start, new))
+        # Each typed write, byte splice included, must keep to itself.
+        spans = sorted(
+            [(s, s + len(t)) for s, t in writes]
+            + list(zip(frame.offsets.tolist(), (frame.offsets + frame.widths).tolist()))
+        )
+        if any(a[1] > b[0] for a, b in zip(spans, spans[1:])):
+            raise DeltaFrameError(
+                "typed value overlaps another splice", "bad-splice"
+            )
+        apply_frame(frame, data)
+        for start, text in writes:
+            data[start : start + len(text)] = text
 
     def note(self, outcome: str) -> None:
         """Count one frame answered with *outcome*."""

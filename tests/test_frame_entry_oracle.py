@@ -14,9 +14,9 @@ lockstep on every call:
 * **full parse**: a fresh ``SOAPRequestParser`` on those bytes.
 
 They must agree on the values, on the :class:`DeserKind` and on the
-leaves parsed, and the entry's document must equal the plain
-differential client's bytes (and parse-equal the naive client's) after
-every call.  The same is checked in both directions over live servers
+leaves parsed, and the entry's document, its stale leaves rendered,
+must equal the plain differential client's bytes (and parse-equal the
+naive client's) after every call.  The same is checked in both directions over live servers
 on both front ends, on a ``StuffMode.NONE`` stream whose regions are
 non-uniform (the per-leaf lane), and on a two-operation stream whose
 frames alternate between entries.
@@ -41,6 +41,7 @@ from repro.server.parser import SOAPRequestParser
 from repro.server.service import SOAPService
 from repro.soap.message import Parameter, SOAPMessage
 from repro.transport.loopback import CollectSink
+from repro.wire.server import DocumentEntry
 from repro.xmlkit.canonical import diff_documents, documents_equivalent
 from tests.test_oracle_wire import CALLS_PER_LEVEL, LEVELS, _level_policy, _sequence
 from tests.test_skipscan_oracle import SEQ_LEN, _expected_kind, _registry
@@ -51,6 +52,18 @@ NS = "urn:oracle"
 
 def _offering(policy: DiffPolicy) -> DiffPolicy:
     return DiffPolicy(stuffing=policy.stuffing, delta=DeltaPolicy(offer=True))
+
+
+def rendered(entry: DocumentEntry) -> bytes:
+    """render(mirror): the entry's document with its stale leaves'
+    text written — into a copy, so the entry keeps its stale leaves and
+    the stream goes on exercising them."""
+    shadow = DocumentEntry()
+    shadow.base = bytearray(entry.data)
+    shadow.table = entry.table
+    shadow.stale = None if entry.stale is None else entry.stale.copy()
+    shadow.render()
+    return bytes(shadow.base)
 
 
 class FramePeer:
@@ -91,11 +104,11 @@ class FramePeer:
         pass
 
     def check_one_buffer(self) -> bytes:
-        """The last-used entry's document; it must be a live mirror
-        whose decode followed every frame applied to it."""
+        """The last-used entry's document, rendered; it must be a live
+        mirror whose decode followed every frame applied to it."""
         entry = next(reversed(self.delta.entries.values()))
         assert entry.epoch is not None and entry.decoded == entry.seq
-        return bytes(entry.data)
+        return rendered(entry)
 
 
 class Lockstep:
@@ -238,7 +251,7 @@ def test_two_operations_alternate_mirrors(rng_seed):
     assert "skeleton-drift" not in stats and "length-drift" not in stats
     # Every mirror still equals what its operation sent last.
     for mirror in run.peer.delta.mirrors.values():
-        decoded = SOAPRequestParser(_registry()).parse(bytes(mirror.data)).message
+        decoded = SOAPRequestParser(_registry()).parse(rendered(mirror)).message
         assert np.array_equal(decoded.value("data"), state[decoded.operation])
 
 
@@ -296,7 +309,7 @@ def test_frame_entry_live_lockstep(level, front, rng_seed):
                     assert isinstance(wire, bytes)
                     entry = next(reversed(framed.delta.entries.values()))
                     assert entry.decoded == entry.seq, where
-                    assert bytes(entry.data) == wire, where
+                    assert rendered(entry) == wire, where
                     reference = SOAPRequestParser(_registry()).parse(wire).message
                     for seen in received[-2:]:
                         assert list(seen) == [p.name for p in reference.params]

@@ -1,6 +1,8 @@
-"""Row-window splice movement at both ends of an RDF1 frame.
+"""Row-window splice movement at both ends of an RDF2 frame.
 
-The encoder gathers a frame whose regions share one width, dense enough
+The encoder gathers a frame whose byte-splice regions share one width
+(a MINIMAL sender's doubles are typed splices, so the window cases use
+FIXED-format doubles and ints), dense enough
 to average ``SCATTER_MIN`` per chunk run, with one index of a
 :func:`~repro.buffers.iovec.row_window` view per run, and slices any
 other frame region by region; :func:`~repro.wire.frame.apply_frame`
@@ -13,6 +15,7 @@ file, and every patched mirror with slice-by-slice assignment.
 from __future__ import annotations
 
 import contextlib
+import struct
 import zlib
 
 import numpy as np
@@ -23,7 +26,7 @@ from repro.buffers.config import ChunkPolicy
 from repro.buffers.iovec import row_window
 from repro.core.client import BSoapClient
 from repro.core.policy import DeltaPolicy, DiffPolicy, StuffingPolicy, StuffMode
-from repro.lexical.floats import FloatFormat
+from repro.lexical.floats import FloatFormat, parse_double
 from repro.runtime.sessions import ServerSession
 from repro.schema.composite import ArrayType
 from repro.schema.mio import make_mio_array_type
@@ -74,28 +77,42 @@ def _mio(cols):
 # ----------------------------------------------------------------------
 # the reference harvest
 # ----------------------------------------------------------------------
-def _reference_frame(template, snapshot, baseline):
+def _reference_frame(template, snapshot, baseline, typed):
     """The frame a per-entry harvest of *snapshot* builds, and how many
-    of its regions end on the last byte of their chunk's storage."""
+    of its regions end on the last byte of their chunk's storage.
+
+    With *typed* (a MINIMAL sender) every dirty double is a typed
+    splice whose value is what the client's own text of it parses to."""
     buffer, dut = template.buffer, template.dut
     starts, pos = {}, 0
     for cid in buffer.chunk_ids:
         starts[cid] = pos
         pos += buffer.chunk(cid).used
     splices = []
+    values = []
     edges = 0
     for entry in np.flatnonzero(snapshot).tolist():
         chunk = buffer.chunk(int(dut.chunk_id[entry]))
         off = int(dut.value_off[entry])
+        at = starts[chunk.cid] + off
+        if typed and int(dut.type_id[entry]) == DOUBLE.type_id:
+            text = bytes(chunk.data[off : off + int(dut.ser_len[entry])])
+            splices.append([at, None])
+            values.append(struct.pack("<d", parse_double(text)))
+            continue
         end = off + int(dut.field_width[entry]) + int(dut.close_len[entry])
         edges += end == len(chunk.data)
-        at = starts[chunk.cid] + off
-        if splices and splices[-1][0] + len(splices[-1][1]) == at:
-            splices[-1][1] += chunk.data[off:end]
+        last = splices[-1] if splices else None
+        if last is not None and last[1] is not None and last[0] + len(last[1]) == at:
+            last[1] += chunk.data[off:end]
         else:
             splices.append([at, bytearray(chunk.data[off:end])])
-    directory = b"".join(DIR_ENTRY.pack(at, len(region)) for at, region in splices)
-    payload = b"".join(region for _, region in splices)
+    directory = b"".join(
+        DIR_ENTRY.pack(at, 0 if region is None else len(region))
+        for at, region in splices
+    )
+    payload = b"".join(region for _, region in splices if region is not None)
+    payload += b"".join(values)
     head = HEADER.pack(
         MAGIC,
         template.template_id,
@@ -120,7 +137,9 @@ def checked_harvest():
     def encode(self, template, snapshot, rewrite):
         baseline = self._baselines.get(template.template_id)
         if baseline is not None:
-            expected, edges = _reference_frame(template, snapshot, baseline)
+            expected, edges = _reference_frame(
+                template, snapshot, baseline, self.typed
+            )
         windows.clear()
         frame = real_encode(self, template, snapshot, rewrite)
         if frame is not None:
@@ -235,8 +254,9 @@ def test_stuffed_doubles_gather_dense_runs_up_to_the_chunk_edge():
     # last item's region ends on the storage's last byte (the window's
     # last row).  ~110 items per 4 KiB chunk: 1 % dirty averages under
     # SCATTER_MIN per chunk run and slices; 20 % and 40 % gather.
+    # FIXED format: a MINIMAL sender's doubles are typed splices.
     n = 4000
-    policy = _policy(StuffingPolicy(StuffMode.MAX), FloatFormat.MINIMAL, 4096, 0)
+    policy = _policy(StuffingPolicy(StuffMode.MAX), FloatFormat.FIXED, 4096, 0)
     rng = np.random.default_rng(4)
 
     def dirty(fraction):
@@ -263,9 +283,9 @@ def test_stuffed_doubles_gather_dense_runs_up_to_the_chunk_edge():
 def test_mixed_width_struct_runs_take_the_slice_loop():
     # x (an int field) and v (a double) of every other item dirty
     # together: ~24 regions per chunk run, but two region widths, so
-    # nothing goes through the window.
+    # nothing goes through the window (FIXED: v is a byte splice too).
     n = 400
-    policy = _policy(StuffingPolicy(StuffMode.MAX), FloatFormat.MINIMAL, 2048, 16)
+    policy = _policy(StuffingPolicy(StuffMode.MAX), FloatFormat.FIXED, 2048, 16)
     rng = np.random.default_rng(9)
     cols = {"x": list(range(n)), "y": list(range(n)), "v": [0.5] * n}
 
@@ -283,12 +303,13 @@ def test_mixed_width_struct_runs_take_the_slice_loop():
 @given(
     data=st.data(),
     stuffing=st.sampled_from(STUFFINGS),
+    fmt=st.sampled_from([FloatFormat.MINIMAL, FloatFormat.FIXED]),
     chunk_size=st.sampled_from([96, 2048]),
 )
-def test_reply_harvest_matches_reference(data, stuffing, chunk_size):
+def test_reply_harvest_matches_reference(data, stuffing, fmt, chunk_size):
     # The session responder harvests replies with the same encoder.
     n = data.draw(st.integers(4, 120), label="n")
-    policy = _policy(stuffing, FloatFormat.MINIMAL, chunk_size, 0, max_frame_fraction=1.0)
+    policy = _policy(stuffing, fmt, chunk_size, 0, max_frame_fraction=1.0)
     session = ServerSession("peer", None, policy)
     session.responder.wire.negotiated = True
     values = np.asarray(
@@ -305,7 +326,7 @@ def test_reply_harvest_matches_reference(data, stuffing, chunk_size):
 
 def test_dense_replies_gather_through_the_window():
     n = 2000
-    policy = _policy(StuffingPolicy(StuffMode.MAX), FloatFormat.MINIMAL, 2048, 0)
+    policy = _policy(StuffingPolicy(StuffMode.MAX), FloatFormat.FIXED, 2048, 0)
     session = ServerSession("peer", None, policy)
     session.responder.wire.negotiated = True
     rng = np.random.default_rng(2)

@@ -81,17 +81,23 @@ class TestFrameCodec:
 
     def test_wire_layout_is_pinned(self):
         """The on-wire layout is a protocol contract: header 36 bytes,
-        directory entries 12, little-endian, magic RDF1."""
-        assert MAGIC == b"RDF1"
+        directory entries 12, little-endian, magic RDF2; a width-0 entry
+        is a typed splice whose binary64 follows the byte splices'
+        bytes."""
+        assert MAGIC == b"RDF2"
         assert HEADER.size == 36
         assert DIR_ENTRY.size == 12
         frame = encode_frame(0x1122334455667788, 9, 10, 11, [2], [1], b"Z")
-        assert frame[:4] == b"RDF1"
+        assert frame[:4] == b"RDF2"
         assert struct.unpack_from("<Q", frame, 4)[0] == 0x1122334455667788
         assert struct.unpack_from("<I", frame, 12)[0] == 9
         assert struct.unpack_from("<I", frame, 16)[0] == 10
         assert struct.unpack_from("<Q", frame, 20)[0] == 11
         assert struct.unpack_from("<I", frame, 28)[0] == 1
+        typed = encode_frame(1, 1, 1, 50, [2, 9], [1, 0], b"Z" + struct.pack("<d", 2.5))
+        assert struct.unpack_from("<QI", typed, 36 + 12) == (9, 0)
+        assert typed[-8:] == struct.pack("<d", 2.5)
+        assert len(typed) == 36 + 2 * 12 + 1 + 8
 
     def test_apply_patches_in_place(self):
         mirror = bytearray(b"0123456789")
@@ -149,9 +155,56 @@ class TestFrameCodec:
         assert err.value.reason == "payload-mismatch"
 
     def test_zero_width_splice_rejected(self):
+        """Width 0 is a typed splice: without its 8 payload bytes the
+        directory and the payload disagree."""
         with pytest.raises(DeltaFrameError) as err:
             decode_frame(encode_frame(1, 1, 1, 50, [5], [0], b""))
+        assert err.value.reason == "payload-mismatch"
+
+    def test_typed_splice_roundtrip(self):
+        payload = b"abcd" + struct.pack("<dd", -0.0, 1e300)
+        decoded = decode_frame(encode_frame(1, 1, 1, 50, [3, 10, 20], [0, 4, 0], payload))
+        assert decoded.offsets.tolist() == [10] and decoded.widths.tolist() == [4]
+        assert decoded.payload == b"abcd"
+        assert decoded.typed_offsets.tolist() == [3, 20]
+        assert decoded.typed_values.view(np.uint64).tolist() == [
+            struct.unpack("<Q", struct.pack("<d", v))[0] for v in (-0.0, 1e300)
+        ]
+        assert decoded.splice_count == 3
+
+    @pytest.mark.parametrize("bits", (0x7FF0000000000001, 0xFFF8000000000000, 0x7FFFFFFFFFFFFFFF))
+    def test_typed_nan_is_canonical(self, bits):
+        """Any NaN payload or sign decodes to the text parse's NaN."""
+        from repro.lexical.floats import parse_double
+
+        frame = encode_frame(1, 1, 1, 50, [3], [0], struct.pack("<Q", bits))
+        (value,) = decode_frame(frame).typed_values.view(np.uint64).tolist()
+        assert value == struct.unpack("<Q", struct.pack("<d", parse_double(b"NaN")))[0]
+
+    @pytest.mark.parametrize(
+        "offsets,widths,payload",
+        [
+            ([5, 5], [0, 0], b"\0" * 16),  # two typed splices at one offset
+            ([5, 5], [0, 2], b"ab" + b"\0" * 8),  # a byte splice over one
+            ([4, 5], [2, 0], b"ab" + b"\0" * 8),  # reaching over one
+        ],
+    )
+    def test_typed_splice_overlap_rejected(self, offsets, widths, payload):
+        with pytest.raises(DeltaFrameError) as err:
+            decode_frame(encode_frame(1, 1, 1, 50, offsets, widths, payload))
         assert err.value.reason == "bad-splice"
+
+    @pytest.mark.parametrize("extra", (-1, 1))
+    def test_typed_payload_length_lie(self, extra):
+        """7 or 9 payload bytes for one typed splice."""
+        with pytest.raises(DeltaFrameError) as err:
+            decode_frame(encode_frame(1, 1, 1, 50, [5], [0], b"\0" * (8 + extra)))
+        assert err.value.reason == "payload-mismatch"
+
+    def test_typed_splice_at_doc_end_rejected(self):
+        with pytest.raises(DeltaFrameError) as err:
+            decode_frame(encode_frame(1, 1, 1, 50, [50], [0], b"\0" * 8))
+        assert err.value.reason == "out-of-bounds"
 
     def test_out_of_bounds_splice_rejected(self):
         with pytest.raises(DeltaFrameError) as err:
