@@ -17,7 +17,13 @@ isolates *wire bytes*, not match level).  Every dirty double of a
 MINIMAL sender crosses as a typed splice (8 bytes of binary64 and a
 12-byte directory entry); ``typed_share`` is the share of the frames'
 directory entries that were typed, 1.0 unless the encoder silently fell
-back to byte splices.  At ``dirty_frac=1.0`` the frame outgrows
+back to byte splices.  Nor does the sender format those doubles: the
+rewrite leaves their text stale in the template and writes it only
+when something reads it (a full-XML fallback, which then counts none of
+them deferred); ``deferred_share`` is the share of the timed sends'
+rewritten values a frame carried unformatted, 1.0 on a delta row that
+framed unless the client silently went back to formatting them.  At
+``dirty_frac=1.0`` the frame outgrows
 ``max_frame_fraction`` and the encoder voluntarily falls back to full
 XML — the grid keeps that cell to show the degradation floor is ~1.0x,
 never worse.
@@ -34,7 +40,8 @@ Before timing, two sanity gates run on small copies:
 Emits one ``repro-bench-result/1`` document.  The headline row
 (``delta`` at ``dirty_frac=0.01``) is what the CI ``perf-smoke`` job
 checks against ``BENCH_delta_wire.json`` (>= 50x payload reduction),
-with ``typed_share`` 1.0 on every delta row that framed.
+with ``typed_share`` and ``deferred_share`` 1.0 on every delta row that
+framed.
 
 Usage::
 
@@ -73,6 +80,7 @@ REQUIRED_COLUMNS = (
     "calls_per_sec",
     "reduction_vs_full",
     "typed_share",
+    "deferred_share",
 )
 
 VARIANTS = ("full-xml", "delta")
@@ -131,6 +139,8 @@ def _run_cell(
     call.send()
     bytes0, delta0, full0 = loop.payload_bytes, loop.delta_sends, loop.full_sends
     typed0, byte0 = loop.typed_splices, loop.byte_splices
+    rewritten0 = client.stats.rewrite.values_rewritten
+    deferred0 = client.stats.rewrite.values_deferred
     elapsed = 0.0
     for idx, vals in schedule[1:]:
         tracked.update(idx, vals)
@@ -140,6 +150,8 @@ def _run_cell(
     payload = loop.payload_bytes - bytes0
     typed = loop.typed_splices - typed0
     entries = typed + loop.byte_splices - byte0
+    rewritten = client.stats.rewrite.values_rewritten - rewritten0
+    deferred = client.stats.rewrite.values_deferred - deferred0
     return {
         "variant": variant,
         "n": n,
@@ -152,6 +164,7 @@ def _run_cell(
         "calls_per_sec": round(sends / elapsed, 1),
         "reduction_vs_full": 1.0,
         "typed_share": round(typed / entries, 4) if entries else 0.0,
+        "deferred_share": round(deferred / rewritten, 4) if rewritten else 0.0,
     }
 
 
@@ -257,7 +270,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{row['mean_payload_bytes']:>12.1f} B/send  "
                 f"x{row['reduction_vs_full']:.1f} vs full  "
                 f"({row['delta_sends']} frames, {row['full_sends']} full, "
-                f"typed {row['typed_share']:.2f}, {row['mean_send_ms']:.3f} ms/send)",
+                f"typed {row['typed_share']:.2f}, "
+                f"deferred {row['deferred_share']:.2f}, "
+                f"{row['mean_send_ms']:.3f} ms/send)",
                 file=sys.stderr,
             )
 

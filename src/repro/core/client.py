@@ -259,8 +259,11 @@ class BSoapClient:
                 template, kind, RewriteStats(), snapshot=snapshot
             )
         moved_before = template.buffer.bytes_moved
+        # A frame that will carry the dirty doubles as binary64 needs
+        # no text of them: the rewrite leaves it stale.
+        defer = self.wire is not None and self.wire.types_doubles(template)
         try:
-            rewrite = rewrite_dirty(template, self.policy, self.obs)
+            rewrite = rewrite_dirty(template, self.policy, self.obs, defer)
         except LexicalError:
             # A value with no legal lexical form (an out-of-range
             # xsd:int): earlier parameters are already rewritten and
@@ -325,12 +328,17 @@ class BSoapClient:
             ):
                 frame = wire.try_encode(template, snapshot, rewrite)
             if frame is None:
+                # The announce names the document full XML is about to
+                # carry: its stale text is written first, so this send
+                # deferred nothing after all.
+                template.render_stale()
+                rewrite.values_deferred = 0
                 wire.announce(template)
         if frame is not None:
             bytes_sent = self.transport.send_delta_frame(frame)
         else:
             bytes_sent = self.transport.send_message(
-                template.buffer.views(), template.total_bytes
+                template.views(), template.total_bytes
             )
         template.sends += 1
         report = SendReport(

@@ -30,6 +30,15 @@ row matrix; every other entry takes the slice loop over the chunk
 **Slow path** (some value needs expansion): entries are processed in
 ascending document order through :func:`write_entry`, re-reading
 locations from the DUT at each step because shifts move later entries.
+
+**Deferred text** (``defer=True``: the client's delta encoder will
+carry this send's dirty doubles as binary64 typed splices): a dirty
+``xsd:double`` whose field holds :data:`DOUBLE_MAX_WIDTH` characters
+provably fits it, so it is neither formatted nor written, only marked
+in the template's ``stale`` mask.  Its old text and ``ser_len`` still
+agree with the buffer.  Before anything reads the bytes,
+:func:`render_stale` runs this module's own rewrite over the stale
+entries — the deferred half of the same write, in MINIMAL form.
 """
 
 from __future__ import annotations
@@ -43,11 +52,13 @@ from repro.buffers.iovec import row_window
 from repro.core.policy import DiffPolicy, Expansion
 from repro.core.stats import RewriteStats
 from repro.core.stealing import try_steal
+from repro.lexical.floats import DOUBLE_MAX_WIDTH, FloatFormat
+from repro.schema.types import DOUBLE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.template import BoundParam, MessageTemplate
 
-__all__ = ["rewrite_dirty", "write_entry"]
+__all__ = ["render_stale", "rewrite_dirty", "write_entry"]
 
 _PAD = tuple(b" " * i for i in range(64))
 
@@ -57,6 +68,11 @@ _PAD = tuple(b" " * i for i in range(64))
 #: so on one run of 14- or 24-byte doubles the two meet between 48 and
 #: 64 values (docs/perf.md, "The steady-state rewrite").
 STORE_MIN_RUN = 56
+
+#: The rewrite a deferred double's text is rendered with: only MINIMAL
+#: senders defer (their frames type the doubles), and a double that
+#: fits its field never reads the expansion settings.
+_RENDER_POLICY = DiffPolicy(float_format=FloatFormat.MINIMAL)
 
 
 def write_entry(
@@ -80,6 +96,9 @@ def write_entry(
     clen = int(dut.close_len[entry])
 
     if new_len > width:
+        # Steal reads neighbours' ser_len and may narrow a stale donor's
+        # field below what its deferred text needs: render first.
+        template.render_stale()
         delta = new_len - width
         stolen = policy.expansion is Expansion.STEAL and try_steal(
             template, entry, delta, policy.steal_scan_limit, stats, obs
@@ -246,20 +265,55 @@ def _rewrite_run(
         _fast_rewrite(template, bp, idxs, texts, lens_l, lens, stats)
 
 
+def render_stale(template: "MessageTemplate", stale: np.ndarray) -> None:
+    """Write the text of the *stale* (bool mask over DUT entries)
+    deferred doubles: the rewrite :func:`rewrite_dirty` skipped, run
+    now.  Those values were counted when deferred; this pass counts
+    nothing."""
+    stats = RewriteStats()
+    for bp in template.params:
+        seg = stale[bp.entry_base : bp.entry_end]
+        if seg.any():
+            idxs = bp.entry_base + np.flatnonzero(seg)
+            _rewrite_run(template, bp, idxs, _RENDER_POLICY, stats, None)
+
+
 def rewrite_dirty(
-    template: "MessageTemplate", policy: DiffPolicy, obs=None
+    template: "MessageTemplate", policy: DiffPolicy, obs=None, defer: bool = False
 ) -> RewriteStats:
-    """Re-serialize every dirty entry; clear dirty bits; return stats."""
+    """Re-serialize every dirty entry; clear dirty bits; return stats.
+
+    With *defer*, dirty doubles whose fields hold any MINIMAL text are
+    marked stale instead of written (module docstring); without it, the
+    template's stale text is rendered first, so the pass leaves every
+    byte current.
+    """
     tracing = obs is not None and obs.tracer.enabled
     t0 = perf_counter() if tracing else 0.0
     stats = RewriteStats()
     dut = template.dut
+    if not defer:
+        template.render_stale()
     for bp in template.params:
         base, end = bp.entry_base, bp.entry_end
         seg = dut.dirty[base:end]
         if not seg.any():
             continue
-        _rewrite_run(template, bp, base + np.flatnonzero(seg), policy, stats, obs)
+        idxs = base + np.flatnonzero(seg)
+        if defer and DOUBLE in bp.leaf_types:
+            lazy = (dut.type_id[idxs] == DOUBLE.type_id) & (
+                dut.field_width[idxs] >= DOUBLE_MAX_WIDTH
+            )
+            deferred = int(np.count_nonzero(lazy))
+            if deferred:
+                if template.stale is None:
+                    template.stale = np.zeros(len(dut), dtype=bool)
+                template.stale[idxs[lazy]] = True
+                stats.values_rewritten += deferred
+                stats.values_deferred += deferred
+                idxs = idxs[~lazy]
+        if idxs.size:
+            _rewrite_run(template, bp, idxs, policy, stats, obs)
         dut.clear_dirty(base, end)
     if tracing:
         obs.tracer.emit(

@@ -45,7 +45,12 @@ class MatchKind(enum.Enum):
 class RewriteStats:
     """Work performed by one differential rewrite pass."""
 
+    #: Dirty values this pass committed (each once, written or deferred).
     values_rewritten: int = 0
+    #: Of those, doubles a typed frame carried while their text stayed
+    #: stale (``repro.core.differential``, "Deferred text"); a send that
+    #: falls back to full XML writes that text and counts none.
+    values_deferred: int = 0
     #: Closing-tag rewrites (value length changed within its field).
     tag_shifts: int = 0
     #: Field expansions resolved by shifting a chunk tail in place.
@@ -66,6 +71,7 @@ class RewriteStats:
 
     def merge(self, other: "RewriteStats") -> None:
         self.values_rewritten += other.values_rewritten
+        self.values_deferred += other.values_deferred
         self.tag_shifts += other.tag_shifts
         self.shifts_inplace += other.shifts_inplace
         self.reallocs += other.reallocs
@@ -135,7 +141,7 @@ class ClientStats:
 
     # The rewrite keeps no plan cache; ``benchmarks/ledger/child.py``
     # reads these two for ``core.plan_hit_share`` until the ledger
-    # retires that row (ROADMAP item 2).
+    # retires that row (ROADMAP item 1, "Retired rows").
     @property
     def plan_hits(self) -> int:
         return 0
@@ -179,6 +185,7 @@ class ClientStats:
             ("repro_bytes_sent_total",): self.bytes_sent,
             ("repro_bytes_received_total",): self.bytes_received,
             ("repro_values_rewritten_total",): rw.values_rewritten,
+            ("repro_values_deferred_total",): rw.values_deferred,
             ("repro_tag_shifts_total",): rw.tag_shifts,
             ("repro_pad_bytes_total",): rw.pad_bytes,
             ("repro_expansions_total", "inplace"): rw.shifts_inplace,

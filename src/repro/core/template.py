@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.buffers.chunked import ChunkedBuffer
+from repro.core.differential import render_stale
 from repro.dut.table import DUTTable
 from repro.dut.tracked import (
     TrackedArray,
@@ -141,6 +142,7 @@ class MessageTemplate:
         "sends",
         "suspect",
         "template_id",
+        "stale",
     )
 
     def __init__(
@@ -164,6 +166,11 @@ class MessageTemplate:
         #: serialized form may no longer match what the server holds,
         #: so the next send must be a full resynchronization.
         self.suspect = False
+        #: DUT entries whose text in the buffer is older than their
+        #: tracked value: dirty doubles a typed frame carried without
+        #: the rewrite writing them (a bool mask, or ``None``).  Every
+        #: reader of the bytes renders them first (:meth:`render_stale`).
+        self.stale: Optional[np.ndarray] = None
         # Consistency: entry ranges must tile the DUT exactly.
         total = sum(p.leaf_count for p in self.params)
         if total != len(dut):
@@ -272,6 +279,7 @@ class MessageTemplate:
         self._by_name = {p.name: p for p in self.params}
         self._bases = np.asarray([p.entry_base for p in self.params], dtype=np.int64)
         self.suspect = False
+        self.stale = None
 
     # ------------------------------------------------------------------
     # inspection
@@ -308,10 +316,20 @@ class MessageTemplate:
             "total": serialized + dut_bytes,
         }
 
+    def render_stale(self) -> None:
+        """Write every stale entry's current value as the text the
+        rewrite deferred (MINIMAL, closing tag, pad); a no-op when
+        nothing is stale."""
+        stale, self.stale = self.stale, None
+        if stale is not None:
+            render_stale(self, stale)
+
     def views(self) -> List[memoryview]:
+        self.render_stale()
         return self.buffer.views()
 
     def tobytes(self) -> bytes:
+        self.render_stale()
         return self.buffer.tobytes()
 
     def validate(self) -> None:
@@ -320,6 +338,7 @@ class MessageTemplate:
         For every entry: the close tag sits immediately after the
         value, and the pad region is pure whitespace.
         """
+        self.render_stale()
         self.dut.validate()
         dut = self.dut
         for bp in self.params:

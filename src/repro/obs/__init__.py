@@ -74,6 +74,9 @@ _SERIES = {
     "repro_values_rewritten_total": (
         "Dirty values re-serialized by the differential rewrite"
     ),
+    "repro_values_deferred_total": (
+        "Dirty doubles a typed frame carried without formatting their text"
+    ),
     "repro_tag_shifts_total": (
         "Closing-tag rewrites (value length changed in its field)"
     ),

@@ -12,7 +12,9 @@ The :class:`DeltaEncoder` rides along inside
   DUT dirty snapshot taken by ``begin_send()``.  A dirty ``xsd:double``
   leaf of a MINIMAL-format sender is a *typed splice*, its value as
   binary64 from the tracked column, which the receiver renders to the
-  very text the rewrite wrote; every other dirty leaf is a byte
+  very text the sender's rewrite writes (the sender itself defers that
+  text while frames type its doubles: :meth:`types_doubles`); every
+  other dirty leaf is a byte
   splice, exactly the region (value + closing tag + pad) the
   differential rewrite is allowed to touch when no field expanded.
 
@@ -23,7 +25,9 @@ optimization:
 * match level must be content or perfect-structural with zero
   expansions (a moved byte invalidates cached offsets),
 * the buffer's ``layout_epoch`` and total length must equal the
-  announced baseline's,
+  announced baseline's, and the template's last send must have been
+  this encoder's (a template store shared with another client can
+  send it elsewhere),
 * the frame must stay under ``max_splices`` and under
   ``max_frame_fraction`` of the document (at high churn a patch
   approaches the document size and full XML is strictly cheaper).
@@ -51,13 +55,19 @@ __all__ = ["DeltaEncoder"]
 class _Baseline:
     """What the client believes the server mirrors for one template."""
 
-    __slots__ = ("epoch", "seq", "doc_len", "layout_epoch")
+    __slots__ = ("epoch", "seq", "doc_len", "layout_epoch", "sends")
 
-    def __init__(self, epoch: int, doc_len: int, layout_epoch: int) -> None:
+    def __init__(
+        self, epoch: int, doc_len: int, layout_epoch: int, sends: int
+    ) -> None:
         self.epoch = epoch
         self.seq = 0
         self.doc_len = doc_len
         self.layout_epoch = layout_epoch
+        #: The template's send count when its next send is this
+        #: encoder's: a send through another client of a shared
+        #: template store moved the document without this peer.
+        self.sends = sends
 
 
 class DeltaEncoder:
@@ -120,6 +130,7 @@ class DeltaEncoder:
             self._epoch_counter,
             template.total_bytes,
             template.buffer.layout_epoch,
+            template.sends + 1,
         )
         baselines = self._baselines
         baselines.pop(template.template_id, None)
@@ -137,6 +148,17 @@ class DeltaEncoder:
         server session holding the mirrors — died)."""
         self._baselines.clear()
 
+    def types_doubles(self, template) -> bool:
+        """Whether a frame for *template* would carry its dirty doubles
+        as typed splices: frames flow and a baseline is held.  The
+        frame may still fall back; the client then renders the text."""
+        return (
+            self.typed
+            and self.active
+            and self.negotiated
+            and template.template_id in self._baselines
+        )
+
     # ------------------------------------------------------------------
     def try_encode(self, template, snapshot, rewrite) -> Optional[bytes]:
         """Encode this send as a frame, or ``None`` to fall back.
@@ -149,6 +171,8 @@ class DeltaEncoder:
         baseline = self._baselines.get(template.template_id)
         if baseline is None:
             return self._fallback("no-baseline")
+        if template.sends != baseline.sends:
+            return self._fallback("foreign-send")
         if rewrite.expansions:
             return self._fallback("expansion")
         buffer = template.buffer
@@ -204,6 +228,7 @@ class DeltaEncoder:
             payload = b""
 
         baseline.seq += 1
+        baseline.sends += 1
         try:
             self._baselines.move_to_end(template.template_id)
         except KeyError:

@@ -21,13 +21,13 @@ import pytest
 
 from repro.core.client import BSoapClient
 from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
-from repro.errors import LexicalError, XMLError
+from repro.errors import DeltaFrameError, LexicalError, XMLError
 from repro.hardening.fuzz import DeltaFrameFuzzer
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
 from repro.lexical.floats import format_double
 from repro.runtime import loadgen
 from repro.schema.composite import ArrayType
-from repro.schema.types import DOUBLE
+from repro.schema.types import DOUBLE, STRING
 from repro.server.diffdeser import DeserKind, DifferentialDeserializer
 from repro.server.parser import SOAPRequestParser
 from repro.soap.message import Parameter, SOAPMessage
@@ -460,3 +460,45 @@ def test_no_second_copy_of_the_document_is_named_in_the_source():
         text = path.read_text()
         assert "last_reconstructed" not in text, path
         assert "_reconstructed_id" not in text, path
+
+
+def test_typed_offsets_with_no_table_cost_no_frame_wide_matrix():
+    """With no seek table to check them (shed, or never compiled), a
+    typed splice's text is placed by searching at most ``_TEXT_REACH``
+    bytes past its offset for a closing tag.  A peer aiming the most
+    typed splices a frame may carry into one long tag-free run gets the
+    same clean refusal, and the search costs memory in proportion to
+    the frame, not to splices times reach."""
+    n = DEFAULT_LIMITS.max_delta_splices
+    sink = CollectSink()
+    BSoapClient(sink, DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX))).send(
+        SOAPMessage(
+            loadgen.OPERATION,
+            loadgen.SERVICE_NS,
+            [
+                Parameter("note", STRING, "a" * (n + 4096)),
+                Parameter("data", ArrayType(DOUBLE), np.linspace(1.0, 2.0, 16)),
+            ],
+        )
+    )
+    body = sink.last
+    deser = DifferentialDeserializer()
+    deser.deserialize(deser.store.store(1, 1, body))
+    assert deser.drop_seek_table() > 0
+    run = body.index(b"a" * 64)
+    frame = encode_frame(
+        1, 1, 1, len(body),
+        list(range(run, run + n)), [0] * n,
+        np.linspace(1.0, 2.0, n).astype("<f8").tobytes(),
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(DeltaFrameError) as refused:
+            deser.store.apply(frame, DEFAULT_LIMITS)
+        _now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert refused.value.reason == "bad-splice"
+    assert str(refused.value) == f"typed value at {run} has no field to take it"
+    assert bytes(deser.store.mirrors[1].data) == body
+    assert peak < 16 * len(frame), f"{peak} bytes at peak for a {len(frame)}-byte frame"

@@ -26,7 +26,7 @@ from repro.buffers.config import ChunkPolicy
 from repro.buffers.iovec import row_window
 from repro.core.client import BSoapClient
 from repro.core.policy import DeltaPolicy, DiffPolicy, StuffingPolicy, StuffMode
-from repro.lexical.floats import FloatFormat, parse_double
+from repro.lexical.floats import FloatFormat
 from repro.runtime.sessions import ServerSession
 from repro.schema.composite import ArrayType
 from repro.schema.mio import make_mio_array_type
@@ -82,7 +82,8 @@ def _reference_frame(template, snapshot, baseline, typed):
     of its regions end on the last byte of their chunk's storage.
 
     With *typed* (a MINIMAL sender) every dirty double is a typed
-    splice whose value is what the client's own text of it parses to."""
+    splice whose value is the one its tracked column holds (the
+    sender leaves that double's text stale)."""
     buffer, dut = template.buffer, template.dut
     starts, pos = {}, 0
     for cid in buffer.chunk_ids:
@@ -96,9 +97,10 @@ def _reference_frame(template, snapshot, baseline, typed):
         off = int(dut.value_off[entry])
         at = starts[chunk.cid] + off
         if typed and int(dut.type_id[entry]) == DOUBLE.type_id:
-            text = bytes(chunk.data[off : off + int(dut.ser_len[entry])])
+            bp = template.param_for_entry(entry)
+            value = bp.tracked.doubles_for(np.asarray([entry - bp.entry_base]))[0]
             splices.append([at, None])
-            values.append(struct.pack("<d", parse_double(text)))
+            values.append(struct.pack("<d", value))
             continue
         end = off + int(dut.field_width[entry]) + int(dut.close_len[entry])
         edges += end == len(chunk.data)

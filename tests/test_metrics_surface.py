@@ -61,6 +61,12 @@ GOLDEN = {
         "Dirty values re-serialized by the differential rewrite",
     ),
     (
+        "repro_values_deferred_total",
+        "counter",
+        (),
+        "Dirty doubles a typed frame carried without formatting their text",
+    ),
+    (
         "repro_tag_shifts_total",
         "counter",
         (),
