@@ -19,8 +19,8 @@ N = 50_000
 
 def _soa_table():
     builder = DUTTableBuilder()
-    offs = list(range(0, N * 30, 30))
-    builder.add_batch(0, offs, [10] * N, [24] * N, type_id=1, close_len=7)
+    offs = np.arange(0, N * 30, 30)
+    builder.add_batch(0, offs, np.full(N, 10), np.full(N, 24), type_id=1, close_len=7)
     return builder.freeze()
 
 

@@ -257,13 +257,6 @@ def _build_span(
     policy: DiffPolicy,
 ) -> _Span:
     """Serialize *items* array items into a dedicated single chunk."""
-
-    def width_for(xsd_type: XSDType, ser_len: int) -> int:
-        width = policy.stuffing.width_for(xsd_type, ser_len)
-        if width < ser_len:  # pragma: no cover - width_for guarantees >=
-            raise OverlayError("stuffing produced width below value length")
-        return width
-
     # Conservative single-chunk capacity: tags + max width per leaf.
     element = ptype.element
     arity = element.arity if isinstance(element, StructType) else 1
@@ -282,12 +275,14 @@ def _build_span(
     buffer = ChunkedBuffer(ChunkPolicy(chunk_size=capacity, reserve=0))
     dutb = DUTTableBuilder()
     if isinstance(element, StructType):
-        emit_struct_items(buffer, dutb, texts, element, ptype.item_tag, width_for)
+        emit_struct_items(buffer, dutb, texts, element, ptype.item_tag, policy.stuffing)
         close_tags = tuple(
             b"</" + f.name.encode("ascii") + b">" for f in element.fields
         )
     else:
-        emit_primitive_items(buffer, dutb, texts, ptype.item_tag, element, width_for)
+        emit_primitive_items(
+            buffer, dutb, texts, ptype.item_tag, element, policy.stuffing
+        )
         close_tags = (b"</" + ptype.item_tag.encode("ascii") + b">",)
     return _Span(buffer, dutb.freeze(), close_tags, arity, items)
 

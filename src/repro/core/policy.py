@@ -12,6 +12,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+import numpy as np
+
 from repro.buffers.config import ChunkPolicy
 from repro.errors import SchemaError
 from repro.lexical.floats import FloatFormat
@@ -57,22 +59,33 @@ class StuffingPolicy:
     #: ``{"double": 18, "int": 6}`` for the paper's intermediate runs).
     fixed_widths: Mapping[str, int] = field(default_factory=dict)
 
-    def width_for(self, xsd_type: XSDType, ser_len: int) -> int:
-        """Field width to allocate for a value of *ser_len* characters."""
+    def widths_for(self, xsd_type: XSDType, lens: np.ndarray) -> np.ndarray:
+        """Field widths to allocate for values of *lens* characters.
+
+        The stuffing rule, a column at a time: MAX widens every value
+        to the type's maximum, FIXED to the clamped per-type width, and
+        NONE (or an unstuffable type, or FIXED without a width for the
+        type) keeps each value's own length.  A width never falls
+        below its value's length.
+        """
         spec = xsd_type.widths
         if self.mode is StuffMode.NONE or not spec.stuffable:
-            return ser_len
+            return lens
         if self.mode is StuffMode.MAX:
-            return max(ser_len, spec.max_width)  # type: ignore[arg-type]
+            return np.maximum(lens, spec.max_width)
         width = self.fixed_widths.get(xsd_type.name)
         if width is None:
-            return ser_len
+            return lens
         if width < spec.min_width:
             raise SchemaError(
                 f"fixed width {width} below minimum {spec.min_width} "
                 f"for {xsd_type.name}"
             )
-        return max(ser_len, spec.clamp(width))
+        return np.maximum(lens, spec.clamp(width))
+
+    def width_for(self, xsd_type: XSDType, ser_len: int) -> int:
+        """Field width for one value of *ser_len* characters."""
+        return int(self.widths_for(xsd_type, np.array([ser_len]))[0])
 
     @property
     def guarantees_fixed_layout(self) -> bool:

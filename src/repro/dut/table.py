@@ -24,7 +24,7 @@ slice found by binary search instead of scanning the whole table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +32,20 @@ from repro.buffers.chunked import GapResult
 from repro.errors import DUTError
 
 __all__ = ["DUTTableBuilder", "DUTTable", "DUTEntryView"]
+
+#: A builder column: a NumPy array, a sequence of ints, or (where a
+#: column may be shared) one int.
+Column = Union[np.ndarray, Sequence[int], int]
+
+#: Per-entry builder columns, in :meth:`DUTTableBuilder.add_batch`
+#: order, with their frozen dtypes (``chunk_id`` is one per batch).
+_DTYPES = {
+    "value_off": np.int64,
+    "ser_len": np.int32,
+    "field_width": np.int32,
+    "type_id": np.int8,
+    "close_len": np.int16,
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,15 +73,16 @@ class DUTEntryView:
 
 
 class DUTTableBuilder:
-    """Accumulates entries during initial serialization; then freezes."""
+    """Collects entry columns during initial serialization; then freezes.
+
+    Each :meth:`add_batch` keeps its columns as given; :meth:`freeze`
+    concatenates each column once.
+    """
 
     def __init__(self) -> None:
-        self._chunk_id: List[int] = []
-        self._value_off: List[int] = []
-        self._ser_len: List[int] = []
-        self._field_width: List[int] = []
-        self._type_id: List[int] = []
-        self._close_len: List[int] = []
+        self._chunk_ids: List[int] = []
+        self._counts: List[int] = []
+        self._parts: Dict[str, List[Column]] = {name: [] for name in _DTYPES}
 
     def add(
         self,
@@ -82,76 +97,53 @@ class DUTTableBuilder:
         if ser_len > field_width:
             raise DUTError(
                 f"ser_len {ser_len} exceeds field_width {field_width} at entry "
-                f"{len(self._chunk_id)}"
+                f"{len(self)}"
             )
-        self._chunk_id.append(chunk_id)
-        self._value_off.append(value_off)
-        self._ser_len.append(ser_len)
-        self._field_width.append(field_width)
-        self._type_id.append(type_id)
-        self._close_len.append(close_len)
-        return len(self._chunk_id) - 1
+        self.add_batch(
+            chunk_id, [value_off], [ser_len], [field_width], type_id, close_len
+        )
+        return len(self) - 1
 
     def add_batch(
         self,
         chunk_id: int,
-        value_offs: List[int],
-        ser_lens: List[int],
-        field_widths: List[int],
-        type_id: int,
-        close_len: int,
+        value_offs: Column,
+        ser_lens: Column,
+        field_widths: Column,
+        type_id: Column,
+        close_len: Column,
     ) -> None:
-        """Bulk-append entries sharing one chunk, type, and close tag.
+        """Bulk-append entries that share one chunk.
 
-        This is the template builder's hot path: one extend per column
-        instead of one :meth:`add` call per array item.
+        The offset, length and width columns hold one value per entry;
+        *type_id* and *close_len* are each one value shared by every
+        entry or a per-entry column (struct arrays mix leaf types).
+        ``ser_len <= field_width`` is checked once, at :meth:`freeze`.
         """
         n = len(value_offs)
-        if not (len(ser_lens) == len(field_widths) == n):
+        columns = (value_offs, ser_lens, field_widths, type_id, close_len)
+        if any(np.ndim(c) and len(c) != n for c in columns):
             raise DUTError("add_batch column lengths differ")
-        self._chunk_id.extend([chunk_id] * n)
-        self._value_off.extend(value_offs)
-        self._ser_len.extend(ser_lens)
-        self._field_width.extend(field_widths)
-        self._type_id.extend([type_id] * n)
-        self._close_len.extend([close_len] * n)
-
-    def add_batch_mixed(
-        self,
-        chunk_id: int,
-        value_offs: List[int],
-        ser_lens: List[int],
-        field_widths: List[int],
-        type_ids: List[int],
-        close_lens: List[int],
-    ) -> None:
-        """Bulk-append entries sharing one chunk but mixed leaf types
-        (struct arrays)."""
-        n = len(value_offs)
-        self._chunk_id.extend([chunk_id] * n)
-        self._value_off.extend(value_offs)
-        self._ser_len.extend(ser_lens)
-        self._field_width.extend(field_widths)
-        self._type_id.extend(type_ids)
-        self._close_len.extend(close_lens)
+        self._chunk_ids.append(chunk_id)
+        self._counts.append(n)
+        for parts, c in zip(self._parts.values(), columns):
+            parts.append(c if np.ndim(c) else np.full(n, c))
 
     def __len__(self) -> int:
-        return len(self._chunk_id)
+        return sum(self._counts)
 
     def freeze(self) -> "DUTTable":
         """Materialize the SoA columns (validates ser_len ≤ width)."""
-        ser_len = np.asarray(self._ser_len, dtype=np.int32)
-        field_width = np.asarray(self._field_width, dtype=np.int32)
-        if bool((ser_len > field_width).any()):
+        cols = {
+            name: np.concatenate(parts, dtype=_DTYPES[name])
+            if parts
+            else np.zeros(0, _DTYPES[name])
+            for name, parts in self._parts.items()
+        }
+        if bool((cols["ser_len"] > cols["field_width"]).any()):
             raise DUTError("freeze: some ser_len exceeds field_width")
-        return DUTTable(
-            chunk_id=np.asarray(self._chunk_id, dtype=np.int32),
-            value_off=np.asarray(self._value_off, dtype=np.int64),
-            ser_len=ser_len,
-            field_width=field_width,
-            type_id=np.asarray(self._type_id, dtype=np.int8),
-            close_len=np.asarray(self._close_len, dtype=np.int16),
-        )
+        chunk_id = np.repeat(np.asarray(self._chunk_ids, np.int32), self._counts)
+        return DUTTable(chunk_id=chunk_id, **cols)
 
 
 class DUTTable:

@@ -37,7 +37,7 @@ class TestBuilder:
 
     def test_add_batch_mixed(self):
         b = DUTTableBuilder()
-        b.add_batch_mixed(0, [0, 10], [1, 1], [2, 2], [0, 1], [4, 4])
+        b.add_batch(0, [0, 10], [1, 1], [2, 2], [0, 1], [4, 4])
         t = b.freeze()
         assert t.entry(0).type_id == 0 and t.entry(1).type_id == 1
 
