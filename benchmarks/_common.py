@@ -1,11 +1,9 @@
-"""Shared helpers for the pytest-benchmark suite.
+"""Shared helpers for the ablation benches.
 
-Each ``bench_figNN_*.py`` file regenerates one of the paper's figures
-(§4) as pytest-benchmark groups; ``bench_ablation_*.py`` files cover
-the design choices DESIGN.md calls out.  The full-sweep curves (paper
-sizes up to 100K) come from ``python -m repro.bench.figures``; the
-pytest benches use CI-sized arrays so the whole suite runs in minutes
-while preserving every comparison's *shape*.
+The paper's figures (§4) and the §2 phase split run from
+``bench_figures.py``, which reads their one declaration in
+:data:`repro.bench.figures.FIGURES`; the ``bench_ablation_*.py`` files
+cover the design choices DESIGN.md calls out.
 
 Benchmark transport: :class:`MemcpySink` — one copy per byte, the
 reproducible stand-in for the paper's send() syscall (see DESIGN.md
@@ -16,58 +14,13 @@ window.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.bench.workloads import (
-    MIO_INTERMEDIATE_SPLIT,
-    MIO_MAX_SPLIT,
-    MIO_MIN_SPLIT,
-    double_array_message,
-    doubles_of_width,
-    int_array_message,
-    ints_of_width,
-    mio_columns_of_widths,
-    mio_message,
-    random_doubles,
-    random_ints,
-    random_mio_columns,
-)
-from repro.buffers.config import ChunkPolicy
 from repro.core.client import BSoapClient
-from repro.core.policy import (
-    DiffPolicy,
-    Expansion,
-    OverlayPolicy,
-    StuffingPolicy,
-    StuffMode,
-)
+from repro.core.policy import DiffPolicy
 from repro.transport.loopback import MemcpySink
-
-#: CI-friendly size grid (full paper grid via the figures runner).
-SIZES = (100, 1000, 10000)
-#: Smaller grid for the expensive shifting benches.
-SHIFT_SIZES = (100, 1000, 5000)
-#: Dirty fractions from Figures 4/5/8/9.
-FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
 
 def sink():
     return MemcpySink()
-
-
-def full_serialization_client():
-    """bSOAP with differential off — the paper's Full Serialization curve."""
-    return BSoapClient(sink(), DiffPolicy(differential_enabled=False))
-
-
-def shift_policy(chunk_size: int = 32 * 1024) -> DiffPolicy:
-    return DiffPolicy(
-        chunk=ChunkPolicy(
-            chunk_size=chunk_size,
-            reserve=min(512, chunk_size // 8),
-            split_threshold=chunk_size // 2,
-        )
-    )
 
 
 def prepared_call(message, policy=None):
@@ -76,24 +29,3 @@ def prepared_call(message, policy=None):
     call = client.prepare(message)
     call.send()
     return call
-
-
-def make_structural_mutator(call, pname, n, frac, pool, mio=False, seed=0):
-    """A setup() that dirties ``frac`` of the values with same-width
-    replacements (perfect structural match, as in Figures 4/5)."""
-    tracked = call.tracked(pname)
-    k = max(1, int(frac * n))
-    rng = np.random.default_rng(seed)
-    flip = [pool, np.roll(pool, 1)]
-    state = {"i": 0}
-
-    def mutate():
-        idx = rng.choice(n, k, replace=False) if k < n else np.arange(n)
-        src = flip[state["i"] % 2]
-        state["i"] += 1
-        if mio:
-            tracked.set_items(idx, "v", src[idx])
-        else:
-            tracked.update(idx, src[idx])
-
-    return mutate

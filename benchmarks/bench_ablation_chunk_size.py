@@ -9,7 +9,8 @@ trade-off the paper discusses in §3.2.
 import numpy as np
 import pytest
 
-from _common import prepared_call, shift_policy
+from _common import prepared_call
+from repro.bench.figures import shift_policy
 from repro.bench.workloads import double_array_message, doubles_of_width
 
 N = 5000

@@ -6,11 +6,11 @@ drives it with :mod:`repro.runtime.loadgen` across the
 ``repro-bench-result/1`` JSON document (see
 :mod:`repro.bench.resultjson`).
 
-Unlike the ``bench_fig*`` microbenchmarks this is a closed-loop RPC
-benchmark: every row is end-to-end (serialize, HTTP, deserialize,
-respond) through real sockets.  ``--service-delay-ms`` models the
-service's own work; concurrency gains only exist when there is a wait
-to overlap (see ``docs/runtime.md``).
+Unlike the paper-figure microbenchmarks (``bench_figures.py``) this is
+a closed-loop RPC benchmark: every row is end-to-end (serialize, HTTP,
+deserialize, respond) through real sockets.  ``--service-delay-ms``
+models the service's own work; concurrency gains only exist when there
+is a wait to overlap (see ``docs/runtime.md``).
 
 ``--server`` picks the front end the grid runs against (threaded
 thread-per-connection, or the async event loop).  ``--async-compare``

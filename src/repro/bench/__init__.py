@@ -8,8 +8,9 @@ The paper's evaluation (§4) is reproduced figure by figure:
 * :mod:`repro.bench.runner` — Send-Time measurement (averages over
   repetitions, per the paper's 100-sample methodology) and transport
   rigs (memcpy sink / TCP to a dummy server / HTTP framing),
-* :mod:`repro.bench.figures` — one experiment function per paper
-  figure, runnable via ``python -m repro.bench.figures``,
+* :mod:`repro.bench.figures` — one declaration per paper figure
+  (:data:`~repro.bench.figures.FIGURES`), run by
+  ``python -m repro.bench.figures`` and ``benchmarks/bench_figures.py``,
 * :mod:`repro.bench.report` — series/ratio pretty-printing,
 * :mod:`repro.bench.profile90` — the §2 cost-decomposition experiment
   (conversion ≈ 90% of serialization).

@@ -1,11 +1,17 @@
-"""Per-figure experiment definitions (paper §4) and a CLI runner.
+"""The paper's figures (§4) and the §2 phase split, declared once as data.
 
-Each ``figNN`` function reproduces one figure's curves and returns a
-:data:`~repro.bench.report.Series`.  Run them all (or one) with::
+:data:`FIGURES` maps each name to a :class:`Figure`: a title and its
+curves.  A :class:`Curve` builds the workload and client for one array
+size and returns the send to time plus the untimed step that runs
+before each sample.  Two runners read the table: this module's CLI,
+which prints the tables EXPERIMENTS.md records::
 
     python -m repro.bench.figures              # every figure, quick sizes
     python -m repro.bench.figures fig04 fig05  # a subset
     python -m repro.bench.figures --sizes 1,100,1000,10000 --transport tcp
+
+and ``benchmarks/bench_figures.py``, which runs every curve as a
+pytest-benchmark case at CI sizes.
 
 Absolute times are Python-scale, not the paper's C-scale; the claims
 under reproduction are the *shapes*: who wins, by what factor, and
@@ -16,13 +22,16 @@ comparison.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.baselines.gsoap_like import GSoapLikeClient
 from repro.baselines.xsoap_like import XSoapLikeClient
+from repro.bench.profile90 import PHASES, phase_steps
 from repro.bench.report import Series, format_ratios, format_series
 from repro.bench.runner import TransportRig, time_loop
 from repro.bench.workloads import (
@@ -41,195 +50,59 @@ from repro.bench.workloads import (
 )
 from repro.buffers.config import ChunkPolicy
 from repro.core.client import BSoapClient
-from repro.core.policy import (
-    DiffPolicy,
-    Expansion,
-    OverlayPolicy,
-    StuffMode,
-    StuffingPolicy,
-)
+from repro.core.policy import DiffPolicy, OverlayPolicy, StuffMode, StuffingPolicy
+from repro.soap.message import SOAPMessage
+from repro.transport.base import Transport
 
-__all__ = ["FIGURES", "run_figure", "main"]
+__all__ = ["Curve", "Figure", "FIGURES", "shift_policy", "run_figure", "main"]
 
 #: Default quick sizes (full paper sweep: 1,100,500,1K,10K,50K,100K).
 DEFAULT_SIZES: Tuple[int, ...] = (1, 100, 500, 1000, 10000)
 
-FigureFn = Callable[[Sequence[int], Optional[int], str], Tuple[str, Series]]
-FIGURES: Dict[str, FigureFn] = {}
+#: A double or int array, or MIO columns keyed ``x``/``y``/``v``.
+Values = Union[np.ndarray, Dict[str, np.ndarray]]
+Step = Callable[[], object]
+Make = Callable[[int, Transport], Tuple[Step, Optional[Step]]]
 
 
-def _figure(name: str):
-    def register(fn: FigureFn) -> FigureFn:
-        FIGURES[name] = fn
-        return fn
+@dataclasses.dataclass(frozen=True)
+class Curve:
+    """One line of a figure.
 
-    return register
+    ``make(n, transport)`` builds the workload and client for arrays of
+    *n* items and returns ``(timed, setup)``: the send to time, and the
+    step run untimed before each sample (``None`` when there is none).
+    ``rebuilds`` marks a setup that rebuilds the template, which makes
+    a sample expensive: both runners take fewer of them.
+    """
 
-
-def _mean(timer) -> float:
-    return timer.mean_ms
-
-
-# ----------------------------------------------------------------------
-# Figures 1-3: message content matches
-# ----------------------------------------------------------------------
-def _content_match_figure(
-    make_message: Callable[[int], object],
-    sizes: Sequence[int],
-    reps: Optional[int],
-    transport: str,
-    *,
-    include_xsoap: bool = False,
-) -> Series:
-    series: Series = {"gSOAP-like": [], "bSOAP Full Serialization": [],
-                      "bSOAP Content Match": []}
-    if include_xsoap:
-        series = {"XSOAP-like": [], **series}
-    with TransportRig(transport) as tp:
-        for n in sizes:
-            message = make_message(n)
-            if include_xsoap:
-                xsoap = XSoapLikeClient(tp)
-                series["XSOAP-like"].append(
-                    (n, _mean(time_loop(lambda: xsoap.send(message), reps=reps)))
-                )
-            gsoap = GSoapLikeClient(tp)
-            series["gSOAP-like"].append(
-                (n, _mean(time_loop(lambda: gsoap.send(message), reps=reps)))
-            )
-            bfull = BSoapClient(tp, DiffPolicy(differential_enabled=False))
-            series["bSOAP Full Serialization"].append(
-                (n, _mean(time_loop(lambda: bfull.send(message), reps=reps)))
-            )
-            bsoap = BSoapClient(tp)
-            call = bsoap.prepare(message)
-            call.send()
-            series["bSOAP Content Match"].append(
-                (n, _mean(time_loop(call.send, reps=reps)))
-            )
-    return series
+    label: str
+    make: Make
+    rebuilds: bool = False
 
 
-@_figure("fig01")
-def fig01(sizes, reps, transport):
-    """Content matches, arrays of MIOs (paper Figure 1)."""
-    series = _content_match_figure(
-        lambda n: mio_message(random_mio_columns(n, seed=n)), sizes, reps, transport
-    )
-    return "Figure 1 — Message Content Matches: MIOs (Send Time, ms)", series
+@dataclasses.dataclass(frozen=True)
+class Figure:
+    """A paper figure: its title, its curves in legend order, and the
+    summary lines (if any) printed under its table."""
 
-
-@_figure("fig02")
-def fig02(sizes, reps, transport):
-    """Content matches, arrays of doubles, incl. XSOAP (Figure 2)."""
-    series = _content_match_figure(
-        lambda n: double_array_message(random_doubles(n, seed=n)),
-        sizes,
-        reps,
-        transport,
-        include_xsoap=True,
-    )
-    return "Figure 2 — Message Content Matches: Doubles (Send Time, ms)", series
-
-
-@_figure("fig03")
-def fig03(sizes, reps, transport):
-    """Content matches, arrays of integers (Figure 3)."""
-    series = _content_match_figure(
-        lambda n: int_array_message(random_ints(n, seed=n)), sizes, reps, transport
-    )
-    return "Figure 3 — Message Content Matches: Integers (Send Time, ms)", series
+    title: str
+    curves: Tuple[Curve, ...]
+    summary: Optional[Callable[[Series, Sequence[int]], str]] = None
 
 
 # ----------------------------------------------------------------------
-# Figures 4-5: perfect structural matches
+# Protocol pieces
 # ----------------------------------------------------------------------
+#: bSOAP with differential serialization off: the "Full Serialization" curves.
+_FULL = DiffPolicy(differential_enabled=False)
+#: Dirty fractions of Figures 4/5/8/9, in legend order.
 _FRACTIONS = (1.0, 0.75, 0.5, 0.25)
 
 
-def _structural_figure(
-    kind: str, sizes: Sequence[int], reps: Optional[int], transport: str
-) -> Series:
-    """Dirty-fraction sweep with width-stable replacement values."""
-    series: Series = {"bSOAP Full Serialization": []}
-    for frac in _FRACTIONS:
-        series[f"{int(frac * 100)}% Value Re-serialization"] = []
-    series["Message Content Match"] = []
-
-    with TransportRig(transport) as tp:
-        for n in sizes:
-            if kind == "mio":
-                cols = mio_columns_of_widths(n, MIO_INTERMEDIATE_SPLIT, seed=n)
-                message = mio_message(cols)
-                pool = doubles_of_width(
-                    n, MIO_INTERMEDIATE_SPLIT[2], seed=n + 999
-                )
-            else:
-                values = doubles_of_width(n, 18, seed=n)
-                message = double_array_message(values)
-                pool = doubles_of_width(n, 18, seed=n + 999)
-
-            bfull = BSoapClient(tp, DiffPolicy(differential_enabled=False))
-            series["bSOAP Full Serialization"].append(
-                (n, _mean(time_loop(lambda: bfull.send(message), reps=reps)))
-            )
-
-            for frac in _FRACTIONS:
-                client = BSoapClient(tp)
-                call = client.prepare(message)
-                call.send()
-                tracked = call.tracked("mesh" if kind == "mio" else "data")
-                k = max(1, int(frac * n))
-                rng = np.random.default_rng(n)
-                flip = [pool, np.roll(pool, 1)]
-                state = {"i": 0}
-
-                def mutate():
-                    idx = rng.choice(n, k, replace=False) if k < n else np.arange(n)
-                    src = flip[state["i"] % 2]
-                    state["i"] += 1
-                    if kind == "mio":
-                        # Paper: only the MIO doubles are re-serialized.
-                        tracked.set_items(idx, "v", src[idx])
-                    else:
-                        tracked.update(idx, src[idx])
-
-                timer = time_loop(call.send, setup=mutate, reps=reps)
-                series[f"{int(frac * 100)}% Value Re-serialization"].append(
-                    (n, _mean(timer))
-                )
-
-            client = BSoapClient(tp)
-            call = client.prepare(message)
-            call.send()
-            series["Message Content Match"].append(
-                (n, _mean(time_loop(call.send, reps=reps)))
-            )
-    return series
-
-
-@_figure("fig04")
-def fig04(sizes, reps, transport):
-    """Perfect structural matches, MIOs (Figure 4)."""
-    return (
-        "Figure 4 — Perfect Structural Matches: MIOs (Send Time, ms)",
-        _structural_figure("mio", sizes, reps, transport),
-    )
-
-
-@_figure("fig05")
-def fig05(sizes, reps, transport):
-    """Perfect structural matches, doubles (Figure 5)."""
-    return (
-        "Figure 5 — Perfect Structural Matches: Doubles (Send Time, ms)",
-        _structural_figure("double", sizes, reps, transport),
-    )
-
-
-# ----------------------------------------------------------------------
-# Figures 6-9: shifting
-# ----------------------------------------------------------------------
-def _shift_policy(chunk_size: int) -> DiffPolicy:
+def shift_policy(chunk_size: int = 32 * 1024) -> DiffPolicy:
+    """The shifting figures' chunking: *chunk_size* chunks, a 1/8 reserve
+    (at most 512 bytes) and splits at half a chunk."""
     return DiffPolicy(
         chunk=ChunkPolicy(
             chunk_size=chunk_size,
@@ -239,403 +112,397 @@ def _shift_policy(chunk_size: int) -> DiffPolicy:
     )
 
 
-def _worst_case_shift_point(
-    kind: str,
-    n: int,
-    chunk_size: int,
-    tp,
-    reps: Optional[int],
-) -> float:
-    """Every value expands min width → max width (template rebuilt per rep)."""
-    if kind == "mio":
-        small = mio_columns_of_widths(n, MIO_MIN_SPLIT, seed=n)
-        big = mio_columns_of_widths(n, MIO_MAX_SPLIT, seed=n + 7)
-        message = mio_message(small)
-        pname = "mesh"
-    else:
-        small = doubles_of_width(n, 1, seed=n)
-        big = doubles_of_width(n, 24, seed=n + 7)
-        message = double_array_message(small)
-        pname = "data"
-
-    state = {}
-
-    def rebuild():
-        client = BSoapClient(tp, _shift_policy(chunk_size))
-        call = client.prepare(message)
-        call.send()
-        tracked = call.tracked(pname)
-        if kind == "mio":
-            idx = np.arange(n)
-            for col in ("x", "y", "v"):
-                tracked.set_items(idx, col, big[col])
-        else:
-            tracked.update(np.arange(n), big)
-        state["call"] = call
-
-    timer = time_loop(
-        lambda: state["call"].send(), setup=rebuild, reps=reps, max_reps=20
-    )
-    return timer.mean_ms
+def _message(values: Values) -> Tuple[SOAPMessage, str]:
+    """The message carrying *values*, and its array parameter's name."""
+    if isinstance(values, dict):
+        return mio_message(values), "mesh"
+    if values.dtype.kind == "f":
+        return double_array_message(values), "data"
+    return int_array_message(values), "data"
 
 
-def _no_shift_reference_point(
-    kind: str, n: int, tp, reps: Optional[int]
-) -> float:
-    """100% value re-serialization at stable max width (no shifting)."""
-    if kind == "mio":
-        cols = mio_columns_of_widths(n, MIO_MAX_SPLIT, seed=n)
-        message = mio_message(cols)
-        other = doubles_of_width(n, MIO_MAX_SPLIT[2], seed=n + 31)
-        pname = "mesh"
-    else:
-        values = doubles_of_width(n, 24, seed=n)
-        message = double_array_message(values)
-        other = doubles_of_width(n, 24, seed=n + 31)
-        pname = "data"
-    client = BSoapClient(tp)
-    call = client.prepare(message)
+def _prepared(tp: Transport, message: SOAPMessage, param: str, policy=None):
+    """A call whose template is built and first send committed, and its
+    tracked array."""
+    call = BSoapClient(tp, policy).prepare(message)
     call.send()
-    tracked = call.tracked(pname)
-    flip = [other, np.roll(other, 1)]
-    state = {"i": 0}
+    return call, call.tracked(param)
+
+
+def _write(tracked, idx: np.ndarray, src: Values) -> None:
+    """Write ``src[idx]`` at *idx*; for MIOs, each column *src* holds."""
+    if isinstance(src, dict):
+        for col, values in src.items():
+            tracked.set_items(idx, col, values[idx])
+    else:
+        tracked.update(idx, src[idx])
+
+
+def _flip(pool: Callable[[int], Values]) -> Callable[[int], Tuple[Values, Values]]:
+    """Two value sets: *pool* and *pool* rolled by one item."""
+
+    def sources(n: int) -> Tuple[Values, Values]:
+        first = pool(n)
+        if isinstance(first, dict):
+            return first, {col: np.roll(v, 1) for col, v in first.items()}
+        return first, np.roll(first, 1)
+
+    return sources
+
+
+def _all_items(n: int) -> Callable[[], np.ndarray]:
     idx = np.arange(n)
-
-    def mutate():
-        src = flip[state["i"] % 2]
-        state["i"] += 1
-        if kind == "mio":
-            tracked.set_items(idx, "v", src)
-            # x/y re-serialized too in the 100% case: same values, so
-            # rewrite them with themselves (width-stable).
-            tracked.set_items(idx, "x", tracked.column("x"))
-            tracked.set_items(idx, "y", tracked.column("y"))
-        else:
-            tracked.update(idx, src)
-
-    return time_loop(call.send, setup=mutate, reps=reps).mean_ms
+    return lambda: idx
 
 
-def _worst_case_figure(
-    kind: str, sizes: Sequence[int], reps: Optional[int], transport: str
-) -> Series:
-    series: Series = {
-        "Worst Case Shifting, 32K Chunks": [],
-        "Worst Case Shifting, 8K Chunks": [],
-        "100% Re-serialization, No Shifting": [],
+def _random_fraction(frac: float) -> Callable[[int], Callable[[], np.ndarray]]:
+    """A new random *frac* of the items on every draw (seeded by n)."""
+
+    def draws(n: int) -> Callable[[], np.ndarray]:
+        k = max(1, int(frac * n))
+        if k >= n:
+            return _all_items(n)
+        rng = np.random.default_rng(n)
+        return lambda: rng.choice(n, k, replace=False)
+
+    return draws
+
+
+def _fixed_fraction(n: int, frac: float) -> np.ndarray:
+    """One random *frac* of the items (seeded by n and the count), sorted."""
+    k = max(1, int(frac * n))
+    if k >= n:
+        return np.arange(n)
+    return np.sort(np.random.default_rng(n + k).choice(n, k, replace=False))
+
+
+# ----------------------------------------------------------------------
+# Curve kinds
+# ----------------------------------------------------------------------
+def _send(client: Callable[[Transport], object], values) -> Make:
+    """Every sample sends the whole message through *client* (one
+    untimed send first, so an overlay client has built its template)."""
+
+    def make(n, tp):
+        message, _ = _message(values(n))
+        sender = client(tp)
+        sender.send(message)
+        return (lambda: sender.send(message)), None
+
+    return make
+
+
+def _full(tp: Transport) -> BSoapClient:
+    return BSoapClient(tp, _FULL)
+
+
+def _resend(values, policy: Optional[DiffPolicy] = None) -> Make:
+    """Every sample resends the unchanged message: a content match."""
+
+    def make(n, tp):
+        call, _ = _prepared(tp, *_message(values(n)), policy)
+        return call.send, None
+
+    return make
+
+
+def _alternate(values, sources, draws=_all_items, policy=None) -> Make:
+    """Before each sample, write the next of two alternating value sets
+    at the drawn indices; the template stays, so no value shifts."""
+
+    def make(n, tp):
+        call, tracked = _prepared(tp, *_message(values(n)), policy)
+        turn = itertools.cycle(sources(n))
+        draw = draws(n)
+
+        def setup() -> None:
+            _write(tracked, draw(), next(turn))
+
+        return call.send, setup
+
+    return make
+
+
+def _expand(values, wider, frac: float = 1.0, chunk_size: int = 32 * 1024) -> Make:
+    """Before each sample, rebuild the template under :func:`shift_policy`
+    and write wider values over a fixed *frac* of the items, so each of
+    those fields expands on the timed send."""
+
+    def make(n, tp):
+        message, param = _message(values(n))
+        replacement = wider(n)
+        idx = _fixed_fraction(n, frac)
+        state = {}
+
+        def setup() -> None:
+            state["call"], tracked = _prepared(
+                tp, message, param, shift_policy(chunk_size)
+            )
+            _write(tracked, idx, replacement)
+
+        return (lambda: state["call"].send()), setup
+
+    return make
+
+
+# ----------------------------------------------------------------------
+# Figure families
+# ----------------------------------------------------------------------
+def _content_ratios(series: Series, sizes: Sequence[int]) -> str:
+    pair = ("bSOAP Full Serialization", "bSOAP Content Match")
+    return format_ratios(series, [pair], sizes)
+
+
+def _content(title: str, values, *baselines) -> Figure:
+    """Figures 1–3: whole-message sends against an unchanged resend."""
+    return Figure(
+        title,
+        (
+            *(Curve(label, _send(client, values)) for label, client in baselines),
+            Curve("bSOAP Full Serialization", _send(_full, values)),
+            Curve("bSOAP Content Match", _resend(values)),
+        ),
+        _content_ratios,
+    )
+
+
+def _structural(title: str, values, pool) -> Figure:
+    """Figures 4–5: a new random fraction of the values gets same-width
+    replacements from *pool* before every send."""
+    return Figure(
+        title,
+        (
+            Curve("bSOAP Full Serialization", _send(_full, values)),
+            *(
+                Curve(
+                    f"{int(f * 100)}% Value Re-serialization",
+                    _alternate(values, _flip(pool), _random_fraction(f)),
+                )
+                for f in _FRACTIONS
+            ),
+            Curve("Message Content Match", _resend(values)),
+        ),
+    )
+
+
+def _no_shift(values, sources) -> Curve:
+    """Figures 6–9's reference: every value rewritten at its own width."""
+    return Curve("100% Re-serialization, No Shifting", _alternate(values, sources))
+
+
+def _worst_shift(title: str, smallest, largest, reference: Curve) -> Figure:
+    """Figures 6–7: every value grows from the smallest to the largest
+    width, with 32 KiB and with 8 KiB chunks."""
+    return Figure(
+        title,
+        tuple(
+            Curve(
+                f"Worst Case Shifting, {kib}K Chunks",
+                _expand(smallest, largest, chunk_size=kib * 1024),
+                rebuilds=True,
+            )
+            for kib in (32, 8)
+        )
+        + (reference,),
+    )
+
+
+def _partial_shift(title: str, values, wider, reference: Curve) -> Figure:
+    """Figures 8–9: a fixed fraction of intermediate-width values grows
+    to the largest width."""
+    return Figure(
+        title,
+        tuple(
+            Curve(
+                f"{int(f * 100)}% Re-serialization with Shifting",
+                _expand(values, wider, frac=f),
+                rebuilds=True,
+            )
+            for f in _FRACTIONS
+        )
+        + (reference,),
+    )
+
+
+def _stuffing(title: str, smallest, largest, intermediate: StuffingPolicy) -> Figure:
+    """Figures 10–11: fields stuffed to the largest, an intermediate and
+    the smallest width.  The no-shift curves resend the smallest values;
+    the tag-shift curve alternately writes the smallest and the largest
+    values into largest-width fields, moving every closing tag."""
+    max_stuff = DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX))
+    return Figure(
+        title,
+        (
+            Curve(
+                "Max Field Width: Full Closing Tag Shift",
+                _alternate(
+                    largest, lambda n: (smallest(n), largest(n)), policy=max_stuff
+                ),
+            ),
+            Curve(
+                "Max Field Width: No Closing Tag Shift", _resend(smallest, max_stuff)
+            ),
+            Curve(
+                "Intermediate Field Width: No Closing Tag Shift",
+                _resend(smallest, DiffPolicy(stuffing=intermediate)),
+            ),
+            Curve(
+                "Min Field Width: No Closing Tag Shift",
+                _resend(smallest, DiffPolicy(stuffing=StuffingPolicy())),
+            ),
+        ),
+    )
+
+
+def _overlay(kind: str, values) -> Tuple[Curve, Curve]:
+    """Figure 12: sends from one overlaid 32 KiB chunk against rewriting
+    every value of a materialized template (two alternating value sets)."""
+    plain = DiffPolicy(
+        chunk=ChunkPolicy(chunk_size=32 * 1024), stuffing=StuffingPolicy(StuffMode.MAX)
+    )
+    overlay = dataclasses.replace(
+        plain, overlay=OverlayPolicy(enabled=True, min_items=1)
+    )
+    return (
+        Curve(
+            f"Chunk Overlay ({kind})",
+            _send(lambda tp: BSoapClient(tp, overlay), values),
+        ),
+        Curve(
+            f"100% Value Re-serialization ({kind})",
+            _alternate(values, _flip(values), policy=plain),
+        ),
+    )
+
+
+def _conversion_share(series: Series, sizes: Sequence[int]) -> str:
+    """§2's claim, per size: conversion's share of the four phases."""
+    by_n = [dict(series[label]) for label in PHASES]
+    shares = []
+    for n in sizes:
+        total = sum(points[n] for points in by_n)
+        share = f"{100 * by_n[1][n] / total:.1f}%" if total else "-"
+        shares.append(f"n={n}: {share}")
+    return "Conversion share: " + ", ".join(shares)
+
+
+def _phase(label: str) -> Make:
+    return lambda n, tp: (phase_steps(n)[label], None)
+
+
+# ----------------------------------------------------------------------
+# Workloads: each figure's values, widths and seeds
+# ----------------------------------------------------------------------
+def _mio_wider(n: int) -> Values:
+    """Figure 8: 36-character MIOs grow to 46 (``v`` 14 → 24 characters;
+    ``x`` and ``y`` get new 11-character values)."""
+    xy = ints_of_width(n, 11, seed=n + 9)
+    return {
+        "x": xy,
+        "y": np.roll(xy, 3),
+        "v": doubles_of_width(n, MIO_MAX_SPLIT[2], seed=n + 7),
     }
-    with TransportRig(transport) as tp:
-        for n in sizes:
-            series["Worst Case Shifting, 32K Chunks"].append(
-                (n, _worst_case_shift_point(kind, n, 32 * 1024, tp, reps))
-            )
-            series["Worst Case Shifting, 8K Chunks"].append(
-                (n, _worst_case_shift_point(kind, n, 8 * 1024, tp, reps))
-            )
-            series["100% Re-serialization, No Shifting"].append(
-                (n, _no_shift_reference_point(kind, n, tp, reps))
-            )
-    return series
 
 
-@_figure("fig06")
-def fig06(sizes, reps, transport):
-    """Worst-case shifting, MIOs: 3 → 46 characters (Figure 6)."""
-    return (
+def _mio_largest(n: int) -> Values:
+    return mio_columns_of_widths(n, MIO_MAX_SPLIT, seed=n)
+
+
+def _mio_no_shift_sources(n: int) -> Tuple[Values, Values]:
+    """46-character MIOs: ``v`` flips between two 24-character sets, and
+    ``x`` and ``y`` are rewritten with their own values."""
+    cols = _mio_largest(n)
+    other = doubles_of_width(n, MIO_MAX_SPLIT[2], seed=n + 31)
+    return {**cols, "v": other}, {**cols, "v": np.roll(other, 1)}
+
+
+_MIO_NO_SHIFT = _no_shift(_mio_largest, _mio_no_shift_sources)
+_DOUBLE_NO_SHIFT = _no_shift(
+    lambda n: doubles_of_width(n, 24, seed=n),
+    _flip(lambda n: doubles_of_width(n, 24, seed=n + 31)),
+)
+
+
+FIGURES: Dict[str, Figure] = {
+    "fig01": _content(
+        "Figure 1 — Message Content Matches: MIOs (Send Time, ms)",
+        lambda n: random_mio_columns(n, seed=n),
+        ("gSOAP-like", GSoapLikeClient),
+    ),
+    "fig02": _content(
+        "Figure 2 — Message Content Matches: Doubles (Send Time, ms)",
+        lambda n: random_doubles(n, seed=n),
+        ("XSOAP-like", XSoapLikeClient),
+        ("gSOAP-like", GSoapLikeClient),
+    ),
+    "fig03": _content(
+        "Figure 3 — Message Content Matches: Integers (Send Time, ms)",
+        lambda n: random_ints(n, seed=n),
+        ("gSOAP-like", GSoapLikeClient),
+    ),
+    # Paper: only the MIO doubles are re-serialized.
+    "fig04": _structural(
+        "Figure 4 — Perfect Structural Matches: MIOs (Send Time, ms)",
+        lambda n: mio_columns_of_widths(n, MIO_INTERMEDIATE_SPLIT, seed=n),
+        lambda n: {
+            "v": doubles_of_width(n, MIO_INTERMEDIATE_SPLIT[2], seed=n + 999)
+        },
+    ),
+    "fig05": _structural(
+        "Figure 5 — Perfect Structural Matches: Doubles (Send Time, ms)",
+        lambda n: doubles_of_width(n, 18, seed=n),
+        lambda n: doubles_of_width(n, 18, seed=n + 999),
+    ),
+    "fig06": _worst_shift(
         "Figure 6 — Worst Case Shifting: MIOs (Send Time, ms)",
-        _worst_case_figure("mio", sizes, reps, transport),
-    )
-
-
-@_figure("fig07")
-def fig07(sizes, reps, transport):
-    """Worst-case shifting, doubles: 1 → 24 characters (Figure 7)."""
-    return (
+        lambda n: mio_columns_of_widths(n, MIO_MIN_SPLIT, seed=n),
+        lambda n: mio_columns_of_widths(n, MIO_MAX_SPLIT, seed=n + 7),
+        _MIO_NO_SHIFT,
+    ),
+    "fig07": _worst_shift(
         "Figure 7 — Worst Case Shifting: Doubles (Send Time, ms)",
-        _worst_case_figure("double", sizes, reps, transport),
-    )
-
-
-def _partial_shift_figure(
-    kind: str, sizes: Sequence[int], reps: Optional[int], transport: str
-) -> Series:
-    """Fraction sweep: intermediate-width values expand to maximum."""
-    series: Series = {}
-    for frac in _FRACTIONS:
-        series[f"{int(frac * 100)}% Re-serialization with Shifting"] = []
-    series["100% Re-serialization, No Shifting"] = []
-
-    with TransportRig(transport) as tp:
-        for n in sizes:
-            if kind == "mio":
-                inter = mio_columns_of_widths(n, MIO_INTERMEDIATE_SPLIT, seed=n)
-                message = mio_message(inter)
-                big_v = doubles_of_width(n, MIO_MAX_SPLIT[2], seed=n + 7)
-                big_xy = ints_of_width(n, 11, seed=n + 9)
-                pname = "mesh"
-            else:
-                inter_vals = doubles_of_width(n, 18, seed=n)
-                message = double_array_message(inter_vals)
-                big = doubles_of_width(n, 24, seed=n + 7)
-                pname = "data"
-
-            for frac in _FRACTIONS:
-                k = max(1, int(frac * n))
-                state = {}
-
-                def rebuild(k=k):
-                    client = BSoapClient(tp, _shift_policy(32 * 1024))
-                    call = client.prepare(message)
-                    call.send()
-                    tracked = call.tracked(pname)
-                    rng = np.random.default_rng(n + k)
-                    idx = (
-                        np.sort(rng.choice(n, k, replace=False))
-                        if k < n
-                        else np.arange(n)
-                    )
-                    if kind == "mio":
-                        tracked.set_items(idx, "x", big_xy[idx])
-                        tracked.set_items(idx, "y", np.roll(big_xy, 3)[idx])
-                        tracked.set_items(idx, "v", big_v[idx])
-                    else:
-                        tracked.update(idx, big[idx])
-                    state["call"] = call
-
-                timer = time_loop(
-                    lambda: state["call"].send(),
-                    setup=rebuild,
-                    reps=reps,
-                    max_reps=20,
-                )
-                series[f"{int(frac * 100)}% Re-serialization with Shifting"].append(
-                    (n, timer.mean_ms)
-                )
-
-            series["100% Re-serialization, No Shifting"].append(
-                (n, _no_shift_reference_point(kind, n, tp, reps))
-            )
-    return series
-
-
-@_figure("fig08")
-def fig08(sizes, reps, transport):
-    """Partial shifting, MIOs: 36 → 46 characters (Figure 8)."""
-    return (
+        lambda n: doubles_of_width(n, 1, seed=n),
+        lambda n: doubles_of_width(n, 24, seed=n + 7),
+        _DOUBLE_NO_SHIFT,
+    ),
+    "fig08": _partial_shift(
         "Figure 8 — Shifting Performance: MIOs (Send Time, ms)",
-        _partial_shift_figure("mio", sizes, reps, transport),
-    )
-
-
-@_figure("fig09")
-def fig09(sizes, reps, transport):
-    """Partial shifting, doubles: 18 → 24 characters (Figure 9)."""
-    return (
+        lambda n: mio_columns_of_widths(n, MIO_INTERMEDIATE_SPLIT, seed=n),
+        _mio_wider,
+        _MIO_NO_SHIFT,
+    ),
+    "fig09": _partial_shift(
         "Figure 9 — Shifting Performance: Doubles (Send Time, ms)",
-        _partial_shift_figure("double", sizes, reps, transport),
-    )
-
-
-# ----------------------------------------------------------------------
-# Figures 10-11: stuffing
-# ----------------------------------------------------------------------
-def _stuffing_figure(
-    kind: str, sizes: Sequence[int], reps: Optional[int], transport: str
-) -> Series:
-    if kind == "mio":
-        max_stuff = StuffingPolicy(StuffMode.MAX)
-        inter_stuff = StuffingPolicy(
+        lambda n: doubles_of_width(n, 18, seed=n),
+        lambda n: doubles_of_width(n, 24, seed=n + 7),
+        _DOUBLE_NO_SHIFT,
+    ),
+    "fig10": _stuffing(
+        "Figure 10 — Stuffing Performance: MIOs (Send Time, ms)",
+        lambda n: mio_columns_of_widths(n, MIO_MIN_SPLIT, seed=1),
+        lambda n: mio_columns_of_widths(n, MIO_MAX_SPLIT, seed=2),
+        StuffingPolicy(
             StuffMode.FIXED,
             {"int": MIO_INTERMEDIATE_SPLIT[0], "double": MIO_INTERMEDIATE_SPLIT[2]},
-        )
-        min_cols = mio_columns_of_widths(max(sizes), MIO_MIN_SPLIT, seed=1)
-        max_cols = mio_columns_of_widths(max(sizes), MIO_MAX_SPLIT, seed=2)
-        make_msg = lambda n, cols: mio_message(
-            {k: v[:n] for k, v in cols.items()}
-        )
-        pname = "mesh"
-    else:
-        max_stuff = StuffingPolicy(StuffMode.MAX)
-        inter_stuff = StuffingPolicy(StuffMode.FIXED, {"double": 18})
-        min_cols = doubles_of_width(max(sizes), 1, seed=1)
-        max_cols = doubles_of_width(max(sizes), 24, seed=2)
-        make_msg = lambda n, vals: double_array_message(vals[:n])
-        pname = "data"
-
-    series: Series = {
-        "Max Field Width: Full Closing Tag Shift": [],
-        "Max Field Width: No Closing Tag Shift": [],
-        "Intermediate Field Width: No Closing Tag Shift": [],
-        "Min Field Width: No Closing Tag Shift": [],
-    }
-
-    with TransportRig(transport) as tp:
-        for n in sizes:
-            # No-shift curves: content-match resends of messages whose
-            # fields are stuffed to min/intermediate/max width — the
-            # "larger messages" cost of stuffing.
-            for label, stuff in (
-                ("Max Field Width: No Closing Tag Shift", max_stuff),
-                ("Intermediate Field Width: No Closing Tag Shift", inter_stuff),
-                ("Min Field Width: No Closing Tag Shift", StuffingPolicy()),
-            ):
-                client = BSoapClient(tp, DiffPolicy(stuffing=stuff))
-                call = client.prepare(make_msg(n, min_cols))
-                call.send()
-                series[label].append((n, time_loop(call.send, reps=reps).mean_ms))
-
-            # Tag-shift curve: smallest values written over largest
-            # values inside max-width fields — maximal closing-tag
-            # movement plus whitespace fill on every field.
-            client = BSoapClient(tp, DiffPolicy(stuffing=max_stuff))
-            call = client.prepare(make_msg(n, max_cols))
-            call.send()
-            tracked = call.tracked(pname)
-            idx = np.arange(n)
-            state = {"i": 0}
-
-            def mutate():
-                use_min = state["i"] % 2 == 0
-                state["i"] += 1
-                src = min_cols if use_min else max_cols
-                if kind == "mio":
-                    for col in ("x", "y", "v"):
-                        tracked.set_items(idx, col, src[col][:n])
-                else:
-                    tracked.update(idx, src[:n])
-
-            # Only min-value writes represent the full tag shift; the
-            # alternation keeps every iteration a full-width move.
-            timer = time_loop(call.send, setup=mutate, reps=reps)
-            series["Max Field Width: Full Closing Tag Shift"].append(
-                (n, timer.mean_ms)
-            )
-    return series
-
-
-@_figure("fig10")
-def fig10(sizes, reps, transport):
-    """Stuffing, MIOs: 3/36/46-character fields (Figure 10)."""
-    return (
-        "Figure 10 — Stuffing Performance: MIOs (Send Time, ms)",
-        _stuffing_figure("mio", sizes, reps, transport),
-    )
-
-
-@_figure("fig11")
-def fig11(sizes, reps, transport):
-    """Stuffing, doubles: 1/18/24-character fields (Figure 11)."""
-    return (
+        ),
+    ),
+    "fig11": _stuffing(
         "Figure 11 — Stuffing Performance: Doubles (Send Time, ms)",
-        _stuffing_figure("double", sizes, reps, transport),
-    )
-
-
-# ----------------------------------------------------------------------
-# Figure 12: chunk overlaying
-# ----------------------------------------------------------------------
-@_figure("fig12")
-def fig12(sizes, reps, transport):
-    """Chunk overlaying vs separate chunks (Figure 12)."""
-    series: Series = {
-        "Chunk Overlay (doubles)": [],
-        "100% Value Re-serialization (doubles)": [],
-        "Chunk Overlay (MIOs)": [],
-        "100% Value Re-serialization (MIOs)": [],
-    }
-    overlay_policy = DiffPolicy(
-        chunk=ChunkPolicy(chunk_size=32 * 1024),
-        stuffing=StuffingPolicy(StuffMode.MAX),
-        overlay=OverlayPolicy(enabled=True, min_items=1),
-    )
-    with TransportRig(transport) as tp:
-        for n in sizes:
-            for kind in ("doubles", "mios"):
-                if kind == "doubles":
-                    message = double_array_message(random_doubles(n, seed=n))
-                    pname = "data"
-                else:
-                    message = mio_message(random_mio_columns(n, seed=n))
-                    pname = "mesh"
-
-                client = BSoapClient(tp, overlay_policy)
-                client.send(message)
-                timer = time_loop(lambda: client.send(message), reps=reps)
-                label = "Chunk Overlay (doubles)" if kind == "doubles" else (
-                    "Chunk Overlay (MIOs)"
-                )
-                series[label].append((n, timer.mean_ms))
-
-                plain = BSoapClient(
-                    tp,
-                    DiffPolicy(
-                        chunk=ChunkPolicy(chunk_size=32 * 1024),
-                        stuffing=StuffingPolicy(StuffMode.MAX),
-                    ),
-                )
-                call = plain.prepare(message)
-                call.send()
-                tracked = call.tracked(pname)
-                idx = np.arange(n)
-                # Alternate between two value sets so every iteration
-                # writes *changed* values (same work the overlay does).
-                if kind == "mios":
-                    alts = [
-                        {c: np.roll(tracked.column(c), s) for c in ("x", "y", "v")}
-                        for s in (0, 1)
-                    ]
-                else:
-                    alts = [np.roll(tracked.data, s) for s in (0, 1)]
-                state = {"i": 0}
-
-                def mutate():
-                    src = alts[state["i"] % 2]
-                    state["i"] += 1
-                    if kind == "mios":
-                        for col in ("x", "y", "v"):
-                            tracked.set_items(idx, col, src[col])
-                    else:
-                        tracked.update(idx, src)
-
-                timer = time_loop(call.send, setup=mutate, reps=reps)
-                label = (
-                    "100% Value Re-serialization (doubles)"
-                    if kind == "doubles"
-                    else "100% Value Re-serialization (MIOs)"
-                )
-                series[label].append((n, timer.mean_ms))
-    return (
+        lambda n: doubles_of_width(n, 1, seed=1),
+        lambda n: doubles_of_width(n, 24, seed=2),
+        StuffingPolicy(StuffMode.FIXED, {"double": 18}),
+    ),
+    "fig12": Figure(
         "Figure 12 — Chunk Overlaying Performance (Send Time, ms)",
-        series,
-    )
-
-
-# ----------------------------------------------------------------------
-# §2: the conversion bottleneck
-# ----------------------------------------------------------------------
-@_figure("sec2")
-def sec2(sizes, reps, transport):
-    """§2 claim: float→ASCII conversion dominates serialization."""
-    from repro.bench.profile90 import decompose_serialization
-
-    series: Series = {
-        "Traversal": [],
-        "Conversion (float→ASCII)": [],
-        "Tag emission + packing": [],
-        "Send (memcpy)": [],
-        "Conversion share %": [],
-    }
-    for n in sizes:
-        phases = decompose_serialization(n, reps=reps or 10)
-        series["Traversal"].append((n, phases.traversal_ms))
-        series["Conversion (float→ASCII)"].append((n, phases.conversion_ms))
-        series["Tag emission + packing"].append((n, phases.packing_ms))
-        series["Send (memcpy)"].append((n, phases.send_ms))
-        series["Conversion share %"].append((n, phases.conversion_share * 100))
-    return (
+        _overlay("doubles", lambda n: random_doubles(n, seed=n))
+        + _overlay("MIOs", lambda n: random_mio_columns(n, seed=n)),
+    ),
+    "sec2": Figure(
         "Section 2 — Serialization cost decomposition (ms; share in %)",
-        series,
-    )
+        tuple(Curve(label, _phase(label)) for label in PHASES),
+        _conversion_share,
+    ),
+}
 
 
 # ----------------------------------------------------------------------
@@ -647,11 +514,23 @@ def run_figure(
     reps: Optional[int] = None,
     transport: str = "memcpy",
 ) -> Tuple[str, Series]:
-    """Run one figure experiment by name."""
-    fn = FIGURES.get(name)
-    if fn is None:
+    """Run one figure by name: every curve at every size."""
+    figure = FIGURES.get(name)
+    if figure is None:
         raise KeyError(f"unknown figure {name!r}; have {sorted(FIGURES)}")
-    return fn(sizes, reps, transport)
+    series: Series = {curve.label: [] for curve in figure.curves}
+    with TransportRig(transport) as tp:
+        for n in sizes:
+            for curve in figure.curves:
+                timed, setup = curve.make(n, tp)
+                timer = time_loop(
+                    timed,
+                    setup=setup,
+                    reps=reps,
+                    max_reps=20 if curve.rebuilds else 100,
+                )
+                series[curve.label].append((n, timer.mean_ms))
+    return figure.title, series
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -689,6 +568,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(for regenerating EXPERIMENTS.md data)",
     )
     args = parser.parse_args(argv)
+    unknown = [name for name in args.figures if name not in FIGURES]
+    if unknown:
+        parser.error(f"unknown figure(s) {unknown}; choose from {sorted(FIGURES)}")
     sizes = tuple(int(s) for s in args.sizes.split(","))
 
     sink_file = open(args.out, "a") if args.out else None
@@ -696,14 +578,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name in args.figures:
             title, series = run_figure(name, sizes, args.reps, args.transport)
             blocks = [format_series(title, series)]
-            if name in ("fig01", "fig02", "fig03"):
-                blocks.append(
-                    format_ratios(
-                        series,
-                        [("bSOAP Full Serialization", "bSOAP Content Match")],
-                        sizes,
-                    )
-                )
+            summary = FIGURES[name].summary
+            if summary is not None:
+                blocks.append(summary(series, sizes))
             if args.plot:
                 from repro.bench.plots import ascii_plot
 

@@ -15,15 +15,22 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Callable, Dict, List, Tuple
 
 from repro.bench.workloads import random_doubles
 from repro.lexical.floats import FloatFormat, format_double_array
 from repro.soap.envelope import envelope_layout
 from repro.transport.loopback import MemcpySink
 
-__all__ = ["PhaseBreakdown", "decompose_serialization"]
+__all__ = ["PHASES", "PhaseBreakdown", "phase_steps", "decompose_serialization"]
+
+#: The four phases, in serialization order (also the ``sec2`` curve labels).
+PHASES: Tuple[str, ...] = (
+    "Traversal",
+    "Conversion (float→ASCII)",
+    "Tag emission + packing",
+    "Send (memcpy)",
+)
 
 
 @dataclass(slots=True)
@@ -47,45 +54,48 @@ class PhaseBreakdown:
         return self.conversion_ms / total if total else 0.0
 
 
+def phase_steps(
+    n: int, fmt: FloatFormat = FloatFormat.MINIMAL
+) -> Dict[str, Callable[[], object]]:
+    """Each phase of serializing an *n*-double array message, by label.
+
+    Every step redoes its phase on the previous phase's output, which
+    is computed here once, so each can be timed alone.
+    """
+    values = random_doubles(n, seed=n)
+    unboxed = values.tolist()
+    texts = format_double_array(unboxed, fmt)
+    layout = envelope_layout("urn:bsoap:bench", "sendDoubles")
+    open_item, close_item = b"<item>", b"</item>"
+    sink = MemcpySink()
+
+    def pack() -> List[bytes]:
+        body = b"".join(open_item + t + close_item for t in texts)
+        return [layout.prefix, b"<data>", body, b"</data>", layout.suffix]
+
+    message = pack()
+    steps = (
+        # (1) traverse the in-memory structure (unbox values),
+        values.tolist,
+        # (2) value → ASCII conversion,
+        lambda: format_double_array(unboxed, fmt),
+        # (3) copy the XML representation (tags + values) into a buffer,
+        pack,
+        # (4) send.
+        lambda: sink.send_message(message),
+    )
+    return dict(zip(PHASES, steps))
+
+
 def decompose_serialization(
     n: int, reps: int = 10, fmt: FloatFormat = FloatFormat.MINIMAL
 ) -> PhaseBreakdown:
     """Measure the four phases for an *n*-double array message."""
-    values = random_doubles(n, seed=n)
-    layout = envelope_layout("urn:bsoap:bench", "sendDoubles")
-    sink = MemcpySink()
-    open_item, close_item = b"<item>", b"</item>"
-
-    t_traversal = t_conversion = t_packing = t_send = 0.0
+    steps = phase_steps(n, fmt)
+    elapsed = dict.fromkeys(steps, 0.0)
     for _ in range(reps):
-        # Phase 1: traverse the in-memory structure (unbox values).
-        t0 = time.perf_counter()
-        unboxed = values.tolist()
-        t1 = time.perf_counter()
-
-        # Phase 2: value → ASCII conversion.
-        texts = format_double_array(unboxed, fmt)
-        t2 = time.perf_counter()
-
-        # Phase 3: copy XML representation (tags + values) into a buffer.
-        body = b"".join(open_item + t + close_item for t in texts)
-        message = [layout.prefix, b"<data>", body, b"</data>", layout.suffix]
-        t3 = time.perf_counter()
-
-        # Phase 4: send.
-        sink.send_message(message)
-        t4 = time.perf_counter()
-
-        t_traversal += t1 - t0
-        t_conversion += t2 - t1
-        t_packing += t3 - t2
-        t_send += t4 - t3
-
-    scale = 1000.0 / reps
-    return PhaseBreakdown(
-        n=n,
-        traversal_ms=t_traversal * scale,
-        conversion_ms=t_conversion * scale,
-        packing_ms=t_packing * scale,
-        send_ms=t_send * scale,
-    )
+        for label, step in steps.items():
+            t0 = time.perf_counter()
+            step()
+            elapsed[label] += time.perf_counter() - t0
+    return PhaseBreakdown(n, *(elapsed[label] * 1000.0 / reps for label in PHASES))

@@ -119,9 +119,15 @@ class TransportRig:
             self.transport = MemcpySink()
         else:
             self.server = DummyServer().start()
-            tcp = TCPTransport(
-                "127.0.0.1", self.server.port, socket_options=PAPER_SOCKET_OPTIONS
-            )
+            try:
+                tcp = TCPTransport(
+                    "127.0.0.1", self.server.port, socket_options=PAPER_SOCKET_OPTIONS
+                )
+            except BaseException:
+                # ``with`` calls no __exit__ when __enter__ raises.
+                self.server.stop()
+                self.server = None
+                raise
             if self.kind == "tcp":
                 self.transport = tcp
             elif self.kind == "http":

@@ -1,13 +1,14 @@
 """Table-driven and fixed-width lexical formatting.
 
 Float→ASCII conversion dominates serialization cost (§2 of the paper;
-``benchmarks/bench_sec2_conversion.py``).  Differential serialization
-answers it by not converting unchanged values at all; the values a
-resend does convert are formatted fresh, in one batch per column.  No
-conversion is memoized: no application or ledger workload in the tree
-repeats a dirty value (an iterative solver's converged entries stop
-being dirty, and its moving entries never recur).  This module holds
-the two conversions that need no per-value work to be fast:
+the ``sec2`` curves of :mod:`repro.bench.figures`).  Differential
+serialization answers it by not converting unchanged values at all;
+the values a resend does convert are formatted fresh, in one batch per
+column.  No conversion is memoized: no application or ledger workload
+in the tree repeats a dirty value (an iterative solver's converged
+entries stop being dirty, and its moving entries never recur).  This
+module holds the two conversions that need no per-value work to be
+fast:
 
 * a precomputed **small-int table**: the lexical forms of
   ``[-1024, 16384)`` materialized once at import, so common array

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.bench.figures import FIGURES
 from repro.bench.profile90 import decompose_serialization
 from repro.bench.report import format_ratios, format_series, ratio
 from repro.bench.runner import Sample, TransportRig, adaptive_reps, time_loop
@@ -23,9 +24,11 @@ from repro.bench.workloads import (
     mio_message,
     random_mio_columns,
 )
+from repro.core.stats import MatchKind, SendReport
 from repro.errors import SchemaError, TransportError
 from repro.lexical.floats import format_double
 from repro.lexical.integers import format_int
+from repro.transport.loopback import NullSink
 
 
 class TestWidthGenerators:
@@ -118,6 +121,32 @@ class TestRunner:
         with pytest.raises(TransportError):
             TransportRig("carrier-pigeon")
 
+    def test_rig_stops_its_server_when_the_connect_fails(self, monkeypatch):
+        import socket
+
+        import repro.bench.runner as runner
+
+        started = []
+
+        class RecordingServer(runner.DummyServer):
+            def start(self):
+                started.append(self)
+                return super().start()
+
+        def refuse(*args, **kwargs):
+            raise TransportError("connection refused")
+
+        monkeypatch.setattr(runner, "DummyServer", RecordingServer)
+        monkeypatch.setattr(runner, "TCPTransport", refuse)
+        rig = TransportRig("tcp")
+        with pytest.raises(TransportError):
+            with rig:
+                pass
+        assert rig.server is None
+        (server,) = started
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", server.port), timeout=2.0)
+
 
 class TestReport:
     def _series(self):
@@ -159,15 +188,13 @@ class TestProfile90:
 
 
 class TestFiguresSmoke:
-    """Every figure function runs end to end at tiny sizes."""
+    """Every figure runs end to end at tiny sizes."""
 
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "fig01", "fig02", "fig03", "fig04", "fig05", "fig06",
-            "fig07", "fig08", "fig09", "fig10", "fig11", "fig12", "sec2",
-        ],
-    )
+    def test_one_entry_per_paper_figure(self):
+        expected = {f"fig{i:02d}" for i in range(1, 13)} | {"sec2"}
+        assert set(FIGURES) == expected
+
+    @pytest.mark.parametrize("name", sorted(FIGURES))
     def test_figure_runs(self, name):
         from repro.bench.figures import run_figure
 
@@ -191,6 +218,69 @@ class TestFiguresSmoke:
         assert main(["fig03", "--sizes", "1,20", "--reps", "2"]) == 0
         out = capsys.readouterr().out
         assert "Figure 3" in out
+
+    def test_cli_rejects_an_unknown_name_before_running_any(self, capsys):
+        from repro.bench.figures import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["fig01", "fig4", "--sizes", "1", "--reps", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "Figure 1" not in captured.out
+        assert "fig4" in captured.err
+
+
+class TestCurveWork:
+    """Each curve does the work its label says, at one small size."""
+
+    N = 64
+
+    @pytest.mark.parametrize(
+        "name, curve",
+        [
+            pytest.param(name, curve, id=f"{name}-{curve.label}")
+            for name, figure in FIGURES.items()
+            for curve in figure.curves
+        ],
+    )
+    def test_curve_does_its_labelled_work(self, name, curve):
+        n = self.N
+        timed, setup = curve.make(n, NullSink())
+        if setup is not None:
+            setup()
+        report = timed()
+        if not isinstance(report, SendReport):
+            # The gSOAP/XSOAP baselines and the §2 phases.
+            assert not curve.label.startswith("bSOAP"), curve.label
+            return
+        label, rewrite = curve.label, report.rewrite
+        mios = "MIOs" in FIGURES[name].title or label.endswith("(MIOs)")
+        leaves = n * (3 if mios else 1)
+        if "Full Serialization" in label:
+            assert report.match_kind is MatchKind.FIRST_TIME
+        elif "Content Match" in label or "No Closing Tag Shift" in label:
+            assert report.match_kind is MatchKind.CONTENT_MATCH
+            assert rewrite.values_rewritten == 0
+        elif "Value Re-serialization" in label:
+            # Figure 4 rewrites only the MIO doubles, Figure 12 every field.
+            fields = 3 if label.endswith("(MIOs)") else 1
+            frac = int(label.split("%")[0]) / 100
+            assert report.match_kind is MatchKind.PERFECT_STRUCTURAL
+            assert rewrite.values_rewritten == max(1, int(frac * n)) * fields
+        elif "with Shifting" in label or "Worst Case" in label:
+            assert report.match_kind is MatchKind.PARTIAL_STRUCTURAL
+            assert rewrite.expansions > 0
+        elif "No Shifting" in label:
+            assert rewrite.expansions == 0
+            assert rewrite.values_rewritten == leaves
+        elif "Full Closing Tag Shift" in label:
+            assert report.match_kind is MatchKind.PERFECT_STRUCTURAL
+            assert rewrite.tag_shifts == rewrite.values_rewritten == leaves
+        elif "Chunk Overlay" in label:
+            assert rewrite.expansions == 0
+            assert rewrite.values_rewritten == leaves
+        else:
+            pytest.fail(f"no expectation for curve {label!r}")
 
 
 REPO_ROOT = Path(__file__).parents[1]
