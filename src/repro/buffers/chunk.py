@@ -117,6 +117,28 @@ class Chunk:
         fresh[: self.used] = self.data[: self.used]
         self.data = fresh
 
+    def replace_tail(self, pos: int, payload, capacity: int = 0) -> None:
+        """Make *payload* the chunk's bytes from *pos* on (a rebuild).
+
+        With *capacity*, first move to a fresh backing store of that
+        size, copying only the kept head ``[0:pos)`` (reallocation).
+        Raises :class:`ChunkOverflowError` when the result would exceed
+        the capacity.
+        """
+        if not (0 <= pos <= self.used):
+            raise BufferError_(f"rebuild position {pos} outside used region")
+        end = pos + len(payload)
+        if end > (capacity or len(self.data)):
+            raise ChunkOverflowError(
+                f"chunk {self.cid}: rebuild to {end} bytes exceeds capacity"
+            )
+        if capacity:
+            fresh = bytearray(capacity)
+            fresh[:pos] = self.data[:pos]
+            self.data = fresh
+        self.data[pos:end] = payload
+        self.used = end
+
     def take_tail(self, pos: int) -> bytes:
         """Remove and return the bytes ``[pos:used)`` (used by splits)."""
         if not (0 <= pos <= self.used):

@@ -18,18 +18,27 @@ needs are:
     or **splits** it at the expanding field's region start, exactly
     the two escape hatches §3.2 describes.  The returned
     :class:`GapResult` tells the DUT layer how to fix its offsets.
+
+``rebuild``
+    Replace a chunk's bytes from some offset on with a rebuilt tail —
+    every expansion of a send in that chunk at once.  The escape
+    hatches are the same and are decided once, for the chunk's final
+    size: in place when it fits, else a split at field starts (when
+    the chunk is past ``split_threshold``) or one reallocation.  The
+    returned :class:`RebuildResult` names the pieces a split made.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.buffers.chunk import Chunk
 from repro.buffers.config import ChunkPolicy
 from repro.errors import BufferError_, ChunkOverflowError
 
-__all__ = ["Location", "GapResult", "ChunkedBuffer"]
+__all__ = ["Location", "GapResult", "RebuildResult", "ChunkedBuffer"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,6 +81,39 @@ class GapResult:
     new_cid: Optional[int] = None
 
 
+@dataclass(frozen=True, slots=True)
+class RebuildResult:
+    """Outcome of one chunk's :meth:`ChunkedBuffer.rebuild`.
+
+    Attributes
+    ----------
+    mode:
+        ``"inplace"`` — the rebuilt bytes fit the chunk; ``"realloc"``
+        — they fit after growing its backing store; ``"split"`` — the
+        bytes past the first cut moved to freshly inserted chunks.
+    cid:
+        The rebuilt chunk.
+    moved:
+        Bytes written into chunk storage (the rebuild's copy traffic).
+    pieces:
+        ``split`` only: ``(new_cid, base)`` of each inserted chunk, in
+        document order.  Chunk ``new_cid`` holds the rebuilt chunk's
+        bytes from offset ``base`` up to the next piece's base (or the
+        end), so a DUT entry of chunk ``cid`` at offset ``>= base``
+        moves to ``new_cid`` at ``offset - base``.
+    """
+
+    mode: str
+    cid: int
+    moved: int
+    pieces: Tuple[Tuple[int, int], ...] = ()
+
+
+#: One chunk's rebuild: ``(cid, start, tail, cuts)`` — see
+#: :meth:`ChunkedBuffer.rebuild`.
+Rebuild = Tuple[int, int, bytes, Sequence[int]]
+
+
 class ChunkedBuffer:
     """Ordered chunks with stable ids (see module docstring)."""
 
@@ -80,10 +122,10 @@ class ChunkedBuffer:
         self._chunks: Dict[int, Chunk] = {}
         self._order: List[int] = []
         self._next_cid = 0
-        self._bytes_moved = 0  # instrumentation: memmove traffic from gaps
+        self._bytes_moved = 0  # instrumentation: bytes copied to widen fields
         #: Monotonic **layout epoch**: bumped by every operation that
-        #: moves bytes or changes backing stores (gap open, realloc,
-        #: split, steal).  The delta encoder records the epoch with its
+        #: moves bytes or changes backing stores (gap open, rebuild,
+        #: realloc, split, steal).  The delta encoder records the epoch with its
         #: announced baseline and sends a frame only while it is
         #: unchanged (``repro.wire.client``) — O(1) with no tracking of
         #: *what* moved.  A fresh buffer restarts at 0.
@@ -211,6 +253,93 @@ class ChunkedBuffer:
             "split", chunk.cid, pos, delta, region_start, new_cid=fresh.cid
         )
 
+    # ------------------------------------------------------------------
+    # rebuilding
+    # ------------------------------------------------------------------
+    def rebuild(self, edits: Sequence[Rebuild]) -> List[RebuildResult]:
+        """Rebuild chunks: one layout change however many chunks move.
+
+        Each edit ``(cid, start, tail, cuts)`` makes *tail* chunk
+        *cid*'s bytes from offset *start* on.  *cuts* are the ascending
+        offsets, in the rebuilt chunk, where it may be split: the starts
+        of its field regions at or after *start*, so a split never cuts
+        a field.  A rebuilt chunk that outgrows its capacity is split
+        when it held at least ``split_threshold`` bytes, else
+        reallocated — the :meth:`insert_gap` rule, decided once.
+        """
+        results = [self._rebuild_chunk(*edit) for edit in edits]
+        if results:
+            self.layout_epoch += 1
+        return results
+
+    def _rebuild_chunk(
+        self, cid: int, start: int, tail: bytes, cuts: Sequence[int]
+    ) -> RebuildResult:
+        chunk = self.chunk(cid)
+        if len(cuts) and cuts[0] < start:
+            raise BufferError_(f"cut {cuts[0]} before rebuild start {start}")
+        total = start + len(tail)
+        policy = self.policy
+        if total <= chunk.capacity:
+            chunk.replace_tail(start, tail)
+            self._bytes_moved += len(tail)
+            return RebuildResult("inplace", cid, len(tail))
+        bases = (
+            self._split_bases(chunk.capacity - policy.reserve, total, cuts)
+            if chunk.used >= policy.split_threshold
+            else []
+        )
+        if not bases:
+            capacity = max(
+                int(chunk.capacity * policy.growth_factor), total + policy.reserve
+            )
+            chunk.replace_tail(start, tail, capacity)
+            self._bytes_moved += total  # realloc copies everything
+            return RebuildResult("realloc", cid, total)
+
+        view = memoryview(tail)
+        head = bases[0]
+        capacity = head + policy.reserve if head > chunk.capacity else 0
+        chunk.replace_tail(start, view[: head - start], capacity)
+        moved = len(tail) + (start if capacity else 0)
+        index = self._order.index(cid)
+        pieces = []
+        for k, base in enumerate(bases):
+            end = bases[k + 1] if k + 1 < len(bases) else total
+            piece = view[base - start : end - start]
+            index += 1
+            fresh = self._new_chunk(
+                max(policy.chunk_size, len(piece) + policy.reserve), index
+            )
+            fresh.append(piece)
+            pieces.append((fresh.cid, base))
+        self._bytes_moved += moved
+        return RebuildResult("split", cid, moved, tuple(pieces))
+
+    def _split_bases(
+        self, first_limit: int, total: int, cuts: Sequence[int]
+    ) -> List[int]:
+        """Piece starts for splitting *total* bytes at *cuts*.
+
+        Greedy: each piece takes the farthest cut that keeps it within
+        its fill limit (the chunk's capacity less reserve for the first,
+        the policy's soft limit for inserted chunks), or the nearest cut
+        when none does.  Cut 0 is never used: the first piece stays in
+        the rebuilt chunk.
+        """
+        bases: List[int] = []
+        lo, limit = 0, first_limit
+        while total - lo > limit:
+            j = bisect_right(cuts, lo + limit) - 1
+            if j < 0 or cuts[j] <= lo:
+                j = bisect_right(cuts, lo)
+                if j == len(cuts):
+                    break
+            lo = cuts[j]
+            bases.append(lo)
+            limit = self.policy.soft_limit
+        return bases
+
     def steal_move(self, cid: int, src: int, dst: int, length: int) -> None:
         """memmove a short span within one chunk (*stealing* support)."""
         self.chunk(cid).move_range(src, dst, length)
@@ -236,7 +365,7 @@ class ChunkedBuffer:
 
     @property
     def bytes_moved(self) -> int:
-        """Cumulative memmove traffic caused by gaps/steals (stats)."""
+        """Cumulative bytes copied by gaps, rebuilds and steals (stats)."""
         return self._bytes_moved
 
     def views(self) -> List[memoryview]:

@@ -7,9 +7,9 @@ serialized form:
 * value fits its field → overwrite value bytes; when the length
   changed, rewrite the closing tag at its new position and pad the
   remainder with whitespace (the paper's closing-tag shift),
-* value outgrew its field → *steal* neighbor slack or *shift* the
-  chunk tail (possibly reallocating or splitting the chunk), then
-  write.
+* value outgrew its field → *shift*: rebuild its chunk with the field
+  widened (possibly reallocating or splitting the chunk), or, under
+  ``Expansion.STEAL``, *steal* neighbor slack first.
 
 :func:`rewrite_dirty`, the one rewrite driver, walks the template
 parameter by parameter and hands each one's dirty entries to
@@ -27,9 +27,24 @@ no closing tag and is written with one NumPy store of its ``(m, L)``
 row matrix; every other entry takes the slice loop over the chunk
 ``bytearray``.
 
-**Slow path** (some value needs expansion): entries are processed in
-ascending document order through :func:`write_entry`, re-reading
-locations from the DUT at each step because shifts move later entries.
+**Slow path** (partial structural match — some value outgrew its
+field): under ``Expansion.SHIFT`` the whole dirty run is planned at
+once.  Each entry's new width is ``max(field_width, len)``; the dirty
+entries that stay put (in a chunk none of whose dirty entries grows,
+or before the first one that does) take the fast path, and every
+growing chunk is rebuilt once — one ``b"".join`` of the kept spans and
+the new field regions (text, closing tag, pad to the new width) from
+its first growing entry on.  Its entries' offsets move by one
+cumulative sum of the growth, the widths and lengths are stored once,
+and
+:meth:`~repro.buffers.chunked.ChunkedBuffer.rebuild` splits (at field
+starts) or reallocates a chunk that outgrew its capacity, once, and
+moves the layout epoch once.  So k expansions in a chunk copy it once,
+not k times — the per-value tail shift of paper §3.2 costs one chunk
+copy per send here.  The bytes equal those of :func:`write_entry`
+applied entry by entry (``tests/test_shift_rebuild.py``); only chunk
+boundaries may differ.  ``Expansion.STEAL`` keeps that per-entry
+loop: each steal depends on the neighbours the previous one left.
 
 **Deferred text** (``defer=True``: the client's delta encoder will
 carry this send's dirty doubles as binary64 typed splices): a dirty
@@ -86,7 +101,8 @@ def write_entry(
     """Write one value's new lexical form into the template.
 
     Handles expansion (steal/shift) when the value no longer fits;
-    each expansion is traced as a ``steal`` or ``shift`` span.
+    each expansion is traced as a ``steal`` or a one-expansion
+    ``shift`` span.
     """
     dut = template.dut
     buffer = template.buffer
@@ -106,6 +122,7 @@ def write_entry(
         if not stolen:
             cid = int(dut.chunk_id[entry])
             off = int(dut.value_off[entry])
+            moved = buffer.bytes_moved
             result = buffer.insert_gap(cid, off + width + clen, delta, off)
             dut.apply_gap(result)
             dut.field_width[entry] += delta
@@ -119,8 +136,9 @@ def write_entry(
                 obs.tracer.emit(
                     "shift",
                     template_id=template.template_id,
-                    entry=entry,
-                    delta=delta,
+                    chunk=cid,
+                    expansions=1,
+                    bytes=buffer.bytes_moved - moved,
                     mode=result.mode,
                 )
 
@@ -245,6 +263,107 @@ def _fast_rewrite(
     stats.pad_bytes += pad_bytes
 
 
+def _shift_rewrite(
+    template: "MessageTemplate",
+    bp: "BoundParam",
+    idxs: np.ndarray,
+    texts: Sequence[bytes],
+    lens: np.ndarray,
+    stats: RewriteStats,
+    obs,
+) -> None:
+    """Partial-structural write under SHIFT: one rebuild per chunk.
+
+    Each entry's new width is ``max(field_width, len)``.  A chunk whose
+    dirty entries grow is rebuilt once from its first growing entry on
+    (kept spans joined with the new regions: text, closing tag, pad to
+    the new width), its entries' offsets move by one cumulative sum,
+    and the buffer splits or reallocates it once if it outgrew its
+    capacity.  The dirty entries that do not move — those before their
+    chunk's first growing entry — take :func:`_fast_rewrite`.
+    """
+    dut = template.dut
+    buffer = template.buffer
+    widths = dut.field_width[idxs]
+    grow = np.maximum(lens - widths, 0)
+    cids = dut.chunk_id[idxs]
+    cuts = np.flatnonzero(cids[1:] != cids[:-1]) + 1
+    starts = np.concatenate(([0], cuts))
+    ends = np.concatenate((cuts, [len(idxs)]))
+    # An entry moves iff it is at or after its chunk's first growing
+    # entry: a running count of growing entries, restarted per chunk.
+    grows = np.cumsum(grow > 0)
+    moves = grows > np.repeat(grows[starts] - (grow[starts] > 0), ends - starts)
+    still = np.flatnonzero(~moves)
+    if still.size:
+        _fast_rewrite(
+            template,
+            bp,
+            idxs[still],
+            [texts[k] for k in still.tolist()],
+            lens[still].tolist(),
+            lens[still],
+            stats,
+        )
+
+    offs_a = dut.value_off[idxs]
+    ends_a = offs_a + widths + dut.close_len[idxs]
+    tags = bp.close_tags
+    leaf = ((idxs - bp.entry_base) % bp.arity).tolist()
+    pads = (widths + grow - lens).tolist()
+    edits = []
+    counts = []
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        s += int(np.count_nonzero(~moves[s:e]))
+        if s == e:
+            continue
+        cid = int(cids[s])
+        chunk = buffer.chunk(cid)
+        lo, hi = dut.chunk_range(cid)
+        step = np.zeros(hi - lo, dtype=np.int64)
+        step[idxs[s:e] - lo] = grow[s:e]
+        dut.value_off[lo:hi] += np.cumsum(step) - step
+        placed = dut.value_off[int(idxs[s]) : hi]
+        offs = offs_a[s:e].tolist()
+        rends = ends_a[s:e].tolist()
+        data = memoryview(chunk.data)
+        kept = [data[a:b] for a, b in zip(rends, offs[1:])]
+        kept.append(data[rends[-1] : chunk.used])
+        parts = []
+        for k, span in zip(range(s, e), kept):
+            p = pads[k]
+            parts += (texts[k], tags[leaf[k]], _PAD[p] if p < 64 else b" " * p, span)
+        edits.append((cid, offs[0], b"".join(parts), placed[placed > 0].tolist()))
+        counts.append(int(np.count_nonzero(grow[s:e])))
+
+    tracing = obs is not None and obs.tracer.enabled
+    for result, expansions in zip(buffer.rebuild(edits), counts):
+        dut.apply_split(result)
+        if result.mode == "inplace":
+            stats.shifts_inplace += expansions
+        elif result.mode == "realloc":
+            stats.reallocs += expansions
+        else:
+            stats.splits += expansions
+        if tracing:
+            obs.tracer.emit(
+                "shift",
+                template_id=template.template_id,
+                chunk=result.cid,
+                expansions=expansions,
+                bytes=result.moved,
+                mode=result.mode,
+            )
+
+    moved = idxs[moves]
+    changed = lens[moves] - dut.ser_len[moved]
+    dut.field_width[moved] += grow[moves]
+    dut.ser_len[moved] = lens[moves]
+    stats.values_rewritten += len(moved)
+    stats.tag_shifts += int(np.count_nonzero(changed))
+    stats.pad_bytes += int(-changed[changed < 0].sum())
+
+
 def _rewrite_run(
     template: "MessageTemplate",
     bp: "BoundParam",
@@ -257,12 +376,13 @@ def _rewrite_run(
     texts = bp.tracked.lexical_for(idxs - bp.entry_base, policy.float_format)
     lens_l = list(map(len, texts))
     lens = np.asarray(lens_l, dtype=np.int32)
-    if bool((lens > template.dut.field_width[idxs]).any()):
-        # Partial structural match: at least one expansion needed.
+    if not bool((lens > template.dut.field_width[idxs]).any()):
+        _fast_rewrite(template, bp, idxs, texts, lens_l, lens, stats)
+    elif policy.expansion is Expansion.SHIFT:
+        _shift_rewrite(template, bp, idxs, texts, lens, stats, obs)
+    else:
         for entry, text in zip(idxs.tolist(), texts):
             write_entry(template, entry, text, policy, stats, obs)
-    else:
-        _fast_rewrite(template, bp, idxs, texts, lens_l, lens, stats)
 
 
 def render_stale(template: "MessageTemplate", stale: np.ndarray) -> None:

@@ -53,11 +53,12 @@ class RewriteStats:
     values_deferred: int = 0
     #: Closing-tag rewrites (value length changed within its field).
     tag_shifts: int = 0
-    #: Field expansions resolved by shifting a chunk tail in place.
+    #: Field expansions resolved within their chunk's capacity (each
+    #: counts once, in the mode its chunk's rebuild took).
     shifts_inplace: int = 0
-    #: Field expansions that forced a chunk reallocation.
+    #: Field expansions whose chunk was reallocated.
     reallocs: int = 0
-    #: Field expansions that forced a chunk split.
+    #: Field expansions whose chunk was split.
     splits: int = 0
     #: Field expansions resolved by stealing neighbor slack.
     steals: int = 0
@@ -87,7 +88,8 @@ class SendReport:
     match_kind: MatchKind
     bytes_sent: int
     rewrite: RewriteStats = field(default_factory=RewriteStats)
-    #: memmove traffic the buffer performed for this template so far.
+    #: Bytes the buffer copied to widen fields (chunk rebuilds, shifts,
+    #: steals) for this template so far.
     buffer_bytes_moved: int = 0
     num_chunks: int = 0
     #: Identity of the template this send used (-1 when none survives
@@ -136,7 +138,7 @@ class ClientStats:
     )
     #: Every send's :class:`RewriteStats` summed, client-lifetime.
     rewrite: RewriteStats = field(default_factory=RewriteStats)
-    #: Bytes memmoved by chunk-tail shifts during this client's sends.
+    #: Bytes copied to widen fields during this client's sends.
     buffer_bytes_moved: int = 0
 
     # The rewrite keeps no plan cache; ``benchmarks/ledger/child.py``

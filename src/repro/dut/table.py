@@ -28,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.buffers.chunked import GapResult
+from repro.buffers.chunked import GapResult, RebuildResult
 from repro.errors import DUTError
 
 __all__ = ["DUTTableBuilder", "DUTTable", "DUTEntryView"]
@@ -275,6 +275,35 @@ class DUTTable:
         else:
             self._ranges[cid] = (lo, start)
         self._ranges[result.new_cid] = (start, hi)
+
+    def apply_split(self, result: RebuildResult) -> None:
+        """Move entries to the chunks a :meth:`ChunkedBuffer.rebuild`
+        split off.
+
+        Offsets must already be those of the rebuilt chunk: each
+        piece's entries (found by one binary search) are rebased to the
+        piece and take its chunk id and index range; the rebuilt chunk
+        keeps the entries before the first piece.
+        """
+        if not result.pieces:
+            return
+        cid = result.cid
+        lo, hi = self.chunk_range(cid)
+        bases = [base for _, base in result.pieces]
+        firsts = (
+            lo + np.searchsorted(self.value_off[lo:hi], bases, side="left")
+        ).tolist()
+        firsts.append(hi)
+        if firsts[0] == lo:
+            self._ranges.pop(cid, None)
+        else:
+            self._ranges[cid] = (lo, firsts[0])
+        for (new_cid, base), a, b in zip(result.pieces, firsts, firsts[1:]):
+            if a == b:
+                continue
+            self.value_off[a:b] -= base
+            self.chunk_id[a:b] = new_cid
+            self._ranges[new_cid] = (a, b)
 
     # ------------------------------------------------------------------
     # dirty tracking

@@ -42,7 +42,7 @@ SPAN_NAMES = (
     "serialize",  # full template build (first-time send cost)
     "match-classify",  # pre-send match classification
     "rewrite",  # differential rewrite pass over dirty entries
-    "shift",  # one field expansion resolved by moving the chunk tail
+    "shift",  # one chunk rebuilt to widen the fields that outgrew it
     "stuff",  # whitespace stuffing applied at template build
     "steal",  # one field expansion resolved from neighbor slack
     "overlay",  # one chunk-overlay streamed send

@@ -85,8 +85,17 @@ class TestHeadlineClaims:
         phases = decompose_serialization(N, reps=3)
         assert phases.conversion_share > 0.6
 
-    def test_worst_case_shifting_costs_multiples(self):
-        """Paper Figs. 6-7: all-values shifting ≫ no-shift rewrite."""
+    def test_worst_case_shifting_costs_one_rebuild(self):
+        """Paper Figs. 6-7: all-values shifting against the paper's
+        reference, every x, y and v re-serialized at its own width.
+
+        The paper's C stub pays 4-5x there, one tail shift per expanding
+        value; this port rebuilds each chunk once per send, so shifting
+        must stay within 3x of the reference and copy the document
+        about once."""
+        from repro.core.serializer import build_template
+        from repro.core.stats import MatchKind
+
         n = 2000
         small = mio_message(mio_columns_of_widths(n, MIO_MIN_SPLIT, seed=1))
         big = mio_columns_of_widths(n, MIO_MAX_SPLIT, seed=2)
@@ -99,25 +108,37 @@ class TestHeadlineClaims:
             for col in ("x", "y", "v"):
                 tracked.set_items(idx, col, big[col])
             t0 = time.perf_counter()
-            call.send()
-            return time.perf_counter() - t0
+            report = call.send()
+            elapsed = time.perf_counter() - t0
+            assert report.match_kind is MatchKind.PARTIAL_STRUCTURAL
+            assert report.rewrite.expansions == 3 * n
+            assert report.buffer_bytes_moved <= 2 * report.bytes_sent
+            assert call.template.tobytes() == build_template(mio_message(big)).tobytes()
+            return elapsed
 
         t_shift = min(shifted_send() for _ in range(3)) * 1000
 
-        ref_msg = mio_message(mio_columns_of_widths(n, MIO_MAX_SPLIT, seed=3))
-        call = BSoapClient(MemcpySink()).prepare(ref_msg)
+        ref_cols = mio_columns_of_widths(n, MIO_MAX_SPLIT, seed=3)
+        call = BSoapClient(MemcpySink()).prepare(mio_message(ref_cols))
         call.send()
         other = doubles_of_width(n, MIO_MAX_SPLIT[2], seed=5)
         flip = [other, np.roll(other, 1)]
-        state = {"i": 0}
 
-        def ref_send():
-            call.tracked("mesh").set_items(idx, "v", flip[state["i"] % 2])
-            state["i"] += 1
-            call.send()
+        def ref_send(i):
+            tracked = call.tracked("mesh")
+            tracked.set_items(idx, "x", ref_cols["x"])
+            tracked.set_items(idx, "y", ref_cols["y"])
+            tracked.set_items(idx, "v", flip[i % 2])
+            t0 = time.perf_counter()
+            report = call.send()
+            elapsed = time.perf_counter() - t0
+            assert report.rewrite.values_rewritten == 3 * n
+            assert report.rewrite.expansions == 0
+            return elapsed
 
-        t_ref = mean_ms(ref_send)
-        assert t_shift > 2.0 * t_ref
+        ref_send(0)
+        t_ref = min(ref_send(i) for i in range(1, 4)) * 1000
+        assert t_shift < 3.0 * t_ref
 
     def test_stuffing_prevents_shifting(self):
         """Paper §4.4: max-width stuffing makes expansion impossible."""
