@@ -35,7 +35,12 @@ Before timing, two sanity gates run on small copies:
   ``IDENTITY_N`` doubles (six 32 KiB chunks, so frames are harvested
   and applied across chunk boundaries) and ``IDENTITY_FRACTIONS``;
 * fallback drill — a structural change and a wiped-mirror resync
-  (epoch loss) both degrade to full XML and then resume framing.
+  (epoch loss) both degrade to full XML and then resume framing;
+* widening drill — unstuffed doubles that outgrow their fields
+  (partial structural matches under ``Expansion.SHIFT``) frame every
+  send with pad insertions, and the peer's reconstruction is
+  byte-identical to the plain client's document.  Its counts go into
+  the result's ``params`` (``widening_drill``), not into a row.
 
 Emits one ``repro-bench-result/1`` document.  The headline row
 (``delta`` at ``dirty_frac=0.01``) is what the CI ``perf-smoke`` job
@@ -55,6 +60,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -222,6 +228,43 @@ def _assert_fallback_recovers(n: int, seed: int) -> None:
     assert call.send().delta, "framing must resume after resync"
 
 
+def _assert_widening_frames(n: int, seed: int, sends: int = 6) -> Dict[str, int]:
+    """Every send whose values outgrow their unstuffed fields frames
+    with pad insertions, reconstructed byte for byte; returns the
+    drill's counts."""
+    unstuffed = DiffPolicy(
+        float_format=FloatFormat.MINIMAL, stuffing=StuffingPolicy(StuffMode.NONE)
+    )
+    loop = DeltaLoopback()
+    client = BSoapClient(loop, replace(unstuffed, delta=DeltaPolicy(offer=True)))
+    client.wire.negotiated = True
+    plain_sink = CollectSink()
+    plain = BSoapClient(plain_sink, unstuffed)
+    values = doubles_of_width(n, 10, seed=seed)
+    rng = np.random.default_rng(seed + 11)
+    for sink_client in (client, plain):
+        sink_client.send(double_array_message(values))
+    framed = 0
+    for i in range(1, sends + 1):
+        values = values.copy()
+        idx = rng.choice(n, n // 4, replace=False)
+        # Each send wider than any before: every rewritten field grows.
+        values[idx] = doubles_of_width(idx.size, 10 + 2 * i, seed=seed + i)
+        before = loop.insertions
+        report = client.send(double_array_message(values))
+        plain.send(double_array_message(values))
+        if not (report.delta and report.rewrite.expansions):
+            raise AssertionError(f"widening send {i} did not frame its expansions")
+        if loop.insertions - before != report.rewrite.expansions:
+            raise AssertionError(f"widening send {i}: insertions != expansions")
+        if loop.last_document != plain_sink.last:
+            raise AssertionError(
+                f"widening send {i}: reconstruction diverged from the plain wire"
+            )
+        framed += 1
+    return {"sends": sends, "framed": framed, "insertions": loop.insertions}
+
+
 def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=65536,
@@ -245,9 +288,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     for frac in IDENTITY_FRACTIONS:
         _assert_wire_identical(IDENTITY_N, frac, args.seed)
     _assert_fallback_recovers(512, args.seed)
+    widening = _assert_widening_frames(1024, args.seed)
     print(
         "wire identity: delta reconstruction == full wire (all fractions); "
-        "fallback drill passed",
+        f"fallback drill passed; widening drill framed {widening['framed']} of "
+        f"{widening['sends']} sends with {widening['insertions']} insertions",
         file=sys.stderr,
     )
 
@@ -293,6 +338,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "seed": args.seed,
             "smoke": args.smoke,
             "headline": f"variant=delta dirty_frac={HEADLINE_FRAC}",
+            "widening_drill": widening,
         },
         results=rows,
         notes=(

@@ -324,7 +324,7 @@ class BSoapClient:
             if (
                 not forced_full
                 and snapshot is not None
-                and kind in (MatchKind.CONTENT_MATCH, MatchKind.PERFECT_STRUCTURAL)
+                and kind is not MatchKind.FIRST_TIME
             ):
                 frame = wire.try_encode(template, snapshot, rewrite)
             if frame is None:

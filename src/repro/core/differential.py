@@ -36,7 +36,8 @@ growing chunk is rebuilt once — one ``b"".join`` of the kept spans and
 the new field regions (text, closing tag, pad to the new width) from
 its first growing entry on.  Its entries' offsets move by one
 cumulative sum of the growth, the widths and lengths are stored once,
-and
+each widened entry and its growth are handed to the delta encoder
+(``RewriteStats.grown``: a frame's pad insertions), and
 :meth:`~repro.buffers.chunked.ChunkedBuffer.rebuild` splits (at field
 starts) or reallocates a chunk that outgrew its capacity, once, and
 moves the layout epoch once.  So k expansions in a chunk copy it once,
@@ -126,6 +127,7 @@ def write_entry(
             result = buffer.insert_gap(cid, off + width + clen, delta, off)
             dut.apply_gap(result)
             dut.field_width[entry] += delta
+            stats.grown += ((np.array([entry]), np.array([delta])),)
             if result.mode == "inplace":
                 stats.shifts_inplace += 1
             elif result.mode == "realloc":
@@ -358,6 +360,8 @@ def _shift_rewrite(
     moved = idxs[moves]
     changed = lens[moves] - dut.ser_len[moved]
     dut.field_width[moved] += grow[moves]
+    widened = grow > 0
+    stats.grown += ((idxs[widened], grow[widened]),)
     dut.ser_len[moved] = lens[moves]
     stats.values_rewritten += len(moved)
     stats.tag_shifts += int(np.count_nonzero(changed))
@@ -411,6 +415,7 @@ def rewrite_dirty(
     tracing = obs is not None and obs.tracer.enabled
     t0 = perf_counter() if tracing else 0.0
     stats = RewriteStats()
+    stats.layout_epoch = template.buffer.layout_epoch
     dut = template.dut
     if not defer:
         template.render_stale()

@@ -121,11 +121,13 @@ class DeltaPolicy:
     Off by default: ``offer=True`` makes the client add the
     ``X-Repro-Delta`` offer and baseline-announce headers to full-XML
     sends; binary frames flow only after the server's response
-    acknowledges support *and* a baseline has been announced, and only
-    for content / perfect-structural sends under an unchanged buffer
-    layout.  Everything else — expansions, layout-epoch movement,
-    document-length change, server resync — falls back to full XML
-    with a fresh announce.  See ``docs/wire_protocol.md``.
+    acknowledges support *and* a baseline has been announced.  Content
+    and perfect-structural sends frame under an unchanged buffer
+    layout; a partial-structural send frames too, its widened fields
+    as pad insertions, when its own rewrite explains the layout and
+    length change.  Everything else — a steal, layout or length
+    movement the send did not make, server resync — falls back to full
+    XML with a fresh announce.  See ``docs/wire_protocol.md``.
     """
 
     offer: bool = False

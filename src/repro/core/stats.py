@@ -64,6 +64,12 @@ class RewriteStats:
     steals: int = 0
     #: Bytes of pad written (shrinks + stuffing maintenance).
     pad_bytes: int = 0
+    #: Fields this pass widened by shifting, in document order, as
+    #: ``(DUT entries, growth)`` array pairs: what the delta encoder
+    #: frames as pad insertions.  Per pass; never merged.
+    grown: tuple = field(default=(), repr=False)
+    #: The buffer's layout epoch when the pass began (-1: no pass ran).
+    layout_epoch: int = -1
 
     @property
     def expansions(self) -> int:

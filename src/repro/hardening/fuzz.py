@@ -52,7 +52,7 @@ from repro.server.service import Operation, SOAPService
 from repro.soap.fault import SOAPFault
 from repro.transport.http import parse_http_response
 from repro.transport.loopback import NullSink
-from repro.wire.frame import encode_frame
+from repro.wire.frame import INSERT_FLAG, encode_frame
 
 __all__ = [
     "WireFuzzer", "HTTPFuzzer", "DeltaFrameFuzzer", "FuzzReport", "ENTRIES",
@@ -375,11 +375,24 @@ class WireFuzzer(_Mutators):
         return b"<" + name + b">x</" + name + b">"
 
 
-def _encode(ctx: dict, offsets: List[int], widths: List[int], payload: bytes) -> bytes:
-    """A frame for the case *ctx* with the given splice directory."""
+def _encode(
+    ctx: dict,
+    offsets: List[int],
+    widths: List[int],
+    payload: bytes,
+    inserts: Sequence[Tuple[int, int]] = (),
+    doc_len: Optional[int] = None,
+) -> bytes:
+    """A frame for the case *ctx* with the given splice directory, led
+    by the pad insertions *inserts* (``(new offset, bytes)`` each); its
+    ``doc_len`` is the body's length plus theirs unless given."""
+    if doc_len is None:
+        doc_len = len(ctx["body"]) + sum(count for _at, count in inserts)
     return encode_frame(
-        ctx["template_id"], ctx["epoch"], ctx["seq"], len(ctx["body"]),
-        offsets, widths, payload,
+        ctx["template_id"], ctx["epoch"], ctx["seq"], doc_len,
+        [at for at, _count in inserts] + list(offsets),
+        [INSERT_FLAG | count for _at, count in inserts] + list(widths),
+        payload,
     )
 
 
@@ -413,9 +426,12 @@ class DeltaFrameFuzzer(_Mutators):
     (out-of-bounds and overlapping offsets, widths, payload length),
     and directories aimed at the body's leaf field regions — what the
     deserializer's frame lane trusts — whole, partial, straddling two,
-    or filled with garbage.  A mutator takes ``(rng, frame, ctx)``,
-    *ctx* holding the case's ``template_id``, ``epoch``, ``seq`` and
-    ``body``.
+    or filled with garbage; typed splices; and pad insertions (a widened
+    field): honest ones, and ones in markup, in a value (a typed one
+    too), past the end, unsorted, under a lying ``doc_len``, or growing
+    the document past ``max_body_bytes``.  A mutator takes ``(rng,
+    frame, ctx)``, *ctx* holding the case's ``template_id``, ``epoch``,
+    ``seq`` and ``body``.
     """
 
     MUTATORS = (
@@ -426,13 +442,19 @@ class DeltaFrameFuzzer(_Mutators):
         "region_splices", "region_garbage", "pure_garbage",
         "typed_values", "typed_nan", "typed_off_start", "typed_in_skeleton",
         "typed_other_leaf", "typed_payload_lie", "typed_byte_overlap",
+        "insert_pad", "insert_in_skeleton", "insert_in_value", "insert_past_end",
+        "insert_growth_lie", "insert_unsorted", "insert_in_typed_value",
+        "insert_body_bomb",
     )
 
     #: Mutators whose frames decode cleanly but splice bytes the body
     #: never held, or set leaves to new values: the reconstruction may
     #: parse to other values.
     REWRITES_VALUES = frozenset(
-        {"payload_garbage", "region_garbage", "typed_values", "typed_nan"}
+        {
+            "payload_garbage", "region_garbage", "typed_values", "typed_nan",
+            "insert_in_value", "insert_in_typed_value",
+        }
     )
 
     #: Bit patterns of NaNs a text sender can never produce: signalling,
@@ -553,9 +575,9 @@ class DeltaFrameFuzzer(_Mutators):
         )
 
     # -- typed splices ---------------------------------------------------
-    def _leaves(self, body: bytes) -> List[Tuple[int, int, bool]]:
-        """``(region start, region end, is a double)`` of each leaf of a
-        full parse of *body* (none when it does not parse)."""
+    def _leaves(self, body: bytes) -> List[Tuple[int, int, bool, int]]:
+        """``(region start, region end, is a double, value end)`` of each
+        leaf of a full parse of *body* (none when it does not parse)."""
         leaves = self._leaf_cache.get(body)
         if leaves is None:
             try:
@@ -564,8 +586,10 @@ class DeltaFrameFuzzer(_Mutators):
                 leaves = []
             else:
                 leaves = [
-                    (start, end, result.leaf_type(j) is DOUBLE)
-                    for j, (start, end) in enumerate(result.regions.tolist())
+                    (start, end, result.leaf_type(j) is DOUBLE, vend)
+                    for j, ((start, end), (_s, vend)) in enumerate(
+                        zip(result.regions.tolist(), result.spans.tolist())
+                    )
                 ]
             if len(self._leaf_cache) < 64:
                 self._leaf_cache[body] = leaves
@@ -606,7 +630,7 @@ class DeltaFrameFuzzer(_Mutators):
     def _typed_in_skeleton(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
         """A typed splice on markup: the document's first byte or the
         first byte after a leaf's region."""
-        ends = [end for _start, end, _double in self._leaves(ctx["body"])]
+        ends = [leaf[1] for leaf in self._leaves(ctx["body"])]
         offset = rng.choice([0] + [end for end in ends if end < len(ctx["body"])])
         return _encode(ctx, [offset], [0], struct.pack("<d", 1.5))
 
@@ -634,6 +658,78 @@ class DeltaFrameFuzzer(_Mutators):
         width = rng.randint(1, end - offset)
         payload = ctx["body"][offset : offset + width] + struct.pack("<d", 2.5)
         return _encode(ctx, [start, offset], [0, width], payload)
+
+    # -- pad insertions ------------------------------------------------
+    def _insert_pad(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        """Pad inserted at the end of up to three leaf regions, each
+        shifting the next: the document's values never change."""
+        ends = sorted({leaf[1] for leaf in self._leaves(ctx["body"])})
+        if not ends:
+            return frame
+        inserts, grown = [], 0
+        for end in sorted(rng.sample(ends, min(len(ends), rng.randint(1, 3)))):
+            count = rng.randint(1, 40)
+            inserts.append((end + grown, count))
+            grown += count
+        return _encode(ctx, [], [], b"", inserts)
+
+    def _insert_in_skeleton(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        """Pad inserted into markup: before the document's first byte, or
+        just past the ``<`` that follows a leaf's region."""
+        body = ctx["body"]
+        spots = [0] + [
+            leaf[1] + 1 for leaf in self._leaves(body) if leaf[1] + 1 < len(body)
+        ]
+        return _encode(ctx, [], [], b"", [(rng.choice(spots), rng.randint(1, 8))])
+
+    def _insert_in_value(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        """Pad inserted inside a leaf's value text."""
+        leaves = [leaf for leaf in self._leaves(ctx["body"]) if leaf[3] - leaf[0] >= 2]
+        if not leaves:
+            return frame
+        start, _end, _double, vend = rng.choice(leaves)
+        return _encode(ctx, [], [], b"", [(rng.randrange(start + 1, vend), 3)])
+
+    @staticmethod
+    def _insert_past_end(rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        """An insertion reaching past the new document's end."""
+        count = rng.randint(1, 16)
+        doc_len = len(ctx["body"]) + count
+        at = rng.choice([doc_len - count + 1, doc_len, doc_len + 7, (1 << 63) - 1])
+        return _encode(ctx, [], [], b"", [(at, count)])
+
+    def _insert_growth_lie(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        """A pad insertion under a ``doc_len`` its growth does not explain."""
+        ends = [leaf[1] for leaf in self._leaves(ctx["body"])] or [0]
+        count = rng.randint(1, 16)
+        lie = len(ctx["body"]) + count + rng.choice([-count, -1, 1, count, 999])
+        return _encode(ctx, [], [], b"", [(rng.choice(ends), count)], lie)
+
+    def _insert_unsorted(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        """Two insertions out of order, or the second inside the first."""
+        ends = sorted({leaf[1] for leaf in self._leaves(ctx["body"])}) or [0, 1]
+        first = rng.choice(ends)
+        second = rng.choice([first - 1, first, first + 2]) if first else 0
+        return _encode(ctx, [], [], b"", [(first, 4), (max(0, second), 3)])
+
+    def _insert_in_typed_value(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        """A typed splice on a double leaf, and pad inserted inside that
+        leaf's value text."""
+        leaves = [
+            leaf for leaf in self._leaves(ctx["body"]) if leaf[2] and leaf[3] - leaf[0] >= 2
+        ]
+        if not leaves:
+            return frame
+        start, _end, _double, vend = rng.choice(leaves)
+        value = struct.pack("<d", rng.choice(self.TYPED_VALUES))
+        at = rng.randrange(start + 1, vend)
+        return _encode(ctx, [start], [0], value, [(at, rng.randint(1, 4))])
+
+    def _insert_body_bomb(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        """One insertion growing the document past ``max_body_bytes``."""
+        body = ctx["body"]
+        count = self.limits.max_body_bytes - len(body) + rng.randint(1, 64)
+        return _encode(ctx, [], [], b"", [(len(body), min(count, INSERT_FLAG - 1))])
 
     def _region_garbage(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
         """One whole-region splice whose bytes are the region's own

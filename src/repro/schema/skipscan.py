@@ -60,6 +60,7 @@ does not match its operation's declared shape never gets a table.
 
 from __future__ import annotations
 
+import copy
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 import numpy as np
@@ -133,20 +134,34 @@ class SeekTable:
         self._containers: List[np.ndarray] = []
         self._param_of: Optional[np.ndarray] = None
         self._item_of: Optional[np.ndarray] = None
-        # Vectorized double lane (set up by compile when eligible).
+        # Vectorized double lane (set up by compile when eligible): the
+        # one closing tag through '>' of a commit-mapped template, and
+        # the byte length every region shares while they share one.
+        self._vec_tag: Optional[np.ndarray] = None
         self._vec_len: Optional[int] = None
-        self._vec_tag: Optional[np.ndarray] = None  # closing tag through '>'
         # Which leaves are xsd:double (built on first typed commit).
         self._doubles: Optional[np.ndarray] = None
-        # The distance between consecutive leaf starts when it is one
-        # constant (a stuffed array alone in its message): a typed
-        # splice's leaf is then arithmetic, not a search.
+        self._stride: Optional[int] = None
+        self._derive_layout()
+
+    def _derive_layout(self) -> None:
+        """Re-derive what the region offsets decide: the stride — the
+        distance between consecutive leaf starts when it is one constant
+        (a stuffed array alone in its message), so a typed splice's leaf
+        is arithmetic, not a search — and the vector lane's region length.
+        """
+        starts = self.starts
         steps = np.diff(starts)
-        self._stride: Optional[int] = (
+        self._stride = (
             int(steps[0])
             if steps.size and steps[0] > 0 and bool((steps == steps[0]).all())
             else None
         )
+        self._vec_len = None
+        if self._vec_tag is not None:
+            lens = self.ends - starts
+            if bool((lens == lens[0]).all()):
+                self._vec_len = int(lens[0])
 
     # ------------------------------------------------------------------
     # compilation
@@ -284,13 +299,9 @@ class SeekTable:
         self._item_of = item_of
         if len(keys) != 1:
             return
-        lens = self.ends - self.starts
-        length = int(lens[0])
-        if not bool(np.all(lens == length)):
-            return
         (key,) = keys
-        self._vec_len = length
         self._vec_tag = np.frombuffer(key + b">", dtype=np.uint8)
+        self._derive_layout()
 
     # ------------------------------------------------------------------
     def approx_bytes(self) -> int:
@@ -396,6 +407,46 @@ class SeekTable:
             mask = param_of == pi
             if bool(mask.any()):
                 container[item_of[mask]] = values[mask]
+
+    # ------------------------------------------------------------------
+    # pad insertions
+    # ------------------------------------------------------------------
+    def rebased(
+        self, data: Union[bytes, bytearray], at: np.ndarray, counts: np.ndarray
+    ) -> Optional["SeekTable"]:
+        """This table for *data* with *counts* space bytes inserted at
+        each of the sorted offsets *at*, or ``None`` when it cannot
+        follow them.
+
+        Each insertion must land in one leaf region's trailing pad: at
+        or before the region's end, past its start, with only
+        whitespace from it to the end.  A region holds its value, then
+        its closing tag, then pad, and the tag ends in ``>``, so
+        whitespace up to the end proves the insertion is behind the tag
+        and the leaf's value and markup are unchanged.  The rebased
+        table shares everything but its ``starts``/``ends`` (one
+        ``searchsorted`` and one cumulative sum) and what they decide:
+        the stride and the vector lane.  *data* is the document this
+        table describes: every region of it is well formed.
+        """
+        starts, ends = self.starts, self.ends
+        k = starts.shape[0]
+        leaf = np.searchsorted(ends, at)
+        if leaf[-1] >= k or not bool((starts[leaf] < at).all()):
+            return None
+        tails = ends[leaf] - at
+        if bool(tails.any()):
+            before = np.cumsum(tails) - tails
+            idx = np.arange(int(tails.sum())) + np.repeat(at - before, tails)
+            if not bool(WS_LUT.take(np.frombuffer(data, dtype=np.uint8)[idx]).all()):
+                return None
+        step = np.bincount(leaf, weights=counts, minlength=k).astype(np.int64)
+        shift = np.cumsum(step)
+        table = copy.copy(self)
+        table.starts = starts + (shift - step)
+        table.ends = ends + shift
+        table._derive_layout()
+        return table
 
     # ------------------------------------------------------------------
     # typed splices

@@ -18,10 +18,12 @@ entry it is handed, by one of two lanes:
   sender's splice directory already says which bytes changed:
 
   1. a header-only frame → the cached decode (zero work),
-  2. typed splices (binary64 values of double leaves) are already in
-     the decode: :meth:`~repro.wire.server.DeltaSession.apply` mapped
-     each to its leaf through the seek table and committed it, leaving
-     the text stale, so a frame of typed splices only is done here,
+  2. pad insertions (a field widened, the bytes behind it shifted) and
+     typed splices (binary64 values of double leaves) are already in
+     the decode: :meth:`~repro.wire.server.DeltaSession.apply` rebased
+     the seek table over the insertions, mapped each typed splice to its
+     leaf through it and committed it, leaving the text stale, so a
+     frame of those only is done here,
   3. one ``searchsorted`` of the byte splices against the seek table's
      regions names the changed leaves; a splice that is not inside one
      leaf's field region touched the skeleton (``skeleton-drift``),
@@ -41,8 +43,9 @@ entry it is handed, by one of two lanes:
      seek table re-parses only those leaves (the structural match).
 
 Any doubt — skeleton or length drift, the seek table declines the
-bytes, no table armed, a frame whose predecessor the decode never
-followed, an entry with no decode — is answered by a full parse of the
+bytes or a frame's insertions (``insertion-drift``), no table armed, a
+frame whose predecessor the decode never followed, an entry with no
+decode — is answered by a full parse of the
 entry's document, which compiles a new table.  A patched document
 changed before its bytes were checked, so a frame's doubt drops the
 entry's decode *before* that parse: if it raises, no decode is left
@@ -138,7 +141,8 @@ class DifferentialDeserializer:
         self.store = DeltaSession(limits)
         self.stats = {kind: 0 for kind in DeserKind}
         #: Skip-scan event counts (compiled / hit / hit-vector /
-        #: fallback-* / length-drift / skeleton-drift / uncompilable-*).
+        #: fallback-* / length-drift / skeleton-drift / insertion-drift /
+        #: uncompilable-*).
         self.skipscan_stats: Dict[str, int] = {}
         self.obs.watch(self)
 
@@ -245,6 +249,10 @@ class DifferentialDeserializer:
         entry, frame = data.entry, data.frame
         if frame is None:
             return self._decode_document(entry)
+        if data.declined is not None:
+            # The seek table could not follow the frame's pad
+            # insertions: the apply let the decode go.
+            self._skip_event(data.declined)
         if data.unchanged:
             entry.decoded = frame.seq
             return self._content_match(entry)

@@ -16,18 +16,26 @@ The :class:`DeltaEncoder` rides along inside
   text while frames type its doubles: :meth:`types_doubles`); every
   other dirty leaf is a byte
   splice, exactly the region (value + closing tag + pad) the
-  differential rewrite is allowed to touch when no field expanded.
+  differential rewrite touched;
+* a field the rewrite widened (a partial structural match) is also a
+  *pad insertion*: its growth, at the end of its old region, in
+  new-document coordinates, taken from the rewrite's record of what
+  it widened (``RewriteStats.grown``), with no second pass over the
+  DUT.
 
 Eligibility is deliberately conservative; anything else falls back to
-full XML with a fresh announce, so correctness never depends on the
-optimization:
+full XML with a fresh announce, counted by reason, so correctness
+never depends on the optimization:
 
-* match level must be content or perfect-structural with zero
-  expansions (a moved byte invalidates cached offsets),
+* a baseline must be held, and the template's last send must have
+  been this encoder's (a template store shared with another client
+  can send it elsewhere),
+* the send stole no neighbour's slack (``Expansion.STEAL``: a steal
+  slides pad between fields, which no insertion expresses),
 * the buffer's ``layout_epoch`` and total length must equal the
-  announced baseline's, and the template's last send must have been
-  this encoder's (a template store shared with another client can
-  send it elsewhere),
+  baseline's, or this send's widening must explain them: the epoch
+  before its rewrite is the baseline's and the old length plus the
+  growth is the new one (the baseline then follows),
 * the frame must stay under ``max_splices`` and under
   ``max_frame_fraction`` of the document (at high churn a patch
   approaches the document size and full XML is strictly cheaper).
@@ -47,7 +55,14 @@ from repro.buffers.iovec import row_window
 from repro.hardening.limits import DEFAULT_LIMITS
 from repro.lexical.floats import FloatFormat
 from repro.schema.types import DOUBLE
-from repro.wire.frame import DIR_ENTRY, HEADER, SCATTER_MIN, TYPED_BYTES, encode_frame
+from repro.wire.frame import (
+    DIR_ENTRY,
+    HEADER,
+    INSERT_FLAG,
+    SCATTER_MIN,
+    TYPED_BYTES,
+    encode_frame,
+)
 
 __all__ = ["DeltaEncoder"]
 
@@ -173,14 +188,26 @@ class DeltaEncoder:
             return self._fallback("no-baseline")
         if template.sends != baseline.sends:
             return self._fallback("foreign-send")
-        if rewrite.expansions:
-            return self._fallback("expansion")
+        if rewrite.steals:
+            # A steal slides pad between neighbours: no insertion says so.
+            return self._fallback("steal")
         buffer = template.buffer
-        if buffer.layout_epoch != baseline.layout_epoch:
+        widened = rewrite.grown
+        if buffer.layout_epoch != baseline.layout_epoch and not (
+            widened and rewrite.layout_epoch == baseline.layout_epoch
+        ):
+            # Moved by something other than this send's widening.
             return self._fallback("layout-epoch")
-        if template.total_bytes != baseline.doc_len:
+        doc_len = template.total_bytes
+        growth = 0
+        if widened:
+            grown = np.concatenate([entries for entries, _g in widened])
+            growth_of = np.concatenate([g for _e, g in widened]).astype(np.int64)
+            growth = int(growth_of.sum())
+        if doc_len != baseline.doc_len + growth:
             return self._fallback("doc-len")
 
+        n_inserts = grown.size if growth else 0
         if np.count_nonzero(snapshot):
             dut = template.dut
             take = np.flatnonzero(snapshot)
@@ -196,7 +223,7 @@ class DeltaEncoder:
                 if bool(is_double.any()):
                     typed, take = take[is_double], take[~is_double]
             out_offsets, out_widths = _byte_splices(template, take, bases)
-            entries = out_offsets.size + typed.size
+            entries = out_offsets.size + typed.size + n_inserts
             if entries > self.policy.max_splices:
                 return self._fallback("too-many-splices")
             estimated = (
@@ -205,7 +232,7 @@ class DeltaEncoder:
                 + int(out_widths.sum())
                 + typed.size * TYPED_BYTES
             )
-            if estimated > self.policy.max_frame_fraction * baseline.doc_len:
+            if estimated > self.policy.max_frame_fraction * doc_len:
                 return self._fallback("frame-too-large")
             parts = _region_bytes(template, take)
             if typed.size:
@@ -220,6 +247,17 @@ class DeltaEncoder:
                 if take.size:
                     order = np.argsort(out_offsets, kind="stable")
                     out_offsets, out_widths = out_offsets[order], out_widths[order]
+            if n_inserts:
+                # The insertions lead the directory: each is the widened
+                # field's new pad, at the end of its region.
+                region_ends = (
+                    bases[dut.chunk_id[grown]]
+                    + dut.value_off[grown]
+                    + dut.field_width[grown]
+                    + dut.close_len[grown]
+                )
+                out_offsets = np.concatenate((region_ends - growth_of, out_offsets))
+                out_widths = np.concatenate((growth_of | INSERT_FLAG, out_widths))
             payload = b"".join(parts)
         else:
             # Content match: nothing dirty — a header-only frame.
@@ -227,6 +265,9 @@ class DeltaEncoder:
             out_widths = ()
             payload = b""
 
+        # The baseline follows this send's widening, if any.
+        baseline.doc_len = doc_len
+        baseline.layout_epoch = buffer.layout_epoch
         baseline.seq += 1
         baseline.sends += 1
         try:
@@ -255,7 +296,8 @@ class DeltaEncoder:
                 template_id=template.template_id,
                 epoch=baseline.epoch,
                 seq=baseline.seq,
-                splices=len(out_offsets),
+                splices=len(out_offsets) - n_inserts,
+                insertions=n_inserts,
                 frame_bytes=len(frame),
                 doc_bytes=baseline.doc_len,
             )

@@ -22,8 +22,18 @@ A directory entry of width 0 is a *typed splice*: its offset is the
 start of one ``xsd:double`` leaf's field region and its value travels
 as little-endian binary64, not text.  The receiver commits it straight
 into its decode (:mod:`repro.wire.server`) and renders the text only
-when something reads the document.  Every other entry is a *byte
-splice*: bytes that replace the mirror's bytes at its offset.
+when something reads the document.  A width with the top bit set
+(:data:`INSERT_FLAG`) is a *pad insertion*: the low 31 bits count
+space bytes the sender inserted at the end of a widened field, and
+the offset is where they start in the *new* document; it carries no
+payload.  Every other entry is a *byte splice*: bytes that replace the
+mirror's bytes at its offset.  All offsets are in new-document
+coordinates: the receiver makes the insertions first (one rebuild of
+the mirror), then applies the splices.  ``doc_len`` is the new length;
+the mirror the frame was diffed against is ``doc_len`` less the
+insertions' sum.  A frame without insertions is an RDF2 frame as it
+always was, and a decoder that predates them rejects one as
+``payload-mismatch`` (its width's top bit overruns any payload).
 
 A content-match resend is a zero-splice frame: 36 bytes on the wire
 for any document size.
@@ -32,9 +42,12 @@ for any document size.
 :class:`~repro.hardening.ResourceLimits` (splice count, frame size),
 every structural property (sorted non-overlapping splices, a typed
 splice occupying its offset, in-bounds offsets, payload length equal to
-the directory's sum plus 8 bytes per typed splice) and the CRC are
+the directory's sum plus 8 bytes per typed splice; insertions
+non-empty, sorted, disjoint and inside ``doc_len``) and the CRC are
 checked *before* any mirror byte is touched, so a lying frame can only
-ever produce a clean :class:`~repro.errors.DeltaFrameError`.
+ever produce a clean :class:`~repro.errors.DeltaFrameError`.  Whether
+an insertion lands in a field's trailing pad is the mirror's to prove
+(:meth:`~repro.wire.server.DeltaSession.apply`).
 """
 
 from __future__ import annotations
@@ -43,7 +56,7 @@ import math
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,10 +69,12 @@ __all__ = [
     "HEADER",
     "DIR_ENTRY",
     "TYPED_BYTES",
+    "INSERT_FLAG",
     "CANONICAL_NAN",
     "DeltaFrame",
     "encode_frame",
     "decode_frame",
+    "insert_pad",
     "apply_frame",
 ]
 
@@ -69,6 +84,8 @@ DIR_ENTRY = struct.Struct("<QI")
 _DIR_DTYPE = np.dtype([("off", "<u8"), ("width", "<u4")])
 #: Payload bytes of one typed splice: a little-endian binary64.
 TYPED_BYTES = 8
+#: Width bit marking a pad insertion; the low bits are its byte count.
+INSERT_FLAG = 1 << 31
 #: What every typed NaN decodes to: the value the text parse of
 #: ``NaN`` gives, so a typed splice and the text path decode the same
 #: bits whatever payload or sign the sender's NaN carried.
@@ -92,7 +109,7 @@ class DeltaFrame:
     epoch: int
     seq: int
     doc_len: int
-    #: Directory entries: byte and typed splices.
+    #: Directory entries: byte and typed splices, pad insertions.
     splice_count: int
     #: The byte splices' sorted, non-overlapping absolute offsets (int64).
     offsets: np.ndarray
@@ -105,6 +122,17 @@ class DeltaFrame:
     typed_offsets: np.ndarray
     #: Their values (float64), every NaN :data:`CANONICAL_NAN`.
     typed_values: np.ndarray
+    #: The pad insertions' sorted, disjoint new-document offsets (int64).
+    insert_offsets: np.ndarray
+    #: Their byte counts (int64), all positive.
+    insert_counts: np.ndarray
+    #: Bytes the insertions add: ``doc_len`` less the mirror's length.
+    growth: int = 0
+
+    def insert_positions(self) -> np.ndarray:
+        """Each insertion's offset in the document before the frame."""
+        counts = self.insert_counts
+        return self.insert_offsets - (np.cumsum(counts) - counts)
 
 
 def encode_frame(
@@ -118,8 +146,9 @@ def encode_frame(
 ) -> bytes:
     """Serialize one frame.  Caller guarantees the splice invariants.
 
-    A width of 0 marks a typed splice; *payload* is the byte splices'
-    bytes followed by the typed values as ``<f8`` (module docstring).
+    A width of 0 marks a typed splice and ``INSERT_FLAG | n`` a pad
+    insertion of *n* bytes; *payload* is the byte splices' bytes
+    followed by the typed values as ``<f8`` (module docstring).
     """
     n = len(offsets)
     if not n and not payload:
@@ -185,7 +214,7 @@ def decode_frame(
             )
         return DeltaFrame(
             template_id, epoch, seq, doc_len, 0, _NO_SPLICES, _NO_SPLICES,
-            payload, _NO_SPLICES, _NO_VALUES,
+            payload, _NO_SPLICES, _NO_VALUES, _NO_SPLICES, _NO_SPLICES,
         )
     directory = np.frombuffer(
         data, dtype=_DIR_DTYPE, count=count, offset=HEADER.size
@@ -199,6 +228,15 @@ def decode_frame(
             "splice offset exceeds the representable range",
             "out-of-bounds",
         )
+    insert_offsets = insert_counts = _NO_SPLICES
+    growth = 0
+    inserts = widths >= INSERT_FLAG
+    if bool(inserts.any()):
+        insert_offsets = offsets[inserts]
+        insert_counts = widths[inserts] - INSERT_FLAG
+        _check_insertions(insert_offsets, insert_counts, doc_len)
+        growth = int(insert_counts.sum())
+        offsets, widths = offsets[~inserts], widths[~inserts]
     typed = widths == 0
     n_typed = int(np.count_nonzero(typed))
     spliced = int(widths.sum())
@@ -208,13 +246,15 @@ def decode_frame(
             "payload-mismatch",
         )
     # A typed splice occupies the byte its offset names: no other entry
-    # may start there or reach over it.
-    ends = offsets + np.maximum(widths, 1)
-    if bool((ends > doc_len).any()):
+    # may start there or reach over it.  Compared against doc_len less
+    # the width, so an offset near 2**63 cannot wrap its end around.
+    spans = np.maximum(widths, 1)
+    if bool((offsets > doc_len - spans).any()):
         raise DeltaFrameError(
             "splice reaches past the declared document length",
             "out-of-bounds",
         )
+    ends = offsets + spans
     if bool((offsets[1:] < ends[:-1]).any()):
         raise DeltaFrameError(
             "splices unsorted or overlapping", "bad-splice"
@@ -222,7 +262,7 @@ def decode_frame(
     if not n_typed:
         return DeltaFrame(
             template_id, epoch, seq, doc_len, count, offsets, widths, payload,
-            _NO_SPLICES, _NO_VALUES,
+            _NO_SPLICES, _NO_VALUES, insert_offsets, insert_counts, growth,
         )
     values = np.frombuffer(
         data, dtype="<f8", count=n_typed, offset=dir_end + spliced
@@ -243,7 +283,46 @@ def decode_frame(
         payload[:spliced],
         offsets[typed],
         values,
+        insert_offsets,
+        insert_counts,
+        growth,
     )
+
+
+def _check_insertions(offsets: np.ndarray, counts: np.ndarray, doc_len: int) -> None:
+    """Insertions add at least one byte each, lie inside the new
+    document, and are sorted and disjoint there."""
+    if not bool((counts > 0).all()):
+        raise DeltaFrameError("pad insertion of zero bytes", "bad-splice")
+    if bool((offsets > doc_len - counts).any()):
+        raise DeltaFrameError(
+            "pad insertion reaches past the declared document length",
+            "out-of-bounds",
+        )
+    ends = offsets + counts
+    if bool((offsets[1:] < ends[:-1]).any()):
+        raise DeltaFrameError(
+            "pad insertions unsorted or overlapping", "bad-splice"
+        )
+
+
+def insert_pad(frame: DeltaFrame, mirror: Union[bytes, bytearray]) -> bytearray:
+    """A new mirror: *mirror* with the frame's pad insertions made (one
+    join); the frame's splices are :func:`apply_frame`'s."""
+    if len(mirror) + frame.growth != frame.doc_len:
+        raise DeltaFrameError(
+            f"mirror is {len(mirror)} bytes, frame expects "
+            f"{frame.doc_len - frame.growth} before its insertions",
+            "doc-len-mismatch",
+        )
+    view = memoryview(mirror)
+    parts = []
+    prev = 0
+    for at, count in zip(frame.insert_positions().tolist(), frame.insert_counts.tolist()):
+        parts += (view[prev:at], b" " * count)
+        prev = at
+    parts.append(view[prev:])
+    return bytearray().join(parts)
 
 
 def apply_frame(frame: DeltaFrame, mirror: bytearray) -> None:

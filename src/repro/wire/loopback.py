@@ -52,9 +52,11 @@ class DeltaLoopback:
         self.delta_sends = 0
         #: Payload bytes that crossed the "wire" (bodies + frames).
         self.payload_bytes = 0
-        #: Directory entries of the applied frames, by kind.
+        #: Directory entries of the applied frames, by kind (a pad
+        #: insertion is a widened field).
         self.typed_splices = 0
         self.byte_splices = 0
+        self.insertions = 0
         self._announce: Optional[tuple] = None
 
     # -- client-transport surface --------------------------------------
@@ -78,6 +80,7 @@ class DeltaLoopback:
         self.payload_bytes += len(frame)
         self.typed_splices += int(document.frame.typed_offsets.size)
         self.byte_splices += int(document.frame.offsets.size)
+        self.insertions += int(document.frame.insert_offsets.size)
         # The mirror is patched in place (its typed splices rendered at
         # once: no decode holds them); the delivered documents are this
         # loopback's own copies.

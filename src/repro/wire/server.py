@@ -17,7 +17,11 @@ server session keeps one for requests, a channel one for replies.
   entry's epoch/sequence and applied in place.  Its byte splices patch
   the document; its typed splices (binary64 values of double leaves)
   are committed straight into the entry's decode, through its seek
-  table, and those leaves' text is left *stale*.
+  table, and those leaves' text is left *stale*.  A frame with pad
+  insertions (fields the sender widened) replaces the document with
+  one rebuilt copy instead, and rebases the seek table over the
+  insertions (``SeekTable.rebased``) or, when the table cannot follow
+  them, lets the decode go for the full parse.
 * **Stale text.**  Nothing reads a document while a leaf of it is
   stale: every reader — a full parse, a document compare, a seek-table
   shed, :meth:`MirroredDocument.tobytes` — first has
@@ -54,7 +58,7 @@ import numpy as np
 from repro.errors import DeltaFrameError, DeltaResyncError
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
 from repro.lexical.floats import FloatFormat, format_double_array
-from repro.wire.frame import DeltaFrame, apply_frame, decode_frame
+from repro.wire.frame import DeltaFrame, apply_frame, decode_frame, insert_pad
 
 __all__ = ["DeltaSession", "DocumentEntry", "MirroredDocument"]
 
@@ -130,6 +134,9 @@ class MirroredDocument:
 
     entry: DocumentEntry
     frame: Optional[DeltaFrame] = None
+    #: The skip-scan event of a frame whose pad insertions the entry's
+    #: seek table could not follow (its decode was let go), else ``None``.
+    declined: Optional[str] = None
 
     @property
     def buffer(self) -> Union[bytes, bytearray]:
@@ -213,8 +220,9 @@ class DeltaSession:
         limits = limits if limits is not None else DEFAULT_LIMITS
         self.entries: "OrderedDict[Hashable, DocumentEntry]" = OrderedDict()
         #: Bumped whenever :meth:`state_bytes` may change: an entry held,
-        #: replaced or dropped, or (by the deserializer) a decode made
-        #: or dropped.  Frames patch in place and change no size.
+        #: replaced or dropped, a document a frame's pad insertions grew,
+        #: or (by the deserializer) a decode made or dropped.  Other
+        #: frames patch in place and change no size.
         self.generation = 0
         self.max_mirrors = limits.max_delta_mirrors
         self.frames_applied = 0
@@ -313,9 +321,10 @@ class DeltaSession:
                 f"frame seq {frame.seq} after mirror seq {entry.seq}",
                 "sequence-gap",
             )
-        elif frame.doc_len != len(entry.data):
+        elif frame.doc_len - frame.growth != len(entry.data):
             problem = (
-                f"frame doc_len {frame.doc_len} != mirror length {len(entry.data)}",
+                f"frame doc_len {frame.doc_len} less {frame.growth} inserted "
+                f"!= mirror length {len(entry.data)}",
                 "doc-len-mismatch",
             )
         else:
@@ -325,32 +334,78 @@ class DeltaSession:
             self.generation += 1
             self.resyncs += 1
             raise DeltaResyncError(*problem)
-        if frame.typed_offsets.size:
-            self._apply_typed(entry, frame)
+        declined = None
+        if frame.growth:
+            declined = self._apply_grown(entry, frame)
+        elif frame.typed_offsets.size:
+            self._apply_typed(entry, frame, entry.data, self._table_of(entry))
         elif frame.splice_count:
             apply_frame(frame, entry.data)
         entry.seq = frame.seq
         self.entries.move_to_end(frame.template_id)
         self.frames_applied += 1
         self.bytes_saved += max(0, frame.doc_len - len(frame_bytes))
-        return MirroredDocument(entry, frame)
+        return MirroredDocument(entry, frame, declined)
 
     @staticmethod
-    def _apply_typed(entry: DocumentEntry, frame: DeltaFrame) -> None:
-        """Apply a frame that carries typed splices; everything is
+    def _table_of(entry: DocumentEntry):
+        """The entry's seek table when it describes the entry's document."""
+        return entry.table if entry.base is entry.data else None
+
+    def _apply_grown(self, entry: DocumentEntry, frame: DeltaFrame) -> Optional[str]:
+        """Apply a frame with pad insertions: the mirror is rebuilt once
+        (one join) and replaces the entry's document only after every
+        check passed.
+
+        When the entry's seek table describes this document it is
+        rebased over the insertions (:meth:`SeekTable.rebased`, which
+        proves each lands in a leaf's trailing pad), and the frame's
+        typed and byte splices are checked against the rebased table as
+        :meth:`_apply_typed` checks any frame's.  A table that cannot
+        follow is declined — the decode is let go, the bytes are
+        applied with typed values written as text, and the
+        deserializer's full parse judges — and the decline's event
+        (``insertion-drift``) is returned for the deserializer to count.
+        """
+        data = entry.data
+        table = self._table_of(entry)
+        declined = None
+        if table is not None:
+            table = table.rebased(data, frame.insert_positions(), frame.insert_counts)
+            if table is None:
+                declined = "insertion-drift"
+                entry.drop_decode()
+        grown = insert_pad(frame, data)
+        if frame.typed_offsets.size:
+            self._apply_typed(entry, frame, grown, table)
+        else:
+            apply_frame(frame, grown)
+            if table is not None:
+                entry.table = table
+        if entry.base is data:
+            entry.base = grown
+        entry.data = grown
+        self.generation += 1
+        return declined
+
+    @staticmethod
+    def _apply_typed(
+        entry: DocumentEntry, frame: DeltaFrame, data: bytearray, table
+    ) -> None:
+        """Apply a frame that carries typed splices to *data*, the
+        entry's document (or its rebuilt successor); everything is
         validated before the document or the decode changes.
 
-        When the entry's seek table describes this document, each typed
-        offset must name a double leaf's region (else
+        When *table* describes *data*, each typed offset must name a
+        double leaf's region (else
         :class:`~repro.errors.DeltaFrameError`), no byte splice may
         touch a typed or stale leaf, and the values go into the decode
-        with their text left stale.  Otherwise their text is written
-        now, and the deserializer's full parse follows.
+        with their text left stale; *table* becomes the entry's.
+        Otherwise their text is written now, and the deserializer's
+        full parse follows.
         """
         offsets, values = frame.typed_offsets, frame.typed_values
-        table = entry.table
-        data = entry.data
-        if table is not None and entry.base is data:
+        if table is not None:
             leaves = table.typed_leaves(offsets, values)
             if leaves is None:
                 raise DeltaFrameError(
@@ -365,6 +420,7 @@ class DeltaSession:
                 )
             apply_frame(frame, data)
             table.commit_doubles(leaves, values)
+            entry.table = table
             entry.stale = marked
             return
         writes = []

@@ -32,7 +32,7 @@ from repro.server.diffdeser import DeserKind, DifferentialDeserializer
 from repro.server.parser import SOAPRequestParser
 from repro.soap.message import Parameter, SOAPMessage
 from repro.transport.loopback import CollectSink
-from repro.wire.frame import encode_frame
+from repro.wire.frame import INSERT_FLAG, encode_frame
 from repro.wire.server import DeltaSession, DocumentEntry
 from tests.test_skipscan_property import _assert_decoded_equal
 
@@ -97,11 +97,30 @@ class Peer:
             b"".join(data for _, data in splices),
         )
 
+    def grown(self, inserts, *splices) -> bytes:
+        """The next frame in sequence with pad *inserts* ``(new offset,
+        bytes)`` leading its directory; *splices* in new coordinates."""
+        self.seq += 1
+        self.doc_len += sum(count for _at, count in inserts)
+        splices = sorted(splices)
+        return encode_frame(
+            1, 1, self.seq, self.doc_len,
+            [at for at, _ in inserts] + [offset for offset, _ in splices],
+            [INSERT_FLAG | count for _, count in inserts]
+            + [len(data) for _, data in splices],
+            b"".join(data for _, data in splices),
+        )
+
     def send(self, *splices):
         """Apply a frame and decode it; the outcome must be the full
         parse's of the patched document.  Returns the report, or the
         exception class both raised."""
-        document = self.delta.apply(self.frame(*splices), DEFAULT_LIMITS)
+        return self.send_frame(self.frame(*splices))
+
+    def send_frame(self, frame: bytes):
+        """:meth:`send` for a frame already encoded."""
+        document = self.delta.apply(frame, DEFAULT_LIMITS)
+        self.declined = document.declined
         got = _outcome(lambda: self.deser.deserialize(document))
         want = _outcome(lambda: SOAPRequestParser().parse(document.tobytes()))
         if isinstance(want, type):
@@ -452,6 +471,62 @@ def test_frame_call_allocates_nothing_document_sized():
     assert (report.kind, report.leaves_parsed) == (DeserKind.DIFFERENTIAL, 16)
     assert peak < 64 * 1024, f"frame call allocated {peak} bytes at peak"
     assert delta.mirrors[1].decoded == 2
+
+
+# ----------------------------------------------------------------------
+# pad insertions
+# ----------------------------------------------------------------------
+def test_insertion_in_a_trailing_pad_rebases_the_table(peer):
+    """A widened field: pad inserted at its region's end, its new region
+    spliced.  The table follows (no full parse) and so does every leaf
+    after it."""
+    start, end = (int(x) for x in peer.regions[3])
+    text = b"-1.2345678901234567e-300"
+    grow = start + len(text) + len(CLOSE) - end + 2
+    region = (text + CLOSE).ljust(end + grow - start)
+    report = peer.send_frame(peer.grown([(end, grow)], (start, region)))
+    assert peer.declined is None
+    assert (report.kind, report.leaves_parsed) == (DeserKind.DIFFERENTIAL, 1)
+    entry = peer.entry
+    assert entry.base is entry.data and len(entry.data) == peer.doc_len
+    assert int(entry.table.ends[3]) == end + grow
+    assert int(entry.table.starts[4]) == int(peer.regions[4][0]) + grow
+    assert peer.value(3) == float(text)
+    assert "insertion-drift" not in peer.deser.skipscan_stats
+    peer.regions = SOAPRequestParser().parse(bytes(entry.data)).regions
+    peer.clean_follow_up(9, DeserKind.DIFFERENTIAL)
+
+
+@pytest.mark.parametrize("where", ["value", "markup", "region start"])
+def test_insertion_the_table_cannot_follow_is_a_counted_decline(peer, where):
+    """Pad inserted inside a value, inside the markup after a region, or
+    before a value: not in a trailing pad, so the table declines — the
+    frame applies (no resync) and the full parse judges."""
+    start, end = (int(x) for x in peer.regions[5])
+    at = {"value": start + 1, "markup": end + 1, "region start": start}[where]
+    peer.send_frame(peer.grown([(at, 2)]))
+    assert peer.declined == "insertion-drift"
+    assert peer.deser.skipscan_stats["insertion-drift"] == 1
+    assert peer.delta.resyncs == 0 and peer.entry.seq == 1
+    if where == "region start":
+        # Whitespace before a double still parses: the full parse's
+        # table follows the next frame.
+        peer.regions = SOAPRequestParser().parse(bytes(peer.entry.data)).regions
+        peer.clean_follow_up(9, DeserKind.DIFFERENTIAL)
+
+
+def test_insertion_in_a_typed_leaf_value_is_declined_and_written_as_text(peer):
+    """A typed splice on a leaf whose value also takes pad: the table
+    declines, the value is written as text, the full parse decodes it."""
+    start, _end = (int(x) for x in peer.regions[2])
+    frame = encode_frame(
+        1, 1, 1, peer.doc_len + 3, [start + 1, start], [INSERT_FLAG | 3, 0],
+        np.float64(2.5).tobytes(),
+    )
+    peer.seq, peer.doc_len = 1, peer.doc_len + 3
+    report = peer.send_frame(frame)
+    assert peer.declined == "insertion-drift"
+    assert report.kind is DeserKind.FULL and peer.value(2) == 2.5
 
 
 def test_no_second_copy_of_the_document_is_named_in_the_source():

@@ -9,7 +9,8 @@ other frame region by region; :func:`~repro.wire.frame.apply_frame`
 scatters same-width splices through the mirror's window.  Either choice
 may only change how fast the bytes move.  Every frame checked here is
 compared with a per-entry reference harvest that lives only in this
-file, and every patched mirror with slice-by-slice assignment.
+file (pad insertions of widened fields included), and every patched
+mirror with slice-by-slice assignment.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.wire import client as wire_client
 from repro.wire.frame import (
     DIR_ENTRY,
     HEADER,
+    INSERT_FLAG,
     MAGIC,
     SCATTER_MIN,
     apply_frame,
@@ -77,18 +79,26 @@ def _mio(cols):
 # ----------------------------------------------------------------------
 # the reference harvest
 # ----------------------------------------------------------------------
-def _reference_frame(template, snapshot, baseline, typed):
+def _reference_frame(template, snapshot, baseline, typed, rewrite):
     """The frame a per-entry harvest of *snapshot* builds, and how many
     of its regions end on the last byte of their chunk's storage.
 
     With *typed* (a MINIMAL sender) every dirty double is a typed
     splice whose value is the one its tracked column holds (the
-    sender leaves that double's text stale)."""
+    sender leaves that double's text stale).  Each field *rewrite*
+    widened leads the directory as a pad insertion: its growth, at the
+    end of its old region in the new document."""
     buffer, dut = template.buffer, template.dut
     starts, pos = {}, 0
     for cid in buffer.chunk_ids:
         starts[cid] = pos
         pos += buffer.chunk(cid).used
+    inserts = []
+    for entries, growth in rewrite.grown:
+        for entry, grew in zip(entries.tolist(), growth.tolist()):
+            end = int(dut.value_off[entry]) + int(dut.field_width[entry])
+            end += int(dut.close_len[entry]) + starts[int(dut.chunk_id[entry])]
+            inserts.append(DIR_ENTRY.pack(end - grew, INSERT_FLAG | grew))
     splices = []
     values = []
     edges = 0
@@ -109,7 +119,7 @@ def _reference_frame(template, snapshot, baseline, typed):
             last[1] += chunk.data[off:end]
         else:
             splices.append([at, bytearray(chunk.data[off:end])])
-    directory = b"".join(
+    directory = b"".join(inserts) + b"".join(
         DIR_ENTRY.pack(at, 0 if region is None else len(region))
         for at, region in splices
     )
@@ -120,8 +130,8 @@ def _reference_frame(template, snapshot, baseline, typed):
         template.template_id,
         baseline.epoch,
         baseline.seq + 1,
-        baseline.doc_len,
-        len(splices),
+        pos,
+        len(inserts) + len(splices),
         zlib.crc32(directory + payload),
     )
     return head + directory + payload, edges
@@ -140,7 +150,7 @@ def checked_harvest():
         baseline = self._baselines.get(template.template_id)
         if baseline is not None:
             expected, edges = _reference_frame(
-                template, snapshot, baseline, self.typed
+                template, snapshot, baseline, self.typed, rewrite
             )
         windows.clear()
         frame = real_encode(self, template, snapshot, rewrite)

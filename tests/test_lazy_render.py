@@ -12,7 +12,8 @@ stolen: :class:`Rig`), parse-equal to the naive client's.  Covered:
 
 * each fallback to full XML after deferred sends (frame too large, too
   many splices, no baseline, a layout change, a send through another
-  client, an expansion, a resync after a failed frame);
+  client, a steal, a resync after a failed frame), and an expansion
+  under SHIFT, which frames its widening beside the deferred doubles;
 * each reader of template text: ``views()``, ``tobytes()``,
   ``validate()``;
 * a ``TransportError`` on the frame, then the rebuild;
@@ -52,6 +53,7 @@ from repro.schema.composite import ArrayType
 from repro.schema.registry import TypeRegistry
 from repro.schema.types import DOUBLE, INT, STRING
 from repro.server.async_server import make_server
+from repro.server.parser import SOAPRequestParser
 from repro.server.service import SOAPService
 from repro.soap.message import Parameter, SOAPMessage, structure_signature
 from repro.transport.loopback import CollectSink
@@ -280,13 +282,16 @@ TRIGGERS = {
     "no-baseline": _reset,
     "layout-epoch": _layout_change,
     "foreign-send": lambda rig: (rig.send(sharer=True), rig.mutate(FEW)),
-    "expansion": lambda rig: setattr(rig, "label", "a" * 30),
+    # Under Expansion.STEAL (RIGS): the growing label steals slack.
+    "steal": lambda rig: (setattr(rig, "label", "a" * 4), rig.mutate(FEW)),
 }
+#: Rig settings a trigger needs beyond the default (SHIFT) rig.
+RIGS = {"steal": {"expansion": Expansion.STEAL}}
 
 
 @pytest.mark.parametrize("reason", sorted(TRIGGERS))
 def test_fallback_after_deferred_sends_carries_rendered_text(reason):
-    rig = _started()
+    rig = _started(**RIGS.get(reason, {}))
     rig.defer()
     TRIGGERS[reason](rig)
     deferred = rig.client.stats.rewrite.values_deferred
@@ -295,13 +300,36 @@ def test_fallback_after_deferred_sends_carries_rendered_text(reason):
     # The fallback wrote this send's dirty doubles: none counts deferred.
     assert report.rewrite.values_deferred == 0
     assert rig.client.stats.rewrite.values_deferred == deferred
-    if reason == "expansion":
+    assert rig.client.wire.fallbacks == {reason: 1}
+    if reason == "steal":
+        assert report.rewrite.steals >= 1
         assert report.match_kind is MatchKind.PARTIAL_STRUCTURAL
-    else:
-        assert rig.client.wire.fallbacks == {reason: 1}
     assert rig.template.stale is None
     rig.mutate(FEW)
     assert rig.send(read=True, where=f"after {reason}").delta
+
+
+def test_expansion_after_deferred_sends_frames_with_insertions():
+    """Under SHIFT a label outgrowing its field beside stale doubles is
+    a partial match that frames: the widening as a pad insertion, this
+    send's dirty doubles typed and still deferred."""
+    rig = _started()
+    rig.defer()
+    rig.label = "a" * 30
+    rig.mutate(FEW)
+    report = rig.send(where="expansion")
+    assert report.match_kind is MatchKind.PARTIAL_STRUCTURAL
+    assert report.delta and rig.client.wire.fallbacks == {}
+    assert report.rewrite.values_deferred == FEW
+    assert rig.loop.insertions == 1
+    assert rig.template.stale is not None
+    # The peer's mirror decodes to what was sent.
+    decoded = SOAPRequestParser().parse(rig.loop.last_document).message
+    assert decoded.value("label") == rig.label
+    assert np.array_equal(decoded.value("data"), rig.values)
+    assert decoded.value("count") == rig.count
+    rig.mutate(FEW)
+    assert rig.send(read=True, where="after expansion").delta
 
 
 def test_lost_frame_rolls_back_then_rebuilds():

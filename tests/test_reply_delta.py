@@ -19,7 +19,13 @@ import pytest
 
 from repro.bench.workloads import doubles_of_width
 from repro.channel import RPCChannel
-from repro.core.policy import DeltaPolicy, DiffPolicy, StuffingPolicy, StuffMode
+from repro.core.policy import (
+    DeltaPolicy,
+    DiffPolicy,
+    Expansion,
+    StuffingPolicy,
+    StuffMode,
+)
 from repro.core.stats import MatchKind
 from repro.errors import DeltaFrameError, SOAPFaultError, TransportError
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
@@ -284,7 +290,7 @@ def test_fault_in_the_middle_of_a_framed_stream(front):
 # ----------------------------------------------------------------------
 # encoder fallbacks: a full reply with a fresh announce
 # ----------------------------------------------------------------------
-def test_length_drift_and_skeleton_drift_reannounce():
+def test_partial_reply_frames_and_skeleton_drift_reannounces():
     with make_server(_service(), "async") as server:
         channel, recorder = _open(server.port)
         with channel:
@@ -293,16 +299,21 @@ def test_length_drift_and_skeleton_drift_reannounce():
             wider = values.copy()
             wider[3] = doubles_of_width(1, 20, seed=6)[0]
             # The reply value outgrows its unstuffed field: a partial
-            # match on the responder, so no frame — full XML, epoch 2.
+            # match on the responder, framed with one pad insertion that
+            # the channel's seek table follows.
             assert np.array_equal(channel.call(_msg(wider)).result(), wider)
-            _status, headers, _body = recorder.responses[-1]
-            assert headers["x-repro-delta-epoch"] == "2"
-            assert channel.last_deser_report.kind is DeserKind.FULL
-            assert channel.deserializer.skipscan_stats["length-drift"] == 1
+            _status, headers, body = recorder.responses[-1]
+            assert headers.get("x-repro-delta-frame") == "1"
+            frame = decode_frame(body)
+            assert frame.insert_offsets.size == 1 and frame.growth == 10
+            assert channel.last_deser_report.kind is DeserKind.DIFFERENTIAL
+            stats = channel.deserializer.skipscan_stats
+            assert "length-drift" not in stats and "insertion-drift" not in stats
             again = wider.copy()
             again[5] = doubles_of_width(1, 10, seed=7)[0]
             assert np.array_equal(channel.call(_msg(again)).result(), again)
-            assert [(f.epoch, f.seq) for f in recorder.frames()] == [(2, 1)]
+            assert [(f.epoch, f.seq) for f in recorder.frames()] == [(1, 1), (1, 2)]
+            assert set(channel.replies.outcomes) == {"reply-applied"}
 
             # Same length, other skeleton: each operation's reply has
             # its own responder template and its own store entry, so
@@ -312,7 +323,7 @@ def test_length_drift_and_skeleton_drift_reannounce():
             assert np.array_equal(other.result(), again)
             _status, headers, body = recorder.responses[-1]
             assert "x-repro-delta-template" in headers
-            assert len(body) == len(recorder.responses[-3][2])
+            assert len(body) == recorder.frames()[-1].doc_len  # aaa's document
             assert channel.last_deser_report.kind is DeserKind.FULL
             assert "skeleton-drift" not in channel.deserializer.skipscan_stats
             assert len(channel.replies.mirrors) == 2
@@ -320,6 +331,42 @@ def test_length_drift_and_skeleton_drift_reannounce():
         kinds = server.service.response_stats.by_kind
         assert kinds[MatchKind.PARTIAL_STRUCTURAL] == 1
         assert kinds[MatchKind.FIRST_TIME] == 2
+
+
+def test_partial_reply_that_steals_falls_back_counted():
+    """A responder under ``Expansion.STEAL`` whose reply steals a
+    neighbour's slack sends that reply as full XML with a fresh
+    announce, counted as ``reply-fallback-steal``; frames resume."""
+    policy = DiffPolicy(expansion=Expansion.STEAL)
+    with make_server(_service(response_policy=policy), "async") as server:
+        channel, recorder = _open(server.port)
+        with channel:
+            values = doubles_of_width(16, 10, seed=5)
+            values[4] = doubles_of_width(1, 20, seed=8)[0]
+            channel.call(_msg(values))
+            # Leaf 4 narrows and keeps 10 bytes of slack ...
+            narrow = values.copy()
+            narrow[4] = doubles_of_width(1, 10, seed=9)[0]
+            assert np.array_equal(channel.call(_msg(narrow)).result(), narrow)
+            # ... which leaf 3 steals when it outgrows its field.
+            wider = narrow.copy()
+            wider[3] = doubles_of_width(1, 16, seed=6)[0]
+            assert np.array_equal(channel.call(_msg(wider)).result(), wider)
+            _status, headers, _body = recorder.responses[-1]
+            assert headers["x-repro-delta-epoch"] == "2"
+            (session,) = server.service.sessions.sessions()
+            wire = session.responder.wire
+            assert wire.fallbacks == {"steal": 1}
+            assert wire.metric_samples()[
+                "repro_delta_frames_total", "reply-fallback-steal"
+            ] == 1
+            again = wider.copy()
+            again[5] = doubles_of_width(1, 10, seed=7)[0]
+            assert np.array_equal(channel.call(_msg(again)).result(), again)
+            assert [(f.epoch, f.seq) for f in recorder.frames()] == [(1, 1), (2, 1)]
+            assert channel.channel_stats()["retries"] == 0
+        kinds = server.service.response_stats.by_kind
+        assert kinds[MatchKind.PARTIAL_STRUCTURAL] == 1
 
 
 def test_more_reply_structures_than_mirrors_never_resyncs():

@@ -23,7 +23,13 @@ import pytest
 
 from repro.channel import RPCChannel
 from repro.core.client import BSoapClient
-from repro.core.policy import DeltaPolicy, DiffPolicy, StuffingPolicy, StuffMode
+from repro.core.policy import (
+    DeltaPolicy,
+    DiffPolicy,
+    Expansion,
+    StuffingPolicy,
+    StuffMode,
+)
 from repro.core.stats import MatchKind
 from repro.errors import DeltaFrameError, DeltaResyncError
 from repro.hardening.limits import ResourceLimits
@@ -31,10 +37,12 @@ from repro.obs import Observability
 from repro.schema.composite import ArrayType
 from repro.schema.registry import TypeRegistry
 from repro.schema.types import DOUBLE
+from repro.server.parser import SOAPRequestParser
 from repro.server.service import SOAPService
 from repro.server.threaded_server import HTTPSoapServer
 from repro.soap.message import Parameter, SOAPMessage
 from repro.transport.loopback import CollectSink
+from repro.wire.frame import INSERT_FLAG, insert_pad
 from repro.wire import (
     DIR_ENTRY,
     HEADER,
@@ -216,6 +224,50 @@ class TestFrameCodec:
         with pytest.raises(DeltaFrameError) as err:
             decode_frame(encode_frame(1, 1, 1, 50, [(1 << 64) - 2], [4], b"abcd"))
         assert err.value.reason == "out-of-bounds"
+
+    def test_offset_near_two_to_63_rejected(self):
+        """An offset whose end would wrap around 2**63 is out of bounds,
+        not a splice that appends to the mirror."""
+        with pytest.raises(DeltaFrameError) as err:
+            decode_frame(encode_frame(1, 1, 1, 50, [(1 << 63) - 2], [4], b"abcd"))
+        assert err.value.reason == "out-of-bounds"
+
+    def test_pad_insertion_roundtrip(self):
+        """Insertions lead the directory, carry no payload and name
+        new-document offsets; the mirror is rebuilt, then spliced."""
+        directory = [4, 10, 30], [INSERT_FLAG | 2, 3, INSERT_FLAG | 4]
+        frame = decode_frame(encode_frame(1, 1, 1, 56, *directory, b"abc"))
+        assert frame.insert_offsets.tolist() == [4, 30]
+        assert frame.insert_counts.tolist() == [2, 4] and frame.growth == 6
+        assert frame.insert_positions().tolist() == [4, 28]
+        assert frame.offsets.tolist() == [10] and frame.widths.tolist() == [3]
+        assert frame.splice_count == 3
+        old = bytes(range(65, 115))
+        grown = insert_pad(frame, bytearray(old))
+        apply_frame(frame, grown)
+        expected = bytearray(old[:4] + b"  " + old[4:28] + b"    " + old[28:])
+        expected[10:13] = b"abc"
+        assert bytes(grown) == bytes(expected)
+        with pytest.raises(DeltaFrameError) as err:
+            insert_pad(frame, bytearray(51))
+        assert err.value.reason == "doc-len-mismatch"
+
+    @pytest.mark.parametrize(
+        "inserts,reason",
+        [
+            ([(5, 0)], "bad-splice"),  # inserts nothing
+            ([(48, 4)], "out-of-bounds"),  # past doc_len
+            ([((1 << 63) - 2, 4)], "out-of-bounds"),  # would wrap
+            ([(10, 4), (12, 2)], "bad-splice"),  # overlapping
+            ([(20, 2), (10, 2)], "bad-splice"),  # unsorted
+        ],
+    )
+    def test_pad_insertion_rejections(self, inserts, reason):
+        offsets = [at for at, _count in inserts]
+        widths = [INSERT_FLAG | count for _at, count in inserts]
+        with pytest.raises(DeltaFrameError) as err:
+            decode_frame(encode_frame(1, 1, 1, 50, offsets, widths, b""))
+        assert err.value.reason == reason
 
     def test_overlapping_splices_rejected(self):
         with pytest.raises(DeltaFrameError) as err:
@@ -399,19 +451,72 @@ class TestEncoderLoopback:
         values[3] = 5.0
         assert client.send(_msg(values)).delta
 
-    def test_expansion_falls_back(self):
+    def test_expansion_frames_with_insertions(self):
+        """A value outgrowing its unstuffed field is a partial match; its
+        frame carries the widening as one pad insertion, and the mirror
+        ends byte for byte the plain client's wire."""
+        unstuffed = StuffingPolicy(StuffMode.NONE)
+        policy = DiffPolicy(stuffing=unstuffed, delta=DeltaPolicy(offer=True))
+        plain_sink = CollectSink()
+        plain = BSoapClient(plain_sink, DiffPolicy(stuffing=unstuffed))
+        client, loop = self._client(policy=policy)
+        for values in ([1.0, 2.0, 3.0], [1.0, 123456.789012345, 3.0]):
+            report = client.send(_msg(values))
+            plain.send(_msg(values))
+        assert report.rewrite.expansions > 0
+        assert report.match_kind is MatchKind.PARTIAL_STRUCTURAL
+        assert report.delta and loop.delta_sends == 1 and loop.insertions == 1
+        assert client.wire.fallbacks == {}
+        assert loop.last_document == plain_sink.last
+        decoded = SOAPRequestParser().parse(loop.last_document).message
+        assert decoded.value("a").tolist() == [1.0, 123456.789012345, 3.0]
+
+    def test_steal_falls_back_counted(self):
+        """Under ``Expansion.STEAL`` a send that stole pad from a
+        neighbour goes out as full XML, counted as ``steal``."""
+        unstuffed = StuffingPolicy(StuffMode.NONE)
         policy = DiffPolicy(
-            stuffing=StuffingPolicy(StuffMode.NONE), delta=DeltaPolicy(offer=True)
+            stuffing=unstuffed, expansion=Expansion.STEAL, delta=DeltaPolicy(offer=True)
+        )
+        plain_sink = CollectSink()
+        plain = BSoapClient(
+            plain_sink, DiffPolicy(stuffing=unstuffed, expansion=Expansion.STEAL)
         )
         client, loop = self._client(policy=policy)
-        client.send(_msg([1.0, 2.0, 3.0]))
-        report = client.send(_msg([1.0, 123456.789012345, 3.0]))
-        assert report.rewrite.expansions > 0
-        # A widened value classifies partial-structural, which the
-        # match-kind gate rejects before the encoder is even asked.
+        # The third field shrinks and keeps its slack; the second then
+        # outgrows its own field and steals that slack.
+        for values in ([1.0, 2.0, 123.456789], [1.0, 2.0, 3.0], [1.0, 2.125, 3.0]):
+            report = client.send(_msg(values))
+            plain.send(_msg(values))
+            assert loop.last_document == plain_sink.last
+        assert report.rewrite.steals == 1
         assert report.match_kind is MatchKind.PARTIAL_STRUCTURAL
         assert not report.delta
-        assert loop.delta_sends == 0
+        assert client.wire.fallbacks == {"steal": 1}
+        assert client.metric_samples()[
+            "repro_delta_frames_total", "fallback-steal"
+        ] == 1
+        assert client.send(_msg([1.0, 2.125, 4.0])).delta
+
+    def test_steal_policy_send_that_only_shifted_frames(self):
+        """Under ``Expansion.STEAL`` an expansion no neighbour's slack
+        covers shifts (``write_entry``): that send frames its widening."""
+        unstuffed = StuffingPolicy(StuffMode.NONE)
+        policy = DiffPolicy(
+            stuffing=unstuffed, expansion=Expansion.STEAL, delta=DeltaPolicy(offer=True)
+        )
+        plain_sink = CollectSink()
+        plain = BSoapClient(
+            plain_sink, DiffPolicy(stuffing=unstuffed, expansion=Expansion.STEAL)
+        )
+        client, loop = self._client(policy=policy)
+        for values in ([1.0, 2.0, 3.0], [1.0, 123456.789012345, 3.0]):
+            report = client.send(_msg(values))
+            plain.send(_msg(values))
+        assert report.rewrite.steals == 0 and report.rewrite.expansions == 1
+        assert report.delta and loop.insertions == 1
+        assert client.wire.fallbacks == {}
+        assert loop.last_document == plain_sink.last
 
     def test_splice_cap_falls_back(self):
         policy = DiffPolicy(
