@@ -70,6 +70,7 @@ from repro.core.stats import RewriteStats
 from repro.core.stealing import try_steal
 from repro.lexical.floats import DOUBLE_MAX_WIDTH, FloatFormat
 from repro.schema.types import DOUBLE
+from repro.wire import frame as wire_frame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.template import BoundParam, MessageTemplate
@@ -214,55 +215,100 @@ def _fast_rewrite(
             else:
                 loop.extend(range(s, e))
 
-    tag_shifts = 0
-    pad_bytes = 0
     if loop:
-        offs: List[int] = offs_a.tolist()
-        olds: List[int] = olds_a.tolist()
-        cids: List[int] = cids_a.tolist()
-        uniform = bp.arity == 1
-        if uniform:
-            close = bp.close_tags[0]
-            clen = len(close)
-            closes = None
+        if len(loop) < n:
+            idxs_l = idxs[loop]
+            offs_a, olds_a, cids_a = offs_a[loop], olds_a[loop], cids_a[loop]
+            texts = [texts[k] for k in loop]
+            lens_l = [lens_l[k] for k in loop]
         else:
-            leaf_pos = ((idxs - bp.entry_base) % bp.arity).tolist()
-            closes = [bp.close_tags[p] for p in leaf_pos]
-
-        pad = _PAD
-        data = None
-        last_cid = -1
-        for k in loop:
-            cid = cids[k]
-            if cid != last_cid:
-                data = buffer.chunk(cid).data
-                last_cid = cid
-            off = offs[k]
-            new_len = lens_l[k]
-            end_v = off + new_len
-            data[off:end_v] = texts[k]  # type: ignore[index]
-            old = olds[k]
-            if new_len != old:
-                if not uniform:
-                    close = closes[k]  # type: ignore[index]
-                    clen = len(close)
-                data[end_v : end_v + clen] = close  # type: ignore[index]
-                tag_shifts += 1
-                if new_len < old:
-                    gap = old - new_len
-                    start = end_v + clen
-                    # _PAD only interns gaps < 64; a string shrinking by
-                    # more (possible for TrackedStringArray) needs a
-                    # fresh pad of the exact size.
-                    data[start : start + gap] = (  # type: ignore[index]
-                        pad[gap] if gap < 64 else b" " * gap
-                    )
-                    pad_bytes += gap
-
+            idxs_l = idxs
+        _slice_writes(
+            buffer, bp, idxs_l.tolist(), cids_a.tolist(), offs_a.tolist(),
+            olds_a.tolist(), texts, lens_l, stats,
+        )
     dut.ser_len[idxs] = lens
     stats.values_rewritten += n
+
+
+def _slice_writes(
+    buffer,
+    bp: "BoundParam",
+    entries: List[int],
+    cids: List[int],
+    offs: List[int],
+    olds: List[int],
+    texts: Sequence[bytes],
+    lens: List[int],
+    stats: RewriteStats,
+) -> None:
+    """Write each text over its field's value through slices of the
+    chunk ``bytearray``; a text of a new length moves the closing tag
+    and blanks the tail (every text fits its field).  Counts the tag
+    shifts and pad bytes; the caller stores the lengths."""
+    tag_shifts = 0
+    pad_bytes = 0
+    uniform = bp.arity == 1
+    if uniform:
+        close = bp.close_tags[0]
+        clen = len(close)
+    pad = _PAD
+    data = None
+    last_cid = -1
+    for entry, cid, off, old, text, new_len in zip(entries, cids, offs, olds, texts, lens):
+        if cid != last_cid:
+            data = buffer.chunk(cid).data
+            last_cid = cid
+        end_v = off + new_len
+        data[off:end_v] = text  # type: ignore[index]
+        if new_len != old:
+            if not uniform:
+                close = bp.close_tags[(entry - bp.entry_base) % bp.arity]
+                clen = len(close)
+            data[end_v : end_v + clen] = close  # type: ignore[index]
+            tag_shifts += 1
+            if new_len < old:
+                gap = old - new_len
+                start = end_v + clen
+                # _PAD only interns gaps < 64; a string shrinking by
+                # more (possible for TrackedStringArray) needs a fresh
+                # pad of the exact size.
+                data[start : start + gap] = (  # type: ignore[index]
+                    pad[gap] if gap < 64 else b" " * gap
+                )
+                pad_bytes += gap
     stats.tag_shifts += tag_shifts
     stats.pad_bytes += pad_bytes
+
+
+def _write_few(
+    template: "MessageTemplate",
+    bp: "BoundParam",
+    entries: List[int],
+    texts: Sequence[bytes],
+    stats: RewriteStats,
+) -> bool:
+    """:func:`_fast_rewrite` for a few entries, their DUT cells read one
+    by one instead of as columns; ``False`` (nothing written) when a
+    text outgrows its field."""
+    dut = template.dut
+    lens = list(map(len, texts))
+    width = dut.field_width
+    if any(n > width[e] for e, n in zip(entries, lens)):
+        return False
+    olds = [int(dut.ser_len[e]) for e in entries]
+    _slice_writes(
+        template.buffer, bp, entries,
+        [int(dut.chunk_id[e]) for e in entries],
+        [int(dut.value_off[e]) for e in entries],
+        olds, texts, lens, stats,
+    )
+    ser_len = dut.ser_len
+    for e, n, old in zip(entries, lens, olds):
+        if n != old:
+            ser_len[e] = n
+    stats.values_rewritten += len(entries)
+    return True
 
 
 def _shift_rewrite(
@@ -376,8 +422,14 @@ def _rewrite_run(
     stats: RewriteStats,
     obs,
 ) -> None:
-    """Re-serialize *bp*'s dirty entries *idxs* (ascending DUT indices)."""
+    """Re-serialize *bp*'s dirty entries *idxs* (ascending DUT indices);
+    fewer than :data:`~repro.wire.frame.SMALL_FRAME` that fit their
+    fields are written cell by cell (:func:`_write_few`)."""
     texts = bp.tracked.lexical_for(idxs - bp.entry_base, policy.float_format)
+    if idxs.size < wire_frame.SMALL_FRAME and _write_few(
+        template, bp, idxs.tolist(), texts, stats
+    ):
+        return
     lens_l = list(map(len, texts))
     lens = np.asarray(lens_l, dtype=np.int32)
     if not bool((lens > template.dut.field_width[idxs]).any()):
@@ -420,23 +472,25 @@ def rewrite_dirty(
     if not defer:
         template.render_stale()
     for bp in template.params:
-        base, end = bp.entry_base, bp.entry_end
-        seg = dut.dirty[base:end]
-        if not seg.any():
+        base = bp.entry_base
+        end = base + bp.leaf_count
+        idxs = dut.dirty[base:end].nonzero()[0]
+        if not idxs.size:
             continue
-        idxs = base + np.flatnonzero(seg)
+        if base:
+            idxs += base
         if defer and DOUBLE in bp.leaf_types:
-            lazy = (dut.type_id[idxs] == DOUBLE.type_id) & (
-                dut.field_width[idxs] >= DOUBLE_MAX_WIDTH
-            )
-            deferred = int(np.count_nonzero(lazy))
+            lazy = dut.field_width[idxs] >= DOUBLE_MAX_WIDTH
+            if bp.leaf_types != (DOUBLE,):
+                lazy &= dut.type_id[idxs] == DOUBLE.type_id
+            deferred = np.count_nonzero(lazy)
             if deferred:
                 if template.stale is None:
                     template.stale = np.zeros(len(dut), dtype=bool)
                 template.stale[idxs[lazy]] = True
                 stats.values_rewritten += deferred
                 stats.values_deferred += deferred
-                idxs = idxs[~lazy]
+                idxs = idxs[:0] if deferred == idxs.size else idxs[~lazy]
         if idxs.size:
             _rewrite_run(template, bp, idxs, policy, stats, obs)
         dut.clear_dirty(base, end)

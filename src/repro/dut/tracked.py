@@ -22,7 +22,7 @@ from repro.errors import DUTError, SchemaError
 # tracing (``benchmarks/ledger/tracing.py``) wraps them by name for
 # ``lexical.format``; the rewrite formats through ``format_double_array``.
 from repro.lexical.cache import format_double_fixed_blob  # noqa: F401
-from repro.lexical.floats import FloatFormat, format_double_array
+from repro.lexical.floats import FloatFormat, format_double, format_double_array
 from repro.lexical.integers import format_int_array
 from repro.schema.composite import StructType
 from repro.schema.types import BOOLEAN, DOUBLE, INT, LONG, STRING, XSDType
@@ -336,13 +336,11 @@ class TrackedScalar(_Bindable):
 
     def lexical_all(self, fmt: FloatFormat) -> List[bytes]:
         if self.xsd_type is DOUBLE:
-            from repro.lexical.floats import format_double
-
             return [format_double(self._value, fmt)]
         return [self.xsd_type.format(self._value)]
 
     def lexical_for(self, leaf_indices: np.ndarray, fmt: FloatFormat) -> List[bytes]:
-        return [self.lexical_all(fmt)[0] for _ in leaf_indices]
+        return self.lexical_all(fmt) * len(leaf_indices)
 
     def doubles_for(self, leaf_indices: np.ndarray) -> np.ndarray:
         return np.full(len(leaf_indices), self._value, dtype=np.float64)

@@ -52,6 +52,7 @@ from repro.server.service import Operation, SOAPService
 from repro.soap.fault import SOAPFault
 from repro.transport.http import parse_http_response
 from repro.transport.loopback import NullSink
+from repro.wire import frame as wire_frame
 from repro.wire.frame import INSERT_FLAG, encode_frame
 
 __all__ = [
@@ -444,7 +445,7 @@ class DeltaFrameFuzzer(_Mutators):
         "typed_other_leaf", "typed_payload_lie", "typed_byte_overlap",
         "insert_pad", "insert_in_skeleton", "insert_in_value", "insert_past_end",
         "insert_growth_lie", "insert_unsorted", "insert_in_typed_value",
-        "insert_body_bomb",
+        "insert_body_bomb", "many_entries",
     )
 
     #: Mutators whose frames decode cleanly but splice bytes the body
@@ -575,9 +576,10 @@ class DeltaFrameFuzzer(_Mutators):
         )
 
     # -- typed splices ---------------------------------------------------
-    def _leaves(self, body: bytes) -> List[Tuple[int, int, bool, int]]:
-        """``(region start, region end, is a double, value end)`` of each
-        leaf of a full parse of *body* (none when it does not parse)."""
+    def _leaves(self, body: bytes) -> List[Tuple[int, int, bool, int, object]]:
+        """``(region start, region end, is a double, value end, decoded
+        value of a double)`` of each leaf of a full parse of *body* (none
+        when it does not parse)."""
         leaves = self._leaf_cache.get(body)
         if leaves is None:
             try:
@@ -585,12 +587,13 @@ class DeltaFrameFuzzer(_Mutators):
             except ReproError:
                 leaves = []
             else:
-                leaves = [
-                    (start, end, result.leaf_type(j) is DOUBLE, vend)
-                    for j, ((start, end), (_s, vend)) in enumerate(
-                        zip(result.regions.tolist(), result.spans.tolist())
-                    )
-                ]
+                leaves = []
+                for j, ((start, end), (_s, vend)) in enumerate(
+                    zip(result.regions.tolist(), result.spans.tolist())
+                ):
+                    double = result.leaf_type(j) is DOUBLE
+                    value = float(result.load_leaf(j)) if double else None
+                    leaves.append((start, end, double, vend, value))
             if len(self._leaf_cache) < 64:
                 self._leaf_cache[body] = leaves
         return leaves
@@ -659,6 +662,38 @@ class DeltaFrameFuzzer(_Mutators):
         payload = ctx["body"][offset : offset + width] + struct.pack("<d", 2.5)
         return _encode(ctx, [start, offset], [0, width], payload)
 
+    def _many_entries(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
+        """An honest frame of more than ``SMALL_FRAME`` directory entries
+        whenever the body's leaf regions have the bytes: some double
+        leaves typed with their own decoded values, every other leaf
+        region copied over itself in pieces of one to three bytes.  It
+        changes no value, and takes the vector lane of the decoder."""
+        body = ctx["body"]
+        leaves = self._leaves(body)
+        if not leaves:
+            return frame
+        typed = [leaf for leaf in leaves if leaf[2] and rng.random() < 0.5]
+        copied = [leaf[:2] for leaf in leaves if leaf not in typed]
+        want = wire_frame.SMALL_FRAME + rng.randint(1, 16) - len(typed)
+        room = sum(end - start for start, end in copied)
+        # Pieces as fine as the entry count needs: one byte at the finest.
+        widest = max(1, min(3, room // max(1, want)))
+        entries = [(leaf[0], 0) for leaf in typed]
+        for start, end in copied:
+            at = start
+            while at < end:
+                width = min(rng.randint(1, widest), end - at)
+                entries.append((at, width))
+                at += width
+        entries.sort()
+        return _encode(
+            ctx,
+            [at for at, _width in entries],
+            [width for _at, width in entries],
+            b"".join(body[at : at + width] for at, width in entries)
+            + struct.pack("<%dd" % len(typed), *(leaf[4] for leaf in typed)),
+        )
+
     # -- pad insertions ------------------------------------------------
     def _insert_pad(self, rng: random.Random, frame: bytes, ctx: dict) -> bytes:
         """Pad inserted at the end of up to three leaf regions, each
@@ -687,7 +722,7 @@ class DeltaFrameFuzzer(_Mutators):
         leaves = [leaf for leaf in self._leaves(ctx["body"]) if leaf[3] - leaf[0] >= 2]
         if not leaves:
             return frame
-        start, _end, _double, vend = rng.choice(leaves)
+        start, _end, _double, vend, _value = rng.choice(leaves)
         return _encode(ctx, [], [], b"", [(rng.randrange(start + 1, vend), 3)])
 
     @staticmethod
@@ -720,7 +755,7 @@ class DeltaFrameFuzzer(_Mutators):
         ]
         if not leaves:
             return frame
-        start, _end, _double, vend = rng.choice(leaves)
+        start, _end, _double, vend, _value = rng.choice(leaves)
         value = struct.pack("<d", rng.choice(self.TYPED_VALUES))
         at = rng.randrange(start + 1, vend)
         return _encode(ctx, [start], [0], value, [(at, rng.randint(1, 4))])

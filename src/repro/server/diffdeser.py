@@ -197,12 +197,13 @@ class DifferentialDeserializer:
         self,
         table: SeekTable,
         buffer: Union[bytes, bytearray],
-        raw: np.ndarray,
+        raw: Optional[np.ndarray],
         changed: np.ndarray,
         rows: Optional[np.ndarray] = None,
         typed: int = 0,
     ) -> tuple[DecodedMessage, DeserReport]:
-        """Re-parse the *changed* leaves of *buffer* through *table*.
+        """Re-parse the *changed* leaves of *buffer* (*raw*: its bytes as
+        uint8, ``None`` when nothing changed) through *table*.
 
         Validate + parse everything, commit only when the whole batch
         is clean; raises :class:`SkipScanFallback` (nothing committed)
@@ -279,9 +280,9 @@ class DifferentialDeserializer:
         # table (a decode that follows its document keeps its table).
         typed = int(frame.typed_offsets.size)
         offsets, widths = frame.offsets, frame.widths
-        raw = np.frombuffer(entry.data, dtype=np.uint8)
         if not offsets.size:
-            return self._seek(table, entry.data, raw, offsets, None, typed)
+            return self._seek(table, entry.data, None, offsets, None, typed)
+        raw = np.frombuffer(entry.data, dtype=np.uint8)
         # Each splice must lie inside one leaf's field region (value +
         # closing tag + whitespace pad).
         owner = np.searchsorted(table.starts, offsets, side="right") - 1

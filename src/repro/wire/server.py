@@ -193,13 +193,19 @@ def _text_write(
     return bytes(new)
 
 
-def _touches(table, frame: DeltaFrame, marked: np.ndarray) -> bool:
-    """Whether a byte splice of *frame* overlaps the field region of a
-    *marked* leaf of *table*."""
+def _touches(
+    table, frame: DeltaFrame, leaves: np.ndarray, stale: Optional[np.ndarray]
+) -> bool:
+    """Whether a byte splice of *frame* overlaps the field region of one
+    of the (sorted) *leaves* of *table*, or of a *stale* one."""
     offsets = frame.offsets
     first = np.searchsorted(table.ends, offsets, side="right")
     stop = np.searchsorted(table.starts, offsets + frame.widths, side="left")
-    counts = np.concatenate(([0], np.cumsum(marked)))
+    if bool((np.searchsorted(leaves, first) < np.searchsorted(leaves, stop)).any()):
+        return True
+    if stale is None:
+        return False
+    counts = np.concatenate(([0], np.cumsum(stale)))
     return bool((counts[stop] > counts[first]).any())
 
 
@@ -412,16 +418,16 @@ class DeltaSession:
                     "typed splice names no double leaf's field region", "bad-splice"
                 )
             stale = entry.stale
-            marked = np.zeros(table.starts.shape[0], bool) if stale is None else stale.copy()
-            marked[leaves] = True
-            if frame.offsets.size and _touches(table, frame, marked):
+            if frame.offsets.size and _touches(table, frame, leaves, stale):
                 raise DeltaFrameError(
                     "byte splice inside a typed leaf's field region", "bad-splice"
                 )
             apply_frame(frame, data)
             table.commit_doubles(leaves, values)
             entry.table = table
-            entry.stale = marked
+            if stale is None:
+                stale = entry.stale = np.zeros(table.starts.shape[0], bool)
+            stale[leaves] = True
             return
         writes = []
         for start, text in zip(
