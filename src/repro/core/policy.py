@@ -131,7 +131,7 @@ class DeltaPolicy:
     """
 
     offer: bool = False
-    #: Sends needing more coalesced splices than this go full-XML
+    #: Sends needing more splices than this go full-XML
     #: (the client-side twin of ``ResourceLimits.max_delta_splices``).
     max_splices: int = 1 << 16
     #: A frame bigger than this fraction of the document goes
