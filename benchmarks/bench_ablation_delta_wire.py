@@ -37,10 +37,10 @@ Before timing, two sanity gates run on small copies:
 * fallback drill — a structural change and a wiped-mirror resync
   (epoch loss) both degrade to full XML and then resume framing;
 * widening drill — unstuffed doubles that outgrow their fields
-  (partial structural matches under ``Expansion.SHIFT``) frame every
-  send with pad insertions, and the peer's reconstruction is
-  byte-identical to the plain client's document.  Its counts go into
-  the result's ``params`` (``widening_drill``), not into a row.
+  (partial structural matches) frame every send with pad insertions,
+  and the peer's reconstruction is byte-identical to the plain
+  client's document.  Its counts go into the result's ``params``
+  (``widening_drill``), not into a row.
 
 A fixed-cost table goes into ``params`` (``frame_costs``): at 0 to 163
 typed entries per frame, the median µs of the send (rewrite and frame),

@@ -3,14 +3,12 @@
 DESIGN.md's implementation choice: the DUT's columns are NumPy arrays
 (vectorized dirty scans and offset fix-ups) instead of the paper's
 literal one-record-per-entry design.  This bench quantifies the gap on
-the two hot operations: the dirty scan and the post-shift offset
-fix-up.
+the hot dirty scan and on building the table.
 """
 
 import numpy as np
 import pytest
 
-from repro.buffers.chunked import GapResult
 from repro.dut.objects import PyDUTTable
 from repro.dut.table import DUTTableBuilder
 
@@ -54,18 +52,6 @@ def test_dirty_scan_python(benchmark, pyt):
     for i in rng.choice(N, N // 100, replace=False):
         pyt.mark_dirty(int(i))
     benchmark(pyt.dirty_indices)
-
-
-def test_gap_fixup_soa(benchmark, soa):
-    benchmark.group = f"ablation DUT: offset fix-up ({N} entries)"
-    gap = GapResult("inplace", 0, N * 15, 5, N * 15 - 10)
-    benchmark(lambda: soa.apply_gap(gap))
-
-
-def test_gap_fixup_python(benchmark, pyt):
-    benchmark.group = f"ablation DUT: offset fix-up ({N} entries)"
-    gap = GapResult("inplace", 0, N * 15, 5, N * 15 - 10)
-    benchmark(lambda: pyt.apply_gap(gap))
 
 
 def test_build_soa(benchmark):

@@ -5,7 +5,9 @@ Govindaraju's HPDC 2004 system: a SOAP stack whose client stub saves
 serialized messages as templates and, on later sends, re-serializes
 only the values that changed (tracked through a Data Update Tracking
 table), with message chunking, on-the-fly expansion (shifting),
-whitespace stuffing, slack stealing, and chunk overlaying.
+whitespace stuffing, and chunk overlaying.  The paper's per-value
+shifting and slack stealing live on as a reference in
+:mod:`repro.baselines.paper_expansion`.
 
 Quickstart::
 
@@ -30,7 +32,6 @@ from repro.core import (
     BSoapClient,
     DeltaPolicy,
     DiffPolicy,
-    Expansion,
     MatchKind,
     MessageTemplate,
     OverlayPolicy,
@@ -72,7 +73,6 @@ __all__ = [
     "DeltaEncoder",
     "DeltaSession",
     "DeltaLoopback",
-    "Expansion",
     "MatchKind",
     "SendReport",
     "MessageTemplate",

@@ -11,7 +11,7 @@ fixed attribute schema and simple exact/range queries — the paper's
 MySQL stand-in) and :class:`MCSClient`, which issues ``addRecord`` and
 ``queryRecords`` SOAP requests whose payload structure never changes:
 one parameter per schema attribute.  String attributes vary in width
-between requests, so MCS traffic exercises shifting/stealing; the
+between requests, so MCS traffic exercises shifting; the
 numeric attributes exercise plain structural matches.
 """
 

@@ -9,8 +9,12 @@
   slower.
 * :class:`~repro.baselines.naive.NaiveClient` — bytes-concatenation
   strawman, for teaching and sanity floors.
+* :class:`~repro.baselines.paper_expansion.PaperTemplate` — the
+  paper's own field expansion (§3.2: a tail shift per value, or
+  stealing a neighbour's slack) over a template copy, the reference
+  the runtime's one-rebuild-per-chunk shift is held to.
 
-All baselines emit envelopes interoperable with the bSOAP templates
+The serializer baselines emit envelopes interoperable with the bSOAP templates
 (same namespaces/array encoding), verified by the cross-equivalence
 tests.
 """
@@ -19,6 +23,7 @@ from repro.baselines.common import FullSerializer, serialize_message_parts
 from repro.baselines.gsoap_like import GSoapLikeClient
 from repro.baselines.xsoap_like import Element, XSoapLikeClient
 from repro.baselines.naive import NaiveClient
+from repro.baselines.paper_expansion import PaperStats, PaperTemplate, pending_writes
 
 __all__ = [
     "FullSerializer",
@@ -27,4 +32,7 @@ __all__ = [
     "XSoapLikeClient",
     "Element",
     "NaiveClient",
+    "PaperStats",
+    "PaperTemplate",
+    "pending_writes",
 ]

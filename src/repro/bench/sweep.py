@@ -2,10 +2,10 @@
 
 The paper lists its configurables (chunk size, split threshold,
 reserve, stuffing widths) and notes they must be balanced against each
-other (§3.2).  This module sweeps a grid of
-(chunk size × stuffing mode × expansion strategy) over a chosen
-workload and reports Send Time per cell — the tool for answering
-"which configuration should *my* application use?".
+other (§3.2).  This module sweeps a grid of (chunk size × stuffing
+mode) over a chosen workload and reports Send Time per cell — the
+tool for answering "which configuration should *my* application
+use?".
 
 Run:  python -m repro.bench.sweep --workload structural --n 10000
 """
@@ -23,13 +23,12 @@ from repro.bench.runner import TransportRig, time_loop
 from repro.bench.workloads import double_array_message, doubles_of_width
 from repro.buffers.config import ChunkPolicy
 from repro.core.client import BSoapClient
-from repro.core.policy import DiffPolicy, Expansion, StuffingPolicy, StuffMode
+from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
 
 __all__ = ["SweepCell", "run_sweep", "WORKLOADS", "main"]
 
 DEFAULT_CHUNK_SIZES = (8 * 1024, 32 * 1024, 128 * 1024)
 DEFAULT_STUFFING = ("none", "fixed18", "max")
-DEFAULT_EXPANSION = ("shift", "steal")
 
 
 def _stuffing(name: str) -> StuffingPolicy:
@@ -42,7 +41,7 @@ def _stuffing(name: str) -> StuffingPolicy:
     raise ValueError(f"unknown stuffing {name!r}")
 
 
-def _policy(chunk_size: int, stuffing: str, expansion: str) -> DiffPolicy:
+def _policy(chunk_size: int, stuffing: str) -> DiffPolicy:
     return DiffPolicy(
         chunk=ChunkPolicy(
             chunk_size=chunk_size,
@@ -50,7 +49,6 @@ def _policy(chunk_size: int, stuffing: str, expansion: str) -> DiffPolicy:
             split_threshold=chunk_size // 2,
         ),
         stuffing=_stuffing(stuffing),
-        expansion=Expansion(expansion),
     )
 
 
@@ -60,7 +58,6 @@ class SweepCell:
 
     chunk_size: int
     stuffing: str
-    expansion: str
     mean_ms: float
     expansions: int
     message_bytes: int
@@ -132,7 +129,6 @@ def run_sweep(
     *,
     chunk_sizes: Sequence[int] = DEFAULT_CHUNK_SIZES,
     stuffing: Sequence[str] = DEFAULT_STUFFING,
-    expansion: Sequence[str] = DEFAULT_EXPANSION,
     transport: str = "memcpy",
     reps: Optional[int] = None,
 ) -> List[SweepCell]:
@@ -144,12 +140,10 @@ def run_sweep(
     with TransportRig(transport) as tp:
         for chunk_size in chunk_sizes:
             for stuff in stuffing:
-                for exp in expansion:
-                    policy = _policy(chunk_size, stuff, exp)
-                    mean_ms, expansions, nbytes = fn(n, policy, tp, reps)
-                    cells.append(
-                        SweepCell(chunk_size, stuff, exp, mean_ms, expansions, nbytes)
-                    )
+                mean_ms, expansions, nbytes = fn(
+                    n, _policy(chunk_size, stuff), tp, reps
+                )
+                cells.append(SweepCell(chunk_size, stuff, mean_ms, expansions, nbytes))
     return cells
 
 
@@ -157,13 +151,13 @@ def format_sweep(cells: Sequence[SweepCell]) -> str:
     """Aligned grid table, best cell marked."""
     best = min(c.mean_ms for c in cells)
     lines = [
-        f"{'chunk':>8} {'stuffing':>9} {'expansion':>9} "
+        f"{'chunk':>8} {'stuffing':>9} "
         f"{'mean ms':>10} {'expansions':>11} {'msg bytes':>11}"
     ]
     for c in cells:
         marker = "  <= best" if c.mean_ms == best else ""
         lines.append(
-            f"{c.chunk_size // 1024:>6}K {c.stuffing:>9} {c.expansion:>9} "
+            f"{c.chunk_size // 1024:>6}K {c.stuffing:>9} "
             f"{c.mean_ms:>10.3f} {c.expansions:>11} {c.message_bytes:>11}{marker}"
         )
     return "\n".join(lines)

@@ -7,14 +7,14 @@ can stream/scatter-gather the pieces.
 
 :class:`~repro.buffers.chunk.Chunk` is one contiguous ``bytearray``
 region; :class:`~repro.buffers.chunked.ChunkedBuffer` is the ordered
-collection with append/write/insert-gap/split/realloc operations;
+collection with append/rebuild/split/realloc operations;
 :class:`~repro.buffers.config.ChunkPolicy` carries the configurable
 parameters the paper lists (default chunk size, split threshold,
 reserved tail space).
 """
 
 from repro.buffers.chunk import Chunk
-from repro.buffers.chunked import ChunkedBuffer, GapResult, Location
+from repro.buffers.chunked import ChunkedBuffer, Location
 from repro.buffers.config import ChunkPolicy
 from repro.buffers.iovec import coalesce_views, gather_bytes, total_size
 
@@ -23,7 +23,6 @@ __all__ = [
     "ChunkedBuffer",
     "ChunkPolicy",
     "Location",
-    "GapResult",
     "gather_bytes",
     "coalesce_views",
     "total_size",

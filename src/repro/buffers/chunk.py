@@ -1,10 +1,10 @@
 """A single contiguous buffer chunk.
 
 A chunk owns a ``bytearray`` of fixed *capacity* of which the first
-*used* bytes hold message data.  All mutation is in place; the only
-operation that replaces the backing store is :meth:`grow`
-(reallocation).  Tail moves use ``bytearray`` slice assignment, which
-is a C ``memmove`` — the cost model the shifting experiments measure.
+*used* bytes hold message data.  Bytes are appended at build time and
+rewritten in place (value writes go straight to :attr:`Chunk.data`);
+the one structural write is :meth:`Chunk.replace_tail`, which may move
+to a larger backing store (reallocation).
 """
 
 from __future__ import annotations
@@ -52,71 +52,6 @@ class Chunk:
         self.used = used + n
         return used
 
-    def write_at(self, offset: int, payload: bytes) -> None:
-        """Overwrite bytes inside the used region."""
-        end = offset + len(payload)
-        if offset < 0 or end > self.used:
-            raise BufferError_(
-                f"chunk {self.cid}: write [{offset}:{end}) outside used region "
-                f"[0:{self.used})"
-            )
-        self.data[offset:end] = payload
-
-    def fill_at(self, offset: int, length: int, byte: int) -> None:
-        """Fill ``length`` bytes from *offset* with *byte* (pad writes)."""
-        end = offset + length
-        if offset < 0 or end > self.used:
-            raise BufferError_(
-                f"chunk {self.cid}: fill [{offset}:{end}) outside used region"
-            )
-        if length > 0:
-            self.data[offset:end] = bytes([byte]) * length
-
-    def open_gap(self, pos: int, delta: int) -> None:
-        """Move the tail ``[pos:used)`` right by *delta* bytes (memmove).
-
-        The gap's contents are left as-is (caller overwrites them).
-        Raises :class:`ChunkOverflowError` when the tail would exceed
-        capacity — the buffer layer then reallocates or splits.
-        """
-        if delta < 0:
-            raise BufferError_("negative gap")
-        if not (0 <= pos <= self.used):
-            raise BufferError_(f"gap position {pos} outside used region")
-        if self.used + delta > len(self.data):
-            raise ChunkOverflowError(
-                f"chunk {self.cid}: gap of {delta} at {pos} exceeds capacity"
-            )
-        if delta == 0:
-            return
-        self.data[pos + delta : self.used + delta] = self.data[pos : self.used]
-        self.used += delta
-
-    def move_range(self, src: int, dst: int, length: int) -> None:
-        """memmove *length* bytes from *src* to *dst* within the used region.
-
-        Used by *stealing*, which slides a short span instead of the
-        whole tail.  Overlap is handled correctly (bytearray slice
-        assignment copies through a temporary).
-        """
-        if length < 0:
-            raise BufferError_("negative move length")
-        if min(src, dst) < 0 or max(src, dst) + length > self.used:
-            raise BufferError_(
-                f"chunk {self.cid}: move src={src} dst={dst} len={length} "
-                f"outside used region [0:{self.used})"
-            )
-        if length and src != dst:
-            self.data[dst : dst + length] = bytes(self.data[src : src + length])
-
-    def grow(self, new_capacity: int) -> None:
-        """Reallocate to a larger backing store (contents preserved)."""
-        if new_capacity < self.used:
-            raise BufferError_("cannot shrink below used size")
-        fresh = bytearray(new_capacity)
-        fresh[: self.used] = self.data[: self.used]
-        self.data = fresh
-
     def replace_tail(self, pos: int, payload, capacity: int = 0) -> None:
         """Make *payload* the chunk's bytes from *pos* on (a rebuild).
 
@@ -138,14 +73,6 @@ class Chunk:
             self.data = fresh
         self.data[pos:end] = payload
         self.used = end
-
-    def take_tail(self, pos: int) -> bytes:
-        """Remove and return the bytes ``[pos:used)`` (used by splits)."""
-        if not (0 <= pos <= self.used):
-            raise BufferError_(f"split position {pos} outside used region")
-        tail = bytes(self.data[pos : self.used])
-        self.used = pos
-        return tail
 
     # ------------------------------------------------------------------
     def view(self) -> memoryview:

@@ -11,21 +11,14 @@ needs are:
     the bytes never straddle chunks, so every DUT value span is
     contiguous.  Returns the :class:`Location` where they landed.
 
-``insert_gap``
-    Grow the message by ``delta`` bytes at a position (*shifting*).
-    In the common case this memmoves the chunk tail in place; when the
-    chunk is full the buffer either **reallocates** (grows the chunk)
-    or **splits** it at the expanding field's region start, exactly
-    the two escape hatches §3.2 describes.  The returned
-    :class:`GapResult` tells the DUT layer how to fix its offsets.
-
 ``rebuild``
     Replace a chunk's bytes from some offset on with a rebuilt tail —
-    every expansion of a send in that chunk at once.  The escape
-    hatches are the same and are decided once, for the chunk's final
-    size: in place when it fits, else a split at field starts (when
-    the chunk is past ``split_threshold``) or one reallocation.  The
-    returned :class:`RebuildResult` names the pieces a split made.
+    every expansion (*shift*) of a send in that chunk at once.  When
+    the chunk is full the buffer takes one of the two escape hatches
+    §3.2 describes, decided once, for the chunk's final size: a
+    **split** at field starts (when the chunk is past
+    ``split_threshold``) or one **reallocation**.  The returned
+    :class:`RebuildResult` names the pieces a split made.
 """
 
 from __future__ import annotations
@@ -36,9 +29,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.buffers.chunk import Chunk
 from repro.buffers.config import ChunkPolicy
-from repro.errors import BufferError_, ChunkOverflowError
+from repro.errors import BufferError_
 
-__all__ = ["Location", "GapResult", "RebuildResult", "ChunkedBuffer"]
+__all__ = ["Location", "RebuildResult", "ChunkedBuffer"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,38 +40,6 @@ class Location:
 
     cid: int
     offset: int
-
-
-@dataclass(frozen=True, slots=True)
-class GapResult:
-    """Outcome of :meth:`ChunkedBuffer.insert_gap`.
-
-    Attributes
-    ----------
-    mode:
-        ``"inplace"`` — tail moved within the chunk; ``"realloc"`` —
-        same, after growing the chunk's backing store; ``"split"`` —
-        the region was moved to a freshly inserted chunk.
-    cid, pos, delta, region_start:
-        Echo of the request.
-    new_cid:
-        Id of the inserted chunk (``split`` mode only).
-
-    Offset fix-up rules for DUT entries located in chunk ``cid``:
-
-    * ``inplace``/``realloc``: entries with ``offset >= pos`` add
-      ``delta``.
-    * ``split``: entries with ``offset >= region_start`` move to chunk
-      ``new_cid`` at ``offset - region_start`` (+ ``delta`` when the
-      old offset was ``>= pos``).
-    """
-
-    mode: str
-    cid: int
-    pos: int
-    delta: int
-    region_start: int
-    new_cid: Optional[int] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,9 +84,9 @@ class ChunkedBuffer:
         self._order: List[int] = []
         self._next_cid = 0
         self._bytes_moved = 0  # instrumentation: bytes copied to widen fields
-        #: Monotonic **layout epoch**: bumped by every operation that
-        #: moves bytes or changes backing stores (gap open, rebuild,
-        #: realloc, split, steal).  The delta encoder records the epoch with its
+        #: Monotonic **layout epoch**: bumped once by every
+        #: :meth:`rebuild` call with edits, however many chunks it
+        #: rebuilds, reallocates or splits.  The delta encoder records the epoch with its
         #: announced baseline and sends a frame only while it is
         #: unchanged (``repro.wire.client``) — O(1) with no tracking of
         #: *what* moved.  A fresh buffer restarts at 0.
@@ -174,14 +135,6 @@ class ChunkedBuffer:
         except KeyError:
             raise BufferError_(f"no chunk with id {cid}") from None
 
-    def write_at(self, loc_cid: int, offset: int, payload: bytes) -> None:
-        """Overwrite bytes inside a chunk's used region."""
-        self.chunk(loc_cid).write_at(offset, payload)
-
-    def fill_at(self, loc_cid: int, offset: int, length: int, byte: int = 0x20) -> None:
-        """Fill a span with a pad byte (default: space)."""
-        self.chunk(loc_cid).fill_at(offset, length, byte)
-
     def read_at(self, loc_cid: int, offset: int, length: int) -> bytes:
         """Copy *length* bytes out of a chunk (tests/deserializer)."""
         chunk = self.chunk(loc_cid)
@@ -190,68 +143,6 @@ class ChunkedBuffer:
                 f"read [{offset}:{offset + length}) outside chunk {loc_cid}"
             )
         return bytes(chunk.data[offset : offset + length])
-
-    # ------------------------------------------------------------------
-    # shifting
-    # ------------------------------------------------------------------
-    def insert_gap(
-        self, cid: int, pos: int, delta: int, region_start: int
-    ) -> GapResult:
-        """Grow the message by *delta* bytes at ``(cid, pos)``.
-
-        ``region_start`` is the start offset of the expanding field's
-        region — the split point that keeps the region contiguous.
-        """
-        if delta < 0:
-            raise BufferError_("negative gap")
-        if not (0 <= region_start <= pos):
-            raise BufferError_("region_start must satisfy 0 <= region_start <= pos")
-        chunk = self.chunk(cid)
-        if delta == 0:
-            return GapResult("inplace", cid, pos, 0, region_start)
-        try:
-            moved = chunk.used - pos
-            chunk.open_gap(pos, delta)
-            self._bytes_moved += moved
-            self.layout_epoch += 1
-            return GapResult("inplace", cid, pos, delta, region_start)
-        except ChunkOverflowError:
-            pass
-
-        policy = self.policy
-        if chunk.used >= policy.split_threshold and region_start > 0:
-            return self._split_for_gap(chunk, pos, delta, region_start)
-        return self._realloc_for_gap(chunk, pos, delta, region_start)
-
-    def _realloc_for_gap(
-        self, chunk: Chunk, pos: int, delta: int, region_start: int
-    ) -> GapResult:
-        needed = chunk.used + delta + self.policy.reserve
-        grown = max(int(chunk.capacity * self.policy.growth_factor), needed)
-        chunk.grow(grown)
-        moved = chunk.used - pos
-        chunk.open_gap(pos, delta)
-        self._bytes_moved += moved + chunk.used - delta  # realloc copies everything
-        self.layout_epoch += 1
-        return GapResult("realloc", chunk.cid, pos, delta, region_start)
-
-    def _split_for_gap(
-        self, chunk: Chunk, pos: int, delta: int, region_start: int
-    ) -> GapResult:
-        # Detach everything from the expanding field's region onward.
-        tail = chunk.take_tail(region_start)
-        head_len = pos - region_start  # region bytes before the gap
-        capacity = max(self.policy.chunk_size, len(tail) + delta + self.policy.reserve)
-        index = self._order.index(chunk.cid) + 1
-        fresh = self._new_chunk(capacity, index)
-        fresh.append(tail[:head_len])
-        fresh.append(b"\x00" * delta)  # the gap; caller overwrites it
-        fresh.append(tail[head_len:])
-        self._bytes_moved += len(tail)
-        self.layout_epoch += 1
-        return GapResult(
-            "split", chunk.cid, pos, delta, region_start, new_cid=fresh.cid
-        )
 
     # ------------------------------------------------------------------
     # rebuilding
@@ -265,7 +156,7 @@ class ChunkedBuffer:
         of its field regions at or after *start*, so a split never cuts
         a field.  A rebuilt chunk that outgrows its capacity is split
         when it held at least ``split_threshold`` bytes, else
-        reallocated — the :meth:`insert_gap` rule, decided once.
+        reallocated.
         """
         results = [self._rebuild_chunk(*edit) for edit in edits]
         if results:
@@ -340,12 +231,6 @@ class ChunkedBuffer:
             limit = self.policy.soft_limit
         return bases
 
-    def steal_move(self, cid: int, src: int, dst: int, length: int) -> None:
-        """memmove a short span within one chunk (*stealing* support)."""
-        self.chunk(cid).move_range(src, dst, length)
-        self._bytes_moved += length
-        self.layout_epoch += 1
-
     # ------------------------------------------------------------------
     # inspection / sending
     # ------------------------------------------------------------------
@@ -365,7 +250,7 @@ class ChunkedBuffer:
 
     @property
     def bytes_moved(self) -> int:
-        """Cumulative bytes copied by gaps, rebuilds and steals (stats)."""
+        """Cumulative bytes rebuilds wrote into chunk storage (stats)."""
         return self._bytes_moved
 
     def views(self) -> List[memoryview]:

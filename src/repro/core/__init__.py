@@ -5,7 +5,7 @@ Public surface:
 * :class:`~repro.core.client.BSoapClient` — the client stub with a
   template store and the four-way match dispatch,
 * :class:`~repro.core.policy.DiffPolicy` and friends — chunking,
-  stuffing, shifting-vs-stealing, overlaying configuration,
+  stuffing, overlaying configuration,
 * :class:`~repro.core.template.MessageTemplate` /
   :func:`~repro.core.serializer.build_template` — saved serialized
   messages with DUT tables,
@@ -14,12 +14,11 @@ Public surface:
 """
 
 from repro.core.client import BSoapClient, PreparedCall
-from repro.core.differential import rewrite_dirty, write_entry
+from repro.core.differential import rewrite_dirty
 from repro.core.matcher import classify, refine
 from repro.core.overlay import OverlayTemplate, build_overlay_template, overlay_eligible
 from repro.core.policy import (
     DiffPolicy,
-    Expansion,
     OverlayPolicy,
     DeltaPolicy,
     StuffMode,
@@ -27,7 +26,6 @@ from repro.core.policy import (
 )
 from repro.core.serializer import build_template, make_tracked
 from repro.core.stats import ClientStats, MatchKind, RewriteStats, SendReport
-from repro.core.stealing import try_steal
 from repro.core.store import TemplateStore, count_differences
 from repro.core.template import BoundParam, MessageTemplate, absorb_param
 
@@ -39,15 +37,12 @@ __all__ = [
     "StuffMode",
     "OverlayPolicy",
     "DeltaPolicy",
-    "Expansion",
     "MessageTemplate",
     "BoundParam",
     "build_template",
     "make_tracked",
     "absorb_param",
     "rewrite_dirty",
-    "write_entry",
-    "try_steal",
     "TemplateStore",
     "count_differences",
     "classify",

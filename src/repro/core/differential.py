@@ -8,8 +8,7 @@ serialized form:
   changed, rewrite the closing tag at its new position and pad the
   remainder with whitespace (the paper's closing-tag shift),
 * value outgrew its field → *shift*: rebuild its chunk with the field
-  widened (possibly reallocating or splitting the chunk), or, under
-  ``Expansion.STEAL``, *steal* neighbor slack first.
+  widened (possibly reallocating or splitting the chunk).
 
 :func:`rewrite_dirty`, the one rewrite driver, walks the template
 parameter by parameter and hands each one's dirty entries to
@@ -28,24 +27,23 @@ row matrix; every other entry takes the slice loop over the chunk
 ``bytearray``.
 
 **Slow path** (partial structural match — some value outgrew its
-field): under ``Expansion.SHIFT`` the whole dirty run is planned at
-once.  Each entry's new width is ``max(field_width, len)``; the dirty
-entries that stay put (in a chunk none of whose dirty entries grows,
-or before the first one that does) take the fast path, and every
-growing chunk is rebuilt once — one ``b"".join`` of the kept spans and
-the new field regions (text, closing tag, pad to the new width) from
-its first growing entry on.  Its entries' offsets move by one
-cumulative sum of the growth, the widths and lengths are stored once,
-each widened entry and its growth are handed to the delta encoder
-(``RewriteStats.grown``: a frame's pad insertions), and
-:meth:`~repro.buffers.chunked.ChunkedBuffer.rebuild` splits (at field
-starts) or reallocates a chunk that outgrew its capacity, once, and
-moves the layout epoch once.  So k expansions in a chunk copy it once,
-not k times — the per-value tail shift of paper §3.2 costs one chunk
-copy per send here.  The bytes equal those of :func:`write_entry`
+field): the whole dirty run is planned at once.  Each entry's new
+width is ``max(field_width, len)``; the dirty entries that stay put
+(in a chunk none of whose dirty entries grows, or before the first one
+that does) take the fast path, and every growing chunk is rebuilt once
+— one ``b"".join`` of the kept spans and the new field regions (text,
+closing tag, pad to the new width) from its first growing entry on.
+Its entries' offsets move by one cumulative sum of the growth, the
+widths and lengths are stored once, each widened entry and its growth
+are handed to the delta encoder (``RewriteStats.grown``: a frame's pad
+insertions), and :meth:`~repro.buffers.chunked.ChunkedBuffer.rebuild`
+splits (at field starts) or reallocates a chunk that outgrew its
+capacity, once, and moves the layout epoch once.  So k expansions in a
+chunk copy it once, not k times — the per-value tail shift of paper
+§3.2 costs one chunk copy per send here.  The bytes equal those of the
+paper's per-value shift, :mod:`repro.baselines.paper_expansion`
 applied entry by entry (``tests/test_shift_rebuild.py``); only chunk
-boundaries may differ.  ``Expansion.STEAL`` keeps that per-entry
-loop: each steal depends on the neighbours the previous one left.
+boundaries may differ.
 
 **Deferred text** (``defer=True``: the client's delta encoder will
 carry this send's dirty doubles as binary64 typed splices): a dirty
@@ -65,9 +63,8 @@ from typing import TYPE_CHECKING, List, Sequence
 import numpy as np
 
 from repro.buffers.iovec import row_window
-from repro.core.policy import DiffPolicy, Expansion
+from repro.core.policy import DiffPolicy
 from repro.core.stats import RewriteStats
-from repro.core.stealing import try_steal
 from repro.lexical.floats import DOUBLE_MAX_WIDTH, FloatFormat
 from repro.schema.types import DOUBLE
 from repro.wire import frame as wire_frame
@@ -75,7 +72,7 @@ from repro.wire import frame as wire_frame
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.template import BoundParam, MessageTemplate
 
-__all__ = ["render_stale", "rewrite_dirty", "write_entry"]
+__all__ = ["render_stale", "rewrite_dirty"]
 
 _PAD = tuple(b" " * i for i in range(64))
 
@@ -85,80 +82,6 @@ _PAD = tuple(b" " * i for i in range(64))
 #: so on one run of 14- or 24-byte doubles the two meet between 48 and
 #: 64 values (docs/perf.md, "The steady-state rewrite").
 STORE_MIN_RUN = 56
-
-#: The rewrite a deferred double's text is rendered with: only MINIMAL
-#: senders defer (their frames type the doubles), and a double that
-#: fits its field never reads the expansion settings.
-_RENDER_POLICY = DiffPolicy(float_format=FloatFormat.MINIMAL)
-
-
-def write_entry(
-    template: "MessageTemplate",
-    entry: int,
-    text: bytes,
-    policy: DiffPolicy,
-    stats: RewriteStats,
-    obs=None,
-) -> None:
-    """Write one value's new lexical form into the template.
-
-    Handles expansion (steal/shift) when the value no longer fits;
-    each expansion is traced as a ``steal`` or a one-expansion
-    ``shift`` span.
-    """
-    dut = template.dut
-    buffer = template.buffer
-    new_len = len(text)
-    width = int(dut.field_width[entry])
-    old_len = int(dut.ser_len[entry])
-    clen = int(dut.close_len[entry])
-
-    if new_len > width:
-        # Steal reads neighbours' ser_len and may narrow a stale donor's
-        # field below what its deferred text needs: render first.
-        template.render_stale()
-        delta = new_len - width
-        stolen = policy.expansion is Expansion.STEAL and try_steal(
-            template, entry, delta, policy.steal_scan_limit, stats, obs
-        )
-        if not stolen:
-            cid = int(dut.chunk_id[entry])
-            off = int(dut.value_off[entry])
-            moved = buffer.bytes_moved
-            result = buffer.insert_gap(cid, off + width + clen, delta, off)
-            dut.apply_gap(result)
-            dut.field_width[entry] += delta
-            stats.grown += ((np.array([entry]), np.array([delta])),)
-            if result.mode == "inplace":
-                stats.shifts_inplace += 1
-            elif result.mode == "realloc":
-                stats.reallocs += 1
-            else:
-                stats.splits += 1
-            if obs is not None and obs.tracer.enabled:
-                obs.tracer.emit(
-                    "shift",
-                    template_id=template.template_id,
-                    chunk=cid,
-                    expansions=1,
-                    bytes=buffer.bytes_moved - moved,
-                    mode=result.mode,
-                )
-
-    cid = int(dut.chunk_id[entry])
-    off = int(dut.value_off[entry])
-    chunk = buffer.chunk(cid)
-    chunk.write_at(off, text)
-    stats.values_rewritten += 1
-    if new_len != old_len:
-        chunk.write_at(off + new_len, template.close_tag_bytes(entry))
-        stats.tag_shifts += 1
-        if new_len < old_len:
-            # Blank the stale tail: old value remnants + old close tag.
-            gap = old_len - new_len
-            chunk.fill_at(off + new_len + clen, gap, 0x20)
-            stats.pad_bytes += gap
-        dut.ser_len[entry] = new_len
 
 
 def _store_run(
@@ -320,7 +243,7 @@ def _shift_rewrite(
     stats: RewriteStats,
     obs,
 ) -> None:
-    """Partial-structural write under SHIFT: one rebuild per chunk.
+    """Partial-structural write: one rebuild per chunk.
 
     Each entry's new width is ``max(field_width, len)``.  A chunk whose
     dirty entries grow is rebuilt once from its first growing entry on
@@ -418,40 +341,39 @@ def _rewrite_run(
     template: "MessageTemplate",
     bp: "BoundParam",
     idxs: np.ndarray,
-    policy: DiffPolicy,
+    fmt: FloatFormat,
     stats: RewriteStats,
     obs,
 ) -> None:
-    """Re-serialize *bp*'s dirty entries *idxs* (ascending DUT indices);
-    fewer than :data:`~repro.wire.frame.SMALL_FRAME` that fit their
-    fields are written cell by cell (:func:`_write_few`)."""
-    texts = bp.tracked.lexical_for(idxs - bp.entry_base, policy.float_format)
+    """Re-serialize *bp*'s dirty entries *idxs* (ascending DUT indices)
+    in float format *fmt*; fewer than
+    :data:`~repro.wire.frame.SMALL_FRAME` that fit their fields are
+    written cell by cell (:func:`_write_few`)."""
+    texts = bp.tracked.lexical_for(idxs - bp.entry_base, fmt)
     if idxs.size < wire_frame.SMALL_FRAME and _write_few(
         template, bp, idxs.tolist(), texts, stats
     ):
         return
     lens_l = list(map(len, texts))
     lens = np.asarray(lens_l, dtype=np.int32)
-    if not bool((lens > template.dut.field_width[idxs]).any()):
-        _fast_rewrite(template, bp, idxs, texts, lens_l, lens, stats)
-    elif policy.expansion is Expansion.SHIFT:
+    if bool((lens > template.dut.field_width[idxs]).any()):
         _shift_rewrite(template, bp, idxs, texts, lens, stats, obs)
     else:
-        for entry, text in zip(idxs.tolist(), texts):
-            write_entry(template, entry, text, policy, stats, obs)
+        _fast_rewrite(template, bp, idxs, texts, lens_l, lens, stats)
 
 
 def render_stale(template: "MessageTemplate", stale: np.ndarray) -> None:
     """Write the text of the *stale* (bool mask over DUT entries)
     deferred doubles: the rewrite :func:`rewrite_dirty` skipped, run
-    now.  Those values were counted when deferred; this pass counts
-    nothing."""
+    now, in MINIMAL form (only MINIMAL senders defer: their frames type
+    the doubles).  Those values were counted when deferred; this pass
+    counts nothing."""
     stats = RewriteStats()
     for bp in template.params:
         seg = stale[bp.entry_base : bp.entry_end]
         if seg.any():
             idxs = bp.entry_base + np.flatnonzero(seg)
-            _rewrite_run(template, bp, idxs, _RENDER_POLICY, stats, None)
+            _rewrite_run(template, bp, idxs, FloatFormat.MINIMAL, stats, None)
 
 
 def rewrite_dirty(
@@ -492,7 +414,7 @@ def rewrite_dirty(
                 stats.values_deferred += deferred
                 idxs = idxs[:0] if deferred == idxs.size else idxs[~lazy]
         if idxs.size:
-            _rewrite_run(template, bp, idxs, policy, stats, obs)
+            _rewrite_run(template, bp, idxs, policy.float_format, stats, obs)
         dut.clear_dirty(base, end)
     if tracing:
         obs.tracer.emit(

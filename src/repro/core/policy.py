@@ -1,9 +1,10 @@
 """Configuration of the differential serializer.
 
 Everything the paper calls a "configurable parameter" lives here:
-chunking (size / split threshold / reserve), stuffing widths,
-expansion strategy (shift vs steal), float formatting, and chunk
-overlaying.
+chunking (size / split threshold / reserve), stuffing widths, float
+formatting, and chunk overlaying.  A value that outgrows its field is
+always shifted (``repro.core.differential``); the paper's stealing is
+a baseline (:mod:`repro.baselines.paper_expansion`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "OverlayPolicy",
     "DeltaPolicy",
     "DiffPolicy",
-    "Expansion",
 ]
 
 
@@ -39,15 +39,6 @@ class StuffMode(enum.Enum):
     #: ``field_width = type's maximum lexical width`` — shifting is
     #: impossible for stuffable types (strings still grow on demand).
     MAX = "max"
-
-
-class Expansion(enum.Enum):
-    """What to do when a value outgrows its field."""
-
-    SHIFT = "shift"
-    #: Try stealing slack from right-hand neighbors first; fall back
-    #: to shifting when no donor is found.
-    STEAL = "steal"
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,9 +116,9 @@ class DeltaPolicy:
     and perfect-structural sends frame under an unchanged buffer
     layout; a partial-structural send frames too, its widened fields
     as pad insertions, when its own rewrite explains the layout and
-    length change.  Everything else — a steal, layout or length
-    movement the send did not make, server resync — falls back to full
-    XML with a fresh announce.  See ``docs/wire_protocol.md``.
+    length change.  Everything else — layout or length movement the
+    send did not make, server resync — falls back to full XML with a
+    fresh announce.  See ``docs/wire_protocol.md``.
     """
 
     offer: bool = False
@@ -147,15 +138,12 @@ class DiffPolicy:
 
     chunk: ChunkPolicy = field(default_factory=ChunkPolicy)
     stuffing: StuffingPolicy = field(default_factory=StuffingPolicy)
-    expansion: Expansion = Expansion.SHIFT
     float_format: FloatFormat = FloatFormat.MINIMAL
     #: When False the client behaves as "bSOAP Full Serialization":
     #: every send rebuilds the message from scratch (still through the
     #: template machinery, as in the paper's baseline curve).
     differential_enabled: bool = True
     overlay: OverlayPolicy = field(default_factory=OverlayPolicy)
-    #: Neighbor-scan bound for stealing before falling back to shifting.
-    steal_scan_limit: int = 8
     #: Templates retained per structure signature (§6 future work:
     #: "store multiple different message templates for the same remote
     #: service").  With k > 1 the auto-diff send path picks the cached

@@ -3,7 +3,7 @@
 The performance study needs to know *which* path a send took (the
 paper's four matching possibilities, §3) and how much mechanical work
 the differential rewrite did (values rewritten, closing-tag shifts,
-chunk-tail memmoves, splits, reallocations, steals).
+chunk rebuilds, splits, reallocations).
 
 Counters live here and nowhere else: a component adds to a plain
 attribute under whatever lock or thread already serialises its work,
@@ -29,8 +29,8 @@ class MatchKind(enum.Enum):
     #: Same structure and all new values fit their fields — only dirty
     #: values rewritten, no shifting.
     PERFECT_STRUCTURAL = "perfect-structural"
-    #: Same structure but some value outgrew its field — shifting or
-    #: stealing was needed.
+    #: Same structure but some value outgrew its field — shifting was
+    #: needed.
     PARTIAL_STRUCTURAL = "partial-structural"
     #: No usable template — full serialization.
     FIRST_TIME = "first-time"
@@ -60,8 +60,6 @@ class RewriteStats:
     reallocs: int = 0
     #: Field expansions whose chunk was split.
     splits: int = 0
-    #: Field expansions resolved by stealing neighbor slack.
-    steals: int = 0
     #: Bytes of pad written (shrinks + stuffing maintenance).
     pad_bytes: int = 0
     #: Fields this pass widened by shifting, in document order, as
@@ -74,7 +72,7 @@ class RewriteStats:
     @property
     def expansions(self) -> int:
         """Total fields that outgrew their width."""
-        return self.shifts_inplace + self.reallocs + self.splits + self.steals
+        return self.shifts_inplace + self.reallocs + self.splits
 
     def merge(self, other: "RewriteStats") -> None:
         self.values_rewritten += other.values_rewritten
@@ -83,7 +81,6 @@ class RewriteStats:
         self.shifts_inplace += other.shifts_inplace
         self.reallocs += other.reallocs
         self.splits += other.splits
-        self.steals += other.steals
         self.pad_bytes += other.pad_bytes
 
 
@@ -94,8 +91,8 @@ class SendReport:
     match_kind: MatchKind
     bytes_sent: int
     rewrite: RewriteStats = field(default_factory=RewriteStats)
-    #: Bytes the buffer copied to widen fields (chunk rebuilds, shifts,
-    #: steals) for this template so far.
+    #: Bytes the buffer copied to widen fields (chunk rebuilds) for
+    #: this template so far.
     buffer_bytes_moved: int = 0
     num_chunks: int = 0
     #: Identity of the template this send used (-1 when none survives
@@ -199,7 +196,6 @@ class ClientStats:
             ("repro_expansions_total", "inplace"): rw.shifts_inplace,
             ("repro_expansions_total", "realloc"): rw.reallocs,
             ("repro_expansions_total", "split"): rw.splits,
-            ("repro_expansions_total", "steal"): rw.steals,
             ("repro_buffer_bytes_shifted_total",): self.buffer_bytes_moved,
             ("repro_templates_built_total",): self.templates_built,
             ("repro_rollbacks_total",): self.rollbacks,

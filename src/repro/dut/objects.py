@@ -1,8 +1,8 @@
 """Per-entry Python-object DUT table — the ablation baseline.
 
 A direct transcription of the paper's C design into Python objects:
-one record per entry, linear scans for dirty entries and offset
-fix-ups.  Functionally equivalent to the NumPy SoA
+one record per entry, linear scans for dirty entries.  Functionally
+equivalent to the NumPy SoA
 :class:`~repro.dut.table.DUTTable`; the ablation bench
 (``benchmarks/bench_ablation_dut.py``) quantifies why the SoA layout
 is the right Python implementation.
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Iterator, List, Tuple
 
-from repro.buffers.chunked import GapResult
 from repro.errors import DUTError
 
 __all__ = ["PyDUTEntry", "PyDUTTable"]
@@ -88,26 +87,6 @@ class PyDUTTable:
     def clear_dirty(self) -> None:
         for e in self.entries:
             e.dirty = False
-
-    # ------------------------------------------------------------------
-    def apply_gap(self, result: GapResult) -> None:
-        """Linear-scan offset fix-up (the cost the SoA table avoids)."""
-        if result.delta == 0:
-            return
-        if result.mode in ("inplace", "realloc"):
-            for e in self.entries:
-                if e.chunk_id == result.cid and e.value_off >= result.pos:
-                    e.value_off += result.delta
-            return
-        if result.mode != "split":
-            raise DUTError(f"unknown gap mode {result.mode!r}")
-        for e in self.entries:
-            if e.chunk_id == result.cid and e.value_off >= result.region_start:
-                moved = e.value_off >= result.pos
-                e.value_off -= result.region_start
-                if moved:
-                    e.value_off += result.delta
-                e.chunk_id = result.new_cid  # type: ignore[assignment]
 
     # ------------------------------------------------------------------
     def iter_dirty(self) -> Iterator[Tuple[int, PyDUTEntry]]:

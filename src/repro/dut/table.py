@@ -17,8 +17,9 @@ paper's five fields (§3.1):
 Entries are stored in document order, which gives two structural
 facts the fix-up math exploits: entries of one chunk occupy a
 contiguous index range, and ``value_off`` is strictly increasing
-within that range.  A shift therefore updates one contiguous NumPy
-slice found by binary search instead of scanning the whole table.
+within that range.  A chunk rebuild therefore updates one contiguous
+NumPy slice, and a split finds each piece's entries by binary search,
+instead of scanning the whole table.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.buffers.chunked import GapResult, RebuildResult
+from repro.buffers.chunked import RebuildResult
 from repro.errors import DUTError
 
 __all__ = ["DUTTableBuilder", "DUTTable", "DUTEntryView"]
@@ -219,63 +220,9 @@ class DUTTable:
         """Entry index range ``[lo, hi)`` of chunk *cid* (may be empty)."""
         return self._ranges.get(cid, (0, 0))
 
-    def first_at_or_after(self, cid: int, offset: int) -> int:
-        """First entry index in chunk *cid* with ``value_off >= offset``.
-
-        Returns the range's ``hi`` when none qualifies.
-        """
-        lo, hi = self.chunk_range(cid)
-        if lo == hi:
-            return hi
-        return lo + int(np.searchsorted(self.value_off[lo:hi], offset, side="left"))
-
     # ------------------------------------------------------------------
-    # gap fix-up
+    # split fix-up
     # ------------------------------------------------------------------
-    def apply_gap(self, result: GapResult) -> None:
-        """Repair locations after :meth:`ChunkedBuffer.insert_gap`.
-
-        The arithmetic mirrors :class:`~repro.buffers.chunked.GapResult`'s
-        documented rules, restricted to the (contiguous) affected
-        entries found by binary search.
-        """
-        if result.delta == 0:
-            return
-        cid = result.cid
-        lo, hi = self.chunk_range(cid)
-        if lo == hi:
-            return
-
-        if result.mode in ("inplace", "realloc"):
-            j = self.first_at_or_after(cid, result.pos)
-            if j < hi:
-                self.value_off[j:hi] += result.delta
-            return
-
-        if result.mode != "split":  # pragma: no cover - defensive
-            raise DUTError(f"unknown gap mode {result.mode!r}")
-        if result.new_cid is None:
-            raise DUTError("split gap result missing new_cid")
-
-        start = self.first_at_or_after(cid, result.region_start)
-        if start == hi:
-            return
-        mid = self.first_at_or_after(cid, result.pos)
-        # Entries [start, hi) move to the new chunk, rebased to
-        # region_start; those at/after pos additionally absorb delta.
-        self.value_off[start:hi] -= result.region_start
-        if mid < hi:
-            self.value_off[mid:hi] += result.delta
-        self.chunk_id[start:hi] = result.new_cid
-
-        # Update ranges: old chunk keeps [lo, start), new chunk owns
-        # [start, hi).  Other chunks are untouched (stable ids).
-        if start == lo:
-            del self._ranges[cid]
-        else:
-            self._ranges[cid] = (lo, start)
-        self._ranges[result.new_cid] = (start, hi)
-
     def apply_split(self, result: RebuildResult) -> None:
         """Move entries to the chunks a :meth:`ChunkedBuffer.rebuild`
         split off.

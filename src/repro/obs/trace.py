@@ -2,7 +2,7 @@
 
 A *span* is one completed unit of mechanical work on the hot path —
 ``serialize``, ``match-classify``, ``rewrite``, ``shift``, ``stuff``,
-``steal``, ``overlay``, ``send``, ``recv`` — carrying the attributes
+``overlay``, ``send``, ``recv`` — carrying the attributes
 the paper's performance argument turns on (template id, match level,
 dirty count, bytes).  Tracing answers the *why* question a counter
 cannot: "this call was fast because it content-matched template 17".
@@ -44,7 +44,6 @@ SPAN_NAMES = (
     "rewrite",  # differential rewrite pass over dirty entries
     "shift",  # one chunk rebuilt to widen the fields that outgrew it
     "stuff",  # whitespace stuffing applied at template build
-    "steal",  # one field expansion resolved from neighbor slack
     "overlay",  # one chunk-overlay streamed send
     "send",  # one complete client send (any match level)
     "recv",  # one response received and decoded

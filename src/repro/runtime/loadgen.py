@@ -17,7 +17,7 @@ Match-level workloads (double-array payloads):
     rewrites only.
 ``partial-structural``
     ~25% of values change width (10–22 chars, no stuffing) → shifting
-    and stealing on the client, skeleton changes server-side.
+    on the client, skeleton changes server-side.
 ``first-time``
     The array grows by one element each call → a fresh structure
     signature, full serialization every time.

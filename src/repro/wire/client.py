@@ -30,8 +30,6 @@ never depends on the optimization:
 * a baseline must be held, and the template's last send must have
   been this encoder's (a template store shared with another client
   can send it elsewhere),
-* the send stole no neighbour's slack (``Expansion.STEAL``: a steal
-  slides pad between fields, which no insertion expresses),
 * the buffer's ``layout_epoch`` and total length must equal the
   baseline's, or this send's widening must explain them: the epoch
   before its rewrite is the baseline's and the old length plus the
@@ -190,9 +188,6 @@ class DeltaEncoder:
             return self._fallback("no-baseline")
         if template.sends != baseline.sends:
             return self._fallback("foreign-send")
-        if rewrite.steals:
-            # A steal slides pad between neighbours: no insertion says so.
-            return self._fallback("steal")
         buffer = template.buffer
         widened = rewrite.grown
         if buffer.layout_epoch != baseline.layout_epoch and not (

@@ -1,11 +1,18 @@
-"""Unit tests for the baseline serializers (gSOAP/XSOAP/naive roles)."""
+"""Unit tests for the baselines: the serializers in the gSOAP, XSOAP
+and naive roles, and the paper's per-value field expansion."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.gsoap_like import GSoapLikeClient
 from repro.baselines.naive import NaiveClient
+from repro.baselines.paper_expansion import PaperTemplate, pending_writes
 from repro.baselines.xsoap_like import Element, XSoapLikeClient
+from repro.buffers.config import ChunkPolicy
+from repro.core.differential import rewrite_dirty
+from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
 from repro.core.serializer import build_template
 from repro.schema.composite import ArrayType
 from repro.schema.mio import MIO, make_mio_array_type
@@ -166,3 +173,117 @@ class TestRelativeCost:
         t_gsoap = timed(lambda: gsoap.send(m))
         t_xsoap = timed(lambda: xsoap.send(m))
         assert t_xsoap > 1.5 * t_gsoap
+
+
+def _doubles(values):
+    return SOAPMessage("op", "urn:t", [Parameter("a", ArrayType(DOUBLE), list(values))])
+
+
+#: Fixed 10-char fields around short values: every field has slack.
+FIXED10 = DiffPolicy(stuffing=StuffingPolicy(StuffMode.FIXED, {"double": 10}))
+
+
+def _stolen(policy, changes, values=(1.0, 2.0, 3.0, 4.0), scan_limit=8):
+    """A :class:`PaperTemplate` of *values* under *policy* with
+    *changes* (``{index: value}``) written by stealing; its document
+    must equal a fresh serialization of the new values."""
+    template = build_template(_doubles(values), policy)
+    copy = PaperTemplate(template)
+    new = list(values)
+    for i, value in changes.items():
+        template.tracked("a")[i] = new[i] = value
+    copy.write_all(
+        pending_writes(template, policy.float_format), steal=True, scan_limit=scan_limit
+    )
+    fresh = build_template(_doubles(new)).tobytes()
+    assert documents_equivalent(copy.tobytes(), fresh), diff_documents(
+        copy.tobytes(), fresh
+    )
+    return copy
+
+
+class TestPaperStealing:
+    """Paper §3.2 stealing: a growing field takes the nearest right-hand
+    neighbour's slack, or falls back to shifting the chunk tail."""
+
+    def test_steal_from_neighbor(self):
+        copy = _stolen(FIXED10, {0: 0.123456789012})  # needs 14 > 10
+        assert copy.stats.steals == 1
+        assert copy.stats.expansions == 1
+        assert copy.stats.shifts == 0
+        assert copy.stats.bytes_moved > 0
+
+    def test_steal_shrinks_donor_width(self):
+        copy = _stolen(FIXED10, {0: 0.123456789012})
+        assert copy.width == [14, 6, 10, 10]
+
+    def test_steal_takes_exactly_the_slack(self):
+        # 19 chars in a 10-char field: a growth of 9, the donor's slack.
+        copy = _stolen(FIXED10, {0: 0.12345678901234566})
+        assert copy.stats.steals == 1
+        assert copy.width == [19, 1, 10, 10]
+
+    def test_steal_falls_back_to_shift(self):
+        # No slack anywhere (no stuffing): no donor.
+        copy = _stolen(DiffPolicy(), {0: 0.123456789}, values=(1.0, 2.0))
+        assert copy.stats.steals == 0
+        assert copy.stats.shifts == 1
+
+    def test_steal_last_entry_falls_back(self):
+        copy = _stolen(FIXED10, {3: 0.123456789012})  # no right-hand neighbour
+        assert copy.stats.steals == 0 and copy.stats.expansions == 1
+
+    def test_scan_limit_respected(self):
+        copy = _stolen(FIXED10, {0: 0.123456789012}, values=(1.0, 2.0), scan_limit=0)
+        assert copy.stats.steals == 0 and copy.stats.shifts == 1
+
+
+DOUBLE_POOL = [0.5, 2.0, -1.25, 0.123456789012, 1e200, -1.2345678901234567e-300]
+STRING_POOL = ["", "a", "hello", "x" * 40, "a<b&c"]
+
+
+@given(
+    st.sampled_from([None, 8, 10, 18]),
+    st.sampled_from([128, 1024]),
+    st.lists(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 23), st.integers(0, 5)),
+            max_size=12,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_stolen_document_equivalent_to_runtime_shift(width, chunk_size, sends):
+    """The same writes give the same logical document whether the paper
+    steals value by value or the runtime rebuilds each growing chunk."""
+    stuffing = (
+        StuffingPolicy(StuffMode.FIXED, {"double": width}) if width else StuffingPolicy()
+    )
+    policy = DiffPolicy(
+        chunk=ChunkPolicy(chunk_size=chunk_size, reserve=16, split_threshold=64),
+        stuffing=stuffing,
+    )
+    message = SOAPMessage(
+        "op",
+        "urn:t",
+        [
+            Parameter("d", ArrayType(DOUBLE), [1.0] * 24),
+            Parameter("s", ArrayType(STRING), ["ab"] * 24),
+        ],
+    )
+    template = build_template(message, policy)
+    copy = PaperTemplate(template)
+    for changes in sends:
+        for is_double, i, k in changes:
+            if is_double:
+                template.tracked("d")[i] = DOUBLE_POOL[k]
+            else:
+                template.tracked("s")[i] = STRING_POOL[k % len(STRING_POOL)]
+        copy.write_all(pending_writes(template, policy.float_format), steal=True)
+        rewrite_dirty(template, policy)
+        runtime = template.tobytes()
+        assert documents_equivalent(copy.tobytes(), runtime), diff_documents(
+            copy.tobytes(), runtime
+        )

@@ -46,70 +46,43 @@ class TestChunk:
         with pytest.raises(ChunkOverflowError):
             c.append(b"12345")
 
-    def test_write_at(self):
-        c = Chunk(0, 16)
+    def test_view_zero_copy(self):
+        c = Chunk(0, 8)
+        c.append(b"abc")
+        view = c.view()
+        c.data[0:1] = b"X"
+        assert bytes(view) == b"Xbc"  # view reflects mutation
+
+    def test_replace_tail(self):
+        c = Chunk(0, 8)
         c.append(b"abcdef")
-        c.write_at(2, b"XY")
-        assert c.tobytes() == b"abXYef"
+        c.replace_tail(2, b"XY")
+        assert c.tobytes() == b"abXY" and c.capacity == 8
+        c.replace_tail(1, b"0123456789", capacity=16)
+        assert c.tobytes() == b"a0123456789" and c.capacity == 16
 
     def test_write_outside_used_rejected(self):
         c = Chunk(0, 16)
         c.append(b"abc")
         with pytest.raises(BufferError_):
-            c.write_at(2, b"ZZ")  # would cross used boundary
-
-    def test_fill_at(self):
-        c = Chunk(0, 16)
-        c.append(b"abcdef")
-        c.fill_at(1, 3, 0x20)
-        assert c.tobytes() == b"a   ef"
-
-    def test_open_gap_moves_tail(self):
-        c = Chunk(0, 16)
-        c.append(b"abcdef")
-        c.open_gap(2, 3)
-        data = c.tobytes()
-        assert len(data) == 9
-        assert data[:2] == b"ab" and data[5:] == b"cdef"
+            c.replace_tail(4, b"ZZ")  # starts past the used boundary
+        assert c.tobytes() == b"abc"
 
     def test_open_gap_overflow(self):
         c = Chunk(0, 8)
         c.append(b"abcdef")
         with pytest.raises(ChunkOverflowError):
-            c.open_gap(0, 10)
-
-    def test_open_gap_zero_noop(self):
-        c = Chunk(0, 8)
-        c.append(b"ab")
-        c.open_gap(1, 0)
-        assert c.tobytes() == b"ab"
-
-    def test_move_range_overlapping(self):
-        c = Chunk(0, 16)
-        c.append(b"0123456789")
-        c.move_range(2, 4, 5)  # overlapping forward move
-        assert c.tobytes()[4:9] == b"23456"
+            c.replace_tail(0, b"z" * 10)
+        assert c.tobytes() == b"abcdef" and c.capacity == 8
 
     def test_grow_preserves(self):
         c = Chunk(0, 4)
         c.append(b"abcd")
-        c.grow(16)
+        c.replace_tail(4, b"", capacity=16)  # reallocate, keep every byte
         assert c.capacity == 16 and c.tobytes() == b"abcd"
-        with pytest.raises(BufferError_):
-            c.grow(2)
-
-    def test_take_tail(self):
-        c = Chunk(0, 16)
-        c.append(b"abcdef")
-        assert c.take_tail(2) == b"cdef"
-        assert c.tobytes() == b"ab"
-
-    def test_view_zero_copy(self):
-        c = Chunk(0, 8)
-        c.append(b"abc")
-        view = c.view()
-        c.write_at(0, b"X")
-        assert bytes(view) == b"Xbc"  # view reflects mutation
+        with pytest.raises(ChunkOverflowError):
+            c.replace_tail(4, b"", capacity=2)
+        assert c.capacity == 16 and c.tobytes() == b"abcd"
 
 
 class TestChunkedBufferAppend:
@@ -141,8 +114,7 @@ class TestChunkedBufferAppend:
     def test_read_write_fill(self):
         buf = ChunkedBuffer(small_policy())
         loc = buf.append(b"abcdef")
-        buf.write_at(loc.cid, 1, b"ZZ")
-        buf.fill_at(loc.cid, 3, 2)
+        buf.chunk(loc.cid).data[1:5] = b"ZZ  "
         assert buf.read_at(loc.cid, 0, 6) == b"aZZ  f"
         with pytest.raises(BufferError_):
             buf.read_at(loc.cid, 4, 10)
@@ -150,65 +122,58 @@ class TestChunkedBufferAppend:
             buf.chunk(99)
 
 
-class TestInsertGap:
+class TestRebuild:
     def test_inplace(self):
         buf = ChunkedBuffer(small_policy())
         buf.append(b"0123456789")
-        result = buf.insert_gap(0, 4, 3, 2)
-        assert result.mode == "inplace"
-        data = buf.tobytes()
-        assert data[:4] == b"0123" and data[7:] == b"456789"
-        assert buf.bytes_moved == 6
+        (result,) = buf.rebuild([(0, 4, b"XYZ456789", [4])])
+        assert (result.mode, result.cid, result.pieces) == ("inplace", 0, ())
+        assert buf.tobytes() == b"0123XYZ456789"
+        assert result.moved == buf.bytes_moved == 9
+        assert buf.layout_epoch == 1
 
     def test_realloc_when_small_chunk(self):
         buf = ChunkedBuffer(small_policy(split_threshold=1000))
         buf.append(b"x" * 60)  # nearly full, below split threshold
-        result = buf.insert_gap(0, 30, 100, 20)
+        (result,) = buf.rebuild([(0, 30, b"y" * 130, [30])])
         assert result.mode == "realloc"
         assert buf.total_length == 160
         assert buf.chunk(0).capacity >= 160
+        assert result.moved == 160  # a realloc copies the kept head too
 
     def test_split_when_large_chunk(self):
         buf = ChunkedBuffer(small_policy(split_threshold=16))
         buf.append(b"A" * 56)
-        result = buf.insert_gap(0, 30, 100, 20)
+        tail = b"B" * 40 + b"C" * 40 + b"D" * 56
+        (result,) = buf.rebuild([(0, 20, tail, [20, 60, 100])])
         assert result.mode == "split"
-        assert result.new_cid is not None
-        # Old chunk keeps [0, region_start); new chunk has the rest + gap.
+        # The chunk keeps [0, 20); each piece starts at a cut.
         assert buf.chunk(0).used == 20
-        new = buf.chunk(result.new_cid)
-        assert new.used == (56 - 20) + 100
-        # Order: new chunk immediately after old.
-        assert buf.chunk_ids.index(result.new_cid) == buf.chunk_ids.index(0) + 1
-        data = buf.tobytes()
-        assert len(data) == 156
-        assert data[:30] == b"A" * 30 and data[130:] == b"A" * 26
+        assert [base for _cid, base in result.pieces] == [20, 60, 100]
+        new = [cid for cid, _base in result.pieces]
+        assert buf.chunk_ids == [0, *new]
+        assert [buf.chunk(cid).tobytes() for cid in new] == [
+            b"B" * 40, b"C" * 40, b"D" * 56
+        ]
+        assert buf.tobytes() == b"A" * 20 + tail
 
-    def test_split_region_start_zero_falls_back_to_realloc(self):
+    def test_split_without_cuts_reallocates(self):
         buf = ChunkedBuffer(small_policy(split_threshold=16))
         buf.append(b"B" * 56)
-        result = buf.insert_gap(0, 10, 100, 0)
+        (result,) = buf.rebuild([(0, 10, b"b" * 100, [])])
         assert result.mode == "realloc"
 
-    def test_zero_delta_noop(self):
+    def test_empty_call_is_noop(self):
         buf = ChunkedBuffer(small_policy())
         buf.append(b"abc")
-        assert buf.insert_gap(0, 1, 0, 0).mode == "inplace"
-        assert buf.tobytes() == b"abc"
+        assert buf.rebuild([]) == []
+        assert buf.layout_epoch == 0 and buf.bytes_moved == 0
 
-    def test_invalid_args(self):
+    def test_cut_before_start_rejected(self):
         buf = ChunkedBuffer(small_policy())
         buf.append(b"abc")
         with pytest.raises(BufferError_):
-            buf.insert_gap(0, 1, -1, 0)
-        with pytest.raises(BufferError_):
-            buf.insert_gap(0, 1, 1, 2)  # region_start > pos
-
-    def test_steal_move(self):
-        buf = ChunkedBuffer(small_policy())
-        buf.append(b"0123456789")
-        buf.steal_move(0, 2, 4, 3)
-        assert buf.tobytes()[4:7] == b"234"
+            buf.rebuild([(0, 2, b"z", [1])])
 
 
 class TestIovec:

@@ -15,33 +15,27 @@ class TestChunkIdAt:
         right after the chunk it split off from."""
         buf = small_buffer()
         buf.append(b"A" * 56)
+        buf.append(b"Z" * 56)
         before = buf.chunk_ids
-        result = buf.insert_gap(0, 30, 100, 20)
+        (result,) = buf.rebuild([(0, 20, b"a" * 136, [20])])
         assert result.mode == "split"
         after = buf.chunk_ids
-        assert after[0] == before[0]
-        assert after[1] == result.new_cid
+        assert after == [before[0], result.pieces[0][0], before[1]]
 
 
 class TestBytesMovedAccounting:
     def test_inplace_counts_tail(self):
         buf = small_buffer()
         buf.append(b"0123456789")
-        buf.insert_gap(0, 4, 2, 2)
-        assert buf.bytes_moved == 6  # bytes [4:10) moved
-
-    def test_steal_move_counts(self):
-        buf = small_buffer()
-        buf.append(b"0123456789")
-        buf.steal_move(0, 2, 3, 4)
-        assert buf.bytes_moved == 4
+        buf.rebuild([(0, 4, b"456789", [])])
+        assert buf.bytes_moved == 6  # the tail written from 4 on
 
     def test_split_counts_tail(self):
         buf = small_buffer()
         buf.append(b"A" * 56)
         before = buf.bytes_moved
-        buf.insert_gap(0, 30, 100, 20)
-        assert buf.bytes_moved - before == 36  # take_tail(20) moved 36 bytes
+        buf.rebuild([(0, 20, b"a" * 136, [20])])
+        assert buf.bytes_moved - before == 136  # the tail, moved to its piece
 
 
 class TestViewsSemantics:
@@ -49,14 +43,14 @@ class TestViewsSemantics:
         buf = small_buffer()
         buf.append(b"abc")
         chunk = buf.chunk(0)
-        chunk.take_tail(0)  # now empty
+        chunk.replace_tail(0, b"")  # now empty
         assert buf.views() == []
 
     def test_views_are_live(self):
         buf = small_buffer()
         loc = buf.append(b"abc")
         views = buf.views()
-        buf.write_at(loc.cid, 0, b"X")
+        buf.chunk(loc.cid).data[0:1] = b"X"
         assert bytes(views[0]) == b"Xbc"
 
     def test_repr_smoke(self):

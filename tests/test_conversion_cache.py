@@ -96,11 +96,13 @@ class TestLayoutEpoch:
         )
         buf = t.buffer
         e0 = buf.layout_epoch
-        cid = buf.chunk_ids[0]
-        buf.insert_gap(cid, 10, 4, 5)  # inplace
+        cids = buf.chunk_ids
+        tail = buf.chunk(cids[0]).tobytes()[10:]
+        buf.rebuild([(cids[0], 10, tail, [])])  # inplace
         assert buf.layout_epoch == e0 + 1
-        buf.steal_move(cid, 12, 10, 2)
+        # One rebuild call is one layout change, however many chunks.
+        buf.rebuild([(cid, 0, buf.chunk(cid).tobytes(), []) for cid in cids])
         assert buf.layout_epoch == e0 + 2
-        # Zero-delta gap is a no-op: no epoch change.
-        buf.insert_gap(cid, 10, 0, 5)
+        # A call with no edits is a no-op: no epoch change.
+        buf.rebuild([])
         assert buf.layout_epoch == e0 + 2

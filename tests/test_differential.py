@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.buffers.config import ChunkPolicy
-from repro.core.differential import rewrite_dirty, write_entry
-from repro.core.policy import DiffPolicy, Expansion, StuffingPolicy, StuffMode
+from repro.core.differential import rewrite_dirty
+from repro.core.policy import DiffPolicy
 from repro.core.serializer import build_template
-from repro.core.stats import RewriteStats
 from repro.schema.composite import ArrayType
 from repro.schema.mio import make_mio_array_type
 from repro.schema.types import DOUBLE, INT, STRING
@@ -173,74 +172,3 @@ class TestExpansion:
         oracle(t, msg(Parameter("a", ArrayType(DOUBLE), big)))
 
 
-class TestStealing:
-    def _stuffed_template(self):
-        # Fixed 10-char fields around short values → every field has slack.
-        policy = DiffPolicy(
-            stuffing=StuffingPolicy(StuffMode.FIXED, {"double": 10}),
-            expansion=Expansion.STEAL,
-        )
-        m = msg(Parameter("a", ArrayType(DOUBLE), [1.0, 2.0, 3.0, 4.0]))
-        return build_template(m, policy), policy
-
-    def test_steal_from_neighbor(self):
-        t, policy = self._stuffed_template()
-        t.tracked("a")[0] = 0.123456789012  # needs 14 > 10
-        stats = rewrite_dirty(t, policy)
-        assert stats.steals == 1
-        assert stats.expansions == 1
-        assert stats.shifts_inplace == 0
-        t.validate()
-        oracle(
-            t, msg(Parameter("a", ArrayType(DOUBLE), [0.123456789012, 2.0, 3.0, 4.0]))
-        )
-
-    def test_steal_shrinks_donor_width(self):
-        t, policy = self._stuffed_template()
-        donor_width = int(t.dut.field_width[1])
-        t.tracked("a")[0] = 0.123456789012
-        rewrite_dirty(t, policy)
-        assert int(t.dut.field_width[1]) < donor_width
-
-    def test_steal_falls_back_to_shift(self):
-        # No slack anywhere (no stuffing) → steal cannot find a donor.
-        policy = DiffPolicy(expansion=Expansion.STEAL)
-        m = msg(Parameter("a", ArrayType(DOUBLE), [1.0, 2.0]))
-        t = build_template(m, policy)
-        t.tracked("a")[0] = 0.123456789
-        stats = rewrite_dirty(t, policy)
-        assert stats.steals == 0
-        assert stats.shifts_inplace == 1
-        oracle(t, msg(Parameter("a", ArrayType(DOUBLE), [0.123456789, 2.0])))
-
-    def test_steal_last_entry_falls_back(self):
-        t, policy = self._stuffed_template()
-        t.tracked("a")[3] = 0.123456789012  # no right-hand neighbor
-        stats = rewrite_dirty(t, policy)
-        assert stats.steals == 0 and stats.expansions == 1
-        oracle(
-            t, msg(Parameter("a", ArrayType(DOUBLE), [1.0, 2.0, 3.0, 0.123456789012]))
-        )
-
-    def test_scan_limit_respected(self):
-        policy = DiffPolicy(
-            stuffing=StuffingPolicy(StuffMode.FIXED, {"double": 10}),
-            expansion=Expansion.STEAL,
-            steal_scan_limit=0,
-        )
-        m = msg(Parameter("a", ArrayType(DOUBLE), [1.0, 2.0]))
-        t = build_template(m, policy)
-        t.tracked("a")[0] = 0.123456789012
-        stats = rewrite_dirty(t, policy)
-        assert stats.steals == 0  # scan limit 0 → no donor considered
-
-
-class TestWriteEntryDirect:
-    def test_write_entry_bounds(self):
-        m = msg(Parameter("a", ArrayType(INT), [5, 6]))
-        t = build_template(m)
-        stats = RewriteStats()
-        write_entry(t, 0, b"777", DiffPolicy(), stats)
-        assert stats.values_rewritten == 1
-        assert b"<item>777</item>" in t.tobytes()
-        t.dut.validate()

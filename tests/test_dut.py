@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.buffers.chunked import GapResult
+from repro.buffers.chunked import RebuildResult
 from repro.dut.objects import PyDUTTable
 from repro.dut.table import DUTTable, DUTTableBuilder
 from repro.errors import DUTError
@@ -63,13 +63,6 @@ class TestTableStructure:
         with pytest.raises(DUTError):
             build_simple([(0, 0, 1, 1), (1, 0, 1, 1), (0, 20, 1, 1)])
 
-    def test_first_at_or_after(self):
-        t = build_simple([(0, 0, 1, 1), (0, 10, 1, 1), (0, 20, 1, 1)])
-        assert t.first_at_or_after(0, 0) == 0
-        assert t.first_at_or_after(0, 5) == 1
-        assert t.first_at_or_after(0, 10) == 1
-        assert t.first_at_or_after(0, 21) == 3
-
     def test_entry_view(self):
         t = build_simple([(0, 4, 2, 5)])
         e = t.entry(0)
@@ -112,53 +105,42 @@ class TestDirty:
         assert not t.any_dirty
 
 
-class TestApplyGap:
+class TestApplySplit:
     def _table(self):
         return build_simple(
             [(0, 0, 1, 1), (0, 10, 1, 1), (0, 20, 1, 1), (1, 0, 1, 1)]
         )
 
-    def test_inplace_shifts_suffix(self):
-        t = self._table()
-        t.apply_gap(GapResult("inplace", 0, 10, 5, 8))
-        assert t.value_off[:3].tolist() == [0, 15, 25]
-        assert t.value_off[3] == 0  # other chunk untouched
-
-    def test_realloc_same_rule(self):
-        t = self._table()
-        t.apply_gap(GapResult("realloc", 0, 21, 5, 20))
-        assert t.value_off[:3].tolist() == [0, 10, 20]  # pos after all offs? 21>20 → entry2 at 20 unchanged
-        t.apply_gap(GapResult("realloc", 0, 20, 5, 20))
-        assert t.value_off[2] == 25
-
     def test_split_moves_entries(self):
         t = self._table()
-        # Entry 1 (off=10) grows: split at region_start=10, gap at pos=19.
-        t.apply_gap(GapResult("split", 0, 19, 5, 10, new_cid=7))
-        assert t.chunk_id[:3].tolist() == [0, 7, 7]
-        assert t.value_off[1] == 0  # rebased to region start
-        assert t.value_off[2] == 20 - 10 + 5  # rebased + delta
+        t.apply_split(RebuildResult("split", 0, 30, ((7, 10), (8, 20))))
+        assert t.chunk_id.tolist() == [0, 7, 8, 1]
+        assert t.value_off.tolist() == [0, 0, 0, 0]  # rebased to their pieces
         assert t.chunk_range(0) == (0, 1)
-        assert t.chunk_range(7) == (1, 3)
+        assert t.chunk_range(7) == (1, 2)
+        assert t.chunk_range(8) == (2, 3)
+        assert t.chunk_range(1) == (3, 4)  # other chunk untouched
 
     def test_split_entire_chunk(self):
         t = build_simple([(0, 5, 1, 1), (0, 10, 1, 1)])
-        t.apply_gap(GapResult("split", 0, 14, 3, 5, new_cid=3))
+        t.apply_split(RebuildResult("split", 0, 20, ((3, 5),)))
         assert t.chunk_range(0) == (0, 0)
         assert t.chunk_range(3) == (0, 2)
+        assert t.value_off.tolist() == [0, 5]
 
-    def test_zero_delta_noop(self):
+    def test_piece_without_entries(self):
         t = self._table()
-        t.apply_gap(GapResult("inplace", 0, 0, 0, 0))
-        assert t.value_off[:3].tolist() == [0, 10, 20]
+        t.apply_split(RebuildResult("split", 0, 30, ((5, 12), (6, 15))))
+        assert t.chunk_id.tolist() == [0, 0, 6, 1]
+        assert t.chunk_range(5) == (0, 0)
+        assert t.chunk_range(6) == (2, 3)
 
-    def test_unknown_mode(self):
-        with pytest.raises(DUTError):
-            self._table().apply_gap(GapResult("warp", 0, 0, 1, 0))
-
-    def test_split_missing_new_cid(self):
-        with pytest.raises(DUTError):
-            self._table().apply_gap(GapResult("split", 0, 10, 1, 5))
+    @pytest.mark.parametrize("mode", ["inplace", "realloc"])
+    def test_no_pieces_noop(self, mode):
+        t = self._table()
+        t.apply_split(RebuildResult(mode, 0, 9))
+        assert t.chunk_id.tolist() == [0, 0, 0, 1]
+        assert t.value_off.tolist() == [0, 10, 20, 0]
 
 
 class TestPyDUTTable:
@@ -174,22 +156,6 @@ class TestPyDUTTable:
             py.add(e.chunk_id, e.value_off, e.ser_len, e.field_width,
                    e.type_id, e.close_len)
         return soa, py
-
-    @pytest.mark.parametrize(
-        "gap",
-        [
-            GapResult("inplace", 0, 10, 5, 8),
-            GapResult("realloc", 0, 0, 2, 0),
-            GapResult("split", 0, 19, 5, 10, new_cid=9),
-        ],
-    )
-    def test_gap_agreement(self, gap):
-        soa, py = self._both()
-        soa.apply_gap(gap)
-        py.apply_gap(gap)
-        for i, e in enumerate(py.entries):
-            assert e.chunk_id == soa.chunk_id[i]
-            assert e.value_off == soa.value_off[i]
 
     def test_dirty_agreement(self):
         _soa, py = self._both()

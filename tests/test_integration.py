@@ -9,7 +9,6 @@ from repro.apps.lsa import LinearSystemAnalyzer, make_test_system
 from repro.core.client import BSoapClient
 from repro.core.policy import (
     DiffPolicy,
-    Expansion,
     OverlayPolicy,
     StuffingPolicy,
     StuffMode,

@@ -6,21 +6,19 @@ as binary64, the rewrite does not format them: the template marks them
 (``repro.core.differential``, "Deferred text").  Each test drives such a
 client over a :class:`~repro.wire.loopback.DeltaLoopback` beside a
 plain differential client and the naive serializer, and after every
-send checks that the delivered document and the sender's template
-bytes are one byte string (the plain client's too, unless fields are
-stolen: :class:`Rig`), parse-equal to the naive client's.  Covered:
+send checks that the delivered document, the sender's template bytes
+and the plain client's bytes are one byte string, parse-equal to the
+naive client's.  Covered:
 
 * each fallback to full XML after deferred sends (frame too large, too
   many splices, no baseline, a layout change, a send through another
-  client, a steal, a resync after a failed frame), and an expansion
-  under SHIFT, which frames its widening beside the deferred doubles;
+  client, a resync after a failed frame), and an expansion, which
+  frames its widening beside the deferred doubles;
 * each reader of template text: ``views()``, ``tobytes()``,
   ``validate()``;
 * a ``TransportError`` on the frame, then the rebuild;
 * an out-of-range ``xsd:int`` beside deferred doubles (the
   ``LexicalError`` rollback);
-* a string expanding under ``Expansion.STEAL`` beside stale doubles
-  (the donor hazard: a stale donor's slack is not what it will hold);
 * a template store shared with an un-negotiated client;
 * an un-negotiated client, which defers nothing;
 * echo replies on both front ends;
@@ -39,13 +37,7 @@ from repro.baselines.naive import NaiveClient
 from repro.channel import RPCChannel
 from repro.core.client import BSoapClient
 from repro.core.differential import rewrite_dirty
-from repro.core.policy import (
-    DeltaPolicy,
-    DiffPolicy,
-    Expansion,
-    StuffingPolicy,
-    StuffMode,
-)
+from repro.core.policy import DeltaPolicy, DiffPolicy, StuffingPolicy, StuffMode
 from repro.core.stats import MatchKind
 from repro.errors import LexicalError, TransportError
 from repro.lexical.floats import FloatFormat
@@ -71,8 +63,8 @@ N = 48
 LONG = -1.2345678901234567e-300
 
 
-def _policy(delta: DeltaPolicy = DeltaPolicy(), expansion=Expansion.SHIFT):
-    return DiffPolicy(stuffing=MAX, expansion=expansion, delta=delta)
+def _policy(delta: DeltaPolicy = DeltaPolicy()):
+    return DiffPolicy(stuffing=MAX, delta=delta)
 
 
 class FlakyLoopback(DeltaLoopback):
@@ -101,14 +93,14 @@ class Side:
     """A deferring client on a delta loopback, and an un-negotiated
     client sharing its template store."""
 
-    def __init__(self, delta, expansion, negotiated) -> None:
+    def __init__(self, delta, negotiated) -> None:
         self.loop = FlakyLoopback()
-        self.client = BSoapClient(self.loop, _policy(delta, expansion))
+        self.client = BSoapClient(self.loop, _policy(delta))
         if self.client.wire is not None:
             self.client.wire.negotiated = negotiated
         self.sharer = BSoapClient(
             DeltaLoopback(),
-            _policy(DeltaPolicy(offer=True), expansion),
+            _policy(DeltaPolicy(offer=True)),
             store=self.client.store,
         )
 
@@ -118,21 +110,15 @@ class Rig:
 
     The *shadow* client's template is read (:func:`_rendered`) after
     every send, the first client's only when a test says so; both must
-    deliver the same documents.  Under ``Expansion.SHIFT`` they are the
-    plain client's bytes too.  Under ``STEAL`` they may place pad
-    differently: a steal sees the deferred values' new lengths where an
-    eager client sees the text it has not yet rewritten.
+    deliver the plain client's bytes.
     """
 
-    def __init__(
-        self, expansion=Expansion.SHIFT, negotiated=True, delta=OFFER, seed=0
-    ) -> None:
+    def __init__(self, negotiated=True, delta=OFFER, seed=0) -> None:
         self.rng = np.random.default_rng(seed)
-        self.sides = [Side(delta, expansion, negotiated) for _ in range(2)]
+        self.sides = [Side(delta, negotiated) for _ in range(2)]
         self.loop, self.client = self.sides[0].loop, self.sides[0].client
-        self.exact = expansion is Expansion.SHIFT
         self.plain_sink = CollectSink()
-        self.plain = BSoapClient(self.plain_sink, _policy(expansion=expansion))
+        self.plain = BSoapClient(self.plain_sink, _policy())
         self.naive_sink = CollectSink()
         self.naive = NaiveClient(self.naive_sink)
         self.values = np.full(N, 0.5)
@@ -178,8 +164,7 @@ class Rig:
         assert delivered == _rendered(self.template_of(self.sides[1])), (
             f"{where}: delivered document != sender's text"
         )
-        if self.exact:
-            assert delivered == self.plain_sink.last, f"{where}: != plain wire"
+        assert delivered == self.plain_sink.last, f"{where}: != plain wire"
         assert documents_equivalent(delivered, self.naive_sink.last), (
             f"{where}: " + diff_documents(delivered, self.naive_sink.last)
         )
@@ -282,16 +267,12 @@ TRIGGERS = {
     "no-baseline": _reset,
     "layout-epoch": _layout_change,
     "foreign-send": lambda rig: (rig.send(sharer=True), rig.mutate(FEW)),
-    # Under Expansion.STEAL (RIGS): the growing label steals slack.
-    "steal": lambda rig: (setattr(rig, "label", "a" * 4), rig.mutate(FEW)),
 }
-#: Rig settings a trigger needs beyond the default (SHIFT) rig.
-RIGS = {"steal": {"expansion": Expansion.STEAL}}
 
 
 @pytest.mark.parametrize("reason", sorted(TRIGGERS))
 def test_fallback_after_deferred_sends_carries_rendered_text(reason):
-    rig = _started(**RIGS.get(reason, {}))
+    rig = _started()
     rig.defer()
     TRIGGERS[reason](rig)
     deferred = rig.client.stats.rewrite.values_deferred
@@ -301,17 +282,14 @@ def test_fallback_after_deferred_sends_carries_rendered_text(reason):
     assert report.rewrite.values_deferred == 0
     assert rig.client.stats.rewrite.values_deferred == deferred
     assert rig.client.wire.fallbacks == {reason: 1}
-    if reason == "steal":
-        assert report.rewrite.steals >= 1
-        assert report.match_kind is MatchKind.PARTIAL_STRUCTURAL
     assert rig.template.stale is None
     rig.mutate(FEW)
     assert rig.send(read=True, where=f"after {reason}").delta
 
 
 def test_expansion_after_deferred_sends_frames_with_insertions():
-    """Under SHIFT a label outgrowing its field beside stale doubles is
-    a partial match that frames: the widening as a pad insertion, this
+    """A label outgrowing its field beside stale doubles is a partial
+    match that frames: the widening as a pad insertion, this
     send's dirty doubles typed and still deferred."""
     rig = _started()
     rig.defer()
@@ -357,27 +335,6 @@ def test_out_of_range_int_rolls_back_deferred_doubles():
     assert report.forced_full and not report.delta
     rig.mutate(FEW)
     assert rig.send(read=True).delta
-
-
-def test_steal_beside_stale_doubles_sees_their_new_text():
-    """The first four doubles' stale text is ``0.5`` (21 bytes of slack)
-    but their values fill the field: the growing label must steal from
-    the fifth double, as the plain client does, not from a stale one."""
-    rig = _started(expansion=Expansion.STEAL)
-    rig.values[:4] = LONG
-    rig.send()
-    assert rig.template.stale is not None
-    rig.label = "abcdefghijk"
-    report = rig.send(where="steal")
-    assert report.match_kind is MatchKind.PARTIAL_STRUCTURAL
-    assert report.rewrite.steals == 1
-    assert rig.last == rig.plain_sink.last
-    assert rig.template.stale is None
-    rig.values[:4] = 0.25
-    rig.send(read=True)
-    rig.values[:4] = LONG
-    rig.mutate(2)
-    rig.send(read=True)
 
 
 # ----------------------------------------------------------------------
@@ -531,16 +488,13 @@ STEPS = {
         min_size=1,
         max_size=14,
     ),
-    steal=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_any_step_sequence_keeps_every_reader_exact(steps, steal, seed):
+def test_any_step_sequence_keeps_every_reader_exact(steps, seed):
     """Every send is checked inside its step; *read* also compares the
     sender's own text (and ends its staleness), so stale text both
     survives and meets each step."""
-    rig = _started(
-        expansion=Expansion.STEAL if steal else Expansion.SHIFT, seed=seed
-    )
+    rig = _started(seed=seed)
     for i, (step, read) in enumerate(steps):
         STEPS[step](rig)
         if read:

@@ -77,7 +77,6 @@ class TestTracer:
             "rewrite",
             "shift",
             "stuff",
-            "steal",
             "overlay",
             "send",
             "recv",

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.policy import (
     DiffPolicy,
-    Expansion,
     OverlayPolicy,
     StuffMode,
     StuffingPolicy,
@@ -56,7 +55,6 @@ class TestDiffPolicy:
     def test_defaults(self):
         policy = DiffPolicy()
         assert policy.differential_enabled
-        assert policy.expansion is Expansion.SHIFT
         assert policy.template_variants == 1
         assert not policy.overlay.enabled
 
@@ -70,13 +68,13 @@ class TestDiffPolicy:
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            DiffPolicy().steal_scan_limit = 5  # type: ignore[misc]
+            DiffPolicy().template_variants = 5  # type: ignore[misc]
 
 
 class TestRewriteStats:
     def test_expansions_sum(self):
-        stats = RewriteStats(shifts_inplace=1, reallocs=2, splits=3, steals=4)
-        assert stats.expansions == 10
+        stats = RewriteStats(shifts_inplace=1, reallocs=2, splits=3)
+        assert stats.expansions == 6
 
     def test_merge(self):
         a = RewriteStats(values_rewritten=3, tag_shifts=1, pad_bytes=5)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.buffers.config import ChunkPolicy
 from repro.core.client import BSoapClient
 from repro.core import differential
-from repro.core.policy import DiffPolicy, Expansion, StuffingPolicy, StuffMode
+from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
 from repro.core.serializer import build_template
 from repro.core.stats import MatchKind
 from repro.lexical.floats import FloatFormat
@@ -31,10 +31,7 @@ POLICIES = [
     DiffPolicy(float_format=FloatFormat.G17),
     DiffPolicy(float_format=FloatFormat.SHORTEST),
     DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX)),
-    DiffPolicy(
-        stuffing=StuffingPolicy(StuffMode.FIXED, {"double": 12}),
-        expansion=Expansion.STEAL,
-    ),
+    DiffPolicy(stuffing=StuffingPolicy(StuffMode.FIXED, {"double": 12})),
     DiffPolicy(chunk=ChunkPolicy(chunk_size=128, reserve=16, split_threshold=48)),
     DiffPolicy(template_variants=2, variant_miss_threshold=0.4),
 ]

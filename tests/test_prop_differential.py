@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.buffers.config import ChunkPolicy
 from repro.core.differential import rewrite_dirty
-from repro.core.policy import DiffPolicy, Expansion, StuffingPolicy, StuffMode
+from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
 from repro.core.serializer import build_template
 from repro.schema.composite import ArrayType
 from repro.schema.mio import make_mio_array_type
@@ -33,16 +33,9 @@ policies = st.sampled_from(
         DiffPolicy(),
         DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX)),
         DiffPolicy(stuffing=StuffingPolicy(StuffMode.FIXED, {"double": 10, "int": 4})),
-        DiffPolicy(expansion=Expansion.STEAL),
-        DiffPolicy(
-            stuffing=StuffingPolicy(StuffMode.FIXED, {"double": 8}),
-            expansion=Expansion.STEAL,
-        ),
+        DiffPolicy(stuffing=StuffingPolicy(StuffMode.FIXED, {"double": 8})),
         DiffPolicy(chunk=ChunkPolicy(chunk_size=128, reserve=16, split_threshold=48)),
-        DiffPolicy(
-            chunk=ChunkPolicy(chunk_size=96, reserve=4, split_threshold=32),
-            expansion=Expansion.STEAL,
-        ),
+        DiffPolicy(chunk=ChunkPolicy(chunk_size=96, reserve=4, split_threshold=32)),
     ]
 )
 

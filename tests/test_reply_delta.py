@@ -22,7 +22,6 @@ from repro.channel import RPCChannel
 from repro.core.policy import (
     DeltaPolicy,
     DiffPolicy,
-    Expansion,
     StuffingPolicy,
     StuffMode,
 )
@@ -331,42 +330,6 @@ def test_partial_reply_frames_and_skeleton_drift_reannounces():
         kinds = server.service.response_stats.by_kind
         assert kinds[MatchKind.PARTIAL_STRUCTURAL] == 1
         assert kinds[MatchKind.FIRST_TIME] == 2
-
-
-def test_partial_reply_that_steals_falls_back_counted():
-    """A responder under ``Expansion.STEAL`` whose reply steals a
-    neighbour's slack sends that reply as full XML with a fresh
-    announce, counted as ``reply-fallback-steal``; frames resume."""
-    policy = DiffPolicy(expansion=Expansion.STEAL)
-    with make_server(_service(response_policy=policy), "async") as server:
-        channel, recorder = _open(server.port)
-        with channel:
-            values = doubles_of_width(16, 10, seed=5)
-            values[4] = doubles_of_width(1, 20, seed=8)[0]
-            channel.call(_msg(values))
-            # Leaf 4 narrows and keeps 10 bytes of slack ...
-            narrow = values.copy()
-            narrow[4] = doubles_of_width(1, 10, seed=9)[0]
-            assert np.array_equal(channel.call(_msg(narrow)).result(), narrow)
-            # ... which leaf 3 steals when it outgrows its field.
-            wider = narrow.copy()
-            wider[3] = doubles_of_width(1, 16, seed=6)[0]
-            assert np.array_equal(channel.call(_msg(wider)).result(), wider)
-            _status, headers, _body = recorder.responses[-1]
-            assert headers["x-repro-delta-epoch"] == "2"
-            (session,) = server.service.sessions.sessions()
-            wire = session.responder.wire
-            assert wire.fallbacks == {"steal": 1}
-            assert wire.metric_samples()[
-                "repro_delta_frames_total", "reply-fallback-steal"
-            ] == 1
-            again = wider.copy()
-            again[5] = doubles_of_width(1, 10, seed=7)[0]
-            assert np.array_equal(channel.call(_msg(again)).result(), again)
-            assert [(f.epoch, f.seq) for f in recorder.frames()] == [(1, 1), (2, 1)]
-            assert channel.channel_stats()["retries"] == 0
-        kinds = server.service.response_stats.by_kind
-        assert kinds[MatchKind.PARTIAL_STRUCTURAL] == 1
 
 
 def test_more_reply_structures_than_mirrors_never_resyncs():

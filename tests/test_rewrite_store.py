@@ -16,7 +16,7 @@ from repro.buffers.config import ChunkPolicy
 from repro.core import differential
 from repro.core.client import BSoapClient
 from repro.core.differential import STORE_MIN_RUN, rewrite_dirty
-from repro.core.policy import DiffPolicy, Expansion, StuffingPolicy, StuffMode
+from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
 from repro.core.serializer import build_template
 from repro.lexical.floats import FloatFormat
 from repro.obs import Observability
@@ -187,13 +187,10 @@ def test_store_after_shift_byte_exact(stores):
 
 def test_store_after_steal_byte_exact(stores):
     n = 3 * STORE_MIN_RUN
-    pol = DiffPolicy(
-        stuffing=StuffingPolicy(StuffMode.FIXED, {"double": 12}),
-        expansion=Expansion.STEAL,
-    )
+    pol = DiffPolicy(stuffing=StuffingPolicy(StuffMode.FIXED, {"double": 12}))
     t = build_template(doubles([1.5] * n), pol)
     tr = t.tracked("a")
-    tr[4] = 0.12345678901234  # 16 chars > 12: steal or shift
+    tr[4] = 0.12345678901234  # 16 chars > 12: a shift
     assert rewrite_dirty(t, pol).expansions == 1
     idx = np.arange(6, n, 2)
     tr.update(idx, np.full(len(idx), 3.5))

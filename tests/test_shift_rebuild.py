@@ -1,12 +1,12 @@
-"""The batched SHIFT rewrite ≡ the per-entry sequential rewrite.
+"""The batched shift rewrite ≡ the paper's per-value shift.
 
-Under ``Expansion.SHIFT`` a partial structural match rebuilds each
-growing chunk once (``repro.core.differential``, "Slow path").  The
-reference is :func:`~repro.core.differential.write_entry` applied entry
-by entry, the paper's one tail shift per expanding value.  Chunk
-boundaries may differ between the two; the document bytes, the DUT's
-lengths and widths, every entry's document offset and the expansion
-count may not.
+A partial structural match rebuilds each growing chunk once
+(``repro.core.differential``, "Slow path").  The reference is
+:class:`~repro.baselines.paper_expansion.PaperTemplate`, a copy of the
+template taken before the sends, written entry by entry with the
+paper's one tail shift per expanding value.  Chunk boundaries may
+differ between the two; the document bytes, the lengths and widths,
+every entry's document offset and the expansion count may not.
 """
 
 import numpy as np
@@ -20,14 +20,13 @@ from repro.bench.workloads import (
     mio_columns_of_widths,
     mio_message,
 )
-from repro.buffers.chunked import ChunkedBuffer
+from repro.baselines.paper_expansion import PaperStats, PaperTemplate, pending_writes
 from repro.buffers.config import ChunkPolicy
-from repro.core import differential
 from repro.core.client import BSoapClient
-from repro.core.differential import rewrite_dirty, write_entry
+from repro.core.differential import rewrite_dirty
 from repro.core.policy import DiffPolicy
 from repro.core.serializer import build_template
-from repro.core.stats import MatchKind, RewriteStats
+from repro.core.stats import MatchKind
 from repro.schema.composite import ArrayType
 from repro.schema.mio import make_mio_array_type
 from repro.schema.types import DOUBLE, INT, STRING
@@ -43,18 +42,14 @@ POOLS = {
 }
 
 
-def sequential_rewrite(template, policy):
-    """The reference: one :func:`write_entry` per dirty entry, in
-    document order (each expansion shifts its chunk tail)."""
-    stats = RewriteStats()
-    dut = template.dut
-    for bp in template.params:
-        idxs = dut.dirty_indices(bp.entry_base, bp.entry_end)
-        texts = bp.tracked.lexical_for(idxs - bp.entry_base, policy.float_format)
-        for entry, text in zip(idxs.tolist(), texts):
-            write_entry(template, entry, text, policy, stats)
-        dut.clear_dirty(bp.entry_base, bp.entry_end)
-    return stats
+def rewrite_both(template, reference, policy):
+    """One send's rewrite of *template*; the same writes are made value
+    by value on *reference* (each expansion shifts its chunk tail),
+    counted afresh in ``reference.stats``."""
+    writes = pending_writes(template, policy.float_format)
+    reference.stats = PaperStats()
+    reference.write_all(writes)
+    return rewrite_dirty(template, policy)
 
 
 def doc_offsets(template):
@@ -70,15 +65,14 @@ def doc_offsets(template):
     return base + dut.value_off
 
 
-def assert_same(batched, reference, b_stats, r_stats):
+def assert_same(batched, reference, b_stats):
     batched.validate()
-    reference.validate()
     assert batched.tobytes() == reference.tobytes()
-    np.testing.assert_array_equal(batched.dut.ser_len, reference.dut.ser_len)
-    np.testing.assert_array_equal(batched.dut.field_width, reference.dut.field_width)
-    np.testing.assert_array_equal(doc_offsets(batched), doc_offsets(reference))
+    np.testing.assert_array_equal(batched.dut.ser_len, reference.length)
+    np.testing.assert_array_equal(batched.dut.field_width, reference.width)
+    np.testing.assert_array_equal(doc_offsets(batched), reference.doc_offsets())
+    r_stats = reference.stats
     assert b_stats.expansions == r_stats.expansions
-    assert b_stats.steals == 0
     assert b_stats.values_rewritten == r_stats.values_rewritten
     assert b_stats.tag_shifts == r_stats.tag_shifts
     assert b_stats.pad_bytes == r_stats.pad_bytes
@@ -143,13 +137,12 @@ def test_batched_shift_equals_sequential(
         ],
     )
     batched = build_template(message, policy)
-    reference = build_template(message, policy)
+    reference = PaperTemplate(batched)
     sizes = {"d": nd, "i": ni, "s": ns, "m": nm}
     for _ in range(sends):
-        _mutate(data, (batched, reference), sizes)
-        b_stats = rewrite_dirty(batched, policy)
-        r_stats = sequential_rewrite(reference, policy)
-        assert_same(batched, reference, b_stats, r_stats)
+        _mutate(data, (batched,), sizes)
+        b_stats = rewrite_both(batched, reference, policy)
+        assert_same(batched, reference, b_stats)
 
 
 def test_splits_and_reallocs_match_sequential():
@@ -164,37 +157,17 @@ def test_splits_and_reallocs_match_sequential():
             "op", "urn:test", [Parameter("d", ArrayType(DOUBLE), [1.0] * 600)]
         )
         batched = build_template(message, policy)
-        reference = build_template(message, policy)
+        reference = PaperTemplate(batched)
         wide = np.full(600, -1.2345678901234567e-300)
-        for t in (batched, reference):
-            t.tracked("d").update(np.arange(600), wide)
-        b_stats = rewrite_dirty(batched, policy)
-        r_stats = sequential_rewrite(reference, policy)
-        assert_same(batched, reference, b_stats, r_stats)
+        batched.tracked("d").update(np.arange(600), wide)
+        b_stats = rewrite_both(batched, reference, policy)
+        assert_same(batched, reference, b_stats)
         assert b_stats.expansions == 600
         mode = b_stats.splits if chunk.split_threshold == 1024 else b_stats.reallocs
         assert mode > 0
         if chunk.split_threshold == 1024:
             # Split pieces stay within the chunk size.
             assert max(c.used for c in batched.buffer.iter_chunks()) <= 4096
-
-
-def test_shift_never_shifts_per_value(monkeypatch):
-    """Under SHIFT, no rewrite takes the per-entry path."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("per-entry shift under Expansion.SHIFT")
-
-    monkeypatch.setattr(differential, "write_entry", refuse)
-    monkeypatch.setattr(ChunkedBuffer, "insert_gap", refuse)
-    message = SOAPMessage(
-        "op", "urn:test", [Parameter("d", ArrayType(DOUBLE), [1.0] * 50)]
-    )
-    t = build_template(message)
-    t.tracked("d").update(np.arange(0, 50, 3), np.full(17, 0.1234567890123456))
-    stats = rewrite_dirty(t, DiffPolicy())
-    assert stats.expansions == 17
-    t.validate()
 
 
 def test_worst_case_mio_moves_each_byte_about_once():

@@ -12,7 +12,6 @@ class TestRunSweep:
             200,
             chunk_sizes=(8 * 1024,),
             stuffing=("none", "max"),
-            expansion=("shift",),
             reps=2,
         )
         assert len(cells) == 2
@@ -25,7 +24,6 @@ class TestRunSweep:
             300,
             chunk_sizes=(32 * 1024,),
             stuffing=("none", "max"),
-            expansion=("shift",),
             reps=2,
         )
         by_stuffing = {c.stuffing: c for c in cells}
@@ -45,8 +43,8 @@ class TestRunSweep:
 class TestFormatting:
     def test_table_marks_best(self):
         cells = [
-            SweepCell(8192, "none", "shift", 2.0, 5, 100),
-            SweepCell(8192, "max", "shift", 1.0, 0, 120),
+            SweepCell(8192, "none", 2.0, 5, 100),
+            SweepCell(8192, "max", 1.0, 0, 120),
         ]
         text = format_sweep(cells)
         assert "<= best" in text

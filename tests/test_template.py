@@ -119,7 +119,8 @@ class TestValidate:
         t = build_template(msg(Parameter("a", ArrayType(DOUBLE), [1.0, 2.0])))
         e = t.dut.entry(0)
         # Stomp the close tag.
-        t.buffer.write_at(e.chunk_id, e.value_off + e.ser_len, b"XXXXXXX")
+        at = e.value_off + e.ser_len
+        t.buffer.chunk(e.chunk_id).data[at : at + 7] = b"XXXXXXX"
         with pytest.raises(TemplateError, match="close tag"):
             t.validate()
 
@@ -131,7 +132,8 @@ class TestValidate:
             DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX)),
         )
         e = t.dut.entry(0)
-        t.buffer.write_at(e.chunk_id, e.value_off + e.ser_len + e.close_len + 2, b"!")
+        at = e.value_off + e.ser_len + e.close_len + 2
+        t.buffer.chunk(e.chunk_id).data[at : at + 1] = b"!"
         with pytest.raises(TemplateError, match="pad"):
             t.validate()
 

@@ -26,7 +26,6 @@ from repro.core.client import BSoapClient
 from repro.core.policy import (
     DeltaPolicy,
     DiffPolicy,
-    Expansion,
     StuffingPolicy,
     StuffMode,
 )
@@ -470,53 +469,6 @@ class TestEncoderLoopback:
         assert loop.last_document == plain_sink.last
         decoded = SOAPRequestParser().parse(loop.last_document).message
         assert decoded.value("a").tolist() == [1.0, 123456.789012345, 3.0]
-
-    def test_steal_falls_back_counted(self):
-        """Under ``Expansion.STEAL`` a send that stole pad from a
-        neighbour goes out as full XML, counted as ``steal``."""
-        unstuffed = StuffingPolicy(StuffMode.NONE)
-        policy = DiffPolicy(
-            stuffing=unstuffed, expansion=Expansion.STEAL, delta=DeltaPolicy(offer=True)
-        )
-        plain_sink = CollectSink()
-        plain = BSoapClient(
-            plain_sink, DiffPolicy(stuffing=unstuffed, expansion=Expansion.STEAL)
-        )
-        client, loop = self._client(policy=policy)
-        # The third field shrinks and keeps its slack; the second then
-        # outgrows its own field and steals that slack.
-        for values in ([1.0, 2.0, 123.456789], [1.0, 2.0, 3.0], [1.0, 2.125, 3.0]):
-            report = client.send(_msg(values))
-            plain.send(_msg(values))
-            assert loop.last_document == plain_sink.last
-        assert report.rewrite.steals == 1
-        assert report.match_kind is MatchKind.PARTIAL_STRUCTURAL
-        assert not report.delta
-        assert client.wire.fallbacks == {"steal": 1}
-        assert client.metric_samples()[
-            "repro_delta_frames_total", "fallback-steal"
-        ] == 1
-        assert client.send(_msg([1.0, 2.125, 4.0])).delta
-
-    def test_steal_policy_send_that_only_shifted_frames(self):
-        """Under ``Expansion.STEAL`` an expansion no neighbour's slack
-        covers shifts (``write_entry``): that send frames its widening."""
-        unstuffed = StuffingPolicy(StuffMode.NONE)
-        policy = DiffPolicy(
-            stuffing=unstuffed, expansion=Expansion.STEAL, delta=DeltaPolicy(offer=True)
-        )
-        plain_sink = CollectSink()
-        plain = BSoapClient(
-            plain_sink, DiffPolicy(stuffing=unstuffed, expansion=Expansion.STEAL)
-        )
-        client, loop = self._client(policy=policy)
-        for values in ([1.0, 2.0, 3.0], [1.0, 123456.789012345, 3.0]):
-            report = client.send(_msg(values))
-            plain.send(_msg(values))
-        assert report.rewrite.steals == 0 and report.rewrite.expansions == 1
-        assert report.delta and loop.insertions == 1
-        assert client.wire.fallbacks == {}
-        assert loop.last_document == plain_sink.last
 
     def test_splice_cap_falls_back(self):
         policy = DiffPolicy(
