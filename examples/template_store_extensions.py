@@ -1,12 +1,10 @@
 #!/usr/bin/env python
-"""The paper's §6 future-work ideas, implemented and demonstrated.
+"""Two of the paper's §6 future-work ideas, implemented and demonstrated.
 
 1. **Template sharing across services** — one shared TemplateStore
    between clients for different endpoints: serialize once, content-
    match everywhere.
-2. **Multiple templates per call type** — a rotating set of recurring
-   payloads each keeps its own template variant.
-3. **Differential deserialization** — the receiving side parses only
+2. **Differential deserialization** — the receiving side parses only
    the value spans that changed.
 
 Run:  python examples/template_store_extensions.py
@@ -47,33 +45,7 @@ def main() -> None:
     print(f"  templates in the shared store: {store.template_count} "
           f"(serialization paid once for {len(services)} services)\n")
 
-    # -- 2. multiple templates per call type -----------------------------
-    print("=== §6: multiple templates for one call type ===")
-    payloads = [rng.random(10_000) for _ in range(3)]
-    single = BSoapClient(MemcpySink(), DiffPolicy(template_variants=1))
-    multi = BSoapClient(
-        MemcpySink(),
-        DiffPolicy(template_variants=3, variant_miss_threshold=0.3),
-    )
-    for client in (single, multi):
-        for p in payloads:          # build templates (warm-up)
-            client.send(msg(p))
-        for p in payloads:
-            client.send(msg(p))
-
-    def cycle_ms(client):
-        t0 = time.perf_counter()
-        for _ in range(3):
-            for p in payloads:
-                client.send(msg(p))
-        return (time.perf_counter() - t0) / 3 * 1000
-
-    t1, tk = cycle_ms(single), cycle_ms(multi)
-    print(f"  1 template / signature : {t1:8.2f} ms per 3-payload cycle")
-    print(f"  3 variants / signature : {tk:8.2f} ms per cycle "
-          f"({t1 / tk:.0f}x — every payload is a content match)\n")
-
-    # -- 3. differential deserialization ---------------------------------
+    # -- 2. differential deserialization ---------------------------------
     print("=== §6: differential deserialization on the receiver ===")
     sink = CollectSink()
     sender = BSoapClient(sink, DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX)))

@@ -4,10 +4,11 @@ A from-scratch Python reproduction of Abu-Ghazaleh, Lewis &
 Govindaraju's HPDC 2004 system: a SOAP stack whose client stub saves
 serialized messages as templates and, on later sends, re-serializes
 only the values that changed (tracked through a Data Update Tracking
-table), with message chunking, on-the-fly expansion (shifting),
-whitespace stuffing, and chunk overlaying.  The paper's per-value
-shifting and slack stealing live on as a reference in
-:mod:`repro.baselines.paper_expansion`.
+table), with message chunking, on-the-fly expansion (shifting) and
+whitespace stuffing.  The paper's per-value shifting and slack
+stealing live on as a reference in
+:mod:`repro.baselines.paper_expansion`, and its chunk overlaying in
+:mod:`repro.baselines.paper_overlay`.
 
 Quickstart::
 
@@ -34,7 +35,6 @@ from repro.core import (
     DiffPolicy,
     MatchKind,
     MessageTemplate,
-    OverlayPolicy,
     PreparedCall,
     SendReport,
     StuffMode,
@@ -68,7 +68,6 @@ __all__ = [
     "DiffPolicy",
     "StuffingPolicy",
     "StuffMode",
-    "OverlayPolicy",
     "DeltaPolicy",
     "DeltaEncoder",
     "DeltaSession",

@@ -13,6 +13,9 @@
   paper's own field expansion (§3.2: a tail shift per value, or
   stealing a neighbour's slack) over a template copy, the reference
   the runtime's one-rebuild-per-chunk shift is held to.
+* :class:`~repro.baselines.paper_overlay.OverlaySender` — the paper's
+  chunk overlaying (§3.3): each send streams a large array through one
+  reused chunk (Figure 12 and the resident-memory claim).
 
 The serializer baselines emit envelopes interoperable with the bSOAP templates
 (same namespaces/array encoding), verified by the cross-equivalence
@@ -24,6 +27,11 @@ from repro.baselines.gsoap_like import GSoapLikeClient
 from repro.baselines.xsoap_like import Element, XSoapLikeClient
 from repro.baselines.naive import NaiveClient
 from repro.baselines.paper_expansion import PaperStats, PaperTemplate, pending_writes
+from repro.baselines.paper_overlay import (
+    OverlaySender,
+    OverlayTemplate,
+    build_overlay_template,
+)
 
 __all__ = [
     "FullSerializer",
@@ -35,4 +43,7 @@ __all__ = [
     "PaperStats",
     "PaperTemplate",
     "pending_writes",
+    "OverlaySender",
+    "OverlayTemplate",
+    "build_overlay_template",
 ]

@@ -19,15 +19,17 @@ can hold the runtime to the per-value result
 all three (``benchmarks/bench_ablation_stealing.py``).
 
 The copy is the paper's data at its simplest: one ``bytearray`` per
-chunk, in document order, and per-entry chunk, offset, length and
-width lists.  It never reallocates or splits; a chunk's ``bytearray``
-simply grows as its tail moves.
+chunk, in document order, per-entry chunk, length and width lists,
+and an offset column.  It never reallocates or splits; a chunk's
+``bytearray`` simply grows as its tail moves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Tuple
+
+import numpy as np
 
 from repro.lexical.floats import FloatFormat
 
@@ -88,7 +90,9 @@ class PaperTemplate:
         self.chunks = [bytearray(template.buffer.chunk(cid).tobytes()) for cid in order]
         dut = template.dut
         self.chunk = [position[cid] for cid in dut.chunk_id.tolist()]
-        self.offset = dut.value_off.tolist()
+        #: A NumPy column, so a shift's offset fix-up is one C loop
+        #: over the chunk's later entries, as in the paper's C.
+        self.offset = dut.value_off.astype(np.int64)
         self.length = dut.ser_len.tolist()
         self.width = dut.field_width.tolist()
         self.close: List[bytes] = []
@@ -115,7 +119,7 @@ class PaperTemplate:
         if n > width and not (steal and self._steal(entry, n - width, scan_limit)):
             self._shift(entry, n - width)
         data = self.chunks[self.chunk[entry]]
-        off = self.offset[entry]
+        off = int(self.offset[entry])
         old = self.length[entry]
         data[off : off + n] = text
         self.stats.values_rewritten += 1
@@ -138,7 +142,7 @@ class PaperTemplate:
             self.write(entry, text, steal=steal, scan_limit=scan_limit)
 
     def _region_end(self, entry: int) -> int:
-        return self.offset[entry] + self.width[entry] + len(self.close[entry])
+        return int(self.offset[entry]) + self.width[entry] + len(self.close[entry])
 
     def _shift(self, entry: int, delta: int) -> None:
         """Widen *entry* by *delta*: move its chunk's tail right."""
@@ -147,8 +151,7 @@ class PaperTemplate:
         end = self._region_end(entry)
         self.stats.bytes_moved += len(data) - end
         data[end:end] = bytes(delta)
-        later = slice(entry + 1, self.chunk_end[k])
-        self.offset[later] = [off + delta for off in self.offset[later]]
+        self.offset[entry + 1 : self.chunk_end[k]] += delta
         self.width[entry] += delta
         self.stats.shifts += 1
 
@@ -163,11 +166,10 @@ class PaperTemplate:
             return False
         data = self.chunks[k]
         start = self._region_end(entry)
-        pad = self.offset[donor] + self.length[donor] + len(self.close[donor])
+        pad = int(self.offset[donor]) + self.length[donor] + len(self.close[donor])
         # Slide [start, pad) right by delta, over the donor's pad.
         data[start + delta : pad + delta] = data[start:pad]
-        for j in range(entry + 1, donor + 1):
-            self.offset[j] += delta
+        self.offset[entry + 1 : donor + 1] += delta
         self.width[entry] += delta
         self.width[donor] -= delta
         self.stats.steals += 1
@@ -184,4 +186,4 @@ class PaperTemplate:
         prefix = [0] * len(self.chunks)
         for k in range(1, len(self.chunks)):
             prefix[k] = prefix[k - 1] + len(self.chunks[k - 1])
-        return [prefix[k] + off for k, off in zip(self.chunk, self.offset)]
+        return [prefix[k] + off for k, off in zip(self.chunk, self.offset.tolist())]

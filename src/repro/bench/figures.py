@@ -30,6 +30,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.baselines.gsoap_like import GSoapLikeClient
+from repro.baselines.paper_expansion import PaperTemplate, pending_writes
+from repro.baselines.paper_overlay import OverlaySender
 from repro.baselines.xsoap_like import XSoapLikeClient
 from repro.bench.profile90 import PHASES, phase_steps
 from repro.bench.report import Series, format_ratios, format_series
@@ -50,7 +52,9 @@ from repro.bench.workloads import (
 )
 from repro.buffers.config import ChunkPolicy
 from repro.core.client import BSoapClient
-from repro.core.policy import DiffPolicy, OverlayPolicy, StuffMode, StuffingPolicy
+from repro.core.policy import DiffPolicy, StuffMode, StuffingPolicy
+from repro.core.template import MessageTemplate
+from repro.lexical.floats import FloatFormat
 from repro.soap.message import SOAPMessage
 from repro.transport.base import Transport
 
@@ -181,7 +185,7 @@ def _fixed_fraction(n: int, frac: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 def _send(client: Callable[[Transport], object], values) -> Make:
     """Every sample sends the whole message through *client* (one
-    untimed send first, so an overlay client has built its template)."""
+    untimed send first, so an overlay sender has built its template)."""
 
     def make(n, tp):
         message, _ = _message(values(n))
@@ -223,26 +227,48 @@ def _alternate(values, sources, draws=_all_items, policy=None) -> Make:
     return make
 
 
-def _expand(values, wider, frac: float = 1.0, chunk_size: int = 32 * 1024) -> Make:
+def _expand(
+    values, wider, frac: float = 1.0, chunk_size: int = 32 * 1024, paper: bool = False
+) -> Make:
     """Before each sample, rebuild the template under :func:`shift_policy`
     and write wider values over a fixed *frac* of the items, so each of
-    those fields expands on the timed send."""
+    those fields expands on the timed send (*paper*: on
+    :func:`_paper_send`'s copy)."""
 
     def make(n, tp):
         message, param = _message(values(n))
         replacement = wider(n)
         idx = _fixed_fraction(n, frac)
+        policy = shift_policy(chunk_size)
         state = {}
 
         def setup() -> None:
-            state["call"], tracked = _prepared(
-                tp, message, param, shift_policy(chunk_size)
-            )
+            call, tracked = _prepared(tp, message, param, policy)
             _write(tracked, idx, replacement)
+            state["send"] = (
+                _paper_send(call.template, policy.float_format, tp)
+                if paper
+                else call.send
+            )
 
-        return (lambda: state["call"].send()), setup
+        return (lambda: state["send"]()), setup
 
     return make
+
+
+def _paper_send(template: MessageTemplate, fmt: FloatFormat, tp: Transport) -> Step:
+    """A send of *template*'s dirty values the paper's way: format them,
+    write each into a :class:`PaperTemplate` copy with one chunk-tail
+    shift per value that outgrew its field, and hand the copy's chunks
+    to *tp*.  Returns the copy's :class:`PaperStats`."""
+    copy = PaperTemplate(template)
+
+    def send():
+        copy.write_all(pending_writes(template, fmt))
+        tp.send_message(copy.chunks, sum(len(chunk) for chunk in copy.chunks))
+        return copy.stats
+
+    return send
 
 
 # ----------------------------------------------------------------------
@@ -290,9 +316,14 @@ def _no_shift(values, sources) -> Curve:
     return Curve("100% Re-serialization, No Shifting", _alternate(values, sources))
 
 
+#: Figures 6–9's paper curve: the same expansion as the 32K / 100 %
+#: curve, one tail shift per growing value (the paper's rule).
+_PAPER_SHIFT = "Per-value Shift (paper)"
+
+
 def _worst_shift(title: str, smallest, largest, reference: Curve) -> Figure:
     """Figures 6–7: every value grows from the smallest to the largest
-    width, with 32 KiB and with 8 KiB chunks."""
+    width, with 32 KiB and with 8 KiB chunks, and per value at 32 KiB."""
     return Figure(
         title,
         tuple(
@@ -303,7 +334,10 @@ def _worst_shift(title: str, smallest, largest, reference: Curve) -> Figure:
             )
             for kib in (32, 8)
         )
-        + (reference,),
+        + (
+            Curve(_PAPER_SHIFT, _expand(smallest, largest, paper=True), rebuilds=True),
+            reference,
+        ),
     )
 
 
@@ -320,7 +354,10 @@ def _partial_shift(title: str, values, wider, reference: Curve) -> Figure:
             )
             for f in _FRACTIONS
         )
-        + (reference,),
+        + (
+            Curve(_PAPER_SHIFT, _expand(values, wider, paper=True), rebuilds=True),
+            reference,
+        ),
     )
 
 
@@ -355,18 +392,16 @@ def _stuffing(title: str, smallest, largest, intermediate: StuffingPolicy) -> Fi
 
 
 def _overlay(kind: str, values) -> Tuple[Curve, Curve]:
-    """Figure 12: sends from one overlaid 32 KiB chunk against rewriting
+    """Figure 12: sends from one overlaid 32 KiB chunk (the
+    :mod:`repro.baselines.paper_overlay` baseline) against rewriting
     every value of a materialized template (two alternating value sets)."""
     plain = DiffPolicy(
         chunk=ChunkPolicy(chunk_size=32 * 1024), stuffing=StuffingPolicy(StuffMode.MAX)
     )
-    overlay = dataclasses.replace(
-        plain, overlay=OverlayPolicy(enabled=True, min_items=1)
-    )
     return (
         Curve(
             f"Chunk Overlay ({kind})",
-            _send(lambda tp: BSoapClient(tp, overlay), values),
+            _send(lambda tp: OverlaySender(tp, plain), values),
         ),
         Curve(
             f"100% Value Re-serialization ({kind})",

@@ -59,6 +59,7 @@ class SweepCell:
     chunk_size: int
     stuffing: str
     mean_ms: float
+    #: Fields widened by one send (the last timed one).
     expansions: int
     message_bytes: int
 
@@ -84,8 +85,7 @@ def _structural_workload(n: int, policy: DiffPolicy, tp, reps: Optional[int]):
         state["i"] += 1
 
     def send():
-        report = call.send()
-        state["expansions"] += report.rewrite.expansions
+        state["expansions"] = call.send().rewrite.expansions
 
     timer = time_loop(send, setup=mutate, reps=reps)
     return timer.mean_ms, state["expansions"], call.template.total_bytes
@@ -109,7 +109,7 @@ def _growth_workload(n: int, policy: DiffPolicy, tp, reps: Optional[int]):
 
     def send():
         report = state["call"].send()  # type: ignore[attr-defined]
-        state["expansions"] += report.rewrite.expansions
+        state["expansions"] = report.rewrite.expansions
         state["bytes"] = report.bytes_sent
 
     timer = time_loop(send, setup=rebuild, reps=reps, max_reps=15)

@@ -6,8 +6,7 @@ cheapest path the match classification allows:
 
 * first-time send → full serialization, template saved,
 * content match → resend saved bytes,
-* structural match → differential rewrite of dirty values, then send,
-* overlay-eligible arrays → streamed portion-by-portion.
+* structural match → differential rewrite of dirty values, then send.
 
 Two usage styles:
 
@@ -24,26 +23,25 @@ hands back tracked value objects; the application mutates them (each
 repeatedly; the stub diffs values into the saved template with
 vectorized comparisons and marks exactly the changed leaves dirty.
 
-Extensions from the paper's §6 are available through the policy and
-the store: shared :class:`~repro.core.store.TemplateStore` instances
-amortize templates across clients (= remote services), and
-multi-variant stores keep several templates per call type.
+A :class:`~repro.core.store.TemplateStore` may be shared between
+clients (= remote services, the paper's §6 template sharing), so a
+message's serialization cost is paid once for all of them.  The
+paper's chunk overlaying (§3.3) is a baseline,
+:mod:`repro.baselines.paper_overlay`.
 
-Every in-memory template's bytes leave through one path,
+Every template's bytes leave through one path,
 :meth:`BSoapClient._transmit`: full XML with a baseline announce, or
-an RDF2 delta frame once the peer negotiated.  Overlay templates
-stream their portions lazily instead.
+an RDF2 delta frame once the peer negotiated.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.core.differential import rewrite_dirty
 from repro.core.matcher import classify, refine
 from repro.obs import NULL_OBS, Observability
-from repro.core.overlay import OverlayTemplate, build_overlay_template, overlay_eligible
 from repro.core.policy import DiffPolicy
 from repro.core.serializer import build_template
 from repro.core.stats import ClientStats, MatchKind, RewriteStats, SendReport
@@ -52,7 +50,6 @@ from repro.core.template import MessageTemplate, Tracked
 from repro.errors import (
     LexicalError,
     StructureMismatchError,
-    TemplateError,
     TransportError,
 )
 from repro.soap.message import SOAPMessage, Signature, structure_signature
@@ -61,8 +58,6 @@ from repro.transport.loopback import NullSink
 from repro.wire.client import DeltaEncoder
 
 __all__ = ["BSoapClient", "PreparedCall"]
-
-AnyTemplate = Union[MessageTemplate, OverlayTemplate]
 
 
 class PreparedCall:
@@ -108,9 +103,7 @@ class BSoapClient:
         #: mode a circuit breaker pins after repeated failures.
         self.force_full = False
         #: May be shared with other clients (§6 template sharing).
-        self.store = store if store is not None else TemplateStore(
-            self.policy.template_variants
-        )
+        self.store = store if store is not None else TemplateStore()
         #: Delta-frame encoder (None unless the policy offers delta).
         #: Frames flow only once the peer negotiates — the channel
         #: flips ``wire.negotiated`` from the response headers.
@@ -136,11 +129,8 @@ class BSoapClient:
     # ------------------------------------------------------------------
     # template store
     # ------------------------------------------------------------------
-    def template_for(self, signature: Signature) -> Optional[AnyTemplate]:
-        return self.store.get(signature)  # type: ignore[return-value]
-
     def forget(self, signature: Signature) -> None:
-        """Drop saved templates (frees their buffers and DUTs)."""
+        """Drop the saved template (frees its buffer and DUT)."""
         self.store.forget(signature)
 
     @property
@@ -155,14 +145,15 @@ class BSoapClient:
         signature = structure_signature(message)
         template = self.store.get(signature)
         if template is None:
-            template = build_template(message, self.policy, obs=self.obs)
-            self.store.put(signature, template)
-            self.stats.templates_built += 1
-        if isinstance(template, OverlayTemplate):
-            raise TemplateError(
-                "prepare() targets in-memory templates; overlay sends use send()"
-            )
+            template = self._build(signature, message)
         return PreparedCall(self, template)
+
+    def _build(self, signature: Signature, message: SOAPMessage) -> MessageTemplate:
+        """Serialize *message* into a new template and save it."""
+        template = build_template(message, self.policy, obs=self.obs)
+        self.store.put(signature, template)
+        self.stats.templates_built += 1
+        return template
 
     # ------------------------------------------------------------------
     # sending
@@ -174,43 +165,13 @@ class BSoapClient:
         if not self.policy.differential_enabled or self.force_full:
             return self._send_full_every_time(message)
 
-        existing = self.store.get(signature)
-        resync = False
-        if isinstance(existing, OverlayTemplate):
-            if not existing.suspect:
-                return self._send_overlay(existing, message)
-            # Overlay sends restream the whole array anyway; recovery
-            # from a failed one just rebuilds the template fresh.
-            self.forget(signature)
-            existing = None
-            resync = True
-
-        if existing is None:
-            if overlay_eligible(message, self.policy):
-                overlay = build_overlay_template(message, self.policy)
-                self.store.put(signature, overlay)
-                self.stats.templates_built += 1
-                return self._send_overlay(
-                    overlay, message, first=True, forced_full=resync
-                )
-            template = build_template(message, self.policy, obs=self.obs)
-            self.store.put(signature, template)
-            self.stats.templates_built += 1
-            return self._transmit_guarded(
-                template, MatchKind.FIRST_TIME, RewriteStats(), forced_full=resync
-            )
-
-        # Templates exist: choose the variant needing the fewest
-        # rewrites (§6 multi-variant stores), absorb the new values
-        # (no-op when the caller mutated tracked objects directly),
-        # then go differential.
-        template = self._choose_variant(signature, message, existing)
+        template = self.store.get(signature)
         if template is None:
-            # A fresh variant was judged cheaper than rewriting.
-            template = build_template(message, self.policy, obs=self.obs)
-            self.store.put(signature, template)
-            self.stats.templates_built += 1
-            return self._transmit(template, MatchKind.FIRST_TIME, RewriteStats())
+            return self._transmit_guarded(
+                self._build(signature, message), MatchKind.FIRST_TIME, RewriteStats()
+            )
+        # Absorb the new values (no-op when the caller mutated tracked
+        # objects directly), then go differential.
         try:
             template.absorb(message, signature)
         except StructureMismatchError:
@@ -218,24 +179,6 @@ class BSoapClient:
             self.forget(signature)
             return self.send(message)
         return self._send_template(template)
-
-    def _choose_variant(
-        self,
-        signature: Signature,
-        message: SOAPMessage,
-        most_recent: AnyTemplate,
-    ) -> Optional[MessageTemplate]:
-        """Pick the cached template to reuse, or ``None`` to build anew."""
-        if self.store.variants_per_signature <= 1:
-            return most_recent  # type: ignore[return-value]
-        best, miss = self.store.select(signature, message)
-        if best is None:
-            return most_recent  # type: ignore[return-value]
-        leaves = max(1, len(best.dut))
-        room = len(self.store.variants(signature)) < self.store.variants_per_signature
-        if room and miss > self.policy.variant_miss_threshold * leaves:
-            return None
-        return best
 
     def _send_template(self, template: MessageTemplate) -> SendReport:
         if template.suspect:
@@ -356,40 +299,6 @@ class BSoapClient:
         self._record(report, moved_before=moved_before, started=t0)
         return report
 
-    def _send_overlay(
-        self,
-        overlay: OverlayTemplate,
-        message: SOAPMessage,
-        first: bool = False,
-        forced_full: bool = False,
-    ) -> SendReport:
-        # Absorb plain values into the overlay's tracked array.
-        if not first:
-            from repro.core.template import absorb_param
-
-            absorb_param(overlay.tracked, message.params[0])
-        stats = RewriteStats()
-        t0 = perf_counter() if self.obs.enabled else 0.0
-        try:
-            bytes_sent = self.transport.send_message(
-                overlay.iter_send_views(stats, self.obs), overlay.total_bytes
-            )
-        except TransportError:
-            overlay.suspect = True
-            self.stats.rollbacks += 1
-            raise
-        kind = MatchKind.FIRST_TIME if first else MatchKind.PERFECT_STRUCTURAL
-        report = SendReport(
-            match_kind=kind,
-            bytes_sent=bytes_sent,
-            rewrite=stats,
-            num_chunks=1,
-            template_id=overlay.template_id,
-            forced_full=forced_full,
-        )
-        self._record(report, started=t0)
-        return report
-
     def _send_full_every_time(self, message: SOAPMessage) -> SendReport:
         """bSOAP-with-differential-off: the paper's Full Serialization curve."""
         template = build_template(message, self.policy, obs=self.obs)
@@ -440,18 +349,19 @@ class BSoapClient:
 
     # ------------------------------------------------------------------
     def quarantine(self, message: SOAPMessage) -> None:
-        """Mark saved templates for *message*'s structure suspect.
+        """Mark the saved template for *message*'s structure suspect.
 
         For callers that learn only *after* a send that delivery is
         unconfirmed (e.g. the response never arrived): the next send of
         this structure is forced to a full resynchronizing
         serialization instead of trusting the saved state.
         """
-        signature = structure_signature(message)
-        for template in self.store.variants(signature):
-            template.suspect = True  # type: ignore[attr-defined]
-            if self.wire is not None:
-                self.wire.invalidate(template.template_id)
+        template = self.store.get(structure_signature(message))
+        if template is None:
+            return
+        template.suspect = True
+        if self.wire is not None:
+            self.wire.invalidate(template.template_id)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -1,17 +1,18 @@
 """Configuration of the differential serializer.
 
 Everything the paper calls a "configurable parameter" lives here:
-chunking (size / split threshold / reserve), stuffing widths, float
-formatting, and chunk overlaying.  A value that outgrows its field is
-always shifted (``repro.core.differential``); the paper's stealing is
-a baseline (:mod:`repro.baselines.paper_expansion`).
+chunking (size / split threshold / reserve), stuffing widths and float
+formatting.  A value that outgrows its field is always shifted
+(``repro.core.differential``); the paper's stealing is a baseline
+(:mod:`repro.baselines.paper_expansion`), and so is its chunk
+overlaying (:mod:`repro.baselines.paper_overlay`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from repro.schema.types import XSDType
 __all__ = [
     "StuffMode",
     "StuffingPolicy",
-    "OverlayPolicy",
     "DeltaPolicy",
     "DiffPolicy",
 ]
@@ -78,32 +78,6 @@ class StuffingPolicy:
         """Field width for one value of *ser_len* characters."""
         return int(self.widths_for(xsd_type, np.array([ser_len]))[0])
 
-    @property
-    def guarantees_fixed_layout(self) -> bool:
-        """Whether widths can never grow (required by chunk overlaying).
-
-        True only for MAX mode: every stuffable value fits its field
-        forever.  FIXED mode bounds *most* values but a wider value at
-        template time (or later) still forces layout change.
-        """
-        return self.mode is StuffMode.MAX
-
-
-@dataclass(frozen=True, slots=True)
-class OverlayPolicy:
-    """Chunk-overlaying configuration (paper §3.3).
-
-    Overlaying streams successive portions of a large array through a
-    single chunk, so only ~one chunk of serialized data and DUT rows
-    exist at a time.  It requires max-stuffed (fixed) field widths.
-    """
-
-    enabled: bool = False
-    #: Items per portion; ``None`` derives it from the chunk size.
-    portion_items: Optional[int] = None
-    #: Arrays shorter than this many items are not worth overlaying.
-    min_items: int = 1024
-
 
 @dataclass(frozen=True, slots=True)
 class DeltaPolicy:
@@ -143,23 +117,7 @@ class DiffPolicy:
     #: every send rebuilds the message from scratch (still through the
     #: template machinery, as in the paper's baseline curve).
     differential_enabled: bool = True
-    overlay: OverlayPolicy = field(default_factory=OverlayPolicy)
-    #: Templates retained per structure signature (§6 future work:
-    #: "store multiple different message templates for the same remote
-    #: service").  With k > 1 the auto-diff send path picks the cached
-    #: variant whose values differ least from the outgoing message.
-    template_variants: int = 1
-    #: When the best variant still differs in more than this fraction
-    #: of its leaves (and there is room), a new variant is built
-    #: instead of rewriting the old one.
-    variant_miss_threshold: float = 0.5
     #: Negotiated binary delta frames (see :class:`DeltaPolicy`);
     #: defaults off — nothing changes on the wire unless offered *and*
     #: acknowledged by the server.
     delta: DeltaPolicy = field(default_factory=DeltaPolicy)
-
-    def derived_portion_items(self, item_bytes: int) -> int:
-        """Items per overlay portion given a serialized item size."""
-        if self.overlay.portion_items is not None:
-            return max(1, self.overlay.portion_items)
-        return max(1, self.chunk.soft_limit // max(1, item_bytes))

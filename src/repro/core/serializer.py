@@ -2,8 +2,9 @@
 
 This is the paper's "first-time send" path: the message is serialized
 from scratch into a chunked buffer while a DUT table is recorded
-alongside it.  The item emitters are also reused by the chunk overlay
-(which serializes one portion at a time through these same routines).
+alongside it.  The item emitters are also reused by the chunk-overlay
+baseline (:mod:`repro.baselines.paper_overlay`, which serializes one
+portion at a time through these same routines).
 
 Layout produced for every leaf value (see DESIGN.md §4)::
 
@@ -91,7 +92,7 @@ def make_tracked(param: Parameter) -> Tracked:
 
 
 # ----------------------------------------------------------------------
-# item emitters (shared with the overlay builder)
+# item emitters (shared with the overlay baseline)
 # ----------------------------------------------------------------------
 def emit_primitive_items(
     buffer: ChunkedBuffer,

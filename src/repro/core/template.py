@@ -121,7 +121,7 @@ class BoundParam:
 
 #: Process-wide template identities: spans and metrics refer to
 #: templates by this id, which survives in-place rebuilds (unlike the
-#: buffer/DUT objects) and is unique across stores and overlays.
+#: buffer/DUT objects) and is unique across stores.
 _template_ids = itertools.count(1)
 
 

@@ -33,9 +33,9 @@ Special values use the XML Schema lexical forms ``INF``, ``-INF`` and
 ``NaN``.
 
 Every send formats through the same batch converter for its format,
-:func:`format_double_array` — first-time build, resend and overlay
-alike; nothing is memoized (:mod:`repro.lexical.cache` says why).  The batch parser, :func:`parse_double_column`, serves both
-server decode lanes.
+:func:`format_double_array` — first-time build and resend alike;
+nothing is memoized (:mod:`repro.lexical.cache` says why).  The batch
+parser, :func:`parse_double_column`, serves both server decode lanes.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ observable on a live system without scattering ad-hoc counters:
 
 * :class:`~repro.obs.trace.RecordingTracer` — structured spans
   (``serialize``, ``match-classify``, ``rewrite``, ``shift``,
-  ``stuff``, ``overlay``, ``send``, ``recv``) with
+  ``stuff``, ``send``, ``recv``) with
   template-id / match-level / dirty-count attributes;
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters and
   histograms (calls per match level, bytes, rewrite work, latency)

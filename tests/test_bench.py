@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.baselines.paper_expansion import PaperStats
 from repro.bench.figures import FIGURES
 from repro.bench.profile90 import decompose_serialization
 from repro.bench.report import format_ratios, format_series, ratio
@@ -249,13 +250,20 @@ class TestCurveWork:
         if setup is not None:
             setup()
         report = timed()
-        if not isinstance(report, SendReport):
-            # The gSOAP/XSOAP baselines and the §2 phases.
-            assert not curve.label.startswith("bSOAP"), curve.label
-            return
-        label, rewrite = curve.label, report.rewrite
+        label = curve.label
         mios = "MIOs" in FIGURES[name].title or label.endswith("(MIOs)")
         leaves = n * (3 if mios else 1)
+        if isinstance(report, PaperStats):
+            # Figures 6–9's per-value shift: every value rewritten, one
+            # tail shift per growing value, nothing stolen.
+            assert report.values_rewritten == leaves
+            assert report.shifts > 0 and report.steals == 0
+            return
+        if not isinstance(report, SendReport):
+            # The gSOAP/XSOAP baselines and the §2 phases.
+            assert not label.startswith("bSOAP"), label
+            return
+        rewrite = report.rewrite
         if "Full Serialization" in label:
             assert report.match_kind is MatchKind.FIRST_TIME
         elif "Content Match" in label or "No Closing Tag Shift" in label:

@@ -1,14 +1,12 @@
 """Unit tests for the bSOAP client stub (template store + dispatch)."""
 
 import numpy as np
-import pytest
 
 from repro.core.client import BSoapClient
 from repro.core.matcher import classify, refine
-from repro.core.policy import DiffPolicy, OverlayPolicy, StuffingPolicy, StuffMode
+from repro.core.policy import DiffPolicy
 from repro.core.stats import ClientStats, MatchKind, RewriteStats, SendReport
 from repro.core.serializer import build_template
-from repro.errors import TemplateError
 from repro.schema.composite import ArrayType
 from repro.schema.types import DOUBLE, INT
 from repro.soap.message import Parameter, SOAPMessage, structure_signature
@@ -132,41 +130,6 @@ class TestFullSerializationMode:
             r = client.send(m)
             assert r.match_kind is MatchKind.FIRST_TIME
         assert client.template_count == 0  # nothing cached
-
-
-class TestOverlayDispatch:
-    def _policy(self):
-        return DiffPolicy(
-            stuffing=StuffingPolicy(StuffMode.MAX),
-            overlay=OverlayPolicy(enabled=True, portion_items=8, min_items=4),
-        )
-
-    def test_overlay_selected_for_large_arrays(self):
-        sink = CollectSink()
-        client = BSoapClient(sink, self._policy())
-        values = np.arange(32.0)
-        r = client.send(msg(values))
-        assert r.match_kind is MatchKind.FIRST_TIME
-        r2 = client.send(msg(values))
-        assert r2.match_kind is MatchKind.PERFECT_STRUCTURAL
-        # Overlay rewrites everything after the first portion.
-        assert r2.rewrite.values_rewritten == 32
-        fresh = build_template(
-            msg(values), DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX))
-        ).tobytes()
-        assert documents_equivalent(sink.last, fresh)
-
-    def test_small_arrays_stay_in_memory(self):
-        client = BSoapClient(CollectSink(), self._policy())
-        client.send(msg(np.arange(2.0)))
-        r = client.send(msg(np.arange(2.0)))
-        assert r.match_kind is MatchKind.CONTENT_MATCH  # regular template
-
-    def test_prepare_rejects_overlay_template(self):
-        client = BSoapClient(CollectSink(), self._policy())
-        client.send(msg(np.arange(32.0)))
-        with pytest.raises(TemplateError):
-            client.prepare(msg(np.arange(32.0)))
 
 
 class TestStats:

@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from repro.apps.lsa import LinearSystemAnalyzer, make_test_system
+from repro.baselines.paper_overlay import OverlaySender
+from repro.buffers.config import ChunkPolicy
 from repro.core.client import BSoapClient
-from repro.core.policy import (
-    DiffPolicy,
-    OverlayPolicy,
-    StuffingPolicy,
-    StuffMode,
-)
+from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
 from repro.core.stats import MatchKind
 from repro.schema.composite import ArrayType
 from repro.schema.mio import MIO_TYPE, make_mio_array_type
@@ -69,9 +66,11 @@ class TestPaperScenarioOverTCP:
             assert server.bytes_drained > expected
 
     def test_overlay_over_wire_decodes_correctly(self):
+        # 32 MAX-stuffed doubles (37 bytes each) per portion, so the
+        # 200-value array streams as six portions and a tail.
         policy = DiffPolicy(
+            chunk=ChunkPolicy(chunk_size=32 * 37, reserve=0),
             stuffing=StuffingPolicy(StuffMode.MAX),
-            overlay=OverlayPolicy(enabled=True, portion_items=32, min_items=8),
         )
         svc = SOAPService("urn:grid", TypeRegistry())
         received = {}
@@ -84,11 +83,13 @@ class TestPaperScenarioOverTCP:
         with HTTPSoapServer(svc) as server:
             tcp = TCPTransport("127.0.0.1", server.port)
             http = HTTPTransport(tcp, mode="chunked")
-            client = BSoapClient(http, policy)
+            sender = OverlaySender(http, policy)
             values = np.linspace(0, 1, 200)
-            client.send(
+            sender.send(
                 SOAPMessage("putBig", "urn:grid", [Parameter("data", ArrayType(DOUBLE), values)])
             )
+            (overlay,) = sender.templates.values()
+            assert overlay.portion_items == 32 and overlay.tail is not None
             status, _h, body = tcp.recv_http_response()
             assert status == 200
             result = SOAPRequestParser().parse(body)

@@ -77,7 +77,6 @@ class TestTracer:
             "rewrite",
             "shift",
             "stuff",
-            "overlay",
             "send",
             "recv",
             "delta-encode",
@@ -352,21 +351,3 @@ class TestObservabilityFacade:
         assert rewrite.attrs["expansions"] >= 1
         assert rewrite.attrs["template_id"] == serialize.attrs["template_id"]
         assert obs.metrics.get("repro_expansions_total").samples()
-
-    def test_overlay_span(self):
-        from repro.core.policy import OverlayPolicy
-
-        obs = Observability.recording()
-        policy = DiffPolicy(
-            stuffing=StuffingPolicy(StuffMode.MAX),
-            overlay=OverlayPolicy(enabled=True, min_items=8),
-        )
-        client = BSoapClient(CollectSink(), policy, obs=obs)
-        report = client.send(_doubles_msg(np.arange(64.0)))
-        span = obs.tracer.last("overlay")
-        assert span is not None
-        assert span.attrs["items"] == 64
-        assert span.attrs["bytes"] == report.bytes_sent
-        assert obs.tracer.last("send").attrs["template_id"] == span.attrs[
-            "template_id"
-        ]

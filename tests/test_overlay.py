@@ -1,18 +1,19 @@
-"""Unit tests for chunk overlaying."""
+"""Unit tests for the chunk-overlaying baseline (paper §3.3)."""
 
 import numpy as np
 import pytest
 
+from repro.baselines.paper_overlay import OverlaySender, build_overlay_template
 from repro.buffers.config import ChunkPolicy
-from repro.core.overlay import build_overlay_template, overlay_eligible
-from repro.core.policy import DiffPolicy, OverlayPolicy, StuffingPolicy, StuffMode
+from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
 from repro.core.serializer import build_template
-from repro.core.stats import RewriteStats
+from repro.core.stats import MatchKind, RewriteStats
 from repro.errors import OverlayError
 from repro.schema.composite import ArrayType
 from repro.schema.mio import make_mio_array_type
 from repro.schema.types import DOUBLE, STRING
 from repro.soap.message import Parameter, SOAPMessage
+from repro.transport.loopback import CollectSink
 from repro.xmlkit.canonical import documents_equivalent
 from repro.xmlkit.scanner import parse_document
 
@@ -23,11 +24,19 @@ def dmsg(values):
     )
 
 
-def policy(portion=8, min_items=1):
-    return DiffPolicy(
-        stuffing=StuffingPolicy(StuffMode.MAX),
-        overlay=OverlayPolicy(enabled=True, portion_items=portion, min_items=min_items),
-    )
+MAX = StuffingPolicy(StuffMode.MAX)
+STUFFED = DiffPolicy(stuffing=MAX)
+
+
+def sized(portion, item_bytes=37, stuffing=MAX):
+    """A policy whose chunk soft limit holds *portion* items of
+    *item_bytes* each (a MAX-stuffed double: 24 chars + <item></item>)."""
+    chunk = ChunkPolicy(chunk_size=portion * item_bytes, reserve=0)
+    return DiffPolicy(chunk=chunk, stuffing=stuffing)
+
+
+def build(message, policy=None):
+    return build_overlay_template(message, policy or sized(8))
 
 
 def collect(overlay):
@@ -37,19 +46,15 @@ def collect(overlay):
 
 
 class TestEligibility:
-    def test_eligible(self):
-        assert overlay_eligible(dmsg(np.arange(100.0)), policy())
+    """A message qualifies when it is one array of stuffable items,
+    serialized under a stuffing policy."""
 
-    def test_disabled(self):
-        p = DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX))
-        assert not overlay_eligible(dmsg(np.arange(100.0)), p)
+    def test_eligible(self):
+        assert build(dmsg(np.arange(100.0))).n_items == 100
 
     def test_needs_stuffing(self):
-        p = DiffPolicy(overlay=OverlayPolicy(enabled=True, min_items=1))
-        assert not overlay_eligible(dmsg(np.arange(100.0)), p)
-
-    def test_min_items(self):
-        assert not overlay_eligible(dmsg(np.arange(4.0)), policy(min_items=10))
+        with pytest.raises(OverlayError, match="stuffing"):
+            build(dmsg(np.arange(100.0)), policy=DiffPolicy())
 
     def test_multi_param_not_eligible(self):
         m = SOAPMessage(
@@ -59,58 +64,59 @@ class TestEligibility:
                 Parameter("b", DOUBLE, 1.0),
             ],
         )
-        assert not overlay_eligible(m, policy())
+        with pytest.raises(OverlayError, match="one array"):
+            build(m)
 
     def test_string_arrays_not_eligible(self):
         m = SOAPMessage(
             "op", "urn:t", [Parameter("s", ArrayType(STRING), ["a"] * 50)]
         )
-        assert not overlay_eligible(m, policy())
+        with pytest.raises(OverlayError):
+            build(m)
+
+    def test_empty_array_not_eligible(self):
+        with pytest.raises(OverlayError):
+            build(dmsg(np.arange(0.0)))
 
 
 class TestBuildAndSend:
     def test_divisible_portions(self):
         values = np.arange(32.0)
-        overlay = build_overlay_template(dmsg(values), policy(portion=8))
+        overlay = build(dmsg(values))
         assert overlay.portion_items == 8
         assert overlay.full_portions == 4
         assert overlay.tail is None
         data, stats = collect(overlay)
         parse_document(data)
-        fresh = build_template(
-            dmsg(values), DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX))
-        ).tobytes()
+        fresh = build_template(dmsg(values), STUFFED).tobytes()
         assert documents_equivalent(data, fresh)
         assert stats.values_rewritten == 32
 
     def test_remainder_tail(self):
         values = np.arange(29.0)
-        overlay = build_overlay_template(dmsg(values), policy(portion=8))
+        overlay = build(dmsg(values))
         assert overlay.full_portions == 3
         assert overlay.tail is not None and overlay.tail.items == 5
         data, _ = collect(overlay)
-        fresh = build_template(
-            dmsg(values), DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX))
-        ).tobytes()
+        fresh = build_template(dmsg(values), STUFFED).tobytes()
         assert documents_equivalent(data, fresh)
 
     def test_total_bytes_exact(self):
-        overlay = build_overlay_template(dmsg(np.arange(29.0)), policy(portion=8))
+        overlay = build(dmsg(np.arange(29.0)))
         data, _ = collect(overlay)
         assert overlay.total_bytes == len(data)
 
     def test_resident_memory_bounded(self):
         big = np.arange(1000.0)
-        overlay = build_overlay_template(dmsg(big), policy(portion=10))
-        plain = build_template(
-            dmsg(big), DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX))
-        )
+        overlay = build(dmsg(big), sized(10))
+        assert overlay.portion_items == 10
+        plain = build_template(dmsg(big), STUFFED)
         # The whole point: resident bytes ≪ full serialized form.
         assert overlay.resident_bytes < plain.total_bytes / 10
 
     def test_values_update_between_sends(self):
         values = np.arange(32.0)
-        overlay = build_overlay_template(dmsg(values), policy(portion=8))
+        overlay = build(dmsg(values))
         collect(overlay)
         overlay.tracked.update(np.array([0, 31]), [111.5, 222.5])
         data, _ = collect(overlay)
@@ -125,11 +131,10 @@ class TestBuildAndSend:
         m = SOAPMessage(
             "putMesh", "urn:t", [Parameter("mesh", make_mio_array_type(), cols)]
         )
-        overlay = build_overlay_template(m, policy(portion=6))
+        overlay = build(m, sized(6, item_bytes=78))
+        assert overlay.portion_items == 6
         data, stats = collect(overlay)
-        fresh = build_template(
-            m, DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX))
-        ).tobytes()
+        fresh = build_template(m, STUFFED).tobytes()
         assert documents_equivalent(data, fresh)
         assert stats.values_rewritten == 60
 
@@ -137,14 +142,13 @@ class TestBuildAndSend:
         p = DiffPolicy(
             chunk=ChunkPolicy(chunk_size=2048, reserve=64),
             stuffing=StuffingPolicy(StuffMode.MAX),
-            overlay=OverlayPolicy(enabled=True, min_items=1),
         )
         overlay = build_overlay_template(dmsg(np.arange(500.0)), p)
         # 24-char doubles + <item></item> = 37 bytes → ~53 items/portion.
         assert 20 < overlay.portion_items < 120
 
     def test_sends_counter(self):
-        overlay = build_overlay_template(dmsg(np.arange(16.0)), policy(portion=8))
+        overlay = build(dmsg(np.arange(16.0)))
         collect(overlay)
         collect(overlay)
         assert overlay.sends == 2
@@ -160,18 +164,35 @@ class TestOverlayErrors:
             ],
         )
         with pytest.raises(OverlayError):
-            build_overlay_template(m, policy())
+            build(m)
 
     def test_no_stuffing_rejected(self):
         with pytest.raises(OverlayError):
-            build_overlay_template(dmsg(np.arange(10.0)), DiffPolicy())
+            build(dmsg(np.arange(10.0)), policy=DiffPolicy())
 
     def test_value_exceeding_width_rejected_on_rewrite(self):
-        p = DiffPolicy(
-            stuffing=StuffingPolicy(StuffMode.FIXED, {"double": 5}),
-            overlay=OverlayPolicy(enabled=True, portion_items=4, min_items=1),
-        )
-        overlay = build_overlay_template(dmsg(np.array([1.0] * 8)), p)
+        five = StuffingPolicy(StuffMode.FIXED, {"double": 5})
+        overlay = build(dmsg(np.array([1.0] * 8)), sized(4, 18, five))
+        assert overlay.portion_items == 4
         overlay.tracked.update(np.array([5]), [0.123456789012])  # 14 chars > 5
         with pytest.raises(OverlayError):
             collect(overlay)
+
+
+class TestSender:
+    def test_sends_whole_array_every_time(self):
+        sink = CollectSink()
+        sender = OverlaySender(sink, sized(8))
+        values = np.arange(32.0)
+        first = sender.send(dmsg(values))
+        assert first.match_kind is MatchKind.FIRST_TIME
+        values = values.copy()
+        values[[3, 30]] = [0.25, -7.5]
+        again = sender.send(dmsg(values))
+        assert again.match_kind is MatchKind.PERFECT_STRUCTURAL
+        # Overlaying rewrites every value on every send.
+        assert again.rewrite.values_rewritten == 32
+        assert again.bytes_sent == len(sink.last)
+        fresh = build_template(dmsg(values), STUFFED).tobytes()
+        assert documents_equivalent(sink.last, fresh)
+        assert len(sender.templates) == 1

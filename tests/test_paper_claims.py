@@ -158,8 +158,8 @@ class TestHeadlineClaims:
 
     def test_overlay_memory_vs_plain(self):
         """Paper §3.3: overlaying bounds resident serialized state."""
-        from repro.core.overlay import build_overlay_template
-        from repro.core.policy import OverlayPolicy, StuffingPolicy, StuffMode
+        from repro.baselines.paper_overlay import build_overlay_template
+        from repro.core.policy import StuffingPolicy, StuffMode
         from repro.core.serializer import build_template
         from repro.soap.message import Parameter, SOAPMessage
         from repro.schema.composite import ArrayType
@@ -171,11 +171,5 @@ class TestHeadlineClaims:
         )
         stuffed = DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX))
         plain = build_template(message, stuffed)
-        overlay = build_overlay_template(
-            message,
-            DiffPolicy(
-                stuffing=StuffingPolicy(StuffMode.MAX),
-                overlay=OverlayPolicy(enabled=True, min_items=1),
-            ),
-        )
+        overlay = build_overlay_template(message, stuffed)
         assert overlay.resident_bytes * 5 < plain.memory_footprint()["serialized"]

@@ -1,16 +1,16 @@
 """Unit tests for policies and statistics containers."""
 
+import numpy as np
 import pytest
 
-from repro.core.policy import (
-    DiffPolicy,
-    OverlayPolicy,
-    StuffMode,
-    StuffingPolicy,
-)
+from repro.baselines.paper_overlay import build_overlay_template
+from repro.buffers.config import ChunkPolicy
+from repro.core.policy import DiffPolicy, StuffMode, StuffingPolicy
 from repro.core.stats import ClientStats, MatchKind, RewriteStats, SendReport
 from repro.errors import SchemaError
+from repro.schema.composite import ArrayType
 from repro.schema.types import DOUBLE, INT, STRING
+from repro.soap.message import Parameter, SOAPMessage
 
 
 class TestStuffingPolicy:
@@ -45,30 +45,36 @@ class TestStuffingPolicy:
             policy = StuffingPolicy(mode, {"string": 50})
             assert policy.width_for(STRING, 4) == 4
 
-    def test_fixed_layout_guarantee(self):
-        assert StuffingPolicy(StuffMode.MAX).guarantees_fixed_layout
-        assert not StuffingPolicy(StuffMode.FIXED, {"double": 18}).guarantees_fixed_layout
-        assert not StuffingPolicy().guarantees_fixed_layout
-
 
 class TestDiffPolicy:
     def test_defaults(self):
         policy = DiffPolicy()
         assert policy.differential_enabled
-        assert policy.template_variants == 1
-        assert not policy.overlay.enabled
+        assert policy.stuffing.mode is StuffMode.NONE
+        assert not policy.delta.offer
 
     def test_derived_portion_items(self):
-        policy = DiffPolicy(overlay=OverlayPolicy(enabled=True, portion_items=77))
-        assert policy.derived_portion_items(item_bytes=10) == 77
-        policy = DiffPolicy()
-        per = policy.derived_portion_items(item_bytes=32)
-        assert per == policy.chunk.soft_limit // 32
-        assert policy.derived_portion_items(item_bytes=10**9) == 1
+        # The overlay baseline sizes its portions from the policy: the
+        # chunk soft limit over the item cost, at least one item (a
+        # MAX-stuffed double is 24 chars + <item></item> = 37 bytes).
+        message = SOAPMessage(
+            "op", "urn:t", [Parameter("d", ArrayType(DOUBLE), np.arange(500.0))]
+        )
+        policy = DiffPolicy(
+            chunk=ChunkPolicy(chunk_size=2048, reserve=64),
+            stuffing=StuffingPolicy(StuffMode.MAX),
+        )
+        per = build_overlay_template(message, policy).portion_items
+        assert per == policy.chunk.soft_limit // 37
+        tiny = DiffPolicy(
+            chunk=ChunkPolicy(chunk_size=16, reserve=0),
+            stuffing=StuffingPolicy(StuffMode.MAX),
+        )
+        assert build_overlay_template(message, tiny).portion_items == 1
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
-            DiffPolicy().template_variants = 5  # type: ignore[misc]
+            DiffPolicy().differential_enabled = False  # type: ignore[misc]
 
 
 class TestRewriteStats:

@@ -2,9 +2,8 @@
 
 For random sequences of ``client.send(message)`` calls with random
 value arrays, under randomized policies (stuffing × chunking ×
-expansion × float format × variants), the bytes on the
-wire must always canonically equal a from-scratch serialization of
-that message — and the match-kind accounting must stay sane.
+float format), the bytes on the wire must always canonically equal a
+from-scratch serialization of that message — and the match-kind accounting must stay sane.
 """
 
 import numpy as np
@@ -33,7 +32,6 @@ POLICIES = [
     DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX)),
     DiffPolicy(stuffing=StuffingPolicy(StuffMode.FIXED, {"double": 12})),
     DiffPolicy(chunk=ChunkPolicy(chunk_size=128, reserve=16, split_threshold=48)),
-    DiffPolicy(template_variants=2, variant_miss_threshold=0.4),
 ]
 
 VALUES = [0.0, 1.0, -1.0, 0.5, 123.456, 1e200, -1e-200, 0.1234567890123456, 7.0]

@@ -11,11 +11,9 @@ fault matrix (faults × match levels over a live server) lives in
 import socket
 import threading
 
-import numpy as np
 import pytest
 
 from repro.core.client import BSoapClient
-from repro.core.policy import DiffPolicy, OverlayPolicy, StuffingPolicy, StuffMode
 from repro.core.stats import MatchKind
 from repro.errors import (
     HTTPFramingError,
@@ -165,10 +163,10 @@ class TestFramingSplit:
 # transactional template commit / rollback
 # ----------------------------------------------------------------------
 class TestTransactionalCommit:
-    def _flaky_client(self, script, policy=None):
+    def _flaky_client(self, script):
         sink = CollectSink()
         injector = FaultInjectingTransport(sink, script=script)
-        return BSoapClient(injector, policy), sink, injector
+        return BSoapClient(injector), sink, injector
 
     def test_rollback_restores_dirty_and_marks_suspect(self):
         client, _sink, _inj = self._flaky_client(
@@ -179,7 +177,7 @@ class TestTransactionalCommit:
         m1 = _msg([1.0, 9.0, 3.0])
         with pytest.raises(TransportError, match="injected"):
             client.send(m1)
-        template = client.store.variants(structure_signature(m1))[0]
+        template = client.store.get(structure_signature(m1))
         assert template.suspect
         assert template.dut.any_dirty  # the changed leaf is dirty again
         assert client.stats.rollbacks == 1
@@ -231,27 +229,6 @@ class TestTransactionalCommit:
         report = client.send(m0)
         assert report.match_kind is MatchKind.FIRST_TIME
         assert sink.last == fresh_full_bytes(m0, client.policy)
-
-    def test_overlay_send_rollback_rebuilds(self):
-        policy = DiffPolicy(
-            stuffing=StuffingPolicy(StuffMode.MAX),
-            overlay=OverlayPolicy(enabled=True, min_items=32),
-        )
-        client, sink, _inj = self._flaky_client(
-            {1: FaultSpec("reset-mid-send", at_byte=200)}, policy
-        )
-        values = np.linspace(0.0, 1.0, 128)
-        m0 = _msg(values)
-        first = client.send(m0)
-        assert first.match_kind is MatchKind.FIRST_TIME
-        m1 = _msg(values + 1.0)
-        with pytest.raises(TransportError):
-            client.send(m1)
-        overlay = client.store.variants(structure_signature(m1))[0]
-        assert overlay.suspect
-        report = client.send(m1)
-        assert report.forced_full
-        assert report.match_kind is MatchKind.FIRST_TIME
 
     def test_quarantine_forces_resync(self):
         client, sink, _inj = self._flaky_client({})

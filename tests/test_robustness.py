@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.channel import RPCChannel
 from repro.core.client import BSoapClient
-from repro.core.policy import DiffPolicy, OverlayPolicy, StuffingPolicy, StuffMode
+from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
 from repro.core.stats import MatchKind
 from repro.errors import HTTPFramingError, ReproError, XMLSyntaxError
 from repro.resilience import (
@@ -191,13 +191,9 @@ def _calc_msg(values):
     )
 
 
-def _fault_channel(port, *, script=None, stuffing=StuffMode.MAX,
-                   overlay=False, breaker=None):
+def _fault_channel(port, *, script=None, stuffing=StuffMode.MAX, breaker=None):
     """An RPCChannel whose wire is (optionally) fault-injected."""
-    policy = DiffPolicy(
-        stuffing=StuffingPolicy(stuffing),
-        overlay=OverlayPolicy(enabled=overlay, min_items=32),
-    )
+    policy = DiffPolicy(stuffing=StuffingPolicy(stuffing))
     raw = None
     if script is not None:
         raw = FaultInjectingTransport(
@@ -264,9 +260,7 @@ def _run_fault_scenario(port, level, spec):
             assert stats["reconnects"] >= 1
         # The recovered template is byte-identical to a from-scratch
         # full serialization of the final message.
-        template = ch.client.store.variants(
-            structure_signature(_calc_msg(final))
-        )[0]
+        template = ch.client.store.get(structure_signature(_calc_msg(final)))
         assert template.tobytes() == fresh_full_bytes(
             _calc_msg(final), ch.client.policy
         )
@@ -312,24 +306,6 @@ class TestFaultMatrix:
         _run_fault_scenario(
             calc_server.port, level, _RECOVERABLE_FAULTS[fault]
         )
-
-    def test_overlay_send_recovers(self, calc_server):
-        """Chunk-overlaying sends recover by rebuilding the overlay."""
-        values = np.linspace(0.0, 1.0, 64)
-        script = {1: FaultSpec("reset-mid-send", at_byte=400)}
-        with _fault_channel(
-            calc_server.port, script=script, overlay=True
-        ) as ch:
-            first = ch.call(_calc_msg(values))
-            assert first.result() == pytest.approx(float(np.sum(values)))
-            assert ch.last_send_report.match_kind is MatchKind.FIRST_TIME
-            bumped = values + 1.0
-            response = ch.call(_calc_msg(bumped))
-            assert response.result() == pytest.approx(float(np.sum(bumped)))
-            report = ch.last_send_report
-            assert report.retries >= 1
-            assert report.forced_full
-            assert ch.channel_stats()["rollbacks"] >= 1
 
     def test_breaker_degrades_then_recovers(self, calc_server):
         """Repeated failures open the breaker: the channel keeps

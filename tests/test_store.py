@@ -1,4 +1,5 @@
-"""Unit tests for template stores: sharing, variants, small-chunk sends."""
+"""Unit tests for the template store: one template per structure,
+sharing, small-chunk sends."""
 
 import numpy as np
 import pytest
@@ -8,11 +9,9 @@ from repro.core.client import BSoapClient
 from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
 from repro.core.serializer import build_template
 from repro.core.stats import MatchKind
-from repro.core.store import TemplateStore, count_differences
-from repro.errors import TemplateError
+from repro.core.store import TemplateStore
 from repro.schema.composite import ArrayType
-from repro.schema.mio import make_mio_array_type
-from repro.schema.types import DOUBLE, INT, STRING
+from repro.schema.types import DOUBLE
 from repro.soap.message import Parameter, SOAPMessage, structure_signature
 from repro.transport.loopback import CollectSink
 from repro.xmlkit.canonical import documents_equivalent
@@ -22,55 +21,9 @@ def msg(values, op="op"):
     return SOAPMessage(op, "urn:t", [Parameter("a", ArrayType(DOUBLE), values)])
 
 
-class TestCountDifferences:
-    def test_arrays(self):
-        t = build_template(msg(np.array([1.0, 2.0, 3.0])))
-        assert count_differences(t, msg(np.array([1.0, 2.0, 3.0]))) == 0
-        assert count_differences(t, msg(np.array([1.0, 9.0, 8.0]))) == 2
-
-    def test_nan_stable(self):
-        t = build_template(msg(np.array([np.nan, 1.0])))
-        assert count_differences(t, msg(np.array([np.nan, 1.0]))) == 0
-
-    def test_struct_arrays(self):
-        m = SOAPMessage(
-            "op", "urn:t",
-            [Parameter("m", make_mio_array_type(), {"x": [1, 2], "y": [3, 4], "v": [0.5, 1.5]})],
-        )
-        t = build_template(m)
-        m2 = SOAPMessage(
-            "op", "urn:t",
-            [Parameter("m", make_mio_array_type(), {"x": [1, 9], "y": [3, 4], "v": [0.5, 9.5]})],
-        )
-        assert count_differences(t, m2) == 2
-
-    def test_strings_and_scalars(self):
-        m = SOAPMessage(
-            "op", "urn:t",
-            [
-                Parameter("s", ArrayType(STRING), ["a", "b"]),
-                Parameter("n", INT, 5),
-            ],
-        )
-        t = build_template(m)
-        m2 = SOAPMessage(
-            "op", "urn:t",
-            [
-                Parameter("s", ArrayType(STRING), ["a", "z"]),
-                Parameter("n", INT, 6),
-            ],
-        )
-        assert count_differences(t, m2) == 2
-
-    def test_does_not_mark_dirty(self):
-        t = build_template(msg(np.array([1.0])))
-        count_differences(t, msg(np.array([5.0])))
-        assert not t.dut.any_dirty
-
-
 class TestStoreBasics:
-    def test_put_get_touch(self):
-        store = TemplateStore(variants_per_signature=2)
+    def test_put_replaces(self):
+        store = TemplateStore()
         t1 = build_template(msg(np.array([1.0])))
         sig = t1.signature
         store.put(sig, t1)
@@ -78,46 +31,19 @@ class TestStoreBasics:
         t2 = build_template(msg(np.array([2.0])))
         store.put(sig, t2)
         assert store.get(sig) is t2
-        store.touch(sig, t1)
-        assert store.get(sig) is t1
-
-    def test_eviction_lru(self):
-        store = TemplateStore(variants_per_signature=2)
-        sig = structure_signature(msg(np.array([1.0])))
-        templates = [build_template(msg(np.array([float(i)]))) for i in range(3)]
-        for t in templates:
-            store.put(sig, t)
-        assert store.template_count == 2
-        assert store.evictions == 1
-        assert templates[0] not in store.variants(sig)
-
-    def test_select_picks_closest(self):
-        store = TemplateStore(variants_per_signature=3)
-        tA = build_template(msg(np.array([1.0, 2.0, 3.0])))
-        tB = build_template(msg(np.array([9.0, 8.0, 7.0])))
-        sig = tA.signature
-        store.put(sig, tA)
-        store.put(sig, tB)
-        best, miss = store.select(sig, msg(np.array([9.0, 8.0, 5.0])))
-        assert best is tB and miss == 1
-        best, miss = store.select(sig, msg(np.array([1.0, 2.0, 3.0])))
-        assert best is tA and miss == 0
+        assert store.template_count == 1
 
     def test_counters(self):
         store = TemplateStore()
-        sig = ("urn", "op", ())
-        assert store.get(sig) is None
-        assert store.misses == 1
-        store.put(sig, object())
-        store.get(sig)
-        assert store.hits == 1
-        assert sig in store
+        t = build_template(msg(np.array([1.0])))
+        assert store.get(t.signature) is None
+        assert store.template_count == 0
+        store.put(t.signature, t)
+        assert store.template_count == 1
+        assert store.approx_bytes() == t.memory_footprint()["total"]
         store.clear()
         assert store.template_count == 0
-
-    def test_invalid_variants(self):
-        with pytest.raises(TemplateError):
-            TemplateStore(variants_per_signature=0)
+        assert store.approx_bytes() == 0
 
 
 class TestSharedStore:
@@ -146,40 +72,7 @@ class TestSharedStore:
 
 
 class TestVariants:
-    def _client(self, threshold=0.3, variants=3):
-        policy = DiffPolicy(
-            template_variants=variants, variant_miss_threshold=threshold
-        )
-        sink = CollectSink()
-        return BSoapClient(sink, policy), sink
-
-    def test_alternating_payloads_both_content_match(self):
-        client, sink = self._client()
-        a = np.arange(32.0)
-        b = np.arange(32.0) * -2.5
-        client.send(msg(a))
-        client.send(msg(b))  # very different → second variant built
-        assert client.template_count == 2
-        assert client.send(msg(a)).match_kind is MatchKind.CONTENT_MATCH
-        assert client.send(msg(b)).match_kind is MatchKind.CONTENT_MATCH
-        fresh = build_template(msg(b)).tobytes()
-        assert documents_equivalent(sink.last, fresh)
-
-    def test_small_diff_reuses_instead_of_new_variant(self):
-        client, _ = self._client(threshold=0.5)
-        a = np.arange(32.0)
-        client.send(msg(a))
-        nearly = a.copy()
-        nearly[5] = 9.0  # same serialized width as "5"
-        r = client.send(msg(nearly))
-        assert r.match_kind is MatchKind.PERFECT_STRUCTURAL
-        assert client.template_count == 1
-
-    def test_variant_cap_respected(self):
-        client, _ = self._client(threshold=0.0, variants=2)
-        for k in range(5):
-            client.send(msg(np.arange(8.0) + 1000 * k))
-        assert client.template_count <= 2
+    """One template per structure: new values rewrite it in place."""
 
     def test_single_variant_default_unchanged(self):
         client = BSoapClient(CollectSink())
@@ -187,7 +80,7 @@ class TestVariants:
         b = a * -5
         client.send(msg(a))
         r = client.send(msg(b))
-        # One template only: full rewrite, no new variant.
+        # One template only: full rewrite, no second template.
         assert client.template_count == 1
         assert r.match_kind in (
             MatchKind.PERFECT_STRUCTURAL,
@@ -251,7 +144,7 @@ class TestLayoutKey:
         ids=["default", "small-chunks"],
     )
     def test_equal_key_means_equal_size(self, chunk):
-        policy = DiffPolicy(chunk=chunk, template_variants=2)
+        policy = DiffPolicy(chunk=chunk)
         client = BSoapClient(CollectSink(), policy)
         store = client.store
         rng = np.random.default_rng(3)

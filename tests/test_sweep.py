@@ -32,6 +32,24 @@ class TestRunSweep:
         # Stuffed messages are larger on the wire.
         assert by_stuffing["max"].message_bytes > by_stuffing["none"].message_bytes
 
+    def test_expansions_count_one_send(self):
+        """The repetition count never changes a cell's expansions: under
+        growth 10 % of 300 values outgrow their fields on each send; the
+        structural workload keeps every value's width, so none do."""
+        expected = {"growth": 30, "structural": 0}
+        for workload in WORKLOADS:
+            cells = [
+                run_sweep(
+                    workload,
+                    300,
+                    chunk_sizes=(8 * 1024,),
+                    stuffing=("none",),
+                    reps=reps,
+                )[0]
+                for reps in (2, 5)
+            ]
+            assert [c.expansions for c in cells] == [expected[workload]] * 2
+
     def test_unknown_workload(self):
         with pytest.raises(KeyError):
             run_sweep("quantum", 10)
