@@ -1,19 +1,29 @@
 """Parsing-side costs: scanner, schema-guided parser.
 
 Context for the differential-deserialization ablation: these are the
-baseline costs the server avoids.
+baseline costs the server avoids.  ``test_first_time_decode`` is the
+one a first-time send cannot avoid: the full parse plus the seek-table
+compile of a MAX-stuffed request, the ledger's ``cold_structures``
+shape.
 """
 
 import pytest
 
-from _common import sink
-from repro.bench.workloads import double_array_message, random_doubles
+from repro.bench.workloads import (
+    double_array_message,
+    doubles_of_width,
+    random_doubles,
+)
 from repro.core.client import BSoapClient
+from repro.core.policy import DiffPolicy, StuffingPolicy, StuffMode
+from repro.schema.skipscan import SeekTable
 from repro.server.parser import SOAPRequestParser
 from repro.transport.loopback import CollectSink
 from repro.xmlkit.scanner import XMLScanner
 
 N = 5000
+#: Doubles in the first-time request (``cold_structures``' base length).
+COLD_N = 1024
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +61,24 @@ def test_trie_tag_classification(benchmark, document):
         return hits
 
     benchmark(run)
+
+
+@pytest.fixture(scope="module")
+def cold_request():
+    collect = CollectSink()
+    policy = DiffPolicy(stuffing=StuffingPolicy(StuffMode.MAX))
+    values = doubles_of_width(COLD_N, 14, seed=0)  # the ledger's value width
+    BSoapClient(collect, policy).send(double_array_message(values, "checksum"))
+    return bytes(collect.last)
+
+
+def test_first_time_decode(benchmark, cold_request):
+    benchmark.group = f"first-time decode (n={COLD_N} MAX-stuffed doubles)"
+    parser = SOAPRequestParser()
+
+    def decode():
+        result = parser.parse(cold_request)
+        return SeekTable.compile(cold_request, result)
+
+    table = benchmark(decode)
+    assert table.region_len is not None  # the vector lane is armed

@@ -38,7 +38,12 @@ class FullSerializer(Protocol):
 
 
 def attrs_bytes(attrs: dict) -> bytes:
-    """Render an attribute mapping as raw tag-attribute bytes."""
+    """Render an attribute mapping as raw tag-attribute bytes.
+
+    Written apart from the runtime's ``core.serializer._attrs_bytes`` on
+    purpose: the baselines are what the wire oracles compare the runtime
+    against, so they share none of its rendering code.
+    """
     parts = []
     for key, value in attrs.items():
         parts.append(

@@ -51,6 +51,9 @@ def _close(name: str) -> bytes:
 
 
 def _attrs_bytes(attrs: dict) -> bytes:
+    # Kept apart from ``baselines.common.attrs_bytes`` on purpose: the
+    # baselines are the wire oracles' reference, so they share no code
+    # with the runtime they check.
     parts = []
     for key, value in attrs.items():
         parts.append(

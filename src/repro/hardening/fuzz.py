@@ -45,6 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.hardening.limits import DEFAULT_LIMITS, ResourceLimits
+from repro.schema.skipscan import SeekTable, SkipScanFallback
 from repro.schema.types import DOUBLE, INT
 from repro.server.async_server import SERVER_MODES, make_server
 from repro.server.parser import SOAPRequestParser
@@ -890,26 +891,58 @@ def _signature(result) -> Dict[str, object]:
     }
 
 
+def _table_signature(wire: bytes, result) -> Dict[str, object]:
+    """What :func:`parse_divergence` compares of the
+    :class:`~repro.schema.skipscan.SeekTable` compiled from *result*:
+    its arrays and derived layout, or the reason compile refused."""
+    try:
+        table = SeekTable.compile(wire, result)
+    except SkipScanFallback as exc:
+        return {"seek-table refusal": exc.reason}
+    return {
+        "table starts": table.starts,
+        "table ends": table.ends,
+        "table tag_ids": table.tag_ids,
+        "table tag_lens": table.tag_lens,
+        "table closing tags": sorted(table.trie.items()),
+        "table rooms": table._rooms,
+        "table stride": table._stride,
+        "table region_len": table.region_len,
+        "table commit map": (
+            len(table._containers), table._param_of, table._item_of
+        ),
+    }
+
+
 def parse_divergence(parser, wire: bytes) -> Optional[str]:
     """How ``parser.parse`` and its generic event path disagree on
     *wire* — ``None`` when they do not.
 
     Agreement is the same :class:`~repro.server.parser.ParseResult`
     (operation, parameter names/kinds/element types, values bit for
-    bit, ``spans``, ``regions``, layouts) or the same exception type
-    and message.  The oracle of the full parse's leaf-run lane.
+    bit, ``spans``, ``regions``, layouts) and the same
+    :class:`~repro.schema.skipscan.SeekTable` compiled from it (regions,
+    closing tags, rooms, stride, region length, commit map — or the
+    same refusal reason), or the same exception type and message.  The
+    oracle of the full parse's leaf-run lane, and of a compile that
+    takes its closing tag from the lane's proof instead of re-proving
+    it.
     """
 
     def outcome(parse) -> tuple:
         try:
-            return ("ok", _signature(parse(wire)))
+            result = parse(wire)
         except Exception as exc:  # noqa: BLE001 - compared, not handled
             return ("raised", type(exc), str(exc))
+        return ("ok", {**_signature(result), **_table_signature(wire, result)})
 
     lane, generic = outcome(parser.parse), outcome(parser._parse_generic)
     if lane[0] == generic[0] == "ok":
         a, b = lane[1], generic[1]
-        differ = [key for key in a if not _same_leaves(a[key], b[key])]
+        differ = [
+            key for key in {**a, **b}
+            if key not in a or key not in b or not _same_leaves(a[key], b[key])
+        ]
         return f"{', '.join(differ)} differ" if differ else None
     if lane == generic:
         return None

@@ -169,11 +169,12 @@ class SeekTable:
             if steps.size and steps[0] > 0 and bool((steps == steps[0]).all())
             else None
         )
-        self._vec_len = None
-        if self._vec_tag is not None:
-            lens = self.ends - starts
-            if bool((lens == lens[0]).all()):
-                self._vec_len = int(lens[0])
+        self._vec_len = self._uniform_len() if self._vec_tag is not None else None
+
+    def _uniform_len(self) -> Optional[int]:
+        """The byte length every region shares, if they share one."""
+        lens = self.ends - self.starts
+        return int(lens[0]) if bool((lens == lens[0]).all()) else None
 
     # ------------------------------------------------------------------
     # compilation
@@ -191,7 +192,12 @@ class SeekTable:
         compiled; the deserializer then full-parses every changed
         message (content matches stay free) and tries to compile
         again from each one.
+
+        A lane proof on *result* serves this one compile: compile takes
+        it off the result, so a stored result does not keep the proven
+        document alive.
         """
+        proof, result.lane_proof = result.lane_proof, None
         if descriptor is not None:
             mismatch = descriptor.check(result.message)
             if mismatch is not None:
@@ -218,7 +224,16 @@ class SeekTable:
         ):
             raise SkipScanFallback("region-shape")
 
-        keys = cls._single_close_tag(data, spans[:, 1], ends)
+        # A full parse whose leaves all came from the leaf-run lane
+        # carries the lane's proof of their one closing tag: every item
+        # tag compared, every pad proven whitespace, over exactly these
+        # regions of exactly this document.
+        from repro.server.parser import LaneProof  # the parser imports repro.schema
+
+        if isinstance(proof, LaneProof) and proof.covers(data, spans, regions):
+            keys: Optional[dict] = {proof.tag: 0}
+        else:
+            keys = cls._single_close_tag(data, spans[:, 1], ends)
         if keys is not None:
             (key,) = keys
             tag_ids = np.zeros(k, dtype=np.int64)
@@ -313,7 +328,7 @@ class SeekTable:
             return
         (key,) = keys
         self._vec_tag = np.frombuffer(key + b">", dtype=np.uint8)
-        self._derive_layout()
+        self._vec_len = self._uniform_len()
 
     # ------------------------------------------------------------------
     def approx_bytes(self) -> int:

@@ -49,7 +49,9 @@ from repro.xmlkit.scanner import (
     XMLScanner,
 )
 
-__all__ = ["SOAPRequestParser", "DecodedMessage", "DecodedParam", "ParseResult"]
+__all__ = [
+    "SOAPRequestParser", "DecodedMessage", "DecodedParam", "ParseResult", "LaneProof",
+]
 
 
 def _leaf_from_text(xsd_type: XSDType, text: str):
@@ -90,6 +92,8 @@ class _LeafRun:
 
     values: np.ndarray  # (N,) float64
     spans: np.ndarray  # (N, 2) int64 value spans, document offsets
+    regions: np.ndarray  # (N, 2) int64 field regions, document offsets
+    tag: Optional[bytes]  # the items' closing tag without its '>'; None if N == 0
     end: int  # offset of the array's own end tag
 
 
@@ -104,6 +108,11 @@ def _scan_double_run(
     every value inside :func:`parse_double_column`'s contract.  Returns
     ``None`` — having raised nothing and touched nothing — for
     anything else; the caller then reads the same bytes as events.
+
+    The tiling also yields each item's field region (see
+    :meth:`SOAPRequestParser._field_regions`): its value, closing tag
+    and whitespace pad, up to the next item's ``<`` or, for the last
+    item, to ``</parent``.
     """
     end = data.find(b"</" + parent, pos)
     if end < 0:
@@ -111,9 +120,8 @@ def _scan_double_run(
     if count == 0:
         if end != pos:
             return None
-        return _LeafRun(
-            np.empty(0, dtype=np.float64), np.empty((0, 2), dtype=np.int64), end
-        )
+        none = np.empty((0, 2), dtype=np.int64)
+        return _LeafRun(np.empty(0, dtype=np.float64), none, none, None, end)
     # The first item names the tag (bounded like any scanner token).
     gt = data.find(b">", pos, min(end, pos + max_token + 2))
     if gt < 0 or data[pos] != _LT:
@@ -132,7 +140,8 @@ def _scan_double_run(
     opens, closes = lt[0::2], lt[1::2]
     vstart = opens + open_tag.size
     vlen = closes - vstart
-    pad = np.append(opens[1:], body.size) - closes - close_tag.size
+    nexts = np.append(opens[1:], body.size)
+    pad = nexts - closes - close_tag.size
     if (
         opens[0] != 0
         or int(vlen.min()) < 1
@@ -155,7 +164,47 @@ def _scan_double_run(
     values = parse_double_column(body, vstart, vlen)
     if values is None:
         return None
-    return _LeafRun(values, spans + pos, end)
+    regions = np.stack([vstart, nexts], axis=1)
+    return _LeafRun(values, spans + pos, regions + pos, b"</" + name, end)
+
+
+#: Seals :class:`LaneProof`: only this module's lane bookkeeping holds it.
+_LANE_SEAL = object()
+
+
+class LaneProof:
+    """What the leaf-run lane proved about every leaf of one parse.
+
+    Every leaf came from a lane run and every run's items close with
+    ``tag + b">"``: each region is the leaf's value, that closing tag
+    and pad the lane's tiling proved whitespace, up to the region's
+    end.  :meth:`~repro.schema.skipscan.SeekTable.compile` takes its
+    one closing tag from here instead of gathering every tag and
+    scanning the document for whitespace again.  Only the parser
+    constructs one (the constructor wants a module-private seal), and
+    it holds for the document and the arrays it was proven on alone:
+    :meth:`covers` compares identity, and the arrays are frozen.
+    """
+
+    __slots__ = ("data", "spans", "regions", "tag")
+
+    def __init__(
+        self, seal: object, data: bytes, spans: np.ndarray, regions: np.ndarray, tag: bytes
+    ) -> None:
+        if seal is not _LANE_SEAL:
+            raise TypeError("only the leaf-run lane constructs a LaneProof")
+        spans.flags.writeable = regions.flags.writeable = False
+        self.data, self.spans, self.regions, self.tag = data, spans, regions, tag
+
+    def covers(self, data: bytes, spans: np.ndarray, regions: np.ndarray) -> bool:
+        """Whether this proof was made for exactly these objects (and
+        the document is immutable ``bytes``, so still what was proven)."""
+        return (
+            data is self.data
+            and type(data) is bytes
+            and spans is self.spans
+            and regions is self.regions
+        )
 
 
 @dataclass(slots=True)
@@ -222,6 +271,7 @@ class ParseResult:
         spans: np.ndarray,
         layouts: List[_ParamLayout],
         regions: Optional[np.ndarray] = None,
+        lane_proof: Optional[LaneProof] = None,
     ) -> None:
         self.message = message
         #: (k, 2) int64 array of raw value-text spans, document order.
@@ -231,6 +281,8 @@ class ParseResult:
         #: change when only this leaf's value changes fall inside its
         #: region — what differential deserialization diffs against.
         self.regions = regions if regions is not None else spans
+        #: The lane's proof of one closing tag for every leaf, if any.
+        self.lane_proof = lane_proof
         self._layouts = layouts
         self._bases = [l.leaf_base for l in layouts]
 
@@ -454,17 +506,37 @@ class SOAPRequestParser:
         leaf_count = 0
         spans: List[np.ndarray] = []
         layouts: List[_ParamLayout] = []
+        runs: List[Optional[_LeafRun]] = []
         for pnode in op_node.children:
             param, (layout, param_spans) = self._decode_param(pnode, leaf_count)
             message.params.append(param)
             layouts.append(layout)
             spans.append(np.asarray(param_spans, dtype=np.int64).reshape(-1, 2))
+            runs.append(pnode.run)
             leaf_count += layout.leaf_count
         span_arr = (
             np.concatenate(spans) if spans else np.empty((0, 2), dtype=np.int64)
         )
-        regions = self._field_regions(data, span_arr)
-        return ParseResult(message, span_arr, layouts, regions)
+        # The lane's regions for its leaves; the events' leaves alone
+        # are searched for theirs.
+        regions = span_arr.copy()
+        events = np.ones(span_arr.shape[0], dtype=bool)
+        at = 0
+        for s, run in zip(spans, runs):
+            if run is not None:
+                regions[at : at + s.shape[0]] = run.regions
+                events[at : at + s.shape[0]] = False
+            at += s.shape[0]
+        proof = None
+        if bool(events.any()):
+            regions[events] = self._field_regions(data, span_arr[events])
+        else:
+            # Runs of no items, and event-read params of no leaves, have
+            # no closing tag to share.
+            tags = {run.tag for run in runs if run is not None} - {None}
+            if len(tags) == 1:
+                proof = LaneProof(_LANE_SEAL, data, span_arr, regions, tags.pop())
+        return ParseResult(message, span_arr, layouts, regions, proof)
 
     @staticmethod
     def _field_regions(data: bytes, spans: np.ndarray) -> np.ndarray:
