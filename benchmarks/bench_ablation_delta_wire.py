@@ -38,9 +38,10 @@ Before timing, two sanity gates run on small copies:
   (epoch loss) both degrade to full XML and then resume framing;
 * widening drill — unstuffed doubles that outgrow their fields
   (partial structural matches) frame every send with pad insertions,
-  and the peer's reconstruction is byte-identical to the plain
-  client's document.  Its counts go into the result's ``params``
-  (``widening_drill``), not into a row.
+  then one send of narrower values frames with every dirty double
+  deferred (proven to fit its field), and the peer's reconstruction is
+  byte-identical to the plain client's document each time.  Its counts
+  go into the result's ``params`` (``widening_drill``), not into a row.
 
 A fixed-cost table goes into ``params`` (``frame_costs``): at 0 to 163
 typed entries per frame, the median µs of the send (rewrite and frame),
@@ -255,8 +256,10 @@ def _assert_fallback_recovers(n: int, seed: int) -> None:
 
 def _assert_widening_frames(n: int, seed: int, sends: int = 6) -> Dict[str, int]:
     """Every send whose values outgrow their unstuffed fields frames
-    with pad insertions, reconstructed byte for byte; returns the
-    drill's counts."""
+    with pad insertions, reconstructed byte for byte; then one send of
+    as many narrower values frames with every dirty double deferred
+    (proven to fit its field, so never formatted by the sender).
+    Returns the drill's counts."""
     unstuffed = DiffPolicy(
         float_format=FloatFormat.MINIMAL, stuffing=StuffingPolicy(StuffMode.NONE)
     )
@@ -287,13 +290,28 @@ def _assert_widening_frames(n: int, seed: int, sends: int = 6) -> Dict[str, int]
                 f"widening send {i}: reconstruction diverged from the plain wire"
             )
         framed += 1
-    return {"sends": sends, "framed": framed, "insertions": loop.insertions}
+    values = values.copy()
+    idx = rng.choice(n, n // 4, replace=False)
+    values[idx] = doubles_of_width(idx.size, 10, seed=seed + sends + 1)
+    report = client.send(double_array_message(values))
+    plain.send(double_array_message(values))
+    if not report.delta or report.rewrite.values_deferred != idx.size:
+        raise AssertionError("fit send did not frame with every dirty double deferred")
+    if loop.last_document != plain_sink.last:
+        raise AssertionError("fit send: reconstruction diverged from the plain wire")
+    return {
+        "sends": sends,
+        "framed": framed,
+        "insertions": loop.insertions,
+        "deferred": report.rewrite.values_deferred,
+    }
 
 
 class _FramePair:
-    """A responder-shaped sender (MINIMAL, unstuffed: its rewrite
-    formats each changed double, as the server's reply does) and a
-    receiver holding its mirror and decode, for the fixed-cost table."""
+    """A responder-shaped sender (MINIMAL, unstuffed, as the server's
+    reply is: its small lane formats each changed double, its large
+    lane defers those proven to fit their fields) and a receiver
+    holding its mirror and decode, for the fixed-cost table."""
 
     def __init__(self, seed: int) -> None:
         self.sink = LatestSink()
@@ -416,7 +434,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(
         "wire identity: delta reconstruction == full wire (all fractions); "
         f"fallback drill passed; widening drill framed {widening['framed']} of "
-        f"{widening['sends']} sends with {widening['insertions']} insertions",
+        f"{widening['sends']} sends with {widening['insertions']} insertions, "
+        f"then deferred {widening['deferred']} fitting doubles",
         file=sys.stderr,
     )
     costs = frame_costs(frame_reps, args.seed)

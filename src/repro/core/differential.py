@@ -47,12 +47,19 @@ boundaries may differ.
 
 **Deferred text** (``defer=True``: the client's delta encoder will
 carry this send's dirty doubles as binary64 typed splices): a dirty
-``xsd:double`` whose field holds :data:`DOUBLE_MAX_WIDTH` characters
-provably fits it, so it is neither formatted nor written, only marked
-in the template's ``stale`` mask.  Its old text and ``ser_len`` still
-agree with the buffer.  Before anything reads the bytes,
-:func:`render_stale` runs this module's own rewrite over the stale
-entries — the deferred half of the same write, in MINIMAL form.
+``xsd:double`` proven to fit its field is neither formatted nor
+written, only marked in the template's ``stale`` mask.  The proof is
+:func:`~repro.lexical.floats.minimal_fits` with the field width as the
+room, run over a parameter's dirty doubles when they number at least
+:data:`~repro.wire.frame.SMALL_FRAME`; a shorter run takes only its
+trivial case, a field of :data:`DOUBLE_MAX_WIDTH` characters, which
+holds any double.  Every other dirty value is written as usual, so a
+value that outgrows its field shifts with real text.  A deferred
+entry's old text and ``ser_len`` still agree with the buffer; an entry
+deferred once and written by a later send leaves the mask.  Before
+anything reads the bytes, :func:`render_stale` runs this module's own
+rewrite over the stale entries — the deferred half of the same write,
+in MINIMAL form.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ import numpy as np
 from repro.buffers.iovec import row_window
 from repro.core.policy import DiffPolicy
 from repro.core.stats import RewriteStats
-from repro.lexical.floats import DOUBLE_MAX_WIDTH, FloatFormat
+from repro.lexical.floats import DOUBLE_MAX_WIDTH, FloatFormat, minimal_fits
 from repro.schema.types import DOUBLE
 from repro.wire import frame as wire_frame
 
@@ -376,13 +383,42 @@ def render_stale(template: "MessageTemplate", stale: np.ndarray) -> None:
             _rewrite_run(template, bp, idxs, FloatFormat.MINIMAL, stats, None)
 
 
+def _deferrable(
+    template: "MessageTemplate", bp: "BoundParam", idxs: np.ndarray
+) -> np.ndarray:
+    """Mask of the dirty entries *idxs* of *bp* whose text may be left
+    stale: doubles whose fields provably hold their MINIMAL text.  A
+    field of :data:`DOUBLE_MAX_WIDTH` characters holds any double (the
+    proof's trivial case); a narrower one is proven by
+    :func:`~repro.lexical.floats.minimal_fits` only in a run of at
+    least :data:`~repro.wire.frame.SMALL_FRAME` dirty doubles."""
+    dut = template.dut
+    widths = dut.field_width[idxs]
+    lazy = widths >= DOUBLE_MAX_WIDTH
+    if bp.leaf_types == (DOUBLE,):
+        doubles, count = None, idxs.size
+    else:
+        doubles = dut.type_id[idxs] == DOUBLE.type_id
+        lazy &= doubles
+        count = np.count_nonzero(doubles)
+    # A short run, or every double in a full-width field (MAX stuffing):
+    # nothing left to prove.
+    if count < wire_frame.SMALL_FRAME or np.count_nonzero(lazy) == count:
+        return lazy
+    narrow = np.flatnonzero(~lazy if doubles is None else doubles & ~lazy)
+    lazy[narrow] = minimal_fits(
+        bp.tracked.doubles_for(idxs[narrow] - bp.entry_base), widths[narrow]
+    )
+    return lazy
+
+
 def rewrite_dirty(
     template: "MessageTemplate", policy: DiffPolicy, obs=None, defer: bool = False
 ) -> RewriteStats:
     """Re-serialize every dirty entry; clear dirty bits; return stats.
 
-    With *defer*, dirty doubles whose fields hold any MINIMAL text are
-    marked stale instead of written (module docstring); without it, the
+    With *defer*, dirty doubles proven to fit their fields are marked
+    stale instead of written (module docstring); without it, the
     template's stale text is rendered first, so the pass leaves every
     byte current.
     """
@@ -402,10 +438,8 @@ def rewrite_dirty(
         if base:
             idxs += base
         if defer and DOUBLE in bp.leaf_types:
-            lazy = dut.field_width[idxs] >= DOUBLE_MAX_WIDTH
-            if bp.leaf_types != (DOUBLE,):
-                lazy &= dut.type_id[idxs] == DOUBLE.type_id
-            deferred = np.count_nonzero(lazy)
+            lazy = _deferrable(template, bp, idxs)
+            deferred = int(np.count_nonzero(lazy))
             if deferred:
                 if template.stale is None:
                     template.stale = np.zeros(len(dut), dtype=bool)
@@ -414,6 +448,9 @@ def rewrite_dirty(
                 stats.values_deferred += deferred
                 idxs = idxs[:0] if deferred == idxs.size else idxs[~lazy]
         if idxs.size:
+            if template.stale is not None:
+                # Deferred by an earlier send, written by this one.
+                template.stale[idxs] = False
             _rewrite_run(template, bp, idxs, policy.float_format, stats, obs)
         dut.clear_dirty(base, end)
     if tracing:

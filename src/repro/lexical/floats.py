@@ -36,6 +36,12 @@ Every send formats through the same batch converter for its format,
 :func:`format_double_array` — first-time build and resend alike;
 nothing is memoized (:mod:`repro.lexical.cache` says why).  The batch
 parser, :func:`parse_double_column`, serves both server decode lanes.
+
+Where only a MINIMAL text's *length* matters — does a value fit the
+field it will be rendered into — :func:`minimal_fits` proves the fit
+for whole columns without formatting: the sender then leaves a typed
+frame's doubles unwritten and the receiver checks their rooms, each
+formatting only what the proof leaves open.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ __all__ = [
     "gather_rows",
     "WS_LUT",
     "format_double_array",
+    "minimal_fits",
 ]
 
 #: Maximum characters any finite double can need in either format
@@ -281,3 +288,57 @@ def format_double_array(
 
     # SHORTEST
     return [repr(v).encode("ascii") for v in values]
+
+
+#: ``10.0**i`` for ``i`` in 0..22, each exact (converted from an int).
+_POW10 = np.array([float(10**i) for i in range(23)])
+#: ``10**k`` for ``k`` in -3..14: a value's decimal exponent is its
+#: ``searchsorted`` index here minus 3 (off by one near an edge).
+_DECADES = np.array([10.0**k for k in range(-3, 15)])
+#: Digits of the largest integer the digit proof takes.
+_PROOF_DIGITS = 15
+
+
+def minimal_fits(values: np.ndarray, rooms: np.ndarray) -> np.ndarray:
+    """Bool mask: ``len(format_double(values[i], MINIMAL)) <= rooms[i]``
+    is *proven* without formatting; ``False`` only means unproven.
+
+    A room of :data:`DOUBLE_MAX_WIDTH` holds any double.  Otherwise
+    only ``1e-3 <= |v| < 1e14`` is considered, where MINIMAL text is
+    positional (decimal point at -2..15); everything else — e-notation,
+    zeros, subnormals, NaN, INF — is left to the formatter.  With ``d``
+    the value's decimal exponent (``floor(log10|v|) + 1``, off by at
+    most one here):
+
+    * **magnitude bound** — at most 17 significant digits, so the text
+      takes at most ``max(18, 20 - d)`` characters after the sign;
+    * **digit proof** — ``p`` fraction digits that the room allows
+      (at most 15 digits in all), ``r = rint(|v| * 10**p)``.  When
+      ``r < 10**15`` and ``r / 10**p == |v|``, both operands are exact
+      and the division correctly rounded (Clinger's fast path), so the
+      decimal ``r * 10**-p`` reads back as ``v``: the shortest text has
+      no more digits than ``r``, and no more characters than
+      ``r * 10**-p`` written positionally with ``p`` fraction digits.
+    """
+    out = rooms >= DOUBLE_MAX_WIDTH
+    a = np.abs(values)
+    band = (a >= 1e-3) & (a < 1e14) & ~out
+    if not bool(band.any()):
+        return out
+    a = a[band]
+    # Characters left after the sign: -1..23.
+    room = rooms[band].astype(np.intp) - np.signbit(values[band])
+    d = np.searchsorted(_DECADES, a, side="right") - 3
+    # Fraction digits after "d digits." (room - 1 - d) or after "0."
+    # (room - 2), at most 15 digits in all: p <= 17 here.  Any p is
+    # sound (the text is measured below); p only decides what is proven.
+    p = np.maximum(np.minimum(np.minimum(room - 1, _PROOF_DIGITS) - d, room - 2), 0)
+    scale = _POW10[p]
+    r = np.rint(a * scale)
+    # Exact while r < 10**15, which the proof requires.
+    digits = np.searchsorted(_POW10[:_PROOF_DIGITS], r, side="right")
+    # r with p > 0 fraction digits: at least "0." and p digits.
+    text = np.maximum(digits, p + 1) + (p > 0)
+    proven = (r < _POW10[_PROOF_DIGITS]) & (r / scale == a) & (text <= room)
+    out[band] = proven | ((room >= 18) & (room + d >= 20))
+    return out

@@ -73,6 +73,7 @@ from repro.lexical.floats import (
     format_double_array,
     gather_rows,
     length_groups,
+    minimal_fits,
     parse_double_column,
     whitespace_run_ends,
 )
@@ -493,11 +494,13 @@ class SeekTable:
         ``xsd:double`` leaf whose region has room for the value's
         MINIMAL text and the closing tag: what rendering it later
         writes.  Regions of at least :data:`DOUBLE_MAX_WIDTH` value
-        bytes hold any double, so only narrower ones format anything.
+        bytes hold any double, so only narrower ones are checked.
         Fewer than :data:`~repro.wire.frame.SMALL_FRAME` splices are
-        checked one by one (:meth:`_typed_leaves_small`), more as NumPy
-        columns (:meth:`_typed_leaves_large`): the same checks, the
-        same answer.
+        checked one by one (:meth:`_typed_leaves_small`, which formats
+        each narrow value), more as NumPy columns
+        (:meth:`_typed_leaves_large`, which proves room first with
+        :func:`~repro.lexical.floats.minimal_fits` and formats only the
+        values it leaves unproven): the same checks, the same answer.
         """
         if offsets.shape[0] < wire_frame.SMALL_FRAME:
             return self._typed_leaves_small(offsets, values)
@@ -558,11 +561,11 @@ class SeekTable:
         if self._rooms is None:
             return leaves
         room = self._rooms[leaves]
-        narrow = room < DOUBLE_MAX_WIDTH
-        if bool(narrow.any()):
-            texts = format_double_array(values[narrow], FloatFormat.MINIMAL)
+        unproven = np.flatnonzero(~minimal_fits(values, room))
+        if unproven.size:
+            texts = format_double_array(values[unproven], FloatFormat.MINIMAL)
             lens = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
-            if bool((lens > room[narrow]).any()):
+            if bool((lens > room[unproven]).any()):
                 return None
         return leaves
 

@@ -21,6 +21,10 @@ naive client's.  Covered:
   ``LexicalError`` rollback);
 * a template store shared with an un-negotiated client;
 * an un-negotiated client, which defers nothing;
+* unstuffed fields: a run of at least ``SMALL_FRAME`` doubles proven to
+  fit defers (struct columns only their doubles), checked against a
+  :class:`~repro.server.diffdeser.DifferentialDeserializer` receiver,
+  and a deferred leaf that then grows is written once;
 * echo replies on both front ends;
 
 and one Hypothesis test draws sequences of these steps.
@@ -34,21 +38,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive import NaiveClient
+from repro.bench.workloads import doubles_of_width
 from repro.channel import RPCChannel
 from repro.core.client import BSoapClient
 from repro.core.differential import rewrite_dirty
 from repro.core.policy import DeltaPolicy, DiffPolicy, StuffingPolicy, StuffMode
 from repro.core.stats import MatchKind
 from repro.errors import LexicalError, TransportError
+from repro.hardening.limits import DEFAULT_LIMITS
 from repro.lexical.floats import FloatFormat
-from repro.schema.composite import ArrayType
+from repro.schema.composite import ArrayType, Field, StructType
+from repro.schema.mio import MIO_TYPE, make_mio_array_type
 from repro.schema.registry import TypeRegistry
 from repro.schema.types import DOUBLE, INT, STRING
 from repro.server.async_server import make_server
+from repro.server.diffdeser import DeserKind, DifferentialDeserializer
 from repro.server.parser import SOAPRequestParser
 from repro.server.service import SOAPService
 from repro.soap.message import Parameter, SOAPMessage, structure_signature
-from repro.transport.loopback import CollectSink
+from repro.transport.loopback import CollectSink, LatestSink
+from repro.wire import frame as wire_frame
 from repro.wire.loopback import DeltaLoopback
 from repro.xmlkit.canonical import diff_documents, documents_equivalent
 
@@ -369,7 +378,11 @@ def test_unnegotiated_client_defers_nothing(offer):
 
 
 def test_fixed_format_and_narrow_fields_are_written_eagerly():
-    """Only a double whose field holds any MINIMAL text defers."""
+    """A FIXED client's frames type no doubles, so it defers nothing.
+    A MINIMAL client defers a double proven to fit its field, but runs
+    the proof only over at least ``SMALL_FRAME`` dirty doubles; a
+    shorter run defers only fields of 24 characters, which hold any
+    double.  These sends dirty one unstuffed value each: written."""
     fixed = BSoapClient(
         DeltaLoopback(),
         DiffPolicy(
@@ -388,6 +401,162 @@ def test_fixed_format_and_narrow_fields_are_written_eagerly():
             )
         assert client.stats.rewrite.values_deferred == 0
         assert client.stats.delta_sends == 2
+
+
+# ----------------------------------------------------------------------
+# unstuffed fields: the room proof
+# ----------------------------------------------------------------------
+K = wire_frame.SMALL_FRAME
+#: A run long enough for the room proof.
+RUN = K + 4
+
+
+class Unstuffed:
+    """A deferring MINIMAL client on unstuffed fields, its frames
+    applied by a :class:`DifferentialDeserializer`, beside a plain
+    client and the naive one."""
+
+    def __init__(self, message) -> None:
+        self.message = message
+        self.sink = LatestSink()
+        self.client = BSoapClient(self.sink, DiffPolicy(delta=DeltaPolicy(offer=True)))
+        self.plain_sink = CollectSink()
+        self.plain = BSoapClient(self.plain_sink, DiffPolicy())
+        self.naive_sink = CollectSink()
+        self.naive = NaiveClient(self.naive_sink)
+        registry = TypeRegistry()
+        registry.register_struct(MIO_TYPE)
+        registry.register_struct(TAGGED)
+        self.deser = DifferentialDeserializer(registry)
+        self.send(framed=False)
+        self.deser.deserialize(
+            self.deser.store.store(*self.sink.take_announce(), self.sink.last)
+        )
+        self.client.wire.negotiated = True
+
+    @property
+    def template(self):
+        return self.client.store.get(structure_signature(self.message()))
+
+    def send(self, framed: bool = True):
+        """Send through every client; the receiver's mirror, rendered,
+        must be the plain client's wire."""
+        message = self.message()
+        report = self.client.send(message)
+        self.plain.send(message)
+        self.naive.send(message)
+        assert report.delta == framed
+        if framed:
+            doc = self.deser.store.apply(self.sink.last, DEFAULT_LIMITS)
+            decoded, deser = self.deser.deserialize(doc)
+            assert deser.kind is DeserKind.DIFFERENTIAL
+            assert doc.tobytes() == self.plain_sink.last
+            for param in message.params:
+                got, sent = decoded.value(param.name), param.value
+                if isinstance(sent, dict):  # struct columns
+                    assert all(np.array_equal(got[k], sent[k]) for k in sent)
+                else:
+                    assert np.array_equal(got, sent)
+        assert documents_equivalent(self.plain_sink.last, self.naive_sink.last)
+        return report
+
+
+def _array_rig(width: int = 14) -> tuple:
+    values = doubles_of_width(4 * RUN, width, seed=width)
+
+    def message():
+        return SOAPMessage(
+            "put", NS, [Parameter("data", ArrayType(DOUBLE), values.copy())]
+        )
+
+    return Unstuffed(message), values
+
+
+def test_proven_narrow_fields_defer():
+    """Each send rewrites a run of doubles that fit their unstuffed
+    fields: all are deferred, the frame carries them, and the
+    receiver's mirror renders the plain wire."""
+    rig, values = _array_rig()
+    rng = np.random.default_rng(3)
+    for width in (14, 12, 10):
+        idx = rng.choice(values.size, RUN, replace=False)
+        values[idx] = doubles_of_width(RUN, width, seed=width + 100)
+        report = rig.send()
+        assert report.rewrite.values_deferred == RUN
+        assert report.rewrite.values_rewritten == RUN
+        assert report.rewrite.expansions == 0
+        assert bool(rig.template.stale[idx].all())
+    assert rig.client.stats.rewrite.values_deferred == 3 * RUN
+    assert rig.template.tobytes() == rig.plain_sink.last
+
+
+def test_struct_columns_defer_only_their_doubles():
+    cols = {
+        "x": np.arange(2 * RUN, dtype=np.int32),
+        "y": np.arange(2 * RUN, dtype=np.int32),
+        "v": doubles_of_width(2 * RUN, 12, seed=4),
+    }
+
+    def message():
+        columns = {name: col.copy() for name, col in cols.items()}
+        return SOAPMessage(
+            "mesh", NS, [Parameter("mesh", make_mio_array_type(), columns)]
+        )
+
+    rig = Unstuffed(message)
+    cols["v"][:RUN] = doubles_of_width(RUN, 11, seed=5)
+    cols["x"][:RUN] += 1  # same widths: ints written, no expansion
+    report = rig.send()
+    assert report.rewrite.values_deferred == RUN
+    assert report.rewrite.values_rewritten == 2 * RUN
+    assert rig.template.tobytes() == rig.plain_sink.last
+
+
+#: A struct whose string leaves are wide enough to hold any double.
+TAGGED = StructType(name="Tagged", fields=(Field("label", STRING), Field("v", DOUBLE)))
+
+
+@pytest.mark.parametrize("dirty", [FEW, RUN])
+def test_wide_string_leaves_are_never_deferred(dirty):
+    """Only double leaves defer: a string field of 30 characters is
+    written, in a short run (the 24-character rule) and a long one
+    (the proof)."""
+    cols = {
+        "label": ["x" * 30] * (2 * RUN),
+        "v": doubles_of_width(2 * RUN, 12, seed=8),
+    }
+
+    def message():
+        columns = {"label": list(cols["label"]), "v": cols["v"].copy()}
+        return SOAPMessage("tags", NS, [Parameter("tags", ArrayType(TAGGED), columns)])
+
+    rig = Unstuffed(message)
+    cols["label"][:dirty] = ["y" * 30] * dirty
+    cols["v"][:dirty] = doubles_of_width(dirty, 11, seed=9)
+    report = rig.send()
+    assert report.rewrite.values_deferred == (dirty if dirty >= K else 0)
+    assert rig.template.tobytes() == rig.plain_sink.last
+
+
+@pytest.mark.parametrize("reader", ["views", "tobytes", "validate"])
+def test_deferred_leaf_that_grows_is_written_once(reader):
+    """A run deferred by one send outgrows its fields in the next: the
+    second send writes it (with pad insertions) and takes it out of
+    the stale mask, so no reader formats it again."""
+    rig, values = _array_rig()
+    idx = np.arange(0, values.size, 3)[:RUN]
+    values[idx] = doubles_of_width(RUN, 12, seed=6)
+    assert rig.send().rewrite.values_deferred == RUN
+    assert bool(rig.template.stale[idx].all())
+    values[idx] = doubles_of_width(RUN, 20, seed=7)
+    report = rig.send()
+    assert report.rewrite.values_deferred == 0
+    assert report.rewrite.expansions == RUN
+    stale = rig.template.stale
+    assert stale is None or not stale.any()
+    assert rig.client.stats.rewrite.values_deferred == RUN
+    assert _read(rig.template, reader) == rig.plain_sink.last
+    assert documents_equivalent(_read(rig.template, reader), rig.naive_sink.last)
 
 
 # ----------------------------------------------------------------------
